@@ -60,12 +60,10 @@ from .families import (
     union_of_cosets,
 )
 from .gf2 import (
-    QuotientMap,
     Subspace,
     coset_decompose,
     enumerate_subspaces,
     gaussian_binomial,
-    project,
     span,
     subspace_intersect,
     subspace_sum,

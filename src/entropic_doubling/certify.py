@@ -8,24 +8,32 @@ subspace, accepting only within the stored tolerances.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dist import Dist, pushforward_quotient, xor_convolve
-from .endgame import EndgameTranscript
-from .entropy import fibring_decompose, shannon_entropy
+from .dist import Dist, uniform_on
+from .endgame import EndgameTranscript, endgame
 from .errors import ValidationError
-from .families import PRNG_ID, doubling_stats
-from .gf2 import Subspace, coset_decompose
-from .oracle import CRITERION_B, CRITERION_PFR, CRITERION_T11, SubspaceCertificate
+from .families import PRNG_ID
+from .gf2 import Subspace
+from .oracle import (
+    CRITERION_B,
+    CRITERION_PFR,
+    CRITERION_T11,
+    CriterionCheck,
+    SubspaceCertificate,
+    check_pfr,
+)
 from .pipeline import (
     CRITERION_MANY,
     CRITERION_RICH,
     SolveResult,
     StatementParams,
+    check_many_sums,
+    check_rich_cosets,
     check_statement_B,
+    check_theorem_11,
 )
 from .tolerances import IDENTITY_TOL, tolerances_dict
 
@@ -146,111 +154,75 @@ def _require(report: VerifyReport, name: str, condition: bool) -> None:
         report.failures.append(name)
 
 
+def _compare(
+    report: VerifyReport, chk: CriterionCheck, achieved: dict, names: tuple, tol: float
+) -> None:
+    for name in names:
+        _close(report, name, chk.values[name], float(achieved[name]), tol)
+    for name, ok in chk.verdicts.items():
+        _require(report, name, ok)
+
+
 def verify_bundle(payload: dict) -> VerifyReport:
-    """Recompute every inequality in a certificate bundle from its inputs."""
+    """Recompute every inequality in a certificate bundle from its inputs.
+
+    Each criterion is evaluated by the same function its producer calls; the
+    bundle contributes only the inputs, V, the parameters and stored values.
+    """
     kind = payload.get("kind")
     report = VerifyReport(kind=str(kind), ok=True)
     tol = float(payload.get("tolerances", {}).get("identity", IDENTITY_TOL))
     try:
-        if kind in (CRITERION_B, CRITERION_RICH):
-            p = Dist.from_json(payload["inputs"]["p"])
-            q = Dist.from_json(payload["inputs"]["q"])
-            cert = payload["certificate"]
-            v = Subspace.from_json(cert["subspace"])
-            ach = cert["achieved"]
-            if kind == CRITERION_B:
-                params = StatementParams(
-                    eta=float(cert["parameters"]["eta"]),
-                    epsilon=float(cert["parameters"]["epsilon"]),
-                    L=float(cert["parameters"]["L_achieved"]) + tol,
-                )
-                chk = check_statement_B(p, q, v, params)
-                _close(report, "lhs", chk.lhs, float(ach["lhs"]), tol)
-                _close(report, "rhs", chk.rhs, float(ach["rhs"]), tol)
-                _require(report, "statement B inequality", chk.passes)
-            else:
-                h_total = shannon_entropy(p) + shannon_entropy(q)
-                s = h_total - shannon_entropy(xor_convolve(p, q))
-                rep = fibring_decompose(p, q, v)
-                hx = shannon_entropy(p) - shannon_entropy(pushforward_quotient(p, v))
-                hy = shannon_entropy(q) - shannon_entropy(pushforward_quotient(q, v))
-                eps = float(cert["parameters"]["epsilon"])
-                _close(report, "s", s, float(ach["s"]), tol)
-                _close(report, "s_quotient", rep.s_quotient, float(ach["s_quotient"]), tol)
-                _close(report, "h_x_given_proj", hx, float(ach["h_x_given_proj"]), tol)
-                _close(report, "h_y_given_proj", hy, float(ach["h_y_given_proj"]), tol)
-                bound = s - eps * h_total
-                _require(report, "quotient interaction", rep.s_quotient <= eps * h_total + tol)
-                _require(report, "x coset bound", hx >= bound - tol)
-                _require(report, "y coset bound", hy >= bound - tol)
-        elif kind == CRITERION_MANY:
-            dists = [Dist.from_json(d) for d in payload["inputs"]["dists"]]
-            cert = payload["certificate"]
-            v = Subspace.from_json(cert["subspace"])
-            eps = float(cert["parameters"]["epsilon"])
-            pushed = [pushforward_quotient(d, v) for d in dists]
-            total = pushed[0]
-            for extra in pushed[1:]:
-                total = xor_convolve(total, extra)
-            lhs = shannon_entropy(total)
-            rhs = sum(shannon_entropy(d) for d in pushed) - eps * sum(
-                shannon_entropy(d) for d in dists
-            )
-            _close(report, "lhs", lhs, float(cert["achieved"]["lhs"]), tol)
-            _require(report, "k-fold inequality", lhs >= rhs - tol)
-        elif kind == CRITERION_T11:
-            from .dist import uniform_on
-
-            spec = payload["inputs"]["set"]
-            n = int(spec["n"])
-            members = sorted(int(h, 16) for h in spec["elements"])
-            cert = payload["certificate"]
-            v = Subspace.from_json(cert["subspace"])
-            ach = cert["achieved"]
-            eps = float(cert["parameters"]["epsilon"])
-            stats = doubling_stats(members)
-            _close(report, "eta", stats.eta, float(ach["eta"]), tol)
-            u_a = uniform_on(members, n)
-            parts = coset_decompose(members, v)
-            expected_log = sum(
-                len(part) * math.log2(len(part)) for part in parts.values()
-            ) / len(members)
-            h_cond = shannon_entropy(u_a) - shannon_entropy(pushforward_quotient(u_a, v))
-            _close(report, "expected_log", expected_log, float(ach["expected_log_intersection"]), tol)
-            _require(report, "coset identity", abs(expected_log - h_cond) <= tol)
-            if len(members) > 1:
-                bound = (stats.eta - eps) * math.log2(len(members))
-                _require(report, "intersection bound", expected_log >= bound - tol)
-        elif kind == "ENDGAME":
-            from .endgame import endgame
-
-            p = Dist.from_json(payload["inputs"]["p"])
-            q = Dist.from_json(payload["inputs"]["q"])
+        inputs = payload["inputs"]
+        if kind == "ENDGAME":
+            p, q = Dist.from_json(inputs["p"]), Dist.from_json(inputs["q"])
             t = payload["transcript"]
+            # Bundles written before the cap was always recorded used the default.
             fresh = endgame(
                 p, q, float(t["eta"]), float(t["kappa"]),
-                fiber_cap=int(t["fiber_cap"].get("cap", 256)) if t["fiber_cap"].get("applied") else 256,
+                fiber_cap=int(t["fiber_cap"].get("cap", 256)),
             )
-            _close(report, "i_z1_z3", fresh.i_z1_z3, float(t["i_z1_z3"]), tol)
-            _close(report, "i_z1_z2", fresh.i_z1_z2, float(t["i_z1_z2"]), tol)
-            _close(report, "expectation", fresh.expectation, float(t["expectation"]), tol)
+            for name in ("i_z1_z3", "i_z1_z2", "expectation"):
+                _close(report, name, getattr(fresh, name), float(t[name]), tol)
+            stored = [Subspace.from_json(row["subspace"]) for row in t["table"]]
+            _require(report, "fiber table", stored == [row[3] for row in fresh.table])
             _require(report, "mi bound", fresh.mi_bound_holds)
             _require(report, "z entropy gaps", fresh.z_entropy_gap_holds)
             _require(report, "480k expectation", fresh.expectation_holds)
-        elif kind == CRITERION_PFR:
-            from .oracle import reverify_pfr, SubspaceCertificate as Cert
-
-            p = Dist.from_json(payload["inputs"]["p"])
-            q = Dist.from_json(payload["inputs"]["q"])
-            cert_payload = payload["certificate"]
-            cert = Cert(
-                criterion=cert_payload["criterion"],
-                search_mode=cert_payload["search_mode"],
-                subspace=Subspace.from_json(cert_payload["subspace"]),
-                parameters=cert_payload["parameters"],
-                achieved=cert_payload["achieved"],
+            return report
+        cert = payload["certificate"]
+        v = Subspace.from_json(cert["subspace"])
+        params = cert["parameters"]
+        ach = cert["achieved"]
+        if kind == CRITERION_B:
+            p, q = Dist.from_json(inputs["p"]), Dist.from_json(inputs["q"])
+            chk = check_statement_B(
+                p, q, v,
+                StatementParams(
+                    eta=float(params["eta"]),
+                    epsilon=float(params["epsilon"]),
+                    L=float(params["L_achieved"]) + tol,
+                ),
             )
-            _require(report, "pfr bounds", reverify_pfr(cert, p, q))
+            _close(report, "lhs", chk.lhs, float(ach["lhs"]), tol)
+            _close(report, "rhs", chk.rhs, float(ach["rhs"]), tol)
+            _require(report, "statement B inequality", chk.passes)
+        elif kind == CRITERION_RICH:
+            p, q = Dist.from_json(inputs["p"]), Dist.from_json(inputs["q"])
+            chk = check_rich_cosets(p, q, v, float(params["epsilon"]))
+            _compare(report, chk, ach, ("s", "s_quotient", "h_x_given_proj", "h_y_given_proj"), tol)
+        elif kind == CRITERION_MANY:
+            dists = [Dist.from_json(d) for d in inputs["dists"]]
+            chk = check_many_sums(dists, v, float(params["epsilon"]))
+            _compare(report, chk, ach, ("lhs",), tol)
+        elif kind == CRITERION_T11:
+            n = int(inputs["set"]["n"])
+            members = sorted(int(h, 16) for h in inputs["set"]["elements"])
+            chk = check_theorem_11(members, uniform_on(members, n), v, float(params["epsilon"]))
+            _compare(report, chk, ach, ("eta", "expected_log_intersection"), tol)
+        elif kind == CRITERION_PFR:
+            p, q = Dist.from_json(inputs["p"]), Dist.from_json(inputs["q"])
+            _compare(report, check_pfr(p, q, v), ach, ("h_proj_x", "h_proj_y"), tol)
         else:
             raise ValidationError(f"unknown bundle kind {kind!r}")
     except (KeyError, TypeError, ValueError, RuntimeError) as exc:

@@ -1,7 +1,8 @@
 """Command-line driver: generate example families, analyze sets and
 distributions, find and verify subspace certificates, run the endgame.
 
-Exit code is 0 iff every requested check passed.
+Exit code is 0 iff every requested check passed, 1 when a check failed, and
+2 on a package error or unreadable input (one line on stderr).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .certify import endgame_bundle, set_bundle, solve_bundle, verify_bundle
 from .dist import Dist, uniform_on, xor_convolve
 from .endgame import endgame, measure_endgame_kappa
 from .entropy import doubling_mass, ruzsa_distance, shannon_entropy
-from .errors import ValidationError
+from .errors import EntropicDoublingError, ValidationError
 from .families import (
     PRNG_ID,
     doubling_stats,
@@ -315,8 +316,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (EntropicDoublingError, FileNotFoundError, json.JSONDecodeError) as exc:
+        message = " ".join(str(exc).split())
+        print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 2
 
 

@@ -23,7 +23,7 @@ from .errors import (
     ValidationError,
 )
 from .gf2 import Subspace
-from .tolerances import IDENTITY_TOL, MASS_EPS, max_dense_n, max_joint_bits
+from .tolerances import IDENTITY_TOL, MASS_EPS, MAX_DENSE_N, MAX_JOINT_BITS
 
 
 def _clean(raw: np.ndarray) -> np.ndarray:
@@ -48,8 +48,8 @@ class Dist:
     mass: np.ndarray
 
     def __post_init__(self):
-        if not 1 <= self.n <= max_dense_n():
-            raise CapacityError(f"dense distributions capped at n <= {max_dense_n()}")
+        if not 1 <= self.n <= MAX_DENSE_N:
+            raise CapacityError(f"dense distributions capped at n <= {MAX_DENSE_N}")
         mass = np.asarray(self.mass, dtype=np.float64)
         if mass.shape != (1 << self.n,):
             raise DimensionMismatchError(
@@ -105,8 +105,8 @@ class JointDist:
     def __post_init__(self):
         if not 1 <= len(self.dims) <= 4:
             raise CapacityError("joint distributions support 1..4 blocks")
-        if sum(self.dims) > max_joint_bits():
-            raise CapacityError(f"joint table exceeds {max_joint_bits()} total bits")
+        if sum(self.dims) > MAX_JOINT_BITS:
+            raise CapacityError(f"joint table exceeds {MAX_JOINT_BITS} total bits")
         shape = tuple(1 << d for d in self.dims)
         mass = np.asarray(self.mass, dtype=np.float64)
         if mass.shape != shape:

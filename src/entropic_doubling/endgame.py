@@ -28,7 +28,7 @@ from .entropy import (
 )
 from .errors import CapacityError, DimensionMismatchError, HypothesisViolationError
 from .gf2 import Subspace
-from .oracle import OBJECTIVE_PROJECTED_ENTROPY, exhaustive_best_subspace
+from .oracle import OBJECTIVE_PROJECTED_ENTROPY, PFR_SIZE_FACTOR, exhaustive_best_subspace
 from .tolerances import IDENTITY_TOL, MAX_ENUM_N, tolerances_dict
 
 
@@ -157,7 +157,7 @@ def _capped_grid(
     fam_u: FiberFamily, fam_w: FiberFamily, cap: int
 ) -> tuple[FiberFamily, FiberFamily, dict]:
     """Keep the heaviest labels so the (u, w) grid fits the cap."""
-    info: dict = {"applied": False}
+    info: dict = {"applied": False, "cap": cap}
     ku, kw = len(fam_u.labels), len(fam_w.labels)
     if ku * kw <= cap:
         return fam_u, fam_w, info
@@ -249,7 +249,7 @@ def endgame(
                 xu,
                 yw,
                 OBJECTIVE_PROJECTED_ENTROPY,
-                entropy_budget=7.0 * (hx_u + hy_w),
+                entropy_budget=PFR_SIZE_FACTOR * (hx_u + hy_w),
             )
             proj_x = cert.achieved["h_proj_x"]
             proj_y = cert.achieved["h_proj_y"]

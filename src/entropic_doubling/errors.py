@@ -3,35 +3,39 @@
 from __future__ import annotations
 
 
-class DimensionMismatchError(ValueError):
+class EntropicDoublingError(Exception):
+    """Base of every error below; the CLI reports any of them in one line."""
+
+
+class DimensionMismatchError(EntropicDoublingError, ValueError):
     """Operands live in different ambient spaces F_2^n."""
 
 
-class CapacityError(ValueError):
+class CapacityError(EntropicDoublingError, ValueError):
     """Requested object exceeds the dense-table / enumeration capacity caps."""
 
 
-class NormalizationError(ValueError):
+class NormalizationError(EntropicDoublingError, ValueError):
     """A mass table is not a probability distribution within tolerance."""
 
 
-class EmptySupportError(ValueError):
+class EmptySupportError(EntropicDoublingError, ValueError):
     """A distribution or set with empty support was requested."""
 
 
-class ConditioningError(ValueError):
+class ConditioningError(EntropicDoublingError, ValueError):
     """Conditioning on an event of probability zero."""
 
 
-class ValidationError(ValueError):
+class ValidationError(EntropicDoublingError, ValueError):
     """Serialized payload failed structural validation on read."""
 
 
-class SearchFailureError(RuntimeError):
+class SearchFailureError(EntropicDoublingError, RuntimeError):
     """A subspace search ended without a qualifying subspace."""
 
 
-class HypothesisViolationError(RuntimeError):
+class HypothesisViolationError(EntropicDoublingError, RuntimeError):
     """A lemma's hypothesis failed; carries the measured gaps.
 
     ``gaps`` is a list of (name, lhs, rhs) triples where lhs > rhs + tol.
@@ -42,5 +46,5 @@ class HypothesisViolationError(RuntimeError):
         self.gaps = gaps or []
 
 
-class PipelineError(RuntimeError):
+class PipelineError(EntropicDoublingError, RuntimeError):
     """The structure pipeline could not make progress (caps exhausted, etc.)."""

@@ -116,9 +116,6 @@ class Subspace:
         """Vectorized x -> canonical representative over all of F_2^n."""
         return _rep_table(self.n, self.basis)
 
-    def quotient_map(self) -> "QuotientMap":
-        return QuotientMap(self)
-
     def to_json(self) -> dict:
         return {"n": self.n, "basis": [format(r, "x") for r in self.basis]}
 
@@ -142,20 +139,6 @@ def _rep_table(n: int, basis: tuple[int, ...]) -> np.ndarray:
         rep ^= ((rep >> p) & 1) * r
     rep.setflags(write=False)
     return rep
-
-
-@dataclass(frozen=True)
-class QuotientMap:
-    """The linear projection G -> G/V via canonical coset representatives."""
-
-    subspace: Subspace
-
-    def __call__(self, x: int) -> int:
-        return self.subspace.reduce(x)
-
-
-def project(q: QuotientMap, x: int) -> int:
-    return q(x)
 
 
 def span(vectors: Iterable[int], n: int) -> Subspace:

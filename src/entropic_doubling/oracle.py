@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -21,7 +22,12 @@ from .entropy import (
     shannon_entropy,
     _entropy,
 )
-from .errors import CapacityError, DimensionMismatchError, SearchFailureError
+from .errors import (
+    CapacityError,
+    DimensionMismatchError,
+    PipelineError,
+    SearchFailureError,
+)
 from .gf2 import Subspace, all_subspaces, span
 from .tolerances import IDENTITY_TOL, MASS_EPS, MAX_ENUM_N, tolerances_dict
 
@@ -34,6 +40,9 @@ OBJECTIVE_QUOTIENT_DOUBLING = "quotient_doubling"
 OBJECTIVE_PROJECTED_ENTROPY = "projected_entropy"
 OBJECTIVE_STATEMENT_B = "statement_b"
 OBJECTIVE_PFR = "pfr"
+
+# The PFR size budget dim V <= 7 (H[X] + H[Y]), also the endgame's per-pair budget.
+PFR_SIZE_FACTOR = 7.0
 
 
 @dataclass(frozen=True)
@@ -58,6 +67,57 @@ class SubspaceCertificate:
             "tolerances": self.tolerances,
             "inputs": self.inputs,
         }
+
+
+@dataclass(frozen=True)
+class CriterionCheck:
+    """A certificate criterion evaluated for one V: the recomputed quantities
+    (named as in the certificate's ``achieved`` block) and each inequality's
+    verdict, by name."""
+
+    values: dict
+    verdicts: dict
+
+    @property
+    def passes(self) -> bool:
+        return all(self.verdicts.values())
+
+    def require(self, what: str) -> None:
+        """Raise PipelineError naming each failed inequality."""
+        failed = [name for name, ok in self.verdicts.items() if not ok]
+        if failed:
+            raise PipelineError(
+                f"{what} verification failed ({', '.join(failed)}): {self.values}"
+            )
+
+
+# The inequalities below take entropies as floats or as numpy arrays over many
+# subspaces, so the exhaustive scans and the single-V checks share them.
+
+
+def b_inequality(h_sum, h_x, h_y, h_total, dim, eta, eps, big_l=None):
+    """Statement B: H[pi X + pi Y] >= (1 - eta)(H[pi X] + H[pi Y]) - eps (H[X] + H[Y]),
+    and dim V <= L (H[X] + H[Y]) when L is given.
+
+    Returns (rhs, size_bound, ok); size_bound is None without L.
+    """
+    rhs = (1.0 - eta) * (h_x + h_y) - eps * h_total
+    ok = h_sum >= rhs - IDENTITY_TOL
+    size_bound = None if big_l is None else big_l * h_total
+    if size_bound is not None:
+        ok = ok & (dim <= size_bound + IDENTITY_TOL)
+    return rhs, size_bound, ok
+
+
+def pfr_inequality(h_x, h_y, h_total, dim, d):
+    """PFR: max(H[pi X], H[pi Y]) <= 12 d[X;Y] and dim V <= 7 (H[X] + H[Y]).
+
+    Returns (pfr_bound, size_bound, ok).
+    """
+    pfr_bound = 12.0 * d
+    size_bound = PFR_SIZE_FACTOR * h_total
+    ok = (np.maximum(h_x, h_y) <= pfr_bound + IDENTITY_TOL) & (dim <= size_bound + IDENTITY_TOL)
+    return pfr_bound, size_bound, ok
 
 
 @lru_cache(maxsize=8)
@@ -118,17 +178,16 @@ def exhaustive_best_subspace(
         score = hp + hq
         idx = _masked_argmin(score, feasible, objective)
     elif objective == OBJECTIVE_STATEMENT_B:
-        eta, eps = float(params["eta"]), float(params["epsilon"])
         big_l = params.get("L")
-        ok = hpq >= (1.0 - eta) * (hp + hq) - eps * (hp0 + hq0) - IDENTITY_TOL
-        if big_l is not None:
-            ok &= dims <= float(big_l) * (hp0 + hq0) + IDENTITY_TOL
+        ok = b_inequality(
+            hpq, hp, hq, hp0 + hq0, dims, float(params["eta"]), float(params["epsilon"]),
+            None if big_l is None else float(big_l),
+        )[2]
         idx = _first_feasible(ok & feasible, objective)
     elif objective == OBJECTIVE_PFR:
         d = ruzsa_distance(p, q)
         params["ruzsa_distance"] = d
-        ok = dims <= 7.0 * (hp0 + hq0) + IDENTITY_TOL
-        ok &= np.maximum(hp, hq) <= 12.0 * d + IDENTITY_TOL
+        pfr_bound, size_bound, ok = pfr_inequality(hp, hq, hp0 + hq0, dims, d)
         idx = _first_feasible(ok & feasible, objective)
     else:
         raise ValueError(f"unknown objective {objective!r}")
@@ -144,9 +203,9 @@ def exhaustive_best_subspace(
         "quotient_doubling": float(hp[idx] + hq[idx] - hpq[idx]),
     }
     if objective == OBJECTIVE_PFR:
-        achieved["ruzsa_distance"] = float(params["ruzsa_distance"])
-        achieved["pfr_bound"] = 12.0 * float(params["ruzsa_distance"])
-        achieved["size_bound"] = 7.0 * (hp0 + hq0)
+        achieved["ruzsa_distance"] = float(d)
+        achieved["pfr_bound"] = float(pfr_bound)
+        achieved["size_bound"] = float(size_bound)
     criterion = {
         OBJECTIVE_STATEMENT_B: CRITERION_B,
         OBJECTIVE_PFR: CRITERION_PFR,
@@ -175,6 +234,28 @@ def _first_feasible(ok: np.ndarray, tag: str) -> int:
     return int(hits[0])
 
 
+def greedy_extension(
+    p: Dist, q: Dist, v: Subspace, combine: Callable[[float, float], float]
+) -> Subspace | None:
+    """V + <x> for the x minimizing combine(H[pi(X)], H[pi(Y)]) after the step.
+
+    Scans each nonzero coset of V once, through its canonical representative
+    in increasing order, so near-ties (within 1e-15) go to the smallest
+    representative.  Returns None when V is already the whole group.
+    """
+    rep = v.rep_table()
+    best_vec, best_score = None, np.inf
+    for vec in np.flatnonzero(rep == np.arange(rep.size))[1:].tolist():
+        cand = span(v.basis + (vec,), v.n)
+        score = combine(
+            shannon_entropy(pushforward_quotient(p, cand)),
+            shannon_entropy(pushforward_quotient(q, cand)),
+        )
+        if score < best_score - 1e-15:
+            best_vec, best_score = vec, score
+    return None if best_vec is None else span(v.basis + (best_vec,), v.n)
+
+
 def pfr_subspace(p: Dist, q: Dist) -> SubspaceCertificate:
     """Find V with dim V <= 7(H[X]+H[Y]) and max proj entropy <= 12 d[X;Y].
 
@@ -188,70 +269,49 @@ def pfr_subspace(p: Dist, q: Dist) -> SubspaceCertificate:
         return exhaustive_best_subspace(p, q, OBJECTIVE_PFR)
 
     d = ruzsa_distance(p, q)
-    bound = 12.0 * d + IDENTITY_TOL
-    budget = 7.0 * (shannon_entropy(p) + shannon_entropy(q)) + IDENTITY_TOL
+    h_x, h_y = shannon_entropy(p), shannon_entropy(q)
     v = Subspace.zero(p.n)
-
-    def proj_max(cand: Subspace) -> float:
-        return max(
-            shannon_entropy(pushforward_quotient(p, cand)),
-            shannon_entropy(pushforward_quotient(q, cand)),
-        )
-
-    while proj_max(v) > bound:
-        if v.dim + 1 > budget:
+    while True:
+        hp = shannon_entropy(pushforward_quotient(p, v))
+        hq = shannon_entropy(pushforward_quotient(q, v))
+        pfr_bound, size_bound, ok = pfr_inequality(hp, hq, h_x + h_y, v.dim, d)
+        if ok:
+            break
+        if v.dim + 1 > size_bound + IDENTITY_TOL:
             raise SearchFailureError(
                 "greedy PFR search exhausted its size budget without meeting the bound"
             )
-        best_vec, best_score = None, np.inf
-        for x in range(1, 1 << p.n):
-            vec = v.reduce(x)
-            if vec == 0:
-                continue
-            cand = span(v.basis + (vec,), p.n)
-            score = proj_max(cand)
-            if score < best_score - 1e-15 or (
-                score < best_score + 1e-15 and (best_vec is None or vec < best_vec)
-            ):
-                best_vec, best_score = vec, score
-        if best_vec is None:
+        v = greedy_extension(p, q, v, max)
+        if v is None:
             raise SearchFailureError("greedy PFR search found no extension vector")
-        v = span(v.basis + (best_vec,), p.n)
 
-    hp = shannon_entropy(pushforward_quotient(p, v))
-    hq = shannon_entropy(pushforward_quotient(q, v))
-    cert = SubspaceCertificate(
+    return SubspaceCertificate(
         criterion=CRITERION_PFR,
         search_mode="greedy",
         subspace=v,
         parameters={"objective": OBJECTIVE_PFR, "ruzsa_distance": d},
         achieved={
             "dim": v.dim,
-            "h_x": shannon_entropy(p),
-            "h_y": shannon_entropy(q),
+            "h_x": h_x,
+            "h_y": h_y,
             "h_proj_x": hp,
             "h_proj_y": hq,
-            "pfr_bound": 12.0 * d,
-            "size_bound": budget - IDENTITY_TOL,
+            "pfr_bound": pfr_bound,
+            "size_bound": size_bound,
         },
         inputs={"p": p.digest(), "q": q.digest()},
     )
-    if max(hp, hq) > 12.0 * d + IDENTITY_TOL or v.dim > budget:
-        raise SearchFailureError("greedy PFR result failed its own bounds")
-    return cert
 
 
-def reverify_pfr(cert: SubspaceCertificate, p: Dist, q: Dist) -> bool:
-    """Recompute the PFR certificate quantities from scratch."""
-    v = cert.subspace
-    d = ruzsa_distance(p, q)
+def check_pfr(p: Dist, q: Dist, v: Subspace) -> CriterionCheck:
+    """Recompute the PFR bounds for V from the inputs alone."""
     hp = shannon_entropy(pushforward_quotient(p, v))
     hq = shannon_entropy(pushforward_quotient(q, v))
-    ok = abs(hp - cert.achieved["h_proj_x"]) <= IDENTITY_TOL
-    ok &= abs(hq - cert.achieved["h_proj_y"]) <= IDENTITY_TOL
-    ok &= max(hp, hq) <= 12.0 * d + IDENTITY_TOL
-    ok &= v.dim <= 7.0 * (shannon_entropy(p) + shannon_entropy(q)) + IDENTITY_TOL
-    return bool(ok)
+    h_total = shannon_entropy(p) + shannon_entropy(q)
+    ok = pfr_inequality(hp, hq, h_total, v.dim, ruzsa_distance(p, q))[2]
+    return CriterionCheck(
+        values={"h_proj_x": hp, "h_proj_y": hq}, verdicts={"pfr bounds": bool(ok)}
+    )
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ same control flow but derives thresholds and zeta from measured quantities.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -30,9 +31,11 @@ from .dist import (
     mixture,
     pushforward_quotient,
     sum_fibers,
+    uniform_on,
     xor_convolve,
 )
 from .endgame import (
+    _capped_grid,
     endgame,
     endgame_fiber_systems,
     endgame_move_quantities,
@@ -46,12 +49,24 @@ from .errors import (
     PipelineError,
     SearchFailureError,
 )
-from .gf2 import Subspace, span, subspace_sum
-from .oracle import CRITERION_A, CRITERION_B, CRITERION_T11, SubspaceCertificate
+from .families import doubling_stats
+from .gf2 import Subspace, coset_decompose, span, subspace_sum
+from .oracle import (
+    CRITERION_A,
+    CRITERION_B,
+    CRITERION_T11,
+    CriterionCheck,
+    SubspaceCertificate,
+    b_inequality,
+    greedy_extension,
+)
 from .tolerances import IDENTITY_TOL
 
 MODE_PRACTICAL = "practical"
 MODE_PAPER = "paper-faithful"
+
+CRITERION_RICH = "RICH_COSETS"
+CRITERION_MANY = "MANY_SUMS"
 
 BSolver = Callable[[Dist, Dist], SubspaceCertificate]
 
@@ -125,13 +140,12 @@ def check_statement_B(
     pp, qp = pushforward_quotient(p, v), pushforward_quotient(q, v)
     hp, hq = shannon_entropy(pp), shannon_entropy(qp)
     lhs = shannon_entropy(xor_convolve(pp, qp))
-    rhs = (1.0 - params.eta) * (hp + hq) - params.epsilon * h_total
-    size_bound = None if params.L is None else params.L * h_total
-    size_ok = size_bound is None or v.dim <= size_bound + IDENTITY_TOL
-    passes = bool(lhs >= rhs - IDENTITY_TOL and size_ok)
+    rhs, size_bound, ok = b_inequality(
+        lhs, hp, hq, h_total, v.dim, params.eta, params.epsilon, params.L
+    )
     return StatementCheck(
         statement="B",
-        passes=passes,
+        passes=bool(ok),
         lhs=float(lhs),
         rhs=float(rhs),
         size_dim=float(v.dim),
@@ -170,6 +184,81 @@ def check_statement_A(
         hypothesis_met=hypothesis_met,
         params=params,
         details={"h_total": h_total, "h_sum": h_sum},
+    )
+
+
+def check_rich_cosets(p: Dist, q: Dist, v: Subspace, epsilon: float) -> CriterionCheck:
+    """Rich cosets: s[pi(X);pi(Y)] <= eps(H[X]+H[Y]) and
+    H[X|pi(X)], H[Y|pi(Y)] >= s[X;Y] - eps(H[X]+H[Y])."""
+    h_x, h_y = shannon_entropy(p), shannon_entropy(q)
+    h_total = h_x + h_y
+    s = h_total - shannon_entropy(xor_convolve(p, q))
+    report = fibring_decompose(p, q, v)
+    hx_cond = h_x - shannon_entropy(pushforward_quotient(p, v))
+    hy_cond = h_y - shannon_entropy(pushforward_quotient(q, v))
+    bound = s - epsilon * h_total
+    return CriterionCheck(
+        values={
+            "s": s,
+            "s_quotient": report.s_quotient,
+            "s_fiber": report.s_fiber,
+            "residual_mi": report.residual_mi,
+            "h_x_given_proj": hx_cond,
+            "h_y_given_proj": hy_cond,
+            "bound": bound,
+            "h_total": h_total,
+        },
+        verdicts={
+            "quotient interaction": report.s_quotient <= epsilon * h_total + IDENTITY_TOL,
+            "x coset bound": hx_cond >= bound - IDENTITY_TOL,
+            "y coset bound": hy_cond >= bound - IDENTITY_TOL,
+        },
+    )
+
+
+def check_many_sums(dists: Sequence[Dist], v: Subspace, epsilon: float) -> CriterionCheck:
+    """k-fold sums: H[pi(X_1)+...+pi(X_k)] >= sum H[pi(X_i)] - eps sum H[X_i]."""
+    pushed = [pushforward_quotient(d, v) for d in dists]
+    total = pushed[0]
+    for extra in pushed[1:]:
+        total = xor_convolve(total, extra)
+    lhs = shannon_entropy(total)
+    h_proj = [shannon_entropy(d) for d in pushed]
+    h_total = sum(shannon_entropy(d) for d in dists)
+    rhs = sum(h_proj) - epsilon * h_total
+    return CriterionCheck(
+        values={"lhs": lhs, "rhs": rhs, "h_total": h_total, "h_proj": h_proj},
+        verdicts={"k-fold inequality": lhs >= rhs - IDENTITY_TOL},
+    )
+
+
+def check_theorem_11(
+    members: Sequence[int], u_a: Dist, v: Subspace, epsilon: float
+) -> CriterionCheck:
+    """Theorem 1.1 for A = members (sorted, distinct) with U_A = u_a:
+    E_{a in A} log2|A cap (V+a)| >= (eta - eps) log2|A|, and that expectation
+    equals H[U_A | pi_V(U_A)]."""
+    stats = doubling_stats(members)
+    size = len(members)
+    parts = coset_decompose(members, v)
+    expected_log = sum(len(part) * math.log2(len(part)) for part in parts.values()) / size
+    h_cond = shannon_entropy(u_a) - shannon_entropy(pushforward_quotient(u_a, v))
+    identity_gap = abs(expected_log - h_cond)
+    bound = (stats.eta - epsilon) * math.log2(size) if size > 1 else 0.0
+    return CriterionCheck(
+        values={
+            "set_size": size,
+            "sumset_size": stats.sumset_size,
+            "eta": stats.eta,
+            "expected_log_intersection": expected_log,
+            "h_cond": h_cond,
+            "identity_gap": identity_gap,
+            "bound": bound,
+        },
+        verdicts={
+            "coset identity": identity_gap <= IDENTITY_TOL,
+            "intersection bound": expected_log >= bound - IDENTITY_TOL,
+        },
     )
 
 
@@ -461,6 +550,22 @@ def _h_expectation_sequence(
     return list(acc / mc_samples), False, mc_samples
 
 
+def _local_interaction(
+    fibers_x: FiberFamily,
+    fibers_y: FiberFamily,
+    v_table: dict[tuple[int, int], Subspace],
+) -> tuple[float, float]:
+    """E_{u,w} s[X_u|pi(X_u); Y_w|pi(Y_w)] and E_{u,w} dim V(u,w)."""
+    hyp = 0.0
+    e_dim = 0.0
+    for wu, u, xu in zip(fibers_x.weights, fibers_x.labels, fibers_x.dists):
+        for ww, w, yw in zip(fibers_y.weights, fibers_y.labels, fibers_y.dists):
+            v = v_table[(u, w)]
+            hyp += wu * ww * fibring_decompose(xu, yw, v).s_fiber
+            e_dim += wu * ww * v.dim
+    return hyp, e_dim
+
+
 def local_to_global(
     fibers_x: FiberFamily,
     fibers_y: FiberFamily,
@@ -484,13 +589,7 @@ def local_to_global(
     h_total = shannon_entropy(x_mix) + shannon_entropy(y_mix)
     n = x_mix.n
 
-    hyp = 0.0
-    e_dim = 0.0
-    for wu, u, xu in zip(fibers_x.weights, fibers_x.labels, fibers_x.dists):
-        for ww, w, yw in zip(fibers_y.weights, fibers_y.labels, fibers_y.dists):
-            v = v_table[(u, w)]
-            hyp += wu * ww * fibring_decompose(xu, yw, v).s_fiber
-            e_dim += wu * ww * v.dim
+    hyp, e_dim = _local_interaction(fibers_x, fibers_y, v_table)
     if hyp < zeta * h_total - IDENTITY_TOL:
         raise HypothesisViolationError(
             f"local interaction {hyp:.6g} below zeta*(H[X]+H[Y]) = {zeta * h_total:.6g}",
@@ -546,12 +645,6 @@ def local_to_global(
 
 # ---------------------------------------------------------------------------
 # The inductive step
-
-
-def _capped_fiber_grid(fam_u, fam_w, cap):
-    from .endgame import _capped_grid
-
-    return _capped_grid(fam_u, fam_w, cap)
 
 
 def inductive_step(
@@ -626,19 +719,11 @@ def inductive_step(
         result = None
         failures: list[str] = []
         for case in candidates:
-            if case == "CASE1":
-                fam_u, fam_w, cap_info = _capped_fiber_grid(
-                    sum_fibers(p0, p0), sum_fibers(q0, q0), fiber_cap
-                )
-                v_table = {
-                    (u, w): b_solver(xu, yw).subspace
-                    for u, xu in zip(fam_u.labels, fam_u.dists)
-                    for w, yw in zip(fam_w.labels, fam_w.dists)
-                }
-                zeta_paper = 7.0 * eps0
-            elif case == "CASE2":
-                fam_u, fam_w, cap_info = _capped_fiber_grid(
-                    sum_fibers(p0, q0), sum_fibers(q0, p0), fiber_cap
+            if case != "ENDGAME":
+                same = case == "CASE1"
+                x_pair, y_pair = ((p0, p0), (q0, q0)) if same else ((p0, q0), (q0, p0))
+                fam_u, fam_w, cap_info = _capped_grid(
+                    sum_fibers(*x_pair), sum_fibers(*y_pair), fiber_cap
                 )
                 v_table = {
                     (u, w): b_solver(xu, yw).subspace
@@ -667,12 +752,7 @@ def inductive_step(
             if mode == MODE_PAPER:
                 zeta = zeta_paper
             else:
-                hyp = 0.0
-                for wu, u, xu in zip(fam_u.weights, fam_u.labels, fam_u.dists):
-                    for ww, w, yw in zip(fam_w.weights, fam_w.labels, fam_w.dists):
-                        hyp += (
-                            wu * ww * fibring_decompose(xu, yw, v_table[(u, w)]).s_fiber
-                        )
+                hyp = _local_interaction(fam_u, fam_w, v_table)[0]
                 zeta = (hyp / h0) * (1.0 - 1e-12) if h0 > 0 else 0.0
                 if zeta <= 1e-9:
                     failures.append(f"{case}: measured zeta {zeta:.3g} too small")
@@ -682,7 +762,7 @@ def inductive_step(
             except (HypothesisViolationError, SearchFailureError) as exc:
                 failures.append(f"{case}: {exc}")
                 continue
-            case_note.update({"case": case, "fiber_cap": cap_info})
+            case_note.update({"case": case, "fiber_cap": cap_info, "failures": failures})
             break
         if result is None:
             raise HypothesisViolationError(
@@ -813,26 +893,6 @@ def _b_certificate(
     )
 
 
-def _greedy_vector_step(p: Dist, q: Dist, v: Subspace) -> tuple[Subspace, float] | None:
-    """Add the single vector minimizing H[pi(X)]+H[pi(Y)]; lex tie-break."""
-    best_vec, best_h = None, np.inf
-    seen: set[int] = set()
-    for x in range(1, 1 << p.n):
-        vec = v.reduce(x)
-        if vec == 0 or vec in seen:
-            continue
-        seen.add(vec)
-        cand = span(v.basis + (vec,), p.n)
-        h = shannon_entropy(pushforward_quotient(p, cand)) + shannon_entropy(
-            pushforward_quotient(q, cand)
-        )
-        if h < best_h - 1e-15 or (h < best_h + 1e-15 and (best_vec is None or vec < best_vec)):
-            best_vec, best_h = vec, h
-    if best_vec is None:
-        return None
-    return span(v.basis + (best_vec,), p.n), float(best_h)
-
-
 def _solve_b(
     p: Dist, q: Dist, eta: float, eps: float, ctx: _SolveContext
 ) -> tuple[SubspaceCertificate, tuple[TraceStep, ...]]:
@@ -918,10 +978,9 @@ def _solve_b_inner(
         except (HypothesisViolationError, SearchFailureError, PipelineError) as exc:
             if ctx.mode == MODE_PAPER:
                 raise
-            fallback = _greedy_vector_step(pp, qp, Subspace.zero(n))
-            if fallback is None:
+            added = greedy_extension(pp, qp, Subspace.zero(n), operator.add)
+            if added is None:
                 raise PipelineError(f"no fallback vector available after: {exc}") from exc
-            added, _ = fallback
             kind = "FALLBACK"
             note = {"reason": str(exc)}
         v_new = subspace_sum(v, added)
@@ -981,10 +1040,6 @@ def solve_B(
 # Corollaries
 
 
-CRITERION_RICH = "RICH_COSETS"
-CRITERION_MANY = "MANY_SUMS"
-
-
 def rich_cosets(
     p: Dist,
     q: Dist,
@@ -1001,42 +1056,18 @@ def rich_cosets(
     """
     if not 0.0 < epsilon <= 1.0:
         raise ValueError("epsilon must lie in (0, 1]")
-    h_total = shannon_entropy(p) + shannon_entropy(q)
-    s = h_total - shannon_entropy(xor_convolve(p, q))
     inner = solve_B(
         p, q, epsilon / 2.0, epsilon / 2.0, mode=mode, seed=seed, fiber_cap=fiber_cap
     )
     v = inner.subspace
-    report = fibring_decompose(p, q, v)
-    hx_cond = shannon_entropy(p) - shannon_entropy(pushforward_quotient(p, v))
-    hy_cond = shannon_entropy(q) - shannon_entropy(pushforward_quotient(q, v))
-    bound = s - epsilon * h_total
-    ok = (
-        report.s_quotient <= epsilon * h_total + IDENTITY_TOL
-        and hx_cond >= bound - IDENTITY_TOL
-        and hy_cond >= bound - IDENTITY_TOL
-    )
-    if not ok:
-        raise PipelineError(
-            f"rich-cosets verification failed: s_q={report.s_quotient:.6g}, "
-            f"hx|pi={hx_cond:.6g}, hy|pi={hy_cond:.6g}, bound={bound:.6g}"
-        )
+    chk = check_rich_cosets(p, q, v, epsilon)
+    chk.require("rich-cosets")
     cert = SubspaceCertificate(
         criterion=CRITERION_RICH,
         search_mode="pipeline",
         subspace=v,
         parameters={"epsilon": epsilon, "mode": mode, "seed": seed},
-        achieved={
-            "dim": v.dim,
-            "s": s,
-            "s_quotient": report.s_quotient,
-            "s_fiber": report.s_fiber,
-            "residual_mi": report.residual_mi,
-            "h_x_given_proj": hx_cond,
-            "h_y_given_proj": hy_cond,
-            "bound": bound,
-            "h_total": h_total,
-        },
+        achieved={"dim": v.dim, **chk.values},
         inputs={"p": p.digest(), "q": q.digest()},
     )
     return SolveResult(
@@ -1108,33 +1139,21 @@ def many_sums(
     else:
         raise PipelineError(f"many_sums did not stabilize within {max_rounds} rounds")
 
-    pushed = [pushforward_quotient(d, w) for d in dists]
-    total = pushed[0]
-    for extra in pushed[1:]:
-        total = xor_convolve(total, extra)
-    lhs = shannon_entropy(total)
-    rhs = sum(shannon_entropy(d) for d in pushed) - epsilon * s_h
-    if lhs < rhs - IDENTITY_TOL:
-        raise PipelineError("many_sums final inequality failed verification")
+    crit = check_many_sums(dists, w, epsilon)
+    crit.require("many_sums")
     cert = SubspaceCertificate(
         criterion=CRITERION_MANY,
         search_mode="pipeline",
         subspace=w,
         parameters={"epsilon": epsilon, "k": k, "delta": delta, "mode": mode, "seed": seed},
-        achieved={
-            "dim": w.dim,
-            "lhs": lhs,
-            "rhs": rhs,
-            "h_total": s_h,
-            "h_proj": [shannon_entropy(d) for d in pushed],
-        },
+        achieved={"dim": w.dim, **crit.values},
         inputs={f"x{i}": d.digest() for i, d in enumerate(dists)},
     )
     chk = StatementCheck(
         statement="MANY_SUMS",
         passes=True,
-        lhs=float(lhs),
-        rhs=float(rhs),
+        lhs=float(crit.values["lhs"]),
+        rhs=float(crit.values["rhs"]),
         size_dim=float(w.dim),
         size_bound=None,
         hypothesis_met=None,
@@ -1158,44 +1177,20 @@ def analyze_set(
     and verifies both E_{a in A} log2|A cap (V+a)| >= (eta - eps) log2|A| and
     the exact identity with H[U_A | pi_V(U_A)].
     """
-    from .dist import uniform_on
-    from .families import doubling_stats
-    from .gf2 import coset_decompose
-
     members = sorted(set(elements))
     if not members:
         raise EmptySupportError("analyze_set requires a nonempty set")
-    stats = doubling_stats(members)
     u_a = uniform_on(members, n)
     inner = rich_cosets(u_a, u_a, epsilon / 2.0, mode=mode, seed=seed, fiber_cap=fiber_cap)
     v = inner.subspace
-    size = len(members)
-    parts = coset_decompose(members, v)
-    expected_log = sum(len(part) * math.log2(len(part)) for part in parts.values()) / size
-    h_cond = shannon_entropy(u_a) - shannon_entropy(pushforward_quotient(u_a, v))
-    identity_gap = abs(expected_log - h_cond)
-    bound = (stats.eta - epsilon) * math.log2(size) if size > 1 else 0.0
-    if identity_gap > IDENTITY_TOL:
-        raise PipelineError(f"coset-size identity failed: gap {identity_gap:.3g}")
-    if expected_log < bound - IDENTITY_TOL:
-        raise PipelineError(
-            f"intersection bound failed: {expected_log:.6g} < {bound:.6g}"
-        )
+    chk = check_theorem_11(members, u_a, v, epsilon)
+    chk.require("Theorem 1.1")
     cert = SubspaceCertificate(
         criterion=CRITERION_T11,
         search_mode="pipeline",
         subspace=v,
         parameters={"epsilon": epsilon, "mode": mode, "seed": seed},
-        achieved={
-            "dim": v.dim,
-            "set_size": size,
-            "sumset_size": stats.sumset_size,
-            "eta": stats.eta,
-            "expected_log_intersection": expected_log,
-            "h_cond": h_cond,
-            "identity_gap": identity_gap,
-            "bound": bound,
-        },
+        achieved={"dim": v.dim, **chk.values},
         inputs={"set": [format(x, "x") for x in members], "n": n},
     )
     return SolveResult(

@@ -8,8 +8,6 @@ get NONNEG_SLACK.  These values are echoed into every emitted certificate.
 
 from __future__ import annotations
 
-import os
-
 IDENTITY_TOL = 1e-9
 ORACLE_TOL = 1e-12
 NONNEG_SLACK = 1e-9
@@ -22,25 +20,9 @@ MAX_ELEMENT_N = 20
 # Exhaustive subspace enumeration guard (Gaussian-binomial blowup).
 MAX_ENUM_N = 6
 
-_DEFAULT_DENSE_N = 12
-_ENV_VAR = "ENTROPIC_DOUBLING_MAX_N"
-
-
-def max_dense_n() -> int:
-    """Dense-distribution cap; overridable via ENTROPIC_DOUBLING_MAX_N."""
-    raw = os.environ.get(_ENV_VAR)
-    if raw is None:
-        return _DEFAULT_DENSE_N
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{_ENV_VAR} must be an integer, got {raw!r}") from exc
-    return min(max(value, 1), MAX_ELEMENT_N)
-
-
-def max_joint_bits() -> int:
-    """Total bit budget for joint tables (k <= 4 blocks)."""
-    return 2 * max_dense_n()
+# Dense-table caps: distributions on F_2^n, and joint tables by total bits.
+MAX_DENSE_N = 12
+MAX_JOINT_BITS = 24
 
 
 def tolerances_dict() -> dict[str, float]:

@@ -1,0 +1,131 @@
+"""Certificate bundles: checked-in bundles still verify and re-solve, and every
+kind rejects a tampered value and a subspace that fails its criterion."""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from entropic_doubling.certify import endgame_bundle, verify_bundle
+from entropic_doubling.dist import Dist, random_dist
+from entropic_doubling.endgame import endgame, measure_endgame_kappa
+from entropic_doubling.entropy import doubling_mass, shannon_entropy
+from entropic_doubling.gf2 import Subspace
+from entropic_doubling.oracle import pfr_subspace
+from entropic_doubling.pipeline import analyze_set, many_sums, rich_cosets, solve_B
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def load(name: str) -> dict:
+    return json.loads((FIXTURES / f"{name}.json").read_text())
+
+
+def _pair(bundle):
+    return Dist.from_json(bundle["inputs"]["p"]), Dist.from_json(bundle["inputs"]["q"])
+
+
+def _resolve_b(b):
+    params = b["certificate"]["parameters"]
+    return solve_B(*_pair(b), params["eta"], params["epsilon"], mode=b["mode"], seed=b["seed"]).subspace
+
+
+def _resolve_rich(b):
+    eps = b["certificate"]["parameters"]["epsilon"]
+    return rich_cosets(*_pair(b), eps, mode=b["mode"], seed=b["seed"]).subspace
+
+
+def _resolve_many(b):
+    dists = [Dist.from_json(d) for d in b["inputs"]["dists"]]
+    eps = b["certificate"]["parameters"]["epsilon"]
+    return many_sums(dists, eps, mode=b["mode"], seed=b["seed"]).subspace
+
+
+def _resolve_t11(b):
+    spec = b["inputs"]["set"]
+    members = [int(h, 16) for h in spec["elements"]]
+    eps = b["certificate"]["parameters"]["epsilon"]
+    return analyze_set(members, int(spec["n"]), eps, mode=b["mode"], seed=b["seed"]).subspace
+
+
+def _resolve_pfr(b):
+    return pfr_subspace(*_pair(b)).subspace
+
+
+# fixture name -> (re-solve its inputs to V, stored key to perturb, verdicts V = 0 fails)
+KINDS = {
+    "statement_b": (_resolve_b, "lhs", ["statement B inequality"]),
+    "rich_cosets": (_resolve_rich, "s_quotient", ["quotient interaction"]),
+    "many_sums": (_resolve_many, "lhs", ["k-fold inequality"]),
+    "theorem_11": (_resolve_t11, "expected_log_intersection", ["intersection bound"]),
+    "pfr_cor22": (_resolve_pfr, "h_proj_x", ["pfr bounds"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KINDS))
+def test_fixture_verifies_and_resolves_to_same_basis(name):
+    bundle = load(name)
+    report = verify_bundle(bundle)
+    assert report.ok, report.failures
+    resolve = KINDS[name][0]
+    assert resolve(bundle) == Subspace.from_json(bundle["certificate"]["subspace"])
+
+
+def test_endgame_fixture_verifies_and_resolves_to_same_table():
+    bundle = load("endgame")
+    report = verify_bundle(bundle)
+    assert report.ok, report.failures
+    t = bundle["transcript"]
+    fresh = endgame(*_pair(bundle), t["eta"], t["kappa"], fiber_cap=t["fiber_cap"].get("cap", 256))
+    assert [row[3].to_json() for row in fresh.table] == [row["subspace"] for row in t["table"]]
+
+
+@pytest.mark.parametrize("name", sorted(KINDS))
+def test_perturbed_stored_value_rejected(name):
+    bundle = load(name)
+    key = KINDS[name][1]
+    bundle["certificate"]["achieved"][key] += 0.5
+    report = verify_bundle(bundle)
+    assert not report.ok
+    assert any(f.startswith(f"{key}: recomputed") for f in report.failures)
+
+
+@pytest.mark.parametrize("name", sorted(KINDS))
+def test_subspace_failing_criterion_rejected(name):
+    bundle = load(name)
+    n = bundle["certificate"]["subspace"]["n"]
+    bundle["certificate"]["subspace"] = Subspace.zero(n).to_json()
+    report = verify_bundle(bundle)
+    assert not report.ok
+    for verdict in KINDS[name][2]:
+        assert verdict in report.failures
+
+
+def test_endgame_perturbed_value_rejected():
+    bundle = load("endgame")
+    bundle["transcript"]["expectation"] += 0.5
+    report = verify_bundle(bundle)
+    assert not report.ok
+    assert any(f.startswith("expectation: recomputed") for f in report.failures)
+
+
+def test_endgame_tampered_fiber_subspace_rejected():
+    bundle = load("endgame")
+    row = next(r for r in bundle["transcript"]["table"] if r["subspace"]["basis"])
+    row["subspace"] = Subspace.zero(row["subspace"]["n"]).to_json()
+    report = verify_bundle(bundle)
+    assert not report.ok
+    assert "fiber table" in report.failures
+
+
+def test_endgame_bundle_with_uncapped_large_fiber_cap():
+    # A 24 x 24 fiber grid fits fiber_cap = 1024 but not the default 256.
+    rng = np.random.default_rng(0)
+    p, q = random_dist(5, rng, support_size=6), random_dist(5, rng, support_size=6)
+    eta = min(0.5, doubling_mass(p, q) / (shannon_entropy(p) + shannon_entropy(q)))
+    t = endgame(p, q, eta, measure_endgame_kappa(p, q, eta), fiber_cap=1024)
+    assert not t.fiber_cap["applied"] and len(t.table) == 24 * 24
+    report = verify_bundle(json.loads(json.dumps(endgame_bundle(t, p, q))))
+    assert report.ok, report.failures
+

@@ -120,6 +120,17 @@ class TestFindSubspaceAndVerify:
         assert main(["verify", "--certificate", str(out)]) == 0
         capsys.readouterr()
 
+    def test_package_error_exits_two_with_one_line(self, tmp_path, capsys):
+        # B(7, 1) needs the endgame above its n <= 6 cap: a CapacityError.
+        ball = tmp_path / "ball.json"
+        assert main(["gen", "--family", "hamming-ball", "--n", "7", "--radius", "1",
+                     "--out", str(ball)]) == 0
+        capsys.readouterr()
+        assert main(["find-subspace", "--set", str(ball)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: CapacityError: ")
+
     def test_tampered_certificate_fails(self, tmp_path, dist_files, capsys):
         out = tmp_path / "cert.json"
         main(

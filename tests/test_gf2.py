@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 
 from entropic_doubling.errors import CapacityError, DimensionMismatchError, ValidationError
 from entropic_doubling.gf2 import (
-    QuotientMap,
     Subspace,
     all_subspaces,
     coset_decompose,
     enumerate_subspaces,
     gaussian_binomial,
-    project,
     span,
     subspace_intersect,
     subspace_sum,
@@ -149,13 +147,6 @@ class TestQuotient:
         v = span([3, 4], 3)
         for x in range(8):
             assert v.reduce(v.reduce(x)) == v.reduce(x)
-
-    def test_quotient_map_object(self):
-        v = span([4], 3)
-        q = v.quotient_map()
-        assert isinstance(q, QuotientMap)
-        assert q(5) == 1
-        assert project(q, 5) == 1
 
     def test_rep_table_matches_reduce(self):
         rng = np.random.default_rng(7)

@@ -1,5 +1,7 @@
 """Subspace finders: exhaustive ground truth, greedy ascent, BSG check."""
 
+import operator
+
 import numpy as np
 import pytest
 
@@ -22,9 +24,10 @@ from entropic_doubling.oracle import (
     OBJECTIVE_STATEMENT_B,
     bsg_check,
     exhaustive_best_subspace,
+    greedy_extension,
     pfr_subspace,
-    reverify_pfr,
 )
+from entropic_doubling.certify import pfr_bundle, verify_bundle
 
 
 class TestExhaustive:
@@ -109,7 +112,7 @@ class TestPfr:
         cert = pfr_subspace(u, u)
         assert cert.search_mode == "greedy"
         assert cert.subspace == v
-        assert reverify_pfr(cert, u, u)
+        assert verify_bundle(pfr_bundle(cert, u, u)).ok
 
     def test_certificates_reverify(self):
         rng = np.random.default_rng(2)
@@ -117,7 +120,7 @@ class TestPfr:
             n = int(rng.integers(2, 5))
             p, q = random_dist(n, rng), random_dist(n, rng)
             cert = pfr_subspace(p, q)
-            assert reverify_pfr(cert, p, q)
+            assert verify_bundle(pfr_bundle(cert, p, q)).ok
 
     def test_bounds_always_met(self):
         rng = np.random.default_rng(3)
@@ -131,6 +134,19 @@ class TestPfr:
             hq = shannon_entropy(pushforward_quotient(q, cert.subspace))
             assert max(hp, hq) <= 12 * d + 1e-9
             assert cert.subspace.dim <= 7 * (shannon_entropy(p) + shannon_entropy(q)) + 1e-9
+
+
+class TestGreedyExtension:
+    def test_ties_go_to_the_smallest_coset_representative(self):
+        u = uniform_on([0, 1, 2, 3], 3)
+        # Adding 1, 2 or 3 each halves both supports; 1 is the smallest.
+        assert greedy_extension(u, u, Subspace.zero(3), operator.add) == span([1], 3)
+        # Modulo <1>, the cosets of 2 and 3 coincide; their representative is 2.
+        assert greedy_extension(u, u, span([1], 3), max) == span([1, 2], 3)
+
+    def test_whole_group_has_no_extension(self):
+        u = uniform_on([0, 1], 2)
+        assert greedy_extension(u, u, Subspace.full(2), max) is None
 
 
 class TestBsg:

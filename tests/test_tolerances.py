@@ -1,42 +1,11 @@
-"""Capacity caps and the environment override."""
+"""Capacity caps and the recorded tolerances."""
 
-import numpy as np
-import pytest
-
-from entropic_doubling.dist import Dist, product, point_mass
-from entropic_doubling.errors import CapacityError
-from entropic_doubling.tolerances import max_dense_n, max_joint_bits, tolerances_dict
+from entropic_doubling.tolerances import MAX_DENSE_N, MAX_JOINT_BITS, tolerances_dict
 
 
 def test_defaults():
-    assert max_dense_n() == 12
-    assert max_joint_bits() == 24
-
-
-def test_env_override_raises_cap(monkeypatch):
-    monkeypatch.setenv("ENTROPIC_DOUBLING_MAX_N", "14")
-    assert max_dense_n() == 14
-    mass = np.zeros(1 << 13)
-    mass[0] = 1.0
-    assert Dist(13, mass).n == 13
-
-
-def test_env_override_lowers_cap(monkeypatch):
-    monkeypatch.setenv("ENTROPIC_DOUBLING_MAX_N", "4")
-    with pytest.raises(CapacityError):
-        point_mass(0, 5)
-
-
-def test_env_override_validates(monkeypatch):
-    monkeypatch.setenv("ENTROPIC_DOUBLING_MAX_N", "lots")
-    with pytest.raises(ValueError):
-        max_dense_n()
-
-
-def test_joint_capacity_scales_with_env(monkeypatch):
-    monkeypatch.setenv("ENTROPIC_DOUBLING_MAX_N", "5")
-    with pytest.raises(CapacityError):
-        product(*(point_mass(0, 3) for _ in range(4)))
+    assert MAX_DENSE_N == 12
+    assert MAX_JOINT_BITS == 24
 
 
 def test_tolerances_dict_recorded_values():
