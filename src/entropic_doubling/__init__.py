@@ -25,7 +25,14 @@ from .dist import (
     xor_convolve,
     xor_convolve_naive,
 )
-from .endgame import EndgameTranscript, endgame, measure_endgame_kappa, z_system_joints
+from .endgame import (
+    EndgameTranscript,
+    FiberGrid,
+    endgame,
+    fiber_grid,
+    measure_endgame_kappa,
+    z_system_joints,
+)
 from .entropy import (
     FibringReport,
     conditional_doubling_mass,

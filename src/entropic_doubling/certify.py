@@ -35,7 +35,7 @@ from .pipeline import (
     check_statement_B,
     check_theorem_11,
 )
-from .tolerances import IDENTITY_TOL, tolerances_dict
+from .tolerances import FIBER_CAP, IDENTITY_TOL, tolerances_dict
 
 
 def _plain(obj):
@@ -93,7 +93,10 @@ def set_bundle(result: SolveResult, elements: list[int], n: int) -> dict:
             "prng": PRNG_ID,
             "seed": result.seed,
             "mode": result.mode,
-            "inputs": {"set": {"n": n, "elements": [format(x, "x") for x in sorted(elements)]}},
+            # The set analyze_set certified: duplicates dropped.
+            "inputs": {
+                "set": {"n": n, "elements": [format(x, "x") for x in sorted(set(elements))]}
+            },
             "certificate": result.certificate.to_json(),
             "steps": [s.to_json() for s in result.steps],
             "tolerances": tolerances_dict(),
@@ -180,7 +183,7 @@ def verify_bundle(payload: dict) -> VerifyReport:
             # Bundles written before the cap was always recorded used the default.
             fresh = endgame(
                 p, q, float(t["eta"]), float(t["kappa"]),
-                fiber_cap=int(t["fiber_cap"].get("cap", 256)),
+                fiber_cap=int(t["fiber_cap"].get("cap", FIBER_CAP)),
             )
             for name in ("i_z1_z3", "i_z1_z2", "expectation"):
                 _close(report, name, getattr(fresh, name), float(t[name]), tol)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .certify import endgame_bundle, set_bundle, solve_bundle, verify_bundle
 from .dist import Dist, uniform_on, xor_convolve
-from .endgame import endgame, measure_endgame_kappa
+from .endgame import endgame
 from .entropy import doubling_mass, ruzsa_distance, shannon_entropy
 from .errors import EntropicDoublingError, ValidationError
 from .families import (
@@ -237,10 +237,7 @@ def _cmd_verify(args) -> int:
 def _cmd_endgame(args) -> int:
     p = Dist.from_json(_load_json(args.dist))
     q = Dist.from_json(_load_json(args.dist2)) if args.dist2 else p
-    kappa = args.kappa
-    if kappa is None:
-        kappa = measure_endgame_kappa(p, q, args.eta)
-    transcript = endgame(p, q, args.eta, kappa)
+    transcript = endgame(p, q, args.eta, args.kappa)
     bundle = endgame_bundle(transcript, p, q)
     ok = (
         transcript.mi_bound_holds

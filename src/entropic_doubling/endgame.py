@@ -10,11 +10,16 @@ cancel down to at most 4*kappa, and the fibers X_u = (X_1 | X_1+Y_2 = u),
 Y_w = (Y_1 | Y_1+X_2 = w) admit per-pair subspaces V(u,w) within the
 7(H[X_u]+H[Y_w]) size budget whose expected projected entropy is <= 480*kappa.
 Everything here is verified numerically, never trusted.
+
+A FiberGrid is what each case of the inductive step (Case 1, Case 2 and this
+endgame) hands to the local-to-global lemma; fiber_grid builds all three.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -24,12 +29,18 @@ from .entropy import (
     conditional_entropy,
     conditional_mutual_information,
     doubling_mass,
+    fibring_decompose,
     shannon_entropy,
 )
 from .errors import CapacityError, DimensionMismatchError, HypothesisViolationError
 from .gf2 import Subspace
-from .oracle import OBJECTIVE_PROJECTED_ENTROPY, PFR_SIZE_FACTOR, exhaustive_best_subspace
-from .tolerances import IDENTITY_TOL, MAX_ENUM_N, tolerances_dict
+from .oracle import (
+    OBJECTIVE_PROJECTED_ENTROPY,
+    PFR_SIZE_FACTOR,
+    SubspaceCertificate,
+    exhaustive_best_subspace,
+)
+from .tolerances import FIBER_CAP, IDENTITY_TOL, MAX_ENUM_N, tolerances_dict
 
 
 def z_system_joints(p: Dist, q: Dist) -> tuple[JointDist, JointDist]:
@@ -78,11 +89,15 @@ class EndgameTranscript:
     mi_bound_holds: bool
     z_entropy_gap_holds: bool
     table: tuple
+    grid: FiberGrid = field(compare=False, repr=False)
     expectation: float
     expectation_bound: float
     expectation_holds: bool
-    fiber_cap: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=tolerances_dict)
+
+    @property
+    def fiber_cap(self) -> dict:
+        return self.grid.cap
 
     def to_json(self) -> dict:
         return {
@@ -146,54 +161,98 @@ def endgame_move_quantities(p: Dist, q: Dist) -> dict:
     }
 
 
-def measure_endgame_kappa(p: Dist, q: Dist, eta: float) -> float:
-    """Smallest kappa > 0 for which all four hypothesis inequalities hold."""
-    moves = endgame_move_quantities(p, q)
+def _kappa_from_moves(moves: dict, eta: float) -> float:
     gap = max(lhs - eta * pair for lhs, pair in moves.values())
     return max(gap, 0.0) + 1e-12
 
 
-def _capped_grid(
-    fam_u: FiberFamily, fam_w: FiberFamily, cap: int
-) -> tuple[FiberFamily, FiberFamily, dict]:
-    """Keep the heaviest labels so the (u, w) grid fits the cap."""
-    info: dict = {"applied": False, "cap": cap}
-    ku, kw = len(fam_u.labels), len(fam_w.labels)
-    if ku * kw <= cap:
-        return fam_u, fam_w, info
-    side = max(1, int(np.sqrt(cap)))
+def measure_endgame_kappa(p: Dist, q: Dist, eta: float) -> float:
+    """Smallest kappa > 0 for which all four hypothesis inequalities hold."""
+    return _kappa_from_moves(endgame_move_quantities(p, q), eta)
 
-    def shrink(fam: FiberFamily, k: int) -> FiberFamily:
-        order = np.argsort(-fam.weights)[:k]
-        order = np.sort(order)
-        weights = fam.weights[order]
-        weights = weights / weights.sum()
-        return FiberFamily(
-            tuple(fam.labels[i] for i in order),
-            weights,
-            tuple(fam.dists[i] for i in order),
-        )
 
-    capped_u = shrink(fam_u, min(side, ku))
-    capped_w = shrink(fam_w, min(side, kw))
-    info = {
-        "applied": True,
-        "cap": cap,
-        "kept_u": len(capped_u.labels),
-        "kept_w": len(capped_w.labels),
-        "coverage_u": float(fam_u.weights[np.argsort(-fam_u.weights)[: len(capped_u.labels)]].sum()),
-        "coverage_w": float(fam_w.weights[np.argsort(-fam_w.weights)[: len(capped_w.labels)]].sum()),
+@dataclass(frozen=True, eq=False)
+class FiberGrid:
+    """The (u, w) grid that one inductive-step case feeds to the
+    local-to-global lemma: capped fiber families X_u and Y_w, the per-pair
+    subspaces V(u, w), and the fiber-cap note."""
+
+    fibers_x: FiberFamily
+    fibers_y: FiberFamily
+    v_table: dict[tuple[int, int], Subspace]
+    cap: dict = field(default_factory=dict)
+
+    @cached_property
+    def local_interaction(self) -> tuple[float, float]:
+        """E_{u,w} s[X_u|pi(X_u); Y_w|pi(Y_w)] and E_{u,w} dim V(u,w), measured once."""
+        hyp = 0.0
+        e_dim = 0.0
+        for wu, u, xu in zip(self.fibers_x.weights, self.fibers_x.labels, self.fibers_x.dists):
+            for ww, w, yw in zip(self.fibers_y.weights, self.fibers_y.labels, self.fibers_y.dists):
+                v = self.v_table[(u, w)]
+                hyp += wu * ww * fibring_decompose(xu, yw, v).s_fiber
+                e_dim += wu * ww * v.dim
+        return hyp, e_dim
+
+
+def _heaviest(fam: FiberFamily, k: int) -> tuple[FiberFamily, float]:
+    """The k heaviest fibers in label order, renormalized, and their total weight."""
+    order = np.argsort(-fam.weights)[:k]
+    coverage = float(fam.weights[order].sum())
+    order = np.sort(order)
+    weights = fam.weights[order]
+    kept = FiberFamily(
+        tuple(fam.labels[i] for i in order),
+        weights / weights.sum(),
+        tuple(fam.dists[i] for i in order),
+    )
+    return kept, coverage
+
+
+def fiber_grid(
+    x_pair: tuple[Dist, Dist],
+    y_pair: tuple[Dist, Dist],
+    solver: Callable[[Dist, Dist], SubspaceCertificate],
+    cap: int = FIBER_CAP,
+) -> FiberGrid:
+    """Sum fibers X_u of x_pair and Y_w of y_pair with V(u, w) = solver(X_u, Y_w).
+
+    A grid over more than `cap` pairs keeps each family's floor(sqrt(cap))
+    heaviest fibers and records their coverage in the cap note.  The solver
+    runs u-major, in label order.
+    """
+    fam_x, fam_y = sum_fibers(*x_pair), sum_fibers(*y_pair)
+    note: dict = {"applied": False, "cap": cap}
+    kx, ky = len(fam_x.labels), len(fam_y.labels)
+    if kx * ky > cap:
+        side = max(1, int(np.sqrt(cap)))
+        fam_x, coverage_x = _heaviest(fam_x, min(side, kx))
+        fam_y, coverage_y = _heaviest(fam_y, min(side, ky))
+        note = {
+            "applied": True,
+            "cap": cap,
+            "kept_u": len(fam_x.labels),
+            "kept_w": len(fam_y.labels),
+            "coverage_u": coverage_x,
+            "coverage_w": coverage_y,
+        }
+    v_table = {
+        (u, w): solver(xu, yw).subspace
+        for u, xu in zip(fam_x.labels, fam_x.dists)
+        for w, yw in zip(fam_y.labels, fam_y.dists)
     }
-    return capped_u, capped_w, info
+    return FiberGrid(fam_x, fam_y, v_table, note)
 
 
 def endgame(
-    p: Dist, q: Dist, eta: float, kappa: float, *, fiber_cap: int = 256
+    p: Dist, q: Dist, eta: float, kappa: float | None = None, *, fiber_cap: int = FIBER_CAP
 ) -> EndgameTranscript:
     """Run the endgame bookkeeping and verify every claimed inequality.
 
-    Raises HypothesisViolationError when s[X;Y] >= eta(H[X]+H[Y]) or one of
-    the four move inequalities fails for the given (eta, kappa).
+    Without a kappa, the smallest one that the four move inequalities allow is
+    measured from the same move table the hypothesis check reads.  Raises
+    HypothesisViolationError when s[X;Y] >= eta(H[X]+H[Y]) or one of the four
+    move inequalities fails for the given (eta, kappa).
     """
     if p.n != q.n:
         raise DimensionMismatchError("ambient dimensions differ")
@@ -203,7 +262,7 @@ def endgame(
         )
     if not 0.0 < eta <= 0.5:
         raise ValueError("eta must lie in (0, 1/2]")
-    if kappa < 0.0:
+    if kappa is not None and kappa < 0.0:
         raise ValueError("kappa must be nonnegative")
     h_total = shannon_entropy(p) + shannon_entropy(q)
     s_xy = doubling_mass(p, q)
@@ -211,6 +270,8 @@ def endgame(
     if s_xy < eta * h_total - IDENTITY_TOL:
         gaps.append(("interaction_floor", eta * h_total, s_xy))
     moves = endgame_move_quantities(p, q)
+    if kappa is None:
+        kappa = _kappa_from_moves(moves, eta)
     hypothesis_gaps = {}
     for name, (lhs, pair) in moves.items():
         rhs = eta * pair + kappa
@@ -236,26 +297,36 @@ def endgame(
         for a, b in ((h1, h2), (h1, h3), (h2, h3))
     )
 
-    fam_u = sum_fibers(p, q)
-    fam_w = sum_fibers(q, p)
-    fam_u, fam_w, cap_info = _capped_grid(fam_u, fam_w, fiber_cap)
+    # The per-pair scan under the PFR size budget, on the CASE2 fibers; each
+    # fiber's entropy is computed once for the budgets of its row or column.
+    h_fiber: dict[Dist, float] = {}
+    scans: dict[tuple[Dist, Dist], SubspaceCertificate] = {}
+
+    def budgeted_scan(xu: Dist, yw: Dist) -> SubspaceCertificate:
+        for d in (xu, yw):
+            if d not in h_fiber:
+                h_fiber[d] = shannon_entropy(d)
+        scans[(xu, yw)] = exhaustive_best_subspace(
+            xu,
+            yw,
+            OBJECTIVE_PROJECTED_ENTROPY,
+            entropy_budget=PFR_SIZE_FACTOR * (h_fiber[xu] + h_fiber[yw]),
+        )
+        return scans[(xu, yw)]
+
+    grid = fiber_grid((p, q), (q, p), budgeted_scan, fiber_cap)
     table = []
     expectation = 0.0
-    for wu, u, xu in zip(fam_u.weights, fam_u.labels, fam_u.dists):
-        hx_u = shannon_entropy(xu)
-        for ww, w, yw in zip(fam_w.weights, fam_w.labels, fam_w.dists):
-            hy_w = shannon_entropy(yw)
-            cert = exhaustive_best_subspace(
-                xu,
-                yw,
-                OBJECTIVE_PROJECTED_ENTROPY,
-                entropy_budget=PFR_SIZE_FACTOR * (hx_u + hy_w),
-            )
+    for wu, u, xu in zip(grid.fibers_x.weights, grid.fibers_x.labels, grid.fibers_x.dists):
+        for ww, w, yw in zip(grid.fibers_y.weights, grid.fibers_y.labels, grid.fibers_y.dists):
+            cert = scans[(xu, yw)]
             proj_x = cert.achieved["h_proj_x"]
             proj_y = cert.achieved["h_proj_y"]
             weight = float(wu * ww)
             expectation += weight * (proj_x + proj_y)
-            table.append((u, w, weight, cert.subspace, hx_u, hy_w, proj_x, proj_y))
+            table.append(
+                (u, w, weight, cert.subspace, h_fiber[xu], h_fiber[yw], proj_x, proj_y)
+            )
     bound = 480.0 * kappa
     return EndgameTranscript(
         eta=eta,
@@ -269,41 +340,9 @@ def endgame(
         mi_bound_holds=bool(mi_ok),
         z_entropy_gap_holds=bool(z_gap_ok),
         table=tuple(table),
+        grid=grid,
         expectation=float(expectation),
         expectation_bound=float(bound),
         expectation_holds=bool(expectation <= bound + IDENTITY_TOL),
-        fiber_cap=cap_info,
     )
 
-
-def endgame_fiber_systems(
-    transcript: EndgameTranscript, p: Dist, q: Dist
-) -> tuple[FiberFamily, FiberFamily, dict[tuple[int, int], Subspace]]:
-    """Reassemble the (capped) fiber families and V-table from a transcript."""
-    seen_u: dict[int, Dist] = {}
-    seen_w: dict[int, Dist] = {}
-    wu: dict[int, float] = {}
-    ww: dict[int, float] = {}
-    v_table: dict[tuple[int, int], Subspace] = {}
-    from .dist import condition_on_sum
-
-    for (u, w, weight, v, _hx, _hy, _px, _py) in transcript.table:
-        if u not in seen_u:
-            seen_u[u] = condition_on_sum(p, q, u)
-        if w not in seen_w:
-            seen_w[w] = condition_on_sum(q, p, w)
-        v_table[(u, w)] = v
-        wu[u] = wu.get(u, 0.0)
-        ww[w] = ww.get(w, 0.0)
-    for (u, w, weight, *_rest) in transcript.table:
-        wu[u] += weight
-        ww[w] += weight
-    labels_u = tuple(sorted(seen_u))
-    labels_w = tuple(sorted(seen_w))
-    weights_u = np.array([wu[u] for u in labels_u])
-    weights_w = np.array([ww[w] for w in labels_w])
-    weights_u /= weights_u.sum()
-    weights_w /= weights_w.sum()
-    fam_u = FiberFamily(labels_u, weights_u, tuple(seen_u[u] for u in labels_u))
-    fam_w = FiberFamily(labels_w, weights_w, tuple(seen_w[w] for w in labels_w))
-    return fam_u, fam_w, v_table

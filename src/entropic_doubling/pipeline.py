@@ -25,22 +25,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dist import (
-    Dist,
-    FiberFamily,
-    mixture,
-    pushforward_quotient,
-    sum_fibers,
-    uniform_on,
-    xor_convolve,
-)
-from .endgame import (
-    _capped_grid,
-    endgame,
-    endgame_fiber_systems,
-    endgame_move_quantities,
-    measure_endgame_kappa,
-)
+from .dist import Dist, pushforward_quotient, uniform_on, xor_convolve
+from .endgame import FiberGrid, endgame, endgame_move_quantities, fiber_grid
 from .entropy import fibring_decompose, shannon_entropy
 from .errors import (
     DimensionMismatchError,
@@ -347,10 +333,6 @@ class PipelineTrace:
 # Lemma: make the two derived sumset pairs non-doubling
 
 
-def _projected_pair(p: Dist, q: Dist, v: Subspace) -> tuple[Dist, Dist]:
-    return pushforward_quotient(p, v), pushforward_quotient(q, v)
-
-
 def make_sumsets_not_double(
     p: Dist, q: Dist, eta0: float, eps0: float, b_solver: BSolver
 ) -> tuple[Subspace, list[TraceStep]]:
@@ -365,7 +347,7 @@ def make_sumsets_not_double(
     steps: list[TraceStep] = []
     max_steps = math.ceil(2.0 / eps0) + 1
     for _ in range(max_steps):
-        pp, qp = _projected_pair(p, q, v)
+        pp, qp = pushforward_quotient(p, v), pushforward_quotient(q, v)
         a = xor_convolve(pp, pp)
         b = xor_convolve(qp, qp)
         c = xor_convolve(pp, qp)
@@ -383,7 +365,7 @@ def make_sumsets_not_double(
             cert = b_solver(c, c)
             kind = "SUMSET_FIX_2"
         v = subspace_sum(v, cert.subspace)
-        pp, qp = _projected_pair(p, q, v)
+        pp, qp = pushforward_quotient(p, v), pushforward_quotient(q, v)
         h_after = shannon_entropy(pp) + shannon_entropy(qp)
         steps.append(
             TraceStep(
@@ -474,9 +456,7 @@ class LocalToGlobalResult:
 
 
 def _h_expectation_sequence(
-    fibers_x: FiberFamily,
-    fibers_y: FiberFamily,
-    v_table: dict[tuple[int, int], Subspace],
+    grid: FiberGrid,
     k_max: int,
     rng: np.random.Generator,
     exact_cap: int = 200_000,
@@ -487,6 +467,7 @@ def _h_expectation_sequence(
     Exact dynamic programming over the reachable subspace-sum lattice; falls
     back to Monte-Carlo (recorded) if the transition count explodes.
     """
+    fibers_x, fibers_y, v_table = grid.fibers_x, grid.fibers_y, grid.v_table
     n = fibers_x.dists[0].n
     zero = Subspace.zero(n)
     h_cache: dict[tuple[int, tuple[int, ...]], float] = {}
@@ -550,26 +531,8 @@ def _h_expectation_sequence(
     return list(acc / mc_samples), False, mc_samples
 
 
-def _local_interaction(
-    fibers_x: FiberFamily,
-    fibers_y: FiberFamily,
-    v_table: dict[tuple[int, int], Subspace],
-) -> tuple[float, float]:
-    """E_{u,w} s[X_u|pi(X_u); Y_w|pi(Y_w)] and E_{u,w} dim V(u,w)."""
-    hyp = 0.0
-    e_dim = 0.0
-    for wu, u, xu in zip(fibers_x.weights, fibers_x.labels, fibers_x.dists):
-        for ww, w, yw in zip(fibers_y.weights, fibers_y.labels, fibers_y.dists):
-            v = v_table[(u, w)]
-            hyp += wu * ww * fibring_decompose(xu, yw, v).s_fiber
-            e_dim += wu * ww * v.dim
-    return hyp, e_dim
-
-
 def local_to_global(
-    fibers_x: FiberFamily,
-    fibers_y: FiberFamily,
-    v_table: dict[tuple[int, int], Subspace],
+    grid: FiberGrid,
     zeta: float,
     rng: np.random.Generator,
     seed_label: tuple[int, int] = (0, 0),
@@ -584,12 +547,13 @@ def local_to_global(
     """
     if zeta <= 0.0:
         raise ValueError("zeta must be positive")
+    fibers_x, fibers_y, v_table = grid.fibers_x, grid.fibers_y, grid.v_table
     x_mix = fibers_x.mixture()
     y_mix = fibers_y.mixture()
     h_total = shannon_entropy(x_mix) + shannon_entropy(y_mix)
     n = x_mix.n
 
-    hyp, e_dim = _local_interaction(fibers_x, fibers_y, v_table)
+    hyp, e_dim = grid.local_interaction
     if hyp < zeta * h_total - IDENTITY_TOL:
         raise HypothesisViolationError(
             f"local interaction {hyp:.6g} below zeta*(H[X]+H[Y]) = {zeta * h_total:.6g}",
@@ -598,9 +562,7 @@ def local_to_global(
 
     tau = zeta / 2.0
     k_max = math.ceil(1.0 / tau)
-    h_seq, exact, mc_samples = _h_expectation_sequence(
-        fibers_x, fibers_y, v_table, k_max, rng
-    )
+    h_seq, exact, mc_samples = _h_expectation_sequence(grid, k_max, rng)
     k = None
     for j in range(k_max + 1):
         if h_seq[j] - h_seq[j + 1] <= tau * h_seq[0] + IDENTITY_TOL:
@@ -657,7 +619,6 @@ def inductive_step(
     mode: str = MODE_PRACTICAL,
     rng: np.random.Generator | None = None,
     l0: float | None = None,
-    fiber_cap: int = 256,
     seed_label: tuple[int, int] = (0, 0),
 ) -> PipelineTrace:
     """One inductive step: from a B-solver at (eta0, eps0) to a statement-A
@@ -665,8 +626,9 @@ def inductive_step(
 
     Preprocesses with the sumset lemma, then splits on fiber doubling
     (Case 1: same-letter fibers, Case 2: crossed fibers, Case 3: endgame),
-    glues the per-fiber subspaces with local_to_global, and verifies the
-    statement-A conclusion numerically before returning.
+    glues the case's fiber grid with local_to_global, and verifies the
+    statement-A conclusion numerically before returning.  Every case builds
+    its grid with fiber_grid, capped at FIBER_CAP pairs.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -684,12 +646,13 @@ def inductive_step(
         )
 
     v0, steps = make_sumsets_not_double(p, q, eta0, eps0, b_solver)
-    p0, q0 = _projected_pair(p, q, v0)
+    p0, q0 = pushforward_quotient(p, v0), pushforward_quotient(q, v0)
     h0 = shannon_entropy(p0) + shannon_entropy(q0)
     c_paper = min(eps0, eta0**2 / 32.0)
     l1_paper = max(12.0 * eps0**-2 * (l0 if l0 is not None else 1.0), 2.0**12 * eta0**-4)
 
     case_note: dict = {"mode": mode}
+    result = None
     if h0 <= (1.0 - c_paper) * h_in + IDENTITY_TOL:
         v_final = v0
         case_note["early_exit"] = True
@@ -716,53 +679,44 @@ def inductive_step(
             candidates.append("ENDGAME")
         case_note.update({"margin_case1": m1, "margin_case2": m2})
 
-        result = None
         failures: list[str] = []
         for case in candidates:
-            if case != "ENDGAME":
-                same = case == "CASE1"
-                x_pair, y_pair = ((p0, p0), (q0, q0)) if same else ((p0, q0), (q0, p0))
-                fam_u, fam_w, cap_info = _capped_grid(
-                    sum_fibers(*x_pair), sum_fibers(*y_pair), fiber_cap
-                )
-                v_table = {
-                    (u, w): b_solver(xu, yw).subspace
-                    for u, xu in zip(fam_u.labels, fam_u.dists)
-                    for w, yw in zip(fam_w.labels, fam_w.dists)
-                }
+            if case == "CASE1":
+                grid = fiber_grid((p0, p0), (q0, q0), b_solver)
+                zeta_paper = 7.0 * eps0
+            elif case == "CASE2":
+                grid = fiber_grid((p0, q0), (q0, p0), b_solver)
                 zeta_paper = 7.0 * eps0
             else:
                 if mode == MODE_PAPER:
-                    eta_e = eta0 - 2.0 * eps0
-                    kappa = 12.0 * eps0 * h0
+                    eta_e, kappa = eta0 - 2.0 * eps0, 12.0 * eps0 * h0
                 else:
+                    # The endgame measures kappa from its own move table.
                     s0 = h0 - shannon_entropy(xor_convolve(p0, q0))
-                    eta_e = min(max(s0 / h0 if h0 > 0 else 0.0, 1e-9), 0.5)
-                    kappa = measure_endgame_kappa(p0, q0, eta_e)
+                    eta_e, kappa = min(max(s0 / h0 if h0 > 0 else 0.0, 1e-9), 0.5), None
                 try:
-                    transcript = endgame(p0, q0, eta_e, kappa, fiber_cap=fiber_cap)
+                    transcript = endgame(p0, q0, eta_e, kappa)
                 except HypothesisViolationError as exc:
                     failures.append(f"ENDGAME hypotheses: {exc}")
                     continue
-                fam_u, fam_w, v_table = endgame_fiber_systems(transcript, p0, q0)
-                cap_info = transcript.fiber_cap
+                grid = transcript.grid
                 zeta_paper = eta0**2 / 8.0
-                case_note.update({"eta_endgame": eta_e, "kappa": kappa})
+                case_note.update({"eta_endgame": eta_e, "kappa": transcript.kappa})
 
             if mode == MODE_PAPER:
                 zeta = zeta_paper
             else:
-                hyp = _local_interaction(fam_u, fam_w, v_table)[0]
+                hyp = grid.local_interaction[0]
                 zeta = (hyp / h0) * (1.0 - 1e-12) if h0 > 0 else 0.0
                 if zeta <= 1e-9:
                     failures.append(f"{case}: measured zeta {zeta:.3g} too small")
                     continue
             try:
-                result = local_to_global(fam_u, fam_w, v_table, zeta, rng, seed_label)
+                result = local_to_global(grid, zeta, rng, seed_label)
             except (HypothesisViolationError, SearchFailureError) as exc:
                 failures.append(f"{case}: {exc}")
                 continue
-            case_note.update({"case": case, "fiber_cap": cap_info, "failures": failures})
+            case_note.update({"case": case, "fiber_cap": grid.cap, "failures": failures})
             break
         if result is None:
             raise HypothesisViolationError(
@@ -770,20 +724,20 @@ def inductive_step(
             )
         v_final = subspace_sum(v0, result.subspace)
         case_note["local_to_global"] = result.to_json()
-        p1, q1 = _projected_pair(p, q, v_final)
+
+    p1, q1 = pushforward_quotient(p, v_final), pushforward_quotient(q, v_final)
+    h1 = shannon_entropy(p1) + shannon_entropy(q1)
+    if result is not None:
         steps.append(
             TraceStep(
                 kind=case_note["case"],
                 added=result.subspace,
                 dim_total=v_final.dim,
                 h_before=h0,
-                h_after=shannon_entropy(p1) + shannon_entropy(q1),
+                h_after=h1,
                 note=case_note,
             )
         )
-
-    p1, q1 = _projected_pair(p, q, v_final)
-    h1 = shannon_entropy(p1) + shannon_entropy(q1)
     c_meas = 1.0 - h1 / h_in if h_in > 0 else 1.0
     if c_meas <= IDENTITY_TOL:
         raise PipelineError(
@@ -834,7 +788,6 @@ class _SolveContext:
     rng: np.random.Generator
     mode: str
     seed: int
-    fiber_cap: int
     memo: dict = field(default_factory=dict)
     depth: int = 0
     max_depth: int = 48
@@ -945,7 +898,7 @@ def _solve_b_inner(
         chk = check_statement_B(p, q, v, params)
         if chk.passes:
             return _b_certificate(p, q, v, eta, eps, ctx.mode, chk), tuple(steps)
-        pp, qp = _projected_pair(p, q, v)
+        pp, qp = pushforward_quotient(p, v), pushforward_quotient(q, v)
         h_before = shannon_entropy(pp) + shannon_entropy(qp)
         if ctx.mode == MODE_PAPER:
             eps0 = (2.0**-15) * eta * eta
@@ -969,12 +922,11 @@ def _solve_b_inner(
                 sub_solver,
                 mode=ctx.mode,
                 rng=ctx.rng,
-                fiber_cap=ctx.fiber_cap,
                 seed_label=seed_label,
             )
             added = tr.subspace
             kind = tr.steps[-1].kind if tr.steps else "CASE1"
-            note = {"inductive": [s.kind for s in tr.steps]}
+            note = {"inductive": [s.to_json() for s in tr.steps]}
         except (HypothesisViolationError, SearchFailureError, PipelineError) as exc:
             if ctx.mode == MODE_PAPER:
                 raise
@@ -984,7 +936,7 @@ def _solve_b_inner(
             kind = "FALLBACK"
             note = {"reason": str(exc)}
         v_new = subspace_sum(v, added)
-        pp2, qp2 = _projected_pair(p, q, v_new)
+        pp2, qp2 = pushforward_quotient(p, v_new), pushforward_quotient(q, v_new)
         h_after = shannon_entropy(pp2) + shannon_entropy(qp2)
         if h_after > h_before - IDENTITY_TOL and v_new.dim <= v.dim:
             raise PipelineError("pipeline stalled: no entropy decrement and no new dims")
@@ -1010,7 +962,6 @@ def solve_B(
     *,
     mode: str = MODE_PRACTICAL,
     seed: int = 0,
-    fiber_cap: int = 256,
 ) -> SolveResult:
     """Produce a verified statement-B subspace certificate for (eta, epsilon).
 
@@ -1023,9 +974,7 @@ def solve_B(
     if mode not in (MODE_PRACTICAL, MODE_PAPER):
         raise ValueError(f"unknown mode {mode!r}")
     StatementParams(eta=eta, epsilon=epsilon)
-    ctx = _SolveContext(
-        rng=np.random.default_rng(seed), mode=mode, seed=seed, fiber_cap=fiber_cap
-    )
+    ctx = _SolveContext(rng=np.random.default_rng(seed), mode=mode, seed=seed)
     cert, steps = _solve_b(p, q, eta, epsilon, ctx)
     chk = check_statement_B(
         p, q, cert.subspace,
@@ -1047,7 +996,6 @@ def rich_cosets(
     *,
     mode: str = MODE_PRACTICAL,
     seed: int = 0,
-    fiber_cap: int = 256,
 ) -> SolveResult:
     """Find V with H[X|pi(X)], H[Y|pi(Y)] >= s - epsilon(H[X]+H[Y]).
 
@@ -1056,9 +1004,7 @@ def rich_cosets(
     """
     if not 0.0 < epsilon <= 1.0:
         raise ValueError("epsilon must lie in (0, 1]")
-    inner = solve_B(
-        p, q, epsilon / 2.0, epsilon / 2.0, mode=mode, seed=seed, fiber_cap=fiber_cap
-    )
+    inner = solve_B(p, q, epsilon / 2.0, epsilon / 2.0, mode=mode, seed=seed)
     v = inner.subspace
     chk = check_rich_cosets(p, q, v, epsilon)
     chk.require("rich-cosets")
@@ -1081,7 +1027,6 @@ def many_sums(
     *,
     mode: str = MODE_PRACTICAL,
     seed: int = 0,
-    fiber_cap: int = 256,
 ) -> SolveResult:
     """k-fold version: H[pi(X_1)+...+pi(X_k)] >= sum H[pi(X_i)] - eps sum H[X_i].
 
@@ -1118,9 +1063,7 @@ def many_sums(
         if violated is None:
             break
         j, prefix, tail = violated
-        sub = rich_cosets(
-            prefix, tail, delta / 2.0, mode=mode, seed=seed, fiber_cap=fiber_cap
-        )
+        sub = rich_cosets(prefix, tail, delta / 2.0, mode=mode, seed=seed)
         h_before = sum(shannon_entropy(d) for d in pushed)
         w = subspace_sum(w, sub.subspace)
         h_after = sum(
@@ -1169,7 +1112,6 @@ def analyze_set(
     *,
     mode: str = MODE_PRACTICAL,
     seed: int = 0,
-    fiber_cap: int = 256,
 ) -> SolveResult:
     """Subspace certificate for a concrete set with moderate doubling.
 
@@ -1181,7 +1123,7 @@ def analyze_set(
     if not members:
         raise EmptySupportError("analyze_set requires a nonempty set")
     u_a = uniform_on(members, n)
-    inner = rich_cosets(u_a, u_a, epsilon / 2.0, mode=mode, seed=seed, fiber_cap=fiber_cap)
+    inner = rich_cosets(u_a, u_a, epsilon / 2.0, mode=mode, seed=seed)
     v = inner.subspace
     chk = check_theorem_11(members, u_a, v, epsilon)
     chk.require("Theorem 1.1")

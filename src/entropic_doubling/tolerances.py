@@ -24,6 +24,10 @@ MAX_ENUM_N = 6
 MAX_DENSE_N = 12
 MAX_JOINT_BITS = 24
 
+# Largest (u, w) fiber grid an inductive-step case solves pair by pair; a
+# larger grid keeps each side's floor(sqrt(FIBER_CAP)) heaviest fibers.
+FIBER_CAP = 256
+
 
 def tolerances_dict() -> dict[str, float]:
     """The tolerance block recorded in certificates."""

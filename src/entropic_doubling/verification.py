@@ -21,7 +21,7 @@ from .dist import (
     xor_convolve,
     xor_convolve_naive,
 )
-from .endgame import endgame, measure_endgame_kappa
+from .endgame import endgame
 from .entropy import (
     conditional_entropy,
     fibring_decompose,
@@ -208,8 +208,7 @@ def endgame_suite(
         if h_total <= 0 or s / h_total < 1e-3:
             continue
         eta = min(0.5, s / h_total)
-        kappa = measure_endgame_kappa(p, q, eta)
-        transcript = endgame(p, q, eta, kappa)
+        transcript = endgame(p, q, eta)
         mi_gap = (
             transcript.i_z1_z2 + transcript.i_z1_z3 - 4.0 * transcript.kappa
         )

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entropic_doubling.certify import endgame_bundle, verify_bundle
+from entropic_doubling.certify import endgame_bundle, set_bundle, verify_bundle
 from entropic_doubling.dist import Dist, random_dist
 from entropic_doubling.endgame import endgame, measure_endgame_kappa
 from entropic_doubling.entropy import doubling_mass, shannon_entropy
@@ -129,3 +129,11 @@ def test_endgame_bundle_with_uncapped_large_fiber_cap():
     report = verify_bundle(json.loads(json.dumps(endgame_bundle(t, p, q))))
     assert report.ok, report.failures
 
+
+def test_set_bundle_with_repeated_element_verifies():
+    # analyze_set certifies the set without the duplicate; so must the bundle.
+    elements = [0, 1, 1, 2, 4, 8]
+    bundle = set_bundle(analyze_set(elements, 4, 0.2), elements, 4)
+    assert bundle["inputs"]["set"]["elements"] == ["0", "1", "2", "4", "8"]
+    report = verify_bundle(json.loads(json.dumps(bundle)))
+    assert report.ok, report.failures

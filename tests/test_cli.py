@@ -120,6 +120,16 @@ class TestFindSubspaceAndVerify:
         assert main(["verify", "--certificate", str(out)]) == 0
         capsys.readouterr()
 
+    def test_set_file_with_repeated_element(self, tmp_path, capsys):
+        path = tmp_path / "set.json"
+        path.write_text(json.dumps({"n": 4, "elements": ["0", "1", "1", "2", "4", "8"]}))
+        out = tmp_path / "cert.json"
+        code = main(["find-subspace", "--set", str(path), "--epsilon", "0.2", "--out", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text())["verified"] is True
+        assert main(["verify", "--certificate", str(out)]) == 0
+        capsys.readouterr()
+
     def test_package_error_exits_two_with_one_line(self, tmp_path, capsys):
         # B(7, 1) needs the endgame above its n <= 6 cap: a CapacityError.
         ball = tmp_path / "ball.json"

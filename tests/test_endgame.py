@@ -13,7 +13,6 @@ from entropic_doubling.dist import (
 )
 from entropic_doubling.endgame import (
     endgame,
-    endgame_fiber_systems,
     endgame_move_quantities,
     measure_endgame_kappa,
     z_system_joints,
@@ -164,7 +163,7 @@ class TestEndgameTranscript:
         h = shannon_entropy(p) + shannon_entropy(q)
         eta = min(0.5, s / h)
         t = endgame(p, q, eta, measure_endgame_kappa(p, q, eta))
-        fam_u, fam_w, v_table = endgame_fiber_systems(t, p, q)
+        fam_u, fam_w, v_table = t.grid.fibers_x, t.grid.fibers_y, t.grid.v_table
         assert fam_u.weights.sum() == pytest.approx(1.0, abs=1e-9)
         assert set(v_table) == {(u, w) for u in fam_u.labels for w in fam_w.labels}
         # Mixture of the u-fibers is the X-marginal.

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -24,9 +25,10 @@ from entropic_doubling.dist import (
     uniform_on_subspace,
     xor_convolve,
 )
-from entropic_doubling.endgame import endgame, endgame_fiber_systems, measure_endgame_kappa
+from entropic_doubling.endgame import FiberGrid, endgame, measure_endgame_kappa
 from entropic_doubling.entropy import doubling_mass, shannon_entropy
 from entropic_doubling.errors import HypothesisViolationError
+from entropic_doubling.families import union_of_cosets
 from entropic_doubling.gf2 import Subspace, all_subspaces, span
 from entropic_doubling.oracle import (
     OBJECTIVE_STATEMENT_B,
@@ -246,7 +248,7 @@ class TestLocalToGlobal:
 
     def test_degenerate_identical_fibers_first_draw(self):
         _u, v, fam, table = self._uniform_system()
-        res = local_to_global(fam, fam, table, 0.4, np.random.default_rng(0))
+        res = local_to_global(FiberGrid(fam, fam, table), 0.4, np.random.default_rng(0))
         assert res.subspace == v
         assert res.attempts == 1
         assert res.h_y_given_proj >= res.h_y_floor - 1e-9
@@ -256,8 +258,9 @@ class TestLocalToGlobal:
         p = uniform_on_subspace(span([1], 2))
         fam = FiberFamily((0,), np.array([1.0]), (p,))
         table = {(0, 0): span([1], 2)}
-        a = local_to_global(fam, fam, table, 0.4, np.random.default_rng(1))
-        b = local_to_global(fam, fam, table, 0.4, np.random.default_rng(2))
+        grid = FiberGrid(fam, fam, table)
+        a = local_to_global(grid, 0.4, np.random.default_rng(1))
+        b = local_to_global(grid, 0.4, np.random.default_rng(2))
         assert a.subspace == b.subspace and a.k == b.k
 
     def test_hypothesis_violation(self):
@@ -266,7 +269,7 @@ class TestLocalToGlobal:
         fam_y = FiberFamily((0,), np.array([1.0]), (uniform_on([0, 2], 2),))
         table = {(0, 0): Subspace.zero(2)}
         with pytest.raises(HypothesisViolationError):
-            local_to_global(fam_x, fam_y, table, 0.5, np.random.default_rng(0))
+            local_to_global(FiberGrid(fam_x, fam_y, table), 0.5, np.random.default_rng(0))
 
     def test_random_endgame_system_reverifies_and_replays(self):
         rng = np.random.default_rng(6)
@@ -274,7 +277,7 @@ class TestLocalToGlobal:
         h = shannon_entropy(p) + shannon_entropy(q)
         eta = min(0.5, doubling_mass(p, q) / h)
         t = endgame(p, q, eta, measure_endgame_kappa(p, q, eta))
-        fam_u, fam_w, table = endgame_fiber_systems(t, p, q)
+        fam_u, fam_w, table = t.grid.fibers_x, t.grid.fibers_y, t.grid.v_table
         from entropic_doubling.entropy import fibring_decompose
 
         hyp = sum(
@@ -283,8 +286,8 @@ class TestLocalToGlobal:
             for ww, w, yw in zip(fam_w.weights, fam_w.labels, fam_w.dists)
         )
         zeta = 0.999 * hyp / h
-        first = local_to_global(fam_u, fam_w, table, zeta, np.random.default_rng(42))
-        replay = local_to_global(fam_u, fam_w, table, zeta, np.random.default_rng(42))
+        first = local_to_global(t.grid, zeta, np.random.default_rng(42))
+        replay = local_to_global(t.grid, zeta, np.random.default_rng(42))
         assert first.subspace == replay.subspace
         assert first.h_sequence == replay.h_sequence
         y_mix = fam_w.mixture()
@@ -529,3 +532,59 @@ class TestBundles:
 
     def test_unknown_kind_rejected(self):
         assert not verify_bundle({"kind": "NOPE"}).ok
+
+
+def _count_calls(monkeypatch, module_name: str, name: str) -> list[int]:
+    """Count calls of module_name.name through every package module binding it."""
+    original = getattr(sys.modules[module_name], name)
+    count = [0]
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return original(*args, **kwargs)
+
+    for key, module in list(sys.modules.items()):
+        if key.split(".")[0] == "entropic_doubling" and vars(module).get(name) is original:
+            monkeypatch.setattr(module, name, counted)
+    return count
+
+
+class TestNontrivialPath:
+    """Unions of cosets whose certificates are proper subspaces of F_2^n."""
+
+    @pytest.mark.parametrize(
+        "args, basis, kinds",
+        [
+            ((4, 2, 2, 0), (1, 2, 4), ["ENDGAME"]),
+            ((5, 2, 2, 1), (1, 2, 28), ["ENDGAME"]),
+            ((5, 1, 4, 0), (1, 10, 12, 16), ["ENDGAME", "ENDGAME"]),
+        ],
+    )
+    def test_pinned_basis(self, args, basis, kinds):
+        res = analyze_set(union_of_cosets(*args), args[0], 0.2)
+        assert res.subspace.basis == basis
+        assert [s.kind for s in res.steps] == kinds
+
+    def test_each_grid_measured_once(self, monkeypatch):
+        # CASE1, CASE2 and ENDGAME each try an 8 x 8 fiber grid; each grid's
+        # local interaction is one fibring_decompose per pair, and the
+        # rich-cosets check adds one more.  The move table runs once in the
+        # case split and once in the endgame's hypothesis check.
+        fibring = _count_calls(monkeypatch, "entropic_doubling.entropy", "fibring_decompose")
+        moves = _count_calls(monkeypatch, "entropic_doubling.endgame", "endgame_move_quantities")
+        analyze_set(union_of_cosets(4, 2, 2, 0), 4, 0.2)
+        assert fibring[0] == 3 * 64 + 1
+        assert moves[0] == 2
+
+    def test_inductive_notes_reach_the_result_and_bundle(self):
+        elements = union_of_cosets(4, 2, 2, 0)
+        res = analyze_set(elements, 4, 0.2)
+        (inner,) = res.steps[-1].note["inductive"]
+        note = inner["note"]
+        assert inner["kind"] == note["case"] == "ENDGAME"
+        assert [f.split(":")[0] for f in note["failures"]] == ["CASE1", "CASE2"]
+        assert note["fiber_cap"] == {"applied": False, "cap": 256}
+        assert "kappa" in note and "local_to_global" in note
+        bundle = json.loads(json.dumps(set_bundle(res, elements, 4)))
+        assert bundle["steps"][-1]["note"]["inductive"][0]["note"]["failures"] == note["failures"]
+        assert verify_bundle(bundle).ok
