@@ -26,15 +26,16 @@ from .gf2 import Subspace
 from .tolerances import IDENTITY_TOL, MASS_EPS, MAX_DENSE_N, MAX_JOINT_BITS
 
 
-def _clean(raw: np.ndarray) -> np.ndarray:
-    """Clamp dust, renormalize, freeze."""
+def _clean(raw: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """Clamp dust, renormalize, freeze: the whole table, or each slice along axis."""
     mass = np.asarray(raw, dtype=np.float64).copy()
     if mass.min() < -1e-12:
         raise NormalizationError(f"negative mass {mass.min():.3e}")
     mass[mass < MASS_EPS] = 0.0
-    total = mass.sum()
-    if abs(total - 1.0) > IDENTITY_TOL:
-        raise NormalizationError(f"total mass {total!r} not within 1e-9 of 1")
+    total = mass.sum(axis=axis, keepdims=axis is not None)
+    worst = total if axis is None else total.flat[np.argmax(np.abs(total - 1.0))]
+    if abs(worst - 1.0) > IDENTITY_TOL:
+        raise NormalizationError(f"total mass {worst!r} not within 1e-9 of 1")
     mass /= total
     mass.setflags(write=False)
     return mass
@@ -169,20 +170,29 @@ def random_dist(n: int, rng: np.random.Generator, support_size: int | None = Non
     return Dist(n, mass)
 
 
+# Rows per pass of the transform fill about this many float64 entries (256 KiB),
+# so every butterfly stage of a pass runs in cache.
+_WHT_CHUNK = 1 << 15
+
+
 def wht(table: np.ndarray) -> np.ndarray:
     """Walsh-Hadamard transform along the last axis; wht(wht(t)) == size * t."""
     out = np.asarray(table, dtype=np.float64).copy()
     size = out.shape[-1]
     if size == 0 or size & (size - 1):
         raise ValueError(f"length {size} is not a power of two")
-    h = 1
-    while h < size:
-        blocks = out.reshape(-1, 2 * h)
-        a = blocks[:, :h].copy()
-        b = blocks[:, h:].copy()
-        blocks[:, :h] = a + b
-        blocks[:, h:] = a - b
-        h *= 2
+    rows = out.reshape(-1, size)
+    step = max(1, _WHT_CHUNK // size)
+    for lo in range(0, len(rows), step):
+        part = rows[lo : lo + step]
+        h = 1
+        while h < size:
+            blocks = part.reshape(-1, 2, h)
+            a, b = blocks[:, 0], blocks[:, 1]
+            total = a + b
+            np.subtract(a, b, out=b)
+            a[...] = total
+            h *= 2
     return out
 
 

@@ -29,7 +29,7 @@ from .entropy import (
     conditional_entropy,
     conditional_mutual_information,
     doubling_mass,
-    fibring_decompose,
+    fiber_interactions,
     shannon_entropy,
 )
 from .errors import CapacityError, DimensionMismatchError, HypothesisViolationError
@@ -132,8 +132,21 @@ class EndgameTranscript:
         }
 
 
-def endgame_move_quantities(p: Dist, q: Dist) -> dict:
-    """The four doubling moves' masses and their paired entropy sums."""
+@dataclass(frozen=True, eq=False)
+class _MoveTable:
+    """The four doubling moves of (X, Y), name -> (mass, paired entropy sum),
+    with the sum-fiber families they were measured on: X_1 | X_1+X_2 (pp),
+    Y_1 | Y_1+Y_2 (qq), X_1 | X_1+Y_2 (pq) and Y_1 | Y_1+X_2 (qp).  Case 1
+    reads the pp/qq grid, Case 2 and the endgame the pq/qp grid."""
+
+    moves: dict
+    fib_pp: FiberFamily
+    fib_qq: FiberFamily
+    fib_pq: FiberFamily
+    fib_qp: FiberFamily
+
+
+def _move_table(p: Dist, q: Dist) -> _MoveTable:
     conv_pp = xor_convolve(p, p)
     conv_qq = xor_convolve(q, q)
     conv_pq = xor_convolve(p, q)
@@ -141,7 +154,7 @@ def endgame_move_quantities(p: Dist, q: Dist) -> dict:
     fib_qq = sum_fibers(q, q)
     fib_pq = sum_fibers(p, q)
     fib_qp = sum_fibers(q, p)
-    return {
+    moves = {
         "sumset_1": (
             doubling_mass(conv_pp, conv_qq),
             shannon_entropy(conv_pp) + shannon_entropy(conv_qq),
@@ -159,6 +172,12 @@ def endgame_move_quantities(p: Dist, q: Dist) -> dict:
             fib_pq.conditional_entropy() + fib_qp.conditional_entropy(),
         ),
     }
+    return _MoveTable(moves, fib_pp, fib_qq, fib_pq, fib_qp)
+
+
+def endgame_move_quantities(p: Dist, q: Dist) -> dict:
+    """The four doubling moves' masses and their paired entropy sums."""
+    return _move_table(p, q).moves
 
 
 def _kappa_from_moves(moves: dict, eta: float) -> float:
@@ -184,14 +203,19 @@ class FiberGrid:
 
     @cached_property
     def local_interaction(self) -> tuple[float, float]:
-        """E_{u,w} s[X_u|pi(X_u); Y_w|pi(Y_w)] and E_{u,w} dim V(u,w), measured once."""
+        """E_{u,w} s[X_u|pi(X_u); Y_w|pi(Y_w)] and E_{u,w} dim V(u,w), measured once,
+        with every pair's s-term from one batched fiber_interactions call."""
+        pairs = [
+            (wu * ww, xu, yw, self.v_table[(u, w)])
+            for wu, u, xu in zip(self.fibers_x.weights, self.fibers_x.labels, self.fibers_x.dists)
+            for ww, w, yw in zip(self.fibers_y.weights, self.fibers_y.labels, self.fibers_y.dists)
+        ]
+        s_fiber = fiber_interactions([(xu, yw, v) for _, xu, yw, v in pairs])
         hyp = 0.0
         e_dim = 0.0
-        for wu, u, xu in zip(self.fibers_x.weights, self.fibers_x.labels, self.fibers_x.dists):
-            for ww, w, yw in zip(self.fibers_y.weights, self.fibers_y.labels, self.fibers_y.dists):
-                v = self.v_table[(u, w)]
-                hyp += wu * ww * fibring_decompose(xu, yw, v).s_fiber
-                e_dim += wu * ww * v.dim
+        for (weight, _, _, v), s in zip(pairs, s_fiber.tolist()):
+            hyp += weight * s
+            e_dim += weight * v.dim
         return hyp, e_dim
 
 
@@ -210,18 +234,17 @@ def _heaviest(fam: FiberFamily, k: int) -> tuple[FiberFamily, float]:
 
 
 def fiber_grid(
-    x_pair: tuple[Dist, Dist],
-    y_pair: tuple[Dist, Dist],
+    fam_x: FiberFamily,
+    fam_y: FiberFamily,
     solver: Callable[[Dist, Dist], SubspaceCertificate],
     cap: int = FIBER_CAP,
 ) -> FiberGrid:
-    """Sum fibers X_u of x_pair and Y_w of y_pair with V(u, w) = solver(X_u, Y_w).
+    """Fibers X_u of fam_x and Y_w of fam_y with V(u, w) = solver(X_u, Y_w).
 
     A grid over more than `cap` pairs keeps each family's floor(sqrt(cap))
     heaviest fibers and records their coverage in the cap note.  The solver
     runs u-major, in label order.
     """
-    fam_x, fam_y = sum_fibers(*x_pair), sum_fibers(*y_pair)
     note: dict = {"applied": False, "cap": cap}
     kx, ky = len(fam_x.labels), len(fam_y.labels)
     if kx * ky > cap:
@@ -254,6 +277,19 @@ def endgame(
     HypothesisViolationError when s[X;Y] >= eta(H[X]+H[Y]) or one of the four
     move inequalities fails for the given (eta, kappa).
     """
+    return _endgame(p, q, eta, kappa, fiber_cap, None)
+
+
+def _endgame(
+    p: Dist,
+    q: Dist,
+    eta: float,
+    kappa: float | None,
+    fiber_cap: int,
+    move_table: _MoveTable | None,
+) -> EndgameTranscript:
+    """endgame(), reading the move table of (p, q) when one is given: the
+    inductive step passes the table it already measured for its case split."""
     if p.n != q.n:
         raise DimensionMismatchError("ambient dimensions differ")
     if p.n > MAX_ENUM_N:
@@ -269,7 +305,9 @@ def endgame(
     gaps: list[tuple[str, float, float]] = []
     if s_xy < eta * h_total - IDENTITY_TOL:
         gaps.append(("interaction_floor", eta * h_total, s_xy))
-    moves = endgame_move_quantities(p, q)
+    if move_table is None:
+        move_table = _move_table(p, q)
+    moves = move_table.moves
     if kappa is None:
         kappa = _kappa_from_moves(moves, eta)
     hypothesis_gaps = {}
@@ -314,7 +352,7 @@ def endgame(
         )
         return scans[(xu, yw)]
 
-    grid = fiber_grid((p, q), (q, p), budgeted_scan, fiber_cap)
+    grid = fiber_grid(move_table.fib_pq, move_table.fib_qp, budgeted_scan, fiber_cap)
     table = []
     expectation = 0.0
     for wu, u, xu in zip(grid.fibers_x.weights, grid.fibers_x.labels, grid.fibers_x.dists):

@@ -13,10 +13,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .dist import Dist, FiberFamily, JointDist, pushforward_quotient, wht, xor_convolve
+from .dist import Dist, FiberFamily, JointDist, _clean, pushforward_quotient, wht, xor_convolve
 from .errors import DimensionMismatchError
 from .gf2 import Subspace
 from .tolerances import MASS_EPS
+
+# Entries (float64) per batch of the batched kernels below, far under
+# 2^MAX_JOINT_BITS: larger batches ran no faster and raised the peak memory.
+# A single pair whose table is larger (at most 2^(2n) entries) runs alone.
+_BATCH_ENTRIES = 1 << 16
 
 
 def _entropy(table: np.ndarray) -> float:
@@ -94,17 +99,30 @@ def ruzsa_distance(p: Dist, q: Dist) -> float:
 
 
 def conditional_doubling_mass(fibers_x: FiberFamily, fibers_y: FiberFamily) -> float:
-    """E_{u,w} s[X_u ; Y_w] over independent fiber labels."""
+    """E_{u,w} s[X_u ; Y_w] over independent fiber labels.
+
+    Each fiber is transformed once; the pair spectra are inverted in batches
+    of whole X_u rows, at most _BATCH_ENTRIES entries each, and every X_u + Y_w
+    table is cleaned as a Dist would be.
+    """
     if len(fibers_x.weights) != len(fibers_x.dists) or len(fibers_y.weights) != len(
         fibers_y.dists
     ):
         raise ValueError("weights and fibers must align")
     hx = [shannon_entropy(d) for d in fibers_x.dists]
     hy = [shannon_entropy(d) for d in fibers_y.dists]
+    spec_x = wht(np.stack([d.mass for d in fibers_x.dists]))
+    spec_y = wht(np.stack([d.mass for d in fibers_y.dists]))
+    size = spec_x.shape[1]
+    step = max(1, _BATCH_ENTRIES // (len(hy) * size))
     total = 0.0
-    for wu, du, hu in zip(fibers_x.weights, fibers_x.dists, hx):
-        for ww, dw, hw in zip(fibers_y.weights, fibers_y.dists, hy):
-            total += wu * ww * (hu + hw - shannon_entropy(xor_convolve(du, dw)))
+    for lo in range(0, len(hx), step):
+        raw = wht(spec_x[lo : lo + step, None, :] * spec_y[None, :, :])
+        raw /= size
+        sums = _clean(np.maximum(raw, 0.0, out=raw), axis=-1)
+        for i, (wu, hu) in enumerate(zip(fibers_x.weights[lo : lo + step], hx[lo : lo + step])):
+            for ww, hw, row in zip(fibers_y.weights, hy, sums[i]):
+                total += wu * ww * (hu + hw - _entropy(row))
     return float(total)
 
 
@@ -136,16 +154,73 @@ class FibringReport:
         return payload
 
 
-def _sum_by_projection_table(p: Dist, q: Dist, v: Subspace) -> tuple[np.ndarray, np.ndarray]:
-    """Joint table zt[i, z] = Pr[X+Y = z, pi_V(X) = t_i] plus the coset labels."""
-    reps = v.rep_table()
-    labels = np.unique(reps)
-    size = 1 << p.n
-    masked = np.where(reps[None, :] == labels[:, None], p.mass[None, :], 0.0)
-    zt = wht(wht(masked) * wht(q.mass)[None, :]) / size
+def _coset_sum_tables(
+    x_mass: np.ndarray, reps: np.ndarray, y_spec: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked joint tables of K pairs: rows Pr[X_k+Y_k = z, pi_{V_k}(X_k) = t],
+    one per coset t of V_k in increasing representative order, pair after pair.
+
+    x_mass, reps and y_spec are (K, 2^n): the masses of X_k, the rep tables of
+    V_k and the transforms of Y_k.  Also returns each pair's first row.
+    """
+    pairs, size = x_mass.shape
+    is_rep = reps == np.arange(size)
+    counts = is_rep.sum(axis=1)
+    starts = np.zeros(pairs, dtype=np.int64)
+    np.cumsum(counts[:-1], out=starts[1:])
+    row = np.take_along_axis(np.cumsum(is_rep, axis=1) - 1, reps, axis=1) + starts[:, None]
+    masked = np.zeros((int(counts.sum()), size))
+    masked[row, np.arange(size)] = x_mass
+    spec = wht(masked)
+    del masked
+    spec *= np.repeat(y_spec, counts, axis=0)
+    zt = wht(spec)
+    del spec
+    zt /= size
     np.maximum(zt, 0.0, out=zt)
     zt[zt < MASS_EPS] = 0.0
-    return zt, labels
+    return zt, starts
+
+
+def fiber_interactions(triples: Sequence[tuple[Dist, Dist, Subspace]]) -> np.ndarray:
+    """s[X|pi_V(X); Y|pi_V(Y)] = H[X] + H[Y] - H[X+Y, pi_V(X)] for each (X, Y, V).
+
+    The fibring_decompose term for many pairs at once: each distinct X and Y
+    gets its entropy, and each Y its transform, once; the coset tables run in
+    batches of at most _BATCH_ENTRIES entries (one pair may exceed it alone).
+    """
+    entropy: dict[Dist, float] = {}
+    spectrum: dict[Dist, np.ndarray] = {}
+    for x, y, v in triples:
+        if x.n != y.n or x.n != v.n:
+            raise DimensionMismatchError("ambient dimensions differ")
+        for d in (x, y):
+            if d not in entropy:
+                entropy[d] = shannon_entropy(d)
+        if y not in spectrum:
+            spectrum[y] = wht(y.mass)
+    out = np.empty(len(triples))
+    lo = 0
+    while lo < len(triples):
+        hi, entries = lo, 0
+        while hi < len(triples):
+            x, _, v = triples[hi]
+            cost = (1 << (x.n - v.dim)) << x.n
+            if hi > lo and entries + cost > _BATCH_ENTRIES:
+                break
+            entries += cost
+            hi += 1
+        batch = triples[lo:hi]
+        zt, starts = _coset_sum_tables(
+            np.stack([x.mass for x, _, _ in batch]),
+            np.stack([v.rep_table() for _, _, v in batch]),
+            np.stack([spectrum[y] for _, y, _ in batch]),
+        )
+        ends = np.append(starts[1:], len(zt))
+        for k, (x, y, _) in enumerate(batch):
+            out[lo + k] = entropy[x] + entropy[y] - _entropy(zt[starts[k] : ends[k]])
+        lo = hi
+    return out
 
 
 def fibring_decompose(p: Dist, q: Dist, v: Subspace) -> FibringReport:
@@ -164,12 +239,12 @@ def fibring_decompose(p: Dist, q: Dist, v: Subspace) -> FibringReport:
     )
     # H[X+Y | pi(X), pi(Y)] comes from the (X+Y, pi(X)) table: pi(Y) is then
     # determined, so s_fiber = H[X] + H[Y] - H[X+Y, pi(X)].
-    zt, _ = _sum_by_projection_table(p, q, v)
+    reps = v.rep_table()
+    zt = _coset_sum_tables(p.mass[None, :], reps[None, :], wht(q.mass)[None, :])[0]
     s_fiber = hp + hq - _entropy(zt)
     # Residual: expectation over c ~ pi(X+Y) of I[X+Y : pi(X) | pi(X+Y) = c];
     # conditioned on pi(X+Y), the pair (pi(X), pi(Y)) carries the same
     # information as pi(X) alone.
-    reps = v.rep_table()
     residual = 0.0
     for c in np.unique(reps):
         sub = zt[:, reps == c]

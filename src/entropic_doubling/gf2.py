@@ -68,12 +68,22 @@ class Subspace:
             raise ValidationError(f"basis {self.basis} is not in canonical RREF")
 
     @classmethod
+    def _canonical(cls, n: int, basis: tuple[int, ...]) -> "Subspace":
+        """A Subspace from a basis already in canonical RREF, not re-validated."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "n", n)
+        object.__setattr__(v, "basis", basis)
+        return v
+
+    @classmethod
     def zero(cls, n: int) -> "Subspace":
-        return cls(n, ())
+        _check_n(n)
+        return cls._canonical(n, ())
 
     @classmethod
     def full(cls, n: int) -> "Subspace":
-        return cls(n, tuple(1 << i for i in range(n)))
+        _check_n(n)
+        return cls._canonical(n, tuple(1 << i for i in range(n)))
 
     @property
     def dim(self) -> int:
@@ -144,7 +154,7 @@ def _rep_table(n: int, basis: tuple[int, ...]) -> np.ndarray:
 def span(vectors: Iterable[int], n: int) -> Subspace:
     """Canonical subspace spanned by the given bitmask vectors."""
     _check_n(n)
-    return Subspace(n, _rref(vectors, n))
+    return Subspace._canonical(n, _rref(vectors, n))
 
 
 def subspace_sum(v1: Subspace, v2: Subspace) -> Subspace:
@@ -209,8 +219,9 @@ def enumerate_subspaces(n: int, max_dim: int | None = None) -> Iterator[Subspace
                     rows.append(row)
                 bucket.append(tuple(rows))
         bucket.sort()
+        # Free coordinates skip every pivot column, so each basis is canonical.
         for basis in bucket:
-            yield Subspace(n, basis)
+            yield Subspace._canonical(n, basis)
 
 
 @lru_cache(maxsize=16)

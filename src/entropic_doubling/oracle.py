@@ -121,21 +121,30 @@ def pfr_inequality(h_x, h_y, h_total, dim, d):
 
 
 @lru_cache(maxsize=8)
-def _scan_tables(n: int) -> tuple[tuple[Subspace, ...], np.ndarray, np.ndarray]:
-    """All subspaces of F_2^n with their rep tables stacked row-wise."""
+def _scan_tables(n: int) -> tuple[tuple[Subspace, ...], np.ndarray, np.ndarray, np.ndarray]:
+    """All subspaces of F_2^n with their cosets numbered as contiguous bins.
+
+    Subspace i owns bins starts[i] .. starts[i] + 2^(n - dim) - 1, one per
+    coset in increasing order of canonical representative; bins[i, x] is the
+    bin of the coset of x.
+    """
     subs = all_subspaces(n)
     reps = np.stack([v.rep_table() for v in subs])
     dims = np.array([v.dim for v in subs], dtype=np.float64)
-    return subs, reps, dims
+    is_rep = reps == np.arange(1 << n)
+    starts = np.zeros(len(subs), dtype=np.int64)
+    np.cumsum(is_rep.sum(axis=1)[:-1], out=starts[1:])
+    # Rank of each representative within its row, then offset by the row's start.
+    rank = np.cumsum(is_rep, axis=1) - 1
+    bins = np.take_along_axis(rank, reps, axis=1) + starts[:, None]
+    return subs, bins, starts, dims
 
 
-def _pushed_entropies(mass: np.ndarray, reps: np.ndarray) -> np.ndarray:
-    """H[pi_V(X)] for every subspace at once via scatter-add rows."""
-    count, size = reps.shape
-    pushed = np.zeros((count, size))
-    np.add.at(pushed, (np.arange(count)[:, None], reps), mass[None, :])
+def _pushed_entropies(mass: np.ndarray, bins: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """H[pi_V(X)] for every subspace at once: one bincount over all coset bins."""
+    pushed = np.bincount(bins.ravel(), weights=np.tile(mass, len(bins)))
     plogp = np.where(pushed > MASS_EPS, pushed * np.log2(np.maximum(pushed, MASS_EPS)), 0.0)
-    return -plogp.sum(axis=1) + 0.0
+    return -np.add.reduceat(plogp, starts) + 0.0
 
 
 def exhaustive_best_subspace(
@@ -158,12 +167,12 @@ def exhaustive_best_subspace(
     if p.n > MAX_ENUM_N:
         raise CapacityError(f"exhaustive search capped at n <= {MAX_ENUM_N}")
     params = dict(params or {})
-    subs, reps, dims = _scan_tables(p.n)
+    subs, bins, starts, dims = _scan_tables(p.n)
     hp0, hq0 = shannon_entropy(p), shannon_entropy(q)
-    hp = _pushed_entropies(p.mass, reps)
-    hq = _pushed_entropies(q.mass, reps)
+    hp = _pushed_entropies(p.mass, bins, starts)
+    hq = _pushed_entropies(q.mass, bins, starts)
     conv = xor_convolve(p, q)
-    hpq = _pushed_entropies(conv.mass, reps)
+    hpq = _pushed_entropies(conv.mass, bins, starts)
 
     feasible = np.ones(len(subs), dtype=bool)
     if max_dim is not None:

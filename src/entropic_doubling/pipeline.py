@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dist import Dist, pushforward_quotient, uniform_on, xor_convolve
-from .endgame import FiberGrid, endgame, endgame_move_quantities, fiber_grid
+from .endgame import FiberGrid, _endgame, _move_table, fiber_grid
 from .entropy import fibring_decompose, shannon_entropy
 from .errors import (
     DimensionMismatchError,
@@ -46,7 +46,7 @@ from .oracle import (
     b_inequality,
     greedy_extension,
 )
-from .tolerances import IDENTITY_TOL
+from .tolerances import FIBER_CAP, IDENTITY_TOL
 
 MODE_PRACTICAL = "practical"
 MODE_PAPER = "paper-faithful"
@@ -470,13 +470,33 @@ def _h_expectation_sequence(
     fibers_x, fibers_y, v_table = grid.fibers_x, grid.fibers_y, grid.v_table
     n = fibers_x.dists[0].n
     zero = Subspace.zero(n)
+    # States are canonical bases.  One join memo and one entropy memo, keyed
+    # by basis, serve both the exact DP and the Monte-Carlo fallback.
+    spaces: dict[tuple[int, ...], Subspace] = {zero.basis: zero}
+    joins: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]] = {}
     h_cache: dict[tuple[int, tuple[int, ...]], float] = {}
 
-    def push_entropy(ui: int, v: Subspace) -> float:
-        key = (ui, v.basis)
+    def join(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        merged = joins.get((a, b))
+        if merged is None:
+            v = span(a + b, n)
+            merged = joins[(a, b)] = v.basis
+            spaces.setdefault(merged, v)
+        return merged
+
+    def push_entropy(ui: int, basis: tuple[int, ...]) -> float:
+        key = (ui, basis)
         if key not in h_cache:
-            h_cache[key] = shannon_entropy(pushforward_quotient(fibers_x.dists[ui], v))
+            h_cache[key] = shannon_entropy(
+                pushforward_quotient(fibers_x.dists[ui], spaces[basis])
+            )
         return h_cache[key]
+
+    # Per u: the basis of V(u, w) and Pr[w], over w.
+    rows = [
+        [(v_table[(u, w)].basis, qw) for w, qw in zip(fibers_y.labels, fibers_y.weights)]
+        for u in fibers_x.labels
+    ]
 
     h = [0.0] * (k_max + 2)
     h[0] = float(
@@ -487,10 +507,9 @@ def _h_expectation_sequence(
     states_by_u: list[dict[tuple[int, ...], float]] = [
         {zero.basis: 1.0} for _ in fibers_x.labels
     ]
-    sum_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]] = {}
     for j in range(1, k_max + 2):
         total = 0.0
-        for ui, (u, wu) in enumerate(zip(fibers_x.labels, fibers_x.weights)):
+        for ui, wu in enumerate(fibers_x.weights):
             states = states_by_u[ui]
             transitions += len(states) * len(fibers_y.labels)
             if transitions > exact_cap:
@@ -498,19 +517,11 @@ def _h_expectation_sequence(
                 break
             new: dict[tuple[int, ...], float] = {}
             for basis, pr in states.items():
-                for w, qw in zip(fibers_y.labels, fibers_y.weights):
-                    skey = (basis, v_table[(u, w)].basis)
-                    merged = sum_cache.get(skey)
-                    if merged is None:
-                        merged = span(
-                            basis + v_table[(u, w)].basis, n
-                        ).basis
-                        sum_cache[skey] = merged
+                for vb, qw in rows[ui]:
+                    merged = join(basis, vb)
                     new[merged] = new.get(merged, 0.0) + pr * qw
             states_by_u[ui] = new
-            total += wu * sum(
-                pr * push_entropy(ui, Subspace(n, basis)) for basis, pr in new.items()
-            )
+            total += wu * sum(pr * push_entropy(ui, basis) for basis, pr in new.items())
         if not exact:
             break
         h[j] = float(total)
@@ -521,13 +532,12 @@ def _h_expectation_sequence(
     acc = np.zeros(k_max + 2)
     for _ in range(mc_samples):
         ui = int(rng.choice(len(fibers_x.labels), p=fibers_x.weights))
-        u = fibers_x.labels[ui]
-        v = zero
-        acc[0] += push_entropy(ui, v)
+        basis = zero.basis
+        acc[0] += push_entropy(ui, basis)
         for j in range(1, k_max + 2):
             wi = int(rng.choice(len(fibers_y.labels), p=fibers_y.weights))
-            v = subspace_sum(v, v_table[(u, fibers_y.labels[wi])])
-            acc[j] += push_entropy(ui, v)
+            basis = join(basis, rows[ui][wi][0])
+            acc[j] += push_entropy(ui, basis)
     return list(acc / mc_samples), False, mc_samples
 
 
@@ -657,7 +667,10 @@ def inductive_step(
         v_final = v0
         case_note["early_exit"] = True
     else:
-        moves = endgame_move_quantities(p0, q0)
+        # One move table per step: its fiber moves pick the case, and its
+        # sum-fiber families are the Case 1, Case 2 and endgame grids.
+        move_table = _move_table(p0, q0)
+        moves = move_table.moves
         m1 = moves["fiber_1"][0] - eta0 * moves["fiber_1"][1]
         m2 = moves["fiber_2"][0] - eta0 * moves["fiber_2"][1]
         if mode == MODE_PAPER:
@@ -682,20 +695,20 @@ def inductive_step(
         failures: list[str] = []
         for case in candidates:
             if case == "CASE1":
-                grid = fiber_grid((p0, p0), (q0, q0), b_solver)
+                grid = fiber_grid(move_table.fib_pp, move_table.fib_qq, b_solver)
                 zeta_paper = 7.0 * eps0
             elif case == "CASE2":
-                grid = fiber_grid((p0, q0), (q0, p0), b_solver)
+                grid = fiber_grid(move_table.fib_pq, move_table.fib_qp, b_solver)
                 zeta_paper = 7.0 * eps0
             else:
                 if mode == MODE_PAPER:
                     eta_e, kappa = eta0 - 2.0 * eps0, 12.0 * eps0 * h0
                 else:
-                    # The endgame measures kappa from its own move table.
+                    # The endgame measures kappa from the step's move table.
                     s0 = h0 - shannon_entropy(xor_convolve(p0, q0))
                     eta_e, kappa = min(max(s0 / h0 if h0 > 0 else 0.0, 1e-9), 0.5), None
                 try:
-                    transcript = endgame(p0, q0, eta_e, kappa)
+                    transcript = _endgame(p0, q0, eta_e, kappa, FIBER_CAP, move_table)
                 except HypothesisViolationError as exc:
                     failures.append(f"ENDGAME hypotheses: {exc}")
                     continue

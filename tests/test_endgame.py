@@ -1,9 +1,12 @@
 """Endgame bookkeeping: Z-system joints, hypothesis gates, the 480k bound."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from entropic_doubling.dist import (
+    FiberFamily,
     map_joint,
     product,
     random_dist,
@@ -12,6 +15,7 @@ from entropic_doubling.dist import (
     xor_convolve,
 )
 from entropic_doubling.endgame import (
+    FiberGrid,
     endgame,
     endgame_move_quantities,
     measure_endgame_kappa,
@@ -20,10 +24,11 @@ from entropic_doubling.endgame import (
 from entropic_doubling.entropy import (
     conditional_mutual_information,
     doubling_mass,
+    fibring_decompose,
     shannon_entropy,
 )
 from entropic_doubling.errors import CapacityError, HypothesisViolationError
-from entropic_doubling.gf2 import span
+from entropic_doubling.gf2 import Subspace, all_subspaces, span
 
 
 class TestZSystemJoints:
@@ -168,3 +173,60 @@ class TestEndgameTranscript:
         assert set(v_table) == {(u, w) for u in fam_u.labels for w in fam_w.labels}
         # Mixture of the u-fibers is the X-marginal.
         assert np.max(np.abs(fam_u.mixture().mass - p.mass)) < 1e-9
+
+
+def _grid(n: int, kx: int, ky: int, subspace, seed: int) -> FiberGrid:
+    """A hand-built kx x ky grid of random fibers with V(u, w) = subspace(i, j)."""
+    rng = np.random.default_rng(seed)
+
+    def family(k):
+        weights = rng.exponential(size=k)
+        return FiberFamily(
+            tuple(range(k)), weights / weights.sum(), tuple(random_dist(n, rng) for _ in range(k))
+        )
+
+    fx, fy = family(kx), family(ky)
+    table = {(u, w): subspace(u, w) for u in fx.labels for w in fy.labels}
+    return FiberGrid(fx, fy, table)
+
+
+def _pairwise_interaction(grid: FiberGrid) -> tuple[float, float]:
+    hyp = e_dim = 0.0
+    for wu, u, xu in zip(grid.fibers_x.weights, grid.fibers_x.labels, grid.fibers_x.dists):
+        for ww, w, yw in zip(grid.fibers_y.weights, grid.fibers_y.labels, grid.fibers_y.dists):
+            v = grid.v_table[(u, w)]
+            hyp += wu * ww * fibring_decompose(xu, yw, v).s_fiber
+            e_dim += wu * ww * v.dim
+    return hyp, e_dim
+
+
+class TestLocalInteraction:
+    """The batched grid kernel against one fibring_decompose per pair: the
+    arithmetic is the same, so the results are equal."""
+
+    def test_matches_per_pair_fibring_with_every_dim_of_v(self):
+        # V(u, w) runs through the lattice of F_2^4, from 0 to the whole group.
+        subs = all_subspaces(4)
+        pool = [v for v in subs if v.dim in (0, 4)] + list(subs[1:-1:7])
+        grid = _grid(4, 6, 7, lambda u, w: pool[(7 * u + w) % len(pool)], seed=1)
+        assert {v.dim for v in grid.v_table.values()} == {0, 1, 2, 3, 4}
+        assert grid.local_interaction == _pairwise_interaction(grid)
+
+    def test_matches_per_pair_fibring_above_enumeration_cap(self):
+        n = 8
+        vs = [Subspace.zero(n), span([3, 12], n), span([1, 6, 40, 128], n)]
+        grid = _grid(n, 3, 4, lambda u, w: vs[(u + w) % 3], seed=2)
+        assert grid.local_interaction == _pairwise_interaction(grid)
+
+    def test_memory_stays_bounded(self):
+        # With V = 0 every point is its own coset: an 8 x 8 grid at n = 10 has
+        # 64 pairs of 1024 x 1024 coset tables, 512 MiB if stacked at once.
+        grid = _grid(10, 8, 8, lambda u, w: Subspace.zero(10), seed=3)
+        tracemalloc.start()
+        try:
+            hyp, _ = grid.local_interaction
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 2**20
+        assert np.isfinite(hyp)

@@ -14,7 +14,7 @@ from entropic_doubling.dist import (
     uniform_on,
     uniform_on_subspace,
 )
-from entropic_doubling.entropy import ruzsa_distance, shannon_entropy
+from entropic_doubling.entropy import quotient_entropy, ruzsa_distance, shannon_entropy
 from entropic_doubling.errors import CapacityError, SearchFailureError
 from entropic_doubling.gf2 import Subspace, all_subspaces, span
 from entropic_doubling.oracle import (
@@ -22,12 +22,30 @@ from entropic_doubling.oracle import (
     OBJECTIVE_PROJECTED_ENTROPY,
     OBJECTIVE_QUOTIENT_DOUBLING,
     OBJECTIVE_STATEMENT_B,
+    _pushed_entropies,
+    _scan_tables,
     bsg_check,
     exhaustive_best_subspace,
     greedy_extension,
     pfr_subspace,
 )
 from entropic_doubling.certify import pfr_bundle, verify_bundle
+from entropic_doubling.tolerances import ORACLE_TOL
+
+
+class TestLatticeScan:
+    """The scan's one-bincount pushforward against quotient_entropy, V by V."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_scan_entropies_match_quotient_entropy(self, n):
+        rng = np.random.default_rng(n)
+        subs, bins, starts, _ = _scan_tables(n)
+        assert subs == all_subspaces(n)
+        assert len(np.unique(bins)) == sum(1 << (n - v.dim) for v in subs)
+        for p in (random_dist(n, rng), random_dist(n, rng, support_size=3), point_mass(5, n)):
+            scanned = _pushed_entropies(p.mass, bins, starts)
+            expect = np.array([quotient_entropy(p, v) for v in subs])
+            assert np.max(np.abs(scanned - expect)) <= ORACLE_TOL
 
 
 class TestExhaustive:

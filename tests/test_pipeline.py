@@ -567,14 +567,17 @@ class TestNontrivialPath:
 
     def test_each_grid_measured_once(self, monkeypatch):
         # CASE1, CASE2 and ENDGAME each try an 8 x 8 fiber grid; each grid's
-        # local interaction is one fibring_decompose per pair, and the
-        # rich-cosets check adds one more.  The move table runs once in the
-        # case split and once in the endgame's hypothesis check.
+        # local interaction is one batched fiber_interactions call, and the
+        # rich-cosets check is the one fibring_decompose.  The move table runs
+        # once per step: the case split, the grids and the endgame's
+        # hypothesis check all read it.
+        grids = _count_calls(monkeypatch, "entropic_doubling.entropy", "fiber_interactions")
         fibring = _count_calls(monkeypatch, "entropic_doubling.entropy", "fibring_decompose")
-        moves = _count_calls(monkeypatch, "entropic_doubling.endgame", "endgame_move_quantities")
+        tables = _count_calls(monkeypatch, "entropic_doubling.endgame", "_move_table")
         analyze_set(union_of_cosets(4, 2, 2, 0), 4, 0.2)
-        assert fibring[0] == 3 * 64 + 1
-        assert moves[0] == 2
+        assert grids[0] == 3
+        assert fibring[0] == 1
+        assert tables[0] == 1
 
     def test_inductive_notes_reach_the_result_and_bundle(self):
         elements = union_of_cosets(4, 2, 2, 0)
