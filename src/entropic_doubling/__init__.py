@@ -30,7 +30,6 @@ from .endgame import (
     FiberGrid,
     endgame,
     fiber_grid,
-    measure_endgame_kappa,
     z_system_joints,
 )
 from .entropy import (
@@ -86,7 +85,6 @@ from .pipeline import (
     LocalToGlobalResult,
     PipelineTrace,
     SolveResult,
-    StatementCheck,
     StatementParams,
     TraceStep,
     analyze_set,

@@ -207,9 +207,7 @@ def verify_bundle(payload: dict) -> VerifyReport:
                     L=float(params["L_achieved"]) + tol,
                 ),
             )
-            _close(report, "lhs", chk.lhs, float(ach["lhs"]), tol)
-            _close(report, "rhs", chk.rhs, float(ach["rhs"]), tol)
-            _require(report, "statement B inequality", chk.passes)
+            _compare(report, chk, ach, ("lhs", "rhs"), tol)
         elif kind == CRITERION_RICH:
             p, q = Dist.from_json(inputs["p"]), Dist.from_json(inputs["q"])
             chk = check_rich_cosets(p, q, v, float(params["epsilon"]))

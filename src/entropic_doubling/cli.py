@@ -191,8 +191,9 @@ def _cmd_find_subspace(args) -> int:
         result = solve_B(p, q, args.eta, args.epsilon, mode=args.mode, seed=args.seed)
         bundle = solve_bundle(result, p, q)
         h_total = shannon_entropy(p) + shannon_entropy(q)
+        values = result.check.values
         eps_achieved = (
-            max(0.0, (result.check.rhs - result.check.lhs) / h_total + args.epsilon)
+            max(0.0, (values["rhs"] - values["lhs"]) / h_total + args.epsilon)
             if h_total > 0
             else 0.0
         )

@@ -13,6 +13,9 @@ Everything here is verified numerically, never trusted.
 
 A FiberGrid is what each case of the inductive step (Case 1, Case 2 and this
 endgame) hands to the local-to-global lemma; fiber_grid builds all three.
+The inductive step's endgame case runs only the hypothesis check on its own
+move table and the budgeted per-pair grid; the Z-system bookkeeping and the
+480*kappa table are endgame()'s, for transcripts and bundles.
 """
 
 from __future__ import annotations
@@ -185,11 +188,6 @@ def _kappa_from_moves(moves: dict, eta: float) -> float:
     return max(gap, 0.0) + 1e-12
 
 
-def measure_endgame_kappa(p: Dist, q: Dist, eta: float) -> float:
-    """Smallest kappa > 0 for which all four hypothesis inequalities hold."""
-    return _kappa_from_moves(endgame_move_quantities(p, q), eta)
-
-
 @dataclass(frozen=True, eq=False)
 class FiberGrid:
     """The (u, w) grid that one inductive-step case feeds to the
@@ -267,32 +265,8 @@ def fiber_grid(
     return FiberGrid(fam_x, fam_y, v_table, note)
 
 
-def endgame(
-    p: Dist, q: Dist, eta: float, kappa: float | None = None, *, fiber_cap: int = FIBER_CAP
-) -> EndgameTranscript:
-    """Run the endgame bookkeeping and verify every claimed inequality.
-
-    Without a kappa, the smallest one that the four move inequalities allow is
-    measured from the same move table the hypothesis check reads.  Raises
-    HypothesisViolationError when s[X;Y] >= eta(H[X]+H[Y]) or one of the four
-    move inequalities fails for the given (eta, kappa).
-    """
-    return _endgame(p, q, eta, kappa, fiber_cap, None)
-
-
-def _endgame(
-    p: Dist,
-    q: Dist,
-    eta: float,
-    kappa: float | None,
-    fiber_cap: int,
-    move_table: _MoveTable | None,
-) -> EndgameTranscript:
-    """endgame(), reading the move table of (p, q) when one is given: the
-    inductive step passes the table it already measured for its case split."""
-    if p.n != q.n:
-        raise DimensionMismatchError("ambient dimensions differ")
-    if p.n > MAX_ENUM_N:
+def _check_endgame_inputs(n: int, eta: float, kappa: float | None) -> None:
+    if n > MAX_ENUM_N:
         raise CapacityError(
             f"endgame needs the exhaustive subspace oracle, capped at n <= {MAX_ENUM_N}"
         )
@@ -300,14 +274,18 @@ def _endgame(
         raise ValueError("eta must lie in (0, 1/2]")
     if kappa is not None and kappa < 0.0:
         raise ValueError("kappa must be nonnegative")
-    h_total = shannon_entropy(p) + shannon_entropy(q)
-    s_xy = doubling_mass(p, q)
+
+
+def _endgame_hypotheses(
+    eta: float, kappa: float | None, h_total: float, s_xy: float, moves: dict
+) -> tuple[float, dict]:
+    """Check s[X;Y] >= eta(H[X]+H[Y]) and the four move inequalities on a
+    measured move table.  Without a kappa, the smallest one the moves allow is
+    used.  Returns kappa and each move's gap; raises HypothesisViolationError
+    naming every failed inequality."""
     gaps: list[tuple[str, float, float]] = []
     if s_xy < eta * h_total - IDENTITY_TOL:
         gaps.append(("interaction_floor", eta * h_total, s_xy))
-    if move_table is None:
-        move_table = _move_table(p, q)
-    moves = move_table.moves
     if kappa is None:
         kappa = _kappa_from_moves(moves, eta)
     hypothesis_gaps = {}
@@ -322,21 +300,15 @@ def _endgame(
             + "; ".join(f"{name}: {lhs:.6g} > {rhs:.6g}" for name, lhs, rhs in gaps),
             gaps=gaps,
         )
+    return kappa, hypothesis_gaps
 
-    j12, j13 = z_system_joints(p, q)
-    i_z1_z2 = conditional_mutual_information(j12, 0, 1, 2)
-    i_z1_z3 = conditional_mutual_information(j13, 0, 1, 2)
-    h1 = conditional_entropy(j13, 0, 2)
-    h2 = conditional_entropy(j12, 1, 2)
-    h3 = conditional_entropy(j13, 1, 2)
-    mi_ok = i_z1_z2 + i_z1_z3 <= 4.0 * kappa + IDENTITY_TOL
-    z_gap_ok = all(
-        abs(a - b) <= 4.0 * kappa + IDENTITY_TOL
-        for a, b in ((h1, h2), (h1, h3), (h2, h3))
-    )
 
-    # The per-pair scan under the PFR size budget, on the CASE2 fibers; each
-    # fiber's entropy is computed once for the budgets of its row or column.
+def _endgame_grid(
+    move_table: _MoveTable, fiber_cap: int
+) -> tuple[FiberGrid, dict[tuple[Dist, Dist], SubspaceCertificate]]:
+    """The grid of the fibers X_u, Y_w with V(u, w) the minimizer of
+    H[pi(X_u)]+H[pi(Y_w)] under the PFR size budget, and each pair's scan."""
+    # Each fiber's entropy is computed once for the budgets of its row or column.
     h_fiber: dict[Dist, float] = {}
     scans: dict[tuple[Dist, Dist], SubspaceCertificate] = {}
 
@@ -353,6 +325,40 @@ def _endgame(
         return scans[(xu, yw)]
 
     grid = fiber_grid(move_table.fib_pq, move_table.fib_qp, budgeted_scan, fiber_cap)
+    return grid, scans
+
+
+def endgame(
+    p: Dist, q: Dist, eta: float, kappa: float | None = None, *, fiber_cap: int = FIBER_CAP
+) -> EndgameTranscript:
+    """Run the endgame bookkeeping and verify every claimed inequality.
+
+    Without a kappa, the smallest one that the four move inequalities allow is
+    measured from the same move table the hypothesis check reads.  Raises
+    HypothesisViolationError when s[X;Y] >= eta(H[X]+H[Y]) or one of the four
+    move inequalities fails for the given (eta, kappa).
+    """
+    if p.n != q.n:
+        raise DimensionMismatchError("ambient dimensions differ")
+    _check_endgame_inputs(p.n, eta, kappa)
+    h_total = shannon_entropy(p) + shannon_entropy(q)
+    s_xy = doubling_mass(p, q)
+    move_table = _move_table(p, q)
+    kappa, hypothesis_gaps = _endgame_hypotheses(eta, kappa, h_total, s_xy, move_table.moves)
+
+    j12, j13 = z_system_joints(p, q)
+    i_z1_z2 = conditional_mutual_information(j12, 0, 1, 2)
+    i_z1_z3 = conditional_mutual_information(j13, 0, 1, 2)
+    h1 = conditional_entropy(j13, 0, 2)
+    h2 = conditional_entropy(j12, 1, 2)
+    h3 = conditional_entropy(j13, 1, 2)
+    mi_ok = i_z1_z2 + i_z1_z3 <= 4.0 * kappa + IDENTITY_TOL
+    z_gap_ok = all(
+        abs(a - b) <= 4.0 * kappa + IDENTITY_TOL
+        for a, b in ((h1, h2), (h1, h3), (h2, h3))
+    )
+
+    grid, scans = _endgame_grid(move_table, fiber_cap)
     table = []
     expectation = 0.0
     for wu, u, xu in zip(grid.fibers_x.weights, grid.fibers_x.labels, grid.fibers_x.dists):
@@ -363,7 +369,8 @@ def _endgame(
             weight = float(wu * ww)
             expectation += weight * (proj_x + proj_y)
             table.append(
-                (u, w, weight, cert.subspace, h_fiber[xu], h_fiber[yw], proj_x, proj_y)
+                (u, w, weight, cert.subspace, cert.achieved["h_x"], cert.achieved["h_y"],
+                 proj_x, proj_y)
             )
     bound = 480.0 * kappa
     return EndgameTranscript(

@@ -90,6 +90,12 @@ class CriterionCheck:
                 f"{what} verification failed ({', '.join(failed)}): {self.values}"
             )
 
+    def to_json(self) -> dict:
+        return {
+            "values": self.values,
+            "verdicts": {name: bool(ok) for name, ok in self.verdicts.items()},
+        }
+
 
 # The inequalities below take entropies as floats or as numpy arrays over many
 # subspaces, so the exhaustive scans and the single-V checks share them.
@@ -152,7 +158,6 @@ def exhaustive_best_subspace(
     q: Dist,
     objective: str,
     *,
-    max_dim: int | None = None,
     entropy_budget: float | None = None,
     params: dict | None = None,
 ) -> SubspaceCertificate:
@@ -171,12 +176,12 @@ def exhaustive_best_subspace(
     hp0, hq0 = shannon_entropy(p), shannon_entropy(q)
     hp = _pushed_entropies(p.mass, bins, starts)
     hq = _pushed_entropies(q.mass, bins, starts)
-    conv = xor_convolve(p, q)
-    hpq = _pushed_entropies(conv.mass, bins, starts)
+    # Only the objectives that read X+Y pay for its convolution and scan.
+    hpq = None
+    if objective in (OBJECTIVE_QUOTIENT_DOUBLING, OBJECTIVE_STATEMENT_B):
+        hpq = _pushed_entropies(xor_convolve(p, q).mass, bins, starts)
 
     feasible = np.ones(len(subs), dtype=bool)
-    if max_dim is not None:
-        feasible &= dims <= max_dim
     if entropy_budget is not None:
         feasible &= dims <= entropy_budget + IDENTITY_TOL
 
@@ -208,9 +213,10 @@ def exhaustive_best_subspace(
         "h_y": hq0,
         "h_proj_x": float(hp[idx]),
         "h_proj_y": float(hq[idx]),
-        "h_proj_sum": float(hpq[idx]),
-        "quotient_doubling": float(hp[idx] + hq[idx] - hpq[idx]),
     }
+    if hpq is not None:
+        achieved["h_proj_sum"] = float(hpq[idx])
+        achieved["quotient_doubling"] = float(hp[idx] + hq[idx] - hpq[idx])
     if objective == OBJECTIVE_PFR:
         achieved["ruzsa_distance"] = float(d)
         achieved["pfr_bound"] = float(pfr_bound)

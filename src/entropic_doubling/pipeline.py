@@ -11,6 +11,10 @@ of per-fiber subspaces, and recursion on eta toward the 1/2 base case.  Every
 produced subspace is accepted only after an independent statement check; the
 worst-case constants of the analysis are recorded but never trusted.
 
+Every check_* function returns an oracle.CriterionCheck: the recomputed
+quantities, named as in the certificate's achieved block, and one verdict per
+inequality.  Producers and verify_bundle call the same functions.
+
 Two run modes: "paper-faithful" enforces eps0 = 2^-15 eta0^2 and the stated
 case thresholds (feasible only on tiny instances); "practical" keeps the
 same control flow but derives thresholds and zeta from measured quantities.
@@ -26,7 +30,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dist import Dist, pushforward_quotient, uniform_on, xor_convolve
-from .endgame import FiberGrid, _endgame, _move_table, fiber_grid
+from .endgame import (
+    FiberGrid,
+    _check_endgame_inputs,
+    _endgame_grid,
+    _endgame_hypotheses,
+    _move_table,
+    fiber_grid,
+)
 from .entropy import fibring_decompose, shannon_entropy
 from .errors import (
     DimensionMismatchError,
@@ -86,38 +97,10 @@ class StatementParams:
         return {"eta": self.eta, "epsilon": self.epsilon, "c": self.c, "L": self.L}
 
 
-@dataclass(frozen=True)
-class StatementCheck:
-    """Both sides of a statement's inequalities for a concrete subspace."""
-
-    statement: str
-    passes: bool
-    lhs: float
-    rhs: float
-    size_dim: float
-    size_bound: float | None
-    hypothesis_met: bool | None
-    params: StatementParams
-    details: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "statement": self.statement,
-            "passes": self.passes,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "size_dim": self.size_dim,
-            "size_bound": self.size_bound,
-            "hypothesis_met": self.hypothesis_met,
-            "params": self.params.to_json(),
-            "details": self.details,
-        }
-
-
 def check_statement_B(
     p: Dist, q: Dist, v: Subspace, params: StatementParams
-) -> StatementCheck:
-    """Evaluate the statement-B inequality and size bound for a given V."""
+) -> CriterionCheck:
+    """Statement B for V: the inequality and, when params.L is given, the size bound."""
     if params.epsilon is None:
         raise ValueError("statement B requires epsilon")
     if p.n != q.n or p.n != v.n:
@@ -126,50 +109,51 @@ def check_statement_B(
     pp, qp = pushforward_quotient(p, v), pushforward_quotient(q, v)
     hp, hq = shannon_entropy(pp), shannon_entropy(qp)
     lhs = shannon_entropy(xor_convolve(pp, qp))
-    rhs, size_bound, ok = b_inequality(
+    rhs, _, ok = b_inequality(
         lhs, hp, hq, h_total, v.dim, params.eta, params.epsilon, params.L
     )
-    return StatementCheck(
-        statement="B",
-        passes=bool(ok),
-        lhs=float(lhs),
-        rhs=float(rhs),
-        size_dim=float(v.dim),
-        size_bound=size_bound,
-        hypothesis_met=None,
-        params=params,
-        details={"h_total": h_total, "h_proj_x": hp, "h_proj_y": hq},
+    return CriterionCheck(
+        values={
+            "lhs": float(lhs),
+            "rhs": float(rhs),
+            "h_total": h_total,
+            "h_proj_x": hp,
+            "h_proj_y": hq,
+        },
+        verdicts={"statement B inequality": bool(ok)},
     )
 
 
 def check_statement_A(
     p: Dist, q: Dist, v: Subspace, params: StatementParams
-) -> StatementCheck:
-    """Evaluate the statement-A hypothesis, conclusion, and size bound."""
+) -> CriterionCheck:
+    """Statement A for V: the hypothesis H[X+Y] <= (1-eta)(H[X]+H[Y]), the
+    conclusion H[pi(X)]+H[pi(Y)] <= (1-c)(H[X]+H[Y]) and, when params.L is
+    given, the size bound dim V <= L(H[X]+H[Y])."""
     if params.c is None:
         raise ValueError("statement A requires c")
     if p.n != q.n or p.n != v.n:
         raise DimensionMismatchError("ambient dimensions differ")
     h_total = shannon_entropy(p) + shannon_entropy(q)
     h_sum = shannon_entropy(xor_convolve(p, q))
-    hypothesis_met = bool(h_sum <= (1.0 - params.eta) * h_total + IDENTITY_TOL)
     hp = shannon_entropy(pushforward_quotient(p, v))
     hq = shannon_entropy(pushforward_quotient(q, v))
     lhs = hp + hq
     rhs = (1.0 - params.c) * h_total
     size_bound = None if params.L is None else params.L * h_total
-    size_ok = size_bound is None or v.dim <= size_bound + IDENTITY_TOL
-    passes = bool(lhs <= rhs + IDENTITY_TOL and size_ok)
-    return StatementCheck(
-        statement="A",
-        passes=passes,
-        lhs=float(lhs),
-        rhs=float(rhs),
-        size_dim=float(v.dim),
-        size_bound=size_bound,
-        hypothesis_met=hypothesis_met,
-        params=params,
-        details={"h_total": h_total, "h_sum": h_sum},
+    return CriterionCheck(
+        values={
+            "lhs": float(lhs),
+            "rhs": float(rhs),
+            "h_total": h_total,
+            "h_sum": h_sum,
+            "size_bound": size_bound,
+        },
+        verdicts={
+            "hypothesis": bool(h_sum <= (1.0 - params.eta) * h_total + IDENTITY_TOL),
+            "conclusion": bool(lhs <= rhs + IDENTITY_TOL),
+            "size bound": size_bound is None or v.dim <= size_bound + IDENTITY_TOL,
+        },
     )
 
 
@@ -638,7 +622,9 @@ def inductive_step(
     (Case 1: same-letter fibers, Case 2: crossed fibers, Case 3: endgame),
     glues the case's fiber grid with local_to_global, and verifies the
     statement-A conclusion numerically before returning.  Every case builds
-    its grid with fiber_grid, capped at FIBER_CAP pairs.
+    its grid with fiber_grid, capped at FIBER_CAP pairs; the endgame case
+    checks the endgame hypotheses on the step's move table and builds only
+    the endgame's budgeted grid, never its Z-system bookkeeping.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -701,20 +687,23 @@ def inductive_step(
                 grid = fiber_grid(move_table.fib_pq, move_table.fib_qp, b_solver)
                 zeta_paper = 7.0 * eps0
             else:
+                s0 = h0 - shannon_entropy(xor_convolve(p0, q0))
                 if mode == MODE_PAPER:
                     eta_e, kappa = eta0 - 2.0 * eps0, 12.0 * eps0 * h0
                 else:
                     # The endgame measures kappa from the step's move table.
-                    s0 = h0 - shannon_entropy(xor_convolve(p0, q0))
                     eta_e, kappa = min(max(s0 / h0 if h0 > 0 else 0.0, 1e-9), 0.5), None
+                # Only the hypotheses and the grid: the gluing reads nothing else
+                # of the endgame.
+                _check_endgame_inputs(p0.n, eta_e, kappa)
                 try:
-                    transcript = _endgame(p0, q0, eta_e, kappa, FIBER_CAP, move_table)
+                    kappa = _endgame_hypotheses(eta_e, kappa, h0, s0, moves)[0]
                 except HypothesisViolationError as exc:
                     failures.append(f"ENDGAME hypotheses: {exc}")
                     continue
-                grid = transcript.grid
+                grid = _endgame_grid(move_table, FIBER_CAP)[0]
                 zeta_paper = eta0**2 / 8.0
-                case_note.update({"eta_endgame": eta_e, "kappa": transcript.kappa})
+                case_note.update({"eta_endgame": eta_e, "kappa": kappa})
 
             if mode == MODE_PAPER:
                 zeta = zeta_paper
@@ -763,10 +752,7 @@ def inductive_step(
         l_used = v_final.dim / h_in if h_in > 0 else 0.0
         params = StatementParams(eta=eta0 - eps0, c=c_used, L=l_used + IDENTITY_TOL)
     chk = check_statement_A(p, q, v_final, params)
-    if not chk.passes or not chk.hypothesis_met:
-        raise PipelineError(
-            f"statement-A verification failed after the inductive step: {chk.to_json()}"
-        )
+    chk.require("inductive-step statement-A")
     cert = SubspaceCertificate(
         criterion=CRITERION_A,
         search_mode="pipeline",
@@ -784,8 +770,8 @@ def inductive_step(
             "dim": v_final.dim,
             "h_in": h_in,
             "h_out": h1,
-            "lhs": chk.lhs,
-            "rhs": chk.rhs,
+            "lhs": chk.values["lhs"],
+            "rhs": chk.values["rhs"],
         },
         inputs={"p": p.digest(), "q": q.digest()},
     )
@@ -813,7 +799,7 @@ class _SolveContext:
 class SolveResult:
     certificate: SubspaceCertificate
     steps: tuple[TraceStep, ...]
-    check: StatementCheck
+    check: CriterionCheck
     mode: str
     seed: int
 
@@ -838,23 +824,16 @@ def _b_certificate(
     eta: float,
     eps: float,
     mode: str,
-    chk: StatementCheck,
+    chk: CriterionCheck,
 ) -> SubspaceCertificate:
-    h_total = chk.details["h_total"]
+    h_total = chk.values["h_total"]
     achieved_l = v.dim / h_total if h_total > 0 else 0.0
     return SubspaceCertificate(
         criterion=CRITERION_B,
         search_mode="pipeline",
         subspace=v,
         parameters={"eta": eta, "epsilon": eps, "mode": mode, "L_achieved": achieved_l},
-        achieved={
-            "dim": v.dim,
-            "lhs": chk.lhs,
-            "rhs": chk.rhs,
-            "h_total": h_total,
-            "h_proj_x": chk.details["h_proj_x"],
-            "h_proj_y": chk.details["h_proj_y"],
-        },
+        achieved={"dim": v.dim, **chk.values},
         inputs={"p": p.digest(), "q": q.digest()},
     )
 
@@ -899,8 +878,8 @@ def _solve_b_inner(
                 kind="BASE",
                 added=v,
                 dim_total=0,
-                h_before=chk.details["h_total"],
-                h_after=chk.details["h_total"],
+                h_before=chk.values["h_total"],
+                h_after=chk.values["h_total"],
                 note={"base_case": True},
             )
         )
@@ -993,8 +972,7 @@ def solve_B(
         p, q, cert.subspace,
         StatementParams(eta=eta, epsilon=epsilon, L=cert.parameters["L_achieved"] + IDENTITY_TOL),
     )
-    if not chk.passes:
-        raise PipelineError("final statement-B re-verification failed")
+    chk.require("final statement-B")
     return SolveResult(certificate=cert, steps=steps, check=chk, mode=mode, seed=seed)
 
 
@@ -1095,25 +1073,15 @@ def many_sums(
     else:
         raise PipelineError(f"many_sums did not stabilize within {max_rounds} rounds")
 
-    crit = check_many_sums(dists, w, epsilon)
-    crit.require("many_sums")
+    chk = check_many_sums(dists, w, epsilon)
+    chk.require("many_sums")
     cert = SubspaceCertificate(
         criterion=CRITERION_MANY,
         search_mode="pipeline",
         subspace=w,
         parameters={"epsilon": epsilon, "k": k, "delta": delta, "mode": mode, "seed": seed},
-        achieved={"dim": w.dim, **crit.values},
+        achieved={"dim": w.dim, **chk.values},
         inputs={f"x{i}": d.digest() for i, d in enumerate(dists)},
-    )
-    chk = StatementCheck(
-        statement="MANY_SUMS",
-        passes=True,
-        lhs=float(crit.values["lhs"]),
-        rhs=float(crit.values["rhs"]),
-        size_dim=float(w.dim),
-        size_bound=None,
-        hypothesis_met=None,
-        params=StatementParams(eta=0.5, epsilon=epsilon),
     )
     return SolveResult(certificate=cert, steps=tuple(steps), check=chk, mode=mode, seed=seed)
 

@@ -9,7 +9,7 @@ import pytest
 
 from entropic_doubling.certify import endgame_bundle, set_bundle, verify_bundle
 from entropic_doubling.dist import Dist, random_dist
-from entropic_doubling.endgame import endgame, measure_endgame_kappa
+from entropic_doubling.endgame import endgame
 from entropic_doubling.entropy import doubling_mass, shannon_entropy
 from entropic_doubling.gf2 import Subspace
 from entropic_doubling.oracle import pfr_subspace
@@ -124,7 +124,7 @@ def test_endgame_bundle_with_uncapped_large_fiber_cap():
     rng = np.random.default_rng(0)
     p, q = random_dist(5, rng, support_size=6), random_dist(5, rng, support_size=6)
     eta = min(0.5, doubling_mass(p, q) / (shannon_entropy(p) + shannon_entropy(q)))
-    t = endgame(p, q, eta, measure_endgame_kappa(p, q, eta), fiber_cap=1024)
+    t = endgame(p, q, eta, fiber_cap=1024)
     assert not t.fiber_cap["applied"] and len(t.table) == 24 * 24
     report = verify_bundle(json.loads(json.dumps(endgame_bundle(t, p, q))))
     assert report.ok, report.failures

@@ -18,7 +18,6 @@ from entropic_doubling.endgame import (
     FiberGrid,
     endgame,
     endgame_move_quantities,
-    measure_endgame_kappa,
     z_system_joints,
 )
 from entropic_doubling.entropy import (
@@ -104,8 +103,7 @@ class TestMoves:
             if s <= 1e-6:
                 continue
             eta = min(0.5, s / h)
-            kappa = measure_endgame_kappa(p, q, eta)
-            transcript = endgame(p, q, eta, kappa)
+            transcript = endgame(p, q, eta)
             assert transcript.mi_bound_holds
             assert transcript.z_entropy_gap_holds
             assert transcript.expectation_holds
@@ -114,8 +112,7 @@ class TestMoves:
 class TestEndgameTranscript:
     def test_uniform_subspace_trivial_case(self):
         u = uniform_on_subspace(span([1, 2], 3))
-        kappa = measure_endgame_kappa(u, u, 0.5)
-        t = endgame(u, u, 0.5, kappa)
+        t = endgame(u, u, 0.5)
         assert t.i_z1_z3 == pytest.approx(0.0, abs=1e-9)
         assert t.i_z1_z2 == pytest.approx(0.0, abs=1e-9)
         assert {entry[3] for entry in t.table} == {span([1, 2], 3)}
@@ -134,7 +131,7 @@ class TestEndgameTranscript:
         s = doubling_mass(p, q)
         h = shannon_entropy(p) + shannon_entropy(q)
         eta = min(0.5, s / h)
-        t = endgame(p, q, eta, measure_endgame_kappa(p, q, eta))
+        t = endgame(p, q, eta)
         for (_u, _w, _weight, v, hx, hy, _px, _py) in t.table:
             assert v.dim <= 7 * (hx + hy) + 1e-9
 
@@ -150,13 +147,13 @@ class TestEndgameTranscript:
         s = doubling_mass(p, q)
         h = shannon_entropy(p) + shannon_entropy(q)
         eta = min(0.5, s / h)
-        t = endgame(p, q, eta, measure_endgame_kappa(p, q, eta), fiber_cap=4)
+        t = endgame(p, q, eta, fiber_cap=4)
         assert t.fiber_cap["applied"]
         assert sum(entry[2] for entry in t.table) == pytest.approx(1.0, abs=1e-9)
 
     def test_transcript_serializes(self):
         u = uniform_on_subspace(span([1], 2))
-        t = endgame(u, u, 0.5, measure_endgame_kappa(u, u, 0.5))
+        t = endgame(u, u, 0.5)
         payload = t.to_json()
         assert payload["expectation_holds"] is True
         assert payload["table"][0]["subspace"] == {"n": 2, "basis": ["1"]}
@@ -167,7 +164,7 @@ class TestEndgameTranscript:
         s = doubling_mass(p, q)
         h = shannon_entropy(p) + shannon_entropy(q)
         eta = min(0.5, s / h)
-        t = endgame(p, q, eta, measure_endgame_kappa(p, q, eta))
+        t = endgame(p, q, eta)
         fam_u, fam_w, v_table = t.grid.fibers_x, t.grid.fibers_y, t.grid.v_table
         assert fam_u.weights.sum() == pytest.approx(1.0, abs=1e-9)
         assert set(v_table) == {(u, w) for u in fam_u.labels for w in fam_w.labels}

@@ -99,9 +99,7 @@ class TestExhaustive:
     def test_infeasible_constraints_fail_honestly(self):
         p = uniform_on([0, 1, 2], 3)
         with pytest.raises(SearchFailureError):
-            exhaustive_best_subspace(
-                p, p, OBJECTIVE_PFR, max_dim=-1
-            )
+            exhaustive_best_subspace(p, p, OBJECTIVE_PFR, entropy_budget=-1)
 
 
 class TestPfr:

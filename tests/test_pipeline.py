@@ -25,7 +25,7 @@ from entropic_doubling.dist import (
     uniform_on_subspace,
     xor_convolve,
 )
-from entropic_doubling.endgame import FiberGrid, endgame, measure_endgame_kappa
+from entropic_doubling.endgame import FiberGrid, endgame
 from entropic_doubling.entropy import doubling_mass, shannon_entropy
 from entropic_doubling.errors import HypothesisViolationError
 from entropic_doubling.families import union_of_cosets
@@ -90,7 +90,7 @@ class TestCheckStatementB:
         chk = check_statement_B(
             p, q, Subspace.full(3), StatementParams(eta=0.3, epsilon=0.01)
         )
-        assert chk.passes and chk.lhs == pytest.approx(0.0, abs=1e-12)
+        assert chk.passes and chk.values["lhs"] == pytest.approx(0.0, abs=1e-12)
 
     def test_independent_coordinates_pass_at_zero_subspace(self):
         p, q = independent_coordinates_pair()
@@ -98,7 +98,7 @@ class TestCheckStatementB:
             p, q, Subspace.zero(2), StatementParams(eta=0.49, epsilon=0.01)
         )
         assert chk.passes
-        assert chk.lhs == pytest.approx(2.0, abs=1e-12)
+        assert chk.values["lhs"] == pytest.approx(2.0, abs=1e-12)
 
     def test_three_point_exact_gap(self):
         # At eta = 1/2 statement B holds unconditionally at V = {0} (the
@@ -113,7 +113,7 @@ class TestCheckStatementB:
             p, p, Subspace.zero(3), StatementParams(eta=0.3, epsilon=0.01)
         )
         assert not chk.passes
-        assert chk.rhs - chk.lhs == pytest.approx(
+        assert chk.values["rhs"] - chk.values["lhs"] == pytest.approx(
             doubling_mass(p, p) - (0.3 + 0.01) * 2 * H3, abs=1e-9
         )
 
@@ -130,7 +130,7 @@ class TestCheckStatementA:
         v = span([1, 2], 3)
         u = uniform_on_subspace(v)
         chk = check_statement_A(u, u, v, StatementParams(eta=0.5, c=0.5, L=10.0))
-        assert chk.hypothesis_met and chk.passes
+        assert chk.verdicts["hypothesis"] and chk.passes
 
     def test_zero_subspace_fails_for_positive_c(self):
         u = uniform_on_subspace(span([1, 2], 3))
@@ -142,7 +142,8 @@ class TestCheckStatementA:
     def test_hypothesis_flag(self):
         p, q = independent_coordinates_pair()
         chk = check_statement_A(p, q, Subspace.zero(2), StatementParams(eta=0.3, c=0.1))
-        assert chk.hypothesis_met is False
+        assert chk.verdicts["hypothesis"] is False
+        assert not chk.passes
 
     def test_exhaustive_scan_finds_minimal_dim(self):
         rng = np.random.default_rng(1)
@@ -276,7 +277,7 @@ class TestLocalToGlobal:
         p, q = random_dist(3, rng), random_dist(3, rng)
         h = shannon_entropy(p) + shannon_entropy(q)
         eta = min(0.5, doubling_mass(p, q) / h)
-        t = endgame(p, q, eta, measure_endgame_kappa(p, q, eta))
+        t = endgame(p, q, eta)
         fam_u, fam_w, table = t.grid.fibers_x, t.grid.fibers_y, t.grid.v_table
         from entropic_doubling.entropy import fibring_decompose
 
@@ -482,6 +483,11 @@ class TestBundles:
         bundle = json.loads(json.dumps(solve_bundle(res, p, q)))
         report = verify_bundle(bundle)
         assert report.ok, report.failures
+        # The check block (ignored by verify_bundle) is the final statement-B check.
+        assert bundle["check"] == {
+            "values": {k: bundle["certificate"]["achieved"][k] for k in res.check.values},
+            "verdicts": {"statement B inequality": True},
+        }
 
     def test_tampered_bundle_rejected(self):
         rng = np.random.default_rng(13)
@@ -520,8 +526,7 @@ class TestBundles:
 
     def test_endgame_bundle(self):
         u = uniform_on_subspace(span([1, 2], 3))
-        kappa = measure_endgame_kappa(u, u, 0.5)
-        t = endgame(u, u, 0.5, kappa)
+        t = endgame(u, u, 0.5)
         assert verify_bundle(endgame_bundle(t, u, u)).ok
 
     def test_pfr_bundle(self):
@@ -570,14 +575,17 @@ class TestNontrivialPath:
         # local interaction is one batched fiber_interactions call, and the
         # rich-cosets check is the one fibring_decompose.  The move table runs
         # once per step: the case split, the grids and the endgame's
-        # hypothesis check all read it.
+        # hypothesis check all read it.  The ENDGAME case builds only its grid,
+        # not the Z-system joints that the standalone endgame reports.
         grids = _count_calls(monkeypatch, "entropic_doubling.entropy", "fiber_interactions")
         fibring = _count_calls(monkeypatch, "entropic_doubling.entropy", "fibring_decompose")
         tables = _count_calls(monkeypatch, "entropic_doubling.endgame", "_move_table")
+        joints = _count_calls(monkeypatch, "entropic_doubling.endgame", "z_system_joints")
         analyze_set(union_of_cosets(4, 2, 2, 0), 4, 0.2)
         assert grids[0] == 3
         assert fibring[0] == 1
         assert tables[0] == 1
+        assert joints[0] == 0
 
     def test_inductive_notes_reach_the_result_and_bundle(self):
         elements = union_of_cosets(4, 2, 2, 0)
