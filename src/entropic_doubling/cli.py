@@ -1,8 +1,9 @@
 """Command-line driver: generate example families, analyze sets and
 distributions, find and verify subspace certificates, run the endgame.
 
-Exit code is 0 iff every requested check passed, 1 when a check failed, and
-2 on a package error or unreadable input (one line on stderr).
+Exit code is 0 iff every requested check passed, 1 when a check failed or
+standard output closed before all of it was written, and 2 on a package error
+or unreadable input (one line on stderr).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -313,7 +315,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (as `| head` does): send the rest of
+        # the output, including the flush at exit, to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (EntropicDoublingError, FileNotFoundError, json.JSONDecodeError) as exc:
         message = " ".join(str(exc).split())
         print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -41,7 +41,9 @@ from .oracle import (
     OBJECTIVE_PROJECTED_ENTROPY,
     PFR_SIZE_FACTOR,
     SubspaceCertificate,
-    exhaustive_best_subspace,
+    _masked_argmin,
+    _scan_tables,
+    lattice_entropies,
 )
 from .tolerances import FIBER_CAP, IDENTITY_TOL, MAX_ENUM_N, tolerances_dict
 
@@ -231,13 +233,23 @@ def _heaviest(fam: FiberFamily, k: int) -> tuple[FiberFamily, float]:
     return kept, coverage
 
 
+class PairScan(NamedTuple):
+    """One endgame pair's transcript row: V(u, w) and its four entropies."""
+
+    subspace: Subspace
+    h_x: float
+    h_y: float
+    h_proj_x: float
+    h_proj_y: float
+
+
 def fiber_grid(
     fam_x: FiberFamily,
     fam_y: FiberFamily,
-    solver: Callable[[Dist, Dist], SubspaceCertificate],
+    solver: Callable[[Dist, Dist], SubspaceCertificate | PairScan],
     cap: int = FIBER_CAP,
 ) -> FiberGrid:
-    """Fibers X_u of fam_x and Y_w of fam_y with V(u, w) = solver(X_u, Y_w).
+    """Fibers X_u of fam_x and Y_w of fam_y with V(u, w) = solver(X_u, Y_w).subspace.
 
     A grid over more than `cap` pairs keeps each family's floor(sqrt(cap))
     heaviest fibers and records their coverage in the cap note.  The solver
@@ -305,27 +317,32 @@ def _endgame_hypotheses(
 
 def _endgame_grid(
     move_table: _MoveTable, fiber_cap: int
-) -> tuple[FiberGrid, dict[tuple[Dist, Dist], SubspaceCertificate]]:
+) -> tuple[FiberGrid, dict[tuple[Dist, Dist], PairScan]]:
     """The grid of the fibers X_u, Y_w with V(u, w) the minimizer of
-    H[pi(X_u)]+H[pi(Y_w)] under the PFR size budget, and each pair's scan."""
-    # Each fiber's entropy is computed once for the budgets of its row or column.
-    h_fiber: dict[Dist, float] = {}
-    scans: dict[tuple[Dist, Dist], SubspaceCertificate] = {}
+    H[pi(X_u)]+H[pi(Y_w)] under the PFR size budget, and each pair's row.
 
-    def budgeted_scan(xu: Dist, yw: Dist) -> SubspaceCertificate:
-        for d in (xu, yw):
-            if d not in h_fiber:
-                h_fiber[d] = shannon_entropy(d)
-        scans[(xu, yw)] = exhaustive_best_subspace(
-            xu,
-            yw,
-            OBJECTIVE_PROJECTED_ENTROPY,
-            entropy_budget=PFR_SIZE_FACTOR * (h_fiber[xu] + h_fiber[yw]),
-        )
-        return scans[(xu, yw)]
+    Each fiber's entropy and lattice scan are computed once, for every pair in
+    its row or column.  The pick is exhaustive_best_subspace's projected-entropy
+    objective at entropy_budget = PFR_SIZE_FACTOR (H[X_u] + H[Y_w]): the same
+    float expressions and the same tie-break, so the same V(u, w)."""
+    scanned: dict[Dist, tuple[float, np.ndarray]] = {}
+    rows: dict[tuple[Dist, Dist], PairScan] = {}
 
-    grid = fiber_grid(move_table.fib_pq, move_table.fib_qp, budgeted_scan, fiber_cap)
-    return grid, scans
+    def scan(d: Dist) -> tuple[float, np.ndarray]:
+        if d not in scanned:
+            scanned[d] = (shannon_entropy(d), lattice_entropies(d))
+        return scanned[d]
+
+    def budgeted_pick(xu: Dist, yw: Dist) -> PairScan:
+        (hx, lat_x), (hy, lat_y) = scan(xu), scan(yw)
+        subs, _, _, dims = _scan_tables(xu.n)
+        feasible = dims <= PFR_SIZE_FACTOR * (hx + hy) + IDENTITY_TOL
+        idx = _masked_argmin(lat_x + lat_y, feasible, OBJECTIVE_PROJECTED_ENTROPY)
+        rows[(xu, yw)] = PairScan(subs[idx], hx, hy, float(lat_x[idx]), float(lat_y[idx]))
+        return rows[(xu, yw)]
+
+    grid = fiber_grid(move_table.fib_pq, move_table.fib_qp, budgeted_pick, fiber_cap)
+    return grid, rows
 
 
 def endgame(
@@ -358,20 +375,15 @@ def endgame(
         for a, b in ((h1, h2), (h1, h3), (h2, h3))
     )
 
-    grid, scans = _endgame_grid(move_table, fiber_cap)
+    grid, rows = _endgame_grid(move_table, fiber_cap)
     table = []
     expectation = 0.0
     for wu, u, xu in zip(grid.fibers_x.weights, grid.fibers_x.labels, grid.fibers_x.dists):
         for ww, w, yw in zip(grid.fibers_y.weights, grid.fibers_y.labels, grid.fibers_y.dists):
-            cert = scans[(xu, yw)]
-            proj_x = cert.achieved["h_proj_x"]
-            proj_y = cert.achieved["h_proj_y"]
+            row = rows[(xu, yw)]
             weight = float(wu * ww)
-            expectation += weight * (proj_x + proj_y)
-            table.append(
-                (u, w, weight, cert.subspace, cert.achieved["h_x"], cert.achieved["h_y"],
-                 proj_x, proj_y)
-            )
+            expectation += weight * (row.h_proj_x + row.h_proj_y)
+            table.append((u, w, weight, *row))
     bound = 480.0 * kappa
     return EndgameTranscript(
         eta=eta,

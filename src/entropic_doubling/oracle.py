@@ -146,9 +146,11 @@ def _scan_tables(n: int) -> tuple[tuple[Subspace, ...], np.ndarray, np.ndarray, 
     return subs, bins, starts, dims
 
 
-def _pushed_entropies(mass: np.ndarray, bins: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """H[pi_V(X)] for every subspace at once: one bincount over all coset bins."""
-    pushed = np.bincount(bins.ravel(), weights=np.tile(mass, len(bins)))
+def lattice_entropies(d: Dist) -> np.ndarray:
+    """H[pi_V(X)] for X ~ d and every subspace V of F_2^n (n <= 6), in
+    all_subspaces order: the lattice scan, one bincount over all coset bins."""
+    _, bins, starts, _ = _scan_tables(d.n)
+    pushed = np.bincount(bins.ravel(), weights=np.tile(d.mass, len(bins)))
     plogp = np.where(pushed > MASS_EPS, pushed * np.log2(np.maximum(pushed, MASS_EPS)), 0.0)
     return -np.add.reduceat(plogp, starts) + 0.0
 
@@ -172,14 +174,14 @@ def exhaustive_best_subspace(
     if p.n > MAX_ENUM_N:
         raise CapacityError(f"exhaustive search capped at n <= {MAX_ENUM_N}")
     params = dict(params or {})
-    subs, bins, starts, dims = _scan_tables(p.n)
+    subs, _, _, dims = _scan_tables(p.n)
     hp0, hq0 = shannon_entropy(p), shannon_entropy(q)
-    hp = _pushed_entropies(p.mass, bins, starts)
-    hq = _pushed_entropies(q.mass, bins, starts)
+    hp = lattice_entropies(p)
+    hq = lattice_entropies(q)
     # Only the objectives that read X+Y pay for its convolution and scan.
     hpq = None
     if objective in (OBJECTIVE_QUOTIENT_DOUBLING, OBJECTIVE_STATEMENT_B):
-        hpq = _pushed_entropies(xor_convolve(p, q).mass, bins, starts)
+        hpq = lattice_entropies(xor_convolve(p, q))
 
     feasible = np.ones(len(subs), dtype=bool)
     if entropy_budget is not None:

@@ -441,19 +441,26 @@ class LocalToGlobalResult:
 
 def _h_expectation_sequence(
     grid: FiberGrid,
-    k_max: int,
+    tau: float,
     rng: np.random.Generator,
     exact_cap: int = 200_000,
     mc_samples: int = 800,
 ) -> tuple[list[float], bool, int]:
-    """h_j = E_{u, w^(1..j)} H[pi_{V(u,w1)+...+V(u,wj)}(X_u)], j = 0..k_max+1.
+    """h_j = E_{u, w^(1..j)} H[pi_{V(u,w1)+...+V(u,wj)}(X_u)] for j = 0..k+1,
+    where k is the first j with h_j - h_{j+1} <= tau h_0 (the pigeonhole).
 
-    Exact dynamic programming over the reachable subspace-sum lattice; falls
-    back to Monte-Carlo (recorded) if the transition count explodes.
+    h is nonincreasing and h_0 >= 0, so some j <= ceil(1/tau) stops, and
+    computing h level by level up to it gives the same k as the whole
+    sequence.  Exact dynamic programming over the reachable subspace-sum
+    lattice draws nothing from rng.  If its transition count passes
+    exact_cap, a recorded Monte-Carlo estimate takes over: mc_samples paths,
+    advanced one level at a time and stopped by the same rule.
     """
     fibers_x, fibers_y, v_table = grid.fibers_x, grid.fibers_y, grid.v_table
     n = fibers_x.dists[0].n
     zero = Subspace.zero(n)
+    # h_1 .. h_{ceil(1/tau)+1}: the last level tests j = ceil(1/tau).
+    levels = math.ceil(1.0 / tau) + 1
     # States are canonical bases.  One join memo and one entropy memo, keyed
     # by basis, serve both the exact DP and the Monte-Carlo fallback.
     spaces: dict[tuple[int, ...], Subspace] = {zero.basis: zero}
@@ -476,53 +483,57 @@ def _h_expectation_sequence(
             )
         return h_cache[key]
 
+    def stops(h: list[float]) -> bool:
+        return h[-2] - h[-1] <= tau * h[0] + IDENTITY_TOL
+
     # Per u: the basis of V(u, w) and Pr[w], over w.
     rows = [
         [(v_table[(u, w)].basis, qw) for w, qw in zip(fibers_y.labels, fibers_y.weights)]
         for u in fibers_x.labels
     ]
 
-    h = [0.0] * (k_max + 2)
-    h[0] = float(
-        sum(w * shannon_entropy(d) for w, d in zip(fibers_x.weights, fibers_x.dists))
-    )
+    h = [
+        float(sum(w * shannon_entropy(d) for w, d in zip(fibers_x.weights, fibers_x.dists)))
+    ]
     transitions = 0
-    exact = True
     states_by_u: list[dict[tuple[int, ...], float]] = [
         {zero.basis: 1.0} for _ in fibers_x.labels
     ]
-    for j in range(1, k_max + 2):
+    for _ in range(levels):
+        transitions += sum(len(states) for states in states_by_u) * len(fibers_y.labels)
+        if transitions > exact_cap:
+            break
         total = 0.0
         for ui, wu in enumerate(fibers_x.weights):
-            states = states_by_u[ui]
-            transitions += len(states) * len(fibers_y.labels)
-            if transitions > exact_cap:
-                exact = False
-                break
             new: dict[tuple[int, ...], float] = {}
-            for basis, pr in states.items():
+            for basis, pr in states_by_u[ui].items():
                 for vb, qw in rows[ui]:
                     merged = join(basis, vb)
                     new[merged] = new.get(merged, 0.0) + pr * qw
             states_by_u[ui] = new
             total += wu * sum(pr * push_entropy(ui, basis) for basis, pr in new.items())
-        if not exact:
-            break
-        h[j] = float(total)
-    if exact:
-        return h, True, 0
+        h.append(float(total))
+        if stops(h):
+            return h, True, 0
+    else:
+        raise PipelineError("pigeonhole failed to select k; expectations inconsistent")
 
-    # Monte-Carlo fallback: sample full sequences, reuse the running sums.
-    acc = np.zeros(k_max + 2)
-    for _ in range(mc_samples):
-        ui = int(rng.choice(len(fibers_x.labels), p=fibers_x.weights))
-        basis = zero.basis
-        acc[0] += push_entropy(ui, basis)
-        for j in range(1, k_max + 2):
-            wi = int(rng.choice(len(fibers_y.labels), p=fibers_y.weights))
-            basis = join(basis, rows[ui][wi][0])
-            acc[j] += push_entropy(ui, basis)
-    return list(acc / mc_samples), False, mc_samples
+    # Monte-Carlo fallback: every path advances one level per round of draws,
+    # each round's indices from one rng.random call on the cumulative weights.
+    def draw(weights: np.ndarray) -> np.ndarray:
+        cum = np.cumsum(weights)
+        return np.searchsorted(cum[:-1], rng.random(mc_samples) * cum[-1], side="right")
+
+    paths = draw(fibers_x.weights).tolist()
+    bases = [zero.basis] * mc_samples
+    h = [sum(push_entropy(ui, zero.basis) for ui in paths) / mc_samples]
+    for _ in range(levels):
+        for i, (ui, wi) in enumerate(zip(paths, draw(fibers_y.weights).tolist())):
+            bases[i] = join(bases[i], rows[ui][wi][0])
+        h.append(sum(push_entropy(ui, b) for ui, b in zip(paths, bases)) / mc_samples)
+        if stops(h):
+            return h, False, mc_samples
+    raise PipelineError("pigeonhole failed to select k; expectations inconsistent")
 
 
 def local_to_global(
@@ -535,9 +546,10 @@ def local_to_global(
 
     Requires the local interaction hypothesis
     E_{u,w} s[X_u|pi(X_u); Y_w|pi(Y_w)] >= zeta (H[X]+H[Y]); then samples
-    u ~ U and w^(1..k) ~ W (seeded), with k chosen by the pigeonhole rule
-    h_k - h_{k+1} <= tau h_0 at tau = zeta/2, retrying until
-    H[Y|pi(Y)] >= (zeta/4)(H[X]+H[Y]) and dim <= (8/zeta^2) E dim V(u,w).
+    u ~ U and w^(1..k) ~ W (seeded), with k the first j of the pigeonhole rule
+    h_j - h_{j+1} <= tau h_0 at tau = zeta/2 (h_sequence holds h_0 .. h_{k+1}),
+    retrying until H[Y|pi(Y)] >= (zeta/4)(H[X]+H[Y]) and
+    dim <= (8/zeta^2) E dim V(u,w).
     """
     if zeta <= 0.0:
         raise ValueError("zeta must be positive")
@@ -555,15 +567,8 @@ def local_to_global(
         )
 
     tau = zeta / 2.0
-    k_max = math.ceil(1.0 / tau)
-    h_seq, exact, mc_samples = _h_expectation_sequence(grid, k_max, rng)
-    k = None
-    for j in range(k_max + 1):
-        if h_seq[j] - h_seq[j + 1] <= tau * h_seq[0] + IDENTITY_TOL:
-            k = j
-            break
-    if k is None:
-        raise PipelineError("pigeonhole failed to select k; expectations inconsistent")
+    h_seq, exact, mc_samples = _h_expectation_sequence(grid, tau, rng)
+    k = len(h_seq) - 2
 
     h_y = shannon_entropy(y_mix)
     floor = (zeta / 4.0) * h_total
@@ -687,7 +692,8 @@ def inductive_step(
                 grid = fiber_grid(move_table.fib_pq, move_table.fib_qp, b_solver)
                 zeta_paper = 7.0 * eps0
             else:
-                s0 = h0 - shannon_entropy(xor_convolve(p0, q0))
+                # The move table holds 2 H[X0+Y0]; halving it is exact.
+                s0 = h0 - moves["sumset_2"][1] / 2.0
                 if mode == MODE_PAPER:
                     eta_e, kappa = eta0 - 2.0 * eps0, 12.0 * eps0 * h0
                 else:

@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import entropic_doubling
 from entropic_doubling.cli import main
 from entropic_doubling.dist import random_dist, uniform_on_subspace
 from entropic_doubling.gf2 import span
@@ -152,6 +157,24 @@ class TestFindSubspaceAndVerify:
         out.write_text(json.dumps(bundle))
         assert main(["verify", "--certificate", str(out)]) == 1
         capsys.readouterr()
+
+
+    def test_closed_stdout_exits_without_traceback(self):
+        # As in `entropic-doubling verify --certificate ... | head -1`: the
+        # reader is gone before the report is written.
+        src = str(Path(entropic_doubling.__file__).resolve().parents[1])
+        fixture = Path(__file__).parent / "fixtures" / "endgame.json"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "entropic_doubling.cli", "verify", "--certificate", str(fixture)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert b"Traceback" not in err
+        assert proc.returncode == 1
 
 
 class TestEndgameCommand:

@@ -1,11 +1,14 @@
 """Endgame bookkeeping: Z-system joints, hypothesis gates, the 480k bound."""
 
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from entropic_doubling.dist import (
+    Dist,
     FiberFamily,
     map_joint,
     product,
@@ -28,6 +31,13 @@ from entropic_doubling.entropy import (
 )
 from entropic_doubling.errors import CapacityError, HypothesisViolationError
 from entropic_doubling.gf2 import Subspace, all_subspaces, span
+from entropic_doubling.oracle import (
+    OBJECTIVE_PROJECTED_ENTROPY,
+    PFR_SIZE_FACTOR,
+    exhaustive_best_subspace,
+)
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 class TestZSystemJoints:
@@ -170,6 +180,50 @@ class TestEndgameTranscript:
         assert set(v_table) == {(u, w) for u in fam_u.labels for w in fam_w.labels}
         # Mixture of the u-fibers is the X-marginal.
         assert np.max(np.abs(fam_u.mixture().mass - p.mass)) < 1e-9
+
+
+class TestBatchedFiberScan:
+    """The endgame scans each fiber's lattice once and picks V(u, w) from the
+    two scans; one exhaustive_best_subspace call per pair is the reference.
+    The float expressions and the tie-break are the same, so the rows are
+    equal, not close."""
+
+    @staticmethod
+    def _assert_rows_match_per_pair_scan(t) -> None:
+        rows = iter(t.table)
+        for xu in t.grid.fibers_x.dists:
+            for yw in t.grid.fibers_y.dists:
+                _u, _w, _weight, v, hx, hy, px, py = next(rows)
+                cert = exhaustive_best_subspace(
+                    xu,
+                    yw,
+                    OBJECTIVE_PROJECTED_ENTROPY,
+                    entropy_budget=PFR_SIZE_FACTOR * (shannon_entropy(xu) + shannon_entropy(yw)),
+                )
+                assert v == cert.subspace
+                assert (hx, hy, px, py) == tuple(
+                    cert.achieved[k] for k in ("h_x", "h_y", "h_proj_x", "h_proj_y")
+                )
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("kind", ["random", "noisy_subspace", "uniform_subspace"])
+    def test_random_and_structured_inputs(self, n, kind):
+        rng = np.random.default_rng(n)
+        p, q = random_dist(n, rng), random_dist(n, rng)
+        if kind != "random":
+            # Uniform on span{e0, e1}, alone or mixed with noise: many fibers
+            # tie across subspaces, which exercises the tie-break.
+            u = uniform_on_subspace(span([1, 2], n)).mass
+            mix = 0.0 if kind == "uniform_subspace" else 0.3
+            p, q = Dist(n, (1 - mix) * u + mix * p.mass), Dist(n, (1 - mix) * u + mix * q.mass)
+        eta = min(0.5, doubling_mass(p, q) / (shannon_entropy(p) + shannon_entropy(q)))
+        self._assert_rows_match_per_pair_scan(endgame(p, q, eta))
+
+    def test_fixture(self):
+        bundle = json.loads((FIXTURES / "endgame.json").read_text())
+        t = bundle["transcript"]
+        p, q = (Dist.from_json(bundle["inputs"][k]) for k in ("p", "q"))
+        self._assert_rows_match_per_pair_scan(endgame(p, q, t["eta"], t["kappa"]))
 
 
 def _grid(n: int, kx: int, ky: int, subspace, seed: int) -> FiberGrid:

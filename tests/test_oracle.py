@@ -22,11 +22,11 @@ from entropic_doubling.oracle import (
     OBJECTIVE_PROJECTED_ENTROPY,
     OBJECTIVE_QUOTIENT_DOUBLING,
     OBJECTIVE_STATEMENT_B,
-    _pushed_entropies,
     _scan_tables,
     bsg_check,
     exhaustive_best_subspace,
     greedy_extension,
+    lattice_entropies,
     pfr_subspace,
 )
 from entropic_doubling.certify import pfr_bundle, verify_bundle
@@ -39,11 +39,11 @@ class TestLatticeScan:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_scan_entropies_match_quotient_entropy(self, n):
         rng = np.random.default_rng(n)
-        subs, bins, starts, _ = _scan_tables(n)
+        subs, bins, _, _ = _scan_tables(n)
         assert subs == all_subspaces(n)
         assert len(np.unique(bins)) == sum(1 << (n - v.dim) for v in subs)
         for p in (random_dist(n, rng), random_dist(n, rng, support_size=3), point_mass(5, n)):
-            scanned = _pushed_entropies(p.mass, bins, starts)
+            scanned = lattice_entropies(p)
             expect = np.array([quotient_entropy(p, v) for v in subs])
             assert np.max(np.abs(scanned - expect)) <= ORACLE_TOL
 

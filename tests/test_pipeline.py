@@ -1,8 +1,10 @@
 """Statement checks, reductions, lemma machinery, solver, and corollaries."""
 
+import itertools
 import json
 import math
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -27,9 +29,9 @@ from entropic_doubling.dist import (
 )
 from entropic_doubling.endgame import FiberGrid, endgame
 from entropic_doubling.entropy import doubling_mass, shannon_entropy
-from entropic_doubling.errors import HypothesisViolationError
+from entropic_doubling.errors import EntropicDoublingError, HypothesisViolationError
 from entropic_doubling.families import union_of_cosets
-from entropic_doubling.gf2 import Subspace, all_subspaces, span
+from entropic_doubling.gf2 import Subspace, all_subspaces, span, subspace_sum
 from entropic_doubling.oracle import (
     OBJECTIVE_STATEMENT_B,
     exhaustive_best_subspace,
@@ -38,6 +40,7 @@ from entropic_doubling.oracle import (
 from entropic_doubling.pipeline import (
     MODE_PAPER,
     StatementParams,
+    _h_expectation_sequence,
     analyze_set,
     check_statement_A,
     check_statement_B,
@@ -51,6 +54,7 @@ from entropic_doubling.pipeline import (
     solve_B,
     y_size_lower_bound_check,
 )
+from entropic_doubling.tolerances import IDENTITY_TOL
 
 H3 = math.log2(3.0)
 
@@ -296,6 +300,79 @@ class TestLocalToGlobal:
             pushforward_quotient(y_mix, first.subspace)
         )
         assert got == pytest.approx(first.h_y_given_proj, abs=1e-9)
+
+    @staticmethod
+    def _coordinate_grid() -> FiberGrid:
+        """X_u, Y_w uniform on F_2^4 and V(u, w) = <e_{(u+w) mod 4}>: each draw
+        adds one coordinate, so h_j falls geometrically over many levels."""
+        full = uniform_on(list(range(16)), 4)
+        fx = FiberFamily((0, 1), np.array([0.6, 0.4]), (full, full))
+        fy = FiberFamily((0, 1, 2, 3), np.array([0.4, 0.3, 0.2, 0.1]), (full,) * 4)
+        table = {(u, w): span([1 << ((u + w) % 4)], 4) for u in fx.labels for w in fy.labels}
+        return FiberGrid(fx, fy, table)
+
+    @staticmethod
+    def _first_stop(h, tau) -> int:
+        return next(j for j in range(len(h) - 1) if h[j] - h[j + 1] <= tau * h[0] + IDENTITY_TOL)
+
+    def test_lazy_sequence_matches_brute_force_and_first_stop(self):
+        grid = self._coordinate_grid()
+        fx, fy = grid.fibers_x, grid.fibers_y
+        zeta = 0.999 * grid.local_interaction[0] / 8.0
+        res = local_to_global(grid, zeta, np.random.default_rng(0))
+        assert res.exact_expectations
+        assert res.k >= 2
+        # h_j over every (u, w_1 .. w_j), weighted by Pr[u] Pr[w_1] ... Pr[w_j].
+        for j, h_j in enumerate(res.h_sequence):
+            brute = 0.0
+            for ui, u in enumerate(fx.labels):
+                for ws in itertools.product(range(len(fy.labels)), repeat=j):
+                    v = Subspace.zero(4)
+                    for wi in ws:
+                        v = subspace_sum(v, grid.v_table[(u, fy.labels[wi])])
+                    weight = fx.weights[ui] * math.prod(fy.weights[wi] for wi in ws)
+                    brute += weight * shannon_entropy(pushforward_quotient(fx.dists[ui], v))
+            assert h_j == pytest.approx(brute, abs=1e-12)
+        # The sequence stops at k + 1, the first j with h_j - h_{j+1} <= tau h_0.
+        assert res.k == len(res.h_sequence) - 2 == self._first_stop(res.h_sequence, res.tau)
+
+    @pytest.mark.parametrize("zeta", [1e-9, 1e-12])
+    def test_tiny_zeta_gives_result_or_typed_error(self, zeta):
+        # ceil(1/tau) is 2e9 or 2e12 levels here; only the levels up to the
+        # pigeonhole are computed.
+        rng = np.random.default_rng(6)
+        p, q = random_dist(3, rng), random_dist(3, rng)
+        eta = min(0.5, doubling_mass(p, q) / (shannon_entropy(p) + shannon_entropy(q)))
+        for grid in (endgame(p, q, eta).grid, self._coordinate_grid()):
+            start = time.perf_counter()
+            try:
+                res = local_to_global(grid, zeta, np.random.default_rng(0))
+            except EntropicDoublingError:
+                pass
+            else:
+                assert res.k == self._first_stop(res.h_sequence, zeta / 2.0)
+            assert time.perf_counter() - start < 1.0
+
+    def test_monte_carlo_fallback_stops_by_the_same_rule(self):
+        grid = self._coordinate_grid()
+        tau = 0.01
+        exact, is_exact, _ = _h_expectation_sequence(grid, tau, np.random.default_rng(0))
+        assert is_exact
+        samples = 4000
+        mc, is_exact, used = _h_expectation_sequence(
+            grid, tau, np.random.default_rng(3), exact_cap=0, mc_samples=samples
+        )
+        assert not is_exact and used == samples
+        assert all(b <= a + 1e-12 for a, b in zip(mc, mc[1:]))
+        assert self._first_stop(mc, tau) == len(mc) - 2
+        replay = _h_expectation_sequence(
+            grid, tau, np.random.default_rng(3), exact_cap=0, mc_samples=samples
+        )[0]
+        assert replay == mc
+        # Each path's entropy lies in [0, 4] bits: a standard error of at
+        # most 2 / sqrt(samples) per level.
+        for a, b in zip(mc, exact):
+            assert abs(a - b) <= 5 * 2.0 / math.sqrt(samples)
 
 
 class TestInductiveStep:
@@ -576,16 +653,24 @@ class TestNontrivialPath:
         # rich-cosets check is the one fibring_decompose.  The move table runs
         # once per step: the case split, the grids and the endgame's
         # hypothesis check all read it.  The ENDGAME case builds only its grid,
-        # not the Z-system joints that the standalone endgame reports.
+        # not the Z-system joints that the standalone endgame reports, and
+        # scans each of its 8 + 8 fibers' lattices once for all 64 pairs.
         grids = _count_calls(monkeypatch, "entropic_doubling.entropy", "fiber_interactions")
         fibring = _count_calls(monkeypatch, "entropic_doubling.entropy", "fibring_decompose")
         tables = _count_calls(monkeypatch, "entropic_doubling.endgame", "_move_table")
         joints = _count_calls(monkeypatch, "entropic_doubling.endgame", "z_system_joints")
+        endgame_module = sys.modules["entropic_doubling.endgame"]
+        scan = endgame_module.lattice_entropies
+        scanned: list = []
+        monkeypatch.setattr(
+            endgame_module, "lattice_entropies", lambda d: scanned.append(d) or scan(d)
+        )
         analyze_set(union_of_cosets(4, 2, 2, 0), 4, 0.2)
         assert grids[0] == 3
         assert fibring[0] == 1
         assert tables[0] == 1
         assert joints[0] == 0
+        assert len(scanned) == len({id(d) for d in scanned}) == 16
 
     def test_inductive_notes_reach_the_result_and_bundle(self):
         elements = union_of_cosets(4, 2, 2, 0)
