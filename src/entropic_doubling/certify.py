@@ -171,11 +171,17 @@ def verify_bundle(payload: dict) -> VerifyReport:
 
     Each criterion is evaluated by the same function its producer calls; the
     bundle contributes only the inputs, V, the parameters and stored values.
+    A payload that is not a JSON object raises ValidationError; any other
+    malformed bundle gives a failed report.
     """
+    if not isinstance(payload, dict):
+        raise ValidationError(
+            f"a certificate bundle is a JSON object, not {type(payload).__name__}"
+        )
     kind = payload.get("kind")
     report = VerifyReport(kind=str(kind), ok=True)
-    tol = float(payload.get("tolerances", {}).get("identity", IDENTITY_TOL))
     try:
+        tol = float(payload.get("tolerances", {}).get("identity", IDENTITY_TOL))
         inputs = payload["inputs"]
         if kind == "ENDGAME":
             p, q = Dist.from_json(inputs["p"]), Dist.from_json(inputs["q"])
@@ -226,7 +232,7 @@ def verify_bundle(payload: dict) -> VerifyReport:
             _compare(report, check_pfr(p, q, v), ach, ("h_proj_x", "h_proj_y"), tol)
         else:
             raise ValidationError(f"unknown bundle kind {kind!r}")
-    except (KeyError, TypeError, ValueError, RuntimeError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, RuntimeError) as exc:
         report.ok = False
         report.failures.append(f"bundle rejected: {exc}")
     return report

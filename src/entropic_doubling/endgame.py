@@ -12,10 +12,14 @@ Y_w = (Y_1 | Y_1+X_2 = w) admit per-pair subspaces V(u,w) within the
 Everything here is verified numerically, never trusted.
 
 A FiberGrid is what each case of the inductive step (Case 1, Case 2 and this
-endgame) hands to the local-to-global lemma; fiber_grid builds all three.
-The inductive step's endgame case runs only the hypothesis check on its own
-move table and the budgeted per-pair grid; the Z-system bookkeeping and the
-480*kappa table are endgame()'s, for transcripts and bundles.
+endgame) hands to the local-to-global lemma; fiber_grid builds each one that
+the step tries.  In practical mode the step skips a Case 1 or Case 2 grid
+whose every capped fiber pair (cap_fibers) meets statement B at V = 0: the
+B-solver would return V(u, w) = 0 for each, and such a grid has no local
+interaction.  The inductive step's endgame case runs only the hypothesis
+check on its own move table and the budgeted per-pair grid; the Z-system
+bookkeeping and the 480*kappa table are endgame()'s, for transcripts and
+bundles.
 """
 
 from __future__ import annotations
@@ -204,11 +208,14 @@ class FiberGrid:
     @cached_property
     def local_interaction(self) -> tuple[float, float]:
         """E_{u,w} s[X_u|pi(X_u); Y_w|pi(Y_w)] and E_{u,w} dim V(u,w), measured once,
-        with every pair's s-term from one batched fiber_interactions call."""
+        with every s-term from one batched fiber_interactions call.  A pair
+        with V(u, w) = 0 adds nothing: each fiber of pi is then a point, so its
+        term H[X_u] + H[Y_w] - H[X_u+Y_w, X_u] is exactly 0."""
         pairs = [
-            (wu * ww, xu, yw, self.v_table[(u, w)])
+            (wu * ww, xu, yw, v)
             for wu, u, xu in zip(self.fibers_x.weights, self.fibers_x.labels, self.fibers_x.dists)
             for ww, w, yw in zip(self.fibers_y.weights, self.fibers_y.labels, self.fibers_y.dists)
+            if (v := self.v_table[(u, w)]).dim
         ]
         s_fiber = fiber_interactions([(xu, yw, v) for _, xu, yw, v in pairs])
         hyp = 0.0
@@ -243,32 +250,41 @@ class PairScan(NamedTuple):
     h_proj_y: float
 
 
+def cap_fibers(
+    fam_x: FiberFamily, fam_y: FiberFamily, cap: int = FIBER_CAP
+) -> tuple[FiberFamily, FiberFamily, dict]:
+    """The families a grid over fam_x x fam_y keeps, and its cap note.
+
+    A grid over more than `cap` pairs keeps each family's floor(sqrt(cap))
+    heaviest fibers and records their coverage in the note.
+    """
+    kx, ky = len(fam_x.labels), len(fam_y.labels)
+    if kx * ky <= cap:
+        return fam_x, fam_y, {"applied": False, "cap": cap}
+    side = max(1, int(np.sqrt(cap)))
+    fam_x, coverage_x = _heaviest(fam_x, min(side, kx))
+    fam_y, coverage_y = _heaviest(fam_y, min(side, ky))
+    note = {
+        "applied": True,
+        "cap": cap,
+        "kept_u": len(fam_x.labels),
+        "kept_w": len(fam_y.labels),
+        "coverage_u": coverage_x,
+        "coverage_w": coverage_y,
+    }
+    return fam_x, fam_y, note
+
+
 def fiber_grid(
     fam_x: FiberFamily,
     fam_y: FiberFamily,
     solver: Callable[[Dist, Dist], SubspaceCertificate | PairScan],
     cap: int = FIBER_CAP,
 ) -> FiberGrid:
-    """Fibers X_u of fam_x and Y_w of fam_y with V(u, w) = solver(X_u, Y_w).subspace.
-
-    A grid over more than `cap` pairs keeps each family's floor(sqrt(cap))
-    heaviest fibers and records their coverage in the cap note.  The solver
-    runs u-major, in label order.
+    """Fibers X_u of fam_x and Y_w of fam_y with V(u, w) = solver(X_u, Y_w).subspace,
+    over the families cap_fibers keeps.  The solver runs u-major, in label order.
     """
-    note: dict = {"applied": False, "cap": cap}
-    kx, ky = len(fam_x.labels), len(fam_y.labels)
-    if kx * ky > cap:
-        side = max(1, int(np.sqrt(cap)))
-        fam_x, coverage_x = _heaviest(fam_x, min(side, kx))
-        fam_y, coverage_y = _heaviest(fam_y, min(side, ky))
-        note = {
-            "applied": True,
-            "cap": cap,
-            "kept_u": len(fam_x.labels),
-            "kept_w": len(fam_y.labels),
-            "coverage_u": coverage_x,
-            "coverage_w": coverage_y,
-        }
+    fam_x, fam_y, note = cap_fibers(fam_x, fam_y, cap)
     v_table = {
         (u, w): solver(xu, yw).subspace
         for u, xu in zip(fam_x.labels, fam_x.dists)

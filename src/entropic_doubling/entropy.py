@@ -98,31 +98,42 @@ def ruzsa_distance(p: Dist, q: Dist) -> float:
     )
 
 
-def conditional_doubling_mass(fibers_x: FiberFamily, fibers_y: FiberFamily) -> float:
-    """E_{u,w} s[X_u ; Y_w] over independent fiber labels.
+def sum_entropies(xs: Sequence[Dist], ys: Sequence[Dist]) -> np.ndarray:
+    """H[X + Y] for independent X in xs and Y in ys, as a (len(xs), len(ys)) array.
 
-    Each fiber is transformed once; the pair spectra are inverted in batches
-    of whole X_u rows, at most _BATCH_ENTRIES entries each, and every X_u + Y_w
-    table is cleaned as a Dist would be.
+    Each distinct distribution is transformed once; the pair spectra are
+    inverted in batches of whole X rows, at most _BATCH_ENTRIES entries each,
+    and every X + Y table is cleaned as a Dist would be.
     """
+    distinct = {d: i for i, d in enumerate(dict.fromkeys((*xs, *ys)))}
+    spec = wht(np.stack([d.mass for d in distinct]))
+    spec_x = spec[[distinct[d] for d in xs]]
+    spec_y = spec[[distinct[d] for d in ys]]
+    size = spec.shape[1]
+    step = max(1, _BATCH_ENTRIES // (len(ys) * size))
+    out = np.empty((len(xs), len(ys)))
+    for lo in range(0, len(xs), step):
+        raw = wht(spec_x[lo : lo + step, None, :] * spec_y[None, :, :])
+        raw /= size
+        sums = _clean(np.maximum(raw, 0.0, out=raw), axis=-1)
+        out[lo : lo + step] = [[_entropy(row) for row in rows] for rows in sums]
+    return out
+
+
+def conditional_doubling_mass(fibers_x: FiberFamily, fibers_y: FiberFamily) -> float:
+    """E_{u,w} s[X_u ; Y_w] over independent fiber labels, with every
+    H[X_u + Y_w] from one sum_entropies call."""
     if len(fibers_x.weights) != len(fibers_x.dists) or len(fibers_y.weights) != len(
         fibers_y.dists
     ):
         raise ValueError("weights and fibers must align")
     hx = [shannon_entropy(d) for d in fibers_x.dists]
     hy = [shannon_entropy(d) for d in fibers_y.dists]
-    spec_x = wht(np.stack([d.mass for d in fibers_x.dists]))
-    spec_y = wht(np.stack([d.mass for d in fibers_y.dists]))
-    size = spec_x.shape[1]
-    step = max(1, _BATCH_ENTRIES // (len(hy) * size))
+    h_sum = sum_entropies(fibers_x.dists, fibers_y.dists).tolist()
     total = 0.0
-    for lo in range(0, len(hx), step):
-        raw = wht(spec_x[lo : lo + step, None, :] * spec_y[None, :, :])
-        raw /= size
-        sums = _clean(np.maximum(raw, 0.0, out=raw), axis=-1)
-        for i, (wu, hu) in enumerate(zip(fibers_x.weights[lo : lo + step], hx[lo : lo + step])):
-            for ww, hw, row in zip(fibers_y.weights, hy, sums[i]):
-                total += wu * ww * (hu + hw - _entropy(row))
+    for wu, hu, row in zip(fibers_x.weights, hx, h_sum):
+        for ww, hw, hs in zip(fibers_y.weights, hy, row):
+            total += wu * ww * (hu + hw - hs)
     return float(total)
 
 

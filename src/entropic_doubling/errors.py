@@ -28,7 +28,7 @@ class ConditioningError(EntropicDoublingError, ValueError):
 
 
 class ValidationError(EntropicDoublingError, ValueError):
-    """Serialized payload failed structural validation on read."""
+    """A serialized payload or a user-supplied parameter failed validation."""
 
 
 class SearchFailureError(EntropicDoublingError, RuntimeError):

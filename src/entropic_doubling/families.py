@@ -12,7 +12,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import CapacityError, EmptySupportError
+from .errors import CapacityError, EmptySupportError, ValidationError
 from .gf2 import span
 from .tolerances import MAX_ELEMENT_N
 
@@ -22,7 +22,7 @@ PRNG_ID = "numpy-pcg64"
 def hamming_ball(n: int, r: int) -> list[int]:
     """All vectors of Hamming weight <= r, sorted."""
     if not 0 <= r <= n or n > MAX_ELEMENT_N:
-        raise ValueError(f"need 0 <= r <= n <= {MAX_ELEMENT_N}")
+        raise ValidationError(f"need 0 <= r <= n <= {MAX_ELEMENT_N}, got n = {n}, r = {r}")
     out = [0]
     for w in range(1, r + 1):
         for bits in combinations(range(n), w):
@@ -36,9 +36,9 @@ def hamming_ball(n: int, r: int) -> list[int]:
 def random_subset_of_subspace(n: int, dim_v: int, count: int, seed: int) -> list[int]:
     """Uniformly random count-subset of the first-coordinates subspace."""
     if not 0 <= dim_v <= n or n > MAX_ELEMENT_N:
-        raise ValueError("invalid dimensions")
+        raise ValidationError("invalid dimensions")
     if not 1 <= count <= (1 << dim_v):
-        raise ValueError(f"count must lie in [1, 2^{dim_v}]")
+        raise ValidationError(f"count must lie in [1, 2^{dim_v}]")
     rng = np.random.default_rng(seed)
     members = rng.choice(1 << dim_v, size=count, replace=False)
     return sorted(int(x) for x in members)
@@ -47,9 +47,9 @@ def random_subset_of_subspace(n: int, dim_v: int, count: int, seed: int) -> list
 def union_of_cosets(n: int, dim_v: int, num_cosets: int, seed: int) -> list[int]:
     """A = V + Lambda for a random Lambda of the given size."""
     if not 0 <= dim_v <= n or n > MAX_ELEMENT_N:
-        raise ValueError("invalid dimensions")
+        raise ValidationError("invalid dimensions")
     if not 1 <= num_cosets <= (1 << n):
-        raise ValueError("invalid coset count")
+        raise ValidationError("invalid coset count")
     if n > 24:
         raise CapacityError("set generation capped for dense enumeration")
     rng = np.random.default_rng(seed)

@@ -29,22 +29,24 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dist import Dist, pushforward_quotient, uniform_on, xor_convolve
+from .dist import Dist, FiberFamily, pushforward_quotient, uniform_on, xor_convolve
 from .endgame import (
     FiberGrid,
     _check_endgame_inputs,
     _endgame_grid,
     _endgame_hypotheses,
     _move_table,
+    cap_fibers,
     fiber_grid,
 )
-from .entropy import fibring_decompose, shannon_entropy
+from .entropy import fibring_decompose, shannon_entropy, sum_entropies
 from .errors import (
     DimensionMismatchError,
     EmptySupportError,
     HypothesisViolationError,
     PipelineError,
     SearchFailureError,
+    ValidationError,
 )
 from .families import doubling_stats
 from .gf2 import Subspace, coset_decompose, span, subspace_sum
@@ -65,6 +67,11 @@ MODE_PAPER = "paper-faithful"
 CRITERION_RICH = "RICH_COSETS"
 CRITERION_MANY = "MANY_SUMS"
 
+# A B-solver returns a statement-B certificate for (X, Y) at the inductive
+# step's (eta0, eps0), and returns V = 0 whenever V = 0 satisfies statement B
+# at (eta0, eps0).  _solve_b checks V = 0 first, and the exhaustive
+# statement_b scan returns the first feasible subspace in (dim, lex) order, so
+# both keep this contract; inductive_step relies on it to skip fiber grids.
 BSolver = Callable[[Dist, Dist], SubspaceCertificate]
 
 
@@ -83,15 +90,15 @@ class StatementParams:
 
     def __post_init__(self):
         if not 0.0 < self.eta <= 0.5:
-            raise ValueError(f"eta must lie in (0, 1/2], got {self.eta}")
+            raise ValidationError(f"eta must lie in (0, 1/2], got {self.eta}")
         if self.epsilon is not None and not 0.0 < self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon}")
+            raise ValidationError(f"epsilon must lie in (0, 1], got {self.epsilon}")
         # c = 1 (a projection killing all entropy) is allowed so the A -> B
         # reduction's single-iteration edge case is expressible.
         if self.c is not None and not 0.0 < self.c <= 1.0:
-            raise ValueError(f"c must lie in (0, 1], got {self.c}")
+            raise ValidationError(f"c must lie in (0, 1], got {self.c}")
         if self.L is not None and self.L < 0.0:
-            raise ValueError(f"L must be nonnegative, got {self.L}")
+            raise ValidationError(f"L must be nonnegative, got {self.L}")
 
     def to_json(self) -> dict:
         return {"eta": self.eta, "epsilon": self.epsilon, "c": self.c, "L": self.L}
@@ -608,6 +615,24 @@ def local_to_global(
 # The inductive step
 
 
+def _zero_subspace_meets_b(
+    fam_x: FiberFamily, fam_y: FiberFamily, eta0: float, eps0: float
+) -> bool:
+    """Whether V = 0 meets statement B at (eta0, eps0) for every fiber pair of
+    the grid fiber_grid would build: H[X_u+Y_w] >= (1-eta0-eps0)(H[X_u]+H[Y_w])
+    on the capped families, with all pair sums from one sum_entropies call.
+
+    There is no tolerance, while the B-solver accepts V = 0 down to
+    -IDENTITY_TOL, so a pair the solver could answer with a nonzero V never
+    passes; a pair within float error of the boundary fails here instead.
+    """
+    fam_x, fam_y, _ = cap_fibers(fam_x, fam_y)
+    hx = np.array([shannon_entropy(d) for d in fam_x.dists])
+    hy = np.array([shannon_entropy(d) for d in fam_y.dists])
+    rhs = (1.0 - eta0 - eps0) * (hx[:, None] + hy[None, :])
+    return bool(np.all(sum_entropies(fam_x.dists, fam_y.dists) >= rhs))
+
+
 def inductive_step(
     p: Dist,
     q: Dist,
@@ -630,6 +655,13 @@ def inductive_step(
     its grid with fiber_grid, capped at FIBER_CAP pairs; the endgame case
     checks the endgame hypotheses on the step's move table and builds only
     the endgame's budgeted grid, never its Z-system bookkeeping.
+
+    b_solver must return V = 0 whenever V = 0 satisfies statement B at
+    (eta0, eps0).  Practical mode relies on that: a Case 1 or Case 2 grid
+    whose every pair meets B at V = 0 would have every V(u, w) = 0 and no
+    local interaction, so the case fails without building the grid or
+    calling b_solver.  Paper-faithful mode, whose zeta is not measured,
+    builds every grid it tries.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -683,13 +715,21 @@ def inductive_step(
             candidates.append("ENDGAME")
         case_note.update({"margin_case1": m1, "margin_case2": m2})
 
+        case_families = {
+            "CASE1": (move_table.fib_pp, move_table.fib_qq),
+            "CASE2": (move_table.fib_pq, move_table.fib_qp),
+        }
         failures: list[str] = []
         for case in candidates:
-            if case == "CASE1":
-                grid = fiber_grid(move_table.fib_pp, move_table.fib_qq, b_solver)
-                zeta_paper = 7.0 * eps0
-            elif case == "CASE2":
-                grid = fiber_grid(move_table.fib_pq, move_table.fib_qp, b_solver)
+            if case in case_families:
+                fam_x, fam_y = case_families[case]
+                if mode != MODE_PAPER and _zero_subspace_meets_b(fam_x, fam_y, eta0, eps0):
+                    failures.append(
+                        f"{case}: every fiber pair meets statement B at V = 0, so every "
+                        "V(u, w) = 0 and the local interaction is 0"
+                    )
+                    continue
+                grid = fiber_grid(fam_x, fam_y, b_solver)
                 zeta_paper = 7.0 * eps0
             else:
                 # The move table holds 2 H[X0+Y0]; halving it is exact.
@@ -1000,7 +1040,7 @@ def rich_cosets(
     entropy bounds through the fibring chain.
     """
     if not 0.0 < epsilon <= 1.0:
-        raise ValueError("epsilon must lie in (0, 1]")
+        raise ValidationError(f"epsilon must lie in (0, 1], got {epsilon}")
     inner = solve_B(p, q, epsilon / 2.0, epsilon / 2.0, mode=mode, seed=seed)
     v = inner.subspace
     chk = check_rich_cosets(p, q, v, epsilon)

@@ -146,6 +146,36 @@ class TestFindSubspaceAndVerify:
         assert err.count("\n") == 1
         assert err.startswith("error: CapacityError: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["find-subspace", "--dist", "{dist}", "--eta", "0.7"],
+            ["find-subspace", "--dist", "{dist}", "--epsilon", "0"],
+            ["find-subspace", "--set", "{set}", "--epsilon", "0"],
+            ["gen", "--family", "hamming-ball", "--n", "0", "--radius", "1"],
+            ["gen", "--family", "union-cosets", "--n", "3", "--dim-v", "5", "--count", "1"],
+            ["verify", "--certificate", "{list}"],
+        ],
+        ids=["eta-above-half", "dist-epsilon-zero", "set-epsilon-zero", "ball-n-zero",
+             "cosets-dim-above-n", "bundle-not-object"],
+    )
+    def test_bad_input_exits_two_with_one_line(
+        self, argv, tmp_path, dist_files, subspace_set_file, capsys
+    ):
+        listing = tmp_path / "list.json"
+        listing.write_text("[1, 2]")
+        paths = {"dist": dist_files[0], "set": subspace_set_file, "list": listing}
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: ValidationError: ")
+
+    def test_malformed_tolerances_fail_verification(self, tmp_path, capsys):
+        bundle = tmp_path / "bundle.json"
+        bundle.write_text(json.dumps({"kind": "STATEMENT_B", "tolerances": 5}))
+        assert main(["verify", "--certificate", str(bundle)]) == 1
+        assert json.loads(capsys.readouterr().out)["ok"] is False
+
     def test_tampered_certificate_fails(self, tmp_path, dist_files, capsys):
         out = tmp_path / "cert.json"
         main(

@@ -5,9 +5,12 @@ import json
 import math
 import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from entropic_doubling.certify import (
     endgame_bundle,
@@ -18,6 +21,7 @@ from entropic_doubling.certify import (
     verify_bundle,
 )
 from entropic_doubling.dist import (
+    Dist,
     FiberFamily,
     point_mass,
     pushforward_quotient,
@@ -27,7 +31,7 @@ from entropic_doubling.dist import (
     uniform_on_subspace,
     xor_convolve,
 )
-from entropic_doubling.endgame import FiberGrid, endgame
+from entropic_doubling.endgame import FiberGrid, _move_table, endgame, fiber_grid
 from entropic_doubling.entropy import doubling_mass, shannon_entropy
 from entropic_doubling.errors import EntropicDoublingError, HypothesisViolationError
 from entropic_doubling.families import union_of_cosets
@@ -39,8 +43,12 @@ from entropic_doubling.oracle import (
 )
 from entropic_doubling.pipeline import (
     MODE_PAPER,
+    MODE_PRACTICAL,
     StatementParams,
     _h_expectation_sequence,
+    _solve_b,
+    _SolveContext,
+    _zero_subspace_meets_b,
     analyze_set,
     check_statement_A,
     check_statement_B,
@@ -54,7 +62,7 @@ from entropic_doubling.pipeline import (
     solve_B,
     y_size_lower_bound_check,
 )
-from entropic_doubling.tolerances import IDENTITY_TOL
+from entropic_doubling.tolerances import FIBER_CAP, IDENTITY_TOL
 
 H3 = math.log2(3.0)
 
@@ -648,13 +656,23 @@ class TestNontrivialPath:
         assert [s.kind for s in res.steps] == kinds
 
     def test_each_grid_measured_once(self, monkeypatch):
-        # CASE1, CASE2 and ENDGAME each try an 8 x 8 fiber grid; each grid's
-        # local interaction is one batched fiber_interactions call, and the
-        # rich-cosets check is the one fibring_decompose.  The move table runs
-        # once per step: the case split, the grids and the endgame's
-        # hypothesis check all read it.  The ENDGAME case builds only its grid,
-        # not the Z-system joints that the standalone endgame reports, and
-        # scans each of its 8 + 8 fibers' lattices once for all 64 pairs.
+        # CASE1 and CASE2 would each build an 8 x 8 fiber grid, but every pair
+        # of both meets statement B at V = 0, so neither grid is built and no
+        # B-solver runs for them.  The ENDGAME grid's local interaction is the
+        # one batched fiber_interactions call, and the rich-cosets check is
+        # the one fibring_decompose.  The move table runs once per step: the
+        # case split, the screens and the endgame's hypothesis check all read
+        # it.  The ENDGAME case builds only its grid, not the Z-system joints
+        # that the standalone endgame reports, and scans each of its 8 + 8
+        # fibers' lattices once for all 64 pairs.
+        pipeline_module = sys.modules["entropic_doubling.pipeline"]
+        case_grid = pipeline_module.fiber_grid
+        solved: list = []
+
+        def counted_grid(fam_x, fam_y, solver, *args):
+            return case_grid(fam_x, fam_y, lambda a, b: solved.append(a) or solver(a, b), *args)
+
+        monkeypatch.setattr(pipeline_module, "fiber_grid", counted_grid)
         grids = _count_calls(monkeypatch, "entropic_doubling.entropy", "fiber_interactions")
         fibring = _count_calls(monkeypatch, "entropic_doubling.entropy", "fibring_decompose")
         tables = _count_calls(monkeypatch, "entropic_doubling.endgame", "_move_table")
@@ -666,7 +684,8 @@ class TestNontrivialPath:
             endgame_module, "lattice_entropies", lambda d: scanned.append(d) or scan(d)
         )
         analyze_set(union_of_cosets(4, 2, 2, 0), 4, 0.2)
-        assert grids[0] == 3
+        assert solved == []
+        assert grids[0] == 1
         assert fibring[0] == 1
         assert tables[0] == 1
         assert joints[0] == 0
@@ -684,3 +703,162 @@ class TestNontrivialPath:
         bundle = json.loads(json.dumps(set_bundle(res, elements, 4)))
         assert bundle["steps"][-1]["note"]["inductive"][0]["note"]["failures"] == note["failures"]
         assert verify_bundle(bundle).ok
+
+
+def _screen_inputs(n: int, kind: str, seed: int) -> tuple[Dist, Dist]:
+    """Random, noisy-subspace or uniform-subspace (X, Y) on F_2^n."""
+    rng = np.random.default_rng(seed)
+    p, q = random_dist(n, rng), random_dist(n, rng)
+    if kind != "random":
+        u = uniform_on_subspace(span([1, 2], n)).mass
+        mix = 0.0 if kind == "uniform_subspace" else 0.3
+        p, q = Dist(n, (1 - mix) * u + mix * p.mass), Dist(n, (1 - mix) * u + mix * q.mass)
+    return p, q
+
+
+def _grid_pairs(fam_x: FiberFamily, fam_y: FiberFamily) -> list[tuple[Dist, Dist]]:
+    """The (X_u, Y_w) pairs that fiber_grid hands its solver."""
+    pairs: list = []
+    fiber_grid(
+        fam_x, fam_y,
+        lambda a, b: pairs.append((a, b)) or SimpleNamespace(subspace=Subspace.zero(a.n)),
+    )
+    return pairs
+
+
+def _without_failure_text(payload):
+    """A result's JSON with each inductive-step failure cut to its case name."""
+    if isinstance(payload, dict):
+        return {
+            k: [f.split(":")[0] for f in v] if k == "failures" else _without_failure_text(v)
+            for k, v in payload.items()
+        }
+    if isinstance(payload, list):
+        return [_without_failure_text(v) for v in payload]
+    return payload
+
+
+class TestZeroSubspaceScreen:
+    """The practical-mode screen that skips a Case 1/Case 2 grid whose every
+    capped fiber pair meets statement B at V = 0."""
+
+    def test_matches_per_pair_statement_b(self):
+        # Sum-fiber families of move tables at n = 3..6, and a 32 x 32 grid
+        # whose 16 light fibers per side, dropped by the cap, double at ratio
+        # 1/2 and fail B at V = 0 wherever the 16 heavy random ones pass.
+        rng = np.random.default_rng(0)
+        light = uniform_on_subspace(span([1, 2], 5))
+        heavy_and_light = FiberFamily(
+            tuple(range(32)),
+            np.array([2.0] * 16 + [1.0] * 16) / 48.0,
+            tuple(random_dist(5, rng) for _ in range(16)) + (light,) * 16,
+        )
+        families = [(heavy_and_light, heavy_and_light)]
+        for n, kind in itertools.product(range(3, 7), ("random", "noisy", "uniform_subspace")):
+            table = _move_table(*_screen_inputs(n, kind, seed=n))
+            families += [(table.fib_pp, table.fib_qq), (table.fib_pq, table.fib_qp)]
+        verdicts = set()
+        capped = False
+        for fam_x, fam_y in families:
+            n = fam_x.dists[0].n
+            capped |= len(fam_x.labels) * len(fam_y.labels) > FIBER_CAP
+            pairs = _grid_pairs(fam_x, fam_y)
+            for eta0, eps0 in ((0.05, 0.01), (0.2, 0.05), (0.45, 0.04), (0.5, 0.05)):
+                params = StatementParams(eta=eta0, epsilon=eps0)
+                expected = all(
+                    check_statement_B(a, b, Subspace.zero(n), params).passes for a, b in pairs
+                )
+                assert _zero_subspace_meets_b(fam_x, fam_y, eta0, eps0) is expected
+                verdicts.add(expected)
+        assert capped
+        assert verdicts == {True, False}
+
+    def test_pair_at_the_boundary_declines(self):
+        # eps0 puts the pair with the smallest H[X_u+Y_w] / (H[X_u]+H[Y_w])
+        # 5e-11 from the statement-B boundary.  The solver accepts V = 0 down to
+        # -IDENTITY_TOL, so either way it answers every pair with V = 0; the
+        # screen, with no tolerance, declines below the boundary, and the grid
+        # is then built and solved as without the screen.
+        table = _move_table(*_screen_inputs(4, "noisy", seed=4))
+        fam_x, fam_y = table.fib_pq, table.fib_qp
+        sums = [
+            (shannon_entropy(xor_convolve(a, b)), shannon_entropy(a) + shannon_entropy(b))
+            for a, b in _grid_pairs(fam_x, fam_y)
+        ]
+        h_sum, h_pair = min((t for t in sums if t[1] > 0), key=lambda t: t[0] / t[1])
+        eta0 = 0.98 - h_sum / h_pair
+        for gap, meets in ((5e-11, False), (-5e-11, True)):
+            eps0 = 1.0 - eta0 - (h_sum + gap) / h_pair
+            assert _zero_subspace_meets_b(fam_x, fam_y, eta0, eps0) is meets
+            grid = fiber_grid(fam_x, fam_y, exhaustive_b_solver(eta0, eps0))
+            assert {v.dim for v in grid.v_table.values()} == {0}
+            assert grid.local_interaction == (0.0, 0.0)
+
+    def test_declined_screen_gives_the_same_result(self, monkeypatch):
+        # Forcing the screen to decline builds and measures both case grids as
+        # before the screen existed; only the failure text differs.
+        elements = union_of_cosets(5, 2, 2, 1)
+        screened = analyze_set(elements, 5, 0.2)
+        failures = screened.steps[-1].note["inductive"][-1]["note"]["failures"]
+        assert all("meets statement B at V = 0" in f for f in failures)
+        monkeypatch.setattr(
+            sys.modules["entropic_doubling.pipeline"], "_zero_subspace_meets_b", lambda *a: False
+        )
+        built = analyze_set(elements, 5, 0.2)
+        failures = built.steps[-1].note["inductive"][-1]["note"]["failures"]
+        assert all("too small" in f for f in failures)
+        assert _without_failure_text(built.to_json()) == _without_failure_text(screened.to_json())
+
+    def test_paper_mode_builds_a_screened_grid(self, monkeypatch):
+        # Uniform on a 2-dim subspace at eta0 = 1/2: every Case 1 pair meets B
+        # at V = 0.  Paper mode never picks such a case by its own threshold (a
+        # grid that passes the screen has margin at most eps0 (H[X0]+H[Y0]),
+        # below 8 eps0 h0), so the test raises the fiber_1 move to reach it.
+        u = uniform_on_subspace(span([1, 2], 4))
+        eta0, eps0 = 0.5, 2.0**-17
+        pipeline_module = sys.modules["entropic_doubling.pipeline"]
+        real = pipeline_module._move_table
+        table = real(u, u)
+        assert _zero_subspace_meets_b(table.fib_pp, table.fib_qq, eta0, eps0)
+
+        def raised_fiber_1(p, q):
+            table = real(p, q)
+            mass, pair = table.moves["fiber_1"]
+            table.moves["fiber_1"] = (mass + 1.0, pair)
+            return table
+
+        monkeypatch.setattr(pipeline_module, "_move_table", raised_fiber_1)
+        solver = exhaustive_b_solver(eta0, eps0)
+        calls: list = []
+
+        def counted(a, b):
+            calls.append(a)
+            return solver(a, b)
+
+        with pytest.raises(HypothesisViolationError, match="CASE1: local interaction"):
+            inductive_step(u, u, eta0, eps0, counted, mode=MODE_PAPER)
+        assert len(calls) == 16  # the whole 4 x 4 grid, every V(u, w) = 0
+        calls.clear()
+        tr = inductive_step(u, u, eta0, eps0, counted, mode=MODE_PRACTICAL)
+        assert calls == []
+        assert tr.steps[-1].note["failures"][0].startswith("CASE1: every fiber pair")
+
+
+@given(
+    st.integers(2, 5),
+    st.integers(0, 10_000),
+    st.integers(1, 32),
+    st.floats(0.05, 0.45),
+    st.floats(0.01, 0.3),
+)
+@settings(max_examples=40, deadline=None)
+def test_b_solvers_return_zero_when_zero_passes(n, seed, support, eta, eps):
+    rng = np.random.default_rng(seed)
+    p, q = random_dist(n, rng, support), random_dist(n, rng)
+    zero = Subspace.zero(n)
+    assume(check_statement_B(p, q, zero, StatementParams(eta=eta, epsilon=eps)).passes)
+    ctx = _SolveContext(rng=np.random.default_rng(0), mode=MODE_PRACTICAL, seed=0)
+    state = ctx.rng.bit_generator.state
+    assert _solve_b(p, q, eta, eps, ctx)[0].subspace == zero
+    assert ctx.rng.bit_generator.state == state
+    assert exhaustive_b_solver(eta, eps)(p, q).subspace == zero
