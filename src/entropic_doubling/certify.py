@@ -181,7 +181,12 @@ def verify_bundle(payload: dict) -> VerifyReport:
     kind = payload.get("kind")
     report = VerifyReport(kind=str(kind), ok=True)
     try:
-        tol = float(payload.get("tolerances", {}).get("identity", IDENTITY_TOL))
+        tolerances = payload.get("tolerances", {})
+        if not isinstance(tolerances, dict):
+            raise ValidationError(
+                f"tolerances is a JSON object, not {type(tolerances).__name__}"
+            )
+        tol = float(tolerances.get("identity", IDENTITY_TOL))
         inputs = payload["inputs"]
         if kind == "ENDGAME":
             p, q = Dist.from_json(inputs["p"]), Dist.from_json(inputs["q"])
@@ -232,7 +237,7 @@ def verify_bundle(payload: dict) -> VerifyReport:
             _compare(report, check_pfr(p, q, v), ach, ("h_proj_x", "h_proj_y"), tol)
         else:
             raise ValidationError(f"unknown bundle kind {kind!r}")
-    except (AttributeError, KeyError, TypeError, ValueError, RuntimeError) as exc:
+    except (KeyError, TypeError, ValueError, RuntimeError) as exc:
         report.ok = False
         report.failures.append(f"bundle rejected: {exc}")
     return report

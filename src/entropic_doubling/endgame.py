@@ -13,13 +13,12 @@ Everything here is verified numerically, never trusted.
 
 A FiberGrid is what each case of the inductive step (Case 1, Case 2 and this
 endgame) hands to the local-to-global lemma; fiber_grid builds each one that
-the step tries.  In practical mode the step skips a Case 1 or Case 2 grid
-whose every capped fiber pair (cap_fibers) meets statement B at V = 0: the
-B-solver would return V(u, w) = 0 for each, and such a grid has no local
-interaction.  The inductive step's endgame case runs only the hypothesis
-check on its own move table and the budgeted per-pair grid; the Z-system
-bookkeeping and the 480*kappa table are endgame()'s, for transcripts and
-bundles.
+the step tries.  The step skips a Case 1 or Case 2 grid whose every capped
+fiber pair (cap_fibers) meets statement B at V = 0: the B-solver would return
+V(u, w) = 0 for each, and such a grid has no local interaction.  The
+inductive step's endgame case runs only the hypothesis check on its own move
+table and the budgeted per-pair grid; the Z-system bookkeeping and the
+480*kappa table are endgame()'s, for transcripts and bundles.
 """
 
 from __future__ import annotations
@@ -32,11 +31,13 @@ import numpy as np
 
 from .dist import Dist, FiberFamily, JointDist, sum_fibers, xor_convolve
 from .entropy import (
+    PairEntropies,
     conditional_doubling_mass,
     conditional_entropy,
     conditional_mutual_information,
     doubling_mass,
     fiber_interactions,
+    pair_entropies,
     shannon_entropy,
 )
 from .errors import CapacityError, DimensionMismatchError, HypothesisViolationError
@@ -145,14 +146,17 @@ class EndgameTranscript:
 class _MoveTable:
     """The four doubling moves of (X, Y), name -> (mass, paired entropy sum),
     with the sum-fiber families they were measured on: X_1 | X_1+X_2 (pp),
-    Y_1 | Y_1+Y_2 (qq), X_1 | X_1+Y_2 (pq) and Y_1 | Y_1+X_2 (qp).  Case 1
-    reads the pp/qq grid, Case 2 and the endgame the pq/qp grid."""
+    Y_1 | Y_1+Y_2 (qq), X_1 | X_1+Y_2 (pq) and Y_1 | Y_1+X_2 (qp), and the
+    pair entropies of the pp x qq and pq x qp grids that fiber_1 and fiber_2
+    reduce.  Case 1 reads the pp/qq grid, Case 2 and the endgame the pq/qp grid."""
 
     moves: dict
     fib_pp: FiberFamily
     fib_qq: FiberFamily
     fib_pq: FiberFamily
     fib_qp: FiberFamily
+    entropies_1: PairEntropies
+    entropies_2: PairEntropies
 
 
 def _move_table(p: Dist, q: Dist) -> _MoveTable:
@@ -163,6 +167,8 @@ def _move_table(p: Dist, q: Dist) -> _MoveTable:
     fib_qq = sum_fibers(q, q)
     fib_pq = sum_fibers(p, q)
     fib_qp = sum_fibers(q, p)
+    entropies_1 = pair_entropies(fib_pp, fib_qq)
+    entropies_2 = pair_entropies(fib_pq, fib_qp)
     moves = {
         "sumset_1": (
             doubling_mass(conv_pp, conv_qq),
@@ -173,15 +179,15 @@ def _move_table(p: Dist, q: Dist) -> _MoveTable:
             2.0 * shannon_entropy(conv_pq),
         ),
         "fiber_1": (
-            conditional_doubling_mass(fib_pp, fib_qq),
+            conditional_doubling_mass(fib_pp, fib_qq, entropies_1),
             fib_pp.conditional_entropy() + fib_qq.conditional_entropy(),
         ),
         "fiber_2": (
-            conditional_doubling_mass(fib_pq, fib_qp),
+            conditional_doubling_mass(fib_pq, fib_qp, entropies_2),
             fib_pq.conditional_entropy() + fib_qp.conditional_entropy(),
         ),
     }
-    return _MoveTable(moves, fib_pp, fib_qq, fib_pq, fib_qp)
+    return _MoveTable(moves, fib_pp, fib_qq, fib_pq, fib_qp, entropies_1, entropies_2)
 
 
 def endgame_move_quantities(p: Dist, q: Dist) -> dict:

@@ -9,7 +9,7 @@ term, a fiber term, and a residual conditional mutual information.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -98,40 +98,54 @@ def ruzsa_distance(p: Dist, q: Dist) -> float:
     )
 
 
-def sum_entropies(xs: Sequence[Dist], ys: Sequence[Dist]) -> np.ndarray:
-    """H[X + Y] for independent X in xs and Y in ys, as a (len(xs), len(ys)) array.
+class PairEntropies(NamedTuple):
+    """H[X_u], H[Y_w] and H[X_u + Y_w] over two fiber families: arrays of
+    shape (kx,), (ky,) and (kx, ky), for independent X_u and Y_w."""
 
-    Each distinct distribution is transformed once; the pair spectra are
-    inverted in batches of whole X rows, at most _BATCH_ENTRIES entries each,
-    and every X + Y table is cleaned as a Dist would be.
+    h_x: np.ndarray
+    h_y: np.ndarray
+    h_sum: np.ndarray
+
+
+def pair_entropies(fibers_x: FiberFamily, fibers_y: FiberFamily) -> PairEntropies:
+    """Every fiber's entropy and every pair sum's, in one batched pass.
+
+    Each distinct fiber is transformed once; the pair spectra are inverted in
+    batches of whole X_u rows, at most _BATCH_ENTRIES entries each, and every
+    X_u + Y_w table is cleaned as a Dist would be.
     """
+    xs, ys = fibers_x.dists, fibers_y.dists
     distinct = {d: i for i, d in enumerate(dict.fromkeys((*xs, *ys)))}
     spec = wht(np.stack([d.mass for d in distinct]))
     spec_x = spec[[distinct[d] for d in xs]]
     spec_y = spec[[distinct[d] for d in ys]]
     size = spec.shape[1]
     step = max(1, _BATCH_ENTRIES // (len(ys) * size))
-    out = np.empty((len(xs), len(ys)))
+    h_sum = np.empty((len(xs), len(ys)))
     for lo in range(0, len(xs), step):
         raw = wht(spec_x[lo : lo + step, None, :] * spec_y[None, :, :])
         raw /= size
         sums = _clean(np.maximum(raw, 0.0, out=raw), axis=-1)
-        out[lo : lo + step] = [[_entropy(row) for row in rows] for rows in sums]
-    return out
+        h_sum[lo : lo + step] = [[_entropy(row) for row in rows] for rows in sums]
+    h_x = np.array([shannon_entropy(d) for d in xs])
+    h_y = np.array([shannon_entropy(d) for d in ys])
+    return PairEntropies(h_x, h_y, h_sum)
 
 
-def conditional_doubling_mass(fibers_x: FiberFamily, fibers_y: FiberFamily) -> float:
-    """E_{u,w} s[X_u ; Y_w] over independent fiber labels, with every
-    H[X_u + Y_w] from one sum_entropies call."""
+def conditional_doubling_mass(
+    fibers_x: FiberFamily, fibers_y: FiberFamily, entropies: PairEntropies | None = None
+) -> float:
+    """E_{u,w} s[X_u ; Y_w] over independent fiber labels, reduced from
+    `entropies`, the families' pair_entropies (computed here when None)."""
     if len(fibers_x.weights) != len(fibers_x.dists) or len(fibers_y.weights) != len(
         fibers_y.dists
     ):
         raise ValueError("weights and fibers must align")
-    hx = [shannon_entropy(d) for d in fibers_x.dists]
-    hy = [shannon_entropy(d) for d in fibers_y.dists]
-    h_sum = sum_entropies(fibers_x.dists, fibers_y.dists).tolist()
+    if entropies is None:
+        entropies = pair_entropies(fibers_x, fibers_y)
+    hx, hy = entropies.h_x.tolist(), entropies.h_y.tolist()
     total = 0.0
-    for wu, hu, row in zip(fibers_x.weights, hx, h_sum):
+    for wu, hu, row in zip(fibers_x.weights, hx, entropies.h_sum.tolist()):
         for ww, hw, hs in zip(fibers_y.weights, hy, row):
             total += wu * ww * (hu + hw - hs)
     return float(total)

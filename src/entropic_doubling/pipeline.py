@@ -39,7 +39,7 @@ from .endgame import (
     cap_fibers,
     fiber_grid,
 )
-from .entropy import fibring_decompose, shannon_entropy, sum_entropies
+from .entropy import PairEntropies, fibring_decompose, shannon_entropy
 from .errors import (
     DimensionMismatchError,
     EmptySupportError,
@@ -616,21 +616,27 @@ def local_to_global(
 
 
 def _zero_subspace_meets_b(
-    fam_x: FiberFamily, fam_y: FiberFamily, eta0: float, eps0: float
+    fam_x: FiberFamily,
+    fam_y: FiberFamily,
+    entropies: PairEntropies,
+    eta0: float,
+    eps0: float,
 ) -> bool:
     """Whether V = 0 meets statement B at (eta0, eps0) for every fiber pair of
-    the grid fiber_grid would build: H[X_u+Y_w] >= (1-eta0-eps0)(H[X_u]+H[Y_w])
-    on the capped families, with all pair sums from one sum_entropies call.
+    the grid fiber_grid would build over fam_x x fam_y, read off the
+    families' pair entropies on the pairs cap_fibers keeps.
 
-    There is no tolerance, while the B-solver accepts V = 0 down to
+    The comparison has no tolerance, while the B-solver accepts V = 0 down to
     -IDENTITY_TOL, so a pair the solver could answer with a nonzero V never
     passes; a pair within float error of the boundary fails here instead.
     """
-    fam_x, fam_y, _ = cap_fibers(fam_x, fam_y)
-    hx = np.array([shannon_entropy(d) for d in fam_x.dists])
-    hy = np.array([shannon_entropy(d) for d in fam_y.dists])
-    rhs = (1.0 - eta0 - eps0) * (hx[:, None] + hy[None, :])
-    return bool(np.all(sum_entropies(fam_x.dists, fam_y.dists) >= rhs))
+    kept_x, kept_y, _ = cap_fibers(fam_x, fam_y)
+    rows = [fam_x.labels.index(u) for u in kept_x.labels]
+    cols = [fam_y.labels.index(w) for w in kept_y.labels]
+    hx, hy = entropies.h_x[rows, None], entropies.h_y[None, cols]
+    h_sum = entropies.h_sum[np.ix_(rows, cols)]
+    rhs = b_inequality(h_sum, hx, hy, hx + hy, 0, eta0, eps0)[0]
+    return bool(np.all(h_sum >= rhs))
 
 
 def inductive_step(
@@ -657,11 +663,10 @@ def inductive_step(
     the endgame's budgeted grid, never its Z-system bookkeeping.
 
     b_solver must return V = 0 whenever V = 0 satisfies statement B at
-    (eta0, eps0).  Practical mode relies on that: a Case 1 or Case 2 grid
-    whose every pair meets B at V = 0 would have every V(u, w) = 0 and no
-    local interaction, so the case fails without building the grid or
-    calling b_solver.  Paper-faithful mode, whose zeta is not measured,
-    builds every grid it tries.
+    (eta0, eps0).  The step relies on that: a Case 1 or Case 2 grid whose
+    every pair meets B at V = 0 would have every V(u, w) = 0 and no local
+    interaction, so the case fails without building the grid or calling
+    b_solver.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -715,15 +720,15 @@ def inductive_step(
             candidates.append("ENDGAME")
         case_note.update({"margin_case1": m1, "margin_case2": m2})
 
-        case_families = {
-            "CASE1": (move_table.fib_pp, move_table.fib_qq),
-            "CASE2": (move_table.fib_pq, move_table.fib_qp),
+        case_grids = {
+            "CASE1": (move_table.fib_pp, move_table.fib_qq, move_table.entropies_1),
+            "CASE2": (move_table.fib_pq, move_table.fib_qp, move_table.entropies_2),
         }
         failures: list[str] = []
         for case in candidates:
-            if case in case_families:
-                fam_x, fam_y = case_families[case]
-                if mode != MODE_PAPER and _zero_subspace_meets_b(fam_x, fam_y, eta0, eps0):
+            if case in case_grids:
+                fam_x, fam_y, entropies = case_grids[case]
+                if _zero_subspace_meets_b(fam_x, fam_y, entropies, eta0, eps0):
                     failures.append(
                         f"{case}: every fiber pair meets statement B at V = 0, so every "
                         "V(u, w) = 0 and the local interaction is 0"

@@ -32,7 +32,7 @@ from entropic_doubling.dist import (
     xor_convolve,
 )
 from entropic_doubling.endgame import FiberGrid, _move_table, endgame, fiber_grid
-from entropic_doubling.entropy import doubling_mass, shannon_entropy
+from entropic_doubling.entropy import doubling_mass, pair_entropies, shannon_entropy
 from entropic_doubling.errors import EntropicDoublingError, HypothesisViolationError
 from entropic_doubling.families import union_of_cosets
 from entropic_doubling.gf2 import Subspace, all_subspaces, span, subspace_sum
@@ -739,7 +739,7 @@ def _without_failure_text(payload):
 
 
 class TestZeroSubspaceScreen:
-    """The practical-mode screen that skips a Case 1/Case 2 grid whose every
+    """The screen that skips a Case 1/Case 2 grid whose every
     capped fiber pair meets statement B at V = 0."""
 
     def test_matches_per_pair_statement_b(self):
@@ -753,13 +753,18 @@ class TestZeroSubspaceScreen:
             np.array([2.0] * 16 + [1.0] * 16) / 48.0,
             tuple(random_dist(5, rng) for _ in range(16)) + (light,) * 16,
         )
-        families = [(heavy_and_light, heavy_and_light)]
+        grids = [
+            (heavy_and_light, heavy_and_light, pair_entropies(heavy_and_light, heavy_and_light))
+        ]
         for n, kind in itertools.product(range(3, 7), ("random", "noisy", "uniform_subspace")):
             table = _move_table(*_screen_inputs(n, kind, seed=n))
-            families += [(table.fib_pp, table.fib_qq), (table.fib_pq, table.fib_qp)]
+            grids += [
+                (table.fib_pp, table.fib_qq, table.entropies_1),
+                (table.fib_pq, table.fib_qp, table.entropies_2),
+            ]
         verdicts = set()
         capped = False
-        for fam_x, fam_y in families:
+        for fam_x, fam_y, entropies in grids:
             n = fam_x.dists[0].n
             capped |= len(fam_x.labels) * len(fam_y.labels) > FIBER_CAP
             pairs = _grid_pairs(fam_x, fam_y)
@@ -768,7 +773,7 @@ class TestZeroSubspaceScreen:
                 expected = all(
                     check_statement_B(a, b, Subspace.zero(n), params).passes for a, b in pairs
                 )
-                assert _zero_subspace_meets_b(fam_x, fam_y, eta0, eps0) is expected
+                assert _zero_subspace_meets_b(fam_x, fam_y, entropies, eta0, eps0) is expected
                 verdicts.add(expected)
         assert capped
         assert verdicts == {True, False}
@@ -789,7 +794,7 @@ class TestZeroSubspaceScreen:
         eta0 = 0.98 - h_sum / h_pair
         for gap, meets in ((5e-11, False), (-5e-11, True)):
             eps0 = 1.0 - eta0 - (h_sum + gap) / h_pair
-            assert _zero_subspace_meets_b(fam_x, fam_y, eta0, eps0) is meets
+            assert _zero_subspace_meets_b(fam_x, fam_y, table.entropies_2, eta0, eps0) is meets
             grid = fiber_grid(fam_x, fam_y, exhaustive_b_solver(eta0, eps0))
             assert {v.dim for v in grid.v_table.values()} == {0}
             assert grid.local_interaction == (0.0, 0.0)
@@ -808,40 +813,6 @@ class TestZeroSubspaceScreen:
         failures = built.steps[-1].note["inductive"][-1]["note"]["failures"]
         assert all("too small" in f for f in failures)
         assert _without_failure_text(built.to_json()) == _without_failure_text(screened.to_json())
-
-    def test_paper_mode_builds_a_screened_grid(self, monkeypatch):
-        # Uniform on a 2-dim subspace at eta0 = 1/2: every Case 1 pair meets B
-        # at V = 0.  Paper mode never picks such a case by its own threshold (a
-        # grid that passes the screen has margin at most eps0 (H[X0]+H[Y0]),
-        # below 8 eps0 h0), so the test raises the fiber_1 move to reach it.
-        u = uniform_on_subspace(span([1, 2], 4))
-        eta0, eps0 = 0.5, 2.0**-17
-        pipeline_module = sys.modules["entropic_doubling.pipeline"]
-        real = pipeline_module._move_table
-        table = real(u, u)
-        assert _zero_subspace_meets_b(table.fib_pp, table.fib_qq, eta0, eps0)
-
-        def raised_fiber_1(p, q):
-            table = real(p, q)
-            mass, pair = table.moves["fiber_1"]
-            table.moves["fiber_1"] = (mass + 1.0, pair)
-            return table
-
-        monkeypatch.setattr(pipeline_module, "_move_table", raised_fiber_1)
-        solver = exhaustive_b_solver(eta0, eps0)
-        calls: list = []
-
-        def counted(a, b):
-            calls.append(a)
-            return solver(a, b)
-
-        with pytest.raises(HypothesisViolationError, match="CASE1: local interaction"):
-            inductive_step(u, u, eta0, eps0, counted, mode=MODE_PAPER)
-        assert len(calls) == 16  # the whole 4 x 4 grid, every V(u, w) = 0
-        calls.clear()
-        tr = inductive_step(u, u, eta0, eps0, counted, mode=MODE_PRACTICAL)
-        assert calls == []
-        assert tr.steps[-1].note["failures"][0].startswith("CASE1: every fiber pair")
 
 
 @given(
