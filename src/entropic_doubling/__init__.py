@@ -94,8 +94,6 @@ from .pipeline import (
     local_to_global,
     make_sumsets_not_double,
     many_sums,
-    reduce_A_to_B,
-    reduce_B_to_A,
     rich_cosets,
     solve_B,
     y_size_lower_bound_check,

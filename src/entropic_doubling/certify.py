@@ -53,79 +53,38 @@ def _plain(obj):
     return obj
 
 
+def _bundle(kind: str, inputs: dict, **blocks) -> dict:
+    """The envelope every bundle shares: its kind, the PRNG, the embedded
+    inputs, the kind's own blocks and the tolerances verification reads."""
+    envelope = {"kind": kind, "prng": PRNG_ID, "inputs": inputs}
+    return _plain({**envelope, **blocks, "tolerances": tolerances_dict()})
+
+
+def _pair(p: Dist, q: Dist) -> dict:
+    return {"p": p.to_json(), "q": q.to_json()}
+
+
 def solve_bundle(result: SolveResult, p: Dist, q: Dist) -> dict:
     """Bundle a solve_B / rich_cosets result with its embedded inputs."""
-    return _plain(
-        {
-            "kind": result.certificate.criterion,
-            "prng": PRNG_ID,
-            "seed": result.seed,
-            "mode": result.mode,
-            "inputs": {"p": p.to_json(), "q": q.to_json()},
-            "input_digests": {"p": p.digest(), "q": q.digest()},
-            "certificate": result.certificate.to_json(),
-            "steps": [s.to_json() for s in result.steps],
-            "check": result.check.to_json(),
-            "tolerances": tolerances_dict(),
-        }
-    )
+    return _bundle(result.certificate.criterion, _pair(p, q), **result.to_json())
 
 
 def many_sums_bundle(result: SolveResult, dists: list[Dist]) -> dict:
-    return _plain(
-        {
-            "kind": CRITERION_MANY,
-            "prng": PRNG_ID,
-            "seed": result.seed,
-            "mode": result.mode,
-            "inputs": {"dists": [d.to_json() for d in dists]},
-            "certificate": result.certificate.to_json(),
-            "steps": [s.to_json() for s in result.steps],
-            "tolerances": tolerances_dict(),
-        }
-    )
+    return _bundle(CRITERION_MANY, {"dists": [d.to_json() for d in dists]}, **result.to_json())
 
 
 def set_bundle(result: SolveResult, elements: list[int], n: int) -> dict:
-    return _plain(
-        {
-            "kind": CRITERION_T11,
-            "prng": PRNG_ID,
-            "seed": result.seed,
-            "mode": result.mode,
-            # The set analyze_set certified: duplicates dropped.
-            "inputs": {
-                "set": {"n": n, "elements": [format(x, "x") for x in sorted(set(elements))]}
-            },
-            "certificate": result.certificate.to_json(),
-            "steps": [s.to_json() for s in result.steps],
-            "tolerances": tolerances_dict(),
-        }
-    )
+    # The set analyze_set certified: duplicates dropped.
+    members = [format(x, "x") for x in sorted(set(elements))]
+    return _bundle(CRITERION_T11, {"set": {"n": n, "elements": members}}, **result.to_json())
 
 
 def endgame_bundle(transcript: EndgameTranscript, p: Dist, q: Dist) -> dict:
-    return _plain(
-        {
-            "kind": "ENDGAME",
-            "prng": PRNG_ID,
-            "inputs": {"p": p.to_json(), "q": q.to_json()},
-            "transcript": transcript.to_json(),
-            "tolerances": tolerances_dict(),
-        }
-    )
+    return _bundle("ENDGAME", _pair(p, q), transcript=transcript.to_json())
 
 
 def pfr_bundle(cert: SubspaceCertificate, p: Dist, q: Dist) -> dict:
-    return _plain(
-        {
-            "kind": CRITERION_PFR,
-            "prng": PRNG_ID,
-            "inputs": {"p": p.to_json(), "q": q.to_json()},
-            "certificate": cert.to_json(),
-            "tolerances": tolerances_dict(),
-        }
-    )
+    return _bundle(CRITERION_PFR, _pair(p, q), certificate=cert.to_json())
 
 
 @dataclass

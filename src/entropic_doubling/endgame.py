@@ -40,7 +40,12 @@ from .entropy import (
     pair_entropies,
     shannon_entropy,
 )
-from .errors import CapacityError, DimensionMismatchError, HypothesisViolationError
+from .errors import (
+    CapacityError,
+    DimensionMismatchError,
+    HypothesisViolationError,
+    ValidationError,
+)
 from .gf2 import Subspace
 from .oracle import (
     OBJECTIVE_PROJECTED_ENTROPY,
@@ -305,9 +310,10 @@ def _check_endgame_inputs(n: int, eta: float, kappa: float | None) -> None:
             f"endgame needs the exhaustive subspace oracle, capped at n <= {MAX_ENUM_N}"
         )
     if not 0.0 < eta <= 0.5:
-        raise ValueError("eta must lie in (0, 1/2]")
-    if kappa is not None and kappa < 0.0:
-        raise ValueError("kappa must be nonnegative")
+        raise ValidationError(f"eta must lie in (0, 1/2], got {eta}")
+    # An infinite kappa would make every hypothesis and bound hold vacuously.
+    if kappa is not None and not 0.0 <= kappa < float("inf"):
+        raise ValidationError(f"kappa must be finite and nonnegative, got {kappa}")
 
 
 def _endgame_hypotheses(

@@ -36,7 +36,6 @@ CRITERION_B = "STATEMENT_B"
 CRITERION_A = "STATEMENT_A"
 CRITERION_T11 = "THEOREM_11"
 
-OBJECTIVE_QUOTIENT_DOUBLING = "quotient_doubling"
 OBJECTIVE_PROJECTED_ENTROPY = "projected_entropy"
 OBJECTIVE_STATEMENT_B = "statement_b"
 OBJECTIVE_PFR = "pfr"
@@ -165,9 +164,8 @@ def exhaustive_best_subspace(
 ) -> SubspaceCertificate:
     """Scan all subspaces (n <= 6) and return the deterministic optimum.
 
-    Objectives: minimize s[pi(X);pi(Y)] or H[pi(X)]+H[pi(Y)] under budget
-    constraints, or minimize dim V subject to the statement-B inequality or
-    the PFR bounds.  Ties break to the earliest subspace in (dim, lex) order.
+    Objectives: minimize H[pi(X)]+H[pi(Y)] under the budget constraint, or
+    minimize dim V subject to the statement-B inequality or the PFR bounds.  Ties break to the earliest subspace in (dim, lex) order.
     """
     if p.n != q.n:
         raise DimensionMismatchError("ambient dimensions differ")
@@ -178,19 +176,16 @@ def exhaustive_best_subspace(
     hp0, hq0 = shannon_entropy(p), shannon_entropy(q)
     hp = lattice_entropies(p)
     hq = lattice_entropies(q)
-    # Only the objectives that read X+Y pay for its convolution and scan.
+    # Only the statement-B objective reads X+Y and pays for its convolution and scan.
     hpq = None
-    if objective in (OBJECTIVE_QUOTIENT_DOUBLING, OBJECTIVE_STATEMENT_B):
+    if objective == OBJECTIVE_STATEMENT_B:
         hpq = lattice_entropies(xor_convolve(p, q))
 
     feasible = np.ones(len(subs), dtype=bool)
     if entropy_budget is not None:
         feasible &= dims <= entropy_budget + IDENTITY_TOL
 
-    if objective == OBJECTIVE_QUOTIENT_DOUBLING:
-        score = hp + hq - hpq
-        idx = _masked_argmin(score, feasible, objective)
-    elif objective == OBJECTIVE_PROJECTED_ENTROPY:
+    if objective == OBJECTIVE_PROJECTED_ENTROPY:
         score = hp + hq
         idx = _masked_argmin(score, feasible, objective)
     elif objective == OBJECTIVE_STATEMENT_B:

@@ -93,8 +93,6 @@ class StatementParams:
             raise ValidationError(f"eta must lie in (0, 1/2], got {self.eta}")
         if self.epsilon is not None and not 0.0 < self.epsilon <= 1.0:
             raise ValidationError(f"epsilon must lie in (0, 1], got {self.epsilon}")
-        # c = 1 (a projection killing all entropy) is allowed so the A -> B
-        # reduction's single-iteration edge case is expressible.
         if self.c is not None and not 0.0 < self.c <= 1.0:
             raise ValidationError(f"c must lie in (0, 1], got {self.c}")
         if self.L is not None and self.L < 0.0:
@@ -239,46 +237,8 @@ def check_theorem_11(
     )
 
 
-def reduce_B_to_A(params: StatementParams, eta_prime: float) -> StatementParams:
-    """B(eta, eps, L) implies A(eta', L, eta' - eta - eps) when eta' > eta + eps."""
-    if params.epsilon is None:
-        raise ValueError("reduction starts from statement-B parameters")
-    if not eta_prime > params.eta + params.epsilon:
-        raise ValueError("requires eta' > eta + epsilon")
-    return StatementParams(
-        eta=eta_prime, c=eta_prime - params.eta - params.epsilon, L=params.L
-    )
-
-
-def reduce_A_to_B(params: StatementParams, epsilon: float) -> StatementParams:
-    """A(eta, L, c) implies B(eta, eps, ceil(log2(1/eps)/c) * L).
-
-    The multiplier uses base-2 logs to match the entropy unit; c = 1 is
-    allowed here (a single application already zeroes the entropy).
-    """
-    if params.c is None or params.L is None:
-        raise ValueError("reduction starts from statement-A parameters (c, L)")
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError("epsilon must lie in (0, 1]")
-    if not 0.0 < params.c <= 1.0:
-        raise ValueError("c must lie in (0, 1]")
-    multiplier = max(1, math.ceil(math.log2(1.0 / epsilon) / params.c))
-    return StatementParams(eta=params.eta, epsilon=epsilon, L=multiplier * params.L)
-
-
 # ---------------------------------------------------------------------------
 # Traces
-
-
-TRACE_KINDS = (
-    "SUMSET_FIX_1",
-    "SUMSET_FIX_2",
-    "CASE1",
-    "CASE2",
-    "ENDGAME",
-    "BASE",
-    "FALLBACK",
-)
 
 
 @dataclass(frozen=True)
@@ -833,6 +793,11 @@ def inductive_step(
 # Theorem: statement B via recursion on eta
 
 
+# Caps on one solve_B call's recursion depth and on its sub-solver calls.
+MAX_SOLVE_DEPTH = 48
+MAX_SOLVE_INVOCATIONS = 30_000
+
+
 @dataclass
 class _SolveContext:
     rng: np.random.Generator
@@ -840,9 +805,7 @@ class _SolveContext:
     seed: int
     memo: dict = field(default_factory=dict)
     depth: int = 0
-    max_depth: int = 48
     invocations: int = 0
-    max_invocations: int = 30_000
     l2g_counter: int = 0
 
 
@@ -896,7 +859,7 @@ def _solve_b(
     if key in ctx.memo:
         return ctx.memo[key]
     ctx.invocations += 1
-    if ctx.invocations > ctx.max_invocations:
+    if ctx.invocations > MAX_SOLVE_INVOCATIONS:
         raise PipelineError("solver invocation budget exhausted")
     ctx.depth += 1
     try:
@@ -910,8 +873,8 @@ def _solve_b(
 def _solve_b_inner(
     p: Dist, q: Dist, eta: float, eps: float, ctx: _SolveContext
 ) -> tuple[SubspaceCertificate, tuple[TraceStep, ...]]:
-    if ctx.depth > ctx.max_depth:
-        raise PipelineError(f"recursion depth cap {ctx.max_depth} exceeded")
+    if ctx.depth > MAX_SOLVE_DEPTH:
+        raise PipelineError(f"recursion depth cap {MAX_SOLVE_DEPTH} exceeded")
     n = p.n
     params = StatementParams(eta=eta, epsilon=eps)
     v = Subspace.zero(n)
@@ -1058,9 +1021,7 @@ def rich_cosets(
         achieved={"dim": v.dim, **chk.values},
         inputs={"p": p.digest(), "q": q.digest()},
     )
-    return SolveResult(
-        certificate=cert, steps=inner.steps, check=inner.check, mode=mode, seed=seed
-    )
+    return SolveResult(certificate=cert, steps=inner.steps, check=chk, mode=mode, seed=seed)
 
 
 def many_sums(
@@ -1077,12 +1038,12 @@ def many_sums(
     """
     k = len(dists)
     if not 2 <= k <= 4:
-        raise ValueError("many_sums supports 2..4 variables")
+        raise ValidationError(f"many_sums supports 2..4 variables, got {k}")
     n = dists[0].n
     if any(d.n != n for d in dists):
         raise DimensionMismatchError("ambient dimensions differ")
     if not 0.0 < epsilon <= 1.0:
-        raise ValueError("epsilon must lie in (0, 1]")
+        raise ValidationError(f"epsilon must lie in (0, 1], got {epsilon}")
     delta = epsilon / (k - 1)
     s_h = sum(shannon_entropy(d) for d in dists)
     w = Subspace.zero(n)
@@ -1151,6 +1112,9 @@ def analyze_set(
     and verifies both E_{a in A} log2|A cap (V+a)| >= (eta - eps) log2|A| and
     the exact identity with H[U_A | pi_V(U_A)].
     """
+    # rich_cosets runs at epsilon / 2 and accepts (0, 1].
+    if not 0.0 < epsilon <= 2.0:
+        raise ValidationError(f"epsilon must lie in (0, 2], got {epsilon}")
     members = sorted(set(elements))
     if not members:
         raise EmptySupportError("analyze_set requires a nonempty set")
@@ -1167,6 +1131,4 @@ def analyze_set(
         achieved={"dim": v.dim, **chk.values},
         inputs={"set": [format(x, "x") for x in members], "n": n},
     )
-    return SolveResult(
-        certificate=cert, steps=inner.steps, check=inner.check, mode=mode, seed=seed
-    )
+    return SolveResult(certificate=cert, steps=inner.steps, check=chk, mode=mode, seed=seed)

@@ -155,9 +155,13 @@ class TestFindSubspaceAndVerify:
             ["gen", "--family", "hamming-ball", "--n", "0", "--radius", "1"],
             ["gen", "--family", "union-cosets", "--n", "3", "--dim-v", "5", "--count", "1"],
             ["verify", "--certificate", "{list}"],
+            ["endgame", "--dist", "{dist}", "--eta", "0.6"],
+            ["endgame", "--dist", "{dist}", "--eta", "0.3", "--kappa", "-1"],
+            ["endgame", "--dist", "{dist}", "--eta", "0.3", "--kappa", "inf"],
         ],
         ids=["eta-above-half", "dist-epsilon-zero", "set-epsilon-zero", "ball-n-zero",
-             "cosets-dim-above-n", "bundle-not-object"],
+             "cosets-dim-above-n", "bundle-not-object", "endgame-eta-above-half",
+             "endgame-kappa-negative", "endgame-kappa-infinite"],
     )
     def test_bad_input_exits_two_with_one_line(
         self, argv, tmp_path, dist_files, subspace_set_file, capsys

@@ -20,7 +20,6 @@ from entropic_doubling.gf2 import Subspace, all_subspaces, span
 from entropic_doubling.oracle import (
     OBJECTIVE_PFR,
     OBJECTIVE_PROJECTED_ENTROPY,
-    OBJECTIVE_QUOTIENT_DOUBLING,
     OBJECTIVE_STATEMENT_B,
     _scan_tables,
     bsg_check,
@@ -49,16 +48,9 @@ class TestLatticeScan:
 
 
 class TestExhaustive:
-    def test_uniform_subspace_minimizes_quotient_doubling_at_itself(self):
-        v = span([1, 2], 3)
-        u = uniform_on_subspace(v)
-        cert = exhaustive_best_subspace(u, u, OBJECTIVE_QUOTIENT_DOUBLING)
-        assert cert.subspace == v
-        assert cert.achieved["quotient_doubling"] == pytest.approx(0.0, abs=1e-12)
-
     def test_point_masses_give_zero_subspace(self):
         p = point_mass(3, 3)
-        cert = exhaustive_best_subspace(p, p, OBJECTIVE_QUOTIENT_DOUBLING)
+        cert = exhaustive_best_subspace(p, p, OBJECTIVE_PROJECTED_ENTROPY)
         assert cert.subspace == Subspace.zero(3)
 
     def test_statement_b_golden_fixture(self):
@@ -94,7 +86,7 @@ class TestExhaustive:
         rng = np.random.default_rng(1)
         p = random_dist(7, rng)
         with pytest.raises(CapacityError):
-            exhaustive_best_subspace(p, p, OBJECTIVE_QUOTIENT_DOUBLING)
+            exhaustive_best_subspace(p, p, OBJECTIVE_PROJECTED_ENTROPY)
 
     def test_infeasible_constraints_fail_honestly(self):
         p = uniform_on([0, 1, 2], 3)

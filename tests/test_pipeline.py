@@ -1,4 +1,4 @@
-"""Statement checks, reductions, lemma machinery, solver, and corollaries."""
+"""Statement checks, lemma machinery, solver, corollaries and their bundles."""
 
 import itertools
 import json
@@ -33,8 +33,12 @@ from entropic_doubling.dist import (
 )
 from entropic_doubling.endgame import FiberGrid, _move_table, endgame, fiber_grid
 from entropic_doubling.entropy import doubling_mass, pair_entropies, shannon_entropy
-from entropic_doubling.errors import EntropicDoublingError, HypothesisViolationError
-from entropic_doubling.families import union_of_cosets
+from entropic_doubling.errors import (
+    EntropicDoublingError,
+    HypothesisViolationError,
+    ValidationError,
+)
+from entropic_doubling.families import hamming_ball, union_of_cosets
 from entropic_doubling.gf2 import Subspace, all_subspaces, span, subspace_sum
 from entropic_doubling.oracle import (
     OBJECTIVE_STATEMENT_B,
@@ -56,8 +60,6 @@ from entropic_doubling.pipeline import (
     local_to_global,
     make_sumsets_not_double,
     many_sums,
-    reduce_A_to_B,
-    reduce_B_to_A,
     rich_cosets,
     solve_B,
     y_size_lower_bound_check,
@@ -167,33 +169,6 @@ class TestCheckStatementA:
         assert dims, "some subspace must satisfy the conclusion (full space does)"
         minimal = min(dims)
         assert minimal >= 1  # c = 0.5 needs a real projection for dense inputs
-
-
-class TestReductions:
-    def test_b_to_a_paper_example(self):
-        out = reduce_B_to_A(StatementParams(eta=0.3, epsilon=0.05, L=2.0), 0.4)
-        assert out.eta == pytest.approx(0.4)
-        assert out.c == pytest.approx(0.05)
-        assert out.L == pytest.approx(2.0)
-
-    def test_b_to_a_requires_margin(self):
-        with pytest.raises(ValueError):
-            reduce_B_to_A(StatementParams(eta=0.3, epsilon=0.05), 0.34)
-
-    def test_a_to_b_single_iteration(self):
-        out = reduce_A_to_B(StatementParams(eta=0.3, c=1.0, L=3.0), 0.5)
-        assert out.L == pytest.approx(3.0)  # ceil(log2(2) / 1) = 1
-        assert out.epsilon == 0.5
-
-    def test_a_to_b_ceiling_example(self):
-        out = reduce_A_to_B(StatementParams(eta=0.2, c=0.1, L=1.0), 0.01)
-        assert out.L == pytest.approx(67.0)  # ceil(log2(100) / 0.1)
-
-    def test_a_to_b_range_checks(self):
-        with pytest.raises(ValueError):
-            reduce_A_to_B(StatementParams(eta=0.2, c=0.1, L=1.0), 0.0)
-        with pytest.raises(ValueError):
-            reduce_A_to_B(StatementParams(eta=0.2, L=1.0), 0.5)
 
 
 class TestMakeSumsetsNotDouble:
@@ -535,8 +510,16 @@ class TestManySums:
 
     def test_capacity(self):
         pm = point_mass(0, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="2..4 variables, got 5"):
             many_sums([pm] * 5, 0.3)
+        with pytest.raises(ValidationError, match="2..4 variables, got 1"):
+            many_sums([pm], 0.3)
+
+    @pytest.mark.parametrize("epsilon", [0.0, 1.5])
+    def test_epsilon_range(self, epsilon):
+        pm = point_mass(0, 2)
+        with pytest.raises(ValidationError, match=rf"\(0, 1\], got {epsilon}"):
+            many_sums([pm, pm], epsilon)
 
 
 class TestAnalyzeSet:
@@ -558,6 +541,14 @@ class TestAnalyzeSet:
 
         with pytest.raises(EmptySupportError):
             analyze_set([], 3, 0.3)
+
+    def test_epsilon_range_names_the_given_value(self):
+        # rich_cosets runs at epsilon / 2, so (0, 2] is the accepted range.
+        with pytest.raises(ValidationError, match=r"\(0, 2\], got 3"):
+            analyze_set([0, 1], 1, 3.0)
+        with pytest.raises(ValidationError, match=r"\(0, 2\], got 0"):
+            analyze_set([0, 1], 1, 0.0)
+        assert analyze_set([0, 1], 1, 2.0).certificate.parameters["epsilon"] == 2.0
 
 
 class TestBundles:
@@ -622,6 +613,37 @@ class TestBundles:
 
     def test_unknown_kind_rejected(self):
         assert not verify_bundle({"kind": "NOPE"}).ok
+
+    VERDICTS = {
+        "STATEMENT_B": ["statement B inequality"],
+        "RICH_COSETS": ["quotient interaction", "x coset bound", "y coset bound"],
+        "MANY_SUMS": ["k-fold inequality"],
+        "THEOREM_11": ["coset identity", "intersection bound"],
+    }
+
+    @pytest.mark.parametrize("kind", sorted(VERDICTS))
+    def test_result_bundle_checks_its_own_criterion(self, kind):
+        rng = np.random.default_rng(14)
+        p, q = random_dist(3, rng), random_dist(3, rng)
+        dists = [random_dist(2, rng) for _ in range(3)]
+        ball = hamming_ball(4, 1)
+        build = {
+            "STATEMENT_B": lambda: solve_bundle(solve_B(p, q, 0.3, 0.1, seed=7), p, q),
+            "RICH_COSETS": lambda: solve_bundle(rich_cosets(p, q, 0.4, seed=7), p, q),
+            "MANY_SUMS": lambda: many_sums_bundle(many_sums(dists, 0.5, seed=8), dists),
+            "THEOREM_11": lambda: set_bundle(analyze_set(ball, 4, 0.2, seed=9), ball, 4),
+        }
+        bundle = json.loads(json.dumps(build[kind]()))
+        assert bundle["kind"] == kind
+        assert set(bundle) == {
+            "kind", "prng", "inputs", "certificate", "steps", "check", "mode", "seed",
+            "tolerances",
+        }
+        achieved = dict(bundle["certificate"]["achieved"])
+        del achieved["dim"]
+        verdicts = dict.fromkeys(self.VERDICTS[kind], True)
+        assert bundle["check"] == {"values": achieved, "verdicts": verdicts}
+        assert verify_bundle(bundle).ok
 
 
 def _count_calls(monkeypatch, module_name: str, name: str) -> list[int]:
