@@ -150,11 +150,12 @@ def verify_bundle(payload: dict) -> VerifyReport:
         if kind == "ENDGAME":
             p, q = Dist.from_json(inputs["p"]), Dist.from_json(inputs["q"])
             t = payload["transcript"]
-            # Bundles written before the cap was always recorded used the default.
-            fresh = endgame(
-                p, q, float(t["eta"]), float(t["kappa"]),
-                fiber_cap=int(t["fiber_cap"].get("cap", FIBER_CAP)),
-            )
+            # Every endgame bundle is written and replayed at FIBER_CAP; one
+            # written before the cap was recorded has no "cap".
+            _require(report, "fiber cap", t["fiber_cap"].get("cap", FIBER_CAP) == FIBER_CAP)
+            if not report.ok:
+                return report
+            fresh = endgame(p, q, float(t["eta"]), float(t["kappa"]))
             for name in ("i_z1_z3", "i_z1_z2", "expectation"):
                 _close(report, name, getattr(fresh, name), float(t[name]), tol)
             stored = [Subspace.from_json(row["subspace"]) for row in t["table"]]

@@ -2,8 +2,8 @@
 distributions, find and verify subspace certificates, run the endgame.
 
 Exit code is 0 iff every requested check passed, 1 when a check failed or
-standard output closed before all of it was written, and 2 on a package error
-or unreadable input (one line on stderr).
+standard output closed before all of it was written, and 2 on a package error,
+a missing option or unreadable input (one line on stderr).
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .families import (
     union_of_cosets,
 )
 from .pipeline import MODE_PRACTICAL, analyze_set, solve_B
+from .tolerances import MAX_ELEMENT_N
 from . import verification
 
 CSV_COLUMNS = [
@@ -53,8 +54,10 @@ def _load_set(path: str) -> tuple[list[int], int]:
     try:
         n = int(payload["n"])
         elements = sorted(int(h, 16) for h in payload["elements"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed set file {path}: {exc}") from exc
+    if not 1 <= n <= MAX_ELEMENT_N:
+        raise ValidationError(f"set file {path}: n must lie in 1..{MAX_ELEMENT_N}, got {n}")
     if any(not 0 <= x < (1 << n) for x in elements):
         raise ValidationError(f"element out of range in {path}")
     return elements, n
@@ -62,11 +65,13 @@ def _load_set(path: str) -> tuple[list[int], int]:
 
 def _write_output(payload: dict, out: str | None, fmt: str, row: dict | None = None):
     if fmt == "csv":
+        if row is None:
+            raise ValidationError("this output has no CSV row; use --format json")
         target = open(out, "w", newline="") if out else sys.stdout
         try:
             writer = csv.DictWriter(target, fieldnames=CSV_COLUMNS)
             writer.writeheader()
-            writer.writerow({col: (row or {}).get(col, "") for col in CSV_COLUMNS})
+            writer.writerow({col: row.get(col, "") for col in CSV_COLUMNS})
         finally:
             if out:
                 target.close()
@@ -81,21 +86,19 @@ def _write_output(payload: dict, out: str | None, fmt: str, row: dict | None = N
 def _cmd_gen(args) -> int:
     if args.family == "hamming-ball":
         if args.radius is None:
-            raise SystemExit("--radius is required for hamming-ball")
+            raise ValidationError("--radius is required for hamming-ball")
         elements = hamming_ball(args.n, args.radius)
         params = f"r={args.radius}"
     elif args.family == "random-subset":
         if args.dim_v is None or args.count is None:
-            raise SystemExit("--dim-v and --count are required for random-subset")
+            raise ValidationError("--dim-v and --count are required for random-subset")
         elements = random_subset_of_subspace(args.n, args.dim_v, args.count, args.seed)
         params = f"dim_v={args.dim_v},N={args.count}"
-    elif args.family == "union-cosets":
+    else:  # union-cosets; argparse allows no other family
         if args.dim_v is None or args.count is None:
-            raise SystemExit("--dim-v and --count are required for union-cosets")
+            raise ValidationError("--dim-v and --count are required for union-cosets")
         elements = union_of_cosets(args.n, args.dim_v, args.count, args.seed)
         params = f"dim_v={args.dim_v},cosets={args.count}"
-    else:
-        raise SystemExit(f"unknown family {args.family}")
     stats = doubling_stats(elements)
     payload = {
         "n": args.n,
@@ -156,7 +159,7 @@ def _cmd_analyze(args) -> int:
             )
         _write_output(payload, args.out, args.format)
         return 0
-    raise SystemExit("analyze requires --set or --dist")
+    raise ValidationError("analyze requires --set or --dist")
 
 
 def _cmd_find_subspace(args) -> int:
@@ -208,7 +211,7 @@ def _cmd_find_subspace(args) -> int:
             "seed": args.seed,
         }
     else:
-        raise SystemExit("find-subspace requires --set or --dist")
+        raise ValidationError("find-subspace requires --set or --dist")
     report = verify_bundle(bundle)
     bundle["verified"] = report.ok
     _write_output(bundle, args.out, args.format, row)
@@ -248,7 +251,7 @@ def _cmd_endgame(args) -> int:
         and transcript.expectation_holds
     )
     bundle["verified"] = ok
-    _write_output(bundle, args.out, args.format)
+    _write_output(bundle, args.out, "json")
     return 0 if ok else 1
 
 
@@ -306,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     end.add_argument("--eta", type=float, required=True)
     end.add_argument("--kappa", type=float)
     end.add_argument("--out")
-    end.add_argument("--format", choices=["json", "csv"], default="json")
     end.set_defaults(func=_cmd_endgame)
 
     return parser

@@ -41,6 +41,12 @@ def _clean(raw: np.ndarray, axis: int | None = None) -> np.ndarray:
     return mass
 
 
+def _check_dense_n(n: int) -> None:
+    """Reject n before anything allocates a 2^n table."""
+    if not 1 <= n <= MAX_DENSE_N:
+        raise CapacityError(f"dense distributions need 1 <= n <= {MAX_DENSE_N}, got {n}")
+
+
 @dataclass(frozen=True, eq=False)
 class Dist:
     """Probability distribution over F_2^n as a dense table."""
@@ -49,8 +55,7 @@ class Dist:
     mass: np.ndarray
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_DENSE_N:
-            raise CapacityError(f"dense distributions capped at n <= {MAX_DENSE_N}")
+        _check_dense_n(self.n)
         mass = np.asarray(self.mass, dtype=np.float64)
         if mass.shape != (1 << self.n,):
             raise DimensionMismatchError(
@@ -68,10 +73,9 @@ class Dist:
         h.update(np.round(self.mass, 12).tobytes())
         return h.hexdigest()[:16]
 
-    def to_json(self, sparse: bool | None = None) -> dict:
-        if sparse is None:
-            sparse = len(self.support) * 4 < len(self.mass)
-        if sparse:
+    def to_json(self) -> dict:
+        """Hex-keyed support if under a quarter of the table is occupied, else the mass list."""
+        if len(self.support) * 4 < len(self.mass):
             return {
                 "n": self.n,
                 "support": {format(int(i), "x"): float(self.mass[i]) for i in self.support},
@@ -82,17 +86,20 @@ class Dist:
     def from_json(cls, payload: dict) -> "Dist":
         try:
             n = int(payload["n"])
+            _check_dense_n(n)
             if "mass" in payload:
                 mass = np.asarray(payload["mass"], dtype=np.float64)
             else:
                 mass = np.zeros(1 << n)
                 for key, val in payload["support"].items():
                     mass[int(key, 16)] = float(val)
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+        except CapacityError:
+            raise
+        except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
             raise ValidationError(f"malformed distribution payload: {exc}") from exc
         try:
             return cls(n, mass)
-        except (NormalizationError, DimensionMismatchError, CapacityError) as exc:
+        except (NormalizationError, DimensionMismatchError) as exc:
             raise ValidationError(str(exc)) from exc
 
 
@@ -137,6 +144,7 @@ class JointDist:
 
 def uniform_on(elements: Iterable[int], n: int) -> Dist:
     """Uniform distribution on a nonempty subset of F_2^n."""
+    _check_dense_n(n)
     members = sorted(set(elements))
     if not members:
         raise EmptySupportError("uniform_on requires a nonempty set")

@@ -13,12 +13,12 @@ Everything here is verified numerically, never trusted.
 
 A FiberGrid is what each case of the inductive step (Case 1, Case 2 and this
 endgame) hands to the local-to-global lemma; fiber_grid builds each one that
-the step tries.  The step skips a Case 1 or Case 2 grid whose every capped
-fiber pair (cap_fibers) meets statement B at V = 0: the B-solver would return
-V(u, w) = 0 for each, and such a grid has no local interaction.  The
-inductive step's endgame case runs only the hypothesis check on its own move
-table and the budgeted per-pair grid; the Z-system bookkeeping and the
-480*kappa table are endgame()'s, for transcripts and bundles.
+the step tries, over at most FIBER_CAP pairs.  The step skips a Case 1 or
+Case 2 grid whose every capped fiber pair (cap_fibers) meets statement B at
+V = 0: the B-solver would return V(u, w) = 0 for each, and such a grid has no
+local interaction.  The step's endgame case and endgame() share endgame_grid,
+the hypothesis check and the budgeted per-pair grid; the Z-system bookkeeping
+and the 480*kappa table are endgame()'s, for transcripts and bundles.
 """
 
 from __future__ import annotations
@@ -149,12 +149,17 @@ class EndgameTranscript:
 
 @dataclass(frozen=True, eq=False)
 class _MoveTable:
-    """The four doubling moves of (X, Y), name -> (mass, paired entropy sum),
-    with the sum-fiber families they were measured on: X_1 | X_1+X_2 (pp),
-    Y_1 | Y_1+Y_2 (qq), X_1 | X_1+Y_2 (pq) and Y_1 | Y_1+X_2 (qp), and the
-    pair entropies of the pp x qq and pq x qp grids that fiber_1 and fiber_2
-    reduce.  Case 1 reads the pp/qq grid, Case 2 and the endgame the pq/qp grid."""
+    """The four doubling moves of (X, Y) on F_2^n, name -> (mass, paired
+    entropy sum), with H[X], H[Y], H[X+Y] and the sum-fiber families the moves
+    were measured on: X_1 | X_1+X_2 (pp), Y_1 | Y_1+Y_2 (qq), X_1 | X_1+Y_2
+    (pq) and Y_1 | Y_1+X_2 (qp), and the pair entropies of the pp x qq and
+    pq x qp grids that fiber_1 and fiber_2 reduce.  Case 1 reads the pp/qq
+    grid, Case 2 and the endgame the pq/qp grid."""
 
+    n: int
+    h_x: float
+    h_y: float
+    h_xy: float
     moves: dict
     fib_pp: FiberFamily
     fib_qq: FiberFamily
@@ -162,6 +167,11 @@ class _MoveTable:
     fib_qp: FiberFamily
     entropies_1: PairEntropies
     entropies_2: PairEntropies
+
+    @property
+    def s_xy(self) -> float:
+        """s[X;Y] = H[X] + H[Y] - H[X+Y]."""
+        return self.h_x + self.h_y - self.h_xy
 
 
 def _move_table(p: Dist, q: Dist) -> _MoveTable:
@@ -174,6 +184,7 @@ def _move_table(p: Dist, q: Dist) -> _MoveTable:
     fib_qp = sum_fibers(q, p)
     entropies_1 = pair_entropies(fib_pp, fib_qq)
     entropies_2 = pair_entropies(fib_pq, fib_qp)
+    h_xy = shannon_entropy(conv_pq)
     moves = {
         "sumset_1": (
             doubling_mass(conv_pp, conv_qq),
@@ -181,7 +192,7 @@ def _move_table(p: Dist, q: Dist) -> _MoveTable:
         ),
         "sumset_2": (
             doubling_mass(conv_pq, conv_pq),
-            2.0 * shannon_entropy(conv_pq),
+            2.0 * h_xy,
         ),
         "fiber_1": (
             conditional_doubling_mass(fib_pp, fib_qq, entropies_1),
@@ -192,7 +203,10 @@ def _move_table(p: Dist, q: Dist) -> _MoveTable:
             fib_pq.conditional_entropy() + fib_qp.conditional_entropy(),
         ),
     }
-    return _MoveTable(moves, fib_pp, fib_qq, fib_pq, fib_qp, entropies_1, entropies_2)
+    return _MoveTable(
+        p.n, shannon_entropy(p), shannon_entropy(q), h_xy,
+        moves, fib_pp, fib_qq, fib_pq, fib_qp, entropies_1, entropies_2,
+    )
 
 
 def endgame_move_quantities(p: Dist, q: Dist) -> dict:
@@ -261,23 +275,21 @@ class PairScan(NamedTuple):
     h_proj_y: float
 
 
-def cap_fibers(
-    fam_x: FiberFamily, fam_y: FiberFamily, cap: int = FIBER_CAP
-) -> tuple[FiberFamily, FiberFamily, dict]:
+def cap_fibers(fam_x: FiberFamily, fam_y: FiberFamily) -> tuple[FiberFamily, FiberFamily, dict]:
     """The families a grid over fam_x x fam_y keeps, and its cap note.
 
-    A grid over more than `cap` pairs keeps each family's floor(sqrt(cap))
-    heaviest fibers and records their coverage in the note.
+    A grid over more than FIBER_CAP pairs keeps each family's
+    floor(sqrt(FIBER_CAP)) heaviest fibers and records their coverage in the note.
     """
     kx, ky = len(fam_x.labels), len(fam_y.labels)
-    if kx * ky <= cap:
-        return fam_x, fam_y, {"applied": False, "cap": cap}
-    side = max(1, int(np.sqrt(cap)))
+    if kx * ky <= FIBER_CAP:
+        return fam_x, fam_y, {"applied": False, "cap": FIBER_CAP}
+    side = int(np.sqrt(FIBER_CAP))
     fam_x, coverage_x = _heaviest(fam_x, min(side, kx))
     fam_y, coverage_y = _heaviest(fam_y, min(side, ky))
     note = {
         "applied": True,
-        "cap": cap,
+        "cap": FIBER_CAP,
         "kept_u": len(fam_x.labels),
         "kept_w": len(fam_y.labels),
         "coverage_u": coverage_x,
@@ -290,12 +302,11 @@ def fiber_grid(
     fam_x: FiberFamily,
     fam_y: FiberFamily,
     solver: Callable[[Dist, Dist], SubspaceCertificate | PairScan],
-    cap: int = FIBER_CAP,
 ) -> FiberGrid:
     """Fibers X_u of fam_x and Y_w of fam_y with V(u, w) = solver(X_u, Y_w).subspace,
     over the families cap_fibers keeps.  The solver runs u-major, in label order.
     """
-    fam_x, fam_y, note = cap_fibers(fam_x, fam_y, cap)
+    fam_x, fam_y, note = cap_fibers(fam_x, fam_y)
     v_table = {
         (u, w): solver(xu, yw).subspace
         for u, xu in zip(fam_x.labels, fam_x.dists)
@@ -316,20 +327,29 @@ def _check_endgame_inputs(n: int, eta: float, kappa: float | None) -> None:
         raise ValidationError(f"kappa must be finite and nonnegative, got {kappa}")
 
 
-def _endgame_hypotheses(
-    eta: float, kappa: float | None, h_total: float, s_xy: float, moves: dict
-) -> tuple[float, dict]:
-    """Check s[X;Y] >= eta(H[X]+H[Y]) and the four move inequalities on a
-    measured move table.  Without a kappa, the smallest one the moves allow is
-    used.  Returns kappa and each move's gap; raises HypothesisViolationError
-    naming every failed inequality."""
+def endgame_grid(
+    move_table: _MoveTable, eta: float, kappa: float | None
+) -> tuple[float, dict, FiberGrid, dict[tuple[Dist, Dist], PairScan]]:
+    """Check eta, kappa, n <= MAX_ENUM_N, s[X;Y] >= eta(H[X]+H[Y]) and the
+    four move inequalities on a measured move table, then build the grid of
+    the fibers X_u, Y_w with V(u, w) the minimizer of H[pi(X_u)]+H[pi(Y_w)]
+    under the PFR size budget.  Without a kappa, the smallest one the moves
+    allow is used.  Returns kappa, each move's gap, the grid and each pair's
+    row; raises HypothesisViolationError naming every failed inequality.
+
+    Each fiber's entropy and lattice scan are computed once, for every pair in
+    its row or column.  The pick is exhaustive_best_subspace's projected-entropy
+    objective at entropy_budget = PFR_SIZE_FACTOR (H[X_u] + H[Y_w]): the same
+    float expressions and the same tie-break, so the same V(u, w)."""
+    _check_endgame_inputs(move_table.n, eta, kappa)
+    h_total = move_table.h_x + move_table.h_y
     gaps: list[tuple[str, float, float]] = []
-    if s_xy < eta * h_total - IDENTITY_TOL:
-        gaps.append(("interaction_floor", eta * h_total, s_xy))
+    if move_table.s_xy < eta * h_total - IDENTITY_TOL:
+        gaps.append(("interaction_floor", eta * h_total, move_table.s_xy))
     if kappa is None:
-        kappa = _kappa_from_moves(moves, eta)
+        kappa = _kappa_from_moves(move_table.moves, eta)
     hypothesis_gaps = {}
-    for name, (lhs, pair) in moves.items():
+    for name, (lhs, pair) in move_table.moves.items():
         rhs = eta * pair + kappa
         hypothesis_gaps[name] = {"lhs": lhs, "rhs": rhs, "gap": lhs - rhs}
         if lhs > rhs + IDENTITY_TOL:
@@ -340,19 +360,7 @@ def _endgame_hypotheses(
             + "; ".join(f"{name}: {lhs:.6g} > {rhs:.6g}" for name, lhs, rhs in gaps),
             gaps=gaps,
         )
-    return kappa, hypothesis_gaps
 
-
-def _endgame_grid(
-    move_table: _MoveTable, fiber_cap: int
-) -> tuple[FiberGrid, dict[tuple[Dist, Dist], PairScan]]:
-    """The grid of the fibers X_u, Y_w with V(u, w) the minimizer of
-    H[pi(X_u)]+H[pi(Y_w)] under the PFR size budget, and each pair's row.
-
-    Each fiber's entropy and lattice scan are computed once, for every pair in
-    its row or column.  The pick is exhaustive_best_subspace's projected-entropy
-    objective at entropy_budget = PFR_SIZE_FACTOR (H[X_u] + H[Y_w]): the same
-    float expressions and the same tie-break, so the same V(u, w)."""
     scanned: dict[Dist, tuple[float, np.ndarray]] = {}
     rows: dict[tuple[Dist, Dist], PairScan] = {}
 
@@ -369,27 +377,25 @@ def _endgame_grid(
         rows[(xu, yw)] = PairScan(subs[idx], hx, hy, float(lat_x[idx]), float(lat_y[idx]))
         return rows[(xu, yw)]
 
-    grid = fiber_grid(move_table.fib_pq, move_table.fib_qp, budgeted_pick, fiber_cap)
-    return grid, rows
+    grid = fiber_grid(move_table.fib_pq, move_table.fib_qp, budgeted_pick)
+    return kappa, hypothesis_gaps, grid, rows
 
 
-def endgame(
-    p: Dist, q: Dist, eta: float, kappa: float | None = None, *, fiber_cap: int = FIBER_CAP
-) -> EndgameTranscript:
+def endgame(p: Dist, q: Dist, eta: float, kappa: float | None = None) -> EndgameTranscript:
     """Run the endgame bookkeeping and verify every claimed inequality.
 
     Without a kappa, the smallest one that the four move inequalities allow is
     measured from the same move table the hypothesis check reads.  Raises
     HypothesisViolationError when s[X;Y] >= eta(H[X]+H[Y]) or one of the four
-    move inequalities fails for the given (eta, kappa).
+    move inequalities fails for the given (eta, kappa).  The fiber grid keeps
+    at most FIBER_CAP pairs (see cap_fibers).
     """
     if p.n != q.n:
         raise DimensionMismatchError("ambient dimensions differ")
+    # Reject bad inputs before the 2^n x 2^n pair-entropy tables of the move table.
     _check_endgame_inputs(p.n, eta, kappa)
-    h_total = shannon_entropy(p) + shannon_entropy(q)
-    s_xy = doubling_mass(p, q)
     move_table = _move_table(p, q)
-    kappa, hypothesis_gaps = _endgame_hypotheses(eta, kappa, h_total, s_xy, move_table.moves)
+    kappa, hypothesis_gaps, grid, rows = endgame_grid(move_table, eta, kappa)
 
     j12, j13 = z_system_joints(p, q)
     i_z1_z2 = conditional_mutual_information(j12, 0, 1, 2)
@@ -403,7 +409,6 @@ def endgame(
         for a, b in ((h1, h2), (h1, h3), (h2, h3))
     )
 
-    grid, rows = _endgame_grid(move_table, fiber_cap)
     table = []
     expectation = 0.0
     for wu, u, xu in zip(grid.fibers_x.weights, grid.fibers_x.labels, grid.fibers_x.dists):
@@ -416,8 +421,8 @@ def endgame(
     return EndgameTranscript(
         eta=eta,
         kappa=kappa,
-        s_xy=s_xy,
-        h_total=h_total,
+        s_xy=move_table.s_xy,
+        h_total=move_table.h_x + move_table.h_y,
         hypothesis_gaps=hypothesis_gaps,
         i_z1_z3=float(i_z1_z3),
         i_z1_z2=float(i_z1_z2),

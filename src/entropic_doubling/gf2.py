@@ -195,16 +195,12 @@ def subspace_intersect(v1: Subspace, v2: Subspace) -> Subspace:
     return span(members, v1.n)
 
 
-def enumerate_subspaces(n: int, max_dim: int | None = None) -> Iterator[Subspace]:
-    """Every subspace of F_2^n with dim <= max_dim, ordered by (dim, lex basis)."""
+def enumerate_subspaces(n: int) -> Iterator[Subspace]:
+    """Every subspace of F_2^n, ordered by (dim, lex basis)."""
     _check_n(n)
     if n > MAX_ENUM_N:
         raise CapacityError(f"exhaustive enumeration capped at n <= {MAX_ENUM_N}")
-    if max_dim is None:
-        max_dim = n
-    if max_dim > n:
-        raise ValueError("max_dim exceeds ambient dimension")
-    for d in range(max_dim + 1):
+    for d in range(n + 1):
         bucket: list[tuple[int, ...]] = []
         for pivs in itertools.combinations(range(n), d):
             piv_set = set(pivs)

@@ -30,15 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dist import Dist, FiberFamily, pushforward_quotient, uniform_on, xor_convolve
-from .endgame import (
-    FiberGrid,
-    _check_endgame_inputs,
-    _endgame_grid,
-    _endgame_hypotheses,
-    _move_table,
-    cap_fibers,
-    fiber_grid,
-)
+from .endgame import FiberGrid, _move_table, cap_fibers, endgame_grid, fiber_grid
 from .entropy import PairEntropies, fibring_decompose, shannon_entropy
 from .errors import (
     DimensionMismatchError,
@@ -59,7 +51,7 @@ from .oracle import (
     b_inequality,
     greedy_extension,
 )
-from .tolerances import FIBER_CAP, IDENTITY_TOL
+from .tolerances import IDENTITY_TOL
 
 MODE_PRACTICAL = "practical"
 MODE_PAPER = "paper-faithful"
@@ -406,12 +398,14 @@ class LocalToGlobalResult:
         }
 
 
+# The expectation DP's transition budget, and the Monte-Carlo path count that
+# takes over past it.
+EXACT_DP_CAP = 200_000
+MC_SAMPLES = 800
+
+
 def _h_expectation_sequence(
-    grid: FiberGrid,
-    tau: float,
-    rng: np.random.Generator,
-    exact_cap: int = 200_000,
-    mc_samples: int = 800,
+    grid: FiberGrid, tau: float, rng: np.random.Generator
 ) -> tuple[list[float], bool, int]:
     """h_j = E_{u, w^(1..j)} H[pi_{V(u,w1)+...+V(u,wj)}(X_u)] for j = 0..k+1,
     where k is the first j with h_j - h_{j+1} <= tau h_0 (the pigeonhole).
@@ -420,7 +414,7 @@ def _h_expectation_sequence(
     computing h level by level up to it gives the same k as the whole
     sequence.  Exact dynamic programming over the reachable subspace-sum
     lattice draws nothing from rng.  If its transition count passes
-    exact_cap, a recorded Monte-Carlo estimate takes over: mc_samples paths,
+    EXACT_DP_CAP, a recorded Monte-Carlo estimate takes over: MC_SAMPLES paths,
     advanced one level at a time and stopped by the same rule.
     """
     fibers_x, fibers_y, v_table = grid.fibers_x, grid.fibers_y, grid.v_table
@@ -468,7 +462,7 @@ def _h_expectation_sequence(
     ]
     for _ in range(levels):
         transitions += sum(len(states) for states in states_by_u) * len(fibers_y.labels)
-        if transitions > exact_cap:
+        if transitions > EXACT_DP_CAP:
             break
         total = 0.0
         for ui, wu in enumerate(fibers_x.weights):
@@ -489,17 +483,17 @@ def _h_expectation_sequence(
     # each round's indices from one rng.random call on the cumulative weights.
     def draw(weights: np.ndarray) -> np.ndarray:
         cum = np.cumsum(weights)
-        return np.searchsorted(cum[:-1], rng.random(mc_samples) * cum[-1], side="right")
+        return np.searchsorted(cum[:-1], rng.random(MC_SAMPLES) * cum[-1], side="right")
 
     paths = draw(fibers_x.weights).tolist()
-    bases = [zero.basis] * mc_samples
-    h = [sum(push_entropy(ui, zero.basis) for ui in paths) / mc_samples]
+    bases = [zero.basis] * MC_SAMPLES
+    h = [sum(push_entropy(ui, zero.basis) for ui in paths) / MC_SAMPLES]
     for _ in range(levels):
         for i, (ui, wi) in enumerate(zip(paths, draw(fibers_y.weights).tolist())):
             bases[i] = join(bases[i], rows[ui][wi][0])
-        h.append(sum(push_entropy(ui, b) for ui, b in zip(paths, bases)) / mc_samples)
+        h.append(sum(push_entropy(ui, b) for ui, b in zip(paths, bases)) / MC_SAMPLES)
         if stops(h):
-            return h, False, mc_samples
+            return h, False, MC_SAMPLES
     raise PipelineError("pigeonhole failed to select k; expectations inconsistent")
 
 
@@ -608,7 +602,6 @@ def inductive_step(
     *,
     mode: str = MODE_PRACTICAL,
     rng: np.random.Generator | None = None,
-    l0: float | None = None,
     seed_label: tuple[int, int] = (0, 0),
 ) -> PipelineTrace:
     """One inductive step: from a B-solver at (eta0, eps0) to a statement-A
@@ -619,8 +612,9 @@ def inductive_step(
     glues the case's fiber grid with local_to_global, and verifies the
     statement-A conclusion numerically before returning.  Every case builds
     its grid with fiber_grid, capped at FIBER_CAP pairs; the endgame case
-    checks the endgame hypotheses on the step's move table and builds only
-    the endgame's budgeted grid, never its Z-system bookkeeping.
+    calls endgame_grid on the step's move table, which checks the endgame
+    hypotheses and builds the endgame's budgeted grid, never its Z-system
+    bookkeeping.  The paper's L1 is recorded at L0 = 1.
 
     b_solver must return V = 0 whenever V = 0 satisfies statement B at
     (eta0, eps0).  The step relies on that: a Case 1 or Case 2 grid whose
@@ -647,7 +641,7 @@ def inductive_step(
     p0, q0 = pushforward_quotient(p, v0), pushforward_quotient(q, v0)
     h0 = shannon_entropy(p0) + shannon_entropy(q0)
     c_paper = min(eps0, eta0**2 / 32.0)
-    l1_paper = max(12.0 * eps0**-2 * (l0 if l0 is not None else 1.0), 2.0**12 * eta0**-4)
+    l1_paper = max(12.0 * eps0**-2, 2.0**12 * eta0**-4)
 
     case_note: dict = {"mode": mode}
     result = None
@@ -697,22 +691,17 @@ def inductive_step(
                 grid = fiber_grid(fam_x, fam_y, b_solver)
                 zeta_paper = 7.0 * eps0
             else:
-                # The move table holds 2 H[X0+Y0]; halving it is exact.
-                s0 = h0 - moves["sumset_2"][1] / 2.0
                 if mode == MODE_PAPER:
                     eta_e, kappa = eta0 - 2.0 * eps0, 12.0 * eps0 * h0
                 else:
                     # The endgame measures kappa from the step's move table.
+                    s0 = move_table.s_xy
                     eta_e, kappa = min(max(s0 / h0 if h0 > 0 else 0.0, 1e-9), 0.5), None
-                # Only the hypotheses and the grid: the gluing reads nothing else
-                # of the endgame.
-                _check_endgame_inputs(p0.n, eta_e, kappa)
                 try:
-                    kappa = _endgame_hypotheses(eta_e, kappa, h0, s0, moves)[0]
+                    kappa, _, grid, _ = endgame_grid(move_table, eta_e, kappa)
                 except HypothesisViolationError as exc:
                     failures.append(f"ENDGAME hypotheses: {exc}")
                     continue
-                grid = _endgame_grid(move_table, FIBER_CAP)[0]
                 zeta_paper = eta0**2 / 8.0
                 case_note.update({"eta_endgame": eta_e, "kappa": kappa})
 

@@ -77,7 +77,7 @@ def test_endgame_fixture_verifies_and_resolves_to_same_table():
     report = verify_bundle(bundle)
     assert report.ok, report.failures
     t = bundle["transcript"]
-    fresh = endgame(*_pair(bundle), t["eta"], t["kappa"], fiber_cap=t["fiber_cap"].get("cap", 256))
+    fresh = endgame(*_pair(bundle), t["eta"], t["kappa"])
     assert [row[3].to_json() for row in fresh.table] == [row["subspace"] for row in t["table"]]
 
 
@@ -119,15 +119,26 @@ def test_endgame_tampered_fiber_subspace_rejected():
     assert "fiber table" in report.failures
 
 
-def test_endgame_bundle_with_uncapped_large_fiber_cap():
-    # A 24 x 24 fiber grid fits fiber_cap = 1024 but not the default 256.
+def _capped_endgame_bundle() -> dict:
+    # A 24 x 24 fiber grid, over FIBER_CAP = 256 pairs: the grid keeps 16 x 16.
     rng = np.random.default_rng(0)
     p, q = random_dist(5, rng, support_size=6), random_dist(5, rng, support_size=6)
     eta = min(0.5, doubling_mass(p, q) / (shannon_entropy(p) + shannon_entropy(q)))
-    t = endgame(p, q, eta, fiber_cap=1024)
-    assert not t.fiber_cap["applied"] and len(t.table) == 24 * 24
-    report = verify_bundle(json.loads(json.dumps(endgame_bundle(t, p, q))))
+    t = endgame(p, q, eta)
+    assert t.fiber_cap["applied"] and len(t.table) == 16 * 16
+    return json.loads(json.dumps(endgame_bundle(t, p, q)))
+
+
+def test_capped_endgame_bundle_verifies():
+    report = verify_bundle(_capped_endgame_bundle())
     assert report.ok, report.failures
+
+
+def test_endgame_bundle_with_another_fiber_cap_rejected():
+    bundle = _capped_endgame_bundle()
+    bundle["transcript"]["fiber_cap"]["cap"] = 1024
+    report = verify_bundle(bundle)
+    assert report.failures == ["fiber cap"]
 
 
 def test_set_bundle_with_repeated_element_verifies():

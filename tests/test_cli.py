@@ -75,9 +75,11 @@ class TestGen:
             "dim_v", "achieved_epsilon", "seed",
         }
 
-    def test_missing_parameter_exits(self):
-        with pytest.raises(SystemExit):
-            main(["gen", "--family", "hamming-ball", "--n", "4"])
+    def test_missing_parameter_exits(self, capsys):
+        assert main(["gen", "--family", "hamming-ball", "--n", "4"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: ValidationError: --radius is required")
 
 
 class TestAnalyze:
@@ -100,6 +102,39 @@ class TestAnalyze:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"n": 3}))
         assert main(["analyze", "--set", str(bad)]) == 2
+
+    @pytest.mark.parametrize(
+        "command, payload, error",
+        [
+            ("analyze --set", {"n": -1, "elements": ["0"]}, "ValidationError"),
+            ("analyze --set", {"n": 0, "elements": ["0"]}, "ValidationError"),
+            ("analyze --set", {"n": 40, "elements": ["0"]}, "ValidationError"),
+            ("analyze --set", {"n": 64, "elements": ["0"]}, "ValidationError"),
+            ("find-subspace --set", {"n": 40, "elements": ["0"]}, "ValidationError"),
+            ("analyze --set", {"n": float("inf"), "elements": ["0"]}, "ValidationError"),
+            ("analyze --set", {"n": 16, "elements": ["0", "1"]}, "CapacityError"),
+            ("analyze --dist", {"n": 40, "support": {"0": 1.0}}, "CapacityError"),
+            ("analyze --dist", {"n": -1, "support": {"0": 1.0}}, "CapacityError"),
+            ("analyze --dist", {"n": float("inf"), "support": {"0": 1.0}}, "ValidationError"),
+        ],
+        ids=["set-n-negative", "set-n-zero", "set-n-40", "set-n-64", "find-set-n-40",
+             "set-n-infinite", "set-n-above-dense-cap", "dist-n-40", "dist-n-negative",
+             "dist-n-infinite"],
+    )
+    def test_out_of_range_n_exits_two_with_one_line(self, command, payload, error, tmp_path, capsys):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        assert main([*command.split(), str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {error}: ")
+
+    def test_csv_without_a_row_exits_two(self, dist_files, capsys):
+        assert main(["analyze", "--dist", str(dist_files[0]), "--format", "csv"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: ValidationError: ")
 
 
 class TestFindSubspaceAndVerify:
@@ -158,10 +193,15 @@ class TestFindSubspaceAndVerify:
             ["endgame", "--dist", "{dist}", "--eta", "0.6"],
             ["endgame", "--dist", "{dist}", "--eta", "0.3", "--kappa", "-1"],
             ["endgame", "--dist", "{dist}", "--eta", "0.3", "--kappa", "inf"],
+            ["gen", "--family", "random-subset", "--n", "4", "--count", "2"],
+            ["gen", "--family", "union-cosets", "--n", "4", "--dim-v", "2"],
+            ["analyze"],
+            ["find-subspace"],
         ],
         ids=["eta-above-half", "dist-epsilon-zero", "set-epsilon-zero", "ball-n-zero",
              "cosets-dim-above-n", "bundle-not-object", "endgame-eta-above-half",
-             "endgame-kappa-negative", "endgame-kappa-infinite"],
+             "endgame-kappa-negative", "endgame-kappa-infinite", "subset-without-dim-v",
+             "cosets-without-count", "analyze-without-input", "find-without-input"],
     )
     def test_bad_input_exits_two_with_one_line(
         self, argv, tmp_path, dist_files, subspace_set_file, capsys
@@ -224,6 +264,13 @@ class TestEndgameCommand:
         assert bundle["transcript"]["expectation_holds"] is True
         assert main(["verify", "--certificate", str(out)]) == 0
         capsys.readouterr()
+
+    def test_no_format_option(self, dist_files, capsys):
+        # The transcript has no CSV row, so endgame writes JSON only.
+        with pytest.raises(SystemExit) as exc:
+            main(["endgame", "--dist", str(dist_files[0]), "--eta", "0.3", "--format", "csv"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format csv" in capsys.readouterr().err
 
 
 class TestVerifySuites:

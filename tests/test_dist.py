@@ -300,7 +300,16 @@ class TestSerialization:
     def test_dense_round_trip(self):
         rng = np.random.default_rng(15)
         p = random_dist(3, rng)
-        assert np.max(np.abs(Dist.from_json(p.to_json(sparse=False)).mass - p.mass)) < 1e-15
+        payload = p.to_json()
+        assert "mass" in payload
+        assert np.max(np.abs(Dist.from_json(payload).mass - p.mass)) < 1e-15
+
+    @pytest.mark.parametrize("n", [-1, 0, 13, 40])
+    def test_n_outside_dense_cap_rejected_before_allocation(self, n):
+        with pytest.raises(CapacityError):
+            uniform_on([0], n)
+        with pytest.raises(CapacityError):
+            Dist.from_json({"n": n, "support": {"0": 1.0}})
 
     def test_sparse_round_trip(self):
         p = uniform_on([0, 7], 4)

@@ -152,12 +152,13 @@ class TestEndgameTranscript:
             endgame(p, p, 0.4, 1.0)
 
     def test_fiber_cap_recorded_and_weights_renormalized(self):
+        # Full support at n = 5: a 32 x 32 grid, over FIBER_CAP = 256 pairs.
         rng = np.random.default_rng(6)
-        p, q = random_dist(3, rng), random_dist(3, rng)
+        p, q = random_dist(5, rng), random_dist(5, rng)
         s = doubling_mass(p, q)
         h = shannon_entropy(p) + shannon_entropy(q)
         eta = min(0.5, s / h)
-        t = endgame(p, q, eta, fiber_cap=4)
+        t = endgame(p, q, eta)
         assert t.fiber_cap["applied"]
         assert sum(entry[2] for entry in t.table) == pytest.approx(1.0, abs=1e-9)
 

@@ -165,9 +165,9 @@ class TestQuotient:
 
 class TestEnumeration:
     def test_counts_small(self):
-        assert len(list(enumerate_subspaces(2, 2))) == 5
-        assert len(list(enumerate_subspaces(3, 3))) == 16
-        assert list(enumerate_subspaces(1, 0)) == [Subspace.zero(1)]
+        assert len(list(enumerate_subspaces(2))) == 5
+        assert len(list(enumerate_subspaces(3))) == 16
+        assert list(enumerate_subspaces(1)) == [Subspace.zero(1), span([1], 1)]
 
     def test_counts_match_gaussian_binomials(self):
         for n in range(1, 6):
@@ -189,9 +189,6 @@ class TestEnumeration:
         listed = list(enumerate_subspaces(3))
         keys = [(v.dim, v.basis) for v in listed]
         assert keys == sorted(keys)
-
-    def test_max_dim_filter(self):
-        assert all(v.dim <= 2 for v in enumerate_subspaces(4, 2))
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):

@@ -336,21 +336,20 @@ class TestLocalToGlobal:
                 assert res.k == self._first_stop(res.h_sequence, zeta / 2.0)
             assert time.perf_counter() - start < 1.0
 
-    def test_monte_carlo_fallback_stops_by_the_same_rule(self):
+    def test_monte_carlo_fallback_stops_by_the_same_rule(self, monkeypatch):
         grid = self._coordinate_grid()
         tau = 0.01
         exact, is_exact, _ = _h_expectation_sequence(grid, tau, np.random.default_rng(0))
         assert is_exact
         samples = 4000
-        mc, is_exact, used = _h_expectation_sequence(
-            grid, tau, np.random.default_rng(3), exact_cap=0, mc_samples=samples
-        )
+        pipeline_module = sys.modules["entropic_doubling.pipeline"]
+        monkeypatch.setattr(pipeline_module, "EXACT_DP_CAP", 0)
+        monkeypatch.setattr(pipeline_module, "MC_SAMPLES", samples)
+        mc, is_exact, used = _h_expectation_sequence(grid, tau, np.random.default_rng(3))
         assert not is_exact and used == samples
         assert all(b <= a + 1e-12 for a, b in zip(mc, mc[1:]))
         assert self._first_stop(mc, tau) == len(mc) - 2
-        replay = _h_expectation_sequence(
-            grid, tau, np.random.default_rng(3), exact_cap=0, mc_samples=samples
-        )[0]
+        replay = _h_expectation_sequence(grid, tau, np.random.default_rng(3))[0]
         assert replay == mc
         # Each path's entropy lies in [0, 4] bits: a standard error of at
         # most 2 / sqrt(samples) per level.
