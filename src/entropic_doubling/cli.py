@@ -27,7 +27,7 @@ from .families import (
     random_subset_of_subspace,
     union_of_cosets,
 )
-from .pipeline import MODE_PRACTICAL, analyze_set, solve_B
+from .pipeline import analyze_set, solve_B
 from .tolerances import MAX_ELEMENT_N
 from . import verification
 
@@ -165,9 +165,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_find_subspace(args) -> int:
     if args.set:
         elements, n = _load_set(args.set)
-        result = analyze_set(
-            elements, n, args.epsilon, mode=args.mode, seed=args.seed
-        )
+        result = analyze_set(elements, n, args.epsilon, seed=args.seed)
         bundle = set_bundle(result, elements, n)
         ach = result.certificate.achieved
         if ach["set_size"] > 1:
@@ -193,7 +191,7 @@ def _cmd_find_subspace(args) -> int:
     elif args.dist:
         p = Dist.from_json(_load_json(args.dist))
         q = Dist.from_json(_load_json(args.dist2)) if args.dist2 else p
-        result = solve_B(p, q, args.eta, args.epsilon, mode=args.mode, seed=args.seed)
+        result = solve_B(p, q, args.eta, args.epsilon, seed=args.seed)
         bundle = solve_bundle(result, p, q)
         h_total = shannon_entropy(p) + shannon_entropy(q)
         values = result.check.values
@@ -288,8 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     find.add_argument("--dist2")
     find.add_argument("--eta", type=float, default=0.3)
     find.add_argument("--epsilon", type=float, default=0.1)
-    find.add_argument("--mode", choices=[MODE_PRACTICAL, "paper-faithful"],
-                      default=MODE_PRACTICAL)
     find.add_argument("--seed", type=int, default=0)
     find.add_argument("--out")
     find.add_argument("--format", choices=["json", "csv"], default="json")

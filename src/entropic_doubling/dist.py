@@ -29,12 +29,14 @@ from .tolerances import IDENTITY_TOL, MASS_EPS, MAX_DENSE_N, MAX_JOINT_BITS
 def _clean(raw: np.ndarray, axis: int | None = None) -> np.ndarray:
     """Clamp dust, renormalize, freeze: the whole table, or each slice along axis."""
     mass = np.asarray(raw, dtype=np.float64).copy()
-    if mass.min() < -1e-12:
-        raise NormalizationError(f"negative mass {mass.min():.3e}")
+    # Written so that NaN fails both tests.
+    lowest = mass.min()
+    if not lowest >= -1e-12:
+        raise NormalizationError(f"negative or NaN mass {lowest:.3e}")
     mass[mass < MASS_EPS] = 0.0
     total = mass.sum(axis=axis, keepdims=axis is not None)
     worst = total if axis is None else total.flat[np.argmax(np.abs(total - 1.0))]
-    if abs(worst - 1.0) > IDENTITY_TOL:
+    if not abs(worst - 1.0) <= IDENTITY_TOL:
         raise NormalizationError(f"total mass {worst!r} not within 1e-9 of 1")
     mass /= total
     mass.setflags(write=False)
@@ -92,10 +94,13 @@ class Dist:
             else:
                 mass = np.zeros(1 << n)
                 for key, val in payload["support"].items():
-                    mass[int(key, 16)] = float(val)
+                    x = int(key, 16)
+                    if not 0 <= x < 1 << n:
+                        raise ValidationError(f"support key {key!r} is not in 0..2^{n} - 1")
+                    mass[x] = float(val)
         except CapacityError:
             raise
-        except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed distribution payload: {exc}") from exc
         try:
             return cls(n, mass)

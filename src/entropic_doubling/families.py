@@ -19,6 +19,13 @@ from .tolerances import MAX_ELEMENT_N
 PRNG_ID = "numpy-pcg64"
 
 
+def seeded_rng(seed: int) -> np.random.Generator:
+    """The PRNG_ID generator for seed, which must be nonnegative."""
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def hamming_ball(n: int, r: int) -> list[int]:
     """All vectors of Hamming weight <= r, sorted."""
     if not 0 <= r <= n or n > MAX_ELEMENT_N:
@@ -39,7 +46,7 @@ def random_subset_of_subspace(n: int, dim_v: int, count: int, seed: int) -> list
         raise ValidationError("invalid dimensions")
     if not 1 <= count <= (1 << dim_v):
         raise ValidationError(f"count must lie in [1, 2^{dim_v}]")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     members = rng.choice(1 << dim_v, size=count, replace=False)
     return sorted(int(x) for x in members)
 
@@ -52,7 +59,7 @@ def union_of_cosets(n: int, dim_v: int, num_cosets: int, seed: int) -> list[int]
         raise ValidationError("invalid coset count")
     if n > 24:
         raise CapacityError("set generation capped for dense enumeration")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     lam = rng.choice(1 << n, size=num_cosets, replace=False)
     v = span([1 << i for i in range(dim_v)], n)
     out = {int(l) ^ x for l in lam for x in v.elements()}

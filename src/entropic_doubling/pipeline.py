@@ -15,9 +15,11 @@ Every check_* function returns an oracle.CriterionCheck: the recomputed
 quantities, named as in the certificate's achieved block, and one verdict per
 inequality.  Producers and verify_bundle call the same functions.
 
-Two run modes: "paper-faithful" enforces eps0 = 2^-15 eta0^2 and the stated
-case thresholds (feasible only on tiny instances); "practical" keeps the
-same control flow but derives thresholds and zeta from measured quantities.
+The control flow is the paper's, but each step's eps0, case order, kappa and
+zeta come from measured quantities, not from the analysis' schedule
+eps0 = 2^-15 eta0^2: under that schedule the climb from eta to 1/2 exceeds
+MAX_SOLVE_DEPTH unless eta > 0.4996.  Every statement-A certificate still
+records the paper's c and L1.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .errors import (
     SearchFailureError,
     ValidationError,
 )
-from .families import doubling_stats
+from .families import doubling_stats, seeded_rng
 from .gf2 import Subspace, coset_decompose, span, subspace_sum
 from .oracle import (
     CRITERION_A,
@@ -52,9 +54,6 @@ from .oracle import (
     greedy_extension,
 )
 from .tolerances import IDENTITY_TOL
-
-MODE_PRACTICAL = "practical"
-MODE_PAPER = "paper-faithful"
 
 CRITERION_RICH = "RICH_COSETS"
 CRITERION_MANY = "MANY_SUMS"
@@ -600,7 +599,6 @@ def inductive_step(
     eps0: float,
     b_solver: BSolver,
     *,
-    mode: str = MODE_PRACTICAL,
     rng: np.random.Generator | None = None,
     seed_label: tuple[int, int] = (0, 0),
 ) -> PipelineTrace:
@@ -614,7 +612,11 @@ def inductive_step(
     its grid with fiber_grid, capped at FIBER_CAP pairs; the endgame case
     calls endgame_grid on the step's move table, which checks the endgame
     hypotheses and builds the endgame's budgeted grid, never its Z-system
-    bookkeeping.  The paper's L1 is recorded at L0 = 1.
+    bookkeeping.  Case 1 and Case 2 are tried in order of measured margin,
+    then the endgame; zeta is the grid's measured local interaction over
+    H[pi(X)]+H[pi(Y)], and the statement-A certificate states the measured
+    c and size.  The paper's c and L1 (at L0 = 1) are recorded beside them,
+    and the paper's c still decides the early exit after the sumset lemma.
 
     b_solver must return V = 0 whenever V = 0 satisfies statement B at
     (eta0, eps0).  The step relies on that: a Case 1 or Case 2 grid whose
@@ -626,8 +628,6 @@ def inductive_step(
         rng = np.random.default_rng(0)
     if not 0.0 < eps0 < eta0 <= 0.5:
         raise ValueError("need 0 < eps0 < eta0 <= 1/2")
-    if mode == MODE_PAPER and eps0 > (2.0**-15) * eta0**2 + 1e-15:
-        raise ValueError("paper-faithful mode requires eps0 <= 2^-15 eta0^2")
     h_in = shannon_entropy(p) + shannon_entropy(q)
     s_in = h_in - shannon_entropy(xor_convolve(p, q))
     if s_in < (eta0 - eps0) * h_in - IDENTITY_TOL:
@@ -643,7 +643,7 @@ def inductive_step(
     c_paper = min(eps0, eta0**2 / 32.0)
     l1_paper = max(12.0 * eps0**-2, 2.0**12 * eta0**-4)
 
-    case_note: dict = {"mode": mode}
+    case_note: dict = {}
     result = None
     if h0 <= (1.0 - c_paper) * h_in + IDENTITY_TOL:
         v_final = v0
@@ -655,23 +655,12 @@ def inductive_step(
         moves = move_table.moves
         m1 = moves["fiber_1"][0] - eta0 * moves["fiber_1"][1]
         m2 = moves["fiber_2"][0] - eta0 * moves["fiber_2"][1]
-        if mode == MODE_PAPER:
-            thresh = 8.0 * eps0 * h0
-            if m1 >= thresh:
-                candidates = ["CASE1"]
-            elif m2 >= thresh:
-                candidates = ["CASE2"]
-            else:
-                candidates = ["ENDGAME"]
-        else:
-            # Practical mode cascades: try the fiber cases by measured margin
-            # and fall through to the endgame if the per-fiber B-subspaces
-            # leave no interaction for the gluing lemma to exploit.
-            fiber_cases = sorted(
-                [(m1, "CASE1"), (m2, "CASE2")], key=lambda t: -t[0]
-            )
-            candidates = [c for m, c in fiber_cases if m > IDENTITY_TOL]
-            candidates.append("ENDGAME")
+        # Try the fiber cases by measured margin and fall through to the
+        # endgame if the per-fiber B-subspaces leave no interaction for the
+        # gluing lemma to exploit.
+        fiber_cases = sorted([(m1, "CASE1"), (m2, "CASE2")], key=lambda t: -t[0])
+        candidates = [c for m, c in fiber_cases if m > IDENTITY_TOL]
+        candidates.append("ENDGAME")
         case_note.update({"margin_case1": m1, "margin_case2": m2})
 
         case_grids = {
@@ -689,30 +678,22 @@ def inductive_step(
                     )
                     continue
                 grid = fiber_grid(fam_x, fam_y, b_solver)
-                zeta_paper = 7.0 * eps0
             else:
-                if mode == MODE_PAPER:
-                    eta_e, kappa = eta0 - 2.0 * eps0, 12.0 * eps0 * h0
-                else:
-                    # The endgame measures kappa from the step's move table.
-                    s0 = move_table.s_xy
-                    eta_e, kappa = min(max(s0 / h0 if h0 > 0 else 0.0, 1e-9), 0.5), None
+                # The endgame measures kappa from the step's move table.
+                s0 = move_table.s_xy
+                eta_e = min(max(s0 / h0 if h0 > 0 else 0.0, 1e-9), 0.5)
                 try:
-                    kappa, _, grid, _ = endgame_grid(move_table, eta_e, kappa)
+                    kappa, _, grid, _ = endgame_grid(move_table, eta_e, None)
                 except HypothesisViolationError as exc:
                     failures.append(f"ENDGAME hypotheses: {exc}")
                     continue
-                zeta_paper = eta0**2 / 8.0
                 case_note.update({"eta_endgame": eta_e, "kappa": kappa})
 
-            if mode == MODE_PAPER:
-                zeta = zeta_paper
-            else:
-                hyp = grid.local_interaction[0]
-                zeta = (hyp / h0) * (1.0 - 1e-12) if h0 > 0 else 0.0
-                if zeta <= 1e-9:
-                    failures.append(f"{case}: measured zeta {zeta:.3g} too small")
-                    continue
+            hyp = grid.local_interaction[0]
+            zeta = (hyp / h0) * (1.0 - 1e-12) if h0 > 0 else 0.0
+            if zeta <= 1e-9:
+                failures.append(f"{case}: measured zeta {zeta:.3g} too small")
+                continue
             try:
                 result = local_to_global(grid, zeta, rng, seed_label)
             except (HypothesisViolationError, SearchFailureError) as exc:
@@ -745,12 +726,9 @@ def inductive_step(
         raise PipelineError(
             f"inductive step produced no entropy decrement (c = {c_meas:.3g})"
         )
-    if mode == MODE_PAPER:
-        params = StatementParams(eta=eta0 - eps0, c=c_paper, L=l1_paper)
-    else:
-        c_used = min(c_meas * (1.0 - 1e-12), 1.0 - 1e-12)
-        l_used = v_final.dim / h_in if h_in > 0 else 0.0
-        params = StatementParams(eta=eta0 - eps0, c=c_used, L=l_used + IDENTITY_TOL)
+    c_used = min(c_meas * (1.0 - 1e-12), 1.0 - 1e-12)
+    l_used = v_final.dim / h_in if h_in > 0 else 0.0
+    params = StatementParams(eta=eta0 - eps0, c=c_used, L=l_used + IDENTITY_TOL)
     chk = check_statement_A(p, q, v_final, params)
     chk.require("inductive-step statement-A")
     cert = SubspaceCertificate(
@@ -760,7 +738,6 @@ def inductive_step(
         parameters={
             "eta0": eta0,
             "eps0": eps0,
-            "mode": mode,
             "c_paper": c_paper,
             "l1_paper": l1_paper,
             "c_measured": c_meas,
@@ -790,7 +767,6 @@ MAX_SOLVE_INVOCATIONS = 30_000
 @dataclass
 class _SolveContext:
     rng: np.random.Generator
-    mode: str
     seed: int
     memo: dict = field(default_factory=dict)
     depth: int = 0
@@ -803,7 +779,6 @@ class SolveResult:
     certificate: SubspaceCertificate
     steps: tuple[TraceStep, ...]
     check: CriterionCheck
-    mode: str
     seed: int
 
     @property
@@ -815,7 +790,6 @@ class SolveResult:
             "certificate": self.certificate.to_json(),
             "steps": [s.to_json() for s in self.steps],
             "check": self.check.to_json(),
-            "mode": self.mode,
             "seed": self.seed,
         }
 
@@ -826,7 +800,6 @@ def _b_certificate(
     v: Subspace,
     eta: float,
     eps: float,
-    mode: str,
     chk: CriterionCheck,
 ) -> SubspaceCertificate:
     h_total = chk.values["h_total"]
@@ -835,7 +808,7 @@ def _b_certificate(
         criterion=CRITERION_B,
         search_mode="pipeline",
         subspace=v,
-        parameters={"eta": eta, "epsilon": eps, "mode": mode, "L_achieved": achieved_l},
+        parameters={"eta": eta, "epsilon": eps, "L_achieved": achieved_l},
         achieved={"dim": v.dim, **chk.values},
         inputs={"p": p.digest(), "q": q.digest()},
     )
@@ -886,22 +859,18 @@ def _solve_b_inner(
                 note={"base_case": True},
             )
         )
-        return _b_certificate(p, q, v, eta, eps, ctx.mode, chk), tuple(steps)
+        return _b_certificate(p, q, v, eta, eps, chk), tuple(steps)
 
     cap = max(16, math.ceil(4.0 / eps))
     for _ in range(cap + 1):
         chk = check_statement_B(p, q, v, params)
         if chk.passes:
-            return _b_certificate(p, q, v, eta, eps, ctx.mode, chk), tuple(steps)
+            return _b_certificate(p, q, v, eta, eps, chk), tuple(steps)
         pp, qp = pushforward_quotient(p, v), pushforward_quotient(q, v)
         h_before = shannon_entropy(pp) + shannon_entropy(qp)
-        if ctx.mode == MODE_PAPER:
-            eps0 = (2.0**-15) * eta * eta
-        else:
-            eps0 = max((0.5 - eta) / 2.0, 0.02)
+        eps0 = max((0.5 - eta) / 2.0, 0.02)
         eta0 = min(0.5, eta + eps0)
-        eps0 = min(eps0, eta0 - eta if eta0 > eta else eps0)
-        eps0 = max(eps0, 1e-12)
+        eps0 = min(eps0, eta0 - eta)
 
         def sub_solver(a: Dist, b: Dist) -> SubspaceCertificate:
             return _solve_b(a, b, eta0, eps0, ctx)[0]
@@ -915,7 +884,6 @@ def _solve_b_inner(
                 eta0,
                 eps0,
                 sub_solver,
-                mode=ctx.mode,
                 rng=ctx.rng,
                 seed_label=seed_label,
             )
@@ -923,8 +891,6 @@ def _solve_b_inner(
             kind = tr.steps[-1].kind if tr.steps else "CASE1"
             note = {"inductive": [s.to_json() for s in tr.steps]}
         except (HypothesisViolationError, SearchFailureError, PipelineError) as exc:
-            if ctx.mode == MODE_PAPER:
-                raise
             added = greedy_extension(pp, qp, Subspace.zero(n), operator.add)
             if added is None:
                 raise PipelineError(f"no fallback vector available after: {exc}") from exc
@@ -955,7 +921,6 @@ def solve_B(
     eta: float,
     epsilon: float,
     *,
-    mode: str = MODE_PRACTICAL,
     seed: int = 0,
 ) -> SolveResult:
     """Produce a verified statement-B subspace certificate for (eta, epsilon).
@@ -966,17 +931,15 @@ def solve_B(
     """
     if p.n != q.n:
         raise DimensionMismatchError("ambient dimensions differ")
-    if mode not in (MODE_PRACTICAL, MODE_PAPER):
-        raise ValueError(f"unknown mode {mode!r}")
     StatementParams(eta=eta, epsilon=epsilon)
-    ctx = _SolveContext(rng=np.random.default_rng(seed), mode=mode, seed=seed)
+    ctx = _SolveContext(rng=seeded_rng(seed), seed=seed)
     cert, steps = _solve_b(p, q, eta, epsilon, ctx)
     chk = check_statement_B(
         p, q, cert.subspace,
         StatementParams(eta=eta, epsilon=epsilon, L=cert.parameters["L_achieved"] + IDENTITY_TOL),
     )
     chk.require("final statement-B")
-    return SolveResult(certificate=cert, steps=steps, check=chk, mode=mode, seed=seed)
+    return SolveResult(certificate=cert, steps=steps, check=chk, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -988,7 +951,6 @@ def rich_cosets(
     q: Dist,
     epsilon: float,
     *,
-    mode: str = MODE_PRACTICAL,
     seed: int = 0,
 ) -> SolveResult:
     """Find V with H[X|pi(X)], H[Y|pi(Y)] >= s - epsilon(H[X]+H[Y]).
@@ -998,7 +960,7 @@ def rich_cosets(
     """
     if not 0.0 < epsilon <= 1.0:
         raise ValidationError(f"epsilon must lie in (0, 1], got {epsilon}")
-    inner = solve_B(p, q, epsilon / 2.0, epsilon / 2.0, mode=mode, seed=seed)
+    inner = solve_B(p, q, epsilon / 2.0, epsilon / 2.0, seed=seed)
     v = inner.subspace
     chk = check_rich_cosets(p, q, v, epsilon)
     chk.require("rich-cosets")
@@ -1006,18 +968,17 @@ def rich_cosets(
         criterion=CRITERION_RICH,
         search_mode="pipeline",
         subspace=v,
-        parameters={"epsilon": epsilon, "mode": mode, "seed": seed},
+        parameters={"epsilon": epsilon, "seed": seed},
         achieved={"dim": v.dim, **chk.values},
         inputs={"p": p.digest(), "q": q.digest()},
     )
-    return SolveResult(certificate=cert, steps=inner.steps, check=chk, mode=mode, seed=seed)
+    return SolveResult(certificate=cert, steps=inner.steps, check=chk, seed=seed)
 
 
 def many_sums(
     dists: Sequence[Dist],
     epsilon: float,
     *,
-    mode: str = MODE_PRACTICAL,
     seed: int = 0,
 ) -> SolveResult:
     """k-fold version: H[pi(X_1)+...+pi(X_k)] >= sum H[pi(X_i)] - eps sum H[X_i].
@@ -1055,7 +1016,7 @@ def many_sums(
         if violated is None:
             break
         j, prefix, tail = violated
-        sub = rich_cosets(prefix, tail, delta / 2.0, mode=mode, seed=seed)
+        sub = rich_cosets(prefix, tail, delta / 2.0, seed=seed)
         h_before = sum(shannon_entropy(d) for d in pushed)
         w = subspace_sum(w, sub.subspace)
         h_after = sum(
@@ -1080,11 +1041,11 @@ def many_sums(
         criterion=CRITERION_MANY,
         search_mode="pipeline",
         subspace=w,
-        parameters={"epsilon": epsilon, "k": k, "delta": delta, "mode": mode, "seed": seed},
+        parameters={"epsilon": epsilon, "k": k, "delta": delta, "seed": seed},
         achieved={"dim": w.dim, **chk.values},
         inputs={f"x{i}": d.digest() for i, d in enumerate(dists)},
     )
-    return SolveResult(certificate=cert, steps=tuple(steps), check=chk, mode=mode, seed=seed)
+    return SolveResult(certificate=cert, steps=tuple(steps), check=chk, seed=seed)
 
 
 def analyze_set(
@@ -1092,7 +1053,6 @@ def analyze_set(
     n: int,
     epsilon: float,
     *,
-    mode: str = MODE_PRACTICAL,
     seed: int = 0,
 ) -> SolveResult:
     """Subspace certificate for a concrete set with moderate doubling.
@@ -1108,7 +1068,7 @@ def analyze_set(
     if not members:
         raise EmptySupportError("analyze_set requires a nonempty set")
     u_a = uniform_on(members, n)
-    inner = rich_cosets(u_a, u_a, epsilon / 2.0, mode=mode, seed=seed)
+    inner = rich_cosets(u_a, u_a, epsilon / 2.0, seed=seed)
     v = inner.subspace
     chk = check_theorem_11(members, u_a, v, epsilon)
     chk.require("Theorem 1.1")
@@ -1116,8 +1076,8 @@ def analyze_set(
         criterion=CRITERION_T11,
         search_mode="pipeline",
         subspace=v,
-        parameters={"epsilon": epsilon, "mode": mode, "seed": seed},
+        parameters={"epsilon": epsilon, "seed": seed},
         achieved={"dim": v.dim, **chk.values},
         inputs={"set": [format(x, "x") for x in members], "n": n},
     )
-    return SolveResult(certificate=cert, steps=inner.steps, check=chk, mode=mode, seed=seed)
+    return SolveResult(certificate=cert, steps=inner.steps, check=chk, seed=seed)

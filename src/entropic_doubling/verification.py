@@ -28,6 +28,7 @@ from .entropy import (
     quotient_entropy,
     shannon_entropy,
 )
+from .errors import ValidationError
 from .families import doubling_stats, hamming_ball
 from .gf2 import Subspace, all_subspaces, span, subspace_intersect, subspace_sum
 from .oracle import OBJECTIVE_STATEMENT_B, exhaustive_best_subspace
@@ -340,6 +341,8 @@ def family_trend_suite(n: int = 12, radii: tuple[int, ...] = (1, 2, 3)) -> Suite
 
 def run_all(trials: int = 200, seed: int = 0, max_n: int = 6) -> list[SuiteResult]:
     """Scaled-down version of every suite, for the CLI."""
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
     scale = max(1, trials)
     top = max(2, min(max_n, 8))
     ns = tuple(range(2, top + 1))

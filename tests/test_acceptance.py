@@ -72,9 +72,9 @@ def test_criterion_6_y_size_lower_bound():
 
 
 def test_criterion_7_pipeline_soundness():
-    """solve_B on 25 random inputs at n in {3,4,5} (eta=0.3, eps=0.1,
-    practical mode): every certificate re-verifies independently; achieved
-    dim logged against the exhaustive minimum (ratio only, no hard bound)."""
+    """solve_B on 25 random inputs at n in {3,4,5} (eta=0.3, eps=0.1): every
+    certificate re-verifies independently; achieved dim logged against the
+    exhaustive minimum (ratio only, no hard bound)."""
     suite = V.pipeline_suite(instances=25, ns=(3, 4, 5), eta=0.3, epsilon=0.1, seed=107)
     report("criterion 7 (pipeline soundness)", suite)
     assert suite.passed

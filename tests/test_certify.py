@@ -28,25 +28,25 @@ def _pair(bundle):
 
 def _resolve_b(b):
     params = b["certificate"]["parameters"]
-    return solve_B(*_pair(b), params["eta"], params["epsilon"], mode=b["mode"], seed=b["seed"]).subspace
+    return solve_B(*_pair(b), params["eta"], params["epsilon"], seed=b["seed"]).subspace
 
 
 def _resolve_rich(b):
     eps = b["certificate"]["parameters"]["epsilon"]
-    return rich_cosets(*_pair(b), eps, mode=b["mode"], seed=b["seed"]).subspace
+    return rich_cosets(*_pair(b), eps, seed=b["seed"]).subspace
 
 
 def _resolve_many(b):
     dists = [Dist.from_json(d) for d in b["inputs"]["dists"]]
     eps = b["certificate"]["parameters"]["epsilon"]
-    return many_sums(dists, eps, mode=b["mode"], seed=b["seed"]).subspace
+    return many_sums(dists, eps, seed=b["seed"]).subspace
 
 
 def _resolve_t11(b):
     spec = b["inputs"]["set"]
     members = [int(h, 16) for h in spec["elements"]]
     eps = b["certificate"]["parameters"]["epsilon"]
-    return analyze_set(members, int(spec["n"]), eps, mode=b["mode"], seed=b["seed"]).subspace
+    return analyze_set(members, int(spec["n"]), eps, seed=b["seed"]).subspace
 
 
 def _resolve_pfr(b):

@@ -197,18 +197,36 @@ class TestFindSubspaceAndVerify:
             ["gen", "--family", "union-cosets", "--n", "4", "--dim-v", "2"],
             ["analyze"],
             ["find-subspace"],
+            ["analyze", "--dist", "{nan}"],
+            ["find-subspace", "--dist", "{nan}"],
+            ["analyze", "--dist", "{negative_key}"],
+            ["find-subspace", "--dist", "{dist}", "--seed", "-1"],
+            ["find-subspace", "--set", "{set}", "--seed", "-1"],
+            ["gen", "--family", "random-subset", "--n", "4", "--dim-v", "2", "--count", "2",
+             "--seed", "-1"],
+            ["gen", "--family", "union-cosets", "--n", "4", "--dim-v", "2", "--count", "2",
+             "--seed", "-1"],
+            ["verify", "--seed", "-1"],
         ],
         ids=["eta-above-half", "dist-epsilon-zero", "set-epsilon-zero", "ball-n-zero",
              "cosets-dim-above-n", "bundle-not-object", "endgame-eta-above-half",
              "endgame-kappa-negative", "endgame-kappa-infinite", "subset-without-dim-v",
-             "cosets-without-count", "analyze-without-input", "find-without-input"],
+             "cosets-without-count", "analyze-without-input", "find-without-input",
+             "analyze-nan-mass", "find-nan-mass", "analyze-negative-support-key",
+             "dist-seed-negative", "set-seed-negative", "subset-seed-negative",
+             "cosets-seed-negative", "suites-seed-negative"],
     )
     def test_bad_input_exits_two_with_one_line(
         self, argv, tmp_path, dist_files, subspace_set_file, capsys
     ):
         listing = tmp_path / "list.json"
         listing.write_text("[1, 2]")
-        paths = {"dist": dist_files[0], "set": subspace_set_file, "list": listing}
+        nan = tmp_path / "nan.json"
+        nan.write_text('{"n": 2, "mass": [NaN, 0.5, 0.5, 0]}')
+        negative_key = tmp_path / "negative_key.json"
+        negative_key.write_text(json.dumps({"n": 2, "support": {"-1": 1.0}}))
+        paths = {"dist": dist_files[0], "set": subspace_set_file, "list": listing,
+                 "nan": nan, "negative_key": negative_key}
         assert main([arg.format(**paths) for arg in argv]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
@@ -219,6 +237,12 @@ class TestFindSubspaceAndVerify:
         bundle.write_text(json.dumps({"kind": "STATEMENT_B", "tolerances": 5}))
         assert main(["verify", "--certificate", str(bundle)]) == 1
         assert json.loads(capsys.readouterr().out)["ok"] is False
+
+    def test_no_mode_option(self, dist_files, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["find-subspace", "--dist", str(dist_files[0]), "--mode", "practical"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --mode practical" in capsys.readouterr().err
 
     def test_tampered_certificate_fails(self, tmp_path, dist_files, capsys):
         out = tmp_path / "cert.json"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from entropic_doubling.dist import (
     Dist,
+    JointDist,
     condition_on_sum,
     map_joint,
     mixture,
@@ -71,6 +72,10 @@ class TestConstruction:
     def test_negative_mass_rejected(self):
         with pytest.raises(NormalizationError):
             Dist(2, np.array([0.5, 0.6, -0.1, 0.0]))
+
+    def test_nan_mass_rejected(self):
+        with pytest.raises(NormalizationError):
+            Dist(2, np.array([np.nan, 0.5, 0.5, 0.0]))
 
     def test_capacity_cap(self):
         with pytest.raises(CapacityError):
@@ -245,6 +250,10 @@ class TestJoint:
         with pytest.raises(CapacityError):
             product(point_mass(0, 2))
 
+    def test_nan_mass_rejected(self):
+        with pytest.raises(NormalizationError):
+            JointDist((1, 1), np.array([[np.nan, 0.5], [0.5, 0.0]]))
+
     def test_map_joint_identity(self):
         rng = np.random.default_rng(12)
         p, q = random_dist(2, rng), random_dist(2, rng)
@@ -324,6 +333,11 @@ class TestSerialization:
     def test_reader_validates_shape(self):
         with pytest.raises(ValidationError):
             Dist.from_json({"n": 2, "mass": [1.0]})
+
+    @pytest.mark.parametrize("key", ["-1", "4"])
+    def test_reader_rejects_support_key_outside_table(self, key):
+        with pytest.raises(ValidationError, match="support key"):
+            Dist.from_json({"n": 2, "support": {key: 1.0}})
 
 
 @given(st.integers(2, 5), st.integers(0, 10_000))

@@ -46,8 +46,6 @@ from entropic_doubling.oracle import (
     pfr_subspace,
 )
 from entropic_doubling.pipeline import (
-    MODE_PAPER,
-    MODE_PRACTICAL,
     StatementParams,
     _h_expectation_sequence,
     _solve_b,
@@ -373,13 +371,6 @@ class TestInductiveStep:
         with pytest.raises(HypothesisViolationError):
             inductive_step(p, q, 0.4, 0.05, exhaustive_b_solver(0.4, 0.05))
 
-    def test_paper_mode_rejects_large_eps0(self):
-        u = uniform_on_subspace(span([1], 2))
-        with pytest.raises(ValueError):
-            inductive_step(
-                u, u, 0.4, 0.1, exhaustive_b_solver(0.4, 0.1), mode=MODE_PAPER
-            )
-
     def test_trace_monotone(self):
         rng = np.random.default_rng(7)
         p = random_dist(4, rng)
@@ -437,19 +428,17 @@ class TestSolveB:
         assert res.subspace.dim >= minimal.subspace.dim
         assert res.subspace.dim == 0 == minimal.subspace.dim
 
-    def test_paper_mode_base_and_degenerate(self):
+    def test_base_case_and_point_mass(self):
         u = uniform_on_subspace(span([1, 2], 3))
-        res = solve_B(u, u, 0.5, 0.001, mode=MODE_PAPER, seed=0)
+        res = solve_B(u, u, 0.5, 0.001, seed=0)
         assert res.subspace == Subspace.zero(3)
         assert [s.kind for s in res.steps] == ["BASE"]
         pm = point_mass(2, 3)
-        res2 = solve_B(pm, pm, 0.1, 0.05, mode=MODE_PAPER, seed=0)
+        res2 = solve_B(pm, pm, 0.1, 0.05, seed=0)
         assert res2.subspace == Subspace.zero(3)
 
     def test_input_validation(self):
         p, q = independent_coordinates_pair()
-        with pytest.raises(ValueError):
-            solve_B(p, q, 0.3, 0.1, mode="bogus")
         with pytest.raises(ValueError):
             solve_B(p, q, 0.7, 0.1)
 
@@ -635,7 +624,7 @@ class TestBundles:
         bundle = json.loads(json.dumps(build[kind]()))
         assert bundle["kind"] == kind
         assert set(bundle) == {
-            "kind", "prng", "inputs", "certificate", "steps", "check", "mode", "seed",
+            "kind", "prng", "inputs", "certificate", "steps", "check", "seed",
             "tolerances",
         }
         achieved = dict(bundle["certificate"]["achieved"])
@@ -849,7 +838,7 @@ def test_b_solvers_return_zero_when_zero_passes(n, seed, support, eta, eps):
     p, q = random_dist(n, rng, support), random_dist(n, rng)
     zero = Subspace.zero(n)
     assume(check_statement_B(p, q, zero, StatementParams(eta=eta, epsilon=eps)).passes)
-    ctx = _SolveContext(rng=np.random.default_rng(0), mode=MODE_PRACTICAL, seed=0)
+    ctx = _SolveContext(rng=np.random.default_rng(0), seed=0)
     state = ctx.rng.bit_generator.state
     assert _solve_b(p, q, eta, eps, ctx)[0].subspace == zero
     assert ctx.rng.bit_generator.state == state
