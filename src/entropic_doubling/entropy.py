@@ -3,7 +3,10 @@
 Conditional functionals are computed from exact joint tables, never by
 sampling, so identities hold to IDENTITY_TOL rather than statistically.
 The fibring decomposition splits the doubling mass s[X;Y] into a quotient
-term, a fiber term, and a residual conditional mutual information.
+term, a fiber term, and a residual conditional mutual information.  The
+fiber and residual terms come from one coset-pair kernel: in coordinates
+E[a, u] = reps[a] ^ V[u], the (pi(X), X+Y) table is the XOR convolution
+over V of the fibers a of X and a ^ c of Y, streamed in bounded blocks.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from .tolerances import MASS_EPS
 
 # Entries (float64) per batch of the batched kernels below, far under
 # 2^MAX_JOINT_BITS: larger batches ran no faster and raised the peak memory.
-# A single pair whose table is larger (at most 2^(2n) entries) runs alone.
+# A batch holds whole rows, and a single row that is larger runs alone.
 _BATCH_ENTRIES = 1 << 16
 
 
@@ -179,80 +182,115 @@ class FibringReport:
         return payload
 
 
-def _coset_sum_tables(
-    x_mass: np.ndarray, reps: np.ndarray, y_spec: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked joint tables of K pairs: rows Pr[X_k+Y_k = z, pi_{V_k}(X_k) = t],
-    one per coset t of V_k in increasing representative order, pair after pair.
+def _fiber_index(v: Subspace) -> np.ndarray:
+    """E[a, u] = reps[a] ^ V[u]: F_2^n laid out by the cosets of V.
 
-    x_mass, reps and y_spec are (K, 2^n): the masses of X_k, the rep tables of
-    V_k and the transforms of Y_k.  Also returns each pair's first row.
+    reps are V's canonical coset representatives in increasing order and V[u]
+    XORs the basis rows picked by the bits of u.  Both labelings are linear
+    (a representative is an x with V's pivot bits cleared), so
+    E[a, u] ^ E[b, w] = E[a ^ b, u ^ w].
     """
-    pairs, size = x_mass.shape
-    is_rep = reps == np.arange(size)
-    counts = is_rep.sum(axis=1)
-    starts = np.zeros(pairs, dtype=np.int64)
-    np.cumsum(counts[:-1], out=starts[1:])
-    row = np.take_along_axis(np.cumsum(is_rep, axis=1) - 1, reps, axis=1) + starts[:, None]
-    masked = np.zeros((int(counts.sum()), size))
-    masked[row, np.arange(size)] = x_mass
-    spec = wht(masked)
-    del masked
-    spec *= np.repeat(y_spec, counts, axis=0)
-    zt = wht(spec)
-    del spec
-    zt /= size
-    np.maximum(zt, 0.0, out=zt)
-    zt[zt < MASS_EPS] = 0.0
-    return zt, starts
+    reps = v.rep_table()
+    members = np.zeros(1, dtype=np.int64)
+    for r in v.basis:
+        members = np.concatenate([members, members ^ r])
+    return np.flatnonzero(reps == np.arange(reps.size))[:, None] ^ members[None, :]
 
 
-def fiber_interactions(triples: Sequence[tuple[Dist, Dist, Subspace]]) -> np.ndarray:
-    """s[X|pi_V(X); Y|pi_V(Y)] = H[X] + H[Y] - H[X+Y, pi_V(X)] for each (X, Y, V).
+def _plogp_sums(table: np.ndarray) -> np.ndarray:
+    """sum t log2 t over each leading-axis slice, with 0 log 0 = 0 and dust
+    at or below MASS_EPS skipped, as _entropy does."""
+    logs = np.log2(table, out=np.zeros_like(table), where=table > MASS_EPS)
+    logs *= table
+    return logs.reshape(len(table), -1).sum(axis=1)
 
-    The fibring_decompose term for many pairs at once: each distinct X and Y
-    gets its entropy, and each Y its transform, once; the coset tables run in
-    batches of at most _BATCH_ENTRIES entries (one pair may exceed it alone).
+
+def _coset_pair_sums(x_spec: np.ndarray, y_spec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sum A log A and I[X+Y : pi(X) | pi(X+Y)] for K pairs sharing n and dim V.
+
+    x_spec and y_spec are (K, 2^(n-d), 2^d): the transforms, along V, of the
+    fibers X[E[a, :]] and Y[E[a, :]].  The table
+    A[k, a, c, u] = Pr[pi(X) = a, pi(X+Y) = c, X+Y = E[c, u]]
+    is the XOR convolution over V of fiber a of X with fiber a ^ c of Y.  It
+    is built and reduced in blocks of a-rows of at most _BATCH_ENTRIES
+    entries (one a-row may exceed it alone), keeping per pair the row sums
+    r[a, c] as sum r log r and the column sums col[c, u].  The residual is
+    -sum col log col - sum r log r + sum A log A + sum w log w, where w is
+    the law of pi(X+Y).  A pair's results do not depend on K.
+    """
+    pairs, cosets, size = x_spec.shape
+    rows = min(cosets, max(1, _BATCH_ENTRIES // (cosets * size)))
+    plogp = np.zeros(pairs)
+    row_plogp = np.zeros(pairs)
+    col = np.zeros((pairs, cosets, size))
+    labels = np.arange(cosets)
+    for lo in range(0, cosets, rows):
+        a = labels[lo : lo + rows]
+        block = wht(x_spec[:, lo : lo + rows, None] * np.take(y_spec, a[:, None] ^ labels, axis=1))
+        block /= size
+        np.maximum(block, 0.0, out=block)
+        block[block < MASS_EPS] = 0.0
+        a_log_a = _plogp_sums(block)
+        plogp += a_log_a
+        # With dim V = 0 each row sum is the row's one entry.
+        row_plogp += a_log_a if size == 1 else _plogp_sums(block.sum(axis=-1))
+        col += block.sum(axis=1)
+    # H[X+Y | pi(X+Y)] - H[X+Y | pi(X), pi(X+Y)], each from the table.
+    residual = (_plogp_sums(col.sum(axis=-1)) - _plogp_sums(col)) - (row_plogp - plogp)
+    return plogp, residual
+
+
+def _fiber_terms(triples: Sequence[tuple[Dist, Dist, Subspace]]) -> tuple[np.ndarray, np.ndarray]:
+    """s[X|pi_V(X); Y|pi_V(Y)] and I[X+Y : (pi(X), pi(Y)) | pi(X+Y)] for each (X, Y, V).
+
+    Triples are grouped by (n, dim V); each distinct X and Y gets its entropy
+    and each distinct V its fiber index once.  Whole pairs share a kernel
+    call while their tables fit in _BATCH_ENTRIES together; a larger pair
+    runs alone.  A triple's results do not depend on the others.
     """
     entropy: dict[Dist, float] = {}
-    spectrum: dict[Dist, np.ndarray] = {}
-    for x, y, v in triples:
+    index: dict[Subspace, np.ndarray] = {}
+    groups: dict[tuple[int, int], list[tuple[int, Dist, Dist, Subspace]]] = {}
+    for i, (x, y, v) in enumerate(triples):
         if x.n != y.n or x.n != v.n:
             raise DimensionMismatchError("ambient dimensions differ")
         for d in (x, y):
             if d not in entropy:
                 entropy[d] = shannon_entropy(d)
-        if y not in spectrum:
-            spectrum[y] = wht(y.mass)
-    out = np.empty(len(triples))
-    lo = 0
-    while lo < len(triples):
-        hi, entries = lo, 0
-        while hi < len(triples):
-            x, _, v = triples[hi]
-            cost = (1 << (x.n - v.dim)) << x.n
-            if hi > lo and entries + cost > _BATCH_ENTRIES:
-                break
-            entries += cost
-            hi += 1
-        batch = triples[lo:hi]
-        zt, starts = _coset_sum_tables(
-            np.stack([x.mass for x, _, _ in batch]),
-            np.stack([v.rep_table() for _, _, v in batch]),
-            np.stack([spectrum[y] for _, y, _ in batch]),
-        )
-        ends = np.append(starts[1:], len(zt))
-        for k, (x, y, _) in enumerate(batch):
-            out[lo + k] = entropy[x] + entropy[y] - _entropy(zt[starts[k] : ends[k]])
-        lo = hi
-    return out
+        if v not in index:
+            index[v] = _fiber_index(v)
+        groups.setdefault((x.n, v.dim), []).append((i, x, y, v))
+    s_fiber = np.empty(len(triples))
+    residual = np.empty(len(triples))
+    for (n, dim), group in groups.items():
+        step = max(1, _BATCH_ENTRIES >> (2 * n - dim))
+        for lo in range(0, len(group), step):
+            chunk = group[lo : lo + step]
+            plogp, res = _coset_pair_sums(
+                wht(np.stack([x.mass[index[v]] for _, x, _, v in chunk])),
+                wht(np.stack([y.mass[index[v]] for _, _, y, v in chunk])),
+            )
+            for (i, x, y, _), a_log_a, r in zip(chunk, plogp.tolist(), res.tolist()):
+                s_fiber[i] = entropy[x] + entropy[y] + a_log_a
+                residual[i] = r
+    return s_fiber, residual
+
+
+def fiber_interactions(triples: Sequence[tuple[Dist, Dist, Subspace]]) -> np.ndarray:
+    """s[X|pi_V(X); Y|pi_V(Y)] = H[X] + H[Y] - H[X+Y, pi_V(X)] for each (X, Y, V):
+    the fibring_decompose term for many pairs at once, by the same kernel."""
+    return _fiber_terms(triples)[0]
 
 
 def fibring_decompose(p: Dist, q: Dist, v: Subspace) -> FibringReport:
     """Exact decomposition of s[X;Y] relative to the subspace V.
 
     Terms: s[X;Y], s[pi(X); pi(Y)], s[X|pi(X); Y|pi(Y)], and the residual
-    I[X+Y : (pi(X), pi(Y)) | pi(X+Y)].
+    I[X+Y : (pi(X), pi(Y)) | pi(X+Y)].  s[X;Y] and s[pi(X); pi(Y)] come from
+    convolutions; the fiber term and the residual come from the coset-pair
+    kernel's (pi(X), pi(X+Y), X+Y) table, streamed in blocks of at most
+    _BATCH_ENTRIES entries (one a-row of 2^n entries at least), so neither
+    is derived from the identity and identity_gap checks the kernel.
     """
     if p.n != q.n or p.n != v.n:
         raise DimensionMismatchError("ambient dimensions differ")
@@ -263,23 +301,10 @@ def fibring_decompose(p: Dist, q: Dist, v: Subspace) -> FibringReport:
         shannon_entropy(pp) + shannon_entropy(qp) - shannon_entropy(xor_convolve(pp, qp))
     )
     # H[X+Y | pi(X), pi(Y)] comes from the (X+Y, pi(X)) table: pi(Y) is then
-    # determined, so s_fiber = H[X] + H[Y] - H[X+Y, pi(X)].
-    reps = v.rep_table()
-    zt = _coset_sum_tables(p.mass[None, :], reps[None, :], wht(q.mass)[None, :])[0]
-    s_fiber = hp + hq - _entropy(zt)
-    # Residual: expectation over c ~ pi(X+Y) of I[X+Y : pi(X) | pi(X+Y) = c];
-    # conditioned on pi(X+Y), the pair (pi(X), pi(Y)) carries the same
-    # information as pi(X) alone.
-    residual = 0.0
-    for c in np.unique(reps):
-        sub = zt[:, reps == c]
-        w = sub.sum()
-        if w <= MASS_EPS:
-            continue
-        sub = sub / w
-        residual += w * (
-            _entropy(sub.sum(axis=1)) + _entropy(sub.sum(axis=0)) - _entropy(sub)
-        )
+    # determined, so s_fiber = H[X] + H[Y] - H[X+Y, pi(X)].  Conditioned on
+    # pi(X+Y), the pair (pi(X), pi(Y)) carries the same information as pi(X),
+    # so the residual is read from the same table's marginals.
+    (s_fiber,), (residual,) = _fiber_terms([(p, q, v)])
     return FibringReport(
         s_total=float(s_total),
         s_quotient=float(s_quotient),

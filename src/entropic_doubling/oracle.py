@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dist import Dist, pushforward_quotient, xor_convolve
+from .dist import Dist, _pushforward, pushforward_quotient, xor_convolve
 from .entropy import (
     joint_entropy,
     mutual_information,
@@ -28,7 +28,7 @@ from .errors import (
     PipelineError,
     SearchFailureError,
 )
-from .gf2 import Subspace, all_subspaces, span
+from .gf2 import Subspace, all_subspaces, pivot_of, span
 from .tolerances import IDENTITY_TOL, MASS_EPS, MAX_ENUM_N, tolerances_dict
 
 CRITERION_PFR = "PFR_COR22"
@@ -258,10 +258,11 @@ def greedy_extension(
     rep = v.rep_table()
     best_vec, best_score = None, np.inf
     for vec in np.flatnonzero(rep == np.arange(rep.size))[1:].tolist():
-        cand = span(v.basis + (vec,), v.n)
+        # vec is zero on V's pivots, so clearing its pivot bit from V's
+        # representatives gives exactly the rep table of V + <vec>.
+        cand = rep ^ ((rep >> pivot_of(vec)) & 1) * vec
         score = combine(
-            shannon_entropy(pushforward_quotient(p, cand)),
-            shannon_entropy(pushforward_quotient(q, cand)),
+            shannon_entropy(_pushforward(p, cand)), shannon_entropy(_pushforward(q, cand))
         )
         if score < best_score - 1e-15:
             best_vec, best_score = vec, score

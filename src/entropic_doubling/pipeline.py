@@ -887,8 +887,11 @@ def _solve_b_inner(
                 rng=ctx.rng,
                 seed_label=seed_label,
             )
+            # Only the early exit records no step, and without a SUMSET_FIX
+            # step it needs H[X] + H[Y] = 0, where V = 0 has already passed.
+            assert tr.steps, "inductive step recorded no step"
             added = tr.subspace
-            kind = tr.steps[-1].kind if tr.steps else "CASE1"
+            kind = tr.steps[-1].kind
             note = {"inductive": [s.to_json() for s in tr.steps]}
         except (HypothesisViolationError, SearchFailureError, PipelineError) as exc:
             added = greedy_extension(pp, qp, Subspace.zero(n), operator.add)
@@ -994,6 +997,9 @@ def many_sums(
         raise DimensionMismatchError("ambient dimensions differ")
     if not 0.0 < epsilon <= 1.0:
         raise ValidationError(f"epsilon must lie in (0, 1], got {epsilon}")
+    # Checked here too: the result records the seed even when no prefix pair
+    # needs a rich_cosets call.
+    seeded_rng(seed)
     delta = epsilon / (k - 1)
     s_h = sum(shannon_entropy(d) for d in dists)
     w = Subspace.zero(n)

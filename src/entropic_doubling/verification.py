@@ -340,22 +340,23 @@ def family_trend_suite(n: int = 12, radii: tuple[int, ...] = (1, 2, 3)) -> Suite
 
 
 def run_all(trials: int = 200, seed: int = 0, max_n: int = 6) -> list[SuiteResult]:
-    """Scaled-down version of every suite, for the CLI."""
+    """Scaled-down version of every suite, for the CLI: trials >= 1 sets the
+    suites' sizes and 2 <= max_n <= 8 the largest n of the per-n suites."""
     if seed < 0:
         raise ValidationError(f"seed must be nonnegative, got {seed}")
-    scale = max(1, trials)
-    top = max(2, min(max_n, 8))
-    ns = tuple(range(2, top + 1))
+    if trials < 1:
+        raise ValidationError(f"trials must be positive, got {trials}")
+    if not 2 <= max_n <= 8:
+        raise ValidationError(f"n must lie in 2..8, got {max_n}")
+    ns = tuple(range(2, max_n + 1))
     return [
-        identity_suite(trials=scale, ns=ns, seed=seed),
-        convolution_oracle_suite(
-            pairs=min(scale, 200), ns=tuple(range(2, max(top, 8) + 1)), seed=seed + 1
-        ),
-        subspace_algebra_suite(dists=min(scale, 50), seed=seed + 2),
-        base_case_suite(trials=5 * scale, ns=ns[: max(1, top - 1)], seed=seed + 3),
-        endgame_suite(instances=min(scale, 50), seed=seed + 4),
-        y_size_suite(instances=min(scale, 100), seed=seed + 5),
-        pipeline_suite(instances=min(max(scale // 40, 3), 25), seed=seed + 6),
+        identity_suite(trials=trials, ns=ns, seed=seed),
+        convolution_oracle_suite(pairs=min(trials, 200), ns=tuple(range(2, 9)), seed=seed + 1),
+        subspace_algebra_suite(dists=min(trials, 50), seed=seed + 2),
+        base_case_suite(trials=5 * trials, ns=ns, seed=seed + 3),
+        endgame_suite(instances=min(trials, 50), seed=seed + 4),
+        y_size_suite(instances=min(trials, 100), seed=seed + 5),
+        pipeline_suite(instances=min(max(trials // 40, 3), 25), seed=seed + 6),
         theorem11_suite(seed=seed + 7),
         family_trend_suite(),
     ]

@@ -207,6 +207,9 @@ class TestFindSubspaceAndVerify:
             ["gen", "--family", "union-cosets", "--n", "4", "--dim-v", "2", "--count", "2",
              "--seed", "-1"],
             ["verify", "--seed", "-1"],
+            ["verify", "--trials", "-3"],
+            ["verify", "--n", "0"],
+            ["verify", "--n", "100"],
         ],
         ids=["eta-above-half", "dist-epsilon-zero", "set-epsilon-zero", "ball-n-zero",
              "cosets-dim-above-n", "bundle-not-object", "endgame-eta-above-half",
@@ -214,7 +217,8 @@ class TestFindSubspaceAndVerify:
              "cosets-without-count", "analyze-without-input", "find-without-input",
              "analyze-nan-mass", "find-nan-mass", "analyze-negative-support-key",
              "dist-seed-negative", "set-seed-negative", "subset-seed-negative",
-             "cosets-seed-negative", "suites-seed-negative"],
+             "cosets-seed-negative", "suites-seed-negative", "suites-trials-negative",
+             "suites-n-zero", "suites-n-above-cap"],
     )
     def test_bad_input_exits_two_with_one_line(
         self, argv, tmp_path, dist_files, subspace_set_file, capsys

@@ -1,6 +1,7 @@
 """Entropy calculus: frozen derived values plus brute-force enumeration oracles."""
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -380,6 +381,36 @@ class TestFibring:
             assert rep.s_fiber == pytest.approx(s_f, abs=1e-10)
             assert rep.residual_mi == pytest.approx(res, abs=1e-10)
             assert rep.residual_mi >= -1e-9
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_partial_support_at_every_fiber_length_against_enumeration(self, n):
+        # dim V = 0, 1, n - 1 and n: fibers from single points to the whole group.
+        rng = np.random.default_rng(30 + n)
+        for dim in (0, 1, n - 1, n):
+            for _ in range(3):
+                v = Subspace.zero(n)
+                while v.dim < dim:
+                    v = span(v.basis + (int(rng.integers(1, 1 << n)),), n)
+                p = random_dist(n, rng, int(rng.integers(1, 1 << n)))
+                q = random_dist(n, rng, int(rng.integers(1, 1 << n)))
+                rep = fibring_decompose(p, q, v)
+                s_t, s_q, s_f, res = fibring_by_enumeration(p, q, v)
+                assert rep.s_fiber == pytest.approx(s_f, abs=1e-12)
+                assert rep.residual_mi == pytest.approx(res, abs=1e-12)
+                assert abs(rep.identity_gap) < 1e-12
+
+    def test_memory_stays_bounded_at_the_dense_cap(self):
+        # The whole (X+Y, pi(X)) table at n = 12 and V = 0 is 2^24 floats, 128 MiB.
+        rng = np.random.default_rng(19)
+        p, q = random_dist(12, rng), random_dist(12, rng)
+        tracemalloc.start()
+        try:
+            rep = fibring_decompose(p, q, Subspace.zero(12))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert abs(rep.identity_gap) < 1e-12
 
     def test_report_serialization(self):
         p = uniform_on([0, 4, 3], 3)

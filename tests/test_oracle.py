@@ -152,6 +152,24 @@ class TestGreedyExtension:
         # Modulo <1>, the cosets of 2 and 3 coincide; their representative is 2.
         assert greedy_extension(u, u, span([1], 3), max) == span([1, 2], 3)
 
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_matches_span_based_reference(self, n):
+        rng = np.random.default_rng(40 + n)
+        for _ in range(4):
+            p = random_dist(n, rng, int(rng.integers(2, 1 << n)))
+            q = random_dist(n, rng, int(rng.integers(2, 1 << n)))
+            v = span([int(x) for x in rng.integers(0, 1 << n, size=int(rng.integers(0, 4)))], n)
+            for combine in (operator.add, max):
+                best, best_score = None, np.inf
+                for vec in range(1, 1 << n):
+                    if v.reduce(vec) != vec:
+                        continue
+                    cand = span(v.basis + (vec,), n)
+                    score = combine(quotient_entropy(p, cand), quotient_entropy(q, cand))
+                    if score < best_score - 1e-15:
+                        best, best_score = cand, score
+                assert greedy_extension(p, q, v, combine) == best
+
     def test_whole_group_has_no_extension(self):
         u = uniform_on([0, 1], 2)
         assert greedy_extension(u, u, Subspace.full(2), max) is None

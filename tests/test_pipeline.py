@@ -509,6 +509,13 @@ class TestManySums:
         with pytest.raises(ValidationError, match=rf"\(0, 1\], got {epsilon}"):
             many_sums([pm, pm], epsilon)
 
+    def test_negative_seed_rejected_without_a_fix(self):
+        # U + U is U, so at epsilon = 1/2 no prefix pair needs rich_cosets.
+        u = uniform_on([0, 1], 2)
+        assert many_sums([u, u], 0.5).subspace == Subspace.zero(2)
+        with pytest.raises(ValidationError, match="seed must be nonnegative, got -1"):
+            many_sums([u, u], 0.5, seed=-1)
+
 
 class TestAnalyzeSet:
     def test_subspace_input(self):
