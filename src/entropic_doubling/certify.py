@@ -3,7 +3,9 @@
 A bundle embeds the inputs (sets or distributions), the subspace, the claimed
 quantities with both sides of every inequality, the tolerances, and the seed;
 verify_bundle recomputes everything from the embedded inputs and the stored
-subspace, accepting only within the stored tolerances.
+subspace.  A stored value passes within the bundle's identity tolerance, which
+may tighten IDENTITY_TOL but not loosen it: a bundle whose tolerance is not a
+number in [0, IDENTITY_TOL] fails.
 """
 
 from __future__ import annotations
@@ -145,7 +147,15 @@ def verify_bundle(payload: dict) -> VerifyReport:
             raise ValidationError(
                 f"tolerances is a JSON object, not {type(tolerances).__name__}"
             )
-        tol = float(tolerances.get("identity", IDENTITY_TOL))
+        tol = tolerances.get("identity", IDENTITY_TOL)
+        # A bundle may tighten its own checks but never loosen them; NaN fails.
+        _require(
+            report,
+            f"identity tolerance {tol!r} is not a number in [0, {IDENTITY_TOL}]",
+            type(tol) in (int, float) and 0.0 <= tol <= IDENTITY_TOL,
+        )
+        if not report.ok:
+            return report
         inputs = payload["inputs"]
         if kind == "ENDGAME":
             p, q = Dist.from_json(inputs["p"]), Dist.from_json(inputs["q"])

@@ -238,12 +238,7 @@ def pushforward_quotient(p: Dist, v: Subspace) -> Dist:
     """Distribution of pi_V(X), supported on canonical coset representatives."""
     if p.n != v.n:
         raise DimensionMismatchError("ambient dimensions differ")
-    return _pushforward(p, v.rep_table())
-
-
-def _pushforward(p: Dist, reps: np.ndarray) -> Dist:
-    """Distribution of reps[X], for a table of canonical representatives."""
-    return Dist(p.n, np.bincount(reps, weights=p.mass, minlength=1 << p.n))
+    return Dist(p.n, np.bincount(v.rep_table(), weights=p.mass, minlength=1 << p.n))
 
 
 def condition_on_sum(p: Dist, q: Dist, u: int) -> Dist:

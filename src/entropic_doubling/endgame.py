@@ -12,20 +12,22 @@ Y_w = (Y_1 | Y_1+X_2 = w) admit per-pair subspaces V(u,w) within the
 Everything here is verified numerically, never trusted.
 
 A FiberGrid is what each case of the inductive step (Case 1, Case 2 and this
-endgame) hands to the local-to-global lemma; fiber_grid builds each one that
-the step tries, over at most FIBER_CAP pairs.  The step skips a Case 1 or
-Case 2 grid whose every capped fiber pair (cap_fibers) meets statement B at
-V = 0: the B-solver would return V(u, w) = 0 for each, and such a grid has no
-local interaction.  The step's endgame case and endgame() share endgame_grid,
-the hypothesis check and the budgeted per-pair grid; the Z-system bookkeeping
-and the 480*kappa table are endgame()'s, for transcripts and bundles.
+endgame) hands to the local-to-global lemma, over the at most FIBER_CAP pairs
+that cap_fibers keeps.  fiber_grid builds a Case 1 or Case 2 grid from a
+B-solver.  The step skips such a grid when every kept fiber pair meets
+statement B at V = 0: the B-solver would return V(u, w) = 0 for each, and
+such a grid has no local interaction.  The step's endgame case and endgame()
+share endgame_grid, the hypothesis check and the budgeted grid, whose
+V(u, w) come from one masked argmin per X_u row over the fibers' stacked
+lattice scans; the Z-system bookkeeping and the 480*kappa table are
+endgame()'s, for transcripts and bundles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -251,8 +253,8 @@ class FiberGrid:
         return hyp, e_dim
 
 
-def _heaviest(fam: FiberFamily, k: int) -> tuple[FiberFamily, float]:
-    """The k heaviest fibers in label order, renormalized, and their total weight."""
+def _heaviest(fam: FiberFamily, k: int) -> tuple[FiberFamily, float, np.ndarray]:
+    """The k heaviest fibers in label order, renormalized, their weight and indices."""
     order = np.argsort(-fam.weights)[:k]
     coverage = float(fam.weights[order].sum())
     order = np.sort(order)
@@ -262,31 +264,24 @@ def _heaviest(fam: FiberFamily, k: int) -> tuple[FiberFamily, float]:
         weights / weights.sum(),
         tuple(fam.dists[i] for i in order),
     )
-    return kept, coverage
+    return kept, coverage, order
 
 
-class PairScan(NamedTuple):
-    """One endgame pair's transcript row: V(u, w) and its four entropies."""
-
-    subspace: Subspace
-    h_x: float
-    h_y: float
-    h_proj_x: float
-    h_proj_y: float
-
-
-def cap_fibers(fam_x: FiberFamily, fam_y: FiberFamily) -> tuple[FiberFamily, FiberFamily, dict]:
-    """The families a grid over fam_x x fam_y keeps, and its cap note.
+def cap_fibers(
+    fam_x: FiberFamily, fam_y: FiberFamily
+) -> tuple[FiberFamily, FiberFamily, dict, np.ndarray, np.ndarray]:
+    """The families a grid over fam_x x fam_y keeps, its cap note, and the
+    kept fibers' indices in fam_x and in fam_y.
 
     A grid over more than FIBER_CAP pairs keeps each family's
     floor(sqrt(FIBER_CAP)) heaviest fibers and records their coverage in the note.
     """
     kx, ky = len(fam_x.labels), len(fam_y.labels)
     if kx * ky <= FIBER_CAP:
-        return fam_x, fam_y, {"applied": False, "cap": FIBER_CAP}
+        return fam_x, fam_y, {"applied": False, "cap": FIBER_CAP}, np.arange(kx), np.arange(ky)
     side = int(np.sqrt(FIBER_CAP))
-    fam_x, coverage_x = _heaviest(fam_x, min(side, kx))
-    fam_y, coverage_y = _heaviest(fam_y, min(side, ky))
+    fam_x, coverage_x, rows = _heaviest(fam_x, min(side, kx))
+    fam_y, coverage_y, cols = _heaviest(fam_y, min(side, ky))
     note = {
         "applied": True,
         "cap": FIBER_CAP,
@@ -295,18 +290,19 @@ def cap_fibers(fam_x: FiberFamily, fam_y: FiberFamily) -> tuple[FiberFamily, Fib
         "coverage_u": coverage_x,
         "coverage_w": coverage_y,
     }
-    return fam_x, fam_y, note
+    return fam_x, fam_y, note, rows, cols
 
 
 def fiber_grid(
     fam_x: FiberFamily,
     fam_y: FiberFamily,
-    solver: Callable[[Dist, Dist], SubspaceCertificate | PairScan],
+    solver: Callable[[Dist, Dist], SubspaceCertificate],
 ) -> FiberGrid:
-    """Fibers X_u of fam_x and Y_w of fam_y with V(u, w) = solver(X_u, Y_w).subspace,
-    over the families cap_fibers keeps.  The solver runs u-major, in label order.
+    """Fibers X_u of fam_x and Y_w of fam_y with V(u, w) = solver(X_u, Y_w).subspace
+    for a B-solver, over the families cap_fibers keeps.  The solver runs
+    u-major, in label order.
     """
-    fam_x, fam_y, note = cap_fibers(fam_x, fam_y)
+    fam_x, fam_y, note, _, _ = cap_fibers(fam_x, fam_y)
     v_table = {
         (u, w): solver(xu, yw).subspace
         for u, xu in zip(fam_x.labels, fam_x.dists)
@@ -329,18 +325,20 @@ def _check_endgame_inputs(n: int, eta: float, kappa: float | None) -> None:
 
 def endgame_grid(
     move_table: _MoveTable, eta: float, kappa: float | None
-) -> tuple[float, dict, FiberGrid, dict[tuple[Dist, Dist], PairScan]]:
+) -> tuple[float, dict, FiberGrid, tuple[np.ndarray, ...]]:
     """Check eta, kappa, n <= MAX_ENUM_N, s[X;Y] >= eta(H[X]+H[Y]) and the
     four move inequalities on a measured move table, then build the grid of
     the fibers X_u, Y_w with V(u, w) the minimizer of H[pi(X_u)]+H[pi(Y_w)]
     under the PFR size budget.  Without a kappa, the smallest one the moves
-    allow is used.  Returns kappa, each move's gap, the grid and each pair's
-    row; raises HypothesisViolationError naming every failed inequality.
+    allow is used.  Returns kappa, each move's gap, the grid and the arrays
+    H[X_u], H[Y_w], and H[pi(X_u)], H[pi(Y_w)] at each V(u, w); raises
+    HypothesisViolationError naming every failed inequality.
 
-    Each fiber's entropy and lattice scan are computed once, for every pair in
-    its row or column.  The pick is exhaustive_best_subspace's projected-entropy
-    objective at entropy_budget = PFR_SIZE_FACTOR (H[X_u] + H[Y_w]): the same
-    float expressions and the same tie-break, so the same V(u, w)."""
+    Each kept fiber's lattice is scanned once, and its entropy read from the
+    move table.  Each X_u row's V(u, w) is one masked argmin of the stacked
+    scans, under dim V <= PFR_SIZE_FACTOR (H[X_u] + H[Y_w]): the same floats
+    and first-minimum tie-break as exhaustive_best_subspace's projected-entropy
+    objective, so the same V(u, w)."""
     _check_endgame_inputs(move_table.n, eta, kappa)
     h_total = move_table.h_x + move_table.h_y
     gaps: list[tuple[str, float, float]] = []
@@ -361,24 +359,25 @@ def endgame_grid(
             gaps=gaps,
         )
 
-    scanned: dict[Dist, tuple[float, np.ndarray]] = {}
-    rows: dict[tuple[Dist, Dist], PairScan] = {}
-
-    def scan(d: Dist) -> tuple[float, np.ndarray]:
-        if d not in scanned:
-            scanned[d] = (shannon_entropy(d), lattice_entropies(d))
-        return scanned[d]
-
-    def budgeted_pick(xu: Dist, yw: Dist) -> PairScan:
-        (hx, lat_x), (hy, lat_y) = scan(xu), scan(yw)
-        subs, _, _, dims = _scan_tables(xu.n)
-        feasible = dims <= PFR_SIZE_FACTOR * (hx + hy) + IDENTITY_TOL
-        idx = _masked_argmin(lat_x + lat_y, feasible, OBJECTIVE_PROJECTED_ENTROPY)
-        rows[(xu, yw)] = PairScan(subs[idx], hx, hy, float(lat_x[idx]), float(lat_y[idx]))
-        return rows[(xu, yw)]
-
-    grid = fiber_grid(move_table.fib_pq, move_table.fib_qp, budgeted_pick)
-    return kappa, hypothesis_gaps, grid, rows
+    fam_x, fam_y, note, rows, cols = cap_fibers(move_table.fib_pq, move_table.fib_qp)
+    h_x = move_table.entropies_2.h_x[rows]
+    h_y = move_table.entropies_2.h_y[cols]
+    lat_x = np.stack([lattice_entropies(d) for d in fam_x.dists])
+    lat_y = np.stack([lattice_entropies(d) for d in fam_y.dists])
+    subs, _, _, dims = _scan_tables(move_table.n)
+    picks = np.empty((len(h_x), len(h_y)), dtype=np.int64)
+    for i in range(len(h_x)):
+        feasible = dims <= PFR_SIZE_FACTOR * (h_x[i] + h_y[:, None]) + IDENTITY_TOL
+        picks[i] = _masked_argmin(lat_x[i] + lat_y, feasible, OBJECTIVE_PROJECTED_ENTROPY)
+    v_table = {
+        (u, w): subs[picks[i, j]]
+        for i, u in enumerate(fam_x.labels)
+        for j, w in enumerate(fam_y.labels)
+    }
+    proj_x = np.take_along_axis(lat_x, picks, axis=1)
+    proj_y = lat_y[np.arange(len(h_y)), picks]
+    grid = FiberGrid(fam_x, fam_y, v_table, note)
+    return kappa, hypothesis_gaps, grid, (h_x, h_y, proj_x, proj_y)
 
 
 def endgame(p: Dist, q: Dist, eta: float, kappa: float | None = None) -> EndgameTranscript:
@@ -395,7 +394,7 @@ def endgame(p: Dist, q: Dist, eta: float, kappa: float | None = None) -> Endgame
     # Reject bad inputs before the 2^n x 2^n pair-entropy tables of the move table.
     _check_endgame_inputs(p.n, eta, kappa)
     move_table = _move_table(p, q)
-    kappa, hypothesis_gaps, grid, rows = endgame_grid(move_table, eta, kappa)
+    kappa, gaps, grid, (h_x, h_y, proj_x, proj_y) = endgame_grid(move_table, eta, kappa)
 
     j12, j13 = z_system_joints(p, q)
     i_z1_z2 = conditional_mutual_information(j12, 0, 1, 2)
@@ -411,19 +410,19 @@ def endgame(p: Dist, q: Dist, eta: float, kappa: float | None = None) -> Endgame
 
     table = []
     expectation = 0.0
-    for wu, u, xu in zip(grid.fibers_x.weights, grid.fibers_x.labels, grid.fibers_x.dists):
-        for ww, w, yw in zip(grid.fibers_y.weights, grid.fibers_y.labels, grid.fibers_y.dists):
-            row = rows[(xu, yw)]
+    for i, (wu, u) in enumerate(zip(grid.fibers_x.weights, grid.fibers_x.labels)):
+        for j, (ww, w) in enumerate(zip(grid.fibers_y.weights, grid.fibers_y.labels)):
             weight = float(wu * ww)
-            expectation += weight * (row.h_proj_x + row.h_proj_y)
-            table.append((u, w, weight, *row))
+            px, py = float(proj_x[i, j]), float(proj_y[i, j])
+            expectation += weight * (px + py)
+            table.append((u, w, weight, grid.v_table[(u, w)], float(h_x[i]), float(h_y[j]), px, py))
     bound = 480.0 * kappa
     return EndgameTranscript(
         eta=eta,
         kappa=kappa,
         s_xy=move_table.s_xy,
         h_total=move_table.h_x + move_table.h_y,
-        hypothesis_gaps=hypothesis_gaps,
+        hypothesis_gaps=gaps,
         i_z1_z3=float(i_z1_z3),
         i_z1_z2=float(i_z1_z2),
         h_z_given_s=(float(h1), float(h2), float(h3)),

@@ -12,7 +12,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import CapacityError, EmptySupportError, ValidationError
+from .dist import wht
+from .errors import EmptySupportError, ValidationError
 from .gf2 import span
 from .tolerances import MAX_ELEMENT_N
 
@@ -28,8 +29,10 @@ def seeded_rng(seed: int) -> np.random.Generator:
 
 def hamming_ball(n: int, r: int) -> list[int]:
     """All vectors of Hamming weight <= r, sorted."""
-    if not 0 <= r <= n or n > MAX_ELEMENT_N:
-        raise ValidationError(f"need 0 <= r <= n <= {MAX_ELEMENT_N}, got n = {n}, r = {r}")
+    if not 1 <= n <= MAX_ELEMENT_N or not 0 <= r <= n:
+        raise ValidationError(
+            f"need 0 <= r <= n, 1 <= n <= {MAX_ELEMENT_N}, got n = {n}, r = {r}"
+        )
     out = [0]
     for w in range(1, r + 1):
         for bits in combinations(range(n), w):
@@ -40,10 +43,16 @@ def hamming_ball(n: int, r: int) -> list[int]:
     return sorted(out)
 
 
+def _check_dims(n: int, dim_v: int) -> None:
+    if not 1 <= n <= MAX_ELEMENT_N or not 0 <= dim_v <= n:
+        raise ValidationError(
+            f"need 0 <= dim_v <= n, 1 <= n <= {MAX_ELEMENT_N}, got n = {n}, dim_v = {dim_v}"
+        )
+
+
 def random_subset_of_subspace(n: int, dim_v: int, count: int, seed: int) -> list[int]:
     """Uniformly random count-subset of the first-coordinates subspace."""
-    if not 0 <= dim_v <= n or n > MAX_ELEMENT_N:
-        raise ValidationError("invalid dimensions")
+    _check_dims(n, dim_v)
     if not 1 <= count <= (1 << dim_v):
         raise ValidationError(f"count must lie in [1, 2^{dim_v}]")
     rng = seeded_rng(seed)
@@ -53,12 +62,9 @@ def random_subset_of_subspace(n: int, dim_v: int, count: int, seed: int) -> list
 
 def union_of_cosets(n: int, dim_v: int, num_cosets: int, seed: int) -> list[int]:
     """A = V + Lambda for a random Lambda of the given size."""
-    if not 0 <= dim_v <= n or n > MAX_ELEMENT_N:
-        raise ValidationError("invalid dimensions")
+    _check_dims(n, dim_v)
     if not 1 <= num_cosets <= (1 << n):
         raise ValidationError("invalid coset count")
-    if n > 24:
-        raise CapacityError("set generation capped for dense enumeration")
     rng = seeded_rng(seed)
     lam = rng.choice(1 << n, size=num_cosets, replace=False)
     v = span([1 << i for i in range(dim_v)], n)
@@ -67,12 +73,20 @@ def union_of_cosets(n: int, dim_v: int, num_cosets: int, seed: int) -> list[int]
 
 
 def sumset(elements) -> set[int]:
-    """Exact A+A by pairwise XOR (vectorized)."""
-    members = np.asarray(sorted(set(elements)), dtype=np.int64)
-    if members.size == 0:
+    """Exact A+A for A in 0..2^MAX_ELEMENT_N - 1: the support of the XOR
+    self-convolution of A's indicator, in O(2^m) memory for m the bit length
+    of max A."""
+    members = sorted(set(elements))
+    if not members:
         raise EmptySupportError("sumset of an empty set")
-    pairs = members[:, None] ^ members[None, :]
-    return set(int(x) for x in np.unique(pairs))
+    if members[0] < 0 or members[-1] >= 1 << MAX_ELEMENT_N:
+        raise ValidationError(f"sumset elements must lie in 0..2^{MAX_ELEMENT_N} - 1")
+    size = 1 << int(members[-1]).bit_length()
+    indicator = np.zeros(size)
+    indicator[members] = 1.0
+    # Entry x is size times the number of pairs (a, b) with a ^ b = x.
+    pair_counts = wht(wht(indicator) ** 2)
+    return set(np.flatnonzero(pair_counts > size / 2).tolist())
 
 
 def sumset_naive(elements) -> set[int]:

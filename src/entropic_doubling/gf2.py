@@ -35,24 +35,24 @@ def pivot_of(row: int) -> int:
 
 
 def _rref(vectors: Iterable[int], n: int) -> tuple[int, ...]:
-    """Reduced row echelon form, rows sorted by increasing pivot column."""
-    rows: list[int] = []
+    """Reduced row echelon form, rows sorted by increasing pivot column.
+
+    The rows stay fully reduced as each vector goes in: it is reduced at
+    every pivot, and its own pivot bit is then cleared from the other rows.
+    """
+    rows: dict[int, int] = {}  # pivot column -> row
     for v in vectors:
         _check_element(v, n)
-        for r in rows:
-            if (v >> pivot_of(r)) & 1:
+        for p, r in rows.items():
+            if (v >> p) & 1:
                 v ^= r
         if v:
-            rows.append(v)
-    # Back-substitute so every pivot column is zero in all other rows.
-    rows.sort(key=pivot_of)
-    for i, r in enumerate(rows):
-        p = pivot_of(r)
-        for j in range(len(rows)):
-            if j != i and (rows[j] >> p) & 1:
-                rows[j] ^= r
-    rows.sort(key=pivot_of)
-    return tuple(rows)
+            p = pivot_of(v)
+            for q, r in rows.items():
+                if (r >> p) & 1:
+                    rows[q] = r ^ v
+            rows[p] = v
+    return tuple(rows[p] for p in sorted(rows))
 
 
 @dataclass(frozen=True)

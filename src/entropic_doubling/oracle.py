@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dist import Dist, _pushforward, pushforward_quotient, xor_convolve
+from .dist import Dist, pushforward_quotient, xor_convolve
 from .entropy import (
     joint_entropy,
     mutual_information,
@@ -187,7 +187,7 @@ def exhaustive_best_subspace(
 
     if objective == OBJECTIVE_PROJECTED_ENTROPY:
         score = hp + hq
-        idx = _masked_argmin(score, feasible, objective)
+        idx = int(_masked_argmin(score, feasible, objective))
     elif objective == OBJECTIVE_STATEMENT_B:
         big_l = params.get("L")
         ok = b_inequality(
@@ -232,11 +232,11 @@ def exhaustive_best_subspace(
     )
 
 
-def _masked_argmin(score: np.ndarray, feasible: np.ndarray, tag: str) -> int:
-    if not feasible.any():
+def _masked_argmin(score: np.ndarray, feasible: np.ndarray, tag: str) -> np.ndarray:
+    """Index of the smallest feasible score along the last axis, the first on ties."""
+    if not feasible.any(axis=-1).all():
         raise SearchFailureError(f"no subspace satisfies the constraints for {tag}")
-    masked = np.where(feasible, score, np.inf)
-    return int(np.argmin(masked))
+    return np.argmin(np.where(feasible, score, np.inf), axis=-1)
 
 
 def _first_feasible(ok: np.ndarray, tag: str) -> int:
@@ -253,7 +253,9 @@ def greedy_extension(
 
     Scans each nonzero coset of V once, through its canonical representative
     in increasing order, so near-ties (within 1e-15) go to the smallest
-    representative.  Returns None when V is already the whole group.
+    representative.  Each candidate's entropies come from the raw bincounts
+    of its two pushforwards; no Dist is built.  Returns None when V is
+    already the whole group.
     """
     rep = v.rep_table()
     best_vec, best_score = None, np.inf
@@ -262,7 +264,8 @@ def greedy_extension(
         # representatives gives exactly the rep table of V + <vec>.
         cand = rep ^ ((rep >> pivot_of(vec)) & 1) * vec
         score = combine(
-            shannon_entropy(_pushforward(p, cand)), shannon_entropy(_pushforward(q, cand))
+            _entropy(np.bincount(cand, weights=p.mass, minlength=rep.size)),
+            _entropy(np.bincount(cand, weights=q.mass, minlength=rep.size)),
         )
         if score < best_score - 1e-15:
             best_vec, best_score = vec, score

@@ -583,9 +583,7 @@ def _zero_subspace_meets_b(
     -IDENTITY_TOL, so a pair the solver could answer with a nonzero V never
     passes; a pair within float error of the boundary fails here instead.
     """
-    kept_x, kept_y, _ = cap_fibers(fam_x, fam_y)
-    rows = [fam_x.labels.index(u) for u in kept_x.labels]
-    cols = [fam_y.labels.index(w) for w in kept_y.labels]
+    _, _, _, rows, cols = cap_fibers(fam_x, fam_y)
     hx, hy = entropies.h_x[rows, None], entropies.h_y[None, cols]
     h_sum = entropies.h_sum[np.ix_(rows, cols)]
     rhs = b_inequality(h_sum, hx, hy, hx + hy, 0, eta0, eps0)[0]
@@ -867,7 +865,7 @@ def _solve_b_inner(
         if chk.passes:
             return _b_certificate(p, q, v, eta, eps, chk), tuple(steps)
         pp, qp = pushforward_quotient(p, v), pushforward_quotient(q, v)
-        h_before = shannon_entropy(pp) + shannon_entropy(qp)
+        h_before = chk.values["h_proj_x"] + chk.values["h_proj_y"]
         eps0 = max((0.5 - eta) / 2.0, 0.02)
         eta0 = min(0.5, eta + eps0)
         eps0 = min(eps0, eta0 - eta)

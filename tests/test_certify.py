@@ -148,3 +148,16 @@ def test_set_bundle_with_repeated_element_verifies():
     assert bundle["inputs"]["set"]["elements"] == ["0", "1", "2", "4", "8"]
     report = verify_bundle(json.loads(json.dumps(bundle)))
     assert report.ok, report.failures
+
+
+@pytest.mark.parametrize("identity", [float("nan"), 1e300])
+def test_stored_tolerance_cannot_loosen_checks(identity):
+    # Either tolerance would pass these two tampered values.
+    bundle = load("theorem_11")
+    bundle["certificate"]["achieved"]["eta"] = -7.0
+    bundle["certificate"]["achieved"]["expected_log_intersection"] = 123.0
+    bundle["tolerances"]["identity"] = identity
+    report = verify_bundle(json.loads(json.dumps(bundle)))
+    assert not report.ok
+    assert len(report.failures) == 1
+    assert report.failures[0].startswith("identity tolerance")

@@ -210,6 +210,7 @@ class TestFindSubspaceAndVerify:
             ["verify", "--trials", "-3"],
             ["verify", "--n", "0"],
             ["verify", "--n", "100"],
+            ["gen", "--family", "hamming-ball", "--n", "0", "--radius", "0"],
         ],
         ids=["eta-above-half", "dist-epsilon-zero", "set-epsilon-zero", "ball-n-zero",
              "cosets-dim-above-n", "bundle-not-object", "endgame-eta-above-half",
@@ -218,7 +219,7 @@ class TestFindSubspaceAndVerify:
              "analyze-nan-mass", "find-nan-mass", "analyze-negative-support-key",
              "dist-seed-negative", "set-seed-negative", "subset-seed-negative",
              "cosets-seed-negative", "suites-seed-negative", "suites-trials-negative",
-             "suites-n-zero", "suites-n-above-cap"],
+             "suites-n-zero", "suites-n-above-cap", "ball-n-zero-radius-zero"],
     )
     def test_bad_input_exits_two_with_one_line(
         self, argv, tmp_path, dist_files, subspace_set_file, capsys
@@ -240,6 +241,17 @@ class TestFindSubspaceAndVerify:
         bundle = tmp_path / "bundle.json"
         bundle.write_text(json.dumps({"kind": "STATEMENT_B", "tolerances": 5}))
         assert main(["verify", "--certificate", str(bundle)]) == 1
+        assert json.loads(capsys.readouterr().out)["ok"] is False
+
+    def test_nan_tolerance_fails_verification(self, tmp_path, capsys):
+        # A NaN tolerance would pass every stored value, tampered or not.
+        fixture = Path(__file__).parent / "fixtures" / "theorem_11.json"
+        bundle = json.loads(fixture.read_text())
+        bundle["certificate"]["achieved"]["eta"] = -7.0
+        bundle["tolerances"]["identity"] = float("nan")
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(bundle))
+        assert main(["verify", "--certificate", str(path)]) == 1
         assert json.loads(capsys.readouterr().out)["ok"] is False
 
     def test_no_mode_option(self, dist_files, capsys):

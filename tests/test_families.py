@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from entropic_doubling.errors import EmptySupportError
+from entropic_doubling.errors import EmptySupportError, ValidationError
 from entropic_doubling.families import (
     doubling_stats,
     hamming_ball,
@@ -108,6 +108,11 @@ class TestSumset:
         with pytest.raises(EmptySupportError):
             sumset([])
 
+    @pytest.mark.parametrize("elements", [[-1, 2], [0, 1 << 20]])
+    def test_element_out_of_range_rejected(self, elements):
+        with pytest.raises(ValidationError):
+            sumset(elements)
+
 
 class TestDoublingStats:
     def test_subspace_eta_one(self):
@@ -126,3 +131,9 @@ class TestDoublingStats:
 
     def test_singleton_guard(self):
         assert doubling_stats([3]).eta == 0.0
+
+    def test_whole_cube_at_the_element_cap(self):
+        # |A| = 2^20: a pairwise |A| x |A| table would need 8 TiB.
+        stats = doubling_stats(range(1 << 20))
+        assert stats.sumset_size == 1 << 20
+        assert stats.eta == 1.0
