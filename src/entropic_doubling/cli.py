@@ -3,7 +3,8 @@ distributions, find and verify subspace certificates, run the endgame.
 
 Exit code is 0 iff every requested check passed, 1 when a check failed or
 standard output closed before all of it was written, and 2 on a package error,
-a missing option or unreadable input (one line on stderr).
+a missing option, or an input or output path that cannot be read or written
+(one line on stderr).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -169,11 +171,9 @@ def _cmd_find_subspace(args) -> int:
         bundle = set_bundle(result, elements, n)
         ach = result.certificate.achieved
         if ach["set_size"] > 1:
-            import math as _math
-
             eps_achieved = max(
                 0.0,
-                ach["eta"] - ach["expected_log_intersection"] / _math.log2(ach["set_size"]),
+                ach["eta"] - ach["expected_log_intersection"] / math.log2(ach["set_size"]),
             )
         else:
             eps_achieved = 0.0
@@ -321,7 +321,7 @@ def main(argv: list[str] | None = None) -> int:
         # the output, including the flush at exit, to devnull.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (EntropicDoublingError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (EntropicDoublingError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         message = " ".join(str(exc).split())
         print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 2

@@ -14,7 +14,6 @@ import numpy as np
 
 from .dist import wht
 from .errors import EmptySupportError, ValidationError
-from .gf2 import span
 from .tolerances import MAX_ELEMENT_N
 
 PRNG_ID = "numpy-pcg64"
@@ -61,15 +60,17 @@ def random_subset_of_subspace(n: int, dim_v: int, count: int, seed: int) -> list
 
 
 def union_of_cosets(n: int, dim_v: int, num_cosets: int, seed: int) -> list[int]:
-    """A = V + Lambda for a random Lambda of the given size."""
+    """A = V + Lambda for V = span(e_1..e_dim_v) and a random Lambda of the
+    given size."""
     _check_dims(n, dim_v)
     if not 1 <= num_cosets <= (1 << n):
         raise ValidationError("invalid coset count")
     rng = seeded_rng(seed)
     lam = rng.choice(1 << n, size=num_cosets, replace=False)
-    v = span([1 << i for i in range(dim_v)], n)
-    out = {int(l) ^ x for l in lam for x in v.elements()}
-    return sorted(out)
+    # V + l is the block of 2^dim_v integers that share l's bits above dim_v;
+    # one row per distinct block keeps the table within 2^n entries.
+    blocks = np.unique(lam >> dim_v)[:, None] << dim_v
+    return (blocks | np.arange(1 << dim_v)).ravel().tolist()
 
 
 def sumset(elements) -> set[int]:

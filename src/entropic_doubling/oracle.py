@@ -33,7 +33,6 @@ from .tolerances import IDENTITY_TOL, MASS_EPS, MAX_ENUM_N, tolerances_dict
 
 CRITERION_PFR = "PFR_COR22"
 CRITERION_B = "STATEMENT_B"
-CRITERION_A = "STATEMENT_A"
 CRITERION_T11 = "THEOREM_11"
 
 OBJECTIVE_PROJECTED_ENTROPY = "projected_entropy"

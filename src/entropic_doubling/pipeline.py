@@ -18,8 +18,12 @@ inequality.  Producers and verify_bundle call the same functions.
 The control flow is the paper's, but each step's eps0, case order, kappa and
 zeta come from measured quantities, not from the analysis' schedule
 eps0 = 2^-15 eta0^2: under that schedule the climb from eta to 1/2 exceeds
-MAX_SOLVE_DEPTH unless eta > 0.4996.  Every statement-A certificate still
-records the paper's c and L1.
+MAX_SOLVE_DEPTH unless eta > 0.4996.  The paper's c still decides the
+inductive step's early exit.
+
+The sumset lemma, the recursion on eta and the k-fold corollary all grow V
+one subspace at a time until their criterion holds; one loop, _grow, does
+the growing, the trace and the stall and round checks for all three.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ from .errors import (
 from .families import doubling_stats, seeded_rng
 from .gf2 import Subspace, coset_decompose, span, subspace_sum
 from .oracle import (
-    CRITERION_A,
     CRITERION_B,
     CRITERION_T11,
     CriterionCheck,
@@ -89,9 +92,6 @@ class StatementParams:
         if self.L is not None and self.L < 0.0:
             raise ValidationError(f"L must be nonnegative, got {self.L}")
 
-    def to_json(self) -> dict:
-        return {"eta": self.eta, "epsilon": self.epsilon, "c": self.c, "L": self.L}
-
 
 def check_statement_B(
     p: Dist, q: Dist, v: Subspace, params: StatementParams
@@ -101,12 +101,20 @@ def check_statement_B(
         raise ValueError("statement B requires epsilon")
     if p.n != q.n or p.n != v.n:
         raise DimensionMismatchError("ambient dimensions differ")
+    pushed = [pushforward_quotient(p, v), pushforward_quotient(q, v)]
+    return _check_b_pushed(p, q, pushed, v.dim, params)
+
+
+def _check_b_pushed(
+    p: Dist, q: Dist, pushed: list[Dist], dim: int, params: StatementParams
+) -> CriterionCheck:
+    """check_statement_B for a V of dimension dim, given pi_V(X) and pi_V(Y)."""
+    pp, qp = pushed
     h_total = shannon_entropy(p) + shannon_entropy(q)
-    pp, qp = pushforward_quotient(p, v), pushforward_quotient(q, v)
     hp, hq = shannon_entropy(pp), shannon_entropy(qp)
     lhs = shannon_entropy(xor_convolve(pp, qp))
     rhs, _, ok = b_inequality(
-        lhs, hp, hq, h_total, v.dim, params.eta, params.epsilon, params.L
+        lhs, hp, hq, h_total, dim, params.eta, params.epsilon, params.L
     )
     return CriterionCheck(
         values={
@@ -261,14 +269,51 @@ class TraceStep:
 class PipelineTrace:
     steps: tuple[TraceStep, ...]
     subspace: Subspace
-    certificate: SubspaceCertificate
 
-    def to_json(self) -> dict:
-        return {
-            "steps": [s.to_json() for s in self.steps],
-            "subspace": self.subspace.to_json(),
-            "certificate": self.certificate.to_json(),
-        }
+
+def _grow(
+    dists: Sequence[Dist],
+    rounds: int,
+    what: str,
+    next_step: Callable[[Subspace, list[Dist]], tuple[str, Subspace, dict] | None],
+) -> tuple[Subspace, list[TraceStep]]:
+    """Grow V from 0 until the criterion holds: next_step(V, pushed), with
+    pushed every input's pushforward through V, returns None then, and
+    otherwise the step's (kind, added subspace, note).
+
+    Each step's h_before and h_after sum the inputs' projected entropies
+    before and after it.  A step that adds no dimension raises PipelineError
+    at once, since it would leave V and every float unchanged; the loop also
+    raises once it has taken `rounds` steps.
+    """
+    v = Subspace.zero(dists[0].n)
+    pushed = [pushforward_quotient(d, v) for d in dists]
+    h = None
+    steps: list[TraceStep] = []
+    for _ in range(rounds):
+        taken = next_step(v, pushed)
+        if taken is None:
+            return v, steps
+        kind, added, note = taken
+        v_new = subspace_sum(v, added)
+        if v_new.dim == v.dim:
+            raise PipelineError(f"{what} stalled: its {kind} step added no dimension")
+        if h is None:
+            h = sum(shannon_entropy(d) for d in pushed)
+        pushed = [pushforward_quotient(d, v_new) for d in dists]
+        h_after = sum(shannon_entropy(d) for d in pushed)
+        steps.append(
+            TraceStep(
+                kind=kind,
+                added=added,
+                dim_total=v_new.dim,
+                h_before=h,
+                h_after=h_after,
+                note=note,
+            )
+        )
+        v, h = v_new, h_after
+    raise PipelineError(f"{what} did not terminate within {rounds} rounds")
 
 
 # ---------------------------------------------------------------------------
@@ -280,47 +325,27 @@ def make_sumsets_not_double(
 ) -> tuple[Subspace, list[TraceStep]]:
     """Find V so both derived sumset pairs obey the eta0-ratio up to 4 eps0.
 
-    Repeatedly applies the B-solver to whichever of (X1+X2, Y1+Y2) and
-    (X1+Y2, Y1+X2) still doubles too much; terminates within ceil(2/eps0)
-    applications.
+    Grows V by the B-solver's subspace for whichever of (X1+X2, Y1+Y2) and
+    (X1+Y2, Y1+X2) still doubles too much, within ceil(2/eps0) + 1
+    applications; a solver subspace already inside V raises PipelineError.
     """
-    h_orig = shannon_entropy(p) + shannon_entropy(q)
-    v = Subspace.zero(p.n)
-    steps: list[TraceStep] = []
-    max_steps = math.ceil(2.0 / eps0) + 1
-    for _ in range(max_steps):
-        pp, qp = pushforward_quotient(p, v), pushforward_quotient(q, v)
+    slack = 4.0 * eps0 * (shannon_entropy(p) + shannon_entropy(q))
+
+    def fix(v: Subspace, pushed: list[Dist]) -> tuple[str, Subspace, dict] | None:
+        pp, qp = pushed
         a = xor_convolve(pp, pp)
         b = xor_convolve(qp, qp)
         c = xor_convolve(pp, qp)
         s_all = shannon_entropy(xor_convolve(a, b))
-        slack = 4.0 * eps0 * h_orig
         ok1 = s_all >= (1.0 - eta0) * (shannon_entropy(a) + shannon_entropy(b)) - slack - IDENTITY_TOL
         ok2 = s_all >= (1.0 - eta0) * (2.0 * shannon_entropy(c)) - slack - IDENTITY_TOL
         if ok1 and ok2:
-            return v, steps
-        h_before = shannon_entropy(pp) + shannon_entropy(qp)
+            return None
         if not ok1:
-            cert = b_solver(a, b)
-            kind = "SUMSET_FIX_1"
-        else:
-            cert = b_solver(c, c)
-            kind = "SUMSET_FIX_2"
-        v = subspace_sum(v, cert.subspace)
-        pp, qp = pushforward_quotient(p, v), pushforward_quotient(q, v)
-        h_after = shannon_entropy(pp) + shannon_entropy(qp)
-        steps.append(
-            TraceStep(
-                kind=kind,
-                added=cert.subspace,
-                dim_total=v.dim,
-                h_before=h_before,
-                h_after=h_after,
-            )
-        )
-    raise PipelineError(
-        f"sumset fixing did not terminate within {max_steps} solver applications"
-    )
+            return "SUMSET_FIX_1", b_solver(a, b).subspace, {}
+        return "SUMSET_FIX_2", b_solver(c, c).subspace, {}
+
+    return _grow((p, q), math.ceil(2.0 / eps0) + 1, "sumset fixing", fix)
 
 
 # ---------------------------------------------------------------------------
@@ -612,9 +637,9 @@ def inductive_step(
     hypotheses and builds the endgame's budgeted grid, never its Z-system
     bookkeeping.  Case 1 and Case 2 are tried in order of measured margin,
     then the endgame; zeta is the grid's measured local interaction over
-    H[pi(X)]+H[pi(Y)], and the statement-A certificate states the measured
-    c and size.  The paper's c and L1 (at L0 = 1) are recorded beside them,
-    and the paper's c still decides the early exit after the sumset lemma.
+    H[pi(X)]+H[pi(Y)].  The returned V must pass check_statement_A at the
+    measured c and size; the paper's c only decides the early exit after
+    the sumset lemma.
 
     b_solver must return V = 0 whenever V = 0 satisfies statement B at
     (eta0, eps0).  The step relies on that: a Case 1 or Case 2 grid whose
@@ -639,7 +664,6 @@ def inductive_step(
     p0, q0 = pushforward_quotient(p, v0), pushforward_quotient(q, v0)
     h0 = shannon_entropy(p0) + shannon_entropy(q0)
     c_paper = min(eps0, eta0**2 / 32.0)
-    l1_paper = max(12.0 * eps0**-2, 2.0**12 * eta0**-4)
 
     case_note: dict = {}
     result = None
@@ -727,30 +751,8 @@ def inductive_step(
     c_used = min(c_meas * (1.0 - 1e-12), 1.0 - 1e-12)
     l_used = v_final.dim / h_in if h_in > 0 else 0.0
     params = StatementParams(eta=eta0 - eps0, c=c_used, L=l_used + IDENTITY_TOL)
-    chk = check_statement_A(p, q, v_final, params)
-    chk.require("inductive-step statement-A")
-    cert = SubspaceCertificate(
-        criterion=CRITERION_A,
-        search_mode="pipeline",
-        subspace=v_final,
-        parameters={
-            "eta0": eta0,
-            "eps0": eps0,
-            "c_paper": c_paper,
-            "l1_paper": l1_paper,
-            "c_measured": c_meas,
-            **params.to_json(),
-        },
-        achieved={
-            "dim": v_final.dim,
-            "h_in": h_in,
-            "h_out": h1,
-            "lhs": chk.values["lhs"],
-            "rhs": chk.values["rhs"],
-        },
-        inputs={"p": p.digest(), "q": q.digest()},
-    )
-    return PipelineTrace(steps=tuple(steps), subspace=v_final, certificate=cert)
+    check_statement_A(p, q, v_final, params).require("inductive-step statement-A")
+    return PipelineTrace(steps=tuple(steps), subspace=v_final)
 
 
 # ---------------------------------------------------------------------------
@@ -835,46 +837,42 @@ def _solve_b_inner(
 ) -> tuple[SubspaceCertificate, tuple[TraceStep, ...]]:
     if ctx.depth > MAX_SOLVE_DEPTH:
         raise PipelineError(f"recursion depth cap {MAX_SOLVE_DEPTH} exceeded")
-    n = p.n
     params = StatementParams(eta=eta, epsilon=eps)
-    v = Subspace.zero(n)
-    steps: list[TraceStep] = []
 
     # Base case: H[X+Y] >= max(H[X], H[Y]) makes eta = 1/2 unconditional.
     if eta >= 0.5 - 1e-12:
+        v = Subspace.zero(p.n)
         chk = check_statement_B(p, q, v, params)
         if not chk.passes:
             raise PipelineError(
                 "base case failed: H[X+Y] < (H[X]+H[Y])/2 - eps, which is impossible"
             )
-        steps.append(
-            TraceStep(
-                kind="BASE",
-                added=v,
-                dim_total=0,
-                h_before=chk.values["h_total"],
-                h_after=chk.values["h_total"],
-                note={"base_case": True},
-            )
+        base = TraceStep(
+            kind="BASE",
+            added=v,
+            dim_total=0,
+            h_before=chk.values["h_total"],
+            h_after=chk.values["h_total"],
+            note={"base_case": True},
         )
-        return _b_certificate(p, q, v, eta, eps, chk), tuple(steps)
+        return _b_certificate(p, q, v, eta, eps, chk), (base,)
 
-    cap = max(16, math.ceil(4.0 / eps))
-    for _ in range(cap + 1):
-        chk = check_statement_B(p, q, v, params)
+    eps0 = max((0.5 - eta) / 2.0, 0.02)
+    eta0 = min(0.5, eta + eps0)
+    eps0 = min(eps0, eta0 - eta)
+
+    def sub_solver(a: Dist, b: Dist) -> SubspaceCertificate:
+        return _solve_b(a, b, eta0, eps0, ctx)[0]
+
+    passed: list[CriterionCheck] = []
+
+    def step(v: Subspace, pushed: list[Dist]) -> tuple[str, Subspace, dict] | None:
+        chk = _check_b_pushed(p, q, pushed, v.dim, params)
         if chk.passes:
-            return _b_certificate(p, q, v, eta, eps, chk), tuple(steps)
-        pp, qp = pushforward_quotient(p, v), pushforward_quotient(q, v)
-        h_before = chk.values["h_proj_x"] + chk.values["h_proj_y"]
-        eps0 = max((0.5 - eta) / 2.0, 0.02)
-        eta0 = min(0.5, eta + eps0)
-        eps0 = min(eps0, eta0 - eta)
-
-        def sub_solver(a: Dist, b: Dist) -> SubspaceCertificate:
-            return _solve_b(a, b, eta0, eps0, ctx)[0]
-
+            passed.append(chk)
+            return None
+        pp, qp = pushed
         ctx.l2g_counter += 1
-        seed_label = (ctx.seed, ctx.l2g_counter)
         try:
             tr = inductive_step(
                 pp,
@@ -883,37 +881,21 @@ def _solve_b_inner(
                 eps0,
                 sub_solver,
                 rng=ctx.rng,
-                seed_label=seed_label,
+                seed_label=(ctx.seed, ctx.l2g_counter),
             )
-            # Only the early exit records no step, and without a SUMSET_FIX
-            # step it needs H[X] + H[Y] = 0, where V = 0 has already passed.
-            assert tr.steps, "inductive step recorded no step"
-            added = tr.subspace
-            kind = tr.steps[-1].kind
-            note = {"inductive": [s.to_json() for s in tr.steps]}
         except (HypothesisViolationError, SearchFailureError, PipelineError) as exc:
-            added = greedy_extension(pp, qp, Subspace.zero(n), operator.add)
+            added = greedy_extension(pp, qp, Subspace.zero(p.n), operator.add)
             if added is None:
                 raise PipelineError(f"no fallback vector available after: {exc}") from exc
-            kind = "FALLBACK"
-            note = {"reason": str(exc)}
-        v_new = subspace_sum(v, added)
-        pp2, qp2 = pushforward_quotient(p, v_new), pushforward_quotient(q, v_new)
-        h_after = shannon_entropy(pp2) + shannon_entropy(qp2)
-        if h_after > h_before - IDENTITY_TOL and v_new.dim <= v.dim:
-            raise PipelineError("pipeline stalled: no entropy decrement and no new dims")
-        steps.append(
-            TraceStep(
-                kind=kind,
-                added=added,
-                dim_total=v_new.dim,
-                h_before=h_before,
-                h_after=h_after,
-                note=note,
-            )
-        )
-        v = v_new
-    raise PipelineError(f"statement-B loop exceeded {cap} pushforward rounds")
+            return "FALLBACK", added, {"reason": str(exc)}
+        # Only the early exit records no step, and without a SUMSET_FIX step
+        # it needs H[X] + H[Y] = 0, where V = 0 has already passed.
+        assert tr.steps, "inductive step recorded no step"
+        return tr.steps[-1].kind, tr.subspace, {"inductive": [s.to_json() for s in tr.steps]}
+
+    rounds = max(16, math.ceil(4.0 / eps)) + 1
+    v, steps = _grow((p, q), rounds, "the statement-B recursion", step)
+    return _b_certificate(p, q, v, eta, eps, passed[0]), tuple(steps)
 
 
 def solve_B(
@@ -984,8 +966,10 @@ def many_sums(
 ) -> SolveResult:
     """k-fold version: H[pi(X_1)+...+pi(X_k)] >= sum H[pi(X_i)] - eps sum H[X_i].
 
-    Iteratively fixes the first prefix pair violating the delta-gap via
-    rich_cosets (delta = eps/(k-1)), accumulating the lifted subspaces.
+    Grows V by rich_cosets' subspace for the first prefix pair
+    (pi(X_1)+...+pi(X_j), pi(X_{j+1})) that violates the delta-gap
+    (delta = eps/(k-1)), within ceil(2/delta) + 2 rounds; a subspace already
+    inside V raises PipelineError.
     """
     k = len(dists)
     if not 2 <= k <= 4:
@@ -1000,45 +984,21 @@ def many_sums(
     seeded_rng(seed)
     delta = epsilon / (k - 1)
     s_h = sum(shannon_entropy(d) for d in dists)
-    w = Subspace.zero(n)
-    steps: list[TraceStep] = []
-    max_rounds = math.ceil(2.0 / delta) + 2
-    for _ in range(max_rounds):
-        pushed = [pushforward_quotient(d, w) for d in dists]
-        violated = None
+
+    def fix(w: Subspace, pushed: list[Dist]) -> tuple[str, Subspace, dict] | None:
+        prefix = pushed[0]
         for j in range(1, k):
-            prefix = pushed[0]
-            for extra in pushed[1:j]:
-                prefix = xor_convolve(prefix, extra)
-            lhs = shannon_entropy(xor_convolve(prefix, pushed[j]))
+            total = xor_convolve(prefix, pushed[j])
             gap_rhs = (
                 shannon_entropy(prefix) + shannon_entropy(pushed[j]) - delta * s_h
             )
-            if lhs < gap_rhs - IDENTITY_TOL:
-                violated = (j, prefix, pushed[j])
-                break
-        if violated is None:
-            break
-        j, prefix, tail = violated
-        sub = rich_cosets(prefix, tail, delta / 2.0, seed=seed)
-        h_before = sum(shannon_entropy(d) for d in pushed)
-        w = subspace_sum(w, sub.subspace)
-        h_after = sum(
-            shannon_entropy(pushforward_quotient(d, w)) for d in dists
-        )
-        steps.append(
-            TraceStep(
-                kind="SUMSET_FIX_1",
-                added=sub.subspace,
-                dim_total=w.dim,
-                h_before=h_before,
-                h_after=h_after,
-                note={"prefix_length": j},
-            )
-        )
-    else:
-        raise PipelineError(f"many_sums did not stabilize within {max_rounds} rounds")
+            if shannon_entropy(total) < gap_rhs - IDENTITY_TOL:
+                sub = rich_cosets(prefix, pushed[j], delta / 2.0, seed=seed)
+                return "SUMSET_FIX_1", sub.subspace, {"prefix_length": j}
+            prefix = total
+        return None
 
+    w, steps = _grow(dists, math.ceil(2.0 / delta) + 2, "many_sums", fix)
     chk = check_many_sums(dists, w, epsilon)
     chk.require("many_sums")
     cert = SubspaceCertificate(

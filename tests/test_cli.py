@@ -237,6 +237,30 @@ class TestFindSubspaceAndVerify:
         assert err.count("\n") == 1
         assert err.startswith("error: ValidationError: ")
 
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["analyze", "--set", "{dir}"], "IsADirectoryError"),
+            (["verify", "--certificate", "{dir}"], "IsADirectoryError"),
+            (["endgame", "--dist", "{dist}", "--eta", "0.3", "--out", "{dir}"],
+             "IsADirectoryError"),
+            (["analyze", "--set", "{utf16}"], "UnicodeDecodeError"),
+            (["analyze", "--dist", "{utf16}"], "UnicodeDecodeError"),
+        ],
+        ids=["set-is-directory", "certificate-is-directory", "endgame-out-is-directory",
+             "set-not-utf8", "dist-not-utf8"],
+    )
+    def test_unreadable_path_exits_two_with_one_line(
+        self, argv, error, tmp_path, dist_files, capsys
+    ):
+        utf16 = tmp_path / "utf16.json"
+        utf16.write_bytes(b"\xff\xfe" + json.dumps({"n": 1, "mass": [1, 0]}).encode("utf-16-le"))
+        paths = {"dir": tmp_path, "dist": dist_files[0], "utf16": utf16}
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {error}: ")
+
     def test_malformed_tolerances_fail_verification(self, tmp_path, capsys):
         bundle = tmp_path / "bundle.json"
         bundle.write_text(json.dumps({"kind": "STATEMENT_B", "tolerances": 5}))

@@ -36,6 +36,7 @@ from entropic_doubling.entropy import doubling_mass, pair_entropies, shannon_ent
 from entropic_doubling.errors import (
     EntropicDoublingError,
     HypothesisViolationError,
+    PipelineError,
     ValidationError,
 )
 from entropic_doubling.families import hamming_ball, union_of_cosets
@@ -184,6 +185,20 @@ class TestMakeSumsetsNotDouble:
         # Documented decrement: at least 2 eps0 (H[X] + H[Y]) per fixing step.
         h_orig = 2 * shannon_entropy(u)
         assert steps[0].decrement >= 2 * 0.02 * h_orig - 1e-9
+
+    def test_solver_subspace_inside_v_stops_at_once(self):
+        # U + U = U doubles by 0 < (1 - eta0) 2 H[U] - slack, so V = 0 needs a
+        # fix; a solver that answers V = 0 can never supply it.
+        u = uniform_on_subspace(span([1, 2], 4))
+        calls = []
+
+        def zero_solver(a, b):
+            calls.append(1)
+            return SimpleNamespace(subspace=Subspace.zero(4))
+
+        with pytest.raises(PipelineError, match="sumset fixing stalled"):
+            make_sumsets_not_double(u, u, 0.1, 0.01, zero_solver)
+        assert len(calls) == 1
 
     def test_conclusions_hold_on_output(self):
         rng = np.random.default_rng(2)
@@ -364,7 +379,9 @@ class TestInductiveStep:
         )
         assert [s.kind for s in tr.steps] == ["CASE1"]
         assert tr.subspace == span([1, 2], 4)
-        assert tr.certificate.achieved["lhs"] == pytest.approx(0.0, abs=1e-9)
+        # Statement A's lhs H[pi(X)] + H[pi(Y)] at the returned V.
+        h_proj = shannon_entropy(pushforward_quotient(u, tr.subspace))
+        assert 2 * h_proj == pytest.approx(0.0, abs=1e-9)
 
     def test_hypothesis_guard(self):
         p, q = independent_coordinates_pair()
@@ -495,6 +512,21 @@ class TestManySums:
         res = many_sums([u, u, u], 0.3, seed=2)
         assert res.subspace == v
         assert res.certificate.achieved["lhs"] == pytest.approx(0.0, abs=1e-12)
+
+    def test_fix_inside_w_stops_at_once(self, monkeypatch):
+        # The prefix pair (U, U) violates the gap, as in the test above.
+        u = uniform_on_subspace(span([1, 2], 4))
+        calls = []
+
+        def zero_rich_cosets(p, q, epsilon, *, seed=0):
+            calls.append(1)
+            return SimpleNamespace(subspace=Subspace.zero(4))
+
+        pipeline_module = sys.modules["entropic_doubling.pipeline"]
+        monkeypatch.setattr(pipeline_module, "rich_cosets", zero_rich_cosets)
+        with pytest.raises(PipelineError, match="many_sums stalled"):
+            many_sums([u, u, u], 0.3, seed=2)
+        assert len(calls) == 1
 
     def test_capacity(self):
         pm = point_mass(0, 2)
