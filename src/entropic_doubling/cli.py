@@ -4,7 +4,8 @@ distributions, find and verify subspace certificates, run the endgame.
 Exit code is 0 iff every requested check passed, 1 when a check failed or
 standard output closed before all of it was written, and 2 on a package error,
 a missing option, or an input or output path that cannot be read or written
-(one line on stderr).
+(one line on stderr).  find-subspace notes a trivial certificate, V = 0 or
+V = F_2^n, in one stderr line; it does not change the exit code.
 """
 
 from __future__ import annotations
@@ -210,6 +211,9 @@ def _cmd_find_subspace(args) -> int:
         }
     else:
         raise ValidationError("find-subspace requires --set or --dist")
+    if result.trivial:
+        whole = "0" if result.subspace.dim == 0 else f"F_2^{result.subspace.n}"
+        print(f"note: trivial certificate: V = {whole}", file=sys.stderr)
     report = verify_bundle(bundle)
     bundle["verified"] = report.ok
     _write_output(bundle, args.out, args.format, row)

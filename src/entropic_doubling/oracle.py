@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .errors import (
     PipelineError,
     SearchFailureError,
 )
-from .gf2 import Subspace, all_subspaces, pivot_of, span
+from .gf2 import Subspace, all_subspaces, span
 from .tolerances import IDENTITY_TOL, MASS_EPS, MAX_ENUM_N, tolerances_dict
 
 CRITERION_PFR = "PFR_COR22"
@@ -149,8 +148,15 @@ def lattice_entropies(d: Dist) -> np.ndarray:
     all_subspaces order: the lattice scan, one bincount over all coset bins."""
     _, bins, starts, _ = _scan_tables(d.n)
     pushed = np.bincount(bins.ravel(), weights=np.tile(d.mass, len(bins)))
-    plogp = np.where(pushed > MASS_EPS, pushed * np.log2(np.maximum(pushed, MASS_EPS)), 0.0)
-    return -np.add.reduceat(plogp, starts) + 0.0
+    return -np.add.reduceat(_plogp(pushed), starts) + 0.0
+
+
+def _plogp(t: np.ndarray) -> np.ndarray:
+    """t log2 t elementwise, and 0 where t <= MASS_EPS, as _entropy masks."""
+    out = np.zeros_like(t)
+    np.log2(t, out=out, where=t > MASS_EPS)
+    out *= t
+    return out
 
 
 def exhaustive_best_subspace(
@@ -245,38 +251,80 @@ def _first_feasible(ok: np.ndarray, tag: str) -> int:
     return int(hits[0])
 
 
-def greedy_extension(
-    p: Dist, q: Dist, v: Subspace, combine: Callable[[float, float], float]
-) -> Subspace | None:
-    """V + <x> for the x minimizing combine(H[pi(X)], H[pi(Y)]) after the step.
+# Pair entries per block of extension_entropies' merge-loss table: 2^15
+# float64s (256 KiB) per working array keep a block in cache, and a block
+# never holds more than max(2^15, 2^n) entries.
+MERGE_BLOCK = 1 << 15
 
-    Scans each nonzero coset of V once, through its canonical representative
-    in increasing order, so near-ties (within 1e-15) go to the smallest
-    representative.  Each candidate's entropies come from the raw bincounts
-    of its two pushforwards; no Dist is built.  Returns None when V is
-    already the whole group.
+
+def extension_entropies(d: Dist, v: Subspace) -> tuple[np.ndarray, np.ndarray]:
+    """(x, H[pi_{V+<x>}(X)]) for X ~ d over the nonzero coset representatives
+    x of V, in increasing order.
+
+    With a the raw pushforward of X onto V's representatives, the cosets of
+    V + <x> are the pairs {y, rep(y ^ x)}, so
+    H[pi_{V+<x>} X] = H[pi_V X] - sum of g(a_y, a_z) over the pairs y < z in
+    a's support with rep(y ^ z) = x, where g(a, b) = f(a) + f(b) - f(a + b)
+    and f(t) = -t log2 t (0 for t <= MASS_EPS).  One weighted bincount of
+    the support's pairwise XORs, keyed by rep[y ^ z], gives every x's loss
+    in O(s^2) for a support of s cosets.
+
+    The pairs are laid out as support rows i0 .. i1 - 1 against columns
+    i0 .. s - 1, at most MERGE_BLOCK entries (or one row) per block.  The
+    rows' own square holds each of its pairs twice, so it is halved; its
+    diagonal lands in bin rep[0] = 0, which no candidate reads.
     """
     rep = v.rep_table()
-    best_vec, best_score = None, np.inf
-    for vec in np.flatnonzero(rep == np.arange(rep.size))[1:].tolist():
-        # vec is zero on V's pivots, so clearing its pivot bit from V's
-        # representatives gives exactly the rep table of V + <vec>.
-        cand = rep ^ ((rep >> pivot_of(vec)) & 1) * vec
-        score = combine(
-            _entropy(np.bincount(cand, weights=p.mass, minlength=rep.size)),
-            _entropy(np.bincount(cand, weights=q.mass, minlength=rep.size)),
-        )
-        if score < best_score - 1e-15:
-            best_vec, best_score = vec, score
-    return None if best_vec is None else span(v.basis + (best_vec,), v.n)
+    pushed = np.bincount(rep, weights=d.mass, minlength=rep.size)
+    ys = np.flatnonzero(pushed > 0)
+    a = pushed[ys]
+    plogp_a = _plogp(a)
+    loss = np.zeros(rep.size)
+    s, i0 = ys.size, 0
+    while i0 < s:
+        i1 = min(s, i0 + max(1, MERGE_BLOCK // (s - i0)))
+        g = _plogp(a[i0:i1, None] + a[None, i0:])
+        g -= plogp_a[i0:i1, None]
+        g -= plogp_a[None, i0:]
+        g[:, : i1 - i0] *= 0.5
+        keys = rep[ys[i0:i1, None] ^ ys[None, i0:]]
+        loss += np.bincount(keys.ravel(), weights=g.ravel(), minlength=rep.size)
+        i0 = i1
+    reps = np.flatnonzero(rep == np.arange(rep.size))[1:]
+    return reps, _entropy(pushed) - loss[reps]
+
+
+def greedy_extension(p: Dist, q: Dist, v: Subspace, combine: np.ufunc) -> Subspace | None:
+    """V + <x> for the nonzero coset representative x of V minimizing
+    combine(H[pi(X)], H[pi(Y)]) after the step.
+
+    Every candidate is scored at once: extension_entropies gives
+    H[pi_{V+<x>} X] as H[pi_V X] minus the entropy lost by merging each pair
+    of cosets {y, rep(y ^ x)}, from one bincount of the support's pairwise
+    XORs in blocks of at most MERGE_BLOCK entries (working memory
+    O(2^n + MERGE_BLOCK)).  combine is an elementwise ufunc over the two
+    score vectors: np.maximum for the PFR ascent, np.add for the FALLBACK
+    step.  The pick is the smallest representative whose score is within
+    1e-15 of the minimum.  Returns None when V is already the whole group.
+    """
+    reps, h_x = extension_entropies(p, v)
+    if reps.size == 0:
+        return None
+    _, h_y = extension_entropies(q, v)
+    score = combine(h_x, h_y)
+    best = reps[np.argmax(score <= score.min() + 1e-15)]
+    return span(v.basis + (int(best),), v.n)
 
 
 def pfr_subspace(p: Dist, q: Dist) -> SubspaceCertificate:
     """Find V with dim V <= 7(H[X]+H[Y]) and max proj entropy <= 12 d[X;Y].
 
-    Exhaustive for n <= 6 (minimal qualifying subspace); greedy ascent above,
-    adding the vector that best reduces the larger projected entropy, with an
-    honest SearchFailureError when the bounds cannot be met.
+    Exhaustive for n <= 6 (minimal qualifying subspace).  Above, a greedy
+    ascent: each step is greedy_extension with np.maximum, which adds the
+    coset representative that most reduces the larger projected entropy,
+    scoring all of them in one merge-loss pass per input.  Each V it reaches
+    is measured afresh through pushforward_quotient, and the search raises
+    an honest SearchFailureError when the bounds cannot be met.
     """
     if p.n != q.n:
         raise DimensionMismatchError("ambient dimensions differ")
@@ -296,7 +344,7 @@ def pfr_subspace(p: Dist, q: Dist) -> SubspaceCertificate:
             raise SearchFailureError(
                 "greedy PFR search exhausted its size budget without meeting the bound"
             )
-        v = greedy_extension(p, q, v, max)
+        v = greedy_extension(p, q, v, np.maximum)
         if v is None:
             raise SearchFailureError("greedy PFR search found no extension vector")
 

@@ -29,7 +29,6 @@ the growing, the trace and the stall and round checks for all three.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -276,10 +275,11 @@ def _grow(
     rounds: int,
     what: str,
     next_step: Callable[[Subspace, list[Dist]], tuple[str, Subspace, dict] | None],
-) -> tuple[Subspace, list[TraceStep]]:
+) -> tuple[Subspace, list[TraceStep], list[Dist]]:
     """Grow V from 0 until the criterion holds: next_step(V, pushed), with
     pushed every input's pushforward through V, returns None then, and
-    otherwise the step's (kind, added subspace, note).
+    otherwise the step's (kind, added subspace, note).  Returns V, the steps
+    and the inputs' pushforwards through V.
 
     Each step's h_before and h_after sum the inputs' projected entropies
     before and after it.  A step that adds no dimension raises PipelineError
@@ -293,7 +293,7 @@ def _grow(
     for _ in range(rounds):
         taken = next_step(v, pushed)
         if taken is None:
-            return v, steps
+            return v, steps, pushed
         kind, added, note = taken
         v_new = subspace_sum(v, added)
         if v_new.dim == v.dim:
@@ -329,6 +329,14 @@ def make_sumsets_not_double(
     (X1+Y2, Y1+X2) still doubles too much, within ceil(2/eps0) + 1
     applications; a solver subspace already inside V raises PipelineError.
     """
+    v, steps, _ = _sumsets_not_double(p, q, eta0, eps0, b_solver)
+    return v, steps
+
+
+def _sumsets_not_double(
+    p: Dist, q: Dist, eta0: float, eps0: float, b_solver: BSolver
+) -> tuple[Subspace, list[TraceStep], list[Dist]]:
+    """make_sumsets_not_double, also returning pi_V(X) and pi_V(Y)."""
     slack = 4.0 * eps0 * (shannon_entropy(p) + shannon_entropy(q))
 
     def fix(v: Subspace, pushed: list[Dist]) -> tuple[str, Subspace, dict] | None:
@@ -660,8 +668,7 @@ def inductive_step(
             gaps=[("doubling_floor", (eta0 - eps0) * h_in, s_in)],
         )
 
-    v0, steps = make_sumsets_not_double(p, q, eta0, eps0, b_solver)
-    p0, q0 = pushforward_quotient(p, v0), pushforward_quotient(q, v0)
+    v0, steps, (p0, q0) = _sumsets_not_double(p, q, eta0, eps0, b_solver)
     h0 = shannon_entropy(p0) + shannon_entropy(q0)
     c_paper = min(eps0, eta0**2 / 32.0)
 
@@ -785,10 +792,16 @@ class SolveResult:
     def subspace(self) -> Subspace:
         return self.certificate.subspace
 
+    @property
+    def trivial(self) -> bool:
+        """V = 0 or V = F_2^n: a certificate that shows no structure."""
+        return self.subspace.dim in (0, self.subspace.n)
+
     def to_json(self) -> dict:
         return {
             "certificate": self.certificate.to_json(),
             "steps": [s.to_json() for s in self.steps],
+            "trivial": self.trivial,
             "check": self.check.to_json(),
             "seed": self.seed,
         }
@@ -884,7 +897,7 @@ def _solve_b_inner(
                 seed_label=(ctx.seed, ctx.l2g_counter),
             )
         except (HypothesisViolationError, SearchFailureError, PipelineError) as exc:
-            added = greedy_extension(pp, qp, Subspace.zero(p.n), operator.add)
+            added = greedy_extension(pp, qp, Subspace.zero(p.n), np.add)
             if added is None:
                 raise PipelineError(f"no fallback vector available after: {exc}") from exc
             return "FALLBACK", added, {"reason": str(exc)}
@@ -894,7 +907,7 @@ def _solve_b_inner(
         return tr.steps[-1].kind, tr.subspace, {"inductive": [s.to_json() for s in tr.steps]}
 
     rounds = max(16, math.ceil(4.0 / eps)) + 1
-    v, steps = _grow((p, q), rounds, "the statement-B recursion", step)
+    v, steps, _ = _grow((p, q), rounds, "the statement-B recursion", step)
     return _b_certificate(p, q, v, eta, eps, passed[0]), tuple(steps)
 
 
@@ -998,7 +1011,7 @@ def many_sums(
             prefix = total
         return None
 
-    w, steps = _grow(dists, math.ceil(2.0 / delta) + 2, "many_sums", fix)
+    w, steps, _ = _grow(dists, math.ceil(2.0 / delta) + 2, "many_sums", fix)
     chk = check_many_sums(dists, w, epsilon)
     chk.require("many_sums")
     cert = SubspaceCertificate(

@@ -170,6 +170,26 @@ class TestFindSubspaceAndVerify:
         assert main(["verify", "--certificate", str(out)]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "family, note",
+        [
+            (["--family", "hamming-ball", "--n", "5", "--radius", "1"],
+             "note: trivial certificate: V = F_2^5\n"),
+            (["--family", "union-cosets", "--n", "4", "--dim-v", "2", "--count", "2",
+              "--seed", "0"], ""),
+        ],
+        ids=["whole group", "proper subspace"],
+    )
+    def test_trivial_certificate_notes_one_stderr_line(self, family, note, tmp_path, capsys):
+        path, out = tmp_path / "set.json", tmp_path / "cert.json"
+        assert main(["gen", *family, "--out", str(path)]) == 0
+        capsys.readouterr()
+        code = main(["find-subspace", "--set", str(path), "--epsilon", "0.2", "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().err == note
+        bundle = json.loads(out.read_text())
+        assert bundle["trivial"] is bool(note) and bundle["verified"] is True
+
     def test_package_error_exits_two_with_one_line(self, tmp_path, capsys):
         # B(7, 1) needs the endgame above its n <= 6 cap: a CapacityError.
         ball = tmp_path / "ball.json"

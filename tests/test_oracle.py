@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from entropic_doubling.dist import (
+    Dist,
     JointDist,
     point_mass,
     product,
@@ -24,12 +25,13 @@ from entropic_doubling.oracle import (
     _scan_tables,
     bsg_check,
     exhaustive_best_subspace,
+    extension_entropies,
     greedy_extension,
     lattice_entropies,
     pfr_subspace,
 )
 from entropic_doubling.certify import pfr_bundle, verify_bundle
-from entropic_doubling.tolerances import ORACLE_TOL
+from entropic_doubling.tolerances import MASS_EPS, ORACLE_TOL
 
 
 class TestLatticeScan:
@@ -150,7 +152,7 @@ class TestGreedyExtension:
         # Adding 1, 2 or 3 each halves both supports; 1 is the smallest.
         assert greedy_extension(u, u, Subspace.zero(3), operator.add) == span([1], 3)
         # Modulo <1>, the cosets of 2 and 3 coincide; their representative is 2.
-        assert greedy_extension(u, u, span([1], 3), max) == span([1, 2], 3)
+        assert greedy_extension(u, u, span([1], 3), np.maximum) == span([1, 2], 3)
 
     @pytest.mark.parametrize("n", [7, 8])
     def test_matches_span_based_reference(self, n):
@@ -159,7 +161,7 @@ class TestGreedyExtension:
             p = random_dist(n, rng, int(rng.integers(2, 1 << n)))
             q = random_dist(n, rng, int(rng.integers(2, 1 << n)))
             v = span([int(x) for x in rng.integers(0, 1 << n, size=int(rng.integers(0, 4)))], n)
-            for combine in (operator.add, max):
+            for combine in (operator.add, np.maximum):
                 best, best_score = None, np.inf
                 for vec in range(1, 1 << n):
                     if v.reduce(vec) != vec:
@@ -173,6 +175,76 @@ class TestGreedyExtension:
     def test_whole_group_has_no_extension(self):
         u = uniform_on([0, 1], 2)
         assert greedy_extension(u, u, Subspace.full(2), max) is None
+
+
+def _span_based_entropies(p, v):
+    """(x, H[pi_{V+<x>}(X)]) over V's nonzero coset representatives, one span per x."""
+    reps = [x for x in range(1, 1 << v.n) if v.reduce(x) == x]
+    return reps, [quotient_entropy(p, span(v.basis + (x,), v.n)) for x in reps]
+
+
+class TestExtensionEntropies:
+    """The merge-loss kernel against quotient_entropy on each V + <x>."""
+
+    @pytest.mark.parametrize(
+        "n, support, dim_v",
+        [(10, 64, 0), (8, None, 0), (8, 40, 3), (9, None, 2)],
+        ids=["64-point support n=10", "full support n=8", "V != 0", "full support V != 0"],
+    )
+    def test_matches_quotient_entropy(self, n, support, dim_v):
+        rng = np.random.default_rng(n + dim_v)
+        p = random_dist(n, rng, support)
+        v = span([int(x) for x in rng.integers(1, 1 << n, size=dim_v)], n)
+        assert v.dim == dim_v
+        reps, h = extension_entropies(p, v)
+        expect_reps, expect = _span_based_entropies(p, v)
+        assert reps.tolist() == expect_reps
+        assert np.max(np.abs(h - expect)) <= ORACLE_TOL
+
+    def test_point_mass(self):
+        reps, h = extension_entropies(point_mass(5, 6), span([3], 6))
+        assert reps.size == 31
+        assert np.all(h == 0.0)
+
+    def test_two_masses_whose_sum_crosses_mass_eps(self):
+        mass = np.zeros(8)
+        mass[0], mass[5], mass[6] = 1.0 - 2 * MASS_EPS, MASS_EPS, MASS_EPS
+        p = Dist(3, mass)
+        # Each dust mass alone counts 0; merged by x = 5 ^ 6 = 3 they count.
+        assert p.mass[5] <= MASS_EPS < p.mass[5] + p.mass[6]
+        reps, h = extension_entropies(p, Subspace.zero(3))
+        _, expect = _span_based_entropies(p, Subspace.zero(3))
+        assert reps.tolist() == list(range(1, 8))
+        np.testing.assert_allclose(h, expect, rtol=1e-9, atol=0.0)
+        assert h[2] > 10 * max(h[i] for i in range(7) if i != 2)
+
+    def test_support_restricted_noisy_pair_picks_as_span_reference(self):
+        # Noisy copies of a 4-dim W inside a 6-dim U, with the noise on U:
+        # the shape of the greedy PFR inputs.  Three greedy steps, both
+        # combiners, each checked against the span-based scan.
+        n, rng = 9, np.random.default_rng(9)
+        u_vecs = [int(x) for x in rng.integers(1, 1 << n, size=6)]
+        u = span(u_vecs, n)
+        w = span(u_vecs[:4], n)
+        dists = []
+        for _ in range(2):
+            mass = np.zeros(1 << n)
+            mass[list(w.elements())] = 0.98 / (1 << w.dim)
+            noise = rng.exponential(size=1 << u.dim)
+            mass[list(u.elements())] += 0.02 * noise / noise.sum()
+            dists.append(Dist(n, mass))
+        p, q = dists
+        for combine in (np.add, np.maximum):
+            v = Subspace.zero(n)
+            for _ in range(3):
+                (reps, hp), (_, hq) = _span_based_entropies(p, v), _span_based_entropies(q, v)
+                best, best_score = None, np.inf
+                for x, a, b in zip(reps, hp, hq):
+                    if combine(a, b) < best_score - 1e-15:
+                        best, best_score = x, combine(a, b)
+                v_next = greedy_extension(p, q, v, combine)
+                assert v_next == span(v.basis + (best,), n)
+                v = v_next
 
 
 class TestBsg:

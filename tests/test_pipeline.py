@@ -663,8 +663,8 @@ class TestBundles:
         bundle = json.loads(json.dumps(build[kind]()))
         assert bundle["kind"] == kind
         assert set(bundle) == {
-            "kind", "prng", "inputs", "certificate", "steps", "check", "seed",
-            "tolerances",
+            "kind", "prng", "inputs", "certificate", "steps", "trivial", "check",
+            "seed", "tolerances",
         }
         achieved = dict(bundle["certificate"]["achieved"])
         del achieved["dim"]
@@ -686,6 +686,44 @@ def _count_calls(monkeypatch, module_name: str, name: str) -> list[int]:
         if key.split(".")[0] == "entropic_doubling" and vars(module).get(name) is original:
             monkeypatch.setattr(module, name, counted)
     return count
+
+
+class TestTrivialFlag:
+    """A certificate with V = 0 or V = F_2^n says so, beside its steps."""
+
+    @staticmethod
+    def _assert_flag_ignored_by_verify(bundle: dict) -> None:
+        assert verify_bundle(bundle).ok
+        assert verify_bundle({**bundle, "trivial": not bundle["trivial"]}).ok
+        assert verify_bundle({k: v for k, v in bundle.items() if k != "trivial"}).ok
+
+    def test_whole_group(self):
+        ball = hamming_ball(5, 1)
+        res = analyze_set(ball, 5, 0.2)
+        assert res.subspace == Subspace.full(5)
+        assert res.trivial is True
+        bundle = json.loads(json.dumps(set_bundle(res, ball, 5)))
+        assert bundle["trivial"] is True
+        assert list(bundle).index("trivial") == list(bundle).index("steps") + 1
+        self._assert_flag_ignored_by_verify(bundle)
+
+    def test_zero_subspace_that_already_passes(self):
+        p, q = independent_coordinates_pair()
+        res = solve_B(p, q, 0.3, 0.1, seed=0)
+        assert res.subspace == Subspace.zero(2)
+        assert res.trivial is True
+        bundle = json.loads(json.dumps(solve_bundle(res, p, q)))
+        assert bundle["trivial"] is True
+        self._assert_flag_ignored_by_verify(bundle)
+
+    def test_nontrivial_path_is_not_trivial(self):
+        elements = union_of_cosets(4, 2, 2, 0)
+        res = analyze_set(elements, 4, 0.2)
+        assert 0 < res.subspace.dim < 4
+        assert res.trivial is False
+        bundle = json.loads(json.dumps(set_bundle(res, elements, 4)))
+        assert bundle["trivial"] is False
+        self._assert_flag_ignored_by_verify(bundle)
 
 
 class TestNontrivialPath:
