@@ -1,11 +1,13 @@
 """Certificate bundles: self-contained JSON records that re-verify offline.
 
-A bundle embeds the inputs (sets or distributions), the subspace, the claimed
-quantities with both sides of every inequality, the tolerances, and the seed;
-verify_bundle recomputes everything from the embedded inputs and the stored
-subspace.  A stored value passes within the bundle's identity tolerance, which
-may tighten IDENTITY_TOL but not loosen it: a bundle whose tolerance is not a
-number in [0, IDENTITY_TOL] fails.
+A bundle embeds the inputs (sets or distributions), the tolerances, and
+either a certificate (the subspace, its parameters, and an achieved block
+holding dim V and each value its criterion's check recomputes, with both
+sides of every inequality, each stored once) or an endgame transcript.
+verify_bundle reruns the check from the embedded inputs and the stored
+subspace and compares every value.  A stored value passes within the bundle's
+identity tolerance, which may tighten IDENTITY_TOL but not loosen it: a bundle
+whose tolerance is not a number in [0, IDENTITY_TOL] fails.
 """
 
 from __future__ import annotations
@@ -105,9 +107,11 @@ class VerifyReport:
         }
 
 
-def _close(report: VerifyReport, name: str, got: float, stored: float, tol: float) -> None:
+def _close(report: VerifyReport, name: str, got, stored, tol: float) -> None:
+    """Fail unless every entry of got is within tol of stored's; NaN fails."""
     report.recomputed[name] = got
-    if abs(got - stored) > tol:
+    got_a, stored_a = np.asarray(got, dtype=float), np.asarray(stored, dtype=float)
+    if got_a.shape != stored_a.shape or not np.all(np.abs(got_a - stored_a) <= tol):
         report.ok = False
         report.failures.append(f"{name}: recomputed {got!r} != stored {stored!r}")
 
@@ -119,10 +123,12 @@ def _require(report: VerifyReport, name: str, condition: bool) -> None:
 
 
 def _compare(
-    report: VerifyReport, chk: CriterionCheck, achieved: dict, names: tuple, tol: float
+    report: VerifyReport, chk: CriterionCheck, achieved: dict, v: Subspace, tol: float
 ) -> None:
-    for name in names:
-        _close(report, name, chk.values[name], float(achieved[name]), tol)
+    """Every value chk recomputed against achieved, dim V, and chk's verdicts."""
+    _require(report, f"dim: stored {achieved['dim']!r} != {v.dim}", achieved["dim"] == v.dim)
+    for name, got in chk.values.items():
+        _close(report, name, got, achieved[name], tol)
     for name, ok in chk.verdicts.items():
         _require(report, name, ok)
 
@@ -130,10 +136,13 @@ def _compare(
 def verify_bundle(payload: dict) -> VerifyReport:
     """Recompute every inequality in a certificate bundle from its inputs.
 
-    Each criterion is evaluated by the same function its producer calls; the
-    bundle contributes only the inputs, V, the parameters and stored values.
-    A payload that is not a JSON object raises ValidationError; any other
-    malformed bundle gives a failed report.
+    Each criterion is evaluated by the same check its producer built the
+    certificate from, so every value that check recomputes is compared with
+    the stored one (a missing or NaN value fails), and so is the stored dim.
+    The bundle contributes only the inputs, V, the parameters and the stored
+    values; blocks the check does not read (steps, trivial, seed) are
+    ignored.  A payload that is not a JSON object raises ValidationError;
+    any other malformed bundle gives a failed report.
     """
     if not isinstance(payload, dict):
         raise ValidationError(
@@ -167,7 +176,7 @@ def verify_bundle(payload: dict) -> VerifyReport:
                 return report
             fresh = endgame(p, q, float(t["eta"]), float(t["kappa"]))
             for name in ("i_z1_z3", "i_z1_z2", "expectation"):
-                _close(report, name, getattr(fresh, name), float(t[name]), tol)
+                _close(report, name, getattr(fresh, name), t[name], tol)
             stored = [Subspace.from_json(row["subspace"]) for row in t["table"]]
             _require(report, "fiber table", stored == [row[3] for row in fresh.table])
             _require(report, "mi bound", fresh.mi_bound_holds)
@@ -177,7 +186,6 @@ def verify_bundle(payload: dict) -> VerifyReport:
         cert = payload["certificate"]
         v = Subspace.from_json(cert["subspace"])
         params = cert["parameters"]
-        ach = cert["achieved"]
         if kind == CRITERION_B:
             p, q = Dist.from_json(inputs["p"]), Dist.from_json(inputs["q"])
             chk = check_statement_B(
@@ -188,26 +196,28 @@ def verify_bundle(payload: dict) -> VerifyReport:
                     L=float(params["L_achieved"]) + tol,
                 ),
             )
-            _compare(report, chk, ach, ("lhs", "rhs"), tol)
         elif kind == CRITERION_RICH:
             p, q = Dist.from_json(inputs["p"]), Dist.from_json(inputs["q"])
             chk = check_rich_cosets(p, q, v, float(params["epsilon"]))
-            _compare(report, chk, ach, ("s", "s_quotient", "h_x_given_proj", "h_y_given_proj"), tol)
         elif kind == CRITERION_MANY:
             dists = [Dist.from_json(d) for d in inputs["dists"]]
+            if not 2 <= len(dists) <= 4 or len(dists) != params["k"]:
+                raise ValidationError(
+                    f"a MANY_SUMS bundle embeds k = 2..4 distributions, "
+                    f"got {len(dists)} with k = {params['k']!r}"
+                )
             chk = check_many_sums(dists, v, float(params["epsilon"]))
-            _compare(report, chk, ach, ("lhs",), tol)
         elif kind == CRITERION_T11:
             n = int(inputs["set"]["n"])
             members = sorted(int(h, 16) for h in inputs["set"]["elements"])
             chk = check_theorem_11(members, uniform_on(members, n), v, float(params["epsilon"]))
-            _compare(report, chk, ach, ("eta", "expected_log_intersection"), tol)
         elif kind == CRITERION_PFR:
             p, q = Dist.from_json(inputs["p"]), Dist.from_json(inputs["q"])
-            _compare(report, check_pfr(p, q, v), ach, ("h_proj_x", "h_proj_y"), tol)
+            chk = check_pfr(p, q, v)
         else:
             raise ValidationError(f"unknown bundle kind {kind!r}")
-    except (KeyError, TypeError, ValueError, RuntimeError) as exc:
+        _compare(report, chk, cert["achieved"], v, tol)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError, RuntimeError) as exc:
         report.ok = False
         report.failures.append(f"bundle rejected: {exc}")
     return report

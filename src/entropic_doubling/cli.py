@@ -195,7 +195,7 @@ def _cmd_find_subspace(args) -> int:
         result = solve_B(p, q, args.eta, args.epsilon, seed=args.seed)
         bundle = solve_bundle(result, p, q)
         h_total = shannon_entropy(p) + shannon_entropy(q)
-        values = result.check.values
+        values = result.certificate.achieved
         eps_achieved = (
             max(0.0, (values["rhs"] - values["lhs"]) / h_total + args.epsilon)
             if h_total > 0

@@ -100,7 +100,7 @@ class Dist:
                     mass[x] = float(val)
         except CapacityError:
             raise
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed distribution payload: {exc}") from exc
         try:
             return cls(n, mass)

@@ -57,7 +57,7 @@ from .oracle import (
     _scan_tables,
     lattice_entropies,
 )
-from .tolerances import FIBER_CAP, IDENTITY_TOL, MAX_ENUM_N, tolerances_dict
+from .tolerances import FIBER_CAP, IDENTITY_TOL, MAX_ENUM_N
 
 
 def z_system_joints(p: Dist, q: Dist) -> tuple[JointDist, JointDist]:
@@ -110,7 +110,6 @@ class EndgameTranscript:
     expectation: float
     expectation_bound: float
     expectation_holds: bool
-    tolerances: dict = field(default_factory=tolerances_dict)
 
     @property
     def fiber_cap(self) -> dict:
@@ -145,7 +144,6 @@ class EndgameTranscript:
             "expectation_bound": self.expectation_bound,
             "expectation_holds": self.expectation_holds,
             "fiber_cap": self.fiber_cap,
-            "tolerances": self.tolerances,
         }
 
 

@@ -8,7 +8,7 @@ Every returned certificate re-verifies from (inputs, V) alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -28,7 +28,7 @@ from .errors import (
     SearchFailureError,
 )
 from .gf2 import Subspace, all_subspaces, span
-from .tolerances import IDENTITY_TOL, MASS_EPS, MAX_ENUM_N, tolerances_dict
+from .tolerances import IDENTITY_TOL, MASS_EPS, MAX_ENUM_N
 
 CRITERION_PFR = "PFR_COR22"
 CRITERION_B = "STATEMENT_B"
@@ -51,8 +51,6 @@ class SubspaceCertificate:
     subspace: Subspace
     parameters: dict
     achieved: dict
-    tolerances: dict = field(default_factory=tolerances_dict)
-    inputs: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {
@@ -61,8 +59,6 @@ class SubspaceCertificate:
             "subspace": self.subspace.to_json(),
             "parameters": self.parameters,
             "achieved": self.achieved,
-            "tolerances": self.tolerances,
-            "inputs": self.inputs,
         }
 
 
@@ -87,11 +83,19 @@ class CriterionCheck:
                 f"{what} verification failed ({', '.join(failed)}): {self.values}"
             )
 
-    def to_json(self) -> dict:
-        return {
-            "values": self.values,
-            "verdicts": {name: bool(ok) for name, ok in self.verdicts.items()},
-        }
+
+def certificate(
+    criterion: str, search_mode: str, v: Subspace, parameters: dict, chk: CriterionCheck
+) -> SubspaceCertificate:
+    """The certificate for V built from its criterion's check: achieved is
+    dim V and every value the check recomputed, which verify_bundle compares."""
+    return SubspaceCertificate(
+        criterion=criterion,
+        search_mode=search_mode,
+        subspace=v,
+        parameters=parameters,
+        achieved={"dim": v.dim, **chk.values},
+    )
 
 
 # The inequalities below take entropies as floats or as numpy arrays over many
@@ -203,12 +207,16 @@ def exhaustive_best_subspace(
     elif objective == OBJECTIVE_PFR:
         d = ruzsa_distance(p, q)
         params["ruzsa_distance"] = d
-        pfr_bound, size_bound, ok = pfr_inequality(hp, hq, hp0 + hq0, dims, d)
+        ok = pfr_inequality(hp, hq, hp0 + hq0, dims, d)[2]
         idx = _first_feasible(ok & feasible, objective)
     else:
         raise ValueError(f"unknown objective {objective!r}")
 
     v = subs[idx]
+    parameters = {"objective": objective, **params}
+    if objective == OBJECTIVE_PFR:
+        chk = _pfr_check((hp0, hq0), float(hp[idx]), float(hq[idx]), v.dim, d)
+        return certificate(CRITERION_PFR, "exhaustive", v, parameters, chk)
     achieved = {
         "dim": v.dim,
         "h_x": hp0,
@@ -219,21 +227,13 @@ def exhaustive_best_subspace(
     if hpq is not None:
         achieved["h_proj_sum"] = float(hpq[idx])
         achieved["quotient_doubling"] = float(hp[idx] + hq[idx] - hpq[idx])
-    if objective == OBJECTIVE_PFR:
-        achieved["ruzsa_distance"] = float(d)
-        achieved["pfr_bound"] = float(pfr_bound)
-        achieved["size_bound"] = float(size_bound)
-    criterion = {
-        OBJECTIVE_STATEMENT_B: CRITERION_B,
-        OBJECTIVE_PFR: CRITERION_PFR,
-    }.get(objective, objective)
+    criterion = CRITERION_B if objective == OBJECTIVE_STATEMENT_B else objective
     return SubspaceCertificate(
         criterion=criterion,
         search_mode="exhaustive",
         subspace=v,
-        parameters={"objective": objective, **params},
+        parameters=parameters,
         achieved=achieved,
-        inputs={"p": p.digest(), "q": q.digest()},
     )
 
 
@@ -332,29 +332,34 @@ def pfr_subspace(p: Dist, q: Dist) -> SubspaceCertificate:
         return exhaustive_best_subspace(p, q, OBJECTIVE_PFR)
 
     d = ruzsa_distance(p, q)
-    h_x, h_y = shannon_entropy(p), shannon_entropy(q)
+    h = shannon_entropy(p), shannon_entropy(q)
     v = Subspace.zero(p.n)
     while True:
         hp = shannon_entropy(pushforward_quotient(p, v))
         hq = shannon_entropy(pushforward_quotient(q, v))
-        pfr_bound, size_bound, ok = pfr_inequality(hp, hq, h_x + h_y, v.dim, d)
-        if ok:
+        chk = _pfr_check(h, hp, hq, v.dim, d)
+        if chk.passes:
             break
-        if v.dim + 1 > size_bound + IDENTITY_TOL:
+        if v.dim + 1 > chk.values["size_bound"] + IDENTITY_TOL:
             raise SearchFailureError(
                 "greedy PFR search exhausted its size budget without meeting the bound"
             )
         v = greedy_extension(p, q, v, np.maximum)
         if v is None:
             raise SearchFailureError("greedy PFR search found no extension vector")
+    parameters = {"objective": OBJECTIVE_PFR, "ruzsa_distance": d}
+    return certificate(CRITERION_PFR, "greedy", v, parameters, chk)
 
-    return SubspaceCertificate(
-        criterion=CRITERION_PFR,
-        search_mode="greedy",
-        subspace=v,
-        parameters={"objective": OBJECTIVE_PFR, "ruzsa_distance": d},
-        achieved={
-            "dim": v.dim,
+
+def _pfr_check(
+    h: tuple[float, float], hp: float, hq: float, dim: int, d: float
+) -> CriterionCheck:
+    """check_pfr for a V of dimension dim, from (H[X], H[Y]),
+    H[pi_V(X)], H[pi_V(Y)] and d = d[X;Y]."""
+    h_x, h_y = h
+    pfr_bound, size_bound, ok = pfr_inequality(hp, hq, h_x + h_y, dim, d)
+    return CriterionCheck(
+        values={
             "h_x": h_x,
             "h_y": h_y,
             "h_proj_x": hp,
@@ -362,7 +367,7 @@ def pfr_subspace(p: Dist, q: Dist) -> SubspaceCertificate:
             "pfr_bound": pfr_bound,
             "size_bound": size_bound,
         },
-        inputs={"p": p.digest(), "q": q.digest()},
+        verdicts={"pfr bounds": bool(ok)},
     )
 
 
@@ -370,11 +375,8 @@ def check_pfr(p: Dist, q: Dist, v: Subspace) -> CriterionCheck:
     """Recompute the PFR bounds for V from the inputs alone."""
     hp = shannon_entropy(pushforward_quotient(p, v))
     hq = shannon_entropy(pushforward_quotient(q, v))
-    h_total = shannon_entropy(p) + shannon_entropy(q)
-    ok = pfr_inequality(hp, hq, h_total, v.dim, ruzsa_distance(p, q))[2]
-    return CriterionCheck(
-        values={"h_proj_x": hp, "h_proj_y": hq}, verdicts={"pfr bounds": bool(ok)}
-    )
+    h = shannon_entropy(p), shannon_entropy(q)
+    return _pfr_check(h, hp, hq, v.dim, ruzsa_distance(p, q))
 
 
 @dataclass(frozen=True)

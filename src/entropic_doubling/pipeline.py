@@ -13,7 +13,9 @@ worst-case constants of the analysis are recorded but never trusted.
 
 Every check_* function returns an oracle.CriterionCheck: the recomputed
 quantities, named as in the certificate's achieved block, and one verdict per
-inequality.  Producers and verify_bundle call the same functions.
+inequality.  Each producer builds its certificate from the check it accepted
+(oracle.certificate), and verify_bundle calls the same function and compares
+every value.
 
 The control flow is the paper's, but each step's eps0, case order, kappa and
 zeta come from measured quantities, not from the analysis' schedule
@@ -53,6 +55,7 @@ from .oracle import (
     CriterionCheck,
     SubspaceCertificate,
     b_inequality,
+    certificate,
     greedy_extension,
 )
 from .tolerances import IDENTITY_TOL
@@ -88,8 +91,8 @@ class StatementParams:
             raise ValidationError(f"epsilon must lie in (0, 1], got {self.epsilon}")
         if self.c is not None and not 0.0 < self.c <= 1.0:
             raise ValidationError(f"c must lie in (0, 1], got {self.c}")
-        if self.L is not None and self.L < 0.0:
-            raise ValidationError(f"L must be nonnegative, got {self.L}")
+        if self.L is not None and not 0.0 <= self.L < math.inf:
+            raise ValidationError(f"L must be finite and nonnegative, got {self.L}")
 
 
 def check_statement_B(
@@ -133,15 +136,22 @@ def check_statement_A(
     """Statement A for V: the hypothesis H[X+Y] <= (1-eta)(H[X]+H[Y]), the
     conclusion H[pi(X)]+H[pi(Y)] <= (1-c)(H[X]+H[Y]) and, when params.L is
     given, the size bound dim V <= L(H[X]+H[Y])."""
-    if params.c is None:
-        raise ValueError("statement A requires c")
     if p.n != q.n or p.n != v.n:
         raise DimensionMismatchError("ambient dimensions differ")
     h_total = shannon_entropy(p) + shannon_entropy(q)
     h_sum = shannon_entropy(xor_convolve(p, q))
     hp = shannon_entropy(pushforward_quotient(p, v))
     hq = shannon_entropy(pushforward_quotient(q, v))
-    lhs = hp + hq
+    return _check_a_measured(h_total, h_sum, hp + hq, v.dim, params)
+
+
+def _check_a_measured(
+    h_total: float, h_sum: float, lhs: float, dim: int, params: StatementParams
+) -> CriterionCheck:
+    """check_statement_A for a V of dimension dim, from H[X]+H[Y], H[X+Y]
+    and H[pi_V(X)]+H[pi_V(Y)]."""
+    if params.c is None:
+        raise ValueError("statement A requires c")
     rhs = (1.0 - params.c) * h_total
     size_bound = None if params.L is None else params.L * h_total
     return CriterionCheck(
@@ -155,7 +165,7 @@ def check_statement_A(
         verdicts={
             "hypothesis": bool(h_sum <= (1.0 - params.eta) * h_total + IDENTITY_TOL),
             "conclusion": bool(lhs <= rhs + IDENTITY_TOL),
-            "size bound": size_bound is None or v.dim <= size_bound + IDENTITY_TOL,
+            "size bound": size_bound is None or dim <= size_bound + IDENTITY_TOL,
         },
     )
 
@@ -660,7 +670,8 @@ def inductive_step(
     if not 0.0 < eps0 < eta0 <= 0.5:
         raise ValueError("need 0 < eps0 < eta0 <= 1/2")
     h_in = shannon_entropy(p) + shannon_entropy(q)
-    s_in = h_in - shannon_entropy(xor_convolve(p, q))
+    h_sum = shannon_entropy(xor_convolve(p, q))
+    s_in = h_in - h_sum
     if s_in < (eta0 - eps0) * h_in - IDENTITY_TOL:
         raise HypothesisViolationError(
             f"s[X;Y] = {s_in:.6g} below (eta0-eps0)(H[X]+H[Y]) = "
@@ -758,7 +769,9 @@ def inductive_step(
     c_used = min(c_meas * (1.0 - 1e-12), 1.0 - 1e-12)
     l_used = v_final.dim / h_in if h_in > 0 else 0.0
     params = StatementParams(eta=eta0 - eps0, c=c_used, L=l_used + IDENTITY_TOL)
-    check_statement_A(p, q, v_final, params).require("inductive-step statement-A")
+    _check_a_measured(h_in, h_sum, h1, v_final.dim, params).require(
+        "inductive-step statement-A"
+    )
     return PipelineTrace(steps=tuple(steps), subspace=v_final)
 
 
@@ -785,7 +798,6 @@ class _SolveContext:
 class SolveResult:
     certificate: SubspaceCertificate
     steps: tuple[TraceStep, ...]
-    check: CriterionCheck
     seed: int
 
     @property
@@ -802,29 +814,17 @@ class SolveResult:
             "certificate": self.certificate.to_json(),
             "steps": [s.to_json() for s in self.steps],
             "trivial": self.trivial,
-            "check": self.check.to_json(),
             "seed": self.seed,
         }
 
 
 def _b_certificate(
-    p: Dist,
-    q: Dist,
-    v: Subspace,
-    eta: float,
-    eps: float,
-    chk: CriterionCheck,
+    v: Subspace, eta: float, eps: float, chk: CriterionCheck
 ) -> SubspaceCertificate:
     h_total = chk.values["h_total"]
     achieved_l = v.dim / h_total if h_total > 0 else 0.0
-    return SubspaceCertificate(
-        criterion=CRITERION_B,
-        search_mode="pipeline",
-        subspace=v,
-        parameters={"eta": eta, "epsilon": eps, "L_achieved": achieved_l},
-        achieved={"dim": v.dim, **chk.values},
-        inputs={"p": p.digest(), "q": q.digest()},
-    )
+    parameters = {"eta": eta, "epsilon": eps, "L_achieved": achieved_l}
+    return certificate(CRITERION_B, "pipeline", v, parameters, chk)
 
 
 def _solve_b(
@@ -868,7 +868,7 @@ def _solve_b_inner(
             h_after=chk.values["h_total"],
             note={"base_case": True},
         )
-        return _b_certificate(p, q, v, eta, eps, chk), (base,)
+        return _b_certificate(v, eta, eps, chk), (base,)
 
     eps0 = max((0.5 - eta) / 2.0, 0.02)
     eta0 = min(0.5, eta + eps0)
@@ -908,7 +908,7 @@ def _solve_b_inner(
 
     rounds = max(16, math.ceil(4.0 / eps)) + 1
     v, steps, _ = _grow((p, q), rounds, "the statement-B recursion", step)
-    return _b_certificate(p, q, v, eta, eps, passed[0]), tuple(steps)
+    return _b_certificate(v, eta, eps, passed[0]), tuple(steps)
 
 
 def solve_B(
@@ -923,19 +923,16 @@ def solve_B(
 
     Follows the inductive recursion on eta up to the 1/2 base case; the
     final certificate reports the achieved (eta, epsilon, dim V), never the
-    analysis' worst-case size constant.
+    analysis' worst-case size constant.  The certificate is built from the
+    statement-B check that accepted V, so its achieved values are that
+    check's; with L = L_achieved its size bound holds by definition.
     """
     if p.n != q.n:
         raise DimensionMismatchError("ambient dimensions differ")
     StatementParams(eta=eta, epsilon=epsilon)
     ctx = _SolveContext(rng=seeded_rng(seed), seed=seed)
     cert, steps = _solve_b(p, q, eta, epsilon, ctx)
-    chk = check_statement_B(
-        p, q, cert.subspace,
-        StatementParams(eta=eta, epsilon=epsilon, L=cert.parameters["L_achieved"] + IDENTITY_TOL),
-    )
-    chk.require("final statement-B")
-    return SolveResult(certificate=cert, steps=steps, check=chk, seed=seed)
+    return SolveResult(certificate=cert, steps=steps, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -960,15 +957,8 @@ def rich_cosets(
     v = inner.subspace
     chk = check_rich_cosets(p, q, v, epsilon)
     chk.require("rich-cosets")
-    cert = SubspaceCertificate(
-        criterion=CRITERION_RICH,
-        search_mode="pipeline",
-        subspace=v,
-        parameters={"epsilon": epsilon, "seed": seed},
-        achieved={"dim": v.dim, **chk.values},
-        inputs={"p": p.digest(), "q": q.digest()},
-    )
-    return SolveResult(certificate=cert, steps=inner.steps, check=chk, seed=seed)
+    cert = certificate(CRITERION_RICH, "pipeline", v, {"epsilon": epsilon}, chk)
+    return SolveResult(certificate=cert, steps=inner.steps, seed=seed)
 
 
 def many_sums(
@@ -1014,15 +1004,9 @@ def many_sums(
     w, steps, _ = _grow(dists, math.ceil(2.0 / delta) + 2, "many_sums", fix)
     chk = check_many_sums(dists, w, epsilon)
     chk.require("many_sums")
-    cert = SubspaceCertificate(
-        criterion=CRITERION_MANY,
-        search_mode="pipeline",
-        subspace=w,
-        parameters={"epsilon": epsilon, "k": k, "delta": delta, "seed": seed},
-        achieved={"dim": w.dim, **chk.values},
-        inputs={f"x{i}": d.digest() for i, d in enumerate(dists)},
-    )
-    return SolveResult(certificate=cert, steps=tuple(steps), check=chk, seed=seed)
+    parameters = {"epsilon": epsilon, "k": k, "delta": delta}
+    cert = certificate(CRITERION_MANY, "pipeline", w, parameters, chk)
+    return SolveResult(certificate=cert, steps=tuple(steps), seed=seed)
 
 
 def analyze_set(
@@ -1049,12 +1033,5 @@ def analyze_set(
     v = inner.subspace
     chk = check_theorem_11(members, u_a, v, epsilon)
     chk.require("Theorem 1.1")
-    cert = SubspaceCertificate(
-        criterion=CRITERION_T11,
-        search_mode="pipeline",
-        subspace=v,
-        parameters={"epsilon": epsilon, "seed": seed},
-        achieved={"dim": v.dim, **chk.values},
-        inputs={"set": [format(x, "x") for x in members], "n": n},
-    )
-    return SolveResult(certificate=cert, steps=inner.steps, check=chk, seed=seed)
+    cert = certificate(CRITERION_T11, "pipeline", v, {"epsilon": epsilon}, chk)
+    return SolveResult(certificate=cert, steps=inner.steps, seed=seed)

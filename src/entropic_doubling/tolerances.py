@@ -3,7 +3,7 @@
 All entropies are in bits (log base 2), so H[U_V] = dim V and subspace-size
 bounds read directly as dimensions.  Identity checks use IDENTITY_TOL,
 fast-vs-naive oracle comparisons use ORACLE_TOL, and nonnegativity assertions
-get NONNEG_SLACK.  These values are echoed into every emitted certificate.
+get NONNEG_SLACK.  These values are echoed into every certificate bundle.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ FIBER_CAP = 256
 
 
 def tolerances_dict() -> dict[str, float]:
-    """The tolerance block recorded in certificates."""
+    """The tolerance block recorded in every bundle."""
     return {
         "identity": IDENTITY_TOL,
         "oracle": ORACLE_TOL,

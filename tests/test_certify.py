@@ -53,14 +53,17 @@ def _resolve_pfr(b):
     return pfr_subspace(*_pair(b)).subspace
 
 
-# fixture name -> (re-solve its inputs to V, stored key to perturb, verdicts V = 0 fails)
+# fixture name -> (re-solve its inputs to V, stored keys to perturb, verdicts V = 0 fails)
 KINDS = {
-    "statement_b": (_resolve_b, "lhs", ["statement B inequality"]),
-    "rich_cosets": (_resolve_rich, "s_quotient", ["quotient interaction"]),
-    "many_sums": (_resolve_many, "lhs", ["k-fold inequality"]),
-    "theorem_11": (_resolve_t11, "expected_log_intersection", ["intersection bound"]),
-    "pfr_cor22": (_resolve_pfr, "h_proj_x", ["pfr bounds"]),
+    "statement_b": (_resolve_b, ("lhs", "h_total"), ["statement B inequality"]),
+    "rich_cosets": (_resolve_rich, ("s_quotient", "s_fiber"), ["quotient interaction"]),
+    "many_sums": (_resolve_many, ("lhs", "rhs"), ["k-fold inequality"]),
+    "theorem_11": (
+        _resolve_t11, ("expected_log_intersection", "bound"), ["intersection bound"]
+    ),
+    "pfr_cor22": (_resolve_pfr, ("h_proj_x", "pfr_bound"), ["pfr bounds"]),
 }
+ENDGAME_VALUES = ("i_z1_z3", "i_z1_z2", "expectation")
 
 
 @pytest.mark.parametrize("name", sorted(KINDS))
@@ -83,12 +86,39 @@ def test_endgame_fixture_verifies_and_resolves_to_same_table():
 
 @pytest.mark.parametrize("name", sorted(KINDS))
 def test_perturbed_stored_value_rejected(name):
+    for key in KINDS[name][1]:
+        bundle = load(name)
+        bundle["certificate"]["achieved"][key] += 0.5
+        report = verify_bundle(bundle)
+        assert not report.ok
+        assert any(f.startswith(f"{key}: recomputed") for f in report.failures)
+
+
+@pytest.mark.parametrize("name", sorted([*KINDS, "endgame"]))
+def test_nan_in_each_compared_value_rejected(name):
+    if name == "endgame":
+        keys = ENDGAME_VALUES
+    else:
+        keys = [k for k in load(name)["certificate"]["achieved"] if k != "dim"]
+    for key in keys:
+        bundle = load(name)
+        stored = bundle["transcript"] if name == "endgame" else bundle["certificate"]["achieved"]
+        if isinstance(stored[key], list):
+            stored[key][0] = float("nan")
+        else:
+            stored[key] = float("nan")
+        report = verify_bundle(json.loads(json.dumps(bundle)))
+        assert not report.ok, key
+        assert any(f.startswith(f"{key}: recomputed") for f in report.failures), key
+
+
+@pytest.mark.parametrize("name", sorted(KINDS))
+def test_wrong_stored_dim_rejected(name):
     bundle = load(name)
-    key = KINDS[name][1]
-    bundle["certificate"]["achieved"][key] += 0.5
+    bundle["certificate"]["achieved"]["dim"] -= 1
     report = verify_bundle(bundle)
     assert not report.ok
-    assert any(f.startswith(f"{key}: recomputed") for f in report.failures)
+    assert [f for f in report.failures if f.startswith("dim")]
 
 
 @pytest.mark.parametrize("name", sorted(KINDS))
@@ -161,3 +191,47 @@ def test_stored_tolerance_cannot_loosen_checks(identity):
     assert not report.ok
     assert len(report.failures) == 1
     assert report.failures[0].startswith("identity tolerance")
+
+
+@pytest.mark.parametrize("big_l", [float("inf"), float("nan")])
+def test_non_finite_size_constant_rejected(big_l):
+    # An infinite L would make the size bound vacuous.
+    bundle = load("statement_b")
+    bundle["certificate"]["parameters"]["L_achieved"] = big_l
+    report = verify_bundle(json.loads(json.dumps(bundle)))
+    assert not report.ok
+    assert any("L must be finite" in f for f in report.failures)
+
+
+def test_many_sums_bundle_with_a_dropped_distribution_rejected():
+    bundle = load("many_sums")
+    del bundle["inputs"]["dists"][-1]
+    report = verify_bundle(bundle)
+    assert not report.ok
+    assert any("MANY_SUMS bundle embeds k = 2..4" in f for f in report.failures)
+
+
+def _list_support(bundle):
+    bundle["inputs"]["p"] = {"n": 3, "support": [1, 2]}
+
+
+def _fiber_cap_list(bundle):
+    bundle["transcript"]["fiber_cap"] = [256]
+
+
+def _no_dists(bundle):
+    bundle["inputs"]["dists"] = []
+
+
+@pytest.mark.parametrize(
+    "name, tamper",
+    [("statement_b", _list_support), ("endgame", _fiber_cap_list), ("many_sums", _no_dists)],
+    ids=["list-support", "fiber-cap-list", "no-dists"],
+)
+def test_malformed_bundle_gives_failed_report(name, tamper):
+    bundle = load(name)
+    tamper(bundle)
+    report = verify_bundle(bundle)
+    assert not report.ok
+    assert len(report.failures) == 1
+    assert report.failures[0].startswith("bundle rejected: ")

@@ -298,6 +298,39 @@ class TestFindSubspaceAndVerify:
         assert main(["verify", "--certificate", str(path)]) == 1
         assert json.loads(capsys.readouterr().out)["ok"] is False
 
+    @pytest.mark.parametrize("command", ["analyze", "find-subspace"])
+    def test_list_support_exits_two_with_one_line(self, command, tmp_path, capsys):
+        path = tmp_path / "dist.json"
+        path.write_text(json.dumps({"n": 3, "support": [1, 2]}))
+        assert main([command, "--dist", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: ValidationError: malformed distribution payload")
+
+    @pytest.mark.parametrize(
+        "fixture, block, key, value",
+        [
+            ("statement_b", "inputs", "p", {"n": 3, "support": [1, 2]}),
+            ("endgame", "transcript", "fiber_cap", [256]),
+            ("many_sums", "inputs", "dists", []),
+        ],
+        ids=["list-support", "fiber-cap-list", "no-dists"],
+    )
+    def test_malformed_bundle_fails_verification(
+        self, fixture, block, key, value, tmp_path, capsys
+    ):
+        path = Path(__file__).parent / "fixtures" / f"{fixture}.json"
+        bundle = json.loads(path.read_text())
+        bundle[block][key] = value
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(bundle))
+        assert main(["verify", "--certificate", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        report = json.loads(out)
+        assert report["ok"] is False
+        assert report["failures"][0].startswith("bundle rejected: ")
+
     def test_no_mode_option(self, dist_files, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["find-subspace", "--dist", str(dist_files[0]), "--mode", "practical"])

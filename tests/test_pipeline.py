@@ -53,8 +53,11 @@ from entropic_doubling.pipeline import (
     _SolveContext,
     _zero_subspace_meets_b,
     analyze_set,
+    check_many_sums,
+    check_rich_cosets,
     check_statement_A,
     check_statement_B,
+    check_theorem_11,
     inductive_step,
     local_to_global,
     make_sumsets_not_double,
@@ -94,6 +97,11 @@ class TestStatementParams:
             StatementParams(eta=0.3, c=1.2)
         with pytest.raises(ValueError):
             StatementParams(eta=0.3, L=-1.0)
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_l_rejected(self, value):
+        with pytest.raises(ValidationError, match="L must be finite and nonnegative"):
+            StatementParams(eta=0.3, L=value)
 
 
 class TestCheckStatementB:
@@ -422,7 +430,9 @@ class TestSolveB:
         ach = res.certificate.achieved
         assert ach["lhs"] >= ach["rhs"] - 1e-9
         assert res.certificate.parameters["eta"] == 0.3
-        assert res.check.passes
+        chk = check_statement_B(p, q, res.subspace, StatementParams(eta=0.3, epsilon=0.1))
+        assert chk.passes
+        assert ach == {"dim": res.subspace.dim, **chk.values}
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(9)
@@ -586,11 +596,9 @@ class TestBundles:
         bundle = json.loads(json.dumps(solve_bundle(res, p, q)))
         report = verify_bundle(bundle)
         assert report.ok, report.failures
-        # The check block (ignored by verify_bundle) is the final statement-B check.
-        assert bundle["check"] == {
-            "values": {k: bundle["certificate"]["achieved"][k] for k in res.check.values},
-            "verdicts": {"statement B inequality": True},
-        }
+        # The achieved block is the accepting statement-B check's values.
+        chk = check_statement_B(p, q, res.subspace, StatementParams(eta=0.3, epsilon=0.1))
+        assert bundle["certificate"]["achieved"] == {"dim": res.subspace.dim, **chk.values}
 
     def test_tampered_bundle_rejected(self):
         rng = np.random.default_rng(13)
@@ -660,16 +668,23 @@ class TestBundles:
             "MANY_SUMS": lambda: many_sums_bundle(many_sums(dists, 0.5, seed=8), dists),
             "THEOREM_11": lambda: set_bundle(analyze_set(ball, 4, 0.2, seed=9), ball, 4),
         }
+        check = {
+            "STATEMENT_B": lambda v: check_statement_B(
+                p, q, v, StatementParams(eta=0.3, epsilon=0.1)
+            ),
+            "RICH_COSETS": lambda v: check_rich_cosets(p, q, v, 0.4),
+            "MANY_SUMS": lambda v: check_many_sums(dists, v, 0.5),
+            "THEOREM_11": lambda v: check_theorem_11(ball, uniform_on(ball, 4), v, 0.2),
+        }
         bundle = json.loads(json.dumps(build[kind]()))
         assert bundle["kind"] == kind
         assert set(bundle) == {
-            "kind", "prng", "inputs", "certificate", "steps", "trivial", "check",
-            "seed", "tolerances",
+            "kind", "prng", "inputs", "certificate", "steps", "trivial", "seed", "tolerances",
         }
-        achieved = dict(bundle["certificate"]["achieved"])
-        del achieved["dim"]
-        verdicts = dict.fromkeys(self.VERDICTS[kind], True)
-        assert bundle["check"] == {"values": achieved, "verdicts": verdicts}
+        v = Subspace.from_json(bundle["certificate"]["subspace"])
+        chk = check[kind](v)
+        assert chk.verdicts == dict.fromkeys(self.VERDICTS[kind], True)
+        assert bundle["certificate"]["achieved"] == {"dim": v.dim, **chk.values}
         assert verify_bundle(bundle).ok
 
 
