@@ -75,9 +75,7 @@ from .gf2 import (
     subspace_sum,
 )
 from .oracle import (
-    BsgReport,
     SubspaceCertificate,
-    bsg_check,
     exhaustive_best_subspace,
     pfr_subspace,
 )

@@ -197,12 +197,17 @@ def _fiber_index(v: Subspace) -> np.ndarray:
     return np.flatnonzero(reps == np.arange(reps.size))[:, None] ^ members[None, :]
 
 
+def _plogp(t: np.ndarray) -> np.ndarray:
+    """t log2 t elementwise, and 0 where t <= MASS_EPS, as _entropy masks."""
+    out = np.zeros_like(t)
+    np.log2(t, out=out, where=t > MASS_EPS)
+    out *= t
+    return out
+
+
 def _plogp_sums(table: np.ndarray) -> np.ndarray:
-    """sum t log2 t over each leading-axis slice, with 0 log 0 = 0 and dust
-    at or below MASS_EPS skipped, as _entropy does."""
-    logs = np.log2(table, out=np.zeros_like(table), where=table > MASS_EPS)
-    logs *= table
-    return logs.reshape(len(table), -1).sum(axis=1)
+    """sum t log2 t over each leading-axis slice, by _plogp."""
+    return _plogp(table).reshape(len(table), -1).sum(axis=1)
 
 
 def _coset_pair_sums(x_spec: np.ndarray, y_spec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

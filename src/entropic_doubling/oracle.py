@@ -8,27 +8,23 @@ Every returned certificate re-verifies from (inputs, V) alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .dist import Dist, pushforward_quotient, xor_convolve
-from .entropy import (
-    joint_entropy,
-    mutual_information,
-    ruzsa_distance,
-    shannon_entropy,
-    _entropy,
-)
+from .entropy import _entropy, _plogp, ruzsa_distance, shannon_entropy
 from .errors import (
     CapacityError,
     DimensionMismatchError,
     PipelineError,
     SearchFailureError,
+    ValidationError,
 )
 from .gf2 import Subspace, all_subspaces, span
-from .tolerances import IDENTITY_TOL, MASS_EPS, MAX_ENUM_N
+from .tolerances import IDENTITY_TOL, MAX_ENUM_N
 
 CRITERION_PFR = "PFR_COR22"
 CRITERION_B = "STATEMENT_B"
@@ -116,6 +112,62 @@ def b_inequality(h_sum, h_x, h_y, h_total, dim, eta, eps, big_l=None):
     return rhs, size_bound, ok
 
 
+def _require_epsilon(epsilon: float, top: float = 1.0) -> None:
+    """A criterion's epsilon range (0, top]; NaN and inf fall outside it.  Its
+    check enforces the range first thing, for producer and verifier alike."""
+    if not 0.0 < epsilon <= top:
+        raise ValidationError(f"epsilon must lie in (0, {top:g}], got {epsilon}")
+
+
+@dataclass(frozen=True)
+class StatementParams:
+    """Parameters (eta, epsilon, c, L) for the intermediate statements."""
+
+    eta: float
+    epsilon: float | None = None
+    c: float | None = None
+    L: float | None = None
+
+    def __post_init__(self):
+        if not 0.0 < self.eta <= 0.5:
+            raise ValidationError(f"eta must lie in (0, 1/2], got {self.eta}")
+        if self.epsilon is not None:
+            _require_epsilon(self.epsilon)
+        if self.c is not None and not 0.0 < self.c <= 1.0:
+            raise ValidationError(f"c must lie in (0, 1], got {self.c}")
+        if self.L is not None and not 0.0 <= self.L < math.inf:
+            raise ValidationError(f"L must be finite and nonnegative, got {self.L}")
+
+
+def _b_check(
+    h_sum: float, hp: float, hq: float, h_total: float, dim: int, params: StatementParams
+) -> CriterionCheck:
+    """check_statement_B for a V of dimension dim, from H[pi X + pi Y],
+    H[pi_V(X)], H[pi_V(Y)] and H[X] + H[Y]."""
+    rhs, _, ok = b_inequality(h_sum, hp, hq, h_total, dim, params.eta, params.epsilon, params.L)
+    return CriterionCheck(
+        values={
+            "lhs": float(h_sum),
+            "rhs": float(rhs),
+            "h_total": h_total,
+            "h_proj_x": hp,
+            "h_proj_y": hq,
+        },
+        verdicts={"statement B inequality": bool(ok)},
+    )
+
+
+def _b_certificate(
+    search_mode: str, v: Subspace, params: StatementParams, chk: CriterionCheck
+) -> SubspaceCertificate:
+    """The statement-B certificate for V: verify_bundle checks it at
+    L = L_achieved, the smallest L whose size bound V meets."""
+    h_total = chk.values["h_total"]
+    achieved_l = v.dim / h_total if h_total > 0 else 0.0
+    parameters = {"eta": params.eta, "epsilon": params.epsilon, "L_achieved": achieved_l}
+    return certificate(CRITERION_B, search_mode, v, parameters, chk)
+
+
 def pfr_inequality(h_x, h_y, h_total, dim, d):
     """PFR: max(H[pi X], H[pi Y]) <= 12 d[X;Y] and dim V <= 7 (H[X] + H[Y]).
 
@@ -155,14 +207,6 @@ def lattice_entropies(d: Dist) -> np.ndarray:
     return -np.add.reduceat(_plogp(pushed), starts) + 0.0
 
 
-def _plogp(t: np.ndarray) -> np.ndarray:
-    """t log2 t elementwise, and 0 where t <= MASS_EPS, as _entropy masks."""
-    out = np.zeros_like(t)
-    np.log2(t, out=out, where=t > MASS_EPS)
-    out *= t
-    return out
-
-
 def exhaustive_best_subspace(
     p: Dist,
     q: Dist,
@@ -174,67 +218,65 @@ def exhaustive_best_subspace(
     """Scan all subspaces (n <= 6) and return the deterministic optimum.
 
     Objectives: minimize H[pi(X)]+H[pi(Y)] under the budget constraint, or
-    minimize dim V subject to the statement-B inequality or the PFR bounds.  Ties break to the earliest subspace in (dim, lex) order.
+    minimize dim V subject to the statement-B inequality (params eta,
+    epsilon and an optional L, checked by StatementParams before the scan)
+    or the PFR bounds.  Ties break to the earliest subspace in (dim, lex)
+    order.  The statement-B and PFR certificates are built from their
+    criterion's check, as the pipeline's and the greedy search's are.
     """
     if p.n != q.n:
         raise DimensionMismatchError("ambient dimensions differ")
     if p.n > MAX_ENUM_N:
         raise CapacityError(f"exhaustive search capped at n <= {MAX_ENUM_N}")
+    if objective not in (OBJECTIVE_PROJECTED_ENTROPY, OBJECTIVE_STATEMENT_B, OBJECTIVE_PFR):
+        raise ValueError(f"unknown objective {objective!r}")
     params = dict(params or {})
+    if objective == OBJECTIVE_STATEMENT_B:
+        big_l = params.get("L")
+        b_params = StatementParams(
+            eta=float(params["eta"]),
+            epsilon=float(params["epsilon"]),
+            L=None if big_l is None else float(big_l),
+        )
     subs, _, _, dims = _scan_tables(p.n)
     hp0, hq0 = shannon_entropy(p), shannon_entropy(q)
     hp = lattice_entropies(p)
     hq = lattice_entropies(q)
-    # Only the statement-B objective reads X+Y and pays for its convolution and scan.
-    hpq = None
-    if objective == OBJECTIVE_STATEMENT_B:
-        hpq = lattice_entropies(xor_convolve(p, q))
-
     feasible = np.ones(len(subs), dtype=bool)
     if entropy_budget is not None:
         feasible &= dims <= entropy_budget + IDENTITY_TOL
 
     if objective == OBJECTIVE_PROJECTED_ENTROPY:
-        score = hp + hq
-        idx = int(_masked_argmin(score, feasible, objective))
-    elif objective == OBJECTIVE_STATEMENT_B:
-        big_l = params.get("L")
-        ok = b_inequality(
-            hpq, hp, hq, hp0 + hq0, dims, float(params["eta"]), float(params["epsilon"]),
-            None if big_l is None else float(big_l),
-        )[2]
-        idx = _first_feasible(ok & feasible, objective)
-    elif objective == OBJECTIVE_PFR:
+        idx = int(_masked_argmin(hp + hq, feasible, objective))
+        v = subs[idx]
+        return SubspaceCertificate(
+            criterion=objective,
+            search_mode="exhaustive",
+            subspace=v,
+            parameters={"objective": objective, **params},
+            achieved={
+                "dim": v.dim,
+                "h_x": hp0,
+                "h_y": hq0,
+                "h_proj_x": float(hp[idx]),
+                "h_proj_y": float(hq[idx]),
+            },
+        )
+    if objective == OBJECTIVE_PFR:
         d = ruzsa_distance(p, q)
-        params["ruzsa_distance"] = d
         ok = pfr_inequality(hp, hq, hp0 + hq0, dims, d)[2]
         idx = _first_feasible(ok & feasible, objective)
-    else:
-        raise ValueError(f"unknown objective {objective!r}")
-
+        chk = _pfr_check((hp0, hq0), float(hp[idx]), float(hq[idx]), subs[idx].dim, d)
+        return certificate(CRITERION_PFR, "exhaustive", subs[idx], {}, chk)
+    # Only the statement-B objective reads X+Y and pays for its convolution and scan.
+    hpq = lattice_entropies(xor_convolve(p, q))
+    ok = b_inequality(
+        hpq, hp, hq, hp0 + hq0, dims, b_params.eta, b_params.epsilon, b_params.L
+    )[2]
+    idx = _first_feasible(ok & feasible, objective)
     v = subs[idx]
-    parameters = {"objective": objective, **params}
-    if objective == OBJECTIVE_PFR:
-        chk = _pfr_check((hp0, hq0), float(hp[idx]), float(hq[idx]), v.dim, d)
-        return certificate(CRITERION_PFR, "exhaustive", v, parameters, chk)
-    achieved = {
-        "dim": v.dim,
-        "h_x": hp0,
-        "h_y": hq0,
-        "h_proj_x": float(hp[idx]),
-        "h_proj_y": float(hq[idx]),
-    }
-    if hpq is not None:
-        achieved["h_proj_sum"] = float(hpq[idx])
-        achieved["quotient_doubling"] = float(hp[idx] + hq[idx] - hpq[idx])
-    criterion = CRITERION_B if objective == OBJECTIVE_STATEMENT_B else objective
-    return SubspaceCertificate(
-        criterion=criterion,
-        search_mode="exhaustive",
-        subspace=v,
-        parameters=parameters,
-        achieved=achieved,
-    )
+    chk = _b_check(float(hpq[idx]), float(hp[idx]), float(hq[idx]), hp0 + hq0, v.dim, b_params)
+    return _b_certificate("exhaustive", v, b_params, chk)
 
 
 def _masked_argmin(score: np.ndarray, feasible: np.ndarray, tag: str) -> np.ndarray:
@@ -347,8 +389,7 @@ def pfr_subspace(p: Dist, q: Dist) -> SubspaceCertificate:
         v = greedy_extension(p, q, v, np.maximum)
         if v is None:
             raise SearchFailureError("greedy PFR search found no extension vector")
-    parameters = {"objective": OBJECTIVE_PFR, "ruzsa_distance": d}
-    return certificate(CRITERION_PFR, "greedy", v, parameters, chk)
+    return certificate(CRITERION_PFR, "greedy", v, {}, chk)
 
 
 def _pfr_check(
@@ -377,46 +418,3 @@ def check_pfr(p: Dist, q: Dist, v: Subspace) -> CriterionCheck:
     hq = shannon_entropy(pushforward_quotient(q, v))
     h = shannon_entropy(p), shannon_entropy(q)
     return _pfr_check(h, hp, hq, v.dim, ruzsa_distance(p, q))
-
-
-@dataclass(frozen=True)
-class BsgReport:
-    """Both sides of the entropic Balog-Szemeredi-Gowers inequality."""
-
-    expected_fiber_distance: float
-    bound: float
-    mutual_info: float
-    holds: bool
-
-    def to_json(self) -> dict:
-        return {
-            "expected_fiber_distance": self.expected_fiber_distance,
-            "bound": self.bound,
-            "mutual_info": self.mutual_info,
-            "holds": self.holds,
-        }
-
-
-def bsg_check(j) -> BsgReport:
-    """E_{t ~ A+B} d[A|A+B=t ; B|A+B=t] <= 3 I[A:B] + 2 H[A+B] - H[A] - H[B]."""
-    if j.k != 2 or j.dims[0] != j.dims[1]:
-        raise DimensionMismatchError("bsg_check expects a two-block joint on G x G")
-    n = j.dims[0]
-    size = 1 << n
-    idx = np.arange(size)
-    sum_mass = np.zeros(size)
-    np.add.at(sum_mass, (idx[:, None] ^ idx[None, :]).ravel(), j.mass.ravel())
-    lhs = 0.0
-    for t in np.nonzero(sum_mass > MASS_EPS)[0]:
-        pt = sum_mass[t]
-        fiber_a = Dist(n, j.mass[idx, idx ^ t] / pt)
-        fiber_b = Dist(n, j.mass[idx ^ t, idx] / pt)
-        lhs += pt * ruzsa_distance(fiber_a, fiber_b)
-    mi = mutual_information(j, 0, 1)
-    rhs = 3.0 * mi + 2.0 * _entropy(sum_mass) - joint_entropy(j, 0) - joint_entropy(j, 1)
-    return BsgReport(
-        expected_fiber_distance=float(lhs),
-        bound=float(rhs),
-        mutual_info=float(mi),
-        holds=bool(lhs <= rhs + IDENTITY_TOL),
-    )

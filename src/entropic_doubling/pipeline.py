@@ -13,7 +13,9 @@ worst-case constants of the analysis are recorded but never trusted.
 
 Every check_* function returns an oracle.CriterionCheck: the recomputed
 quantities, named as in the certificate's achieved block, and one verdict per
-inequality.  Each producer builds its certificate from the check it accepted
+inequality.  Each check first holds its parameters to the criterion's range
+(one ValidationError line), and each producer tests the same range before it
+solves.  Each producer builds its certificate from the check it accepted
 (oracle.certificate), and verify_bundle calls the same function and compares
 every value.
 
@@ -50,10 +52,13 @@ from .errors import (
 from .families import doubling_stats, seeded_rng
 from .gf2 import Subspace, coset_decompose, span, subspace_sum
 from .oracle import (
-    CRITERION_B,
     CRITERION_T11,
     CriterionCheck,
+    StatementParams,
     SubspaceCertificate,
+    _b_certificate,
+    _b_check,
+    _require_epsilon,
     b_inequality,
     certificate,
     greedy_extension,
@@ -62,6 +67,9 @@ from .tolerances import IDENTITY_TOL
 
 CRITERION_RICH = "RICH_COSETS"
 CRITERION_MANY = "MANY_SUMS"
+
+# THEOREM_11's epsilon range is (0, 2]: analyze_set runs rich_cosets at epsilon / 2.
+T11_EPSILON_MAX = 2.0
 
 # A B-solver returns a statement-B certificate for (X, Y) at the inductive
 # step's (eta0, eps0), and returns V = 0 whenever V = 0 satisfies statement B
@@ -72,27 +80,7 @@ BSolver = Callable[[Dist, Dist], SubspaceCertificate]
 
 
 # ---------------------------------------------------------------------------
-# Statement parameters and checks
-
-
-@dataclass(frozen=True)
-class StatementParams:
-    """Parameters (eta, epsilon, c, L) for the intermediate statements."""
-
-    eta: float
-    epsilon: float | None = None
-    c: float | None = None
-    L: float | None = None
-
-    def __post_init__(self):
-        if not 0.0 < self.eta <= 0.5:
-            raise ValidationError(f"eta must lie in (0, 1/2], got {self.eta}")
-        if self.epsilon is not None and not 0.0 < self.epsilon <= 1.0:
-            raise ValidationError(f"epsilon must lie in (0, 1], got {self.epsilon}")
-        if self.c is not None and not 0.0 < self.c <= 1.0:
-            raise ValidationError(f"c must lie in (0, 1], got {self.c}")
-        if self.L is not None and not 0.0 <= self.L < math.inf:
-            raise ValidationError(f"L must be finite and nonnegative, got {self.L}")
+# Statement checks
 
 
 def check_statement_B(
@@ -114,20 +102,7 @@ def _check_b_pushed(
     pp, qp = pushed
     h_total = shannon_entropy(p) + shannon_entropy(q)
     hp, hq = shannon_entropy(pp), shannon_entropy(qp)
-    lhs = shannon_entropy(xor_convolve(pp, qp))
-    rhs, _, ok = b_inequality(
-        lhs, hp, hq, h_total, dim, params.eta, params.epsilon, params.L
-    )
-    return CriterionCheck(
-        values={
-            "lhs": float(lhs),
-            "rhs": float(rhs),
-            "h_total": h_total,
-            "h_proj_x": hp,
-            "h_proj_y": hq,
-        },
-        verdicts={"statement B inequality": bool(ok)},
-    )
+    return _b_check(shannon_entropy(xor_convolve(pp, qp)), hp, hq, h_total, dim, params)
 
 
 def check_statement_A(
@@ -172,7 +147,8 @@ def _check_a_measured(
 
 def check_rich_cosets(p: Dist, q: Dist, v: Subspace, epsilon: float) -> CriterionCheck:
     """Rich cosets: s[pi(X);pi(Y)] <= eps(H[X]+H[Y]) and
-    H[X|pi(X)], H[Y|pi(Y)] >= s[X;Y] - eps(H[X]+H[Y])."""
+    H[X|pi(X)], H[Y|pi(Y)] >= s[X;Y] - eps(H[X]+H[Y]), for eps in (0, 1]."""
+    _require_epsilon(epsilon)
     h_x, h_y = shannon_entropy(p), shannon_entropy(q)
     h_total = h_x + h_y
     s = h_total - shannon_entropy(xor_convolve(p, q))
@@ -199,8 +175,17 @@ def check_rich_cosets(p: Dist, q: Dist, v: Subspace, epsilon: float) -> Criterio
     )
 
 
+def _many_sums_range(k: int, epsilon: float) -> None:
+    """MANY_SUMS' parameters: k = 2..4 variables and epsilon in (0, 1]."""
+    if not 2 <= k <= 4:
+        raise ValidationError(f"many_sums supports 2..4 variables, got {k}")
+    _require_epsilon(epsilon)
+
+
 def check_many_sums(dists: Sequence[Dist], v: Subspace, epsilon: float) -> CriterionCheck:
-    """k-fold sums: H[pi(X_1)+...+pi(X_k)] >= sum H[pi(X_i)] - eps sum H[X_i]."""
+    """k-fold sums: H[pi(X_1)+...+pi(X_k)] >= sum H[pi(X_i)] - eps sum H[X_i],
+    for k = len(dists) in 2..4 and eps in (0, 1]."""
+    _many_sums_range(len(dists), epsilon)
     pushed = [pushforward_quotient(d, v) for d in dists]
     total = pushed[0]
     for extra in pushed[1:]:
@@ -220,7 +205,8 @@ def check_theorem_11(
 ) -> CriterionCheck:
     """Theorem 1.1 for A = members (sorted, distinct) with U_A = u_a:
     E_{a in A} log2|A cap (V+a)| >= (eta - eps) log2|A|, and that expectation
-    equals H[U_A | pi_V(U_A)]."""
+    equals H[U_A | pi_V(U_A)], for eps in (0, T11_EPSILON_MAX]."""
+    _require_epsilon(epsilon, T11_EPSILON_MAX)
     stats = doubling_stats(members)
     size = len(members)
     parts = coset_decompose(members, v)
@@ -332,21 +318,14 @@ def _grow(
 
 def make_sumsets_not_double(
     p: Dist, q: Dist, eta0: float, eps0: float, b_solver: BSolver
-) -> tuple[Subspace, list[TraceStep]]:
+) -> tuple[Subspace, list[TraceStep], list[Dist]]:
     """Find V so both derived sumset pairs obey the eta0-ratio up to 4 eps0.
 
     Grows V by the B-solver's subspace for whichever of (X1+X2, Y1+Y2) and
     (X1+Y2, Y1+X2) still doubles too much, within ceil(2/eps0) + 1
     applications; a solver subspace already inside V raises PipelineError.
+    Returns V, the steps and [pi_V(X), pi_V(Y)].
     """
-    v, steps, _ = _sumsets_not_double(p, q, eta0, eps0, b_solver)
-    return v, steps
-
-
-def _sumsets_not_double(
-    p: Dist, q: Dist, eta0: float, eps0: float, b_solver: BSolver
-) -> tuple[Subspace, list[TraceStep], list[Dist]]:
-    """make_sumsets_not_double, also returning pi_V(X) and pi_V(Y)."""
     slack = 4.0 * eps0 * (shannon_entropy(p) + shannon_entropy(q))
 
     def fix(v: Subspace, pushed: list[Dist]) -> tuple[str, Subspace, dict] | None:
@@ -679,7 +658,7 @@ def inductive_step(
             gaps=[("doubling_floor", (eta0 - eps0) * h_in, s_in)],
         )
 
-    v0, steps, (p0, q0) = _sumsets_not_double(p, q, eta0, eps0, b_solver)
+    v0, steps, (p0, q0) = make_sumsets_not_double(p, q, eta0, eps0, b_solver)
     h0 = shannon_entropy(p0) + shannon_entropy(q0)
     c_paper = min(eps0, eta0**2 / 32.0)
 
@@ -818,15 +797,6 @@ class SolveResult:
         }
 
 
-def _b_certificate(
-    v: Subspace, eta: float, eps: float, chk: CriterionCheck
-) -> SubspaceCertificate:
-    h_total = chk.values["h_total"]
-    achieved_l = v.dim / h_total if h_total > 0 else 0.0
-    parameters = {"eta": eta, "epsilon": eps, "L_achieved": achieved_l}
-    return certificate(CRITERION_B, "pipeline", v, parameters, chk)
-
-
 def _solve_b(
     p: Dist, q: Dist, eta: float, eps: float, ctx: _SolveContext
 ) -> tuple[SubspaceCertificate, tuple[TraceStep, ...]]:
@@ -868,7 +838,7 @@ def _solve_b_inner(
             h_after=chk.values["h_total"],
             note={"base_case": True},
         )
-        return _b_certificate(v, eta, eps, chk), (base,)
+        return _b_certificate("pipeline", v, params, chk), (base,)
 
     eps0 = max((0.5 - eta) / 2.0, 0.02)
     eta0 = min(0.5, eta + eps0)
@@ -908,7 +878,7 @@ def _solve_b_inner(
 
     rounds = max(16, math.ceil(4.0 / eps)) + 1
     v, steps, _ = _grow((p, q), rounds, "the statement-B recursion", step)
-    return _b_certificate(v, eta, eps, passed[0]), tuple(steps)
+    return _b_certificate("pipeline", v, params, passed[0]), tuple(steps)
 
 
 def solve_B(
@@ -951,8 +921,7 @@ def rich_cosets(
     Runs solve_B at eta = eps = epsilon/2 and verifies the conditional
     entropy bounds through the fibring chain.
     """
-    if not 0.0 < epsilon <= 1.0:
-        raise ValidationError(f"epsilon must lie in (0, 1], got {epsilon}")
+    _require_epsilon(epsilon)
     inner = solve_B(p, q, epsilon / 2.0, epsilon / 2.0, seed=seed)
     v = inner.subspace
     chk = check_rich_cosets(p, q, v, epsilon)
@@ -975,13 +944,10 @@ def many_sums(
     inside V raises PipelineError.
     """
     k = len(dists)
-    if not 2 <= k <= 4:
-        raise ValidationError(f"many_sums supports 2..4 variables, got {k}")
+    _many_sums_range(k, epsilon)
     n = dists[0].n
     if any(d.n != n for d in dists):
         raise DimensionMismatchError("ambient dimensions differ")
-    if not 0.0 < epsilon <= 1.0:
-        raise ValidationError(f"epsilon must lie in (0, 1], got {epsilon}")
     # Checked here too: the result records the seed even when no prefix pair
     # needs a rich_cosets call.
     seeded_rng(seed)
@@ -1004,8 +970,7 @@ def many_sums(
     w, steps, _ = _grow(dists, math.ceil(2.0 / delta) + 2, "many_sums", fix)
     chk = check_many_sums(dists, w, epsilon)
     chk.require("many_sums")
-    parameters = {"epsilon": epsilon, "k": k, "delta": delta}
-    cert = certificate(CRITERION_MANY, "pipeline", w, parameters, chk)
+    cert = certificate(CRITERION_MANY, "pipeline", w, {"epsilon": epsilon}, chk)
     return SolveResult(certificate=cert, steps=tuple(steps), seed=seed)
 
 
@@ -1022,9 +987,7 @@ def analyze_set(
     and verifies both E_{a in A} log2|A cap (V+a)| >= (eta - eps) log2|A| and
     the exact identity with H[U_A | pi_V(U_A)].
     """
-    # rich_cosets runs at epsilon / 2 and accepts (0, 1].
-    if not 0.0 < epsilon <= 2.0:
-        raise ValidationError(f"epsilon must lie in (0, 2], got {epsilon}")
+    _require_epsilon(epsilon, T11_EPSILON_MAX)
     members = sorted(set(elements))
     if not members:
         raise EmptySupportError("analyze_set requires a nonempty set")

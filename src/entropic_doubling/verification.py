@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .certify import solve_bundle, verify_bundle
 from .dist import (
     Dist,
     JointDist,
@@ -32,12 +33,7 @@ from .errors import ValidationError
 from .families import doubling_stats, hamming_ball
 from .gf2 import Subspace, all_subspaces, span, subspace_intersect, subspace_sum
 from .oracle import OBJECTIVE_STATEMENT_B, exhaustive_best_subspace
-from .pipeline import (
-    StatementParams,
-    check_statement_B,
-    solve_B,
-    y_size_lower_bound_check,
-)
+from .pipeline import solve_B, y_size_lower_bound_check
 from .tolerances import IDENTITY_TOL, MASS_EPS, ORACLE_TOL
 
 
@@ -266,14 +262,8 @@ def pipeline_suite(
             p = random_dist(n, rng, support_size=int(rng.integers(2, (1 << n) + 1)))
             q = random_dist(n, rng, support_size=int(rng.integers(2, (1 << n) + 1)))
         res = solve_B(p, q, eta, epsilon, seed=1000 + i)
-        h_total = shannon_entropy(p) + shannon_entropy(q)
-        params = StatementParams(
-            eta=eta,
-            epsilon=epsilon,
-            L=(res.subspace.dim / h_total + IDENTITY_TOL) if h_total > 0 else 0.0,
-        )
-        chk = check_statement_B(p, q, res.subspace, params)
-        out.record(0.0 if chk.passes else 1.0, 0.5, f"reverify n={n} i={i}")
+        report = verify_bundle(solve_bundle(res, p, q))
+        out.record(0.0 if report.ok else 1.0, 0.5, f"reverify n={n} i={i}")
         minimal = exhaustive_best_subspace(
             p, q, OBJECTIVE_STATEMENT_B, params={"eta": eta, "epsilon": epsilon}
         )

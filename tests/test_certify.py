@@ -2,18 +2,28 @@
 kind rejects a tampered value and a subspace that fails its criterion."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from entropic_doubling.certify import endgame_bundle, set_bundle, verify_bundle
-from entropic_doubling.dist import Dist, random_dist
+from entropic_doubling.dist import Dist, random_dist, uniform_on
 from entropic_doubling.endgame import endgame
 from entropic_doubling.entropy import doubling_mass, shannon_entropy
+from entropic_doubling.errors import ValidationError
 from entropic_doubling.gf2 import Subspace
 from entropic_doubling.oracle import pfr_subspace
-from entropic_doubling.pipeline import analyze_set, many_sums, rich_cosets, solve_B
+from entropic_doubling.pipeline import (
+    analyze_set,
+    check_many_sums,
+    check_rich_cosets,
+    check_theorem_11,
+    many_sums,
+    rich_cosets,
+    solve_B,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -208,7 +218,7 @@ def test_many_sums_bundle_with_a_dropped_distribution_rejected():
     del bundle["inputs"]["dists"][-1]
     report = verify_bundle(bundle)
     assert not report.ok
-    assert any("MANY_SUMS bundle embeds k = 2..4" in f for f in report.failures)
+    assert any(f.startswith("h_proj: recomputed") for f in report.failures)
 
 
 def _list_support(bundle):
@@ -235,3 +245,114 @@ def test_malformed_bundle_gives_failed_report(name, tamper):
     assert not report.ok
     assert len(report.failures) == 1
     assert report.failures[0].startswith("bundle rejected: ")
+
+
+def _zero_v_at(name: str, eps: float) -> dict:
+    """The fixture with V = 0, its values from the check at the fixture's own
+    epsilon, re-stored at eps with the one eps-dependent value recomputed
+    there.  V = 0 fails each criterion at the fixture's epsilon; an epsilon
+    outside the range makes the criterion vacuous, and such a bundle passed
+    every comparison while no check held epsilon to its range."""
+    bundle = load(name)
+    cert = bundle["certificate"]
+    n = cert["subspace"]["n"]
+    zero = Subspace.zero(n)
+    own = cert["parameters"]["epsilon"]
+    inputs = bundle["inputs"]
+    if name == "rich_cosets":
+        values = check_rich_cosets(*_pair(bundle), zero, own).values
+        values["bound"] = values["s"] - eps * values["h_total"]
+    elif name == "many_sums":
+        dists = [Dist.from_json(d) for d in inputs["dists"]]
+        values = check_many_sums(dists, zero, own).values
+        values["rhs"] = sum(values["h_proj"]) - eps * values["h_total"]
+    else:
+        members = sorted(int(h, 16) for h in inputs["set"]["elements"])
+        values = check_theorem_11(members, uniform_on(members, n), zero, own).values
+        values["bound"] = (values["eta"] - eps) * math.log2(values["set_size"])
+    cert["subspace"] = zero.to_json()
+    cert["parameters"]["epsilon"] = eps
+    cert["achieved"] = {"dim": 0, **values}
+    return json.loads(json.dumps(bundle))
+
+
+@pytest.mark.parametrize(
+    "name, eps, message",
+    [
+        ("rich_cosets", 1e6, "epsilon must lie in (0, 1], got 1000000.0"),
+        ("many_sums", 50.0, "epsilon must lie in (0, 1], got 50.0"),
+        ("theorem_11", 50.0, "epsilon must lie in (0, 2], got 50.0"),
+    ],
+)
+def test_epsilon_outside_the_criterion_range_rejected(name, eps, message):
+    report = verify_bundle(_zero_v_at(name, eps))
+    assert not report.ok
+    assert report.failures == [f"bundle rejected: {message}"]
+
+
+def _numeric_leaves(node, path=()):
+    if isinstance(node, bool):
+        return
+    if isinstance(node, (int, float)):
+        yield path
+    elif isinstance(node, dict):
+        for key, value in node.items():
+            yield from _numeric_leaves(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _numeric_leaves(value, path + (i,))
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+# Each fixture's parameters, which its check reads, and their producer's range.
+PARAMETERS_IN_RANGE = {
+    "statement_b": lambda c: (
+        0 < c["eta"] <= 0.5 and 0 < c["epsilon"] <= 1 and 0 <= c["L_achieved"] < math.inf
+    ),
+    "rich_cosets": lambda c: 0 < c["epsilon"] <= 1,
+    "many_sums": lambda c: 0 < c["epsilon"] <= 1,
+    "theorem_11": lambda c: 0 < c["epsilon"] <= 2,
+    "pfr_cor22": lambda c: True,
+    "endgame": lambda t: 0 < t["eta"] <= 0.5 and 0 <= t["kappa"] < math.inf,
+}
+
+
+def test_fuzzed_numeric_leaf_fails_cleanly_or_stays_in_range():
+    # In each fixture, every numeric leaf of the inputs, the parameters and
+    # the stored values (an endgame's eta, kappa and compared values) set to
+    # NaN, +-inf, 0, -x and 1e6 x in turn: a failed report or a
+    # ValidationError, never another exception, and a variant that still
+    # verifies has in-range parameters.
+    for name in sorted(PARAMETERS_IN_RANGE):
+        _fuzz_fixture(name)
+
+
+def _fuzz_fixture(name: str) -> None:
+    text = (FIXTURES / f"{name}.json").read_text()
+    bundle = json.loads(text)
+    if name == "endgame":
+        params = ("transcript",)
+        roots = [("inputs",)] + [
+            ("transcript", key) for key in ("eta", "kappa", *ENDGAME_VALUES)
+        ]
+    else:
+        params = ("certificate", "parameters")
+        roots = [("inputs",), params, ("certificate", "achieved")]
+    leaves = [root + leaf for root in roots for leaf in _numeric_leaves(_at(bundle, root))]
+    assert leaves
+    for path in leaves:
+        x = _at(bundle, path)
+        for value in (math.nan, math.inf, -math.inf, 0, -x, 1e6 * x):
+            variant = json.loads(text)
+            _at(variant, path[:-1])[path[-1]] = value
+            try:
+                report = verify_bundle(variant)
+            except ValidationError:
+                continue
+            if report.ok:
+                assert PARAMETERS_IN_RANGE[name](_at(variant, params)), (path, value)

@@ -1,5 +1,6 @@
-"""Subspace finders: exhaustive ground truth, greedy ascent, BSG check."""
+"""Subspace finders: exhaustive ground truth and greedy ascent."""
 
+import json
 import operator
 
 import numpy as np
@@ -7,30 +8,28 @@ import pytest
 
 from entropic_doubling.dist import (
     Dist,
-    JointDist,
     point_mass,
-    product,
     pushforward_quotient,
     random_dist,
     uniform_on,
     uniform_on_subspace,
 )
 from entropic_doubling.entropy import quotient_entropy, ruzsa_distance, shannon_entropy
-from entropic_doubling.errors import CapacityError, SearchFailureError
+from entropic_doubling.errors import CapacityError, SearchFailureError, ValidationError
 from entropic_doubling.gf2 import Subspace, all_subspaces, span
 from entropic_doubling.oracle import (
     OBJECTIVE_PFR,
     OBJECTIVE_PROJECTED_ENTROPY,
     OBJECTIVE_STATEMENT_B,
     _scan_tables,
-    bsg_check,
     exhaustive_best_subspace,
     extension_entropies,
     greedy_extension,
     lattice_entropies,
     pfr_subspace,
 )
-from entropic_doubling.certify import pfr_bundle, verify_bundle
+from entropic_doubling.certify import pfr_bundle, solve_bundle, verify_bundle
+from entropic_doubling.pipeline import SolveResult
 from entropic_doubling.tolerances import MASS_EPS, ORACLE_TOL
 
 
@@ -76,6 +75,29 @@ class TestExhaustive:
                 assert not ok
             if v == cert.subspace:
                 assert ok
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_statement_b_certificate_bundle_verifies(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 3 + seed % 3
+        p = random_dist(n, rng, support_size=int(rng.integers(2, (1 << n) + 1)))
+        q = random_dist(n, rng, support_size=int(rng.integers(2, (1 << n) + 1)))
+        cert = exhaustive_best_subspace(
+            p, q, OBJECTIVE_STATEMENT_B, params={"eta": 0.3, "epsilon": 0.05}
+        )
+        assert (cert.criterion, cert.search_mode) == ("STATEMENT_B", "exhaustive")
+        bundle = solve_bundle(SolveResult(certificate=cert, steps=(), seed=0), p, q)
+        report = verify_bundle(json.loads(json.dumps(bundle)))
+        assert report.ok, report.failures
+
+    @pytest.mark.parametrize(
+        "params",
+        [{"eta": 0.7, "epsilon": 5}, {"eta": 0.3, "epsilon": 5}, {"eta": 0.7, "epsilon": 0.1}],
+    )
+    def test_statement_b_parameters_outside_their_range_rejected(self, params):
+        p = uniform_on([0, 1, 2], 3)
+        with pytest.raises(ValidationError, match="must lie in"):
+            exhaustive_best_subspace(p, p, OBJECTIVE_STATEMENT_B, params=params)
 
     def test_deterministic(self):
         rng = np.random.default_rng(0)
@@ -245,33 +267,3 @@ class TestExtensionEntropies:
                 v_next = greedy_extension(p, q, v, combine)
                 assert v_next == span(v.basis + (best,), n)
                 v = v_next
-
-
-class TestBsg:
-    def test_independent_uniform_subspace(self):
-        u = uniform_on_subspace(span([1, 2], 3))
-        report = bsg_check(product(u, u))
-        assert report.expected_fiber_distance == pytest.approx(0.0, abs=1e-9)
-        # 3 I[A:B] + 2 H[A+B] - H[A] - H[B] = 0 + 2 dim - dim - dim = 0
-        assert report.bound == pytest.approx(0.0, abs=1e-9)
-        assert report.holds
-
-    def test_fully_dependent_bit(self):
-        table = np.zeros((2, 2))
-        table[0, 0] = table[1, 1] = 0.5
-        report = bsg_check(JointDist((1, 1), table))
-        assert report.expected_fiber_distance == pytest.approx(0.0, abs=1e-9)
-        assert report.bound == pytest.approx(3 * 1 + 2 * 0 - 1 - 1, abs=1e-9)
-        assert report.holds
-
-    def test_hundred_random_coupled_joints(self):
-        rng = np.random.default_rng(4)
-        for _ in range(100):
-            table = rng.exponential(size=(8, 8))
-            report = bsg_check(JointDist((3, 3), table / table.sum()))
-            assert report.holds
-
-    def test_serialization(self):
-        u = uniform_on_subspace(span([1], 2))
-        payload = bsg_check(product(u, u)).to_json()
-        assert payload["holds"] is True

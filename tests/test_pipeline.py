@@ -181,13 +181,13 @@ class TestCheckStatementA:
 class TestMakeSumsetsNotDouble:
     def test_already_satisfied_zero_iterations(self):
         p, q = independent_coordinates_pair()
-        v, steps = make_sumsets_not_double(p, q, 0.4, 0.05, exhaustive_b_solver(0.4, 0.05))
+        v, steps, _ = make_sumsets_not_double(p, q, 0.4, 0.05, exhaustive_b_solver(0.4, 0.05))
         assert v == Subspace.zero(2) and steps == []
 
     def test_uniform_subspace_fixed_in_one_call(self):
         v0 = span([1, 2], 4)
         u = uniform_on_subspace(v0)
-        v, steps = make_sumsets_not_double(u, u, 0.3, 0.02, exhaustive_b_solver(0.3, 0.02))
+        v, steps, _ = make_sumsets_not_double(u, u, 0.3, 0.02, exhaustive_b_solver(0.3, 0.02))
         assert v == v0
         assert len(steps) == 1 and steps[0].kind == "SUMSET_FIX_1"
         # Documented decrement: at least 2 eps0 (H[X] + H[Y]) per fixing step.
@@ -214,7 +214,7 @@ class TestMakeSumsetsNotDouble:
             p = random_dist(3, rng, support_size=int(rng.integers(2, 9)))
             q = random_dist(3, rng, support_size=int(rng.integers(2, 9)))
             eta0, eps0 = 0.35, 0.05
-            v, _ = make_sumsets_not_double(p, q, eta0, eps0, exhaustive_b_solver(eta0, eps0))
+            v, _, _ = make_sumsets_not_double(p, q, eta0, eps0, exhaustive_b_solver(eta0, eps0))
             pp, qp = pushforward_quotient(p, v), pushforward_quotient(q, v)
             a, b = xor_convolve(pp, pp), xor_convolve(qp, qp)
             c = xor_convolve(pp, qp)
