@@ -141,6 +141,10 @@ def verify_bundle(payload: dict) -> VerifyReport:
     Each criterion is evaluated by the same check its producer built the
     certificate from, so every value that check recomputes is compared with
     the stored one (a missing or NaN value fails), and so is the stored dim.
+    An ENDGAME bundle is replayed through endgame(), and every stored
+    transcript value is compared: s_xy, h_total, each hypothesis_gaps entry,
+    the two mutual informations, h_z_given_s and the expectation and its
+    bound.
     The check rejects parameters outside its criterion's range.  The bundle
     contributes only the inputs, V, the parameters and the stored values;
     what the check does not read (steps, trivial, seed, old parameter keys)
@@ -178,8 +182,20 @@ def verify_bundle(payload: dict) -> VerifyReport:
             if not report.ok:
                 return report
             fresh = endgame(p, q, float(t["eta"]), float(t["kappa"]))
-            for name in ("i_z1_z3", "i_z1_z2", "expectation"):
+            for name in (
+                "s_xy", "h_total", "i_z1_z3", "i_z1_z2", "h_z_given_s", "expectation",
+                "expectation_bound",
+            ):
                 _close(report, name, getattr(fresh, name), t[name], tol)
+            # Each move's (lhs, rhs, gap), in the recomputed moves' order.
+            gaps, fields = fresh.hypothesis_gaps, ("lhs", "rhs", "gap")
+            _close(
+                report,
+                "hypothesis_gaps",
+                [[gaps[m][k] for k in fields] for m in gaps],
+                [[t["hypothesis_gaps"][m][k] for k in fields] for m in gaps],
+                tol,
+            )
             stored = [Subspace.from_json(row["subspace"]) for row in t["table"]]
             _require(report, "fiber table", stored == [row[3] for row in fresh.table])
             _require(report, "mi bound", fresh.mi_bound_holds)

@@ -19,7 +19,8 @@ statement B at V = 0: the B-solver would return V(u, w) = 0 for each, and
 such a grid has no local interaction.  The step's endgame case and endgame()
 share endgame_grid, the hypothesis check and the budgeted grid, whose
 V(u, w) come from one masked argmin per X_u row over the fibers' stacked
-lattice scans; the Z-system bookkeeping and the 480*kappa table are
+lattice scans; the grid keeps the X_u scans and the picks for the
+local-to-global DP.  The Z-system bookkeeping and the 480*kappa table are
 endgame()'s, for transcripts and bundles.
 """
 
@@ -56,6 +57,7 @@ from .oracle import (
     _masked_argmin,
     _scan_tables,
     lattice_entropies,
+    lattice_index,
 )
 from .tolerances import FIBER_CAP, IDENTITY_TOL, MAX_ENUM_N
 
@@ -223,12 +225,29 @@ def _kappa_from_moves(moves: dict, eta: float) -> float:
 class FiberGrid:
     """The (u, w) grid that one inductive-step case feeds to the
     local-to-global lemma: capped fiber families X_u and Y_w, the per-pair
-    subspaces V(u, w), and the fiber-cap note."""
+    subspaces V(u, w), and the fiber-cap note.  endgame_grid also hands
+    over its lattice scans and picks as `scans` (see lattice)."""
 
     fibers_x: FiberFamily
     fibers_y: FiberFamily
     v_table: dict[tuple[int, int], Subspace]
     cap: dict = field(default_factory=dict)
+    scans: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+
+    @cached_property
+    def lattice(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lat_x, picks) at n <= MAX_ENUM_N: lat_x[u] holds H[pi_V(X_u)] for
+        every subspace V in _scan_tables order, and picks[u, w] is the
+        lattice index of V(u, w), both in label order.  They are the grid's
+        `scans` when endgame_grid built it; any other grid scans its X_u and
+        maps its V(u, w) to indices here, once."""
+        if self.scans is not None:
+            return self.scans
+        fx, fy = self.fibers_x, self.fibers_y
+        lat_x = np.stack([lattice_entropies(d) for d in fx.dists])
+        vs = [self.v_table[(u, w)] for u in fx.labels for w in fy.labels]
+        picks = lattice_index(vs, fx.dists[0].n).reshape(len(fx.labels), len(fy.labels))
+        return lat_x, picks
 
     @cached_property
     def local_interaction(self) -> tuple[float, float]:
@@ -336,7 +355,9 @@ def endgame_grid(
     move table.  Each X_u row's V(u, w) is one masked argmin of the stacked
     scans, under dim V <= PFR_SIZE_FACTOR (H[X_u] + H[Y_w]): the same floats
     and first-minimum tie-break as exhaustive_best_subspace's projected-entropy
-    objective, so the same V(u, w)."""
+    objective, so the same V(u, w).  The grid keeps the X_u scans and the
+    picked lattice indices as its `scans`, which the local-to-global DP
+    reads."""
     _check_endgame_inputs(move_table.n, eta, kappa)
     h_total = move_table.h_x + move_table.h_y
     gaps: list[tuple[str, float, float]] = []
@@ -374,7 +395,7 @@ def endgame_grid(
     }
     proj_x = np.take_along_axis(lat_x, picks, axis=1)
     proj_y = lat_y[np.arange(len(h_y)), picks]
-    grid = FiberGrid(fam_x, fam_y, v_table, note)
+    grid = FiberGrid(fam_x, fam_y, v_table, note, (lat_x, picks))
     return kappa, hypothesis_gaps, grid, (h_x, h_y, proj_x, proj_y)
 
 

@@ -114,8 +114,10 @@ def pair_entropies(fibers_x: FiberFamily, fibers_y: FiberFamily) -> PairEntropie
     """Every fiber's entropy and every pair sum's, in one batched pass.
 
     Each distinct fiber is transformed once; the pair spectra are inverted in
-    batches of whole X_u rows, at most _BATCH_ENTRIES entries each, and every
-    X_u + Y_w table is cleaned as a Dist would be.
+    batches of whole X_u rows, at most _BATCH_ENTRIES entries each.  Every
+    X_u + Y_w table is cleaned as a Dist would be, and a batch's H[X_u + Y_w]
+    are one masked t log2 t reduction over its last axis (_plogp).  H[X_u]
+    and H[Y_w] are shannon_entropy's.
     """
     xs, ys = fibers_x.dists, fibers_y.dists
     distinct = {d: i for i, d in enumerate(dict.fromkeys((*xs, *ys)))}
@@ -129,7 +131,7 @@ def pair_entropies(fibers_x: FiberFamily, fibers_y: FiberFamily) -> PairEntropie
         raw = wht(spec_x[lo : lo + step, None, :] * spec_y[None, :, :])
         raw /= size
         sums = _clean(np.maximum(raw, 0.0, out=raw), axis=-1)
-        h_sum[lo : lo + step] = [[_entropy(row) for row in rows] for rows in sums]
+        h_sum[lo : lo + step] = -_plogp(sums).sum(axis=-1) + 0.0
     h_x = np.array([shannon_entropy(d) for d in xs])
     h_y = np.array([shannon_entropy(d) for d in ys])
     return PairEntropies(h_x, h_y, h_sum)
@@ -139,19 +141,16 @@ def conditional_doubling_mass(
     fibers_x: FiberFamily, fibers_y: FiberFamily, entropies: PairEntropies | None = None
 ) -> float:
     """E_{u,w} s[X_u ; Y_w] over independent fiber labels, reduced from
-    `entropies`, the families' pair_entropies (computed here when None)."""
+    `entropies`, the families' pair_entropies (computed here when None), as
+    w_x @ (H[X_u] + H[Y_w] - H[X_u + Y_w]) @ w_y."""
     if len(fibers_x.weights) != len(fibers_x.dists) or len(fibers_y.weights) != len(
         fibers_y.dists
     ):
         raise ValueError("weights and fibers must align")
     if entropies is None:
         entropies = pair_entropies(fibers_x, fibers_y)
-    hx, hy = entropies.h_x.tolist(), entropies.h_y.tolist()
-    total = 0.0
-    for wu, hu, row in zip(fibers_x.weights, hx, entropies.h_sum.tolist()):
-        for ww, hw, hs in zip(fibers_y.weights, hy, row):
-            total += wu * ww * (hu + hw - hs)
-    return float(total)
+    s = entropies.h_x[:, None] + entropies.h_y[None, :] - entropies.h_sum
+    return float(fibers_x.weights @ s @ fibers_y.weights)
 
 
 def quotient_entropy(p: Dist, v: Subspace) -> float:

@@ -58,12 +58,15 @@ from .oracle import (
     SubspaceCertificate,
     _b_certificate,
     _b_check,
+    _join_masks,
+    _lattice_masks,
     _require_epsilon,
+    _scan_tables,
     b_inequality,
     certificate,
     greedy_extension,
 )
-from .tolerances import IDENTITY_TOL
+from .tolerances import IDENTITY_TOL, MAX_ENUM_N
 
 CRITERION_RICH = "RICH_COSETS"
 CRITERION_MANY = "MANY_SUMS"
@@ -419,8 +422,8 @@ class LocalToGlobalResult:
         }
 
 
-# The expectation DP's transition budget, and the Monte-Carlo path count that
-# takes over past it.
+# The dict DP's transition budget above MAX_ENUM_N, and the Monte-Carlo path
+# count that takes over past it.
 EXACT_DP_CAP = 200_000
 MC_SAMPLES = 800
 
@@ -429,20 +432,100 @@ def _h_expectation_sequence(
     grid: FiberGrid, tau: float, rng: np.random.Generator
 ) -> tuple[list[float], bool, int]:
     """h_j = E_{u, w^(1..j)} H[pi_{V(u,w1)+...+V(u,wj)}(X_u)] for j = 0..k+1,
-    where k is the first j with h_j - h_{j+1} <= tau h_0 (the pigeonhole).
+    where k is the first j with h_j - h_{j+1} <= tau h_0 (the pigeonhole),
+    whether the h_j are exact, and the Monte-Carlo path count (0 if exact).
 
     h is nonincreasing and h_0 >= 0, so some j <= ceil(1/tau) stops, and
     computing h level by level up to it gives the same k as the whole
-    sequence.  Exact dynamic programming over the reachable subspace-sum
-    lattice draws nothing from rng.  If its transition count passes
-    EXACT_DP_CAP, a recorded Monte-Carlo estimate takes over: MC_SAMPLES paths,
-    advanced one level at a time and stopped by the same rule.
+    sequence.  h_0 is sum_u Pr[u] H[X_u].  At n <= MAX_ENUM_N the exact
+    lattice DP (_lattice_h_sequence) serves every grid and draws nothing from
+    rng; above, the dict DP (_dict_h_sequence) does, with its cap and
+    Monte-Carlo fallback.
+    """
+    if grid.fibers_x.dists[0].n <= MAX_ENUM_N:
+        return _lattice_h_sequence(grid, tau), True, 0
+    return _dict_h_sequence(grid, tau, rng)
+
+
+def _h_zero(grid: FiberGrid) -> float:
+    fibers_x = grid.fibers_x
+    return float(sum(w * shannon_entropy(d) for w, d in zip(fibers_x.weights, fibers_x.dists)))
+
+
+def _stops(h: list[float], tau: float) -> bool:
+    return h[-2] - h[-1] <= tau * h[0] + IDENTITY_TOL
+
+
+def _levels(tau: float) -> int:
+    """h_1 .. h_{ceil(1/tau)+1}: the last level tests j = ceil(1/tau)."""
+    return math.ceil(1.0 / tau) + 1
+
+
+def _lattice_h_sequence(grid: FiberGrid, tau: float) -> list[float]:
+    """The exact h_0 .. h_{k+1} at n <= MAX_ENUM_N, over lattice indices.
+
+    A level is one kx x S array, Pr[u, state] with the states in
+    _scan_tables order, and one bincount over (u, join(state, V(u, w))),
+    weighted by Pr[u, state] Pr[w].  A join ORs a state's element mask with
+    its XOR-translates by each basis vector of V(u, w) and looks the result
+    up in the sorted masks.  h_j is read off the grid's lattice scans of
+    the X_u, so no pushforward or span is computed.  The join arrays live in
+    this call only.
+    """
+    fibers_x, fibers_y = grid.fibers_x, grid.fibers_y
+    lat_x, picks = grid.lattice
+    n = fibers_x.dists[0].n
+    masks, order = _lattice_masks(n)
+    sorted_masks = masks[order]
+    kx, size = lat_x.shape
+    # Each distinct V(u, w) as a column of basis vectors, zero-padded: a zero
+    # vector's translate is the state itself.
+    distinct, slot = np.unique(picks, return_inverse=True)
+    slot = slot.reshape(picks.shape)
+    subs = _scan_tables(n)[0]
+    depth = max(subs[i].dim for i in distinct.tolist())
+    basis = np.zeros((depth, len(distinct)), dtype=np.uint64)
+    for j, i in enumerate(distinct.tolist()):
+        basis[: subs[i].dim, j] = subs[i].basis
+
+    probs = np.zeros((kx, size))
+    probs[:, 0] = 1.0  # all_subspaces starts with V = 0
+    h = [_h_zero(grid)]
+    for _ in range(_levels(tau)):
+        u, state = np.nonzero(probs)
+        columns = slot[u]
+        joined = _join_masks(
+            np.broadcast_to(masks[state][:, None], columns.shape),
+            [vectors[columns] for vectors in basis],
+            n,
+        )
+        target = order[np.searchsorted(sorted_masks, joined)]
+        weights = probs[u, state][:, None] * fibers_y.weights
+        probs = np.bincount(
+            (u[:, None] * size + target).ravel(), weights.ravel(), minlength=kx * size
+        ).reshape(kx, size)
+        # The scans sum unrenormalized masses, so one coset reads about -1e-16.
+        h.append(max(0.0, float(fibers_x.weights @ (probs * lat_x).sum(axis=1))))
+        if _stops(h, tau):
+            return h
+    raise PipelineError("pigeonhole failed to select k; expectations inconsistent")
+
+
+def _dict_h_sequence(
+    grid: FiberGrid, tau: float, rng: np.random.Generator
+) -> tuple[list[float], bool, int]:
+    """_h_expectation_sequence by dynamic programming over canonical bases,
+    the path above MAX_ENUM_N.
+
+    Exact dynamic programming over the reachable subspace-sum lattice draws
+    nothing from rng.  If its transition count passes EXACT_DP_CAP, a
+    recorded Monte-Carlo estimate takes over: MC_SAMPLES paths, advanced one
+    level at a time and stopped by the same rule.
     """
     fibers_x, fibers_y, v_table = grid.fibers_x, grid.fibers_y, grid.v_table
     n = fibers_x.dists[0].n
     zero = Subspace.zero(n)
-    # h_1 .. h_{ceil(1/tau)+1}: the last level tests j = ceil(1/tau).
-    levels = math.ceil(1.0 / tau) + 1
+    levels = _levels(tau)
     # States are canonical bases.  One join memo and one entropy memo, keyed
     # by basis, serve both the exact DP and the Monte-Carlo fallback.
     spaces: dict[tuple[int, ...], Subspace] = {zero.basis: zero}
@@ -465,18 +548,13 @@ def _h_expectation_sequence(
             )
         return h_cache[key]
 
-    def stops(h: list[float]) -> bool:
-        return h[-2] - h[-1] <= tau * h[0] + IDENTITY_TOL
-
     # Per u: the basis of V(u, w) and Pr[w], over w.
     rows = [
         [(v_table[(u, w)].basis, qw) for w, qw in zip(fibers_y.labels, fibers_y.weights)]
         for u in fibers_x.labels
     ]
 
-    h = [
-        float(sum(w * shannon_entropy(d) for w, d in zip(fibers_x.weights, fibers_x.dists)))
-    ]
+    h = [_h_zero(grid)]
     transitions = 0
     states_by_u: list[dict[tuple[int, ...], float]] = [
         {zero.basis: 1.0} for _ in fibers_x.labels
@@ -495,7 +573,7 @@ def _h_expectation_sequence(
             states_by_u[ui] = new
             total += wu * sum(pr * push_entropy(ui, basis) for basis, pr in new.items())
         h.append(float(total))
-        if stops(h):
+        if _stops(h, tau):
             return h, True, 0
     else:
         raise PipelineError("pigeonhole failed to select k; expectations inconsistent")
@@ -513,7 +591,7 @@ def _h_expectation_sequence(
         for i, (ui, wi) in enumerate(zip(paths, draw(fibers_y.weights).tolist())):
             bases[i] = join(bases[i], rows[ui][wi][0])
         h.append(sum(push_entropy(ui, b) for ui, b in zip(paths, bases)) / MC_SAMPLES)
-        if stops(h):
+        if _stops(h, tau):
             return h, False, MC_SAMPLES
     raise PipelineError("pigeonhole failed to select k; expectations inconsistent")
 

@@ -73,7 +73,16 @@ KINDS = {
     ),
     "pfr_cor22": (_resolve_pfr, ("h_proj_x", "pfr_bound"), ["pfr bounds"]),
 }
-ENDGAME_VALUES = ("i_z1_z3", "i_z1_z2", "expectation")
+ENDGAME_VALUES = (
+    "i_z1_z3",
+    "i_z1_z2",
+    "expectation",
+    "s_xy",
+    "h_total",
+    "expectation_bound",
+    "h_z_given_s",
+    "hypothesis_gaps",
+)
 
 
 @pytest.mark.parametrize("name", sorted(KINDS))
@@ -113,10 +122,9 @@ def test_nan_in_each_compared_value_rejected(name):
     for key in keys:
         bundle = load(name)
         stored = bundle["transcript"] if name == "endgame" else bundle["certificate"]["achieved"]
-        if isinstance(stored[key], list):
-            stored[key][0] = float("nan")
-        else:
-            stored[key] = float("nan")
+        # A list's or a dict's first numeric leaf (hypothesis_gaps is nested).
+        path = (key,) + next(_numeric_leaves(stored[key]))
+        _at(stored, path[:-1])[path[-1]] = float("nan")
         report = verify_bundle(json.loads(json.dumps(bundle)))
         assert not report.ok, key
         assert any(f.startswith(f"{key}: recomputed") for f in report.failures), key
@@ -327,7 +335,9 @@ def test_fuzzed_numeric_leaf_fails_cleanly_or_stays_in_range():
     # the stored values (an endgame's eta, kappa and compared values) set to
     # NaN, +-inf, 0, -x and 1e6 x in turn: a failed report or a
     # ValidationError, never another exception, and a variant that still
-    # verifies has in-range parameters.
+    # verifies has in-range parameters.  In a compared endgame value, every
+    # variant outside the bundle's tolerance of the stored leaf fails and
+    # names that value.
     for name in sorted(PARAMETERS_IN_RANGE):
         _fuzz_fixture(name)
 
@@ -347,12 +357,21 @@ def _fuzz_fixture(name: str) -> None:
     assert leaves
     for path in leaves:
         x = _at(bundle, path)
+        compared = name == "endgame" and path[0] == "transcript" and path[1] in ENDGAME_VALUES
         for value in (math.nan, math.inf, -math.inf, 0, -x, 1e6 * x):
             variant = json.loads(text)
             _at(variant, path[:-1])[path[-1]] = value
             try:
                 report = verify_bundle(variant)
             except ValidationError:
+                assert not compared, (path, value)
                 continue
-            if report.ok:
+            if compared and not abs(value - x) <= bundle["tolerances"]["identity"]:
+                assert not report.ok, (path, value)
+                assert any(f.startswith(f"{path[1]}: recomputed") for f in report.failures), (
+                    path,
+                    value,
+                    report.failures,
+                )
+            elif report.ok:
                 assert PARAMETERS_IN_RANGE[name](_at(variant, params)), (path, value)

@@ -31,7 +31,13 @@ from entropic_doubling.dist import (
     uniform_on_subspace,
     xor_convolve,
 )
-from entropic_doubling.endgame import FiberGrid, _move_table, endgame, fiber_grid
+from entropic_doubling.endgame import (
+    FiberGrid,
+    _move_table,
+    endgame,
+    endgame_grid,
+    fiber_grid,
+)
 from entropic_doubling.entropy import doubling_mass, pair_entropies, shannon_entropy
 from entropic_doubling.errors import (
     EntropicDoublingError,
@@ -43,11 +49,15 @@ from entropic_doubling.families import hamming_ball, union_of_cosets
 from entropic_doubling.gf2 import Subspace, all_subspaces, span, subspace_sum
 from entropic_doubling.oracle import (
     OBJECTIVE_STATEMENT_B,
+    _join_masks,
+    _lattice_masks,
     exhaustive_best_subspace,
+    lattice_index,
     pfr_subspace,
 )
 from entropic_doubling.pipeline import (
     StatementParams,
+    _dict_h_sequence,
     _h_expectation_sequence,
     _solve_b,
     _SolveContext,
@@ -306,13 +316,14 @@ class TestLocalToGlobal:
         assert got == pytest.approx(first.h_y_given_proj, abs=1e-9)
 
     @staticmethod
-    def _coordinate_grid() -> FiberGrid:
-        """X_u, Y_w uniform on F_2^4 and V(u, w) = <e_{(u+w) mod 4}>: each draw
-        adds one coordinate, so h_j falls geometrically over many levels."""
-        full = uniform_on(list(range(16)), 4)
+    def _coordinate_grid(n: int = 4) -> FiberGrid:
+        """X_u, Y_w uniform on F_2^4 inside F_2^n and V(u, w) = <e_{(u+w) mod 4}>:
+        each draw adds one coordinate, so h_j falls geometrically over many
+        levels, and the h_j do not depend on n."""
+        full = uniform_on(list(range(16)), n)
         fx = FiberFamily((0, 1), np.array([0.6, 0.4]), (full, full))
         fy = FiberFamily((0, 1, 2, 3), np.array([0.4, 0.3, 0.2, 0.1]), (full,) * 4)
-        table = {(u, w): span([1 << ((u + w) % 4)], 4) for u in fx.labels for w in fy.labels}
+        table = {(u, w): span([1 << ((u + w) % 4)], n) for u in fx.labels for w in fy.labels}
         return FiberGrid(fx, fy, table)
 
     @staticmethod
@@ -358,7 +369,8 @@ class TestLocalToGlobal:
             assert time.perf_counter() - start < 1.0
 
     def test_monte_carlo_fallback_stops_by_the_same_rule(self, monkeypatch):
-        grid = self._coordinate_grid()
+        # At n = 7, above MAX_ENUM_N, the dict DP and its fallback serve the grid.
+        grid = self._coordinate_grid(7)
         tau = 0.01
         exact, is_exact, _ = _h_expectation_sequence(grid, tau, np.random.default_rng(0))
         assert is_exact
@@ -376,6 +388,129 @@ class TestLocalToGlobal:
         # most 2 / sqrt(samples) per level.
         for a, b in zip(mc, exact):
             assert abs(a - b) <= 5 * 2.0 / math.sqrt(samples)
+
+
+class TestLatticeExpectationDP:
+    """The exact lattice DP that serves every grid at n <= MAX_ENUM_N."""
+
+    @staticmethod
+    def _endgame_grid(n: int, seed: int) -> FiberGrid:
+        rng = np.random.default_rng(seed)
+        p, q = random_dist(n, rng), random_dist(n, rng)
+        move_table = _move_table(p, q)
+        eta = min(0.5, move_table.s_xy / (move_table.h_x + move_table.h_y))
+        return endgame_grid(move_table, eta, None)[2]
+
+    @staticmethod
+    def _b_solver_grid(n: int, seed: int) -> FiberGrid:
+        rng = np.random.default_rng(seed)
+        size = min(1 << n, 6)
+        p, q = random_dist(n, rng, size), random_dist(n, rng, size)
+        return fiber_grid(sum_fibers(p, q), sum_fibers(q, p), exhaustive_b_solver(0.35, 0.05))
+
+    @staticmethod
+    def _random_fibers(n: int, weights: np.ndarray, rng) -> FiberFamily:
+        labels = tuple(range(len(weights)))
+        dists = tuple(random_dist(n, rng) for _ in labels)
+        return FiberFamily(labels, weights / weights.sum(), dists)
+
+    @staticmethod
+    def _assert_same_as_dict_dp(grid: FiberGrid, tau: float) -> None:
+        lattice = _h_expectation_sequence(grid, tau, np.random.default_rng(0))
+        reference = _dict_h_sequence(grid, tau, np.random.default_rng(0))
+        assert lattice[1:] == (True, 0)
+        assert reference[1:] == (True, 0)
+        # The same k, and every h_j to 1e-12.
+        assert len(lattice[0]) == len(reference[0])
+        assert lattice[0] == pytest.approx(reference[0], abs=1e-12, rel=0)
+        assert min(lattice[0]) >= 0.0
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_endgame_grids_match_the_dict_dp(self, n):
+        for seed in range(3):
+            grid = self._endgame_grid(n, seed)
+            assert any(v.dim for v in grid.v_table.values())
+            for tau in (0.02, 0.1):
+                self._assert_same_as_dict_dp(grid, tau)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_b_solver_grids_match_the_dict_dp(self, n):
+        nonzero = 0
+        for seed in range(3):
+            grid = self._b_solver_grid(n, seed)
+            nonzero += sum(v.dim > 0 for v in grid.v_table.values())
+            for tau in (0.02, 0.1):
+                self._assert_same_as_dict_dp(grid, tau)
+        assert nonzero
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_random_grids_match_the_dict_dp(self, n):
+        # Endgame grids mostly stop at k = 1; random low-dimensional V(u, w)
+        # over full-support fibers take several levels.
+        rng = np.random.default_rng(70 + n)
+        for _ in range(3):
+            weights = rng.exponential(size=int(rng.integers(1, 6)))
+            fx = self._random_fibers(n, weights, rng)
+            fy = self._random_fibers(n, weights, rng)
+            table = {}
+            for u in fx.labels:
+                for w in fy.labels:
+                    vectors = rng.integers(0, 1 << n, size=int(rng.integers(0, 3)))
+                    table[(u, w)] = span([int(x) for x in vectors], n)
+            for tau in (0.02, 0.1):
+                self._assert_same_as_dict_dp(FiberGrid(fx, fy, table), tau)
+
+    @pytest.mark.parametrize("n", [3, 5, 6])
+    def test_mask_join_equals_span(self, n):
+        rng = np.random.default_rng(n)
+        subs = all_subspaces(n)
+        masks, order = _lattice_masks(n)
+        assert masks.tolist() == [sum(1 << x for x in v.elements()) for v in subs]
+        assert lattice_index(subs, n).tolist() == list(range(len(subs)))
+        a = rng.integers(0, len(subs), size=300)
+        b = rng.integers(0, len(subs), size=300)
+        vectors = [
+            np.array([subs[j].basis[k] if k < subs[j].dim else 0 for j in b], dtype=np.uint64)
+            for k in range(n)
+        ]
+        joined = _join_masks(masks[a], vectors, n)
+        found = order[np.searchsorted(masks[order], joined)]
+        assert masks[found].tolist() == joined.tolist()
+        for i, j, k in zip(a.tolist(), b.tolist(), found.tolist()):
+            assert subs[k] == span(subs[i].basis + subs[j].basis, n)
+
+    def test_n6_grid_past_the_old_cap_is_exact_and_fast(self):
+        # 16 x 16 fibers with full support and a random line per pair: the
+        # reachable sums of lines pass EXACT_DP_CAP transitions by level 4.
+        n, rng = 6, np.random.default_rng(61)
+        fx = self._random_fibers(n, rng.exponential(size=16), rng)
+        fy = self._random_fibers(n, np.ones(16), rng)
+        labels = fx.labels
+        table = {(u, w): span([int(rng.integers(1, 1 << n))], n) for u in labels for w in labels}
+        grid = FiberGrid(fx, fy, table)
+        h_total = shannon_entropy(fx.mixture()) + shannon_entropy(fy.mixture())
+        zeta = min(0.999 * grid.local_interaction[0] / h_total, 0.1)
+        # The dict DP passes its cap here, so it falls back to sampling.
+        assert _dict_h_sequence(grid, zeta / 2.0, np.random.default_rng(0))[1:] == (False, 800)
+        start = time.perf_counter()
+        res = local_to_global(grid, zeta, np.random.default_rng(0))
+        assert time.perf_counter() - start < 1.0
+        assert res.exact_expectations and res.mc_samples == 0
+        assert res.k >= 3
+
+    def test_lattice_dp_computes_no_pushforward_or_span(self, monkeypatch):
+        # A guard against a later change putting the DP back on Python joins.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the lattice DP called span or pushforward_quotient")
+
+        pipeline_module = sys.modules["entropic_doubling.pipeline"]
+        for grid in (self._endgame_grid(5, 1), self._b_solver_grid(4, 0)):
+            expect = _h_expectation_sequence(grid, 0.02, np.random.default_rng(0))
+            with monkeypatch.context() as patched:
+                patched.setattr(pipeline_module, "span", refuse)
+                patched.setattr(pipeline_module, "pushforward_quotient", refuse)
+                got = _h_expectation_sequence(grid, 0.02, np.random.default_rng(0))
+            assert got == expect
 
 
 class TestInductiveStep:
