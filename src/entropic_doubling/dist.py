@@ -321,13 +321,6 @@ class FiberFamily:
     def mixture(self) -> Dist:
         return mixture(self.weights, self.dists)
 
-    def conditional_entropy(self) -> float:
-        from .entropy import shannon_entropy
-
-        return float(
-            sum(w * shannon_entropy(d) for w, d in zip(self.weights, self.dists))
-        )
-
 
 def sum_fibers(p: Dist, q: Dist) -> FiberFamily:
     """Fibers of X given X+Y = u over supp(X+Y), weighted by Pr[X+Y=u]."""

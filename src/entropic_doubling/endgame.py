@@ -38,7 +38,6 @@ from .entropy import (
     conditional_doubling_mass,
     conditional_entropy,
     conditional_mutual_information,
-    doubling_mass,
     fiber_interactions,
     pair_entropies,
     shannon_entropy,
@@ -152,10 +151,12 @@ class EndgameTranscript:
 @dataclass(frozen=True, eq=False)
 class _MoveTable:
     """The four doubling moves of (X, Y) on F_2^n, name -> (mass, paired
-    entropy sum), with H[X], H[Y], H[X+Y] and the sum-fiber families the moves
-    were measured on: X_1 | X_1+X_2 (pp), Y_1 | Y_1+Y_2 (qq), X_1 | X_1+Y_2
-    (pq) and Y_1 | Y_1+X_2 (qp), and the pair entropies of the pp x qq and
-    pq x qp grids that fiber_1 and fiber_2 reduce.  Case 1 reads the pp/qq
+    entropy sum), with H[X], H[Y], H[X+Y] and what the moves were measured
+    on: the sums X_1+X_2, Y_1+Y_2 and X+Y (conv_*), the sum-fiber families
+    X_1 | X_1+X_2 (pp), Y_1 | Y_1+Y_2 (qq), X_1 | X_1+Y_2 (pq) and
+    Y_1 | Y_1+X_2 (qp), and the pair entropies of the pp x qq and pq x qp
+    grids that fiber_1 and fiber_2 reduce.  The sumset lemma tests the
+    sumset moves and hands the B-solver the sums; Case 1 reads the pp/qq
     grid, Case 2 and the endgame the pq/qp grid."""
 
     n: int
@@ -163,6 +164,9 @@ class _MoveTable:
     h_y: float
     h_xy: float
     moves: dict
+    conv_pp: Dist
+    conv_qq: Dist
+    conv_pq: Dist
     fib_pp: FiberFamily
     fib_qq: FiberFamily
     fib_pq: FiberFamily
@@ -186,28 +190,28 @@ def _move_table(p: Dist, q: Dist) -> _MoveTable:
     fib_qp = sum_fibers(q, p)
     entropies_1 = pair_entropies(fib_pp, fib_qq)
     entropies_2 = pair_entropies(fib_pq, fib_qp)
-    h_xy = shannon_entropy(conv_pq)
+    h_pp, h_qq, h_xy = (shannon_entropy(d) for d in (conv_pp, conv_qq, conv_pq))
     moves = {
         "sumset_1": (
-            doubling_mass(conv_pp, conv_qq),
-            shannon_entropy(conv_pp) + shannon_entropy(conv_qq),
+            h_pp + h_qq - shannon_entropy(xor_convolve(conv_pp, conv_qq)),
+            h_pp + h_qq,
         ),
         "sumset_2": (
-            doubling_mass(conv_pq, conv_pq),
+            2.0 * h_xy - shannon_entropy(xor_convolve(conv_pq, conv_pq)),
             2.0 * h_xy,
         ),
         "fiber_1": (
             conditional_doubling_mass(fib_pp, fib_qq, entropies_1),
-            fib_pp.conditional_entropy() + fib_qq.conditional_entropy(),
+            float(fib_pp.weights @ entropies_1.h_x + fib_qq.weights @ entropies_1.h_y),
         ),
         "fiber_2": (
             conditional_doubling_mass(fib_pq, fib_qp, entropies_2),
-            fib_pq.conditional_entropy() + fib_qp.conditional_entropy(),
+            float(fib_pq.weights @ entropies_2.h_x + fib_qp.weights @ entropies_2.h_y),
         ),
     }
     return _MoveTable(
-        p.n, shannon_entropy(p), shannon_entropy(q), h_xy,
-        moves, fib_pp, fib_qq, fib_pq, fib_qp, entropies_1, entropies_2,
+        p.n, shannon_entropy(p), shannon_entropy(q), h_xy, moves,
+        conv_pp, conv_qq, conv_pq, fib_pp, fib_qq, fib_pq, fib_qp, entropies_1, entropies_2,
     )
 
 
@@ -347,7 +351,8 @@ def endgame_grid(
     four move inequalities on a measured move table, then build the grid of
     the fibers X_u, Y_w with V(u, w) the minimizer of H[pi(X_u)]+H[pi(Y_w)]
     under the PFR size budget.  Without a kappa, the smallest one the moves
-    allow is used.  Returns kappa, each move's gap, the grid and the arrays
+    allow is used; a given kappa above the largest move mass raises
+    ValidationError.  Returns kappa, each move's gap, the grid and the arrays
     H[X_u], H[Y_w], and H[pi(X_u)], H[pi(Y_w)] at each V(u, w); raises
     HypothesisViolationError naming every failed inequality.
 
@@ -359,6 +364,10 @@ def endgame_grid(
     picked lattice indices as its `scans`, which the local-to-global DP
     reads."""
     _check_endgame_inputs(move_table.n, eta, kappa)
+    # Above the largest move mass every move inequality holds whatever eta is.
+    largest = max(lhs for lhs, _ in move_table.moves.values())
+    if kappa is not None and kappa > largest + IDENTITY_TOL:
+        raise ValidationError(f"kappa {kappa} exceeds the largest move mass {largest:.6g}")
     h_total = move_table.h_x + move_table.h_y
     gaps: list[tuple[str, float, float]] = []
     if move_table.s_xy < eta * h_total - IDENTITY_TOL:
@@ -405,7 +414,8 @@ def endgame(p: Dist, q: Dist, eta: float, kappa: float | None = None) -> Endgame
     Without a kappa, the smallest one that the four move inequalities allow is
     measured from the same move table the hypothesis check reads.  Raises
     HypothesisViolationError when s[X;Y] >= eta(H[X]+H[Y]) or one of the four
-    move inequalities fails for the given (eta, kappa).  The fiber grid keeps
+    move inequalities fails for the given (eta, kappa), and ValidationError
+    when kappa exceeds the largest move mass.  The fiber grid keeps
     at most FIBER_CAP pairs (see cap_fibers).
     """
     if p.n != q.n:

@@ -113,18 +113,16 @@ class PairEntropies(NamedTuple):
 def pair_entropies(fibers_x: FiberFamily, fibers_y: FiberFamily) -> PairEntropies:
     """Every fiber's entropy and every pair sum's, in one batched pass.
 
-    Each distinct fiber is transformed once; the pair spectra are inverted in
-    batches of whole X_u rows, at most _BATCH_ENTRIES entries each.  Every
-    X_u + Y_w table is cleaned as a Dist would be, and a batch's H[X_u + Y_w]
-    are one masked t log2 t reduction over its last axis (_plogp).  H[X_u]
-    and H[Y_w] are shannon_entropy's.
+    Each family's stacked masses are transformed in one call; the pair
+    spectra are inverted in batches of whole X_u rows, at most
+    _BATCH_ENTRIES entries each.  Every X_u + Y_w table is cleaned as a Dist
+    would be, and a batch's H[X_u + Y_w] are one masked t log2 t reduction
+    over its last axis (_plogp).  H[X_u] and H[Y_w] are shannon_entropy's.
     """
     xs, ys = fibers_x.dists, fibers_y.dists
-    distinct = {d: i for i, d in enumerate(dict.fromkeys((*xs, *ys)))}
-    spec = wht(np.stack([d.mass for d in distinct]))
-    spec_x = spec[[distinct[d] for d in xs]]
-    spec_y = spec[[distinct[d] for d in ys]]
-    size = spec.shape[1]
+    spec_x = wht(np.stack([d.mass for d in xs]))
+    spec_y = wht(np.stack([d.mass for d in ys]))
+    size = spec_x.shape[1]
     step = max(1, _BATCH_ENTRIES // (len(ys) * size))
     h_sum = np.empty((len(xs), len(ys)))
     for lo in range(0, len(xs), step):

@@ -258,7 +258,9 @@ def lattice_entropies(d: Dist) -> np.ndarray:
     all_subspaces order: the lattice scan, one bincount over all coset bins."""
     _, bins, starts, _ = _scan_tables(d.n)
     pushed = np.bincount(bins.ravel(), weights=np.tile(d.mass, len(bins)))
-    return -np.add.reduceat(_plogp(pushed), starts) + 0.0
+    # The bins hold unrenormalized masses, so X on one coset of V can read
+    # about -1e-16 there; an entropy is never negative.
+    return np.maximum(-np.add.reduceat(_plogp(pushed), starts), 0.0) + 0.0
 
 
 def exhaustive_best_subspace(

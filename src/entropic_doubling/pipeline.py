@@ -39,7 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dist import Dist, FiberFamily, pushforward_quotient, uniform_on, xor_convolve
-from .endgame import FiberGrid, _move_table, cap_fibers, endgame_grid, fiber_grid
+from .endgame import FiberGrid, _move_table, _MoveTable, cap_fibers, endgame_grid, fiber_grid
 from .entropy import PairEntropies, fibring_decompose, shannon_entropy
 from .errors import (
     DimensionMismatchError,
@@ -116,20 +116,11 @@ def check_statement_A(
     given, the size bound dim V <= L(H[X]+H[Y])."""
     if p.n != q.n or p.n != v.n:
         raise DimensionMismatchError("ambient dimensions differ")
-    h_total = shannon_entropy(p) + shannon_entropy(q)
-    h_sum = shannon_entropy(xor_convolve(p, q))
-    hp = shannon_entropy(pushforward_quotient(p, v))
-    hq = shannon_entropy(pushforward_quotient(q, v))
-    return _check_a_measured(h_total, h_sum, hp + hq, v.dim, params)
-
-
-def _check_a_measured(
-    h_total: float, h_sum: float, lhs: float, dim: int, params: StatementParams
-) -> CriterionCheck:
-    """check_statement_A for a V of dimension dim, from H[X]+H[Y], H[X+Y]
-    and H[pi_V(X)]+H[pi_V(Y)]."""
     if params.c is None:
         raise ValueError("statement A requires c")
+    h_total = shannon_entropy(p) + shannon_entropy(q)
+    h_sum = shannon_entropy(xor_convolve(p, q))
+    lhs = sum(shannon_entropy(pushforward_quotient(d, v)) for d in (p, q))
     rhs = (1.0 - params.c) * h_total
     size_bound = None if params.L is None else params.L * h_total
     return CriterionCheck(
@@ -143,7 +134,7 @@ def _check_a_measured(
         verdicts={
             "hypothesis": bool(h_sum <= (1.0 - params.eta) * h_total + IDENTITY_TOL),
             "conclusion": bool(lhs <= rhs + IDENTITY_TOL),
-            "size bound": size_bound is None or dim <= size_bound + IDENTITY_TOL,
+            "size bound": size_bound is None or v.dim <= size_bound + IDENTITY_TOL,
         },
     )
 
@@ -274,11 +265,11 @@ def _grow(
     rounds: int,
     what: str,
     next_step: Callable[[Subspace, list[Dist]], tuple[str, Subspace, dict] | None],
-) -> tuple[Subspace, list[TraceStep], list[Dist]]:
+) -> tuple[Subspace, list[TraceStep]]:
     """Grow V from 0 until the criterion holds: next_step(V, pushed), with
     pushed every input's pushforward through V, returns None then, and
-    otherwise the step's (kind, added subspace, note).  Returns V, the steps
-    and the inputs' pushforwards through V.
+    otherwise the step's (kind, added subspace, note).  Returns V and the
+    steps.
 
     Each step's h_before and h_after sum the inputs' projected entropies
     before and after it.  A step that adds no dimension raises PipelineError
@@ -292,7 +283,7 @@ def _grow(
     for _ in range(rounds):
         taken = next_step(v, pushed)
         if taken is None:
-            return v, steps, pushed
+            return v, steps
         kind, added, note = taken
         v_new = subspace_sum(v, added)
         if v_new.dim == v.dim:
@@ -321,31 +312,33 @@ def _grow(
 
 def make_sumsets_not_double(
     p: Dist, q: Dist, eta0: float, eps0: float, b_solver: BSolver
-) -> tuple[Subspace, list[TraceStep], list[Dist]]:
+) -> tuple[Subspace, list[TraceStep], _MoveTable]:
     """Find V so both derived sumset pairs obey the eta0-ratio up to 4 eps0.
 
-    Grows V by the B-solver's subspace for whichever of (X1+X2, Y1+Y2) and
-    (X1+Y2, Y1+X2) still doubles too much, within ceil(2/eps0) + 1
-    applications; a solver subspace already inside V raises PipelineError.
-    Returns V, the steps and [pi_V(X), pi_V(Y)].
+    Each V is measured by one move table of (pi_V(X), pi_V(Y)): a pair
+    passes when its sumset move's mass is at most eta0 times its entropy sum
+    + 4 eps0 (H[X]+H[Y]).  V grows by the B-solver's subspace for the first
+    pair that fails, within ceil(2/eps0) + 1 applications; a solver subspace
+    already inside V raises PipelineError.  Returns V, the steps and the
+    final V's move table.
     """
     slack = 4.0 * eps0 * (shannon_entropy(p) + shannon_entropy(q))
+    table = None
 
     def fix(v: Subspace, pushed: list[Dist]) -> tuple[str, Subspace, dict] | None:
-        pp, qp = pushed
-        a = xor_convolve(pp, pp)
-        b = xor_convolve(qp, qp)
-        c = xor_convolve(pp, qp)
-        s_all = shannon_entropy(xor_convolve(a, b))
-        ok1 = s_all >= (1.0 - eta0) * (shannon_entropy(a) + shannon_entropy(b)) - slack - IDENTITY_TOL
-        ok2 = s_all >= (1.0 - eta0) * (2.0 * shannon_entropy(c)) - slack - IDENTITY_TOL
-        if ok1 and ok2:
-            return None
-        if not ok1:
-            return "SUMSET_FIX_1", b_solver(a, b).subspace, {}
-        return "SUMSET_FIX_2", b_solver(c, c).subspace, {}
+        nonlocal table
+        table = _move_table(*pushed)
+        for kind, move, pair in (
+            ("SUMSET_FIX_1", "sumset_1", (table.conv_pp, table.conv_qq)),
+            ("SUMSET_FIX_2", "sumset_2", (table.conv_pq, table.conv_pq)),
+        ):
+            mass, entropy_sum = table.moves[move]
+            if mass > eta0 * entropy_sum + slack + IDENTITY_TOL:
+                return kind, b_solver(*pair).subspace, {}
+        return None
 
-    return _grow((p, q), math.ceil(2.0 / eps0) + 1, "sumset fixing", fix)
+    v, steps = _grow((p, q), math.ceil(2.0 / eps0) + 1, "sumset fixing", fix)
+    return v, steps, table
 
 
 # ---------------------------------------------------------------------------
@@ -504,8 +497,7 @@ def _lattice_h_sequence(grid: FiberGrid, tau: float) -> list[float]:
         probs = np.bincount(
             (u[:, None] * size + target).ravel(), weights.ravel(), minlength=kx * size
         ).reshape(kx, size)
-        # The scans sum unrenormalized masses, so one coset reads about -1e-16.
-        h.append(max(0.0, float(fibers_x.weights @ (probs * lat_x).sum(axis=1))))
+        h.append(float(fibers_x.weights @ (probs * lat_x).sum(axis=1)))
         if _stops(h, tau):
             return h
     raise PipelineError("pigeonhole failed to select k; expectations inconsistent")
@@ -704,17 +696,17 @@ def inductive_step(
     witness at eta0 - eps0.
 
     Preprocesses with the sumset lemma, then splits on fiber doubling
-    (Case 1: same-letter fibers, Case 2: crossed fibers, Case 3: endgame),
-    glues the case's fiber grid with local_to_global, and verifies the
-    statement-A conclusion numerically before returning.  Every case builds
-    its grid with fiber_grid, capped at FIBER_CAP pairs; the endgame case
-    calls endgame_grid on the step's move table, which checks the endgame
+    (Case 1: same-letter fibers, Case 2: crossed fibers, Case 3: endgame)
+    and glues the case's fiber grid with local_to_global.  The lemma's last
+    move table is the step's one measurement of its pushed pair.  Every case
+    builds its grid with fiber_grid, capped at FIBER_CAP pairs; the endgame
+    case calls endgame_grid on the move table, which checks the endgame
     hypotheses and builds the endgame's budgeted grid, never its Z-system
     bookkeeping.  Case 1 and Case 2 are tried in order of measured margin,
     then the endgame; zeta is the grid's measured local interaction over
-    H[pi(X)]+H[pi(Y)].  The returned V must pass check_statement_A at the
-    measured c and size; the paper's c only decides the early exit after
-    the sumset lemma.
+    H[pi(X)]+H[pi(Y)].  The paper's c only decides the early exit after the
+    sumset lemma.  A V with measured c <= IDENTITY_TOL raises PipelineError;
+    statement A then holds at the measured c and L = dim V/(H[X]+H[Y]).
 
     b_solver must return V = 0 whenever V = 0 satisfies statement B at
     (eta0, eps0).  The step relies on that: a Case 1 or Case 2 grid whose
@@ -727,8 +719,7 @@ def inductive_step(
     if not 0.0 < eps0 < eta0 <= 0.5:
         raise ValueError("need 0 < eps0 < eta0 <= 1/2")
     h_in = shannon_entropy(p) + shannon_entropy(q)
-    h_sum = shannon_entropy(xor_convolve(p, q))
-    s_in = h_in - h_sum
+    s_in = h_in - shannon_entropy(xor_convolve(p, q))
     if s_in < (eta0 - eps0) * h_in - IDENTITY_TOL:
         raise HypothesisViolationError(
             f"s[X;Y] = {s_in:.6g} below (eta0-eps0)(H[X]+H[Y]) = "
@@ -736,8 +727,8 @@ def inductive_step(
             gaps=[("doubling_floor", (eta0 - eps0) * h_in, s_in)],
         )
 
-    v0, steps, (p0, q0) = make_sumsets_not_double(p, q, eta0, eps0, b_solver)
-    h0 = shannon_entropy(p0) + shannon_entropy(q0)
+    v0, steps, move_table = make_sumsets_not_double(p, q, eta0, eps0, b_solver)
+    h0 = move_table.h_x + move_table.h_y
     c_paper = min(eps0, eta0**2 / 32.0)
 
     case_note: dict = {}
@@ -746,9 +737,8 @@ def inductive_step(
         v_final = v0
         case_note["early_exit"] = True
     else:
-        # One move table per step: its fiber moves pick the case, and its
+        # The lemma's last move table: its fiber moves pick the case, and its
         # sum-fiber families are the Case 1, Case 2 and endgame grids.
-        move_table = _move_table(p0, q0)
         moves = move_table.moves
         m1 = moves["fiber_1"][0] - eta0 * moves["fiber_1"][1]
         m2 = moves["fiber_2"][0] - eta0 * moves["fiber_2"][1]
@@ -823,12 +813,6 @@ def inductive_step(
         raise PipelineError(
             f"inductive step produced no entropy decrement (c = {c_meas:.3g})"
         )
-    c_used = min(c_meas * (1.0 - 1e-12), 1.0 - 1e-12)
-    l_used = v_final.dim / h_in if h_in > 0 else 0.0
-    params = StatementParams(eta=eta0 - eps0, c=c_used, L=l_used + IDENTITY_TOL)
-    _check_a_measured(h_in, h_sum, h1, v_final.dim, params).require(
-        "inductive-step statement-A"
-    )
     return PipelineTrace(steps=tuple(steps), subspace=v_final)
 
 
@@ -955,7 +939,7 @@ def _solve_b_inner(
         return tr.steps[-1].kind, tr.subspace, {"inductive": [s.to_json() for s in tr.steps]}
 
     rounds = max(16, math.ceil(4.0 / eps)) + 1
-    v, steps, _ = _grow((p, q), rounds, "the statement-B recursion", step)
+    v, steps = _grow((p, q), rounds, "the statement-B recursion", step)
     return _b_certificate("pipeline", v, params, passed[0]), tuple(steps)
 
 
@@ -1045,7 +1029,7 @@ def many_sums(
             prefix = total
         return None
 
-    w, steps, _ = _grow(dists, math.ceil(2.0 / delta) + 2, "many_sums", fix)
+    w, steps = _grow(dists, math.ceil(2.0 / delta) + 2, "many_sums", fix)
     chk = check_many_sums(dists, w, epsilon)
     chk.require("many_sums")
     cert = certificate(CRITERION_MANY, "pipeline", w, {"epsilon": epsilon}, chk)

@@ -24,6 +24,7 @@ from entropic_doubling.pipeline import (
     rich_cosets,
     solve_B,
 )
+from entropic_doubling.tolerances import IDENTITY_TOL
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -156,6 +157,26 @@ def test_endgame_perturbed_value_rejected():
     report = verify_bundle(bundle)
     assert not report.ok
     assert any(f.startswith("expectation: recomputed") for f in report.failures)
+
+
+def test_endgame_kappa_above_every_move_mass_rejected():
+    # kappa x 1e6 with every value that depends on it restated (each move's
+    # rhs and gap, and the 480 kappa bound) is self-consistent, and every
+    # endgame inequality holds in it whatever eta is.  The replay refuses
+    # the kappa itself.
+    bundle = load("endgame")
+    t = bundle["transcript"]
+    kappa = t["kappa"] * 1e6
+    for gap in t["hypothesis_gaps"].values():
+        gap["rhs"] += kappa - t["kappa"]
+        gap["gap"] = gap["lhs"] - gap["rhs"]
+    t["kappa"], t["expectation_bound"] = kappa, 480.0 * kappa
+    max_lhs = max(gap["lhs"] for gap in t["hypothesis_gaps"].values())
+    report = verify_bundle(bundle)
+    assert not report.ok
+    assert report.failures == [
+        f"bundle rejected: kappa {kappa} exceeds the largest move mass {max_lhs:.6g}"
+    ]
 
 
 def test_endgame_tampered_fiber_subspace_rejected():
@@ -326,7 +347,10 @@ PARAMETERS_IN_RANGE = {
     "many_sums": lambda c: 0 < c["epsilon"] <= 1,
     "theorem_11": lambda c: 0 < c["epsilon"] <= 2,
     "pfr_cor22": lambda c: True,
-    "endgame": lambda t: 0 < t["eta"] <= 0.5 and 0 <= t["kappa"] < math.inf,
+    "endgame": lambda t: (
+        0 < t["eta"] <= 0.5
+        and 0 <= t["kappa"] <= max(g["lhs"] for g in t["hypothesis_gaps"].values()) + IDENTITY_TOL
+    ),
 }
 
 

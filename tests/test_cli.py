@@ -213,6 +213,7 @@ class TestFindSubspaceAndVerify:
             ["endgame", "--dist", "{dist}", "--eta", "0.6"],
             ["endgame", "--dist", "{dist}", "--eta", "0.3", "--kappa", "-1"],
             ["endgame", "--dist", "{dist}", "--eta", "0.3", "--kappa", "inf"],
+            ["endgame", "--dist", "{dist}", "--eta", "0.3", "--kappa", "1e6"],
             ["gen", "--family", "random-subset", "--n", "4", "--count", "2"],
             ["gen", "--family", "union-cosets", "--n", "4", "--dim-v", "2"],
             ["analyze"],
@@ -234,7 +235,8 @@ class TestFindSubspaceAndVerify:
         ],
         ids=["eta-above-half", "dist-epsilon-zero", "set-epsilon-zero", "ball-n-zero",
              "cosets-dim-above-n", "bundle-not-object", "endgame-eta-above-half",
-             "endgame-kappa-negative", "endgame-kappa-infinite", "subset-without-dim-v",
+             "endgame-kappa-negative", "endgame-kappa-infinite", "endgame-kappa-above-moves",
+             "subset-without-dim-v",
              "cosets-without-count", "analyze-without-input", "find-without-input",
              "analyze-nan-mass", "find-nan-mass", "analyze-negative-support-key",
              "dist-seed-negative", "set-seed-negative", "subset-seed-negative",

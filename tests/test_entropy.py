@@ -295,7 +295,9 @@ class TestConditionalDoublingMass:
         for wu, du in zip(fx.weights, fx.dists):
             for ww, dw in zip(fy.weights, fy.dists):
                 direct += wu * ww * shannon_entropy(xor_convolve(du, dw))
-        expect = fx.conditional_entropy() + fy.conditional_entropy() - direct
+        h_x_given_u = sum(w * shannon_entropy(d) for w, d in zip(fx.weights, fx.dists))
+        h_y_given_w = sum(w * shannon_entropy(d) for w, d in zip(fy.weights, fy.dists))
+        expect = h_x_given_u + h_y_given_w - direct
         assert got == pytest.approx(expect, abs=1e-9)
 
 

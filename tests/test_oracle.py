@@ -47,6 +47,26 @@ class TestLatticeScan:
             expect = np.array([quotient_entropy(p, v) for v in subs])
             assert np.max(np.abs(scanned - expect)) <= ORACLE_TOL
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_one_coset_never_reads_below_zero(self, n):
+        # X on one coset of V has H[pi_V(X)] = 0.  The scan sums unrenormalized
+        # masses, so that coset's bin holds 1 within a few ulps: unclamped, a
+        # bin just over 1 gives about -1.8e-16 bits (one V in seven here),
+        # and a bin just under 1 gives a reading below 1e-15.
+        rng = np.random.default_rng(n)
+        subspaces = all_subspaces(n)
+        readings = []
+        for i in rng.choice(len(subspaces), size=min(200, len(subspaces)), replace=False):
+            v = subspaces[i]
+            members = np.array(list(v.elements())) ^ int(rng.integers(1 << n))
+            mass = np.zeros(1 << n)
+            mass[members] = rng.exponential(size=len(members))
+            readings.append(lattice_entropies(Dist(n, mass / mass.sum()))[i])
+        readings = np.array(readings)
+        assert not np.any(np.signbit(readings))
+        assert np.all(readings < 1e-15)
+        assert np.count_nonzero(readings == 0.0) > len(readings) // 2
+
 
 class TestExhaustive:
     def test_point_masses_give_zero_subspace(self):

@@ -233,6 +233,54 @@ class TestMakeSumsetsNotDouble:
             assert s_all >= (1 - eta0) * (shannon_entropy(a) + shannon_entropy(b)) - slack - 1e-9
             assert s_all >= (1 - eta0) * 2 * shannon_entropy(c) - slack - 1e-9
 
+    def test_each_v_judged_by_the_explicit_sumset_entropies(self, monkeypatch):
+        # The lemma's test at a V reads the move table of (pi_V(X), pi_V(Y)).
+        # Against the explicit entropies of X1+X2, Y1+Y2, X1+Y2 and
+        # X1+X2+Y1+Y2, it passes and fails on the same V, names the same
+        # failing pair and hands the B-solver the same sums.
+        pipeline_module = sys.modules["entropic_doubling.pipeline"]
+        steps = []
+        monkeypatch.setattr(
+            pipeline_module,
+            "_grow",
+            lambda dists, rounds, what, step: steps.append(step) or (Subspace.zero(dists[0].n), []),
+        )
+        rng = np.random.default_rng(0)
+        seen = set()
+        for trial in range(40):
+            n = 2 + trial % 4
+            p = random_dist(n, rng, support_size=int(rng.integers(1, (1 << n) + 1)))
+            q = random_dist(n, rng, support_size=int(rng.integers(1, (1 << n) + 1)))
+            eta0, eps0 = float(rng.uniform(0.05, 0.5)), float(rng.uniform(0.005, 0.05))
+            solved = []
+
+            def solver(a, b, n=n, solved=solved):
+                solved.append((a, b))
+                return SimpleNamespace(subspace=Subspace.zero(n))
+
+            make_sumsets_not_double(p, q, eta0, eps0, solver)
+            fix = steps[-1]
+            slack = 4 * eps0 * (shannon_entropy(p) + shannon_entropy(q))
+            subspaces = all_subspaces(n)
+            for i in rng.choice(len(subspaces), size=min(6, len(subspaces)), replace=False):
+                v = subspaces[i]
+                pp, qp = pushforward_quotient(p, v), pushforward_quotient(q, v)
+                a, b, c = xor_convolve(pp, pp), xor_convolve(qp, qp), xor_convolve(pp, qp)
+                s_all = shannon_entropy(xor_convolve(a, b))
+                h_ab = shannon_entropy(a) + shannon_entropy(b)
+                ok1 = s_all >= (1 - eta0) * h_ab - slack - IDENTITY_TOL
+                ok2 = s_all >= (1 - eta0) * 2 * shannon_entropy(c) - slack - IDENTITY_TOL
+                taken = fix(v, [pp, qp])
+                if ok1 and ok2:
+                    assert taken is None
+                    seen.add(None)
+                    continue
+                kind, pair = ("SUMSET_FIX_1", (a, b)) if not ok1 else ("SUMSET_FIX_2", (c, c))
+                assert taken[0] == kind
+                assert all(np.array_equal(d.mass, e.mass) for d, e in zip(solved.pop(), pair))
+                seen.add(kind)
+        assert seen == {None, "SUMSET_FIX_1", "SUMSET_FIX_2"}
+
 
 class TestYSizeLowerBound:
     def test_w_equals_v_reads_trivial_estimate(self):
@@ -530,6 +578,40 @@ class TestInductiveStep:
         p, q = independent_coordinates_pair()
         with pytest.raises(HypothesisViolationError):
             inductive_step(p, q, 0.4, 0.05, exhaustive_b_solver(0.4, 0.05))
+
+    @pytest.mark.parametrize(
+        "inputs, eta0, eps0, kinds",
+        [
+            ("uniform_subspace", 0.35, 0.05, ["CASE1"]),
+            (7, 0.35, 0.05, ["CASE2"]),
+            (0, 0.35, 0.05, ["ENDGAME"]),
+            ("uniform_subspace", 0.3, 0.02, ["SUMSET_FIX_1"]),
+        ],
+    )
+    def test_one_move_table_per_lemma_iteration(self, monkeypatch, inputs, eta0, eps0, kinds):
+        # The sumset lemma measures each V it tests with one move table, and
+        # the case split reads the last one: no table is built elsewhere.
+        # The SUMSET_FIX_1 step ends in the early exit, after two tables.
+        pipeline_module = sys.modules["entropic_doubling.pipeline"]
+        table = pipeline_module._move_table
+        callers: list[str] = []
+
+        def recorded(p, q):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return table(p, q)
+
+        monkeypatch.setattr(pipeline_module, "_move_table", recorded)
+        if inputs == "uniform_subspace":
+            p = q = uniform_on_subspace(span([1, 2], 4))
+        else:
+            rng = np.random.default_rng(inputs)
+            p, q = random_dist(4, rng), random_dist(4, rng)
+        tr = inductive_step(
+            p, q, eta0, eps0, exhaustive_b_solver(eta0, eps0), rng=np.random.default_rng(1)
+        )
+        assert [s.kind for s in tr.steps] == kinds
+        lemma_steps = sum(s.kind.startswith("SUMSET_FIX") for s in tr.steps)
+        assert callers == ["fix"] * (lemma_steps + 1)
 
     def test_trace_monotone(self):
         rng = np.random.default_rng(7)
@@ -898,10 +980,10 @@ class TestNontrivialPath:
         # B-solver runs for them.  The ENDGAME grid's local interaction is the
         # one batched fiber_interactions call, and the rich-cosets check is
         # the one fibring_decompose.  The move table runs once per step: the
-        # case split, the screens and the endgame's hypothesis check all read
-        # it.  The ENDGAME case builds only its grid, not the Z-system joints
-        # that the standalone endgame reports, and scans each of its 8 + 8
-        # fibers' lattices once for all 64 pairs.
+        # sumset lemma's test, the case split, the screens and the endgame's
+        # hypothesis check all read it.  The ENDGAME case builds only its
+        # grid, not the Z-system joints that the standalone endgame reports,
+        # and scans each of its 8 + 8 fibers' lattices once for all 64 pairs.
         pipeline_module = sys.modules["entropic_doubling.pipeline"]
         case_grid = pipeline_module.fiber_grid
         solved: list = []
