@@ -202,6 +202,20 @@ def _plogp(t: np.ndarray) -> np.ndarray:
     return out
 
 
+def _plogp_hits(t: np.ndarray) -> np.ndarray:
+    """_plogp's values, with the log taken only on the entries above MASS_EPS.
+
+    _plogp's masked log2 serves dense tables, where the mask has few runs;
+    this gather serves sparse, scattered hits, as a small support leaves
+    in a lattice scan's coset bins.
+    """
+    out = np.zeros_like(t)
+    hits = np.flatnonzero(t > MASS_EPS)
+    vals = t[hits]
+    out[hits] = np.log2(vals) * vals
+    return out
+
+
 def _plogp_sums(table: np.ndarray) -> np.ndarray:
     """sum t log2 t over each leading-axis slice, by _plogp."""
     return _plogp(table).reshape(len(table), -1).sum(axis=1)

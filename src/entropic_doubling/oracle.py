@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .dist import Dist, pushforward_quotient, xor_convolve
-from .entropy import _entropy, _plogp, ruzsa_distance, shannon_entropy
+from .entropy import _entropy, _plogp, _plogp_hits, ruzsa_distance, shannon_entropy
 from .errors import (
     CapacityError,
     DimensionMismatchError,
@@ -185,18 +185,20 @@ def _scan_tables(n: int) -> tuple[tuple[Subspace, ...], np.ndarray, np.ndarray, 
     """All subspaces of F_2^n with their cosets numbered as contiguous bins.
 
     Subspace i owns bins starts[i] .. starts[i] + 2^(n - dim) - 1, one per
-    coset in increasing order of canonical representative; bins[i, x] is the
-    bin of the coset of x.
+    coset in increasing order of canonical representative.  bins is
+    point-major: row bins[x] holds the bin of x's coset under every
+    subspace, so a scan reads only its support's rows.  The last subspace,
+    F_2^n, owns the one last bin.
     """
     subs = all_subspaces(n)
-    reps = np.stack([v.rep_table() for v in subs])
+    reps = np.stack([v.rep_table() for v in subs], axis=1)
     dims = np.array([v.dim for v in subs], dtype=np.float64)
-    is_rep = reps == np.arange(1 << n)
+    is_rep = reps == np.arange(1 << n)[:, None]
     starts = np.zeros(len(subs), dtype=np.int64)
-    np.cumsum(is_rep.sum(axis=1)[:-1], out=starts[1:])
-    # Rank of each representative within its row, then offset by the row's start.
-    rank = np.cumsum(is_rep, axis=1) - 1
-    bins = np.take_along_axis(rank, reps, axis=1) + starts[:, None]
+    np.cumsum(is_rep.sum(axis=0)[:-1], out=starts[1:])
+    # Rank of each representative within its column, then offset by the column's start.
+    rank = np.cumsum(is_rep, axis=0) - 1
+    bins = np.take_along_axis(rank, reps, axis=0) + starts
     return subs, bins, starts, dims
 
 
@@ -209,7 +211,7 @@ def _lattice_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     _, bins, starts, _ = _scan_tables(n)
     bits = np.uint64(1) << np.arange(1 << n, dtype=np.uint64)
-    masks = np.where(bins == starts[:, None], bits, np.uint64(0)).sum(axis=1, dtype=np.uint64)
+    masks = np.where(bins == starts, bits[:, None], np.uint64(0)).sum(axis=0, dtype=np.uint64)
     return masks, np.argsort(masks)
 
 
@@ -255,12 +257,26 @@ def lattice_index(vs: Sequence[Subspace], n: int) -> np.ndarray:
 
 def lattice_entropies(d: Dist) -> np.ndarray:
     """H[pi_V(X)] for X ~ d and every subspace V of F_2^n (n <= 6), in
-    all_subspaces order: the lattice scan, one bincount over all coset bins."""
+    all_subspaces order: the lattice scan.
+
+    One bincount pushes each support point's mass onto its row of coset
+    bins.  Each bin adds its points in increasing x, as a scan over every
+    point does, and a point of zero mass would add nothing, so the floats
+    are the same.  A full support hits every bin and takes _plogp's dense
+    log; a smaller one takes the log on its hit list (_plogp_hits).
+    """
     _, bins, starts, _ = _scan_tables(d.n)
-    pushed = np.bincount(bins.ravel(), weights=np.tile(d.mass, len(bins)))
+    ys = np.flatnonzero(d.mass)
+    full = ys.size == len(bins)
+    pushed = np.bincount(
+        (bins if full else bins[ys]).ravel(),
+        weights=np.repeat(d.mass[ys], len(starts)),
+        minlength=starts[-1] + 1,
+    )
+    plogp = _plogp(pushed) if full else _plogp_hits(pushed)
     # The bins hold unrenormalized masses, so X on one coset of V can read
     # about -1e-16 there; an entropy is never negative.
-    return np.maximum(-np.add.reduceat(_plogp(pushed), starts), 0.0) + 0.0
+    return np.maximum(-np.add.reduceat(plogp, starts), 0.0) + 0.0
 
 
 def exhaustive_best_subspace(

@@ -734,7 +734,8 @@ def inductive_step(
     case_note: dict = {}
     result = None
     if h0 <= (1.0 - c_paper) * h_in + IDENTITY_TOL:
-        v_final = v0
+        # The move table measured the pair pushed through v0 = v_final.
+        v_final, h1 = v0, h0
         case_note["early_exit"] = True
     else:
         # The lemma's last move table: its fiber moves pick the case, and its
@@ -794,10 +795,8 @@ def inductive_step(
             )
         v_final = subspace_sum(v0, result.subspace)
         case_note["local_to_global"] = result.to_json()
-
-    p1, q1 = pushforward_quotient(p, v_final), pushforward_quotient(q, v_final)
-    h1 = shannon_entropy(p1) + shannon_entropy(q1)
-    if result is not None:
+        p1, q1 = pushforward_quotient(p, v_final), pushforward_quotient(q, v_final)
+        h1 = shannon_entropy(p1) + shannon_entropy(q1)
         steps.append(
             TraceStep(
                 kind=case_note["case"],

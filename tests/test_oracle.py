@@ -14,7 +14,7 @@ from entropic_doubling.dist import (
     uniform_on,
     uniform_on_subspace,
 )
-from entropic_doubling.entropy import quotient_entropy, ruzsa_distance, shannon_entropy
+from entropic_doubling.entropy import _plogp, quotient_entropy, ruzsa_distance, shannon_entropy
 from entropic_doubling.errors import CapacityError, SearchFailureError, ValidationError
 from entropic_doubling.gf2 import Subspace, all_subspaces, span
 from entropic_doubling.oracle import (
@@ -33,8 +33,58 @@ from entropic_doubling.pipeline import SolveResult
 from entropic_doubling.tolerances import MASS_EPS, ORACLE_TOL
 
 
+def _all_points_scan(d: Dist) -> np.ndarray:
+    """The lattice scan over every point, as a reference: one bincount of all
+    2^n points, subspace by subspace, and _plogp's masked log on every bin."""
+    _, bins, starts, _ = _scan_tables(d.n)
+    pushed = np.bincount(bins.T.ravel(), weights=np.tile(d.mass, len(starts)))
+    return np.maximum(-np.add.reduceat(_plogp(pushed), starts), 0.0) + 0.0
+
+
+def _scan_inputs(n: int, rng: np.random.Generator) -> list[Dist]:
+    """Full supports, 1-12 point supports, the uniform law on a coset of a
+    random V, and supports whose masses lie 0-3 ulps above MASS_EPS."""
+    size = 1 << n
+    subspaces = all_subspaces(n)
+    masses = [rng.exponential(size=size) for _ in range(5)]
+    for k in range(1, min(12, size) + 1):
+        mass = np.zeros(size)
+        mass[rng.choice(size, k, replace=False)] = rng.exponential(size=k)
+        masses.append(mass)
+    for _ in range(5):
+        members = np.array(list(subspaces[rng.integers(len(subspaces))].elements()))
+        mass = np.zeros(size)
+        mass[members ^ int(rng.integers(size))] = 1.0
+        masses.append(mass)
+    dists = [Dist(n, mass / mass.sum()) for mass in masses]
+    for _ in range(5):
+        # The masses sum to exactly 1, so Dist keeps them as given, and a
+        # coset bin holding one small point sits on or just above MASS_EPS.
+        k = int(rng.integers(1, size))
+        points = rng.choice(size, k + 1, replace=False)
+        small = MASS_EPS + rng.integers(0, 4, size=k) * np.spacing(MASS_EPS)
+        mass = np.zeros(size)
+        mass[points[1:]] = small
+        mass[points[0]] = 1.0 - small.sum()
+        assert mass.sum() == 1.0
+        dists.append(Dist(n, mass))
+    return dists
+
+
 class TestLatticeScan:
-    """The scan's one-bincount pushforward against quotient_entropy, V by V."""
+    """The scan's one-bincount pushforward against quotient_entropy, V by V,
+    and against the all-points scan, float by float."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_support_rows_give_the_all_points_floats(self, n):
+        # Each bin adds its support points in increasing x, as the all-points
+        # scan does, and t log2 t on the hit list is _plogp's, so every
+        # entropy is the same float, sign bit included.
+        rng = np.random.default_rng(100 + n)
+        for d in _scan_inputs(n, rng):
+            scanned, reference = lattice_entropies(d), _all_points_scan(d)
+            assert np.array_equal(scanned, reference)
+            assert np.array_equal(np.signbit(scanned), np.signbit(reference))
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_scan_entropies_match_quotient_entropy(self, n):

@@ -591,16 +591,24 @@ class TestInductiveStep:
     def test_one_move_table_per_lemma_iteration(self, monkeypatch, inputs, eta0, eps0, kinds):
         # The sumset lemma measures each V it tests with one move table, and
         # the case split reads the last one: no table is built elsewhere.
-        # The SUMSET_FIX_1 step ends in the early exit, after two tables.
+        # The SUMSET_FIX_1 step ends in the early exit, after two tables,
+        # whose h1 is the last table's: only the lemma pushes p and q.
         pipeline_module = sys.modules["entropic_doubling.pipeline"]
         table = pipeline_module._move_table
+        push = pipeline_module.pushforward_quotient
         callers: list[str] = []
+        pushers: list[str] = []
 
         def recorded(p, q):
             callers.append(sys._getframe(1).f_code.co_name)
             return table(p, q)
 
+        def recorded_push(d, v):
+            pushers.append(sys._getframe(1).f_code.co_name)
+            return push(d, v)
+
         monkeypatch.setattr(pipeline_module, "_move_table", recorded)
+        monkeypatch.setattr(pipeline_module, "pushforward_quotient", recorded_push)
         if inputs == "uniform_subspace":
             p = q = uniform_on_subspace(span([1, 2], 4))
         else:
@@ -612,6 +620,11 @@ class TestInductiveStep:
         assert [s.kind for s in tr.steps] == kinds
         lemma_steps = sum(s.kind.startswith("SUMSET_FIX") for s in tr.steps)
         assert callers == ["fix"] * (lemma_steps + 1)
+        early_exit = len(tr.steps) == lemma_steps
+        assert pushers.count("inductive_step") == (0 if early_exit else 2)
+        if early_exit:
+            # _grow pushes both inputs through 0 and through each grown V.
+            assert len(pushers) == 2 * (lemma_steps + 1)
 
     def test_trace_monotone(self):
         rng = np.random.default_rng(7)
