@@ -58,7 +58,7 @@ from .oracle import (
     lattice_entropies,
     lattice_index,
 )
-from .tolerances import FIBER_CAP, IDENTITY_TOL, MAX_ENUM_N
+from .tolerances import FIBER_CAP, IDENTITY_TOL, MAX_ENUM_N, ORACLE_TOL
 
 
 def z_system_joints(p: Dist, q: Dist) -> tuple[JointDist, JointDist]:
@@ -275,8 +275,12 @@ class FiberGrid:
 
 
 def _heaviest(fam: FiberFamily, k: int) -> tuple[FiberFamily, float, np.ndarray]:
-    """The k heaviest fibers in label order, renormalized, their weight and indices."""
-    order = np.argsort(-fam.weights)[:k]
+    """The k heaviest fibers in label order, renormalized, their weight and indices.
+
+    Weights are ranked at ORACLE_TOL resolution and ties go to the smaller
+    label, so float noise between equal weights does not pick the fibers kept.
+    """
+    order = np.lexsort((fam.labels, -np.round(fam.weights / ORACLE_TOL)))[:k]
     coverage = float(fam.weights[order].sum())
     order = np.sort(order)
     weights = fam.weights[order]

@@ -232,7 +232,8 @@ def _coset_pair_sums(x_spec: np.ndarray, y_spec: np.ndarray) -> tuple[np.ndarray
     entries (one a-row may exceed it alone), keeping per pair the row sums
     r[a, c] as sum r log r and the column sums col[c, u].  The residual is
     -sum col log col - sum r log r + sum A log A + sum w log w, where w is
-    the law of pi(X+Y).  A pair's results do not depend on K.
+    the law of pi(X+Y).  A pair's results are the same for every K up to
+    rounding: the batched transforms are BLAS matmuls.
     """
     pairs, cosets, size = x_spec.shape
     rows = min(cosets, max(1, _BATCH_ENTRIES // (cosets * size)))
@@ -262,7 +263,7 @@ def _fiber_terms(triples: Sequence[tuple[Dist, Dist, Subspace]]) -> tuple[np.nda
     Triples are grouped by (n, dim V); each distinct X and Y gets its entropy
     and each distinct V its fiber index once.  Whole pairs share a kernel
     call while their tables fit in _BATCH_ENTRIES together; a larger pair
-    runs alone.  A triple's results do not depend on the others.
+    runs alone.  A triple's results are the same as alone up to rounding.
     """
     entropy: dict[Dist, float] = {}
     index: dict[Subspace, np.ndarray] = {}

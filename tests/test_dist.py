@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from entropic_doubling.dist import (
     Dist,
     JointDist,
+    _WHT_BITS,
+    _hadamard,
     condition_on_sum,
     map_joint,
     mixture,
@@ -33,6 +35,7 @@ from entropic_doubling.errors import (
     NormalizationError,
     ValidationError,
 )
+from entropic_doubling.families import sumset, sumset_naive
 from entropic_doubling.gf2 import Subspace, span
 
 
@@ -108,6 +111,61 @@ class TestWht:
         block = rng.normal(size=(5, 8))
         rows = np.stack([wht(r) for r in block])
         assert np.allclose(wht(block), rows)
+
+    @pytest.mark.parametrize("n", range(11))
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 5)])
+    def test_equals_explicit_hadamard_product(self, n, lead):
+        idx = np.arange(1 << n)
+        parity = np.zeros((1 << n, 1 << n), dtype=np.int64)
+        for bit in range(n):
+            parity ^= (idx[:, None] >> bit) & (idx[None, :] >> bit) & 1
+        hadamard = 1.0 - 2.0 * parity
+        rng = np.random.default_rng(n)
+        # Small integers: every partial sum is exact, so the two agree exactly.
+        ints = rng.integers(-8, 9, size=lead + (1 << n,)).astype(np.float64)
+        assert np.array_equal(wht(ints), ints @ hadamard)
+        reals = rng.normal(size=lead + (1 << n,))
+        assert np.allclose(wht(reals), reals @ hadamard, rtol=0.0, atol=1e-12 * (1 << n))
+
+    @pytest.mark.parametrize("n", range(21))
+    def test_involution_up_to_n_20(self, n):
+        rng = np.random.default_rng(n)
+        t = rng.integers(-8, 9, size=1 << n).astype(np.float64)
+        assert np.array_equal(wht(wht(t)), (1 << n) * t)
+
+    @pytest.mark.parametrize("bits", [1, 5, 6, 7, 12, 13, 17, 20])
+    def test_sumset_counts_are_exact(self, bits):
+        rng = np.random.default_rng(bits)
+        members = np.unique(rng.integers(0, 1 << bits, size=min(200, 1 << bits)))
+        members[-1] |= 1 << (bits - 1)
+        members = np.unique(members)
+        assert sumset(members.tolist()) == sumset_naive(members.tolist())
+        size = 1 << bits
+        indicator = np.zeros(size)
+        indicator[members] = 1.0
+        pairs = np.bincount((members[:, None] ^ members[None, :]).ravel(), minlength=size)
+        assert np.array_equal(wht(wht(indicator) ** 2), size * pairs.astype(np.float64))
+
+    @pytest.mark.parametrize("shape", [(1,), (4, 1), (2,), (3, 64), (3, 128), (2, 4096)])
+    def test_fresh_writable_result(self, shape):
+        rng = np.random.default_rng(3)
+        table = rng.normal(size=shape)
+        before = table.copy()
+        out = wht(table)
+        assert np.array_equal(table, before)
+        assert out.flags.writeable
+        assert not np.shares_memory(out, table)
+        for bits in range(1, _WHT_BITS + 1):
+            assert not np.shares_memory(out, _hadamard(bits))
+        out /= 2.0
+
+    def test_cached_matrices_are_read_only(self):
+        wht(np.ones((2, 1 << 13)))
+        for bits in range(1, _WHT_BITS + 1):
+            h = _hadamard(bits)
+            assert not h.flags.writeable
+            with pytest.raises(ValueError):
+                h[0, 0] = 2.0
 
 
 class TestConvolve:

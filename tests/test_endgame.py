@@ -13,12 +13,14 @@ from entropic_doubling.dist import (
     map_joint,
     product,
     random_dist,
+    sum_fibers,
     uniform_on,
     uniform_on_subspace,
     xor_convolve,
 )
 from entropic_doubling.endgame import (
     FiberGrid,
+    cap_fibers,
     endgame,
     endgame_move_quantities,
     z_system_joints,
@@ -30,6 +32,7 @@ from entropic_doubling.entropy import (
     shannon_entropy,
 )
 from entropic_doubling.errors import CapacityError, HypothesisViolationError
+from entropic_doubling.families import hamming_ball
 from entropic_doubling.gf2 import Subspace, all_subspaces, span
 from entropic_doubling.oracle import (
     OBJECTIVE_PROJECTED_ENTROPY,
@@ -181,6 +184,57 @@ class TestEndgameTranscript:
         assert set(v_table) == {(u, w) for u in fam_u.labels for w in fam_w.labels}
         # Mixture of the u-fibers is the X-marginal.
         assert np.max(np.abs(fam_u.mixture().mass - p.mass)) < 1e-9
+
+
+class TestFiberCapTies:
+    """cap_fibers keeps each side's 16 heaviest of 21 fibers.  Weights tied up
+    to float noise rank as ties and go to the smaller labels."""
+
+    @staticmethod
+    def _kept(weights: np.ndarray) -> list[int]:
+        d = uniform_on([0], 5)
+        fam = FiberFamily(tuple(range(len(weights))), weights, (d,) * len(weights))
+        kept, _, _, rows, _ = cap_fibers(fam, fam)
+        assert kept.labels == tuple(rows)
+        return list(rows)
+
+    def test_noise_on_tied_weights_keeps_the_same_labels(self):
+        rng = np.random.default_rng(7)
+        heavy = np.array([0.12, 0.11, 0.1, 0.09])
+        tied = np.full(17, (1.0 - heavy.sum()) / 17)
+        weights = np.concatenate([heavy, tied])
+        # The 4 heavy fibers, then the 12 tied fibers with the smallest labels.
+        expect = list(range(16))
+        assert self._kept(weights) == expect
+        ulps = np.arange(17) % 7 - 3
+        for _ in range(50):
+            noisy = weights.copy()
+            noisy[4:] += rng.permutation(ulps) * np.spacing(tied)
+            assert self._kept(noisy) == expect
+            # Under a random relabelling, the tied fibers kept are the 12 with
+            # the smallest new labels.
+            label = rng.permutation(21)
+            relabelled = np.empty(21)
+            relabelled[label] = noisy
+            tied_kept = sorted(label[4:].tolist())[:12]
+            assert self._kept(relabelled) == sorted(label[:4].tolist() + tied_kept)
+
+    def test_distinct_weights_keep_the_weight_order(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            weights = rng.exponential(size=21)
+            weights /= weights.sum()
+            assert self._kept(weights) == sorted(np.argsort(-weights)[:16].tolist())
+
+    def test_hamming_ball_sum_fibers(self):
+        # X + Y for X, Y uniform on B(6, 1): u = 0 has weight 7/49 and 21 sums
+        # tie at 2/49; the cap keeps 0 and the 15 smallest tied labels.
+        ball = uniform_on(hamming_ball(6, 1), 6)
+        fam = sum_fibers(ball, ball)
+        kept, _, _, _, _ = cap_fibers(fam, fam)
+        tied = sorted(u for u in fam.labels if u)
+        assert len(tied) == 21
+        assert list(kept.labels) == [0] + tied[:15]
 
 
 class TestBatchedFiberScan:

@@ -26,6 +26,7 @@ from entropic_doubling.entropy import (
     conditional_entropy,
     conditional_mutual_information,
     doubling_mass,
+    fiber_interactions,
     fibring_decompose,
     mutual_information,
     quotient_entropy,
@@ -415,6 +416,24 @@ class TestFibring:
             tracemalloc.stop()
         assert peak < 16 * 2**20
         assert abs(rep.identity_gap) < 1e-12
+
+    def test_batched_fiber_interactions_match_each_triple_alone(self):
+        # Batches share BLAS calls, so a triple's float may move at the last
+        # bits with its batch, but no further.
+        rng = np.random.default_rng(21)
+        triples = []
+        for n in (3, 4, 5, 6):
+            p, q = random_dist(n, rng), random_dist(n, rng, 1 << (n - 1))
+            for _ in range(12):
+                v = random_subspace(n, rng)
+                triples.append((p, q, v) if rng.random() < 0.5 else (q, p, v))
+            # V = F_2^n: alone, the transform is a single row.
+            triples.append((p, q, Subspace.full(n)))
+        order = rng.permutation(len(triples))
+        triples = [triples[i] for i in order]
+        batched = fiber_interactions(triples)
+        alone = np.array([fiber_interactions([t])[0] for t in triples])
+        assert np.max(np.abs(batched - alone)) <= 1e-13
 
     def test_report_serialization(self):
         p = uniform_on([0, 4, 3], 3)

@@ -3,8 +3,11 @@
 import itertools
 import json
 import math
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import entropic_doubling
 from entropic_doubling.certify import (
     endgame_bundle,
     many_sums_bundle,
@@ -672,6 +676,39 @@ class TestSolveB:
         assert json.dumps(solve_bundle(a, p, q), sort_keys=True) == json.dumps(
             solve_bundle(b, p, q), sort_keys=True
         )
+
+    def test_same_bytes_at_one_and_two_blas_threads(self):
+        # The transform is BLAS matmuls; the thread count must not move a bit
+        # of a certificate or of a large transform.
+        script = """
+import hashlib, json, sys
+import numpy as np
+from entropic_doubling.certify import solve_bundle
+from entropic_doubling.dist import random_dist, wht
+from entropic_doubling.pipeline import solve_B
+rng = np.random.default_rng(4)
+p, q = random_dist(5, rng), random_dist(5, rng)
+bundle = solve_bundle(solve_B(p, q, 0.2, 0.05, seed=1), p, q)
+table = np.random.default_rng(5).random((512, 4096))
+sys.stdout.write(json.dumps(bundle, sort_keys=True))
+sys.stdout.write(hashlib.sha256(wht(table).tobytes()).hexdigest())
+"""
+        src = str(Path(entropic_doubling.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = {
+                **os.environ,
+                "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+                "OMP_NUM_THREADS": threads,
+                "OPENBLAS_NUM_THREADS": threads,
+            }
+            proc = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, env=env, timeout=300
+            )
+            assert proc.returncode == 0, proc.stderr.decode()
+            outputs.append(proc.stdout)
+        assert b"ENDGAME" in outputs[0]
+        assert outputs[0] == outputs[1]
 
     def test_hamming_ball_matches_exhaustive_minimum(self):
         from entropic_doubling.families import hamming_ball
