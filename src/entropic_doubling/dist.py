@@ -1,9 +1,10 @@
 """Dense probability distributions over F_2^n.
 
 A Dist is a length-2^n float64 table; a JointDist is a k-block table (k <= 4)
-with one axis per block.  All operations are pure: inputs are never mutated
-and returned tables are renormalized to kill floating-point drift, with
-sub-MASS_EPS dust clamped to zero.
+with one axis per block; a FiberFamily is a family of conditioned fibers as
+one k x 2^n table, one row per fiber.  All operations are pure: inputs are
+never mutated and returned tables are renormalized to kill floating-point
+drift, with sub-MASS_EPS dust clamped to zero.
 """
 
 from __future__ import annotations
@@ -311,52 +312,52 @@ def map_joint(j: JointDist, outputs: Sequence[Sequence[int]]) -> Dist | JointDis
     return JointDist(tuple(out_dims), out)
 
 
-def mixture(weights: np.ndarray, dists: Sequence[Dist]) -> Dist:
-    """Weighted mixture of distributions on a common F_2^n."""
-    if len(weights) != len(dists) or not dists:
-        raise ValueError("weights and distributions must align and be nonempty")
-    n = dists[0].n
-    if any(d.n != n for d in dists):
-        raise DimensionMismatchError("ambient dimensions differ")
-    out = np.zeros(1 << n)
-    for w, d in zip(weights, dists):
-        out += w * d.mass
-    return Dist(n, out)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiberFamily:
-    """Conditioned fibers X_u = (X | U = u) with their weights."""
+    """Fibers X_u = (X | U = u) over the occupied labels u, as one array:
+    labels[i] = u, weights[i] = Pr[U = u], and row i of the read-only
+    k x 2^n table masses is X_u, cleaned once by its producer."""
 
-    labels: tuple[int, ...]
+    labels: np.ndarray
     weights: np.ndarray
-    dists: tuple[Dist, ...]
+    masses: np.ndarray
+
+    def __post_init__(self):
+        masses = np.asarray(self.masses, dtype=np.float64).view()
+        masses.setflags(write=False)
+        k, width = masses.shape if masses.ndim == 2 else (-1, 0)
+        if width < 2 or width & (width - 1) or not len(self.labels) == len(self.weights) == k:
+            sizes = (len(self.labels), len(self.weights), masses.shape)
+            raise DimensionMismatchError(f"labels, weights, masses {sizes} are not k, k, (k, 2^n)")
+        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
+        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.float64))
+        object.__setattr__(self, "masses", masses)
+
+    @property
+    def n(self) -> int:
+        return self.masses.shape[1].bit_length() - 1
 
     def mixture(self) -> Dist:
-        return mixture(self.weights, self.dists)
+        """sum_u Pr[u] X_u, adding the weighted rows in order."""
+        return Dist(self.n, (self.weights[:, None] * self.masses).sum(axis=0))
 
 
 def sum_fibers(p: Dist, q: Dist) -> FiberFamily:
-    """Fibers of X given X+Y = u over supp(X+Y), weighted by Pr[X+Y=u]."""
+    """Fibers of X given X+Y = u over supp(X+Y), weighted by Pr[X+Y=u], by one
+    gather: row u is p[x] q[x ^ u] over its sum, condition_on_sum(p, q, u)'s table."""
     conv = xor_convolve(p, q)
-    labels, weights, dists = [], [], []
-    for u in conv.support:
-        labels.append(int(u))
-        weights.append(float(conv.mass[u]))
-        dists.append(condition_on_sum(p, q, int(u)))
-    return FiberFamily(tuple(labels), np.asarray(weights), tuple(dists))
+    labels = conv.support
+    joint = p.mass * q.mass[labels[:, None] ^ np.arange(1 << p.n)]
+    joint /= joint.sum(axis=1, keepdims=True)
+    return FiberFamily(labels, conv.mass[labels], _clean(joint, axis=1))
 
 
 def quotient_fibers(p: Dist, v: Subspace) -> FiberFamily:
-    """Fibers of X given pi_V(X) = t over the occupied cosets."""
+    """Fibers of X given pi_V(X) = t over the occupied cosets, one masked row each."""
     if p.n != v.n:
         raise DimensionMismatchError("ambient dimensions differ")
     reps = v.rep_table()
     pushed = np.bincount(reps, weights=p.mass, minlength=1 << p.n)
-    labels, weights, dists = [], [], []
-    for t in np.nonzero(pushed > 0.0)[0]:
-        sel = np.where(reps == t, p.mass, 0.0)
-        labels.append(int(t))
-        weights.append(float(pushed[t]))
-        dists.append(Dist(p.n, sel / pushed[t]))
-    return FiberFamily(tuple(labels), np.asarray(weights), tuple(dists))
+    labels = np.flatnonzero(pushed > 0.0)
+    sel = np.where(reps == labels[:, None], p.mass, 0.0)
+    return FiberFamily(labels, pushed[labels], _clean(sel / pushed[labels, None], axis=1))

@@ -13,10 +13,12 @@ Everything here is verified numerically, never trusted.
 
 A FiberGrid is what each case of the inductive step (Case 1, Case 2 and this
 endgame) hands to the local-to-global lemma, over the at most FIBER_CAP pairs
-that cap_fibers keeps.  fiber_grid builds a Case 1 or Case 2 grid from a
-B-solver.  The step skips such a grid when every kept fiber pair meets
-statement B at V = 0: the B-solver would return V(u, w) = 0 for each, and
-such a grid has no local interaction.  The step's endgame case and endgame()
+that cap_fibers keeps.  Its fiber families are row tables (FiberFamily): the
+cap, the lattice scans and the local interaction read rows.  fiber_grid builds
+a Case 1 or Case 2 grid from a B-solver, the one reader that gets a Dist, made
+once per kept row.  The step skips such a grid when every kept fiber pair
+meets statement B at V = 0: the B-solver would return V(u, w) = 0 for each,
+and such a grid has no local interaction.  The step's endgame case and endgame()
 share endgame_grid, the hypothesis check and the budgeted grid, whose
 V(u, w) come from one masked argmin per X_u row over the fibers' stacked
 lattice scans; the grid keeps the X_u scans and the picks for the
@@ -248,9 +250,9 @@ class FiberGrid:
         if self.scans is not None:
             return self.scans
         fx, fy = self.fibers_x, self.fibers_y
-        lat_x = np.stack([lattice_entropies(d) for d in fx.dists])
-        vs = [self.v_table[(u, w)] for u in fx.labels for w in fy.labels]
-        picks = lattice_index(vs, fx.dists[0].n).reshape(len(fx.labels), len(fy.labels))
+        lat_x = np.stack([lattice_entropies(row) for row in fx.masses])
+        vs = [self.v_table[(u, w)] for u in fx.labels.tolist() for w in fy.labels.tolist()]
+        picks = lattice_index(vs, fx.n).reshape(len(fx.labels), len(fy.labels))
         return lat_x, picks
 
     @cached_property
@@ -259,10 +261,11 @@ class FiberGrid:
         with every s-term from one batched fiber_interactions call.  A pair
         with V(u, w) = 0 adds nothing: each fiber of pi is then a point, so its
         term H[X_u] + H[Y_w] - H[X_u+Y_w, X_u] is exactly 0."""
+        fx, fy = self.fibers_x, self.fibers_y
         pairs = [
             (wu * ww, xu, yw, v)
-            for wu, u, xu in zip(self.fibers_x.weights, self.fibers_x.labels, self.fibers_x.dists)
-            for ww, w, yw in zip(self.fibers_y.weights, self.fibers_y.labels, self.fibers_y.dists)
+            for wu, u, xu in zip(fx.weights, fx.labels.tolist(), fx.masses)
+            for ww, w, yw in zip(fy.weights, fy.labels.tolist(), fy.masses)
             if (v := self.v_table[(u, w)]).dim
         ]
         s_fiber = fiber_interactions([(xu, yw, v) for _, xu, yw, v in pairs])
@@ -284,11 +287,7 @@ def _heaviest(fam: FiberFamily, k: int) -> tuple[FiberFamily, float, np.ndarray]
     coverage = float(fam.weights[order].sum())
     order = np.sort(order)
     weights = fam.weights[order]
-    kept = FiberFamily(
-        tuple(fam.labels[i] for i in order),
-        weights / weights.sum(),
-        tuple(fam.dists[i] for i in order),
-    )
+    kept = FiberFamily(fam.labels[order], weights / weights.sum(), fam.masses[order])
     return kept, coverage, order
 
 
@@ -325,13 +324,14 @@ def fiber_grid(
 ) -> FiberGrid:
     """Fibers X_u of fam_x and Y_w of fam_y with V(u, w) = solver(X_u, Y_w).subspace
     for a B-solver, over the families cap_fibers keeps.  The solver runs
-    u-major, in label order.
+    u-major, in label order, on one Dist per kept row.
     """
     fam_x, fam_y, note, _, _ = cap_fibers(fam_x, fam_y)
+    xs, ys = ([Dist(fam.n, row) for row in fam.masses] for fam in (fam_x, fam_y))
     v_table = {
         (u, w): solver(xu, yw).subspace
-        for u, xu in zip(fam_x.labels, fam_x.dists)
-        for w, yw in zip(fam_y.labels, fam_y.dists)
+        for u, xu in zip(fam_x.labels.tolist(), xs)
+        for w, yw in zip(fam_y.labels.tolist(), ys)
     }
     return FiberGrid(fam_x, fam_y, v_table, note)
 
@@ -394,8 +394,7 @@ def endgame_grid(
     fam_x, fam_y, note, rows, cols = cap_fibers(move_table.fib_pq, move_table.fib_qp)
     h_x = move_table.entropies_2.h_x[rows]
     h_y = move_table.entropies_2.h_y[cols]
-    lat_x = np.stack([lattice_entropies(d) for d in fam_x.dists])
-    lat_y = np.stack([lattice_entropies(d) for d in fam_y.dists])
+    lat_x, lat_y = (np.stack([lattice_entropies(row) for row in f.masses]) for f in (fam_x, fam_y))
     subs, _, _, dims = _scan_tables(move_table.n)
     picks = np.empty((len(h_x), len(h_y)), dtype=np.int64)
     for i in range(len(h_x)):
@@ -403,8 +402,8 @@ def endgame_grid(
         picks[i] = _masked_argmin(lat_x[i] + lat_y, feasible, OBJECTIVE_PROJECTED_ENTROPY)
     v_table = {
         (u, w): subs[picks[i, j]]
-        for i, u in enumerate(fam_x.labels)
-        for j, w in enumerate(fam_y.labels)
+        for i, u in enumerate(fam_x.labels.tolist())
+        for j, w in enumerate(fam_y.labels.tolist())
     }
     proj_x = np.take_along_axis(lat_x, picks, axis=1)
     proj_y = lat_y[np.arange(len(h_y)), picks]
@@ -443,8 +442,8 @@ def endgame(p: Dist, q: Dist, eta: float, kappa: float | None = None) -> Endgame
 
     table = []
     expectation = 0.0
-    for i, (wu, u) in enumerate(zip(grid.fibers_x.weights, grid.fibers_x.labels)):
-        for j, (ww, w) in enumerate(zip(grid.fibers_y.weights, grid.fibers_y.labels)):
+    for i, (wu, u) in enumerate(zip(grid.fibers_x.weights, grid.fibers_x.labels.tolist())):
+        for j, (ww, w) in enumerate(zip(grid.fibers_y.weights, grid.fibers_y.labels.tolist())):
             weight = float(wu * ww)
             px, py = float(proj_x[i, j]), float(proj_y[i, j])
             expectation += weight * (px + py)

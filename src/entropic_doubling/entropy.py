@@ -113,15 +113,14 @@ class PairEntropies(NamedTuple):
 def pair_entropies(fibers_x: FiberFamily, fibers_y: FiberFamily) -> PairEntropies:
     """Every fiber's entropy and every pair sum's, in one batched pass.
 
-    Each family's stacked masses are transformed in one call; the pair
-    spectra are inverted in batches of whole X_u rows, at most
-    _BATCH_ENTRIES entries each.  Every X_u + Y_w table is cleaned as a Dist
-    would be, and a batch's H[X_u + Y_w] are one masked t log2 t reduction
-    over its last axis (_plogp).  H[X_u] and H[Y_w] are shannon_entropy's.
+    Each family's masses table is transformed in one call; the pair spectra
+    are inverted in batches of whole X_u rows, at most _BATCH_ENTRIES entries
+    each.  Every X_u + Y_w table is cleaned as a Dist would be, and a batch's
+    H[X_u + Y_w] are one masked t log2 t reduction over its last axis
+    (_plogp).  H[X_u] and H[Y_w] are shannon_entropy's, row by row.
     """
-    xs, ys = fibers_x.dists, fibers_y.dists
-    spec_x = wht(np.stack([d.mass for d in xs]))
-    spec_y = wht(np.stack([d.mass for d in ys]))
+    xs, ys = fibers_x.masses, fibers_y.masses
+    spec_x, spec_y = wht(xs), wht(ys)
     size = spec_x.shape[1]
     step = max(1, _BATCH_ENTRIES // (len(ys) * size))
     h_sum = np.empty((len(xs), len(ys)))
@@ -130,8 +129,8 @@ def pair_entropies(fibers_x: FiberFamily, fibers_y: FiberFamily) -> PairEntropie
         raw /= size
         sums = _clean(np.maximum(raw, 0.0, out=raw), axis=-1)
         h_sum[lo : lo + step] = -_plogp(sums).sum(axis=-1) + 0.0
-    h_x = np.array([shannon_entropy(d) for d in xs])
-    h_y = np.array([shannon_entropy(d) for d in ys])
+    h_x = np.array([_entropy(row) for row in xs])
+    h_y = np.array([_entropy(row) for row in ys])
     return PairEntropies(h_x, h_y, h_sum)
 
 
@@ -141,10 +140,6 @@ def conditional_doubling_mass(
     """E_{u,w} s[X_u ; Y_w] over independent fiber labels, reduced from
     `entropies`, the families' pair_entropies (computed here when None), as
     w_x @ (H[X_u] + H[Y_w] - H[X_u + Y_w]) @ w_y."""
-    if len(fibers_x.weights) != len(fibers_x.dists) or len(fibers_y.weights) != len(
-        fibers_y.dists
-    ):
-        raise ValueError("weights and fibers must align")
     if entropies is None:
         entropies = pair_entropies(fibers_x, fibers_y)
     s = entropies.h_x[:, None] + entropies.h_y[None, :] - entropies.h_sum
@@ -257,45 +252,50 @@ def _coset_pair_sums(x_spec: np.ndarray, y_spec: np.ndarray) -> tuple[np.ndarray
     return plogp, residual
 
 
-def _fiber_terms(triples: Sequence[tuple[Dist, Dist, Subspace]]) -> tuple[np.ndarray, np.ndarray]:
+def _fiber_terms(
+    triples: Sequence[tuple[np.ndarray, np.ndarray, Subspace]]
+) -> tuple[np.ndarray, np.ndarray]:
     """s[X|pi_V(X); Y|pi_V(Y)] and I[X+Y : (pi(X), pi(Y)) | pi(X+Y)] for each (X, Y, V).
 
-    Triples are grouped by (n, dim V); each distinct X and Y gets its entropy
-    and each distinct V its fiber index once.  Whole pairs share a kernel
-    call while their tables fit in _BATCH_ENTRIES together; a larger pair
-    runs alone.  A triple's results are the same as alone up to rounding.
+    X and Y are length-2^n mass rows, grouped by (n, dim V); each distinct row
+    gets its entropy and each distinct V its fiber index once.  Whole pairs
+    share a kernel call while their tables fit in _BATCH_ENTRIES together; a
+    larger pair runs alone.  A triple's results are the same as alone up to rounding.
     """
-    entropy: dict[Dist, float] = {}
+    entropy: dict[bytes, float] = {}
     index: dict[Subspace, np.ndarray] = {}
-    groups: dict[tuple[int, int], list[tuple[int, Dist, Dist, Subspace]]] = {}
+    groups: dict[tuple[int, int], list[int]] = {}
+    h_xy = np.zeros(len(triples))
     for i, (x, y, v) in enumerate(triples):
-        if x.n != y.n or x.n != v.n:
+        if x.shape != (1 << v.n,) or y.shape != (1 << v.n,):
             raise DimensionMismatchError("ambient dimensions differ")
-        for d in (x, y):
-            if d not in entropy:
-                entropy[d] = shannon_entropy(d)
+        for row in (x, y):
+            key = row.tobytes()
+            if key not in entropy:
+                entropy[key] = _entropy(row)
+            h_xy[i] += entropy[key]
         if v not in index:
             index[v] = _fiber_index(v)
-        groups.setdefault((x.n, v.dim), []).append((i, x, y, v))
+        groups.setdefault((v.n, v.dim), []).append(i)
     s_fiber = np.empty(len(triples))
     residual = np.empty(len(triples))
     for (n, dim), group in groups.items():
         step = max(1, _BATCH_ENTRIES >> (2 * n - dim))
         for lo in range(0, len(group), step):
             chunk = group[lo : lo + step]
-            plogp, res = _coset_pair_sums(
-                wht(np.stack([x.mass[index[v]] for _, x, _, v in chunk])),
-                wht(np.stack([y.mass[index[v]] for _, _, y, v in chunk])),
+            rows = [triples[i] for i in chunk]
+            plogp, residual[chunk] = _coset_pair_sums(
+                wht(np.stack([x[index[v]] for x, _, v in rows])),
+                wht(np.stack([y[index[v]] for _, y, v in rows])),
             )
-            for (i, x, y, _), a_log_a, r in zip(chunk, plogp.tolist(), res.tolist()):
-                s_fiber[i] = entropy[x] + entropy[y] + a_log_a
-                residual[i] = r
+            s_fiber[chunk] = h_xy[chunk] + plogp
     return s_fiber, residual
 
 
-def fiber_interactions(triples: Sequence[tuple[Dist, Dist, Subspace]]) -> np.ndarray:
-    """s[X|pi_V(X); Y|pi_V(Y)] = H[X] + H[Y] - H[X+Y, pi_V(X)] for each (X, Y, V):
-    the fibring_decompose term for many pairs at once, by the same kernel."""
+def fiber_interactions(triples: Sequence[tuple[np.ndarray, np.ndarray, Subspace]]) -> np.ndarray:
+    """s[X|pi_V(X); Y|pi_V(Y)] = H[X] + H[Y] - H[X+Y, pi_V(X)] for each triple
+    (x_row, y_row, V) of mass rows: the fibring_decompose term for many pairs
+    at once, by the same kernel."""
     return _fiber_terms(triples)[0]
 
 
@@ -321,7 +321,7 @@ def fibring_decompose(p: Dist, q: Dist, v: Subspace) -> FibringReport:
     # determined, so s_fiber = H[X] + H[Y] - H[X+Y, pi(X)].  Conditioned on
     # pi(X+Y), the pair (pi(X), pi(Y)) carries the same information as pi(X),
     # so the residual is read from the same table's marginals.
-    (s_fiber,), (residual,) = _fiber_terms([(p, q, v)])
+    (s_fiber,), (residual,) = _fiber_terms([(p.mass, q.mass, v)])
     return FibringReport(
         s_total=float(s_total),
         s_quotient=float(s_quotient),

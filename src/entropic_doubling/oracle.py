@@ -255,9 +255,9 @@ def lattice_index(vs: Sequence[Subspace], n: int) -> np.ndarray:
     return order[np.searchsorted(masks[order], keys)]
 
 
-def lattice_entropies(d: Dist) -> np.ndarray:
-    """H[pi_V(X)] for X ~ d and every subspace V of F_2^n (n <= 6), in
-    all_subspaces order: the lattice scan.
+def lattice_entropies(mass: np.ndarray) -> np.ndarray:
+    """H[pi_V(X)] for X with the length-2^n mass table `mass` (n <= 6) and every
+    subspace V of F_2^n, in all_subspaces order: the lattice scan.
 
     One bincount pushes each support point's mass onto its row of coset
     bins.  Each bin adds its points in increasing x, as a scan over every
@@ -265,12 +265,12 @@ def lattice_entropies(d: Dist) -> np.ndarray:
     are the same.  A full support hits every bin and takes _plogp's dense
     log; a smaller one takes the log on its hit list (_plogp_hits).
     """
-    _, bins, starts, _ = _scan_tables(d.n)
-    ys = np.flatnonzero(d.mass)
+    _, bins, starts, _ = _scan_tables(mass.size.bit_length() - 1)
+    ys = np.flatnonzero(mass)
     full = ys.size == len(bins)
     pushed = np.bincount(
         (bins if full else bins[ys]).ravel(),
-        weights=np.repeat(d.mass[ys], len(starts)),
+        weights=np.repeat(mass[ys], len(starts)),
         minlength=starts[-1] + 1,
     )
     plogp = _plogp(pushed) if full else _plogp_hits(pushed)
@@ -312,8 +312,8 @@ def exhaustive_best_subspace(
         )
     subs, _, _, dims = _scan_tables(p.n)
     hp0, hq0 = shannon_entropy(p), shannon_entropy(q)
-    hp = lattice_entropies(p)
-    hq = lattice_entropies(q)
+    hp = lattice_entropies(p.mass)
+    hq = lattice_entropies(q.mass)
     feasible = np.ones(len(subs), dtype=bool)
     if entropy_budget is not None:
         feasible &= dims <= entropy_budget + IDENTITY_TOL
@@ -341,7 +341,7 @@ def exhaustive_best_subspace(
         chk = _pfr_check((hp0, hq0), float(hp[idx]), float(hq[idx]), subs[idx].dim, d)
         return certificate(CRITERION_PFR, "exhaustive", subs[idx], {}, chk)
     # Only the statement-B objective reads X+Y and pays for its convolution and scan.
-    hpq = lattice_entropies(xor_convolve(p, q))
+    hpq = lattice_entropies(xor_convolve(p, q).mass)
     ok = b_inequality(
         hpq, hp, hq, hp0 + hq0, dims, b_params.eta, b_params.epsilon, b_params.L
     )[2]

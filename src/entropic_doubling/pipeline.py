@@ -40,7 +40,7 @@ import numpy as np
 
 from .dist import Dist, FiberFamily, pushforward_quotient, uniform_on, xor_convolve
 from .endgame import FiberGrid, _move_table, _MoveTable, cap_fibers, endgame_grid, fiber_grid
-from .entropy import PairEntropies, fibring_decompose, shannon_entropy
+from .entropy import PairEntropies, _entropy, fibring_decompose, shannon_entropy
 from .errors import (
     DimensionMismatchError,
     EmptySupportError,
@@ -435,14 +435,14 @@ def _h_expectation_sequence(
     rng; above, the dict DP (_dict_h_sequence) does, with its cap and
     Monte-Carlo fallback.
     """
-    if grid.fibers_x.dists[0].n <= MAX_ENUM_N:
+    if grid.fibers_x.n <= MAX_ENUM_N:
         return _lattice_h_sequence(grid, tau), True, 0
     return _dict_h_sequence(grid, tau, rng)
 
 
 def _h_zero(grid: FiberGrid) -> float:
     fibers_x = grid.fibers_x
-    return float(sum(w * shannon_entropy(d) for w, d in zip(fibers_x.weights, fibers_x.dists)))
+    return float(sum(w * _entropy(row) for w, row in zip(fibers_x.weights, fibers_x.masses)))
 
 
 def _stops(h: list[float], tau: float) -> bool:
@@ -467,7 +467,7 @@ def _lattice_h_sequence(grid: FiberGrid, tau: float) -> list[float]:
     """
     fibers_x, fibers_y = grid.fibers_x, grid.fibers_y
     lat_x, picks = grid.lattice
-    n = fibers_x.dists[0].n
+    n = fibers_x.n
     masks, order = _lattice_masks(n)
     sorted_masks = masks[order]
     kx, size = lat_x.shape
@@ -515,7 +515,8 @@ def _dict_h_sequence(
     level at a time and stopped by the same rule.
     """
     fibers_x, fibers_y, v_table = grid.fibers_x, grid.fibers_y, grid.v_table
-    n = fibers_x.dists[0].n
+    n = fibers_x.n
+    xs = [Dist(n, row) for row in fibers_x.masses]
     zero = Subspace.zero(n)
     levels = _levels(tau)
     # States are canonical bases.  One join memo and one entropy memo, keyed
@@ -535,15 +536,13 @@ def _dict_h_sequence(
     def push_entropy(ui: int, basis: tuple[int, ...]) -> float:
         key = (ui, basis)
         if key not in h_cache:
-            h_cache[key] = shannon_entropy(
-                pushforward_quotient(fibers_x.dists[ui], spaces[basis])
-            )
+            h_cache[key] = shannon_entropy(pushforward_quotient(xs[ui], spaces[basis]))
         return h_cache[key]
 
     # Per u: the basis of V(u, w) and Pr[w], over w.
     rows = [
-        [(v_table[(u, w)].basis, qw) for w, qw in zip(fibers_y.labels, fibers_y.weights)]
-        for u in fibers_x.labels
+        [(v_table[(u, w)].basis, qw) for w, qw in zip(fibers_y.labels.tolist(), fibers_y.weights)]
+        for u in fibers_x.labels.tolist()
     ]
 
     h = [_h_zero(grid)]
@@ -626,13 +625,11 @@ def local_to_global(
     floor = (zeta / 4.0) * h_total
     dim_bound = (8.0 / zeta**2) * e_dim
     max_attempts = math.ceil(100.0 / zeta)
-    labels_u = list(fibers_x.labels)
-    labels_w = list(fibers_y.labels)
     for attempt in range(1, max_attempts + 1):
-        u = labels_u[int(rng.choice(len(labels_u), p=fibers_x.weights))]
+        u = int(fibers_x.labels[rng.choice(len(fibers_x.labels), p=fibers_x.weights)])
         v_bar = Subspace.zero(n)
         for _ in range(k):
-            w = labels_w[int(rng.choice(len(labels_w), p=fibers_y.weights))]
+            w = int(fibers_y.labels[rng.choice(len(fibers_y.labels), p=fibers_y.weights)])
             v_bar = subspace_sum(v_bar, v_table[(u, w)])
         h_y_proj = h_y - shannon_entropy(pushforward_quotient(y_mix, v_bar))
         if h_y_proj >= floor - IDENTITY_TOL and v_bar.dim <= dim_bound + IDENTITY_TOL:

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from entropic_doubling.dist import (
     Dist,
+    FiberFamily,
     JointDist,
     _WHT_BITS,
     _hadamard,
     condition_on_sum,
     map_joint,
-    mixture,
     point_mass,
     product,
     pushforward_quotient,
@@ -277,7 +277,7 @@ class TestConditionOnSum:
             n = int(rng.integers(2, 6))
             p, q = random_dist(n, rng), random_dist(n, rng)
             fam = sum_fibers(p, q)
-            rebuilt = mixture(fam.weights, fam.dists)
+            rebuilt = fam.mixture()
             assert np.max(np.abs(rebuilt.mass - p.mass)) < 1e-12
 
 
@@ -357,10 +357,67 @@ class TestFiberFamilies:
         p = random_dist(4, rng)
         v = span([3, 8], 4)
         fam = quotient_fibers(p, v)
-        rebuilt = mixture(fam.weights, fam.dists)
+        rebuilt = fam.mixture()
         assert np.max(np.abs(rebuilt.mass - p.mass)) < 1e-12
-        for label, d in zip(fam.labels, fam.dists):
-            assert all(v.reduce(int(x)) == label for x in d.support)
+        for label, row in zip(fam.labels, fam.masses):
+            assert all(v.reduce(int(x)) == label for x in np.flatnonzero(row > 0.0))
+
+    @staticmethod
+    def _pairs(n: int, rng):
+        """Random pairs on F_2^n: full supports, sparse supports, and one of each."""
+        size = 1 << n
+        for _ in range(6):
+            yield random_dist(n, rng), random_dist(n, rng)
+            sparse = [random_dist(n, rng, int(rng.integers(1, max(2, size // 4) + 1))) for _ in "pq"]
+            yield sparse[0], sparse[1]
+            yield sparse[0], random_dist(n, rng)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_sum_fiber_rows_equal_condition_on_sum(self, n):
+        rng = np.random.default_rng(100 + n)
+        for p, q in self._pairs(n, rng):
+            fam = sum_fibers(p, q)
+            conv = xor_convolve(p, q)
+            assert fam.n == n
+            assert fam.labels.tolist() == conv.support.tolist()
+            assert np.array_equal(fam.weights, conv.mass[conv.support])
+            assert not fam.masses.flags.writeable
+            for u, row in zip(fam.labels.tolist(), fam.masses):
+                assert np.array_equal(row, condition_on_sum(p, q, u).mass)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_quotient_fiber_rows_equal_the_per_coset_dist(self, n):
+        rng = np.random.default_rng(200 + n)
+        for p, _ in self._pairs(n, rng):
+            v = span([int(x) for x in rng.integers(0, 1 << n, size=int(rng.integers(0, n + 1)))], n)
+            reps = v.rep_table()
+            pushed = np.bincount(reps, weights=p.mass, minlength=1 << n)
+            fam = quotient_fibers(p, v)
+            assert fam.labels.tolist() == np.flatnonzero(pushed > 0.0).tolist()
+            for t, w, row in zip(fam.labels.tolist(), fam.weights, fam.masses):
+                assert w == pushed[t]
+                coset = Dist(n, np.where(reps == t, p.mass, 0.0) / pushed[t])
+                assert np.array_equal(row, coset.mass)
+
+    def test_mixture_adds_the_weighted_rows_in_order(self):
+        rng = np.random.default_rng(16)
+        for n in (2, 4, 6):
+            fam = sum_fibers(random_dist(n, rng), random_dist(n, rng))
+            out = np.zeros(1 << n)
+            for w, row in zip(fam.weights, fam.masses):
+                out += w * row
+            assert np.array_equal(fam.mixture().mass, Dist(n, out).mass)
+
+    def test_misaligned_family_rejected(self):
+        row = point_mass(1, 2).mass
+        with pytest.raises(DimensionMismatchError):
+            FiberFamily(np.array([0, 1]), np.array([1.0]), row[None])
+        with pytest.raises(DimensionMismatchError):
+            FiberFamily(np.array([0]), np.array([0.5, 0.5]), row[None])
+        with pytest.raises(DimensionMismatchError):
+            FiberFamily(np.array([0]), np.array([1.0]), row)
+        with pytest.raises(DimensionMismatchError):
+            FiberFamily(np.array([0]), np.array([1.0]), np.ones((1, 3)) / 3)
 
 
 class TestSerialization:

@@ -10,6 +10,7 @@ import pytest
 from entropic_doubling.dist import (
     Dist,
     FiberFamily,
+    condition_on_sum,
     map_joint,
     product,
     random_dist,
@@ -193,9 +194,9 @@ class TestFiberCapTies:
     @staticmethod
     def _kept(weights: np.ndarray) -> list[int]:
         d = uniform_on([0], 5)
-        fam = FiberFamily(tuple(range(len(weights))), weights, (d,) * len(weights))
+        fam = FiberFamily(np.arange(len(weights)), weights, np.tile(d.mass, (len(weights), 1)))
         kept, _, _, rows, _ = cap_fibers(fam, fam)
-        assert kept.labels == tuple(rows)
+        assert kept.labels.tolist() == rows.tolist()
         return list(rows)
 
     def test_noise_on_tied_weights_keeps_the_same_labels(self):
@@ -232,7 +233,7 @@ class TestFiberCapTies:
         ball = uniform_on(hamming_ball(6, 1), 6)
         fam = sum_fibers(ball, ball)
         kept, _, _, _, _ = cap_fibers(fam, fam)
-        tied = sorted(u for u in fam.labels if u)
+        tied = sorted(u for u in fam.labels.tolist() if u)
         assert len(tied) == 21
         assert list(kept.labels) == [0] + tied[:15]
 
@@ -244,10 +245,12 @@ class TestBatchedFiberScan:
     equal, not close."""
 
     @staticmethod
-    def _assert_rows_match_per_pair_scan(t) -> None:
+    def _assert_rows_match_per_pair_scan(t, p: Dist, q: Dist) -> None:
+        # The grid's fibers X_u = (X_1 | X_1+Y_2 = u) and Y_w = (Y_1 | Y_1+X_2 = w).
         rows = iter(t.table)
-        for xu in t.grid.fibers_x.dists:
-            for yw in t.grid.fibers_y.dists:
+        for u in t.grid.fibers_x.labels.tolist():
+            for w in t.grid.fibers_y.labels.tolist():
+                xu, yw = condition_on_sum(p, q, u), condition_on_sum(q, p, w)
                 _u, _w, _weight, v, hx, hy, px, py = next(rows)
                 cert = exhaustive_best_subspace(
                     xu,
@@ -272,34 +275,36 @@ class TestBatchedFiberScan:
             mix = 0.0 if kind == "uniform_subspace" else 0.3
             p, q = Dist(n, (1 - mix) * u + mix * p.mass), Dist(n, (1 - mix) * u + mix * q.mass)
         eta = min(0.5, doubling_mass(p, q) / (shannon_entropy(p) + shannon_entropy(q)))
-        self._assert_rows_match_per_pair_scan(endgame(p, q, eta))
+        self._assert_rows_match_per_pair_scan(endgame(p, q, eta), p, q)
 
     def test_fixture(self):
         bundle = json.loads((FIXTURES / "endgame.json").read_text())
         t = bundle["transcript"]
         p, q = (Dist.from_json(bundle["inputs"][k]) for k in ("p", "q"))
-        self._assert_rows_match_per_pair_scan(endgame(p, q, t["eta"], t["kappa"]))
+        self._assert_rows_match_per_pair_scan(endgame(p, q, t["eta"], t["kappa"]), p, q)
 
 
-def _grid(n: int, kx: int, ky: int, subspace, seed: int) -> FiberGrid:
-    """A hand-built kx x ky grid of random fibers with V(u, w) = subspace(i, j)."""
+def _grid(
+    n: int, kx: int, ky: int, subspace, seed: int
+) -> tuple[FiberGrid, list[Dist], list[Dist]]:
+    """A hand-built kx x ky grid of random fibers with V(u, w) = subspace(i, j),
+    and the fibers X_u and Y_w as Dists."""
     rng = np.random.default_rng(seed)
 
     def family(k):
         weights = rng.exponential(size=k)
-        return FiberFamily(
-            tuple(range(k)), weights / weights.sum(), tuple(random_dist(n, rng) for _ in range(k))
-        )
+        dists = [random_dist(n, rng) for _ in range(k)]
+        return FiberFamily(np.arange(k), weights / weights.sum(), np.stack([d.mass for d in dists])), dists
 
-    fx, fy = family(kx), family(ky)
-    table = {(u, w): subspace(u, w) for u in fx.labels for w in fy.labels}
-    return FiberGrid(fx, fy, table)
+    (fx, xs), (fy, ys) = family(kx), family(ky)
+    table = {(u, w): subspace(u, w) for u in fx.labels.tolist() for w in fy.labels.tolist()}
+    return FiberGrid(fx, fy, table), xs, ys
 
 
-def _pairwise_interaction(grid: FiberGrid) -> tuple[float, float]:
+def _pairwise_interaction(grid: FiberGrid, xs: list[Dist], ys: list[Dist]) -> tuple[float, float]:
     hyp = e_dim = 0.0
-    for wu, u, xu in zip(grid.fibers_x.weights, grid.fibers_x.labels, grid.fibers_x.dists):
-        for ww, w, yw in zip(grid.fibers_y.weights, grid.fibers_y.labels, grid.fibers_y.dists):
+    for wu, u, xu in zip(grid.fibers_x.weights, grid.fibers_x.labels.tolist(), xs):
+        for ww, w, yw in zip(grid.fibers_y.weights, grid.fibers_y.labels.tolist(), ys):
             v = grid.v_table[(u, w)]
             s_fiber = fibring_decompose(xu, yw, v).s_fiber
             if v.dim:
@@ -320,21 +325,21 @@ class TestLocalInteraction:
         # V(u, w) runs through the lattice of F_2^4, from 0 to the whole group.
         subs = all_subspaces(4)
         pool = [v for v in subs if v.dim in (0, 4)] + list(subs[1:-1:7])
-        grid = _grid(4, 6, 7, lambda u, w: pool[(7 * u + w) % len(pool)], seed=1)
+        grid, xs, ys = _grid(4, 6, 7, lambda u, w: pool[(7 * u + w) % len(pool)], seed=1)
         assert {v.dim for v in grid.v_table.values()} == {0, 1, 2, 3, 4}
-        assert grid.local_interaction == _pairwise_interaction(grid)
+        assert grid.local_interaction == _pairwise_interaction(grid, xs, ys)
 
     def test_matches_per_pair_fibring_above_enumeration_cap(self):
         n = 8
         vs = [Subspace.zero(n), span([3, 12], n), span([1, 6, 40, 128], n)]
-        grid = _grid(n, 3, 4, lambda u, w: vs[(u + w) % 3], seed=2)
-        assert grid.local_interaction == _pairwise_interaction(grid)
+        grid, xs, ys = _grid(n, 3, 4, lambda u, w: vs[(u + w) % 3], seed=2)
+        assert grid.local_interaction == _pairwise_interaction(grid, xs, ys)
 
     def test_memory_stays_bounded(self):
         # V = 0 pairs never reach the kernel.  With V = <e0>, an 8 x 8 grid at
         # n = 10 has 64 pairs of 512 x 1024 coset tables, 256 MiB if stacked
         # at once.
-        grid = _grid(10, 8, 8, lambda u, w: span([1], 10), seed=3)
+        grid, _, _ = _grid(10, 8, 8, lambda u, w: span([1], 10), seed=3)
         tracemalloc.start()
         try:
             hyp, _ = grid.local_interaction

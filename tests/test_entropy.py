@@ -9,7 +9,9 @@ import pytest
 
 from entropic_doubling.dist import (
     Dist,
+    FiberFamily,
     JointDist,
+    condition_on_sum,
     point_mass,
     product,
     pushforward_quotient,
@@ -37,6 +39,13 @@ from entropic_doubling.gf2 import Subspace, span
 from entropic_doubling.verification import random_subspace
 
 H3 = math.log2(3.0)  # entropy of a uniform 3-point set
+
+
+def _sum_fiber_dists(p: Dist, q: Dist) -> list[tuple[float, Dist]]:
+    """(Pr[X+Y = u], X | X+Y = u) for each fiber of sum_fibers(p, q), one Dist per fiber."""
+    fam = sum_fibers(p, q)
+    return [(w, condition_on_sum(p, q, u)) for w, u in zip(fam.weights, fam.labels.tolist())]
+
 # Convolution of the uniform 3-point set with itself: masses (3/9, 2/9, 2/9, 2/9).
 H_CONV3 = -(1 / 3) * math.log2(1 / 3) - 3 * (2 / 9) * math.log2(2 / 9)
 
@@ -95,9 +104,8 @@ class TestConditionalEntropy:
     def test_matches_explicit_fiber_expectation(self):
         rng = np.random.default_rng(3)
         p, q = random_dist(3, rng), random_dist(3, rng)
-        fam = sum_fibers(p, q)
         explicit = sum(
-            w * shannon_entropy(d) for w, d in zip(fam.weights, fam.dists)
+            w * shannon_entropy(d) for w, d in _sum_fiber_dists(p, q)
         )
         from entropic_doubling.dist import map_joint
 
@@ -233,8 +241,7 @@ class TestDoublingMass:
             n = int(rng.integers(2, 6))
             p, q = random_dist(n, rng), random_dist(n, rng)
             s = doubling_mass(p, q)
-            fam = sum_fibers(p, q)
-            fiber_h = sum(w * shannon_entropy(d) for w, d in zip(fam.weights, fam.dists))
+            fiber_h = sum(w * shannon_entropy(d) for w, d in _sum_fiber_dists(p, q))
             assert s == pytest.approx(fiber_h, abs=1e-9)
             assert s <= min(shannon_entropy(p), shannon_entropy(q)) + 1e-9
 
@@ -243,18 +250,16 @@ class TestConditionalDoublingMass:
     def test_single_fiber_reduces_to_doubling(self):
         rng = np.random.default_rng(12)
         p, q = random_dist(3, rng), random_dist(3, rng)
-        from entropic_doubling.dist import FiberFamily
-
-        fx = FiberFamily((0,), np.array([1.0]), (p,))
-        fy = FiberFamily((0,), np.array([1.0]), (q,))
+        fx = FiberFamily((0,), np.array([1.0]), p.mass[None])
+        fy = FiberFamily((0,), np.array([1.0]), q.mass[None])
         assert conditional_doubling_mass(fx, fy) == pytest.approx(
             doubling_mass(p, q), abs=1e-9
         )
 
     def test_point_mass_fibers_zero(self):
-        from entropic_doubling.dist import FiberFamily
-
-        fx = FiberFamily((0, 1), np.array([0.5, 0.5]), (point_mass(0, 2), point_mass(1, 2)))
+        fx = FiberFamily(
+            (0, 1), np.array([0.5, 0.5]), np.stack([point_mass(0, 2).mass, point_mass(1, 2).mass])
+        )
         assert conditional_doubling_mass(fx, fx) == pytest.approx(0.0, abs=1e-12)
 
     def test_second_fibring_identity_three_point(self):
@@ -279,8 +284,8 @@ class TestConditionalDoublingMass:
             p, q = random_dist(n, rng), random_dist(n, rng)
             fx, fy = sum_fibers(p, q), sum_fibers(q, p)
             loop = 0.0
-            for wu, du in zip(fx.weights, fx.dists):
-                for ww, dw in zip(fy.weights, fy.dists):
+            for wu, du in _sum_fiber_dists(p, q):
+                for ww, dw in _sum_fiber_dists(q, p):
                     h_sum = shannon_entropy(xor_convolve(du, dw))
                     loop += wu * ww * (shannon_entropy(du) + shannon_entropy(dw) - h_sum)
             assert conditional_doubling_mass(fx, fy) == pytest.approx(loop, abs=1e-12)
@@ -293,11 +298,11 @@ class TestConditionalDoublingMass:
         # H[X|U] + H[Y|W] - H[X+Y|U,W] with U = X1+X2, W = Y1+Y2 computed
         # through an explicit double expectation.
         direct = 0.0
-        for wu, du in zip(fx.weights, fx.dists):
-            for ww, dw in zip(fy.weights, fy.dists):
+        for wu, du in _sum_fiber_dists(p, p):
+            for ww, dw in _sum_fiber_dists(q, q):
                 direct += wu * ww * shannon_entropy(xor_convolve(du, dw))
-        h_x_given_u = sum(w * shannon_entropy(d) for w, d in zip(fx.weights, fx.dists))
-        h_y_given_w = sum(w * shannon_entropy(d) for w, d in zip(fy.weights, fy.dists))
+        h_x_given_u = sum(w * shannon_entropy(d) for w, d in _sum_fiber_dists(p, p))
+        h_y_given_w = sum(w * shannon_entropy(d) for w, d in _sum_fiber_dists(q, q))
         expect = h_x_given_u + h_y_given_w - direct
         assert got == pytest.approx(expect, abs=1e-9)
 
@@ -426,9 +431,9 @@ class TestFibring:
             p, q = random_dist(n, rng), random_dist(n, rng, 1 << (n - 1))
             for _ in range(12):
                 v = random_subspace(n, rng)
-                triples.append((p, q, v) if rng.random() < 0.5 else (q, p, v))
+                triples.append((p.mass, q.mass, v) if rng.random() < 0.5 else (q.mass, p.mass, v))
             # V = F_2^n: alone, the transform is a single row.
-            triples.append((p, q, Subspace.full(n)))
+            triples.append((p.mass, q.mass, Subspace.full(n)))
         order = rng.permutation(len(triples))
         triples = [triples[i] for i in order]
         batched = fiber_interactions(triples)

@@ -82,7 +82,7 @@ class TestLatticeScan:
         # entropy is the same float, sign bit included.
         rng = np.random.default_rng(100 + n)
         for d in _scan_inputs(n, rng):
-            scanned, reference = lattice_entropies(d), _all_points_scan(d)
+            scanned, reference = lattice_entropies(d.mass), _all_points_scan(d)
             assert np.array_equal(scanned, reference)
             assert np.array_equal(np.signbit(scanned), np.signbit(reference))
 
@@ -93,7 +93,7 @@ class TestLatticeScan:
         assert subs == all_subspaces(n)
         assert len(np.unique(bins)) == sum(1 << (n - v.dim) for v in subs)
         for p in (random_dist(n, rng), random_dist(n, rng, support_size=3), point_mass(5, n)):
-            scanned = lattice_entropies(p)
+            scanned = lattice_entropies(p.mass)
             expect = np.array([quotient_entropy(p, v) for v in subs])
             assert np.max(np.abs(scanned - expect)) <= ORACLE_TOL
 
@@ -111,7 +111,7 @@ class TestLatticeScan:
             members = np.array(list(v.elements())) ^ int(rng.integers(1 << n))
             mass = np.zeros(1 << n)
             mass[members] = rng.exponential(size=len(members))
-            readings.append(lattice_entropies(Dist(n, mass / mass.sum()))[i])
+            readings.append(lattice_entropies(Dist(n, mass / mass.sum()).mass)[i])
         readings = np.array(readings)
         assert not np.any(np.signbit(readings))
         assert np.all(readings < 1e-15)

@@ -27,6 +27,7 @@ from entropic_doubling.certify import (
 from entropic_doubling.dist import (
     Dist,
     FiberFamily,
+    condition_on_sum,
     point_mass,
     pushforward_quotient,
     random_dist,
@@ -327,7 +328,7 @@ class TestLocalToGlobal:
 
     def test_single_atom_families_deterministic(self):
         p = uniform_on_subspace(span([1], 2))
-        fam = FiberFamily((0,), np.array([1.0]), (p,))
+        fam = FiberFamily((0,), np.array([1.0]), p.mass[None])
         table = {(0, 0): span([1], 2)}
         grid = FiberGrid(fam, fam, table)
         a = local_to_global(grid, 0.4, np.random.default_rng(1))
@@ -336,8 +337,8 @@ class TestLocalToGlobal:
 
     def test_hypothesis_violation(self):
         # Entropic fibers whose trivial table leaves zero fiber interaction.
-        fam_x = FiberFamily((0,), np.array([1.0]), (uniform_on([0, 1], 2),))
-        fam_y = FiberFamily((0,), np.array([1.0]), (uniform_on([0, 2], 2),))
+        fam_x = FiberFamily((0,), np.array([1.0]), uniform_on([0, 1], 2).mass[None])
+        fam_y = FiberFamily((0,), np.array([1.0]), uniform_on([0, 2], 2).mass[None])
         table = {(0, 0): Subspace.zero(2)}
         with pytest.raises(HypothesisViolationError):
             local_to_global(FiberGrid(fam_x, fam_y, table), 0.5, np.random.default_rng(0))
@@ -351,10 +352,12 @@ class TestLocalToGlobal:
         fam_u, fam_w, table = t.grid.fibers_x, t.grid.fibers_y, t.grid.v_table
         from entropic_doubling.entropy import fibring_decompose
 
+        # The grid's fibers X_u = (X_1 | X_1+Y_2 = u) and Y_w = (Y_1 | Y_1+X_2 = w).
         hyp = sum(
-            wu * ww * fibring_decompose(xu, yw, table[(u, w)]).s_fiber
-            for wu, u, xu in zip(fam_u.weights, fam_u.labels, fam_u.dists)
-            for ww, w, yw in zip(fam_w.weights, fam_w.labels, fam_w.dists)
+            wu * ww
+            * fibring_decompose(condition_on_sum(p, q, u), condition_on_sum(q, p, w), table[(u, w)]).s_fiber
+            for wu, u in zip(fam_u.weights, fam_u.labels.tolist())
+            for ww, w in zip(fam_w.weights, fam_w.labels.tolist())
         )
         zeta = 0.999 * hyp / h
         first = local_to_global(t.grid, zeta, np.random.default_rng(42))
@@ -373,9 +376,13 @@ class TestLocalToGlobal:
         each draw adds one coordinate, so h_j falls geometrically over many
         levels, and the h_j do not depend on n."""
         full = uniform_on(list(range(16)), n)
-        fx = FiberFamily((0, 1), np.array([0.6, 0.4]), (full, full))
-        fy = FiberFamily((0, 1, 2, 3), np.array([0.4, 0.3, 0.2, 0.1]), (full,) * 4)
-        table = {(u, w): span([1 << ((u + w) % 4)], n) for u in fx.labels for w in fy.labels}
+        fx = FiberFamily((0, 1), np.array([0.6, 0.4]), np.tile(full.mass, (2, 1)))
+        fy = FiberFamily((0, 1, 2, 3), np.array([0.4, 0.3, 0.2, 0.1]), np.tile(full.mass, (4, 1)))
+        table = {
+            (u, w): span([1 << ((u + w) % 4)], n)
+            for u in fx.labels.tolist()
+            for w in fy.labels.tolist()
+        }
         return FiberGrid(fx, fy, table)
 
     @staticmethod
@@ -398,7 +405,9 @@ class TestLocalToGlobal:
                     for wi in ws:
                         v = subspace_sum(v, grid.v_table[(u, fy.labels[wi])])
                     weight = fx.weights[ui] * math.prod(fy.weights[wi] for wi in ws)
-                    brute += weight * shannon_entropy(pushforward_quotient(fx.dists[ui], v))
+                    brute += weight * shannon_entropy(
+                        pushforward_quotient(Dist(fx.n, fx.masses[ui]), v)
+                    )
             assert h_j == pytest.approx(brute, abs=1e-12)
         # The sequence stops at k + 1, the first j with h_j - h_{j+1} <= tau h_0.
         assert res.k == len(res.h_sequence) - 2 == self._first_stop(res.h_sequence, res.tau)
@@ -462,9 +471,9 @@ class TestLatticeExpectationDP:
 
     @staticmethod
     def _random_fibers(n: int, weights: np.ndarray, rng) -> FiberFamily:
-        labels = tuple(range(len(weights)))
-        dists = tuple(random_dist(n, rng) for _ in labels)
-        return FiberFamily(labels, weights / weights.sum(), dists)
+        labels = np.arange(len(weights))
+        masses = np.stack([random_dist(n, rng).mass for _ in labels])
+        return FiberFamily(labels, weights / weights.sum(), masses)
 
     @staticmethod
     def _assert_same_as_dict_dp(grid: FiberGrid, tau: float) -> None:
@@ -1118,9 +1127,9 @@ class TestZeroSubspaceScreen:
         rng = np.random.default_rng(0)
         light = uniform_on_subspace(span([1, 2], 5))
         heavy_and_light = FiberFamily(
-            tuple(range(32)),
+            np.arange(32),
             np.array([2.0] * 16 + [1.0] * 16) / 48.0,
-            tuple(random_dist(5, rng) for _ in range(16)) + (light,) * 16,
+            np.stack([random_dist(5, rng).mass for _ in range(16)] + [light.mass] * 16),
         )
         grids = [
             (heavy_and_light, heavy_and_light, pair_entropies(heavy_and_light, heavy_and_light))
@@ -1134,7 +1143,7 @@ class TestZeroSubspaceScreen:
         verdicts = set()
         capped = False
         for fam_x, fam_y, entropies in grids:
-            n = fam_x.dists[0].n
+            n = fam_x.n
             capped |= len(fam_x.labels) * len(fam_y.labels) > FIBER_CAP
             pairs = _grid_pairs(fam_x, fam_y)
             for eta0, eps0 in ((0.05, 0.01), (0.2, 0.05), (0.45, 0.04), (0.5, 0.05)):
