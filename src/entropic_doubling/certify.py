@@ -4,12 +4,13 @@ A bundle embeds the inputs (sets or distributions), the tolerances, and
 either a certificate (the subspace, its parameters, and an achieved block
 holding dim V and each value its criterion's check recomputes, with both
 sides of every inequality, each stored once) or an endgame transcript.
-verify_bundle reruns the check from the embedded inputs and the stored
-subspace and compares every value.  A stored value passes within the bundle's
-identity tolerance, which may tighten IDENTITY_TOL but not loosen it: a bundle
-whose tolerance is not a number in [0, IDENTITY_TOL] fails.  Each check holds
-the stored parameters to its criterion's range, as it does for the producer,
-so a parameter that would make the criterion vacuous fails too.
+verify_bundle checks every kind by one rule: it rebuilds the record from the
+embedded inputs with the function its producer used, and matches the stored
+record against it leaf by leaf.  A number passes within the bundle's
+identity tolerance, which may tighten IDENTITY_TOL but not loosen it: a
+bundle whose tolerance is not a number in [0, IDENTITY_TOL] fails.  Each
+check holds the stored parameters to its criterion's range, as it does for
+the producer, so a parameter that would make the criterion vacuous fails too.
 """
 
 from __future__ import annotations
@@ -27,9 +28,10 @@ from .oracle import (
     CRITERION_B,
     CRITERION_PFR,
     CRITERION_T11,
-    CriterionCheck,
     StatementParams,
     SubspaceCertificate,
+    _b_certificate,
+    certificate,
     check_pfr,
 )
 from .pipeline import (
@@ -41,7 +43,7 @@ from .pipeline import (
     check_statement_B,
     check_theorem_11,
 )
-from .tolerances import FIBER_CAP, IDENTITY_TOL, tolerances_dict
+from .tolerances import IDENTITY_TOL, tolerances_dict
 
 
 def _plain(obj):
@@ -109,47 +111,95 @@ class VerifyReport:
         }
 
 
-def _close(report: VerifyReport, name: str, got, stored, tol: float) -> None:
-    """Fail unless every entry of got is within tol of stored's; NaN fails."""
-    report.recomputed[name] = got
-    got_a, stored_a = np.asarray(got, dtype=float), np.asarray(stored, dtype=float)
-    if got_a.shape != stored_a.shape or not np.all(np.abs(got_a - stored_a) <= tol):
-        report.ok = False
-        report.failures.append(f"{name}: recomputed {got!r} != stored {stored!r}")
-
-
 def _require(report: VerifyReport, name: str, condition: bool) -> None:
     if not condition:
         report.ok = False
         report.failures.append(name)
 
 
-def _compare(
-    report: VerifyReport, chk: CriterionCheck, achieved: dict, v: Subspace, tol: float
-) -> None:
-    """Every value chk recomputed against achieved, dim V, and chk's verdicts."""
-    _require(report, f"dim: stored {achieved['dim']!r} != {v.dim}", achieved["dim"] == v.dim)
-    for name, got in chk.values.items():
-        _close(report, name, got, achieved[name], tol)
-    for name, ok in chk.verdicts.items():
-        _require(report, name, ok)
+def _mismatch(got, stored, tol: float, at: str = ""):
+    """The first leaf of the rebuilt value got that stored does not match, as
+    (where, got's leaf, stored's leaf), or None.  A number matches a number
+    within tol (NaN never), another leaf an equal one of its type, a list only
+    a list of its length; extra stored keys are not read, a missing one raises."""
+    if isinstance(got, dict):
+        if not isinstance(stored, dict):
+            return at, got, stored
+        pairs = ((f"{at}.{k}", g, stored[k]) for k, g in got.items())
+    elif isinstance(got, list):
+        if not isinstance(stored, list) or len(stored) != len(got):
+            return at, got, stored
+        pairs = ((f"{at}[{i}]", g, s) for i, (g, s) in enumerate(zip(got, stored)))
+    elif type(got) in (int, float):
+        return None if type(stored) in (int, float) and abs(got - stored) <= tol else (at, got, stored)
+    else:
+        return None if type(stored) is type(got) and stored == got else (at, got, stored)
+    return next(filter(None, (_mismatch(g, s, tol, where) for where, g, s in pairs)), None)
+
+
+def _match(report: VerifyReport, rebuilt: dict, stored: dict, tol: float) -> None:
+    """One failure per key of rebuilt whose value stored does not match."""
+    for key, got in _plain(rebuilt).items():
+        report.recomputed[key] = got
+        miss = _mismatch(got, stored[key], tol)
+        if miss:
+            at, leaf, stored_leaf = miss
+            where = f" at {key}{at}" if at else ""
+            _require(report, f"{key}: recomputed {leaf!r} != stored {stored_leaf!r}{where}", False)
+
+
+def _load_pair(inputs: dict) -> tuple[Dist, Dist]:
+    return Dist.from_json(inputs["p"]), Dist.from_json(inputs["q"])
+
+
+def _rebuild(kind, inputs: dict, stored: dict) -> tuple[dict, dict]:
+    """The record the producer of a kind builds from the embedded inputs and
+    the stored V, parameters and search mode (an endgame's eta and kappa),
+    and the verdicts it requires."""
+    if kind == "ENDGAME":
+        fresh = endgame(*_load_pair(inputs), float(stored["eta"]), float(stored["kappa"]))
+        verdicts = {
+            "mi bound": fresh.mi_bound_holds,
+            "z entropy gaps": fresh.z_entropy_gap_holds,
+            "480k expectation": fresh.expectation_holds,
+        }
+        return fresh.to_json(), verdicts
+    mode, v = stored["search_mode"], Subspace.from_json(stored["subspace"])
+    params = stored["parameters"]
+    if kind == CRITERION_B:
+        b_params = StatementParams(eta=float(params["eta"]), epsilon=float(params["epsilon"]))
+        chk = check_statement_B(*_load_pair(inputs), v, b_params)
+        return _b_certificate(mode, v, b_params, chk).to_json(), chk.verdicts
+    if kind == CRITERION_PFR:
+        chk, parameters = check_pfr(*_load_pair(inputs), v), {}
+    else:
+        eps = float(params["epsilon"])
+        parameters = {"epsilon": eps}
+        if kind == CRITERION_RICH:
+            chk = check_rich_cosets(*_load_pair(inputs), v, eps)
+        elif kind == CRITERION_MANY:
+            chk = check_many_sums([Dist.from_json(d) for d in inputs["dists"]], v, eps)
+        elif kind == CRITERION_T11:
+            n = int(inputs["set"]["n"])
+            members = sorted(int(h, 16) for h in inputs["set"]["elements"])
+            chk = check_theorem_11(members, uniform_on(members, n), v, eps)
+        else:
+            raise ValidationError(f"unknown bundle kind {kind!r}")
+    return certificate(kind, mode, v, parameters, chk).to_json(), chk.verdicts
 
 
 def verify_bundle(payload: dict) -> VerifyReport:
-    """Recompute every inequality in a certificate bundle from its inputs.
+    """Rebuild a bundle's record from its inputs and match the stored one.
 
-    Each criterion is evaluated by the same check its producer built the
-    certificate from, so every value that check recomputes is compared with
-    the stored one (a missing or NaN value fails), and so is the stored dim.
-    An ENDGAME bundle is replayed through endgame(), and every stored
-    transcript value is compared: s_xy, h_total, each hypothesis_gaps entry,
-    the two mutual informations, h_z_given_s and the expectation and its
-    bound.
-    The check rejects parameters outside its criterion's range.  The bundle
-    contributes only the inputs, V, the parameters and the stored values;
-    what the check does not read (steps, trivial, seed, old parameter keys)
-    is ignored.  A payload that is not a JSON object raises ValidationError;
-    any other malformed bundle gives a failed report.
+    Every kind is checked by one rule.  The record is rebuilt by its
+    producer's function: the criterion's check made into a certificate by
+    oracle.certificate (oracle._b_certificate for STATEMENT_B), or endgame().
+    Every rebuilt leaf must be stored and match (_mismatch); a failure is
+    named by its key in achieved, parameters or the transcript, and every
+    verdict must hold.  What the rebuild does not produce (steps, trivial,
+    seed, old parameter keys) is ignored.  A payload that is not a JSON
+    object raises ValidationError; any other malformed bundle gives a failed
+    report.
     """
     if not isinstance(payload, dict):
         raise ValidationError(
@@ -172,65 +222,14 @@ def verify_bundle(payload: dict) -> VerifyReport:
         )
         if not report.ok:
             return report
-        inputs = payload["inputs"]
-        if kind == "ENDGAME":
-            p, q = Dist.from_json(inputs["p"]), Dist.from_json(inputs["q"])
-            t = payload["transcript"]
-            # Every endgame bundle is written and replayed at FIBER_CAP; one
-            # written before the cap was recorded has no "cap".
-            _require(report, "fiber cap", t["fiber_cap"].get("cap", FIBER_CAP) == FIBER_CAP)
-            if not report.ok:
-                return report
-            fresh = endgame(p, q, float(t["eta"]), float(t["kappa"]))
-            for name in (
-                "s_xy", "h_total", "i_z1_z3", "i_z1_z2", "h_z_given_s", "expectation",
-                "expectation_bound",
-            ):
-                _close(report, name, getattr(fresh, name), t[name], tol)
-            # Each move's (lhs, rhs, gap), in the recomputed moves' order.
-            gaps, fields = fresh.hypothesis_gaps, ("lhs", "rhs", "gap")
-            _close(
-                report,
-                "hypothesis_gaps",
-                [[gaps[m][k] for k in fields] for m in gaps],
-                [[t["hypothesis_gaps"][m][k] for k in fields] for m in gaps],
-                tol,
-            )
-            stored = [Subspace.from_json(row["subspace"]) for row in t["table"]]
-            _require(report, "fiber table", stored == [row[3] for row in fresh.table])
-            _require(report, "mi bound", fresh.mi_bound_holds)
-            _require(report, "z entropy gaps", fresh.z_entropy_gap_holds)
-            _require(report, "480k expectation", fresh.expectation_holds)
-            return report
-        cert = payload["certificate"]
-        v = Subspace.from_json(cert["subspace"])
-        params = cert["parameters"]
-        if kind == CRITERION_B:
-            p, q = Dist.from_json(inputs["p"]), Dist.from_json(inputs["q"])
-            chk = check_statement_B(
-                p, q, v,
-                StatementParams(
-                    eta=float(params["eta"]),
-                    epsilon=float(params["epsilon"]),
-                    L=float(params["L_achieved"]) + tol,
-                ),
-            )
-        elif kind == CRITERION_RICH:
-            p, q = Dist.from_json(inputs["p"]), Dist.from_json(inputs["q"])
-            chk = check_rich_cosets(p, q, v, float(params["epsilon"]))
-        elif kind == CRITERION_MANY:
-            dists = [Dist.from_json(d) for d in inputs["dists"]]
-            chk = check_many_sums(dists, v, float(params["epsilon"]))
-        elif kind == CRITERION_T11:
-            n = int(inputs["set"]["n"])
-            members = sorted(int(h, 16) for h in inputs["set"]["elements"])
-            chk = check_theorem_11(members, uniform_on(members, n), v, float(params["epsilon"]))
-        elif kind == CRITERION_PFR:
-            p, q = Dist.from_json(inputs["p"]), Dist.from_json(inputs["q"])
-            chk = check_pfr(p, q, v)
-        else:
-            raise ValidationError(f"unknown bundle kind {kind!r}")
-        _compare(report, chk, cert["achieved"], v, tol)
+        stored = payload["transcript" if kind == "ENDGAME" else "certificate"]
+        rebuilt, verdicts = _rebuild(kind, payload["inputs"], stored)
+        if kind != "ENDGAME":  # achieved and parameters keys name their own failures
+            for block in ("achieved", "parameters"):
+                _match(report, rebuilt.pop(block), stored[block], tol)
+        _match(report, rebuilt, stored, tol)
+        for name, ok in verdicts.items():
+            _require(report, name, ok)
     except (
         AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError, RuntimeError
     ) as exc:

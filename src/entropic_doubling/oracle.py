@@ -161,10 +161,10 @@ def _b_check(
 def _b_certificate(
     search_mode: str, v: Subspace, params: StatementParams, chk: CriterionCheck
 ) -> SubspaceCertificate:
-    """The statement-B certificate for V: verify_bundle checks it at
-    L = L_achieved, the smallest L whose size bound V meets."""
+    """The statement-B certificate for V, with L_achieved the smallest L whose
+    size bound V meets (none does for V != 0 when H[X] + H[Y] = 0)."""
     h_total = chk.values["h_total"]
-    achieved_l = v.dim / h_total if h_total > 0 else 0.0
+    achieved_l = v.dim / h_total if h_total > 0 else (math.inf if v.dim else 0.0)
     parameters = {"eta": params.eta, "epsilon": params.epsilon, "L_achieved": achieved_l}
     return certificate(CRITERION_B, search_mode, v, parameters, chk)
 

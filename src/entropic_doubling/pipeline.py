@@ -21,9 +21,8 @@ every value.
 
 The control flow is the paper's, but each step's eps0, case order, kappa and
 zeta come from measured quantities, not from the analysis' schedule
-eps0 = 2^-15 eta0^2: under that schedule the climb from eta to 1/2 exceeds
-MAX_SOLVE_DEPTH unless eta > 0.4996.  The paper's c still decides the
-inductive step's early exit.
+eps0 = 2^-15 eta0^2.  The paper's c still decides the inductive step's early
+exit.
 
 The sumset lemma, the recursion on eta and the k-fold corollary all grow V
 one subspace at a time until their criterion holds; one loop, _grow, does
@@ -145,8 +144,8 @@ def check_rich_cosets(p: Dist, q: Dist, v: Subspace, epsilon: float) -> Criterio
     _require_epsilon(epsilon)
     h_x, h_y = shannon_entropy(p), shannon_entropy(q)
     h_total = h_x + h_y
-    s = h_total - shannon_entropy(xor_convolve(p, q))
     report = fibring_decompose(p, q, v)
+    s = report.s_total
     hx_cond = h_x - shannon_entropy(pushforward_quotient(p, v))
     hy_cond = h_y - shannon_entropy(pushforward_quotient(q, v))
     bound = s - epsilon * h_total
@@ -816,8 +815,7 @@ def inductive_step(
 # Theorem: statement B via recursion on eta
 
 
-# Caps on one solve_B call's recursion depth and on its sub-solver calls.
-MAX_SOLVE_DEPTH = 48
+# Cap on one solve_B call's sub-solver calls.
 MAX_SOLVE_INVOCATIONS = 30_000
 
 
@@ -826,7 +824,6 @@ class _SolveContext:
     rng: np.random.Generator
     seed: int
     memo: dict = field(default_factory=dict)
-    depth: int = 0
     invocations: int = 0
     l2g_counter: int = 0
 
@@ -855,6 +852,15 @@ class SolveResult:
         }
 
 
+def _next_eta(eta: float) -> tuple[float, float]:
+    """The recursion's next level (eta0, eps0) from eta < 1/2: eps0 is half
+    the distance to 1/2 but at least 0.02, and eta0 = eta + eps0 stops at 1/2.
+    From any eta in (0, 1/2) it reaches the base case in at most 6 levels."""
+    eps0 = max((0.5 - eta) / 2.0, 0.02)
+    eta0 = min(0.5, eta + eps0)
+    return eta0, min(eps0, eta0 - eta)
+
+
 def _solve_b(
     p: Dist, q: Dist, eta: float, eps: float, ctx: _SolveContext
 ) -> tuple[SubspaceCertificate, tuple[TraceStep, ...]]:
@@ -864,11 +870,7 @@ def _solve_b(
     ctx.invocations += 1
     if ctx.invocations > MAX_SOLVE_INVOCATIONS:
         raise PipelineError("solver invocation budget exhausted")
-    ctx.depth += 1
-    try:
-        result = _solve_b_inner(p, q, eta, eps, ctx)
-    finally:
-        ctx.depth -= 1
+    result = _solve_b_inner(p, q, eta, eps, ctx)
     ctx.memo[key] = result
     return result
 
@@ -876,8 +878,6 @@ def _solve_b(
 def _solve_b_inner(
     p: Dist, q: Dist, eta: float, eps: float, ctx: _SolveContext
 ) -> tuple[SubspaceCertificate, tuple[TraceStep, ...]]:
-    if ctx.depth > MAX_SOLVE_DEPTH:
-        raise PipelineError(f"recursion depth cap {MAX_SOLVE_DEPTH} exceeded")
     params = StatementParams(eta=eta, epsilon=eps)
 
     # Base case: H[X+Y] >= max(H[X], H[Y]) makes eta = 1/2 unconditional.
@@ -898,9 +898,7 @@ def _solve_b_inner(
         )
         return _b_certificate("pipeline", v, params, chk), (base,)
 
-    eps0 = max((0.5 - eta) / 2.0, 0.02)
-    eta0 = min(0.5, eta + eps0)
-    eps0 = min(eps0, eta0 - eta)
+    eta0, eps0 = _next_eta(eta)
 
     def sub_solver(a: Dist, b: Dist) -> SubspaceCertificate:
         return _solve_b(a, b, eta0, eps0, ctx)[0]

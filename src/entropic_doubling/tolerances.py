@@ -1,16 +1,15 @@
 """Central tolerance constants and capacity caps.
 
 All entropies are in bits (log base 2), so H[U_V] = dim V and subspace-size
-bounds read directly as dimensions.  Identity checks use IDENTITY_TOL,
-fast-vs-naive oracle comparisons use ORACLE_TOL, and nonnegativity assertions
-get NONNEG_SLACK.  These values are echoed into every certificate bundle.
+bounds read directly as dimensions.  Identity checks use IDENTITY_TOL and
+fast-vs-naive oracle comparisons use ORACLE_TOL.  These values are echoed into
+every certificate bundle.
 """
 
 from __future__ import annotations
 
 IDENTITY_TOL = 1e-9
 ORACLE_TOL = 1e-12
-NONNEG_SLACK = 1e-9
 # Masses below this after arithmetic are clamped to zero before entropy
 # evaluation (prevents log-of-garbage from floating-point dust).
 MASS_EPS = 1e-15
@@ -34,6 +33,5 @@ def tolerances_dict() -> dict[str, float]:
     return {
         "identity": IDENTITY_TOL,
         "oracle": ORACLE_TOL,
-        "nonneg_slack": NONNEG_SLACK,
         "mass_eps": MASS_EPS,
     }

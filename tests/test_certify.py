@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entropic_doubling.certify import endgame_bundle, set_bundle, verify_bundle
+from entropic_doubling.certify import endgame_bundle, set_bundle, solve_bundle, verify_bundle
 from entropic_doubling.dist import Dist, random_dist, uniform_on
 from entropic_doubling.endgame import endgame
 from entropic_doubling.entropy import doubling_mass, shannon_entropy
@@ -185,7 +185,7 @@ def test_endgame_tampered_fiber_subspace_rejected():
     row["subspace"] = Subspace.zero(row["subspace"]["n"]).to_json()
     report = verify_bundle(bundle)
     assert not report.ok
-    assert "fiber table" in report.failures
+    assert any(f.startswith("table: recomputed") for f in report.failures)
 
 
 def _capped_endgame_bundle() -> dict:
@@ -207,7 +207,7 @@ def test_endgame_bundle_with_another_fiber_cap_rejected():
     bundle = _capped_endgame_bundle()
     bundle["transcript"]["fiber_cap"]["cap"] = 1024
     report = verify_bundle(bundle)
-    assert report.failures == ["fiber cap"]
+    assert report.failures == ["fiber_cap: recomputed 256 != stored 1024 at fiber_cap.cap"]
 
 
 def test_set_bundle_with_repeated_element_verifies():
@@ -239,7 +239,7 @@ def test_non_finite_size_constant_rejected(big_l):
     bundle["certificate"]["parameters"]["L_achieved"] = big_l
     report = verify_bundle(json.loads(json.dumps(bundle)))
     assert not report.ok
-    assert any("L must be finite" in f for f in report.failures)
+    assert any(f.startswith("L_achieved: recomputed") for f in report.failures)
 
 
 def test_many_sums_bundle_with_a_dropped_distribution_rejected():
@@ -263,17 +263,21 @@ def _no_dists(bundle):
 
 
 @pytest.mark.parametrize(
-    "name, tamper",
-    [("statement_b", _list_support), ("endgame", _fiber_cap_list), ("many_sums", _no_dists)],
+    "name, tamper, failure",
+    [
+        ("statement_b", _list_support, "bundle rejected: "),
+        ("endgame", _fiber_cap_list, "fiber_cap: recomputed"),
+        ("many_sums", _no_dists, "bundle rejected: "),
+    ],
     ids=["list-support", "fiber-cap-list", "no-dists"],
 )
-def test_malformed_bundle_gives_failed_report(name, tamper):
+def test_malformed_bundle_gives_failed_report(name, tamper, failure):
     bundle = load(name)
     tamper(bundle)
     report = verify_bundle(bundle)
     assert not report.ok
     assert len(report.failures) == 1
-    assert report.failures[0].startswith("bundle rejected: ")
+    assert report.failures[0].startswith(failure)
 
 
 def _zero_v_at(name: str, eps: float) -> dict:
@@ -319,17 +323,20 @@ def test_epsilon_outside_the_criterion_range_rejected(name, eps, message):
     assert report.failures == [f"bundle rejected: {message}"]
 
 
-def _numeric_leaves(node, path=()):
-    if isinstance(node, bool):
-        return
-    if isinstance(node, (int, float)):
-        yield path
-    elif isinstance(node, dict):
+def _leaves(node, path=()):
+    """Every leaf of a JSON value, with its path."""
+    if isinstance(node, dict):
         for key, value in node.items():
-            yield from _numeric_leaves(value, path + (key,))
+            yield from _leaves(value, path + (key,))
     elif isinstance(node, list):
         for i, value in enumerate(node):
-            yield from _numeric_leaves(value, path + (i,))
+            yield from _leaves(value, path + (i,))
+    else:
+        yield path, node
+
+
+def _numeric_leaves(node):
+    return (path for path, x in _leaves(node) if type(x) in (int, float))
 
 
 def _at(node, path):
@@ -399,3 +406,56 @@ def _fuzz_fixture(name: str) -> None:
                 )
             elif report.ok:
                 assert PARAMETERS_IN_RANGE[name](_at(variant, params)), (path, value)
+
+
+@pytest.mark.parametrize("name", sorted([*KINDS, "endgame"]))
+def test_every_stored_leaf_moved_or_flipped_is_rejected(name):
+    # Each numeric leaf of achieved (and statement B's L_achieved), or of the
+    # endgame transcript endgame() writes apart from its inputs eta and
+    # kappa (the fixture's old tolerances copy is not read), moved by 10x
+    # the bundle's tolerance, and each bool leaf flipped, fails and is named
+    # by its key in achieved, parameters or the transcript.
+    text = (FIXTURES / f"{name}.json").read_text()
+    bundle = json.loads(text)
+    tol = bundle["tolerances"]["identity"]
+    if name == "endgame":
+        t = bundle["transcript"]
+        fresh = endgame(*_pair(bundle), t["eta"], t["kappa"]).to_json()
+        roots = [("transcript", key) for key in fresh if key not in ("eta", "kappa")]
+    else:
+        roots = [("certificate", "achieved", key) for key in bundle["certificate"]["achieved"]]
+        if name == "statement_b":
+            roots.append(("certificate", "parameters", "L_achieved"))
+    moved = 0
+    for root in roots:
+        for leaf, x in _leaves(_at(bundle, root)):
+            if isinstance(x, bool):
+                value = not x
+            elif isinstance(x, (int, float)):
+                value = x + 10 * tol
+            else:
+                continue
+            path = root + leaf
+            variant = json.loads(text)
+            _at(variant, path[:-1])[path[-1]] = value
+            report = verify_bundle(variant)
+            assert not report.ok, path
+            assert any(f.startswith(f"{root[-1]}: recomputed") for f in report.failures), (
+                path,
+                report.failures,
+            )
+            moved += 1
+    assert moved >= len(roots)
+
+
+def test_nonzero_subspace_for_zero_entropy_inputs_rejected():
+    # With H[X] + H[Y] = 0 no size constant L admits dim V > 0, though every
+    # entropy, and so the statement-B inequality, reads 0 at any V.
+    point = Dist(3, np.eye(8)[5])
+    bundle = json.loads(json.dumps(solve_bundle(solve_B(point, point, 0.3, 0.1), point, point)))
+    assert verify_bundle(bundle).ok
+    cert = bundle["certificate"]
+    cert["subspace"], cert["achieved"]["dim"] = Subspace.full(3).to_json(), 3
+    report = verify_bundle(bundle)
+    assert not report.ok
+    assert report.failures == ["L_achieved: recomputed inf != stored 0.0"]

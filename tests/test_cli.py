@@ -310,16 +310,16 @@ class TestFindSubspaceAndVerify:
         assert err.startswith("error: ValidationError: malformed distribution payload")
 
     @pytest.mark.parametrize(
-        "fixture, block, key, value",
+        "fixture, block, key, value, failure",
         [
-            ("statement_b", "inputs", "p", {"n": 3, "support": [1, 2]}),
-            ("endgame", "transcript", "fiber_cap", [256]),
-            ("many_sums", "inputs", "dists", []),
+            ("statement_b", "inputs", "p", {"n": 3, "support": [1, 2]}, "bundle rejected: "),
+            ("endgame", "transcript", "fiber_cap", [256], "fiber_cap: recomputed"),
+            ("many_sums", "inputs", "dists", [], "bundle rejected: "),
         ],
         ids=["list-support", "fiber-cap-list", "no-dists"],
     )
     def test_malformed_bundle_fails_verification(
-        self, fixture, block, key, value, tmp_path, capsys
+        self, fixture, block, key, value, failure, tmp_path, capsys
     ):
         path = Path(__file__).parent / "fixtures" / f"{fixture}.json"
         bundle = json.loads(path.read_text())
@@ -331,7 +331,7 @@ class TestFindSubspaceAndVerify:
         assert err == ""
         report = json.loads(out)
         assert report["ok"] is False
-        assert report["failures"][0].startswith("bundle rejected: ")
+        assert report["failures"][0].startswith(failure)
 
     def test_no_mode_option(self, dist_files, capsys):
         with pytest.raises(SystemExit) as exc:

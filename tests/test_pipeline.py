@@ -64,6 +64,7 @@ from entropic_doubling.pipeline import (
     StatementParams,
     _dict_h_sequence,
     _h_expectation_sequence,
+    _next_eta,
     _solve_b,
     _SolveContext,
     _zero_subspace_meets_b,
@@ -676,6 +677,18 @@ class TestSolveB:
         chk = check_statement_B(p, q, res.subspace, StatementParams(eta=0.3, epsilon=0.1))
         assert chk.passes
         assert ach == {"dim": res.subspace.dim, **chk.values}
+
+    def test_eta_schedule_reaches_the_base_case_within_six_levels(self):
+        # The recursion descends one level per step of the schedule, so this
+        # bounds its depth; the base case is eta >= 1/2 - 1e-12.
+        starts = np.linspace(0.0, 0.5, 20_001)[1:-1].tolist()
+        for start in starts + [1e-300, 0.48 - 1e-13, 0.5 - 2e-12]:
+            eta, levels = start, 0
+            while eta < 0.5 - 1e-12:
+                eta0, eps0 = _next_eta(eta)
+                assert eta < eta0 <= 0.5 and 0.0 < eps0 <= eta0 - eta, start
+                eta, levels = eta0, levels + 1
+            assert levels <= 6, start
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(9)
