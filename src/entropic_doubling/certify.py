@@ -28,11 +28,14 @@ from .oracle import (
     CRITERION_B,
     CRITERION_PFR,
     CRITERION_T11,
+    OBJECTIVE_PFR,
+    OBJECTIVE_STATEMENT_B,
     StatementParams,
     SubspaceCertificate,
     _b_certificate,
     certificate,
     check_pfr,
+    exhaustive_best_subspace,
 )
 from .pipeline import (
     CRITERION_MANY,
@@ -152,6 +155,14 @@ def _load_pair(inputs: dict) -> tuple[Dist, Dist]:
     return Dist.from_json(inputs["p"]), Dist.from_json(inputs["q"])
 
 
+# The search modes each certificate kind's producers write; any other kind
+# writes only "pipeline".  An "exhaustive" certificate claims the first V of
+# the exhaustive scan, in (dim, lex) order, so verification reruns the scan
+# (n <= MAX_ENUM_N); "pipeline" and "greedy" claim only that V meets its
+# criterion, which the check shows.
+SEARCH_MODES = {CRITERION_B: ("pipeline", "exhaustive"), CRITERION_PFR: ("exhaustive", "greedy")}
+
+
 def _rebuild(kind, inputs: dict, stored: dict) -> tuple[dict, dict]:
     """The record the producer of a kind builds from the embedded inputs and
     the stored V, parameters and search mode (an endgame's eta and kappa),
@@ -165,16 +176,20 @@ def _rebuild(kind, inputs: dict, stored: dict) -> tuple[dict, dict]:
         }
         return fresh.to_json(), verdicts
     mode, v = stored["search_mode"], Subspace.from_json(stored["subspace"])
+    if mode not in SEARCH_MODES.get(kind, ("pipeline",)):
+        raise ValidationError(f"no {kind} producer writes search_mode {mode!r}")
     params = stored["parameters"]
     if kind == CRITERION_B:
         b_params = StatementParams(eta=float(params["eta"]), epsilon=float(params["epsilon"]))
         chk = check_statement_B(*_load_pair(inputs), v, b_params)
-        return _b_certificate(mode, v, b_params, chk).to_json(), chk.verdicts
-    if kind == CRITERION_PFR:
-        chk, parameters = check_pfr(*_load_pair(inputs), v), {}
+        record = _b_certificate(mode, v, b_params, chk).to_json()
+        scan = OBJECTIVE_STATEMENT_B, {"eta": b_params.eta, "epsilon": b_params.epsilon}
+    elif kind == CRITERION_PFR:
+        chk = check_pfr(*_load_pair(inputs), v)
+        record = certificate(kind, mode, v, {}, chk).to_json()
+        scan = OBJECTIVE_PFR, None
     else:
         eps = float(params["epsilon"])
-        parameters = {"epsilon": eps}
         if kind == CRITERION_RICH:
             chk = check_rich_cosets(*_load_pair(inputs), v, eps)
         elif kind == CRITERION_MANY:
@@ -185,7 +200,13 @@ def _rebuild(kind, inputs: dict, stored: dict) -> tuple[dict, dict]:
             chk = check_theorem_11(members, uniform_on(members, n), v, eps)
         else:
             raise ValidationError(f"unknown bundle kind {kind!r}")
-    return certificate(kind, mode, v, parameters, chk).to_json(), chk.verdicts
+        record = certificate(kind, mode, v, {"epsilon": eps}, chk).to_json()
+    verdicts = dict(chk.verdicts)
+    if mode == "exhaustive":
+        objective, scan_params = scan
+        found = exhaustive_best_subspace(*_load_pair(inputs), objective, params=scan_params)
+        verdicts["exhaustive scan returns V"] = found.subspace == v
+    return record, verdicts
 
 
 def verify_bundle(payload: dict) -> VerifyReport:
@@ -196,10 +217,12 @@ def verify_bundle(payload: dict) -> VerifyReport:
     oracle.certificate (oracle._b_certificate for STATEMENT_B), or endgame().
     Every rebuilt leaf must be stored and match (_mismatch); a failure is
     named by its key in achieved, parameters or the transcript, and every
-    verdict must hold.  What the rebuild does not produce (steps, trivial,
-    seed, old parameter keys) is ignored.  A payload that is not a JSON
-    object raises ValidationError; any other malformed bundle gives a failed
-    report.
+    verdict must hold.  A certificate's search_mode must be one its kind's
+    producers write (SEARCH_MODES), and an exhaustive certificate's V must
+    be the one the exhaustive scan returns.  What the rebuild does not
+    produce (steps, trivial, seed, old parameter keys) is ignored.  A
+    payload that is not a JSON object raises ValidationError; any other
+    malformed bundle gives a failed report.
     """
     if not isinstance(payload, dict):
         raise ValidationError(

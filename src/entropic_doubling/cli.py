@@ -5,7 +5,10 @@ Exit code is 0 iff every requested check passed, 1 when a check failed or
 standard output closed before all of it was written, and 2 on a package error,
 a missing option, or an input or output path that cannot be read or written
 (one line on stderr).  find-subspace notes a trivial certificate, V = 0 or
-V = F_2^n, in one stderr line; it does not change the exit code.
+V = F_2^n, in one stderr line.  When the pipeline's V was F_2^n but the
+hyperplane descent left a proper subspace, it notes instead, in one stderr
+line, that this V comes from the descent alone.  Neither note changes the
+exit code.
 """
 
 from __future__ import annotations
@@ -211,9 +214,16 @@ def _cmd_find_subspace(args) -> int:
         }
     else:
         raise ValidationError("find-subspace requires --set or --dist")
+    v, last = result.subspace, result.steps[-1] if result.steps else None
     if result.trivial:
-        whole = "0" if result.subspace.dim == 0 else f"F_2^{result.subspace.n}"
+        whole = "0" if v.dim == 0 else f"F_2^{v.n}"
         print(f"note: trivial certificate: V = {whole}", file=sys.stderr)
+    elif last and last.kind == "DESCENT" and last.note["pipeline_trivial"]:
+        print(
+            f"note: the pipeline's V was F_2^{v.n}; this dim-{v.dim} V comes from the "
+            "hyperplane descent alone",
+            file=sys.stderr,
+        )
     report = verify_bundle(bundle)
     bundle["verified"] = report.ok
     _write_output(bundle, args.out, args.format, row)

@@ -189,6 +189,24 @@ def _fiber_index(v: Subspace) -> np.ndarray:
     return np.flatnonzero(reps == np.arange(reps.size))[:, None] ^ members[None, :]
 
 
+def hyperplane_entropies(masses: np.ndarray, v: Subspace) -> np.ndarray:
+    """H[pi_W(X)] for each row X of the k x 2^n table masses and each
+    hyperplane W of V (dim V = d >= 1), as a k x (2^d - 1) array.
+
+    Column f - 1 holds W = ker f for the functional f = 1 .. 2^d - 1 on V's
+    basis coordinates: f(V[u]) = popcount(f & u) mod 2, with V[u] the XOR of
+    the basis rows picked by the bits of u.  In the layout
+    M[c, u] = X[E[c, u]] (_fiber_index), the two cosets of W inside coset c
+    of V carry (M^[c, 0] +- M^[c, f]) / 2, where M^ is M transformed along
+    u.  So one wht and one masked t log2 t reduction (_plogp) give every
+    hyperplane, for any d and n <= MAX_DENSE_N, with no lattice.
+    """
+    spec = wht(np.asarray(masses, dtype=np.float64)[:, _fiber_index(v)])
+    spec *= 0.5
+    whole, half = spec[..., :1], spec[..., 1:]
+    return -(_plogp(whole + half) + _plogp(whole - half)).sum(axis=1) + 0.0
+
+
 def _plogp(t: np.ndarray) -> np.ndarray:
     """t log2 t elementwise, and 0 where t <= MASS_EPS, as _entropy masks."""
     out = np.zeros_like(t)

@@ -27,10 +27,18 @@ exit.
 The sumset lemma, the recursion on eta and the k-fold corollary all grow V
 one subspace at a time until their criterion holds; one loop, _grow, does
 the growing, the trace and the stall and round checks for all three.
+
+Each outermost producer (solve_B, rich_cosets, many_sums, analyze_set) then
+shrinks its verified V by a best-margin hyperplane descent under its own
+criterion, one helper, _descend.  The criteria's inequalities take floats or
+arrays, so a check and the descent's scores of every hyperplane at once
+(entropy.hyperplane_entropies) share one expression.  Inner calls go through
+_pipeline_b and _pipeline_rich, which do not descend.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -39,7 +47,13 @@ import numpy as np
 
 from .dist import Dist, FiberFamily, pushforward_quotient, uniform_on, xor_convolve
 from .endgame import FiberGrid, _move_table, _MoveTable, cap_fibers, endgame_grid, fiber_grid
-from .entropy import PairEntropies, _entropy, fibring_decompose, shannon_entropy
+from .entropy import (
+    PairEntropies,
+    _entropy,
+    fibring_decompose,
+    hyperplane_entropies,
+    shannon_entropy,
+)
 from .errors import (
     DimensionMismatchError,
     EmptySupportError,
@@ -48,8 +62,8 @@ from .errors import (
     SearchFailureError,
     ValidationError,
 )
-from .families import doubling_stats, seeded_rng
-from .gf2 import Subspace, coset_decompose, span, subspace_sum
+from .families import DoublingStats, doubling_stats, seeded_rng
+from .gf2 import Subspace, coset_decompose, pivot_of, span, subspace_sum
 from .oracle import (
     CRITERION_T11,
     CriterionCheck,
@@ -138,9 +152,43 @@ def check_statement_A(
     )
 
 
+def _verdicts(slacks: dict) -> dict:
+    """Each inequality's verdict from its slack (lhs - rhs, in bits)."""
+    return {name: bool(slack >= -IDENTITY_TOL) for name, slack in slacks.items()}
+
+
+# The inequalities below take entropies as floats or as numpy arrays over many
+# subspaces, so the checks and the descent's scorers share them.  Each returns
+# its bound and its slacks: lhs - rhs in bits, by verdict name.  An
+# inequality holds when its slack is at least -IDENTITY_TOL.
+
+
+def rich_inequality(s_quotient, h_x_cond, h_y_cond, s, h_total, eps):
+    """Rich cosets: s[pi(X);pi(Y)] <= eps(H[X]+H[Y]) and H[X|pi(X)],
+    H[Y|pi(Y)] >= bound = s[X;Y] - eps(H[X]+H[Y])."""
+    bound = s - eps * h_total
+    return bound, {
+        "quotient interaction": eps * h_total - s_quotient,
+        "x coset bound": h_x_cond - bound,
+        "y coset bound": h_y_cond - bound,
+    }
+
+
+def many_sums_inequality(lhs, h_proj, h_total, eps):
+    """k-fold sums: lhs = H[pi(X_1)+...+pi(X_k)] >= rhs = h_proj - eps h_total,
+    with h_proj = sum H[pi(X_i)] and h_total = sum H[X_i]."""
+    rhs = h_proj - eps * h_total
+    return rhs, {"k-fold inequality": lhs - rhs}
+
+
+def t11_inequality(expected_log, eta, eps, size):
+    """Theorem 1.1: E_{a in A} log2|A cap (V+a)| >= bound = (eta - eps) log2|A|."""
+    bound = (eta - eps) * math.log2(size) if size > 1 else 0.0
+    return bound, {"intersection bound": expected_log - bound}
+
+
 def check_rich_cosets(p: Dist, q: Dist, v: Subspace, epsilon: float) -> CriterionCheck:
-    """Rich cosets: s[pi(X);pi(Y)] <= eps(H[X]+H[Y]) and
-    H[X|pi(X)], H[Y|pi(Y)] >= s[X;Y] - eps(H[X]+H[Y]), for eps in (0, 1]."""
+    """Rich cosets (rich_inequality) for V, for eps in (0, 1]."""
     _require_epsilon(epsilon)
     h_x, h_y = shannon_entropy(p), shannon_entropy(q)
     h_total = h_x + h_y
@@ -148,7 +196,7 @@ def check_rich_cosets(p: Dist, q: Dist, v: Subspace, epsilon: float) -> Criterio
     s = report.s_total
     hx_cond = h_x - shannon_entropy(pushforward_quotient(p, v))
     hy_cond = h_y - shannon_entropy(pushforward_quotient(q, v))
-    bound = s - epsilon * h_total
+    bound, slacks = rich_inequality(report.s_quotient, hx_cond, hy_cond, s, h_total, epsilon)
     return CriterionCheck(
         values={
             "s": s,
@@ -160,11 +208,7 @@ def check_rich_cosets(p: Dist, q: Dist, v: Subspace, epsilon: float) -> Criterio
             "bound": bound,
             "h_total": h_total,
         },
-        verdicts={
-            "quotient interaction": report.s_quotient <= epsilon * h_total + IDENTITY_TOL,
-            "x coset bound": hx_cond >= bound - IDENTITY_TOL,
-            "y coset bound": hy_cond >= bound - IDENTITY_TOL,
-        },
+        verdicts=_verdicts(slacks),
     )
 
 
@@ -176,8 +220,8 @@ def _many_sums_range(k: int, epsilon: float) -> None:
 
 
 def check_many_sums(dists: Sequence[Dist], v: Subspace, epsilon: float) -> CriterionCheck:
-    """k-fold sums: H[pi(X_1)+...+pi(X_k)] >= sum H[pi(X_i)] - eps sum H[X_i],
-    for k = len(dists) in 2..4 and eps in (0, 1]."""
+    """k-fold sums (many_sums_inequality) for V, for k = len(dists) in 2..4
+    and eps in (0, 1]."""
     _many_sums_range(len(dists), epsilon)
     pushed = [pushforward_quotient(d, v) for d in dists]
     total = pushed[0]
@@ -186,10 +230,10 @@ def check_many_sums(dists: Sequence[Dist], v: Subspace, epsilon: float) -> Crite
     lhs = shannon_entropy(total)
     h_proj = [shannon_entropy(d) for d in pushed]
     h_total = sum(shannon_entropy(d) for d in dists)
-    rhs = sum(h_proj) - epsilon * h_total
+    rhs, slacks = many_sums_inequality(lhs, sum(h_proj), h_total, epsilon)
     return CriterionCheck(
         values={"lhs": lhs, "rhs": rhs, "h_total": h_total, "h_proj": h_proj},
-        verdicts={"k-fold inequality": lhs >= rhs - IDENTITY_TOL},
+        verdicts=_verdicts(slacks),
     )
 
 
@@ -197,16 +241,23 @@ def check_theorem_11(
     members: Sequence[int], u_a: Dist, v: Subspace, epsilon: float
 ) -> CriterionCheck:
     """Theorem 1.1 for A = members (sorted, distinct) with U_A = u_a:
-    E_{a in A} log2|A cap (V+a)| >= (eta - eps) log2|A|, and that expectation
-    equals H[U_A | pi_V(U_A)], for eps in (0, T11_EPSILON_MAX]."""
+    E_{a in A} log2|A cap (V+a)| >= (eta - eps) log2|A| (t11_inequality),
+    and that expectation equals H[U_A | pi_V(U_A)], for eps in
+    (0, T11_EPSILON_MAX]."""
     _require_epsilon(epsilon, T11_EPSILON_MAX)
-    stats = doubling_stats(members)
+    return _t11_check(members, u_a, v, epsilon, doubling_stats(members))
+
+
+def _t11_check(
+    members: Sequence[int], u_a: Dist, v: Subspace, epsilon: float, stats: DoublingStats
+) -> CriterionCheck:
+    """check_theorem_11 for V, given A's doubling_stats."""
     size = len(members)
     parts = coset_decompose(members, v)
     expected_log = sum(len(part) * math.log2(len(part)) for part in parts.values()) / size
     h_cond = shannon_entropy(u_a) - shannon_entropy(pushforward_quotient(u_a, v))
     identity_gap = abs(expected_log - h_cond)
-    bound = (stats.eta - epsilon) * math.log2(size) if size > 1 else 0.0
+    bound, slacks = t11_inequality(expected_log, stats.eta, epsilon, size)
     return CriterionCheck(
         values={
             "set_size": size,
@@ -217,10 +268,7 @@ def check_theorem_11(
             "identity_gap": identity_gap,
             "bound": bound,
         },
-        verdicts={
-            "coset identity": identity_gap <= IDENTITY_TOL,
-            "intersection bound": expected_log >= bound - IDENTITY_TOL,
-        },
+        verdicts={"coset identity": identity_gap <= IDENTITY_TOL, **_verdicts(slacks)},
     )
 
 
@@ -937,6 +985,16 @@ def _solve_b_inner(
     return _b_certificate("pipeline", v, params, passed[0]), tuple(steps)
 
 
+def _pipeline_b(p: Dist, q: Dist, eta: float, epsilon: float, *, seed: int) -> SolveResult:
+    """solve_B's certificate before the descent: the recursion's V."""
+    if p.n != q.n:
+        raise DimensionMismatchError("ambient dimensions differ")
+    StatementParams(eta=eta, epsilon=epsilon)
+    ctx = _SolveContext(rng=seeded_rng(seed), seed=seed)
+    cert, steps = _solve_b(p, q, eta, epsilon, ctx)
+    return SolveResult(certificate=cert, steps=steps, seed=seed)
+
+
 def solve_B(
     p: Dist,
     q: Dist,
@@ -947,22 +1005,121 @@ def solve_B(
 ) -> SolveResult:
     """Produce a verified statement-B subspace certificate for (eta, epsilon).
 
-    Follows the inductive recursion on eta up to the 1/2 base case; the
-    final certificate reports the achieved (eta, epsilon, dim V), never the
-    analysis' worst-case size constant.  The certificate is built from the
-    statement-B check that accepted V, so its achieved values are that
-    check's; with L = L_achieved its size bound holds by definition.
+    Follows the inductive recursion on eta up to the 1/2 base case, then
+    descends from the recursion's V through hyperplanes that keep statement
+    B (_descend).  The final certificate reports the achieved (eta,
+    epsilon, dim V), never the analysis' worst-case size constant.  It is
+    built from the statement-B check that accepted V, so its achieved
+    values are that check's; with L = L_achieved its size bound holds by
+    definition.
     """
-    if p.n != q.n:
-        raise DimensionMismatchError("ambient dimensions differ")
-    StatementParams(eta=eta, epsilon=epsilon)
-    ctx = _SolveContext(rng=seeded_rng(seed), seed=seed)
-    cert, steps = _solve_b(p, q, eta, epsilon, ctx)
-    return SolveResult(certificate=cert, steps=steps, seed=seed)
+    result = _pipeline_b(p, q, eta, epsilon, seed=seed)
+    if not result.subspace.dim:  # V = 0, a common outcome, has no hyperplane
+        return result
+    params = StatementParams(eta=eta, epsilon=epsilon)
+    h_total = shannon_entropy(p) + shannon_entropy(q)
+
+    def score(h: np.ndarray) -> dict:
+        rhs = b_inequality(h[2], h[0], h[1], h_total, None, eta, epsilon)[0]
+        return {"statement B inequality": h[2] - rhs}
+
+    return _descend(
+        result,
+        (p, q),
+        [xor_convolve(p, q)],
+        score,
+        lambda w: check_statement_B(p, q, w, params),
+        lambda w, chk: _b_certificate("pipeline", w, params, chk),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Minimal certificates: the best-margin hyperplane descent
+
+
+def _hyperplane(v: Subspace, f: int) -> Subspace:
+    """The hyperplane ker f of V for a functional f on V's basis coordinates,
+    as hyperplane_entropies numbers them: the basis rows f leaves out, and the
+    others it picks each XORed with the lowest one it picks."""
+    low = pivot_of(f)
+    pick = v.basis[low]
+    rows = [r ^ pick if (f >> i) & 1 else r for i, r in enumerate(v.basis) if i != low]
+    return span(rows, v.n)
+
+
+def _descend(
+    result: SolveResult,
+    inputs: Sequence[Dist],
+    sums: Sequence[Dist],
+    score: Callable[[np.ndarray], dict],
+    check: Callable[[Subspace], CriterionCheck],
+    build: Callable[[Subspace, CriterionCheck], SubspaceCertificate],
+) -> SolveResult:
+    """Shrink a producer's verified V one hyperplane at a time under its
+    criterion, and certify the smallest V reached.
+
+    Each level scores every hyperplane W of V at once: score(h) gives each
+    W's slacks (lhs - rhs in bits, by inequality) from
+    h = hyperplane_entropies of the inputs' rows and then the sums' rows.
+    The margin of W is its smallest slack.  The move goes to the W of
+    largest margin among those that pass, ties within IDENTITY_TOL to the
+    lowest functional, and the criterion's own check confirms it.  The
+    descent stops when no W scores as passing or the confirming check
+    fails, and build(V, check) makes the certificate from the last check
+    that passed.
+
+    When V moved, a final DESCENT step records the pipeline's V, whether it
+    was trivial, and the number of levels; its h_before and h_after sum the
+    inputs' projected entropies at the pipeline's V and, from the last
+    level's scores, at the last.  Only the outermost producer descends,
+    under the criterion it was asked for.
+    """
+    rows = np.stack([d.mass for d in (*inputs, *sums)])
+    v, chk, levels = result.subspace, None, 0
+    while v.dim:
+        h = hyperplane_entropies(rows, v)
+        margin = functools.reduce(np.minimum, score(h).values())
+        best = margin.max()
+        if best < -IDENTITY_TOL:
+            break
+        f = int(np.argmax(margin >= best - IDENTITY_TOL))
+        w = _hyperplane(v, f + 1)
+        w_chk = check(w)
+        if not w_chk.passes:
+            break
+        v, chk, levels, h_after = w, w_chk, levels + 1, float(h[: len(inputs), f].sum())
+    if not levels:
+        return result
+    start = result.subspace
+    step = TraceStep(
+        kind="DESCENT",
+        added=Subspace.zero(v.n),
+        dim_total=v.dim,
+        h_before=sum(shannon_entropy(pushforward_quotient(d, start)) for d in inputs),
+        h_after=h_after,
+        note={
+            "pipeline_subspace": start.to_json(),
+            "pipeline_trivial": start.dim in (0, start.n),
+            "levels": levels,
+        },
+    )
+    return SolveResult(certificate=build(v, chk), steps=result.steps + (step,), seed=result.seed)
 
 
 # ---------------------------------------------------------------------------
 # Corollaries
+
+
+def _pipeline_rich(p: Dist, q: Dist, epsilon: float, *, seed: int) -> SolveResult:
+    """rich_cosets' certificate before the descent: solve_B's recursion's V
+    at eta = eps = epsilon/2, checked for rich cosets."""
+    _require_epsilon(epsilon)
+    inner = _pipeline_b(p, q, epsilon / 2.0, epsilon / 2.0, seed=seed)
+    v = inner.subspace
+    chk = check_rich_cosets(p, q, v, epsilon)
+    chk.require("rich-cosets")
+    cert = certificate(CRITERION_RICH, "pipeline", v, {"epsilon": epsilon}, chk)
+    return SolveResult(certificate=cert, steps=inner.steps, seed=seed)
 
 
 def rich_cosets(
@@ -974,16 +1131,30 @@ def rich_cosets(
 ) -> SolveResult:
     """Find V with H[X|pi(X)], H[Y|pi(Y)] >= s - epsilon(H[X]+H[Y]).
 
-    Runs solve_B at eta = eps = epsilon/2 and verifies the conditional
-    entropy bounds through the fibring chain.
+    Runs solve_B's recursion at eta = eps = epsilon/2 (without its
+    descent), verifies the conditional entropy bounds through the fibring
+    chain, then descends from that V through hyperplanes that keep the rich
+    cosets (_descend).
     """
-    _require_epsilon(epsilon)
-    inner = solve_B(p, q, epsilon / 2.0, epsilon / 2.0, seed=seed)
-    v = inner.subspace
-    chk = check_rich_cosets(p, q, v, epsilon)
-    chk.require("rich-cosets")
-    cert = certificate(CRITERION_RICH, "pipeline", v, {"epsilon": epsilon}, chk)
-    return SolveResult(certificate=cert, steps=inner.steps, seed=seed)
+    result = _pipeline_rich(p, q, epsilon, seed=seed)
+    if not result.subspace.dim:  # V = 0, a common outcome, has no hyperplane
+        return result
+    h_x, h_y = shannon_entropy(p), shannon_entropy(q)
+    conv = xor_convolve(p, q)
+    s = h_x + h_y - shannon_entropy(conv)
+
+    def score(h: np.ndarray) -> dict:
+        s_quotient = h[0] + h[1] - h[2]
+        return rich_inequality(s_quotient, h_x - h[0], h_y - h[1], s, h_x + h_y, epsilon)[1]
+
+    return _descend(
+        result,
+        (p, q),
+        [conv],
+        score,
+        lambda w: check_rich_cosets(p, q, w, epsilon),
+        lambda w, chk: certificate(CRITERION_RICH, "pipeline", w, {"epsilon": epsilon}, chk),
+    )
 
 
 def many_sums(
@@ -994,10 +1165,11 @@ def many_sums(
 ) -> SolveResult:
     """k-fold version: H[pi(X_1)+...+pi(X_k)] >= sum H[pi(X_i)] - eps sum H[X_i].
 
-    Grows V by rich_cosets' subspace for the first prefix pair
-    (pi(X_1)+...+pi(X_j), pi(X_{j+1})) that violates the delta-gap
-    (delta = eps/(k-1)), within ceil(2/delta) + 2 rounds; a subspace already
-    inside V raises PipelineError.
+    Grows V by rich_cosets' pipeline subspace (without its descent) for the
+    first prefix pair (pi(X_1)+...+pi(X_j), pi(X_{j+1})) that violates the
+    delta-gap (delta = eps/(k-1)), within ceil(2/delta) + 2 rounds; a
+    subspace already inside V raises PipelineError.  Then descends from that
+    V through hyperplanes that keep the k-fold inequality (_descend).
     """
     k = len(dists)
     _many_sums_range(k, epsilon)
@@ -1018,7 +1190,7 @@ def many_sums(
                 shannon_entropy(prefix) + shannon_entropy(pushed[j]) - delta * s_h
             )
             if shannon_entropy(total) < gap_rhs - IDENTITY_TOL:
-                sub = rich_cosets(prefix, pushed[j], delta / 2.0, seed=seed)
+                sub = _pipeline_rich(prefix, pushed[j], delta / 2.0, seed=seed)
                 return "SUMSET_FIX_1", sub.subspace, {"prefix_length": j}
             prefix = total
         return None
@@ -1026,8 +1198,25 @@ def many_sums(
     w, steps = _grow(dists, math.ceil(2.0 / delta) + 2, "many_sums", fix)
     chk = check_many_sums(dists, w, epsilon)
     chk.require("many_sums")
-    cert = certificate(CRITERION_MANY, "pipeline", w, {"epsilon": epsilon}, chk)
-    return SolveResult(certificate=cert, steps=tuple(steps), seed=seed)
+
+    def build(v: Subspace, chk: CriterionCheck) -> SubspaceCertificate:
+        return certificate(CRITERION_MANY, "pipeline", v, {"epsilon": epsilon}, chk)
+
+    total = dists[0]
+    for extra in dists[1:]:
+        total = xor_convolve(total, extra)
+
+    def score(h: np.ndarray) -> dict:
+        return many_sums_inequality(h[k], h[:k].sum(axis=0), s_h, epsilon)[1]
+
+    return _descend(
+        SolveResult(certificate=build(w, chk), steps=tuple(steps), seed=seed),
+        dists,
+        [total],
+        score,
+        lambda v: check_many_sums(dists, v, epsilon),
+        build,
+    )
 
 
 def analyze_set(
@@ -1039,18 +1228,38 @@ def analyze_set(
 ) -> SolveResult:
     """Subspace certificate for a concrete set with moderate doubling.
 
-    Measures eta from |A+A| = |A|^(2-eta), runs rich_cosets on X = Y = U_A,
-    and verifies both E_{a in A} log2|A cap (V+a)| >= (eta - eps) log2|A| and
-    the exact identity with H[U_A | pi_V(U_A)].
+    Measures eta from |A+A| = |A|^(2-eta), runs rich_cosets' pipeline
+    (without its descent) on X = Y = U_A, and verifies both
+    E_{a in A} log2|A cap (V+a)| >= (eta - eps) log2|A| and the exact
+    identity with H[U_A | pi_V(U_A)].  Then descends from that V through
+    hyperplanes that keep Theorem 1.1 (_descend), scoring each by
+    H[U_A | pi_W(U_A)], which the identity equates with the expectation.
+    A's doubling statistics are computed once for every check.
     """
     _require_epsilon(epsilon, T11_EPSILON_MAX)
     members = sorted(set(elements))
     if not members:
         raise EmptySupportError("analyze_set requires a nonempty set")
     u_a = uniform_on(members, n)
-    inner = rich_cosets(u_a, u_a, epsilon / 2.0, seed=seed)
+    inner = _pipeline_rich(u_a, u_a, epsilon / 2.0, seed=seed)
     v = inner.subspace
-    chk = check_theorem_11(members, u_a, v, epsilon)
+    stats = doubling_stats(members)
+    chk = _t11_check(members, u_a, v, epsilon, stats)
     chk.require("Theorem 1.1")
-    cert = certificate(CRITERION_T11, "pipeline", v, {"epsilon": epsilon}, chk)
-    return SolveResult(certificate=cert, steps=inner.steps, seed=seed)
+
+    def build(w: Subspace, chk: CriterionCheck) -> SubspaceCertificate:
+        return certificate(CRITERION_T11, "pipeline", w, {"epsilon": epsilon}, chk)
+
+    h_u = shannon_entropy(u_a)
+
+    def score(h: np.ndarray) -> dict:
+        return t11_inequality(h_u - h[0], stats.eta, epsilon, len(members))[1]
+
+    return _descend(
+        SolveResult(certificate=build(v, chk), steps=inner.steps, seed=seed),
+        (u_a,),
+        [],
+        score,
+        lambda w: _t11_check(members, u_a, w, epsilon, stats),
+        build,
+    )

@@ -8,14 +8,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entropic_doubling.certify import endgame_bundle, set_bundle, solve_bundle, verify_bundle
+from entropic_doubling.certify import (
+    endgame_bundle,
+    pfr_bundle,
+    set_bundle,
+    solve_bundle,
+    verify_bundle,
+)
 from entropic_doubling.dist import Dist, random_dist, uniform_on
 from entropic_doubling.endgame import endgame
 from entropic_doubling.entropy import doubling_mass, shannon_entropy
 from entropic_doubling.errors import ValidationError
 from entropic_doubling.gf2 import Subspace
-from entropic_doubling.oracle import pfr_subspace
+from entropic_doubling.oracle import OBJECTIVE_STATEMENT_B, exhaustive_best_subspace, pfr_subspace
 from entropic_doubling.pipeline import (
+    SolveResult,
     analyze_set,
     check_many_sums,
     check_rich_cosets,
@@ -86,13 +93,66 @@ ENDGAME_VALUES = (
 )
 
 
+# The fixtures predate the hyperplane descent, so the stored V is the
+# pipeline's.  Re-solving descends inside it to these bases; PFR does not descend.
+DESCENDED = {
+    "statement_b": (10, 12),
+    "rich_cosets": (6,),
+    "many_sums": (6,),
+    "theorem_11": (4, 8),
+}
+
+
 @pytest.mark.parametrize("name", sorted(KINDS))
 def test_fixture_verifies_and_resolves_to_same_basis(name):
     bundle = load(name)
     report = verify_bundle(bundle)
     assert report.ok, report.failures
     resolve = KINDS[name][0]
-    assert resolve(bundle) == Subspace.from_json(bundle["certificate"]["subspace"])
+    stored = Subspace.from_json(bundle["certificate"]["subspace"])
+    resolved = resolve(bundle)
+    assert resolved.is_subspace_of(stored)
+    assert resolved.basis == DESCENDED.get(name, stored.basis)
+
+
+def test_relabelled_exhaustive_statement_b_rejected():
+    # The fixture's V is the pipeline's F_2^4, not the exhaustive scan's
+    # first V in (dim, lex) order, although it meets statement B.
+    bundle = load("statement_b")
+    bundle["certificate"]["search_mode"] = "exhaustive"
+    report = verify_bundle(bundle)
+    assert not report.ok
+    assert report.failures == ["exhaustive scan returns V"]
+
+
+@pytest.mark.parametrize(
+    "name, mode, failure",
+    [
+        ("statement_b", "greedy", "no STATEMENT_B producer writes search_mode 'greedy'"),
+        ("theorem_11", "exhaustive", "no THEOREM_11 producer writes search_mode 'exhaustive'"),
+        ("rich_cosets", "oracle", "no RICH_COSETS producer writes search_mode 'oracle'"),
+        ("pfr_cor22", "pipeline", "no PFR_COR22 producer writes search_mode 'pipeline'"),
+        ("pfr_cor22", "exhaustive", "exhaustive search capped at n <= 6"),
+    ],
+)
+def test_search_mode_no_producer_writes_rejected(name, mode, failure):
+    bundle = load(name)
+    bundle["certificate"]["search_mode"] = mode
+    report = verify_bundle(bundle)
+    assert report.failures == [f"bundle rejected: {failure}"]
+
+
+def test_exhaustive_certificates_verify():
+    rng = np.random.default_rng(21)
+    p, q = random_dist(4, rng), random_dist(4, rng)
+    params = {"eta": 0.3, "epsilon": 0.1}
+    cert = exhaustive_best_subspace(p, q, OBJECTIVE_STATEMENT_B, params=params)
+    assert cert.search_mode == "exhaustive" and 0 < cert.subspace.dim < 4
+    bundle = solve_bundle(SolveResult(certificate=cert, steps=(), seed=0), p, q)
+    assert verify_bundle(json.loads(json.dumps(bundle))).ok
+    pfr = pfr_subspace(p, q)
+    assert pfr.search_mode == "exhaustive"
+    assert verify_bundle(json.loads(json.dumps(pfr_bundle(pfr, p, q)))).ok
 
 
 def test_endgame_fixture_verifies_and_resolves_to_same_table():

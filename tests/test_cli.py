@@ -171,24 +171,39 @@ class TestFindSubspaceAndVerify:
         capsys.readouterr()
 
     @pytest.mark.parametrize(
-        "family, note",
+        "source, note",
         [
-            (["--family", "hamming-ball", "--n", "5", "--radius", "1"],
-             "note: trivial certificate: V = F_2^5\n"),
+            # A pair whose exhaustive statement-B minimum is F_2^5.
+            ("random pair", "note: trivial certificate: V = F_2^5\n"),
             (["--family", "union-cosets", "--n", "4", "--dim-v", "2", "--count", "2",
               "--seed", "0"], ""),
+            # The pipeline's V is F_2^5; the descent ends at dim 2.
+            (["--family", "hamming-ball", "--n", "5", "--radius", "1"],
+             "note: the pipeline's V was F_2^5; this dim-2 V comes from the hyperplane "
+             "descent alone\n"),
         ],
-        ids=["whole group", "proper subspace"],
+        ids=["whole group", "proper subspace", "descent only"],
     )
-    def test_trivial_certificate_notes_one_stderr_line(self, family, note, tmp_path, capsys):
-        path, out = tmp_path / "set.json", tmp_path / "cert.json"
-        assert main(["gen", *family, "--out", str(path)]) == 0
+    def test_trivial_certificate_notes_one_stderr_line(self, source, note, tmp_path, capsys):
+        out = tmp_path / "cert.json"
+        if source == "random pair":
+            rng = np.random.default_rng(0)
+            argv = ["--eta", "0.2", "--epsilon", "0.05"]
+            for flag in ("--dist", "--dist2"):
+                path = tmp_path / f"{flag[2:]}.json"
+                path.write_text(json.dumps(random_dist(5, rng).to_json()))
+                argv += [flag, str(path)]
+        else:
+            path = tmp_path / "set.json"
+            assert main(["gen", *source, "--out", str(path)]) == 0
+            argv = ["--set", str(path), "--epsilon", "0.2"]
         capsys.readouterr()
-        code = main(["find-subspace", "--set", str(path), "--epsilon", "0.2", "--out", str(out)])
+        code = main(["find-subspace", *argv, "--out", str(out)])
         assert code == 0
         assert capsys.readouterr().err == note
         bundle = json.loads(out.read_text())
-        assert bundle["trivial"] is bool(note) and bundle["verified"] is True
+        assert bundle["trivial"] is note.startswith("note: trivial")
+        assert bundle["verified"] is True
 
     def test_package_error_exits_two_with_one_line(self, tmp_path, capsys):
         # B(7, 1) needs the endgame above its n <= 6 cap: a CapacityError.

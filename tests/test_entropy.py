@@ -30,6 +30,7 @@ from entropic_doubling.entropy import (
     doubling_mass,
     fiber_interactions,
     fibring_decompose,
+    hyperplane_entropies,
     mutual_information,
     quotient_entropy,
     ruzsa_distance,
@@ -479,6 +480,55 @@ class TestQuotientEntropy:
             lhs = quotient_entropy(p, v)
             rhs = shannon_entropy(xor_convolve(p, uniform_on_subspace(v))) - v.dim
             assert lhs == pytest.approx(rhs, abs=1e-9)
+
+
+class TestHyperplaneEntropies:
+    @staticmethod
+    def _kernel_of(v: Subspace, f: int, rng) -> Subspace:
+        """ker f as the span of members V[u] of V with popcount(f & u) even:
+        every such member when dim V <= 8, else 64 random ones."""
+        d = v.dim
+        us = range(1 << d) if d <= 8 else rng.integers(0, 1 << d, size=64).tolist()
+        members = []
+        for u in us:
+            if bin(f & u).count("1") % 2 == 0:
+                x = 0
+                for i, r in enumerate(v.basis):
+                    x ^= r if u >> i & 1 else 0
+                members.append(x)
+        w = span(members, v.n)
+        assert w.dim == d - 1 and w.is_subspace_of(v)
+        return w
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_each_hyperplane_pushforward(self, n):
+        # Every dim V, a full and a sparse support; every functional up to
+        # dim 5, 12 of them (with the first and last) above.
+        rng = np.random.default_rng(100 + n)
+        for d in range(1, n + 1):
+            while True:
+                v = span(rng.integers(1, 1 << n, size=d).tolist(), n)
+                if v.dim == d:
+                    break
+            rows = [random_dist(n, rng), random_dist(n, rng, support_size=max(1, (1 << n) // 8))]
+            h = hyperplane_entropies(np.stack([row.mass for row in rows]), v)
+            assert h.shape == (2, (1 << d) - 1)
+            fs = range(1, 1 << d)
+            if d > 5:
+                fs = [1, (1 << d) - 1, *rng.integers(2, (1 << d) - 1, 10)]
+            for f in fs:
+                w = self._kernel_of(v, int(f), rng)
+                for i, row in enumerate(rows):
+                    expect = shannon_entropy(pushforward_quotient(row, w))
+                    assert abs(h[i, f - 1] - expect) <= 1e-12, (n, d, f, i)
+
+    def test_point_mass_and_uniform_on_v(self):
+        # A point mass reads 0 on every hyperplane; U_V reads 1 bit.
+        v = span([3, 5, 8], 4)
+        rows = np.stack([point_mass(6, 4).mass, uniform_on_subspace(v).mass])
+        h = hyperplane_entropies(rows, v)
+        assert np.all(np.abs(h[0]) <= 1e-12)
+        assert np.allclose(h[1], 1.0, atol=1e-12)
 
 
 class TestFiberInteractionInequality:

@@ -50,7 +50,7 @@ from entropic_doubling.errors import (
     PipelineError,
     ValidationError,
 )
-from entropic_doubling.families import hamming_ball, union_of_cosets
+from entropic_doubling.families import hamming_ball, random_subset_of_subspace, union_of_cosets
 from entropic_doubling.gf2 import Subspace, all_subspaces, span, subspace_sum
 from entropic_doubling.oracle import (
     OBJECTIVE_STATEMENT_B,
@@ -663,9 +663,16 @@ class TestSolveB:
         v = span([1, 2], 3)
         u = uniform_on_subspace(v)
         res = solve_B(u, u, 0.3, 0.1, seed=0)
-        assert res.subspace == v
-        pushed = pushforward_quotient(u, res.subspace)
+        # The recursion's V is the support's subspace, where the projections
+        # collapse.  The descent then keeps the hyperplane <2>, where
+        # statement B holds with equality: 1 >= 0.7 * 2 - 0.1 * 4.
+        descent = res.steps[-1]
+        assert descent.kind == "DESCENT"
+        assert Subspace.from_json(descent.note["pipeline_subspace"]) == v
+        pushed = pushforward_quotient(u, v)
         assert shannon_entropy(pushed) == pytest.approx(0.0, abs=1e-12)
+        assert res.subspace == span([2], 3)
+        assert res.subspace.is_subspace_of(v)
 
     def test_certificate_reports_achieved_quantities(self):
         rng = np.random.default_rng(8)
@@ -701,18 +708,22 @@ class TestSolveB:
 
     def test_same_bytes_at_one_and_two_blas_threads(self):
         # The transform is BLAS matmuls; the thread count must not move a bit
-        # of a certificate or of a large transform.
+        # of a certificate, a descended one included, or of a large transform.
         script = """
 import hashlib, json, sys
 import numpy as np
-from entropic_doubling.certify import solve_bundle
+from entropic_doubling.certify import set_bundle, solve_bundle
 from entropic_doubling.dist import random_dist, wht
-from entropic_doubling.pipeline import solve_B
+from entropic_doubling.families import hamming_ball
+from entropic_doubling.pipeline import analyze_set, solve_B
 rng = np.random.default_rng(4)
 p, q = random_dist(5, rng), random_dist(5, rng)
 bundle = solve_bundle(solve_B(p, q, 0.2, 0.05, seed=1), p, q)
+ball = hamming_ball(6, 1)
+descended = set_bundle(analyze_set(ball, 6, 0.2, seed=1), ball, 6)
 table = np.random.default_rng(5).random((512, 4096))
 sys.stdout.write(json.dumps(bundle, sort_keys=True))
+sys.stdout.write(json.dumps(descended, sort_keys=True))
 sys.stdout.write(hashlib.sha256(wht(table).tobytes()).hexdigest())
 """
         src = str(Path(entropic_doubling.__file__).resolve().parents[1])
@@ -729,7 +740,7 @@ sys.stdout.write(hashlib.sha256(wht(table).tobytes()).hexdigest())
             )
             assert proc.returncode == 0, proc.stderr.decode()
             outputs.append(proc.stdout)
-        assert b"ENDGAME" in outputs[0]
+        assert b"ENDGAME" in outputs[0] and b"DESCENT" in outputs[0]
         assert outputs[0] == outputs[1]
 
     def test_hamming_ball_matches_exhaustive_minimum(self):
@@ -822,7 +833,7 @@ class TestManySums:
             return SimpleNamespace(subspace=Subspace.zero(4))
 
         pipeline_module = sys.modules["entropic_doubling.pipeline"]
-        monkeypatch.setattr(pipeline_module, "rich_cosets", zero_rich_cosets)
+        monkeypatch.setattr(pipeline_module, "_pipeline_rich", zero_rich_cosets)
         with pytest.raises(PipelineError, match="many_sums stalled"):
             many_sums([u, u, u], 0.3, seed=2)
         assert len(calls) == 1
@@ -1002,11 +1013,13 @@ class TestTrivialFlag:
         assert verify_bundle({k: v for k, v in bundle.items() if k != "trivial"}).ok
 
     def test_whole_group(self):
-        ball = hamming_ball(5, 1)
-        res = analyze_set(ball, 5, 0.2)
+        # A pair whose exhaustive statement-B minimum is F_2^5: no hyperplane passes.
+        rng = np.random.default_rng(0)
+        p, q = random_dist(5, rng), random_dist(5, rng)
+        res = solve_B(p, q, 0.2, 0.05)
         assert res.subspace == Subspace.full(5)
         assert res.trivial is True
-        bundle = json.loads(json.dumps(set_bundle(res, ball, 5)))
+        bundle = json.loads(json.dumps(solve_bundle(res, p, q)))
         assert bundle["trivial"] is True
         assert list(bundle).index("trivial") == list(bundle).index("steps") + 1
         self._assert_flag_ignored_by_verify(bundle)
@@ -1038,7 +1051,8 @@ class TestNontrivialPath:
         [
             ((4, 2, 2, 0), (1, 2, 4), ["ENDGAME"]),
             ((5, 2, 2, 1), (1, 2, 28), ["ENDGAME"]),
-            ((5, 1, 4, 0), (1, 10, 12, 16), ["ENDGAME", "ENDGAME"]),
+            # The recursion's V is <1, 10, 12, 16>; the descent drops 12.
+            ((5, 1, 4, 0), (1, 10, 16), ["ENDGAME", "ENDGAME", "DESCENT"]),
         ],
     )
     def test_pinned_basis(self, args, basis, kinds):
@@ -1224,3 +1238,147 @@ def test_b_solvers_return_zero_when_zero_passes(n, seed, support, eta, eps):
     assert _solve_b(p, q, eta, eps, ctx)[0].subspace == zero
     assert ctx.rng.bit_generator.state == state
     assert exhaustive_b_solver(eta, eps)(p, q).subspace == zero
+
+
+# ---------------------------------------------------------------------------
+# The hyperplane descent
+
+
+def _solve_b_like(n: int, kind: str, eta: float, eps: float, rng) -> tuple[Dist, Dist]:
+    """A pair in the style of the solve-b benchmark: random, or 0.8 on a coset
+    of a random (n - 2)-dim W plus 0.2 at random, drawn until V = 0 fails B."""
+    params = StatementParams(eta=eta, epsilon=eps)
+    while True:
+        if kind == "random":
+            p, q = random_dist(n, rng), random_dist(n, rng)
+        else:
+            w = span(rng.integers(1, 1 << n, size=n - 2).tolist(), n)
+            masses = []
+            for _ in range(2):
+                mass = 0.2 * random_dist(n, rng).mass
+                shift = np.arange(1 << n) ^ int(rng.integers(1 << n))
+                mass[shift] += 0.8 * uniform_on_subspace(w).mass
+                masses.append(mass)
+            p, q = Dist(n, masses[0]), Dist(n, masses[1])
+        if not check_statement_B(p, q, Subspace.zero(n), params).passes:
+            return p, q
+
+
+SOLVE_B_LIKE = [(4, "random", 0.3, 0.1), (4, "noisy", 0.2, 0.05), (5, "random", 0.2, 0.05),
+                (5, "noisy", 0.3, 0.1)]
+ANALYZE_LIKE = [
+    (5, hamming_ball(5, 1)),
+    (6, hamming_ball(6, 1)),
+    (6, union_of_cosets(6, 2, 4, 1)),
+    (6, random_subset_of_subspace(6, 4, 10, 1)),
+]
+
+
+def _random_pairs(count: int):
+    """(p, q, eta, eps, seed) as in the roadmap's random sample: n in 2..5,
+    each point kept with probability U(0.3, 1), exponential masses."""
+    rng = np.random.default_rng(12345)
+    for i in range(count):
+        n = int(rng.integers(2, 6))
+        pair = []
+        for _ in range(2):
+            mass = rng.exponential(size=1 << n) * (rng.random(1 << n) < rng.uniform(0.3, 1.0))
+            mass[int(rng.integers(1 << n))] += 1e-3
+            pair.append(Dist(n, mass / mass.sum()))
+        yield (*pair, float(rng.uniform(0.05, 0.45)), float(rng.uniform(0.02, 0.2)), i)
+
+
+class TestDescent:
+    """Each outermost producer ends with a best-margin hyperplane descent
+    inside its pipeline's V, under its own criterion."""
+
+    @staticmethod
+    def _assert_descended(res, check) -> Subspace:
+        """The final V lies in the pipeline's V, recorded by a DESCENT step
+        when it moved, and no hyperplane of it passes check, each found
+        afresh in the subspace lattice.  Returns the pipeline's V."""
+        v = res.subspace
+        last = res.steps[-1] if res.steps else None
+        if last is not None and last.kind == "DESCENT":
+            pipeline_v = Subspace.from_json(last.note["pipeline_subspace"])
+            assert last.note["levels"] == pipeline_v.dim - v.dim > 0
+            assert last.note["pipeline_trivial"] is (pipeline_v.dim == v.n)
+            assert last.dim_total == v.dim
+        else:
+            pipeline_v = v
+        assert v.is_subspace_of(pipeline_v)
+        assert [s.kind for s in res.steps].count("DESCENT") <= 1
+        hyperplanes = [w for w in all_subspaces(v.n) if w.dim == v.dim - 1 and w.is_subspace_of(v)]
+        assert len(hyperplanes) == (1 << v.dim) - 1 if v.dim else not hyperplanes
+        for w in hyperplanes:
+            assert not check(w).passes, (v, w)
+        return pipeline_v
+
+    @pytest.mark.parametrize("n, kind, eta, eps", SOLVE_B_LIKE)
+    def test_solve_b_like_reaches_the_exhaustive_minimum(self, n, kind, eta, eps):
+        p, q = _solve_b_like(n, kind, eta, eps, np.random.default_rng(n))
+        params = StatementParams(eta=eta, epsilon=eps)
+        res = solve_B(p, q, eta, eps, seed=1)
+        self._assert_descended(res, lambda w: check_statement_B(p, q, w, params))
+        assert verify_bundle(json.loads(json.dumps(solve_bundle(res, p, q)))).ok
+        minimal = exhaustive_best_subspace(
+            p, q, OBJECTIVE_STATEMENT_B, params={"eta": eta, "epsilon": eps}
+        )
+        assert res.subspace.dim == minimal.subspace.dim
+
+    @pytest.mark.parametrize("n, elements", ANALYZE_LIKE)
+    def test_analyze_like_sets(self, n, elements):
+        res = analyze_set(elements, n, 0.2, seed=1)
+        members = sorted(set(elements))
+        u_a = uniform_on(members, n)
+        pipeline_v = self._assert_descended(
+            res, lambda w: check_theorem_11(members, u_a, w, 0.2)
+        )
+        assert res.subspace.dim < pipeline_v.dim
+        assert verify_bundle(json.loads(json.dumps(set_bundle(res, elements, n)))).ok
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_hamming_ball_reaches_dim_two(self, n):
+        ball = hamming_ball(n, 1)
+        res = analyze_set(ball, n, 0.2)
+        assert res.subspace.dim == 2
+        descent = res.steps[-1]
+        assert descent.kind == "DESCENT"
+        assert descent.note == {
+            "pipeline_subspace": Subspace.full(n).to_json(),
+            "pipeline_trivial": True,
+            "levels": n - 2,
+        }
+        assert descent.h_after >= descent.h_before
+        assert res.trivial is False
+
+    def test_random_pairs(self):
+        stepped = descended = 0
+        for p, q, eta, eps, seed in _random_pairs(40):
+            params = StatementParams(eta=eta, epsilon=eps)
+            res = solve_B(p, q, eta, eps, seed=seed)
+            self._assert_descended(res, lambda w: check_statement_B(p, q, w, params))
+            assert verify_bundle(solve_bundle(res, p, q)).ok
+            stepped += bool(res.steps)
+            descended += bool(res.steps) and res.steps[-1].kind == "DESCENT"
+        assert stepped >= 10 and descended >= 5
+
+    def test_rich_cosets_and_many_sums(self):
+        for n, kind, eta, eps in SOLVE_B_LIKE:
+            p, q = _solve_b_like(n, kind, eta, eps, np.random.default_rng(n))
+            res = rich_cosets(p, q, 0.2, seed=1)
+            self._assert_descended(res, lambda w: check_rich_cosets(p, q, w, 0.2))
+            assert verify_bundle(json.loads(json.dumps(solve_bundle(res, p, q)))).ok
+            dists = [p, q, p]
+            res = many_sums(dists, 0.3, seed=1)
+            self._assert_descended(res, lambda w: check_many_sums(dists, w, 0.3))
+            assert verify_bundle(json.loads(json.dumps(many_sums_bundle(res, dists)))).ok
+
+    def test_inner_calls_do_not_descend(self):
+        # analyze_set -> rich_cosets -> solve_B: only the outermost descends.
+        ball = hamming_ball(5, 1)
+        res = analyze_set(ball, 5, 0.2)
+        assert [s.kind for s in res.steps].count("DESCENT") == 1
+        u = uniform_on(ball, 5)
+        inner = rich_cosets(u, u, 0.1)
+        assert [s.kind for s in inner.steps].count("DESCENT") == 1
