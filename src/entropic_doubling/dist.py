@@ -237,6 +237,13 @@ def xor_convolve(p: Dist, q: Dist) -> Dist:
     return Dist(p.n, np.maximum(_convolve_raw(p.mass, q.mass), 0.0))
 
 
+def same_law(p: Dist, q: Dist) -> bool:
+    """Whether q's table equals p's entry for entry, so that any function of
+    one reads the same floats off the other.  A cleaned table holds no NaN
+    and no -0.0, so equal entries are equal bytes."""
+    return p is q or (p.n == q.n and np.array_equal(p.mass, q.mass))
+
+
 def xor_convolve_naive(p: Dist, q: Dist) -> Dist:
     """Test oracle: explicit double sum over all pairs, no fast transform."""
     if p.n != q.n:
@@ -345,7 +352,12 @@ class FiberFamily:
 def sum_fibers(p: Dist, q: Dist) -> FiberFamily:
     """Fibers of X given X+Y = u over supp(X+Y), weighted by Pr[X+Y=u], by one
     gather: row u is p[x] q[x ^ u] over its sum, condition_on_sum(p, q, u)'s table."""
-    conv = xor_convolve(p, q)
+    return _sum_fibers(p, q, xor_convolve(p, q))
+
+
+def _sum_fibers(p: Dist, q: Dist, conv: Dist) -> FiberFamily:
+    """sum_fibers(p, q) given conv = xor_convolve(p, q), or xor_convolve(q, p),
+    whose floats are the same: the two spectra multiply elementwise."""
     labels = conv.support
     joint = p.mass * q.mass[labels[:, None] ^ np.arange(1 << p.n)]
     joint /= joint.sum(axis=1, keepdims=True)

@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dist import Dist, FiberFamily, JointDist, sum_fibers, xor_convolve
+from .dist import Dist, FiberFamily, JointDist, _sum_fibers, same_law, xor_convolve
 from .entropy import (
     PairEntropies,
     conditional_doubling_mass,
@@ -159,7 +159,8 @@ class _MoveTable:
     Y_1 | Y_1+X_2 (qp), and the pair entropies of the pp x qq and pq x qp
     grids that fiber_1 and fiber_2 reduce.  The sumset lemma tests the
     sumset moves and hands the B-solver the sums; Case 1 reads the pp/qq
-    grid, Case 2 and the endgame the pq/qp grid."""
+    grid, Case 2 and the endgame the pq/qp grid.  On X = Y each group of
+    equal fields (the sums, the families, the pair entropies) is one object."""
 
     n: int
     h_x: float
@@ -183,23 +184,45 @@ class _MoveTable:
 
 
 def _move_table(p: Dist, q: Dist) -> _MoveTable:
-    conv_pp = xor_convolve(p, p)
-    conv_qq = xor_convolve(q, q)
-    conv_pq = xor_convolve(p, q)
-    fib_pp = sum_fibers(p, p)
-    fib_qq = sum_fibers(q, q)
-    fib_pq = sum_fibers(p, q)
-    fib_qp = sum_fibers(q, p)
-    entropies_1 = pair_entropies(fib_pp, fib_qq)
-    entropies_2 = pair_entropies(fib_pq, fib_qp)
-    h_pp, h_qq, h_xy = (shannon_entropy(d) for d in (conv_pp, conv_qq, conv_pq))
+    """Measure the four moves of (X, Y) and what they read, each distinct law once.
+
+    A q whose table equals p's (same_law) is read as p, and every
+    convolution, sum-fiber family, pair-entropy table and entropy is computed
+    once per distinct argument tuple, in a memo that lives for this call.
+    xor_convolve(b, a) is read as xor_convolve(a, b): the spectra multiply
+    elementwise, so the floats are the same, and each sum-fiber family is
+    gathered over the table's own convolution.  A pair X != Y takes 3
+    convolutions of p and q, where the public functions one by one take 7,
+    and X = Y takes 1, one sum-fiber family and one pair-entropy table.  The
+    fields are bit-equal to the public functions computed one by one."""
+    if same_law(p, q):
+        q = p
+    # Keys are object ids: every keyed argument is p, q or a memo value, all
+    # alive until the call returns, so no id is reused within it.
+    memo: dict = {}
+
+    def once(fn, *args):
+        ids = tuple(map(id, args))
+        key = (fn, frozenset(ids) if fn is xor_convolve else ids)
+        if key not in memo:
+            memo[key] = fn(*args)
+        return memo[key]
+
+    def fibers(a: Dist, b: Dist) -> FiberFamily:
+        return once(_sum_fibers, a, b, once(xor_convolve, a, b))
+
+    conv_pp, conv_qq, conv_pq = (once(xor_convolve, a, b) for a, b in ((p, p), (q, q), (p, q)))
+    fib_pp, fib_qq, fib_pq, fib_qp = (fibers(a, b) for a, b in ((p, p), (q, q), (p, q), (q, p)))
+    entropies_1 = once(pair_entropies, fib_pp, fib_qq)
+    entropies_2 = once(pair_entropies, fib_pq, fib_qp)
+    h_pp, h_qq, h_xy = (once(shannon_entropy, d) for d in (conv_pp, conv_qq, conv_pq))
     moves = {
         "sumset_1": (
-            h_pp + h_qq - shannon_entropy(xor_convolve(conv_pp, conv_qq)),
+            h_pp + h_qq - once(shannon_entropy, once(xor_convolve, conv_pp, conv_qq)),
             h_pp + h_qq,
         ),
         "sumset_2": (
-            2.0 * h_xy - shannon_entropy(xor_convolve(conv_pq, conv_pq)),
+            2.0 * h_xy - once(shannon_entropy, once(xor_convolve, conv_pq, conv_pq)),
             2.0 * h_xy,
         ),
         "fiber_1": (
@@ -212,7 +235,7 @@ def _move_table(p: Dist, q: Dist) -> _MoveTable:
         ),
     }
     return _MoveTable(
-        p.n, shannon_entropy(p), shannon_entropy(q), h_xy, moves,
+        p.n, once(shannon_entropy, p), once(shannon_entropy, q), h_xy, moves,
         conv_pp, conv_qq, conv_pq, fib_pp, fib_qq, fib_pq, fib_qp, entropies_1, entropies_2,
     )
 
@@ -246,11 +269,11 @@ class FiberGrid:
         every subspace V in _scan_tables order, and picks[u, w] is the
         lattice index of V(u, w), both in label order.  They are the grid's
         `scans` when endgame_grid built it; any other grid scans its X_u and
-        maps its V(u, w) to indices here, once."""
+        maps its V(u, w) to indices here, once per distinct X_u row."""
         if self.scans is not None:
             return self.scans
         fx, fy = self.fibers_x, self.fibers_y
-        lat_x = np.stack([lattice_entropies(row) for row in fx.masses])
+        lat_x = _scan_rows(fx.masses)
         vs = [self.v_table[(u, w)] for u in fx.labels.tolist() for w in fy.labels.tolist()]
         picks = lattice_index(vs, fx.n).reshape(len(fx.labels), len(fy.labels))
         return lat_x, picks
@@ -275,6 +298,15 @@ class FiberGrid:
             hyp += weight * s
             e_dim += weight * v.dim
         return hyp, e_dim
+
+
+def _scan_rows(rows: np.ndarray) -> np.ndarray:
+    """lattice_entropies of every row of `rows`, stacked: each distinct row,
+    keyed by its bytes, is scanned once and its scan copied to its repeats."""
+    seen: dict[bytes, int] = {}
+    slots = np.array([seen.setdefault(row.tobytes(), len(seen)) for row in rows])
+    _, first = np.unique(slots, return_index=True)
+    return np.stack([lattice_entropies(rows[i]) for i in first])[slots]
 
 
 def _heaviest(fam: FiberFamily, k: int) -> tuple[FiberFamily, float, np.ndarray]:
@@ -360,8 +392,10 @@ def endgame_grid(
     H[X_u], H[Y_w], and H[pi(X_u)], H[pi(Y_w)] at each V(u, w); raises
     HypothesisViolationError naming every failed inequality.
 
-    Each kept fiber's lattice is scanned once, and its entropy read from the
-    move table.  Each X_u row's V(u, w) is one masked argmin of the stacked
+    Each distinct kept fiber row, keyed by its bytes across both families,
+    has its lattice scanned once (on X = Y every Y_w is an X_u), and each
+    fiber's entropy is read from the move table.  Each X_u row's V(u, w) is
+    one masked argmin of the stacked
     scans, under dim V <= PFR_SIZE_FACTOR (H[X_u] + H[Y_w]): the same floats
     and first-minimum tie-break as exhaustive_best_subspace's projected-entropy
     objective, so the same V(u, w).  The grid keeps the X_u scans and the
@@ -394,7 +428,8 @@ def endgame_grid(
     fam_x, fam_y, note, rows, cols = cap_fibers(move_table.fib_pq, move_table.fib_qp)
     h_x = move_table.entropies_2.h_x[rows]
     h_y = move_table.entropies_2.h_y[cols]
-    lat_x, lat_y = (np.stack([lattice_entropies(row) for row in f.masses]) for f in (fam_x, fam_y))
+    lat = _scan_rows(np.concatenate([fam_x.masses, fam_y.masses]))
+    lat_x, lat_y = lat[: len(h_x)], lat[len(h_x) :]
     subs, _, _, dims = _scan_tables(move_table.n)
     picks = np.empty((len(h_x), len(h_y)), dtype=np.int64)
     for i in range(len(h_x)):

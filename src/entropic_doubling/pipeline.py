@@ -654,7 +654,8 @@ def local_to_global(
     fibers_x, fibers_y, v_table = grid.fibers_x, grid.fibers_y, grid.v_table
     x_mix = fibers_x.mixture()
     y_mix = fibers_y.mixture()
-    h_total = shannon_entropy(x_mix) + shannon_entropy(y_mix)
+    h_y = shannon_entropy(y_mix)
+    h_total = shannon_entropy(x_mix) + h_y
     n = x_mix.n
 
     hyp, e_dim = grid.local_interaction
@@ -668,7 +669,6 @@ def local_to_global(
     h_seq, exact, mc_samples = _h_expectation_sequence(grid, tau, rng)
     k = len(h_seq) - 2
 
-    h_y = shannon_entropy(y_mix)
     floor = (zeta / 4.0) * h_total
     dim_bound = (8.0 / zeta**2) * e_dim
     max_attempts = math.ceil(100.0 / zeta)

@@ -20,6 +20,7 @@ from entropic_doubling.dist import (
     pushforward_quotient,
     quotient_fibers,
     random_dist,
+    same_law,
     sum_fibers,
     uniform_on,
     uniform_on_subspace,
@@ -214,9 +215,26 @@ class TestConvolve:
             right = xor_convolve(p, xor_convolve(q, r)).mass
             assert np.max(np.abs(left - right)) < 1e-12
 
+    def test_swapped_arguments_are_bit_equal(self):
+        # The spectra multiply elementwise, so the move table may read
+        # xor_convolve(q, p) as xor_convolve(p, q).
+        rng = np.random.default_rng(5)
+        for n in (2, 5, 8, 12):
+            p, q = random_dist(n, rng), random_dist(n, rng, 1 << (n - 1))
+            assert np.array_equal(xor_convolve(q, p).mass, xor_convolve(p, q).mass)
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             xor_convolve(point_mass(0, 2), point_mass(0, 3))
+
+
+class TestSameLaw:
+    def test_copies_are_the_same_law_and_others_are_not(self):
+        rng = np.random.default_rng(6)
+        p = random_dist(4, rng)
+        assert same_law(p, p) and same_law(p, Dist(4, p.mass.copy()))
+        assert not same_law(p, random_dist(4, rng))
+        assert not same_law(point_mass(0, 2), point_mass(0, 3))
 
 
 class TestPushforward:

@@ -1,6 +1,7 @@
 """Endgame bookkeeping: Z-system joints, hypothesis gates, the 480k bound."""
 
 import json
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -19,17 +20,21 @@ from entropic_doubling.dist import (
     uniform_on_subspace,
     xor_convolve,
 )
+from entropic_doubling.certify import endgame_bundle, verify_bundle
 from entropic_doubling.endgame import (
     FiberGrid,
+    _move_table,
     cap_fibers,
     endgame,
     endgame_move_quantities,
     z_system_joints,
 )
 from entropic_doubling.entropy import (
+    conditional_doubling_mass,
     conditional_mutual_information,
     doubling_mass,
     fibring_decompose,
+    pair_entropies,
     shannon_entropy,
 )
 from entropic_doubling.errors import CapacityError, HypothesisViolationError
@@ -38,8 +43,12 @@ from entropic_doubling.gf2 import Subspace, all_subspaces, span
 from entropic_doubling.oracle import (
     OBJECTIVE_PROJECTED_ENTROPY,
     PFR_SIZE_FACTOR,
+    _masked_argmin,
+    _scan_tables,
     exhaustive_best_subspace,
+    lattice_entropies,
 )
+from entropic_doubling.tolerances import IDENTITY_TOL
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -282,6 +291,112 @@ class TestBatchedFiberScan:
         t = bundle["transcript"]
         p, q = (Dist.from_json(bundle["inputs"][k]) for k in ("p", "q"))
         self._assert_rows_match_per_pair_scan(endgame(p, q, t["eta"], t["kappa"]), p, q)
+
+
+def _noisy_pair(n: int, seed: int, symmetric: bool) -> tuple[Dist, Dist]:
+    """A noisy uniform law on span{e0, e1} and either a fresh copy of its table
+    (X = Y, as the inductive step under analyze_set sees it) or a second law."""
+    rng = np.random.default_rng(seed)
+    u = uniform_on_subspace(span([1, 2], n)).mass
+    p = Dist(n, 0.7 * u + 0.3 * random_dist(n, rng).mass)
+    q = Dist(n, p.mass.copy()) if symmetric else Dist(n, 0.7 * u + 0.3 * random_dist(n, rng).mass)
+    return p, q
+
+
+def _moves_one_by_one(p: Dist, q: Dist):
+    """The move table's fields from the public functions, one call each."""
+    convs = [xor_convolve(a, b) for a, b in ((p, p), (q, q), (p, q))]
+    fibs = [sum_fibers(a, b) for a, b in ((p, p), (q, q), (p, q), (q, p))]
+    ent_1, ent_2 = pair_entropies(fibs[0], fibs[1]), pair_entropies(fibs[2], fibs[3])
+    h_pp, h_qq, h_xy = (shannon_entropy(c) for c in convs)
+    moves = {
+        "sumset_1": (
+            h_pp + h_qq - shannon_entropy(xor_convolve(convs[0], convs[1])),
+            h_pp + h_qq,
+        ),
+        "sumset_2": (2.0 * h_xy - shannon_entropy(xor_convolve(convs[2], convs[2])), 2.0 * h_xy),
+        "fiber_1": (
+            conditional_doubling_mass(fibs[0], fibs[1], ent_1),
+            float(fibs[0].weights @ ent_1.h_x + fibs[1].weights @ ent_1.h_y),
+        ),
+        "fiber_2": (
+            conditional_doubling_mass(fibs[2], fibs[3], ent_2),
+            float(fibs[2].weights @ ent_2.h_x + fibs[3].weights @ ent_2.h_y),
+        ),
+    }
+    return convs, fibs, (ent_1, ent_2), moves
+
+
+class TestEqualLawsMeasuredOnce:
+    """The move table shares each distinct law's convolution, fibers and pair
+    entropies, and endgame_grid scans each distinct fiber row once; the
+    floats are those of the public functions called one by one."""
+
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["X = Y", "X != Y"])
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_move_table_is_bit_equal_to_one_by_one(self, monkeypatch, n, symmetric):
+        p, q = _noisy_pair(n, n, symmetric)
+        convs, fibs, entropies, moves = _moves_one_by_one(p, q)
+        module = sys.modules["entropic_doubling.endgame"]
+        convolve, calls = module.xor_convolve, []
+        monkeypatch.setattr(module, "xor_convolve", lambda a, b: calls.append(1) or convolve(a, b))
+        t = _move_table(p, q)
+        # 1 (3) convolutions of the laws, then 1 (2) for the two sumset moves.
+        assert len(calls) == (2 if symmetric else 5)
+        for got, want in zip((t.conv_pp, t.conv_qq, t.conv_pq), convs):
+            assert np.array_equal(got.mass, want.mass)
+        for got, want in zip((t.fib_pp, t.fib_qq, t.fib_pq, t.fib_qp), fibs):
+            for field_name in ("labels", "weights", "masses"):
+                assert np.array_equal(getattr(got, field_name), getattr(want, field_name))
+        for got, want in zip((t.entropies_1, t.entropies_2), entropies):
+            for field_name in ("h_x", "h_y", "h_sum"):
+                assert np.array_equal(getattr(got, field_name), getattr(want, field_name))
+        assert t.moves == moves
+        assert (t.h_x, t.h_y) == (shannon_entropy(p), shannon_entropy(q))
+        assert t.h_xy == shannon_entropy(convs[2])
+        assert (t.fib_qp is t.fib_pp) == symmetric
+
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["X = Y", "X != Y"])
+    def test_endgame_grid_scans_each_distinct_row_once(self, monkeypatch, symmetric):
+        n = 4
+        p, q = _noisy_pair(n, 7, symmetric)
+        module = sys.modules["entropic_doubling.endgame"]
+        scanned: list = []
+        monkeypatch.setattr(
+            module, "lattice_entropies", lambda row: scanned.append(row) or lattice_entropies(row)
+        )
+        t = endgame(p, q, min(0.5, doubling_mass(p, q) / (shannon_entropy(p) + shannon_entropy(q))))
+        fx, fy = t.grid.fibers_x, t.grid.fibers_y
+        rows = np.concatenate([fx.masses, fy.masses])
+        distinct = {row.tobytes() for row in rows}
+        assert len(scanned) == len({row.tobytes() for row in scanned}) == len(distinct)
+        if symmetric:
+            assert len(scanned) == len(fx.labels) < len(rows)
+        # Per-row scans and the per-row masked argmin give the same arrays.
+        lat_x = np.stack([lattice_entropies(row) for row in fx.masses])
+        lat_y = np.stack([lattice_entropies(row) for row in fy.masses])
+        h_x = np.array([row[4] for row in t.table[:: len(fy.labels)]])
+        h_y = np.array([row[5] for row in t.table[: len(fy.labels)]])
+        dims = _scan_tables(n)[3]
+        picks = np.stack([
+            _masked_argmin(
+                lat_x[i] + lat_y,
+                dims <= PFR_SIZE_FACTOR * (h_x[i] + h_y[:, None]) + IDENTITY_TOL,
+                OBJECTIVE_PROJECTED_ENTROPY,
+            )
+            for i in range(len(h_x))
+        ])
+        got_lat, got_picks = t.grid.scans
+        assert np.array_equal(got_lat, lat_x)
+        assert np.array_equal(got_picks, picks)
+        TestBatchedFiberScan._assert_rows_match_per_pair_scan(t, p, q)
+
+    def test_equal_law_endgame_bundle_verifies(self):
+        p, _ = _noisy_pair(4, 11, True)
+        eta = min(0.5, doubling_mass(p, p) / (2.0 * shannon_entropy(p)))
+        bundle = json.loads(json.dumps(endgame_bundle(endgame(p, p, eta), p, p)))
+        report = verify_bundle(bundle)
+        assert report.ok, report.failures
 
 
 def _grid(
