@@ -189,12 +189,13 @@ def _move_table(p: Dist, q: Dist) -> _MoveTable:
     A q whose table equals p's (same_law) is read as p, and every
     convolution, sum-fiber family, pair-entropy table and entropy is computed
     once per distinct argument tuple, in a memo that lives for this call.
-    xor_convolve(b, a) is read as xor_convolve(a, b): the spectra multiply
-    elementwise, so the floats are the same, and each sum-fiber family is
-    gathered over the table's own convolution.  A pair X != Y takes 3
-    convolutions of p and q, where the public functions one by one take 7,
-    and X = Y takes 1, one sum-fiber family and one pair-entropy table.  The
-    fields are bit-equal to the public functions computed one by one."""
+    Each sum-fiber family is gathered over the table's own convolution, and
+    the (Y, X) family reads xor_convolve(p, q) for xor_convolve(q, p): the
+    spectra multiply elementwise, so the floats are the same.  A pair X != Y
+    takes 3 convolutions of p and q, where the public functions one by one
+    take 7, and X = Y takes 1, one sum-fiber family and one pair-entropy
+    table.  The fields are bit-equal to the public functions computed one by
+    one."""
     if same_law(p, q):
         q = p
     # Keys are object ids: every keyed argument is p, q or a memo value, all
@@ -202,17 +203,16 @@ def _move_table(p: Dist, q: Dist) -> _MoveTable:
     memo: dict = {}
 
     def once(fn, *args):
-        ids = tuple(map(id, args))
-        key = (fn, frozenset(ids) if fn is xor_convolve else ids)
+        key = (fn, tuple(map(id, args)))
         if key not in memo:
             memo[key] = fn(*args)
         return memo[key]
 
-    def fibers(a: Dist, b: Dist) -> FiberFamily:
-        return once(_sum_fibers, a, b, once(xor_convolve, a, b))
-
     conv_pp, conv_qq, conv_pq = (once(xor_convolve, a, b) for a, b in ((p, p), (q, q), (p, q)))
-    fib_pp, fib_qq, fib_pq, fib_qp = (fibers(a, b) for a, b in ((p, p), (q, q), (p, q), (q, p)))
+    fib_pp, fib_qq, fib_pq, fib_qp = (
+        once(_sum_fibers, a, b, c)
+        for a, b, c in ((p, p, conv_pp), (q, q, conv_qq), (p, q, conv_pq), (q, p, conv_pq))
+    )
     entropies_1 = once(pair_entropies, fib_pp, fib_qq)
     entropies_2 = once(pair_entropies, fib_pq, fib_qp)
     h_pp, h_qq, h_xy = (once(shannon_entropy, d) for d in (conv_pp, conv_qq, conv_pq))

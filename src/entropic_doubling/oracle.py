@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dist import Dist, pushforward_quotient, same_law, xor_convolve
+from .dist import Dist, pushforward_quotient, xor_convolve
 from .entropy import _entropy, _plogp, _plogp_hits, ruzsa_distance, shannon_entropy
 from .errors import (
     CapacityError,
@@ -418,14 +418,13 @@ def greedy_extension(p: Dist, q: Dist, v: Subspace, combine: np.ufunc) -> Subspa
     XORs in blocks of at most MERGE_BLOCK entries (working memory
     O(2^n + MERGE_BLOCK)).  combine is an elementwise ufunc over the two
     score vectors: np.maximum for the PFR ascent, np.add for the FALLBACK
-    step.  A q whose table equals p's (same_law) is scored once, as p.  The
-    pick is the smallest representative whose score is within 1e-15 of the
-    minimum.  Returns None when V is already the whole group.
+    step.  The pick is the smallest representative whose score is within
+    1e-15 of the minimum.  Returns None when V is already the whole group.
     """
     reps, h_x = extension_entropies(p, v)
     if reps.size == 0:
         return None
-    h_y = h_x if same_law(p, q) else extension_entropies(q, v)[1]
+    _, h_y = extension_entropies(q, v)
     score = combine(h_x, h_y)
     best = reps[np.argmax(score <= score.min() + 1e-15)]
     return span(v.basis + (int(best),), v.n)

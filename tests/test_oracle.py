@@ -2,7 +2,6 @@
 
 import json
 import operator
-import sys
 
 import numpy as np
 import pytest
@@ -268,25 +267,6 @@ class TestGreedyExtension:
     def test_whole_group_has_no_extension(self):
         u = uniform_on([0, 1], 2)
         assert greedy_extension(u, u, Subspace.full(2), max) is None
-
-    @pytest.mark.parametrize("combine", [np.maximum, np.add])
-    def test_equal_laws_scored_once(self, monkeypatch, combine):
-        # A copy of p's table is scored once, and the pick is the two-scan one.
-        n, rng = 8, np.random.default_rng(8)
-        p = random_dist(n, rng, 40)
-        p_copy = Dist(n, p.mass.copy())
-        v = span([3, 40], n)
-        reps, h_x = extension_entropies(p, v)
-        _, h_y = extension_entropies(p_copy, v)
-        score = combine(h_x, h_y)
-        expect = span(v.basis + (int(reps[np.argmax(score <= score.min() + 1e-15)]),), n)
-        module = sys.modules["entropic_doubling.oracle"]
-        calls: list = []
-        monkeypatch.setattr(
-            module, "extension_entropies", lambda d, w: calls.append(d) or extension_entropies(d, w)
-        )
-        assert greedy_extension(p, p_copy, v, combine) == expect
-        assert calls == [p]
 
 
 def _span_based_entropies(p, v):
