@@ -11,13 +11,15 @@ identity tolerance, which may tighten IDENTITY_TOL but not loosen it: a
 bundle whose tolerance is not a number in [0, IDENTITY_TOL] fails.  Each
 check holds the stored parameters to its criterion's range, as it does for
 the producer, so a parameter that would make the criterion vacuous fails too.
+
+A bundle's blocks are its records' JSON (records.Record: a record's fields
+by name, already plain Python values), so only the caller's inputs are made
+plain here, and a rebuilt record is matched as it comes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .dist import Dist, uniform_on
 from .endgame import EndgameTranscript, endgame
@@ -46,29 +48,16 @@ from .pipeline import (
     check_statement_B,
     check_theorem_11,
 )
+from .records import Record, plain
 from .tolerances import IDENTITY_TOL, tolerances_dict
-
-
-def _plain(obj):
-    """Recursively convert numpy scalars/arrays for json.dumps."""
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    return obj
 
 
 def _bundle(kind: str, inputs: dict, **blocks) -> dict:
     """The envelope every bundle shares: its kind, the PRNG, the embedded
-    inputs, the kind's own blocks and the tolerances verification reads."""
-    envelope = {"kind": kind, "prng": PRNG_ID, "inputs": inputs}
-    return _plain({**envelope, **blocks, "tolerances": tolerances_dict()})
+    inputs (made plain), the kind's own blocks (already plain record JSON)
+    and the tolerances verification reads."""
+    envelope = {"kind": kind, "prng": PRNG_ID, "inputs": plain(inputs)}
+    return {**envelope, **blocks, "tolerances": tolerances_dict()}
 
 
 def _pair(p: Dist, q: Dist) -> dict:
@@ -99,19 +88,11 @@ def pfr_bundle(cert: SubspaceCertificate, p: Dist, q: Dist) -> dict:
 
 
 @dataclass
-class VerifyReport:
+class VerifyReport(Record):
     kind: str
     ok: bool
     failures: list = field(default_factory=list)
     recomputed: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "ok": self.ok,
-            "failures": self.failures,
-            "recomputed": _plain(self.recomputed),
-        }
 
 
 def _require(report: VerifyReport, name: str, condition: bool) -> None:
@@ -142,7 +123,7 @@ def _mismatch(got, stored, tol: float, at: str = ""):
 
 def _match(report: VerifyReport, rebuilt: dict, stored: dict, tol: float) -> None:
     """One failure per key of rebuilt whose value stored does not match."""
-    for key, got in _plain(rebuilt).items():
+    for key, got in rebuilt.items():
         report.recomputed[key] = got
         miss = _mismatch(got, stored[key], tol)
         if miss:
@@ -169,12 +150,7 @@ def _rebuild(kind, inputs: dict, stored: dict) -> tuple[dict, dict]:
     and the verdicts it requires."""
     if kind == "ENDGAME":
         fresh = endgame(*_load_pair(inputs), float(stored["eta"]), float(stored["kappa"]))
-        verdicts = {
-            "mi bound": fresh.mi_bound_holds,
-            "z entropy gaps": fresh.z_entropy_gap_holds,
-            "480k expectation": fresh.expectation_holds,
-        }
-        return fresh.to_json(), verdicts
+        return fresh.to_json(), fresh.verdicts
     mode, v = stored["search_mode"], Subspace.from_json(stored["subspace"])
     if mode not in SEARCH_MODES.get(kind, ("pipeline",)):
         raise ValidationError(f"no {kind} producer writes search_mode {mode!r}")

@@ -257,11 +257,7 @@ def _cmd_endgame(args) -> int:
     q = Dist.from_json(_load_json(args.dist2)) if args.dist2 else p
     transcript = endgame(p, q, args.eta, args.kappa)
     bundle = endgame_bundle(transcript, p, q)
-    ok = (
-        transcript.mi_bound_holds
-        and transcript.z_entropy_gap_holds
-        and transcript.expectation_holds
-    )
+    ok = all(transcript.verdicts.values())
     bundle["verified"] = ok
     _write_output(bundle, args.out, "json")
     return 0 if ok else 1

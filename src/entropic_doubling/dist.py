@@ -137,7 +137,7 @@ class JointDist:
     def marginal(self, blocks: int | Sequence[int]) -> "JointDist | Dist":
         keep = (blocks,) if isinstance(blocks, int) else tuple(blocks)
         if any(b < 0 or b >= self.k for b in keep) or len(set(keep)) != len(keep):
-            raise ValueError(f"invalid block indices {keep}")
+            raise ValidationError(f"invalid block indices {keep}")
         drop = tuple(a for a in range(self.k) if a not in keep)
         table = self.mass.sum(axis=drop) if drop else self.mass
         # Reorder axes to the requested block order.
@@ -211,7 +211,7 @@ def wht(table: np.ndarray) -> np.ndarray:
     x = np.asarray(table, dtype=np.float64)
     size = x.shape[-1]
     if size == 0 or size & (size - 1):
-        raise ValueError(f"length {size} is not a power of two")
+        raise ValidationError(f"length {size} is not a power of two")
     if size == 1:
         return x.copy()
     shape, bits = x.shape, size.bit_length() - 1
@@ -292,11 +292,11 @@ def map_joint(j: JointDist, outputs: Sequence[Sequence[int]]) -> Dist | JointDis
     blocks to XOR together.  All XORed blocks must share a dimension."""
     outputs = [tuple(spec) for spec in outputs]
     if not 1 <= len(outputs) <= 4:
-        raise ValueError("map must produce 1..4 output blocks")
+        raise ValidationError("map must produce 1..4 output blocks")
     out_dims = []
     for spec in outputs:
         if not spec or any(b < 0 or b >= j.k for b in spec) or len(set(spec)) != len(spec):
-            raise ValueError(f"malformed output block {spec}")
+            raise ValidationError(f"malformed output block {spec}")
         dims = {j.dims[b] for b in spec}
         if len(dims) > 1:
             raise DimensionMismatchError(f"blocks {spec} have mixed dimensions")

@@ -11,14 +11,15 @@ over V of the fibers a of X and a ^ c of Y, streamed in bounded blocks.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .dist import Dist, FiberFamily, JointDist, _clean, pushforward_quotient, wht, xor_convolve
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, ValidationError
 from .gf2 import Subspace
+from .records import Record, plain
 from .tolerances import MASS_EPS
 
 # Entries (float64) per batch of the batched kernels below, far under
@@ -58,7 +59,7 @@ def conditional_entropy(
     t = _as_blocks(target)
     g = _as_blocks(given) if given is not None else ()
     if set(t) & set(g):
-        raise ValueError("target and conditioning blocks overlap")
+        raise ValidationError("target and conditioning blocks overlap")
     if not g:
         return joint_entropy(j, t)
     return joint_entropy(j, t + g) - joint_entropy(j, g)
@@ -68,7 +69,7 @@ def mutual_information(j: JointDist, a: int | Sequence[int], b: int | Sequence[i
     """I[A : B] = H[A] + H[B] - H[A, B]."""
     ba, bb = _as_blocks(a), _as_blocks(b)
     if set(ba) & set(bb):
-        raise ValueError("blocks overlap")
+        raise ValidationError("blocks overlap")
     return joint_entropy(j, ba) + joint_entropy(j, bb) - joint_entropy(j, ba + bb)
 
 
@@ -78,7 +79,7 @@ def conditional_mutual_information(
     """I[A : B | S] = H[A,S] + H[B,S] - H[A,B,S] - H[S] >= 0."""
     ba, bb, bs = _as_blocks(a), _as_blocks(b), _as_blocks(s)
     if (set(ba) & set(bb)) or (set(ba) & set(bs)) or (set(bb) & set(bs)):
-        raise ValueError("blocks overlap")
+        raise ValidationError("blocks overlap")
     return (
         joint_entropy(j, ba + bs)
         + joint_entropy(j, bb + bs)
@@ -152,7 +153,7 @@ def quotient_entropy(p: Dist, v: Subspace) -> float:
 
 
 @dataclass(frozen=True)
-class FibringReport:
+class FibringReport(Record):
     """The four terms of the fibring identity, in bits.
 
     s_total = s_quotient + s_fiber - residual_mi up to float error;
@@ -169,9 +170,7 @@ class FibringReport:
         return self.s_total - (self.s_quotient + self.s_fiber - self.residual_mi)
 
     def to_json(self) -> dict:
-        payload = asdict(self)
-        payload["identity_gap"] = self.identity_gap
-        return payload
+        return {**super().to_json(), "identity_gap": plain(self.identity_gap)}
 
 
 def _fiber_index(v: Subspace) -> np.ndarray:

@@ -14,6 +14,7 @@ import numpy as np
 
 from .dist import wht
 from .errors import EmptySupportError, ValidationError
+from .records import Record
 from .tolerances import MAX_ELEMENT_N
 
 PRNG_ID = "numpy-pcg64"
@@ -99,13 +100,10 @@ def sumset_naive(elements) -> set[int]:
 
 
 @dataclass(frozen=True)
-class DoublingStats:
+class DoublingStats(Record):
     size: int
     sumset_size: int
     eta: float
-
-    def to_json(self) -> dict:
-        return {"size": self.size, "sumset_size": self.sumset_size, "eta": self.eta}
 
 
 def doubling_stats(elements) -> DoublingStats:

@@ -25,6 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .gf2 import Subspace, all_subspaces, span
+from .records import Record
 from .tolerances import IDENTITY_TOL, MAX_ENUM_N
 
 CRITERION_PFR = "PFR_COR22"
@@ -40,7 +41,7 @@ PFR_SIZE_FACTOR = 7.0
 
 
 @dataclass(frozen=True)
-class SubspaceCertificate:
+class SubspaceCertificate(Record):
     """A subspace plus the numerically verified inequalities it satisfies."""
 
     criterion: str
@@ -48,15 +49,6 @@ class SubspaceCertificate:
     subspace: Subspace
     parameters: dict
     achieved: dict
-
-    def to_json(self) -> dict:
-        return {
-            "criterion": self.criterion,
-            "search_mode": self.search_mode,
-            "subspace": self.subspace.to_json(),
-            "parameters": self.parameters,
-            "achieved": self.achieved,
-        }
 
 
 @dataclass(frozen=True)
@@ -301,9 +293,12 @@ def exhaustive_best_subspace(
     if p.n > MAX_ENUM_N:
         raise CapacityError(f"exhaustive search capped at n <= {MAX_ENUM_N}")
     if objective not in (OBJECTIVE_PROJECTED_ENTROPY, OBJECTIVE_STATEMENT_B, OBJECTIVE_PFR):
-        raise ValueError(f"unknown objective {objective!r}")
+        raise ValidationError(f"unknown objective {objective!r}")
     params = dict(params or {})
     if objective == OBJECTIVE_STATEMENT_B:
+        for key in ("eta", "epsilon"):
+            if key not in params:
+                raise ValidationError(f"the {objective} objective needs params[{key!r}]")
         big_l = params.get("L")
         b_params = StatementParams(
             eta=float(params["eta"]),

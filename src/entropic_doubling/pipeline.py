@@ -79,6 +79,7 @@ from .oracle import (
     certificate,
     greedy_extension,
 )
+from .records import Record, plain
 from .tolerances import IDENTITY_TOL, MAX_ENUM_N
 
 CRITERION_RICH = "RICH_COSETS"
@@ -104,7 +105,7 @@ def check_statement_B(
 ) -> CriterionCheck:
     """Statement B for V: the inequality and, when params.L is given, the size bound."""
     if params.epsilon is None:
-        raise ValueError("statement B requires epsilon")
+        raise ValidationError("statement B requires epsilon")
     if p.n != q.n or p.n != v.n:
         raise DimensionMismatchError("ambient dimensions differ")
     pushed = [pushforward_quotient(p, v), pushforward_quotient(q, v)]
@@ -130,7 +131,7 @@ def check_statement_A(
     if p.n != q.n or p.n != v.n:
         raise DimensionMismatchError("ambient dimensions differ")
     if params.c is None:
-        raise ValueError("statement A requires c")
+        raise ValidationError("statement A requires c")
     h_total = shannon_entropy(p) + shannon_entropy(q)
     h_sum = shannon_entropy(xor_convolve(p, q))
     lhs = sum(shannon_entropy(pushforward_quotient(d, v)) for d in (p, q))
@@ -277,7 +278,7 @@ def _t11_check(
 
 
 @dataclass(frozen=True)
-class TraceStep:
+class TraceStep(Record):
     kind: str
     added: Subspace
     dim_total: int
@@ -290,15 +291,7 @@ class TraceStep:
         return self.h_before - self.h_after
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "added": self.added.to_json(),
-            "dim_total": self.dim_total,
-            "h_before": self.h_before,
-            "h_after": self.h_after,
-            "decrement": self.decrement,
-            "note": self.note,
-        }
+        return {**super().to_json(), "decrement": plain(self.decrement)}
 
 
 @dataclass(frozen=True)
@@ -393,25 +386,17 @@ def make_sumsets_not_double(
 
 
 @dataclass(frozen=True)
-class YSizeReport:
+class YSizeReport(Record):
     h_y_given_w: float
     s_fiber_v: float
     h_w_given_v: float
     holds: bool
 
-    def to_json(self) -> dict:
-        return {
-            "h_y_given_w": self.h_y_given_w,
-            "s_fiber_v": self.s_fiber_v,
-            "h_w_given_v": self.h_w_given_v,
-            "holds": self.holds,
-        }
-
 
 def y_size_lower_bound_check(p: Dist, q: Dist, w: Subspace, v: Subspace) -> YSizeReport:
     """Check H[Y|pi_W(Y)] >= s[X|pi_V(X); Y|pi_V(Y)] - H[pi_W(X)|pi_V(X)]."""
     if not w.is_subspace_of(v):
-        raise ValueError("W must be a subspace of V")
+        raise ValidationError("W must be a subspace of V")
     h_y_given_w = shannon_entropy(q) - shannon_entropy(pushforward_quotient(q, w))
     s_fiber_v = fibring_decompose(p, q, v).s_fiber
     # pi_V(X) is a function of pi_W(X) because W <= V.
@@ -431,7 +416,7 @@ def y_size_lower_bound_check(p: Dist, q: Dist, w: Subspace, v: Subspace) -> YSiz
 
 
 @dataclass(frozen=True)
-class LocalToGlobalResult:
+class LocalToGlobalResult(Record):
     subspace: Subspace
     k: int
     tau: float
@@ -444,22 +429,6 @@ class LocalToGlobalResult:
     h_sequence: tuple[float, ...]
     exact_expectations: bool
     mc_samples: int
-
-    def to_json(self) -> dict:
-        return {
-            "subspace": self.subspace.to_json(),
-            "k": self.k,
-            "tau": self.tau,
-            "zeta": self.zeta,
-            "attempts": self.attempts,
-            "seed_label": list(self.seed_label),
-            "h_y_given_proj": self.h_y_given_proj,
-            "h_y_floor": self.h_y_floor,
-            "dim_bound": self.dim_bound,
-            "h_sequence": list(self.h_sequence),
-            "exact_expectations": self.exact_expectations,
-            "mc_samples": self.mc_samples,
-        }
 
 
 # The dict DP's transition budget above MAX_ENUM_N, and the Monte-Carlo path
@@ -650,7 +619,7 @@ def local_to_global(
     dim <= (8/zeta^2) E dim V(u,w).
     """
     if zeta <= 0.0:
-        raise ValueError("zeta must be positive")
+        raise ValidationError("zeta must be positive")
     fibers_x, fibers_y, v_table = grid.fibers_x, grid.fibers_y, grid.v_table
     x_mix = fibers_x.mixture()
     y_mix = fibers_y.mixture()
@@ -761,7 +730,7 @@ def inductive_step(
     if rng is None:
         rng = np.random.default_rng(0)
     if not 0.0 < eps0 < eta0 <= 0.5:
-        raise ValueError("need 0 < eps0 < eta0 <= 1/2")
+        raise ValidationError("need 0 < eps0 < eta0 <= 1/2")
     h_in = shannon_entropy(p) + shannon_entropy(q)
     s_in = h_in - shannon_entropy(xor_convolve(p, q))
     if s_in < (eta0 - eps0) * h_in - IDENTITY_TOL:
@@ -876,11 +845,16 @@ class _SolveContext:
     l2g_counter: int = 0
 
 
+def _trivial(v: Subspace) -> bool:
+    """V = 0 or V = F_2^n, for SolveResult.trivial and the DESCENT note."""
+    return v.dim in (0, v.n)
+
+
 @dataclass(frozen=True)
-class SolveResult:
+class SolveResult(Record):
     certificate: SubspaceCertificate
-    steps: tuple[TraceStep, ...]
     seed: int
+    steps: tuple[TraceStep, ...]
 
     @property
     def subspace(self) -> Subspace:
@@ -889,15 +863,10 @@ class SolveResult:
     @property
     def trivial(self) -> bool:
         """V = 0 or V = F_2^n: a certificate that shows no structure."""
-        return self.subspace.dim in (0, self.subspace.n)
+        return _trivial(self.subspace)
 
     def to_json(self) -> dict:
-        return {
-            "certificate": self.certificate.to_json(),
-            "steps": [s.to_json() for s in self.steps],
-            "trivial": self.trivial,
-            "seed": self.seed,
-        }
+        return {**super().to_json(), "trivial": self.trivial}
 
 
 def _next_eta(eta: float) -> tuple[float, float]:
@@ -912,20 +881,15 @@ def _next_eta(eta: float) -> tuple[float, float]:
 def _solve_b(
     p: Dist, q: Dist, eta: float, eps: float, ctx: _SolveContext
 ) -> tuple[SubspaceCertificate, tuple[TraceStep, ...]]:
+    """Statement B's recursion on (X, Y) at (eta, eps): the certificate and
+    its steps, memoized on the laws' digests and counted against the call's
+    invocation budget."""
     key = (p.digest(), q.digest(), round(eta, 12), round(eps, 12))
     if key in ctx.memo:
         return ctx.memo[key]
     ctx.invocations += 1
     if ctx.invocations > MAX_SOLVE_INVOCATIONS:
         raise PipelineError("solver invocation budget exhausted")
-    result = _solve_b_inner(p, q, eta, eps, ctx)
-    ctx.memo[key] = result
-    return result
-
-
-def _solve_b_inner(
-    p: Dist, q: Dist, eta: float, eps: float, ctx: _SolveContext
-) -> tuple[SubspaceCertificate, tuple[TraceStep, ...]]:
     params = StatementParams(eta=eta, epsilon=eps)
 
     # Base case: H[X+Y] >= max(H[X], H[Y]) makes eta = 1/2 unconditional.
@@ -944,7 +908,8 @@ def _solve_b_inner(
             h_after=chk.values["h_total"],
             note={"base_case": True},
         )
-        return _b_certificate("pipeline", v, params, chk), (base,)
+        ctx.memo[key] = _b_certificate("pipeline", v, params, chk), (base,)
+        return ctx.memo[key]
 
     eta0, eps0 = _next_eta(eta)
 
@@ -982,7 +947,8 @@ def _solve_b_inner(
 
     rounds = max(16, math.ceil(4.0 / eps)) + 1
     v, steps = _grow((p, q), rounds, "the statement-B recursion", step)
-    return _b_certificate("pipeline", v, params, passed[0]), tuple(steps)
+    ctx.memo[key] = _b_certificate("pipeline", v, params, passed[0]), tuple(steps)
+    return ctx.memo[key]
 
 
 def _pipeline_b(p: Dist, q: Dist, eta: float, epsilon: float, *, seed: int) -> SolveResult:
@@ -1099,7 +1065,7 @@ def _descend(
         h_after=h_after,
         note={
             "pipeline_subspace": start.to_json(),
-            "pipeline_trivial": start.dim in (0, start.n),
+            "pipeline_trivial": _trivial(start),
             "levels": levels,
         },
     )

@@ -34,11 +34,12 @@ from .families import doubling_stats, hamming_ball
 from .gf2 import Subspace, all_subspaces, span, subspace_intersect, subspace_sum
 from .oracle import OBJECTIVE_STATEMENT_B, exhaustive_best_subspace
 from .pipeline import solve_B, y_size_lower_bound_check
+from .records import Record
 from .tolerances import IDENTITY_TOL, MASS_EPS, ORACLE_TOL
 
 
 @dataclass
-class SuiteResult:
+class SuiteResult(Record):
     name: str
     checks: int = 0
     violations: int = 0
@@ -59,15 +60,7 @@ class SuiteResult:
                 self.notes.append(note)
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "checks": self.checks,
-            "violations": self.violations,
-            "max_gap": self.max_gap,
-            "elapsed": self.elapsed,
-            "passed": self.passed,
-            "notes": self.notes[:20],
-        }
+        return {**super().to_json(), "passed": self.passed, "notes": self.notes[:20]}
 
 
 def random_subspace(n: int, rng: np.random.Generator) -> Subspace:
