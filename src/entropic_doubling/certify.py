@@ -61,7 +61,7 @@ def _bundle(kind: str, inputs: dict, **blocks) -> dict:
 
 
 def _pair(p: Dist, q: Dist) -> dict:
-    return {"p": p.to_json(), "q": q.to_json()}
+    return {"p": p, "q": q}
 
 
 def solve_bundle(result: SolveResult, p: Dist, q: Dist) -> dict:
@@ -70,7 +70,7 @@ def solve_bundle(result: SolveResult, p: Dist, q: Dist) -> dict:
 
 
 def many_sums_bundle(result: SolveResult, dists: list[Dist]) -> dict:
-    return _bundle(CRITERION_MANY, {"dists": [d.to_json() for d in dists]}, **result.to_json())
+    return _bundle(CRITERION_MANY, {"dists": dists}, **result.to_json())
 
 
 def set_bundle(result: SolveResult, elements: list[int], n: int) -> dict:

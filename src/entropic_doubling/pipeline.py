@@ -7,9 +7,11 @@ with H[pi(X)]+H[pi(Y)] <= (1-c)(H[X]+H[Y]).
 
 solve_B realizes B constructively: sumset preprocessing, a case split on
 fiber doubling (with the endgame as the third case), local-to-global gluing
-of per-fiber subspaces, and recursion on eta toward the 1/2 base case.  Every
-produced subspace is accepted only after an independent statement check; the
-worst-case constants of the analysis are recorded but never trusted.
+of per-fiber subspaces, and recursion on eta toward 1/2.  At eta = 1/2, V = 0
+meets statement B, since H[X+Y] >= max(H[X], H[Y]): the recursion's own first
+check ends it there, with no step.  Every produced subspace is accepted only
+after an independent statement check; the worst-case constants of the
+analysis are recorded but never trusted.
 
 Every check_* function returns an oracle.CriterionCheck: the recomputed
 quantities, named as in the certificate's achieved block, and one verdict per
@@ -807,7 +809,7 @@ def inductive_step(
                 "no case of the inductive step made progress: " + "; ".join(failures)
             )
         v_final = subspace_sum(v0, result.subspace)
-        case_note["local_to_global"] = result.to_json()
+        case_note["local_to_global"] = result
         p1, q1 = pushforward_quotient(p, v_final), pushforward_quotient(q, v_final)
         h1 = shannon_entropy(p1) + shannon_entropy(q1)
         steps.append(
@@ -872,7 +874,8 @@ class SolveResult(Record):
 def _next_eta(eta: float) -> tuple[float, float]:
     """The recursion's next level (eta0, eps0) from eta < 1/2: eps0 is half
     the distance to 1/2 but at least 0.02, and eta0 = eta + eps0 stops at 1/2.
-    From any eta in (0, 1/2) it reaches the base case in at most 6 levels."""
+    From any eta in (0, 1/2) it reaches eta0 = 1/2, where V = 0 passes, in at
+    most 6 levels.  At eta = 1/2 it gives (1/2, 0), which is never used."""
     eps0 = max((0.5 - eta) / 2.0, 0.02)
     eta0 = min(0.5, eta + eps0)
     return eta0, min(eps0, eta0 - eta)
@@ -883,7 +886,8 @@ def _solve_b(
 ) -> tuple[SubspaceCertificate, tuple[TraceStep, ...]]:
     """Statement B's recursion on (X, Y) at (eta, eps): the certificate and
     its steps, memoized on the laws' digests and counted against the call's
-    invocation budget."""
+    invocation budget.  V grows from 0 by inductive steps at _next_eta's
+    level until statement B holds, which V = 0 does at eta = 1/2."""
     key = (p.digest(), q.digest(), round(eta, 12), round(eps, 12))
     if key in ctx.memo:
         return ctx.memo[key]
@@ -891,26 +895,7 @@ def _solve_b(
     if ctx.invocations > MAX_SOLVE_INVOCATIONS:
         raise PipelineError("solver invocation budget exhausted")
     params = StatementParams(eta=eta, epsilon=eps)
-
-    # Base case: H[X+Y] >= max(H[X], H[Y]) makes eta = 1/2 unconditional.
-    if eta >= 0.5 - 1e-12:
-        v = Subspace.zero(p.n)
-        chk = check_statement_B(p, q, v, params)
-        if not chk.passes:
-            raise PipelineError(
-                "base case failed: H[X+Y] < (H[X]+H[Y])/2 - eps, which is impossible"
-            )
-        base = TraceStep(
-            kind="BASE",
-            added=v,
-            dim_total=0,
-            h_before=chk.values["h_total"],
-            h_after=chk.values["h_total"],
-            note={"base_case": True},
-        )
-        ctx.memo[key] = _b_certificate("pipeline", v, params, chk), (base,)
-        return ctx.memo[key]
-
+    # Read only when V = 0 fails, which it cannot at eta = 1/2.
     eta0, eps0 = _next_eta(eta)
 
     def sub_solver(a: Dist, b: Dist) -> SubspaceCertificate:
@@ -943,7 +928,7 @@ def _solve_b(
         # Only the early exit records no step, and without a SUMSET_FIX step
         # it needs H[X] + H[Y] = 0, where V = 0 has already passed.
         assert tr.steps, "inductive step recorded no step"
-        return tr.steps[-1].kind, tr.subspace, {"inductive": [s.to_json() for s in tr.steps]}
+        return tr.steps[-1].kind, tr.subspace, {"inductive": tr.steps}
 
     rounds = max(16, math.ceil(4.0 / eps)) + 1
     v, steps = _grow((p, q), rounds, "the statement-B recursion", step)
@@ -955,7 +940,6 @@ def _pipeline_b(p: Dist, q: Dist, eta: float, epsilon: float, *, seed: int) -> S
     """solve_B's certificate before the descent: the recursion's V."""
     if p.n != q.n:
         raise DimensionMismatchError("ambient dimensions differ")
-    StatementParams(eta=eta, epsilon=epsilon)
     ctx = _SolveContext(rng=seeded_rng(seed), seed=seed)
     cert, steps = _solve_b(p, q, eta, epsilon, ctx)
     return SolveResult(certificate=cert, steps=steps, seed=seed)
@@ -971,13 +955,12 @@ def solve_B(
 ) -> SolveResult:
     """Produce a verified statement-B subspace certificate for (eta, epsilon).
 
-    Follows the inductive recursion on eta up to the 1/2 base case, then
-    descends from the recursion's V through hyperplanes that keep statement
-    B (_descend).  The final certificate reports the achieved (eta,
-    epsilon, dim V), never the analysis' worst-case size constant.  It is
-    built from the statement-B check that accepted V, so its achieved
-    values are that check's; with L = L_achieved its size bound holds by
-    definition.
+    Follows the inductive recursion on eta up to 1/2, then descends from the
+    recursion's V through hyperplanes that keep statement B (_descend).  The
+    final certificate reports the achieved (eta, epsilon, dim V), never the
+    analysis' worst-case size constant.  It is built from the statement-B
+    check that accepted V, so its achieved values are that check's; with
+    L = L_achieved its size bound holds by definition.
     """
     result = _pipeline_b(p, q, eta, epsilon, seed=seed)
     if not result.subspace.dim:  # V = 0, a common outcome, has no hyperplane
@@ -1064,7 +1047,7 @@ def _descend(
         h_before=sum(shannon_entropy(pushforward_quotient(d, start)) for d in inputs),
         h_after=h_after,
         note={
-            "pipeline_subspace": start.to_json(),
+            "pipeline_subspace": start,
             "pipeline_trivial": _trivial(start),
             "levels": levels,
         },

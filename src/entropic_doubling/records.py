@@ -5,9 +5,11 @@ passed through plain(); a field left out of repr (repr=False) is left out of
 JSON.  A record that also reports a value derived from its fields adds it in
 a one-line to_json override, through plain() when it can hold numpy values.
 plain() leaves only Python types, so a number in a record's JSON is an int or
-a float, as verify_bundle's leaf match requires, and a bundle built from
-records needs no second pass.  Subspace and Dist define their own to_json (hex bases, sparse
-supports), and plain() uses it.
+a float, as verify_bundle's leaf match requires.  Subspace and Dist define
+their own to_json (hex bases, sparse supports), and plain() uses it.  Trace
+notes and bundle inputs hold records, Subspaces and Dists themselves, so a
+solve serializes nothing, and plain() turns each into JSON once, when a
+bundle is built.
 """
 
 from __future__ import annotations

@@ -292,6 +292,37 @@ class TestBatchedFiberScan:
         p, q = (Dist.from_json(bundle["inputs"][k]) for k in ("p", "q"))
         self._assert_rows_match_per_pair_scan(endgame(p, q, t["eta"], t["kappa"]), p, q)
 
+    def test_budget_bound_pick(self):
+        # X on {2: 7/8, 6: 1/8} and Y on {0: 31/32, 4: 1/32} at eta = s[X;Y] /
+        # (H[X]+H[Y]).  Every fiber's support hull (the span of its support's
+        # differences) is <4>.  At (u, w) = (2, 2) the budget 7(H[X_u]+H[Y_w])
+        # is about 0.591 < 1, so the pick is V = 0; the other three pairs pick
+        # the hull, where both projections are points.
+        x, y = np.zeros(8), np.zeros(8)
+        x[[2, 6]], y[[0, 4]] = (7 / 8, 1 / 8), (31 / 32, 1 / 32)
+        p, q = Dist(3, x), Dist(3, y)
+        eta = doubling_mass(p, q) / (shannon_entropy(p) + shannon_entropy(q))
+        t = endgame(p, q, eta)
+        hull = span([4], 3)
+        picks = {}
+        for row in t.table:
+            xu, yw = condition_on_sum(p, q, row.u), condition_on_sum(q, p, row.w)
+            diffs = [int(a ^ b) for d in (xu, yw) for a in d.support for b in d.support]
+            assert span(diffs, 3) == hull
+            budget = PFR_SIZE_FACTOR * (shannon_entropy(xu) + shannon_entropy(yw))
+            best = exhaustive_best_subspace(
+                xu, yw, OBJECTIVE_PROJECTED_ENTROPY, entropy_budget=budget
+            )
+            assert row.subspace == best.subspace
+            picks[row.u, row.w] = row.subspace, budget, (row.h_proj_x, row.h_proj_y)
+        v, budget, proj = picks.pop((2, 2))
+        assert budget == pytest.approx(0.591, abs=1e-3) and v == Subspace.zero(3)
+        assert proj[0] > 0 and proj[1] > 0
+        assert set(picks) == {(2, 6), (6, 2), (6, 6)}
+        assert all(v == hull and proj == (0.0, 0.0) for v, _, proj in picks.values())
+        report = verify_bundle(json.loads(json.dumps(endgame_bundle(t, p, q))))
+        assert report.ok, report.failures
+
 
 def _noisy_pair(n: int, seed: int, symmetric: bool) -> tuple[Dist, Dist]:
     """A noisy uniform law on span{e0, e1} and either a fresh copy of its table

@@ -54,6 +54,7 @@ from entropic_doubling.families import hamming_ball, random_subset_of_subspace, 
 from entropic_doubling.gf2 import Subspace, all_subspaces, span, subspace_sum
 from entropic_doubling.oracle import (
     OBJECTIVE_STATEMENT_B,
+    _b_certificate,
     _join_masks,
     _lattice_masks,
     exhaustive_best_subspace,
@@ -61,7 +62,9 @@ from entropic_doubling.oracle import (
     pfr_subspace,
 )
 from entropic_doubling.pipeline import (
+    LocalToGlobalResult,
     StatementParams,
+    TraceStep,
     _dict_h_sequence,
     _h_expectation_sequence,
     _next_eta,
@@ -238,6 +241,31 @@ class TestMakeSumsetsNotDouble:
             slack = 4 * eps0 * (shannon_entropy(p) + shannon_entropy(q))
             assert s_all >= (1 - eta0) * (shannon_entropy(a) + shannon_entropy(b)) - slack - 1e-9
             assert s_all >= (1 - eta0) * 2 * shannon_entropy(c) - slack - 1e-9
+
+    def test_at_eta0_one_half_no_fix_and_both_case_grids_screened(self):
+        # At eta0 = 1/2 a sumset move's mass s[A;B] <= min(H[A], H[B]) is at
+        # most (H[A]+H[B])/2, and H[X_u+Y_w] >= max(H[X_u], H[Y_w]) lets V = 0
+        # meet statement B on every fiber pair.  So SUMSET_FIX, Case 1 and
+        # Case 2 can only run at eta0 < 1/2.
+        def solver(a, b):
+            raise AssertionError("the B-solver was called at eta0 = 1/2")
+
+        rng = np.random.default_rng(28)
+        for trial in range(60):
+            n = 2 + trial % 4
+            p, q = (random_dist(n, rng, int(rng.integers(1, (1 << n) + 1))) for _ in range(2))
+            if trial % 5 == 1:
+                p = point_mass(int(rng.integers(1 << n)), n)
+            if trial % 3 == 0:
+                q = p
+            eps0 = float(10.0 ** rng.uniform(-6.0, -1.0)) if trial % 4 else 1e-6
+            v, steps, table = make_sumsets_not_double(p, q, 0.5, eps0, solver)
+            assert v == Subspace.zero(n) and steps == []
+            for fam_x, fam_y, entropies in (
+                (table.fib_pp, table.fib_qq, table.entropies_1),
+                (table.fib_pq, table.fib_qp, table.entropies_2),
+            ):
+                assert _zero_subspace_meets_b(fam_x, fam_y, entropies, 0.5, eps0)
 
     def test_each_v_judged_by_the_explicit_sumset_entropies(self, monkeypatch):
         # The lemma's test at a V reads the move table of (pi_V(X), pi_V(Y)).
@@ -668,7 +696,7 @@ class TestSolveB:
         # statement B holds with equality: 1 >= 0.7 * 2 - 0.1 * 4.
         descent = res.steps[-1]
         assert descent.kind == "DESCENT"
-        assert Subspace.from_json(descent.note["pipeline_subspace"]) == v
+        assert descent.note["pipeline_subspace"] == v
         pushed = pushforward_quotient(u, v)
         assert shannon_entropy(pushed) == pytest.approx(0.0, abs=1e-12)
         assert res.subspace == span([2], 3)
@@ -687,11 +715,11 @@ class TestSolveB:
 
     def test_eta_schedule_reaches_the_base_case_within_six_levels(self):
         # The recursion descends one level per step of the schedule, so this
-        # bounds its depth; the base case is eta >= 1/2 - 1e-12.
+        # bounds its depth; it ends at eta = 1/2, where V = 0 passes.
         starts = np.linspace(0.0, 0.5, 20_001)[1:-1].tolist()
         for start in starts + [1e-300, 0.48 - 1e-13, 0.5 - 2e-12]:
             eta, levels = start, 0
-            while eta < 0.5 - 1e-12:
+            while eta < 0.5:
                 eta0, eps0 = _next_eta(eta)
                 assert eta < eta0 <= 0.5 and 0.0 < eps0 <= eta0 - eta, start
                 eta, levels = eta0, levels + 1
@@ -759,7 +787,12 @@ sys.stdout.write(hashlib.sha256(wht(table).tobytes()).hexdigest())
         u = uniform_on_subspace(span([1, 2], 3))
         res = solve_B(u, u, 0.5, 0.001, seed=0)
         assert res.subspace == Subspace.zero(3)
-        assert [s.kind for s in res.steps] == ["BASE"]
+        assert res.steps == ()
+        params = StatementParams(eta=0.5, epsilon=0.001)
+        zero = Subspace.zero(3)
+        assert res.certificate == _b_certificate(
+            "pipeline", zero, params, check_statement_B(u, u, zero, params)
+        )
         pm = point_mass(2, 3)
         res2 = solve_B(pm, pm, 0.1, 0.05, seed=0)
         assert res2.subspace == Subspace.zero(3)
@@ -1101,14 +1134,18 @@ class TestNontrivialPath:
         elements = union_of_cosets(4, 2, 2, 0)
         res = analyze_set(elements, 4, 0.2)
         (inner,) = res.steps[-1].note["inductive"]
-        note = inner["note"]
-        assert inner["kind"] == note["case"] == "ENDGAME"
+        note = inner.note
+        assert type(res.steps[-1].note["inductive"]) is tuple and isinstance(inner, TraceStep)
+        assert isinstance(note["local_to_global"], LocalToGlobalResult)
+        assert inner.kind == note["case"] == "ENDGAME"
         assert [f.split(":")[0] for f in note["failures"]] == ["CASE1", "CASE2"]
         assert note["fiber_cap"] == {"applied": False, "cap": 256}
         assert "kappa" in note and "local_to_global" in note
         bundle = json.loads(json.dumps(set_bundle(res, elements, 4)))
         assert bundle["steps"][-1]["note"]["inductive"][0]["note"]["failures"] == note["failures"]
         assert verify_bundle(bundle).ok
+        descent = analyze_set(hamming_ball(5, 1), 5, 0.2).steps[-1]
+        assert descent.kind == "DESCENT" and type(descent.note["pipeline_subspace"]) is Subspace
 
 
 def _screen_inputs(n: int, kind: str, seed: int) -> tuple[Dist, Dist]:
@@ -1210,13 +1247,13 @@ class TestZeroSubspaceScreen:
         # before the screen existed; only the failure text differs.
         elements = union_of_cosets(5, 2, 2, 1)
         screened = analyze_set(elements, 5, 0.2)
-        failures = screened.steps[-1].note["inductive"][-1]["note"]["failures"]
+        failures = screened.steps[-1].note["inductive"][-1].note["failures"]
         assert all("meets statement B at V = 0" in f for f in failures)
         monkeypatch.setattr(
             sys.modules["entropic_doubling.pipeline"], "_zero_subspace_meets_b", lambda *a: False
         )
         built = analyze_set(elements, 5, 0.2)
-        failures = built.steps[-1].note["inductive"][-1]["note"]["failures"]
+        failures = built.steps[-1].note["inductive"][-1].note["failures"]
         assert all("too small" in f for f in failures)
         assert _without_failure_text(built.to_json()) == _without_failure_text(screened.to_json())
 
@@ -1301,7 +1338,7 @@ class TestDescent:
         v = res.subspace
         last = res.steps[-1] if res.steps else None
         if last is not None and last.kind == "DESCENT":
-            pipeline_v = Subspace.from_json(last.note["pipeline_subspace"])
+            pipeline_v = last.note["pipeline_subspace"]
             assert last.note["levels"] == pipeline_v.dim - v.dim > 0
             assert last.note["pipeline_trivial"] is (pipeline_v.dim == v.n)
             assert last.dim_total == v.dim
@@ -1346,7 +1383,7 @@ class TestDescent:
         descent = res.steps[-1]
         assert descent.kind == "DESCENT"
         assert descent.note == {
-            "pipeline_subspace": Subspace.full(n).to_json(),
+            "pipeline_subspace": Subspace.full(n),
             "pipeline_trivial": True,
             "levels": n - 2,
         }

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from entropic_doubling.certify import set_bundle, solve_bundle, verify_bundle
-from entropic_doubling.dist import random_dist, sum_fibers, uniform_on_subspace
+from entropic_doubling.dist import Dist, random_dist, sum_fibers, uniform_on_subspace
 from entropic_doubling.endgame import EndgameRow, FiberGrid, endgame
 from entropic_doubling.entropy import doubling_mass, fibring_decompose, shannon_entropy
 from entropic_doubling.families import doubling_stats, hamming_ball
@@ -191,3 +191,41 @@ def test_numpy_inputs_are_made_plain():
     assert type(bundle["inputs"]["set"]["n"]) is int
     assert_plain(bundle)
     assert verify_bundle(bundle).ok
+
+
+def _record_serializations(monkeypatch) -> list:
+    """Each later to_json call on a record, a Subspace or a Dist, as (class
+    name, object id).  A record's own to_json override reaches Record's."""
+    calls = []
+    for cls in (Record, Subspace, Dist):
+
+        def counted(self, original=cls.to_json):
+            calls.append((type(self).__name__, id(self)))
+            return original(self)
+
+        monkeypatch.setattr(cls, "to_json", counted)
+    return calls
+
+
+def test_a_solve_serializes_nothing_and_a_bundle_each_record_once(monkeypatch):
+    # Trace notes hold records, Subspaces and Dists; only a bundle turns them
+    # into JSON, through plain, one to_json call per record.
+    calls = _record_serializations(monkeypatch)
+    elements = hamming_ball(5, 1)
+    analyzed = analyze_set(elements, 5, 0.2)
+    rng = np.random.default_rng(4)
+    p, q = random_dist(5, rng), random_dist(5, rng)
+    solved = solve_B(p, q, 0.2, 0.05, seed=1)
+    for result in (analyzed, solved):
+        assert "ENDGAME" in [s.kind for s in result.steps] and result.steps[-1].kind == "DESCENT"
+    assert calls == []
+    for build, inputs in (
+        (lambda: set_bundle(analyzed, elements, 5), []),
+        (lambda: solve_bundle(solved, p, q), [id(p), id(q)]),
+    ):
+        calls.clear()
+        bundle = build()
+        records = [i for name, i in calls if name not in ("Subspace", "Dist")]
+        assert len(records) == len(set(records)) > 0
+        assert [i for name, i in calls if name == "Dist"] == inputs
+        assert verify_bundle(json.loads(json.dumps(bundle))).ok
