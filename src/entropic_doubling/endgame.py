@@ -19,15 +19,21 @@ a Case 1 or Case 2 grid from a B-solver, the one reader that gets a Dist, made
 once per kept row.  The step skips such a grid when every kept fiber pair
 meets statement B at V = 0: the B-solver would return V(u, w) = 0 for each,
 and such a grid has no local interaction.  The step's endgame case and endgame()
-share endgame_grid, the hypothesis check and the budgeted grid, whose
-V(u, w) come from one masked argmin per X_u row over the fibers' stacked
-lattice scans; the grid keeps the X_u scans and the picks for the
-local-to-global DP.  The Z-system bookkeeping and the 480*kappa table are
-endgame()'s, for transcripts and bundles.
+share endgame_grid, the hypothesis check and the budgeted grid.  When every
+kept pair's support-hull sum hull(X_u) + hull(Y_w) fits the budget, that sum
+is each V(u, w) (a hull grid): both projections are points, and the local
+interaction and the local-to-global expectations have closed forms, with no
+lattice scan, at any n.  Otherwise each V(u, w) comes from one masked argmin
+per X_u row over the fibers' stacked lattice scans, at n <= MAX_ENUM_N, and
+the grid keeps the X_u scans and the picks for the local-to-global DP.  The
+Z-system bookkeeping and the 480*kappa table are endgame()'s, for
+transcripts and bundles; endgame() keeps the n <= MAX_ENUM_N cap, which its
+2^(3n)-entry Z-system joints need.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -50,7 +56,7 @@ from .errors import (
     HypothesisViolationError,
     ValidationError,
 )
-from .gf2 import Subspace
+from .gf2 import Subspace, _rref_batch
 from .oracle import (
     OBJECTIVE_PROJECTED_ENTROPY,
     PFR_SIZE_FACTOR,
@@ -251,22 +257,29 @@ def _kappa_from_moves(moves: dict, eta: float) -> float:
 class FiberGrid:
     """The (u, w) grid that one inductive-step case feeds to the
     local-to-global lemma: capped fiber families X_u and Y_w, the per-pair
-    subspaces V(u, w), and the fiber-cap note.  endgame_grid also hands
-    over its lattice scans and picks as `scans` (see lattice)."""
+    subspaces V(u, w), and the fiber-cap note.  endgame_grid's lattice path
+    also hands over its lattice scans and picks as `scans` (see lattice).
+
+    On a hull grid, which endgame_grid builds when every V(u, w) is the
+    support-hull sum hull(X_u) + hull(Y_w), `hull_terms` holds its
+    closed-form local interaction (see local_interaction); it is None on
+    every other grid."""
 
     fibers_x: FiberFamily
     fibers_y: FiberFamily
     v_table: dict[tuple[int, int], Subspace]
     cap: dict = field(default_factory=dict)
     scans: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    hull_terms: tuple[float, float] | None = None
 
     @cached_property
     def lattice(self) -> tuple[np.ndarray, np.ndarray]:
         """(lat_x, picks) at n <= MAX_ENUM_N: lat_x[u] holds H[pi_V(X_u)] for
         every subspace V in _scan_tables order, and picks[u, w] is the
         lattice index of V(u, w), both in label order.  They are the grid's
-        `scans` when endgame_grid built it; any other grid scans its X_u and
-        maps its V(u, w) to indices here, once per distinct X_u row."""
+        `scans` when endgame_grid's lattice path built it; any other grid
+        scans its X_u and maps its V(u, w) to indices here, once per distinct
+        X_u row."""
         if self.scans is not None:
             return self.scans
         fx, fy = self.fibers_x, self.fibers_y
@@ -280,7 +293,10 @@ class FiberGrid:
         """E_{u,w} s[X_u|pi(X_u); Y_w|pi(Y_w)] and E_{u,w} dim V(u,w), measured once,
         with every s-term from one batched fiber_interactions call.  A pair
         with V(u, w) = 0 adds nothing: each fiber of pi is then a point, so its
-        term H[X_u] + H[Y_w] - H[X_u+Y_w, X_u] is exactly 0."""
+        term H[X_u] + H[Y_w] - H[X_u+Y_w, X_u] is exactly 0.  A hull grid
+        returns its hull_terms, with no fiber_interactions call."""
+        if self.hull_terms is not None:
+            return self.hull_terms
         fx, fy = self.fibers_x, self.fibers_y
         pairs = [
             (wu * ww, xu, yw, v)
@@ -297,13 +313,29 @@ class FiberGrid:
         return hyp, e_dim
 
 
+def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index of the first copy of each distinct row of a 2-D array, keyed
+    by its bytes, and each row's slot among those firsts."""
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, slots = np.unique(keys, return_index=True, return_inverse=True)
+    return first, slots.ravel()
+
+
 def _scan_rows(rows: np.ndarray) -> np.ndarray:
-    """lattice_entropies of every row of `rows`, stacked: each distinct row,
-    keyed by its bytes, is scanned once and its scan copied to its repeats."""
-    seen: dict[bytes, int] = {}
-    slots = np.array([seen.setdefault(row.tobytes(), len(seen)) for row in rows])
-    _, first = np.unique(slots, return_index=True)
+    """lattice_entropies of every row of `rows`, stacked: each distinct row is
+    scanned once and its scan copied to its repeats."""
+    first, slots = _distinct(rows)
     return np.stack([lattice_entropies(rows[i]) for i in first])[slots]
+
+
+def _support_hulls(masses: np.ndarray) -> np.ndarray:
+    """hull(X) = span(supp X - x_0) of each mass row, x_0 its first support
+    point, as _rref_batch's pivot-indexed rows."""
+    support = masses != 0
+    points = np.arange(masses.shape[1])
+    shifted = points ^ np.argmax(support, axis=1)[:, None]
+    return _rref_batch(np.where(support, shifted, 0), masses.shape[1].bit_length() - 1)
 
 
 def _heaviest(fam: FiberFamily, k: int) -> tuple[FiberFamily, float, np.ndarray]:
@@ -365,11 +397,14 @@ def fiber_grid(
     return FiberGrid(fam_x, fam_y, v_table, note)
 
 
-def _check_endgame_inputs(n: int, eta: float, kappa: float | None) -> None:
+def _require_lattice(n: int) -> None:
     if n > MAX_ENUM_N:
         raise CapacityError(
             f"endgame needs the exhaustive subspace oracle, capped at n <= {MAX_ENUM_N}"
         )
+
+
+def _check_endgame_inputs(eta: float, kappa: float | None) -> None:
     if not 0.0 < eta <= 0.5:
         raise ValidationError(f"eta must lie in (0, 1/2], got {eta}")
     # An infinite kappa would make every hypothesis and bound hold vacuously.
@@ -377,28 +412,101 @@ def _check_endgame_inputs(n: int, eta: float, kappa: float | None) -> None:
         raise ValidationError(f"kappa must be finite and nonnegative, got {kappa}")
 
 
+def _hull_grid(
+    fam_x: FiberFamily, fam_y: FiberFamily, entropies: PairEntropies, note: dict
+) -> FiberGrid | None:
+    """The hull grid over the kept fibers, whose `entropies` are theirs: V(u, w)
+    = hull(X_u) + hull(Y_w) at every pair, when each such sum passes the
+    lattice's budget test dim <= PFR_SIZE_FACTOR (H[X_u] + H[Y_w]); else None.
+
+    pi_V(X_u) is a point exactly when V contains hull(X_u), so the hull sum
+    is the smallest V at which both projections are points, and the first
+    in (dim, lex) order at which H[pi(X_u)] + H[pi(Y_w)] = 0: the lattice
+    pick whenever it fits the budget.  Both fibers project to points, so each
+    pair's term is s[X_u; Y_w] and the local interaction is
+    w_x @ (H[X_u] + H[Y_w] - H[X_u + Y_w]) @ w_y, with E dim V = w_x @ dims @ w_y.
+
+    Hulls come from one _rref_batch over the distinct fiber rows of both
+    families, and sums from one more over the distinct (hull, hull) pairs;
+    each distinct sum is one Subspace.
+    """
+    n, kx = fam_x.n, len(fam_x.labels)
+    rows = np.concatenate([fam_x.masses, fam_y.masses])
+    first, slots = _distinct(rows)
+    hulls = _support_hulls(rows[first])
+    hull_first, hull_slots = _distinct(hulls)
+    hulls, hull_of = hulls[hull_first], hull_slots[slots]
+    combos, pair = np.unique(
+        hull_of[:kx, None] * len(hulls) + hull_of[None, kx:], return_inverse=True
+    )
+    halves = hulls[combos // len(hulls)], hulls[combos % len(hulls)]
+    sums = _rref_batch(np.concatenate(halves, axis=1), n)
+    pair = pair.reshape(kx, -1)
+    dims = np.count_nonzero(sums, axis=1)[pair]
+    budget = PFR_SIZE_FACTOR * (entropies.h_x[:, None] + entropies.h_y) + IDENTITY_TOL
+    if not np.all(dims <= budget):
+        return None
+    sum_first, sum_slots = _distinct(sums)
+    spaces = [Subspace._canonical(n, tuple(filter(None, row))) for row in sums[sum_first].tolist()]
+    pairs = itertools.product(fam_x.labels.tolist(), fam_y.labels.tolist())
+    v_table = dict(zip(pairs, map(spaces.__getitem__, sum_slots[pair].ravel().tolist())))
+    s_pair = entropies.h_x[:, None] + entropies.h_y - entropies.h_sum
+    w_x, w_y = fam_x.weights, fam_y.weights
+    terms = (float(w_x @ s_pair @ w_y), float(w_x @ dims @ w_y))
+    return FiberGrid(fam_x, fam_y, v_table, note, hull_terms=terms)
+
+
+def _lattice_grid(
+    fam_x: FiberFamily, fam_y: FiberFamily, entropies: PairEntropies, note: dict
+) -> tuple[FiberGrid, np.ndarray, np.ndarray]:
+    """The grid over the kept fibers with V(u, w) the budgeted lattice argmin,
+    at n <= MAX_ENUM_N, and H[pi(X_u)], H[pi(Y_w)] at each V(u, w).
+
+    Each distinct fiber row, keyed by its bytes across both families, has its
+    lattice scanned once (on X = Y every Y_w is an X_u).  Each X_u row's
+    V(u, w) is one masked argmin of the stacked scans, under
+    dim V <= PFR_SIZE_FACTOR (H[X_u] + H[Y_w]): the same floats and
+    first-minimum tie-break as exhaustive_best_subspace's projected-entropy
+    objective, so the same V(u, w).  The grid keeps the X_u scans and the
+    picked lattice indices as its `scans`, which the local-to-global DP reads.
+    """
+    _require_lattice(fam_x.n)
+    h_x, h_y = entropies.h_x, entropies.h_y
+    lat = _scan_rows(np.concatenate([fam_x.masses, fam_y.masses]))
+    lat_x, lat_y = lat[: len(h_x)], lat[len(h_x) :]
+    subs, _, _, dims = _scan_tables(fam_x.n)
+    picks = np.empty((len(h_x), len(h_y)), dtype=np.int64)
+    for i in range(len(h_x)):
+        feasible = dims <= PFR_SIZE_FACTOR * (h_x[i] + h_y[:, None]) + IDENTITY_TOL
+        picks[i] = _masked_argmin(lat_x[i] + lat_y, feasible, OBJECTIVE_PROJECTED_ENTROPY)
+    v_table = {
+        (u, w): subs[picks[i, j]]
+        for i, u in enumerate(fam_x.labels.tolist())
+        for j, w in enumerate(fam_y.labels.tolist())
+    }
+    proj_x = np.take_along_axis(lat_x, picks, axis=1)
+    proj_y = lat_y[np.arange(len(h_y)), picks]
+    return FiberGrid(fam_x, fam_y, v_table, note, (lat_x, picks)), proj_x, proj_y
+
+
 def endgame_grid(
     move_table: _MoveTable, eta: float, kappa: float | None
 ) -> tuple[float, dict, FiberGrid, tuple[np.ndarray, ...]]:
-    """Check eta, kappa, n <= MAX_ENUM_N, s[X;Y] >= eta(H[X]+H[Y]) and the
-    four move inequalities on a measured move table, then build the grid of
-    the fibers X_u, Y_w with V(u, w) the minimizer of H[pi(X_u)]+H[pi(Y_w)]
+    """Check eta, kappa, s[X;Y] >= eta(H[X]+H[Y]) and the four move
+    inequalities on a measured move table, then build the grid of the
+    fibers X_u, Y_w with V(u, w) the minimizer of H[pi(X_u)]+H[pi(Y_w)]
     under the PFR size budget.  Without a kappa, the smallest one the moves
     allow is used; a given kappa above the largest move mass raises
     ValidationError.  Returns kappa, each move's gap, the grid and the arrays
     H[X_u], H[Y_w], and H[pi(X_u)], H[pi(Y_w)] at each V(u, w); raises
     HypothesisViolationError naming every failed inequality.
 
-    Each distinct kept fiber row, keyed by its bytes across both families,
-    has its lattice scanned once (on X = Y every Y_w is an X_u), and each
-    fiber's entropy is read from the move table.  Each X_u row's V(u, w) is
-    one masked argmin of the stacked
-    scans, under dim V <= PFR_SIZE_FACTOR (H[X_u] + H[Y_w]): the same floats
-    and first-minimum tie-break as exhaustive_best_subspace's projected-entropy
-    objective, so the same V(u, w).  The grid keeps the X_u scans and the
-    picked lattice indices as its `scans`, which the local-to-global DP
-    reads."""
-    _check_endgame_inputs(move_table.n, eta, kappa)
+    Each fiber's entropy is read from the move table.  When every kept
+    pair's support-hull sum fits the budget, the grid is a hull grid
+    (_hull_grid): no lattice scan, both projected entropies exactly 0.0,
+    at any n.  Otherwise the lattice path (_lattice_grid) picks each V(u, w)
+    by scan, and raises CapacityError above n = MAX_ENUM_N."""
+    _check_endgame_inputs(eta, kappa)
     # Above the largest move mass every move inequality holds whatever eta is.
     largest = max(lhs for lhs, _ in move_table.moves.values())
     if kappa is not None and kappa > largest + IDENTITY_TOL:
@@ -423,24 +531,14 @@ def endgame_grid(
         )
 
     fam_x, fam_y, note, rows, cols = cap_fibers(move_table.fib_pq, move_table.fib_qp)
-    h_x = move_table.entropies_2.h_x[rows]
-    h_y = move_table.entropies_2.h_y[cols]
-    lat = _scan_rows(np.concatenate([fam_x.masses, fam_y.masses]))
-    lat_x, lat_y = lat[: len(h_x)], lat[len(h_x) :]
-    subs, _, _, dims = _scan_tables(move_table.n)
-    picks = np.empty((len(h_x), len(h_y)), dtype=np.int64)
-    for i in range(len(h_x)):
-        feasible = dims <= PFR_SIZE_FACTOR * (h_x[i] + h_y[:, None]) + IDENTITY_TOL
-        picks[i] = _masked_argmin(lat_x[i] + lat_y, feasible, OBJECTIVE_PROJECTED_ENTROPY)
-    v_table = {
-        (u, w): subs[picks[i, j]]
-        for i, u in enumerate(fam_x.labels.tolist())
-        for j, w in enumerate(fam_y.labels.tolist())
-    }
-    proj_x = np.take_along_axis(lat_x, picks, axis=1)
-    proj_y = lat_y[np.arange(len(h_y)), picks]
-    grid = FiberGrid(fam_x, fam_y, v_table, note, (lat_x, picks))
-    return kappa, hypothesis_gaps, grid, (h_x, h_y, proj_x, proj_y)
+    kept = move_table.entropies_2
+    entropies = PairEntropies(kept.h_x[rows], kept.h_y[cols], kept.h_sum[np.ix_(rows, cols)])
+    grid = _hull_grid(fam_x, fam_y, entropies, note)
+    if grid is None:
+        grid, proj_x, proj_y = _lattice_grid(fam_x, fam_y, entropies, note)
+    else:
+        proj_x = proj_y = np.zeros((len(rows), len(cols)))
+    return kappa, hypothesis_gaps, grid, (entropies.h_x, entropies.h_y, proj_x, proj_y)
 
 
 def endgame(p: Dist, q: Dist, eta: float, kappa: float | None = None) -> EndgameTranscript:
@@ -455,8 +553,10 @@ def endgame(p: Dist, q: Dist, eta: float, kappa: float | None = None) -> Endgame
     """
     if p.n != q.n:
         raise DimensionMismatchError("ambient dimensions differ")
-    # Reject bad inputs before the 2^n x 2^n pair-entropy tables of the move table.
-    _check_endgame_inputs(p.n, eta, kappa)
+    # Reject bad inputs before the 2^n x 2^n pair-entropy tables of the move
+    # table, and n > MAX_ENUM_N before the Z-system joints' 2^(3n) tables.
+    _require_lattice(p.n)
+    _check_endgame_inputs(eta, kappa)
     move_table = _move_table(p, q)
     kappa, gaps, grid, (h_x, h_y, proj_x, proj_y) = endgame_grid(move_table, eta, kappa)
 

@@ -55,6 +55,32 @@ def _rref(vectors: Iterable[int], n: int) -> tuple[int, ...]:
     return tuple(rows[p] for p in sorted(rows))
 
 
+def _rref_batch(vectors: np.ndarray, n: int) -> np.ndarray:
+    """_rref of each row of an integer array of vectors in F_2^n, all rows at
+    once.  Entry p of a result row is the basis row with pivot p, or 0 when
+    p is no pivot, so its nonzero entries in order are _rref's canonical
+    basis.  Zero vectors add nothing, so rows of unequal length are padded
+    with zeros.
+
+    Each row works on its m vectors followed by n result slots.  Column p
+    takes the row's first vector with bit p set as its pivot and XORs it into
+    every entry holding bit p: that clears bit p from the other vectors and
+    from the earlier pivots, and zeroes the pivot's own entry, which then
+    moves to slot p.
+    """
+    m = vectors.shape[1]
+    work = np.zeros((len(vectors), m + n), dtype=np.int64)
+    work[:, :m] = vectors
+    rows = np.arange(len(work))
+    for p in range(n):
+        bit = (work >> p) & 1
+        pivot = work[rows, bit[:, :m].argmax(axis=1)]
+        pivot *= (pivot >> p) & 1
+        work ^= bit * pivot[:, None]
+        work[:, m + p] = pivot
+    return work[:, m:]
+
+
 @dataclass(frozen=True)
 class Subspace:
     """A subspace of F_2^n held as a canonical RREF basis."""

@@ -181,10 +181,21 @@ def _scan_tables(n: int) -> tuple[tuple[Subspace, ...], np.ndarray, np.ndarray, 
     point-major: row bins[x] holds the bin of x's coset under every
     subspace, so a scan reads only its support's rows.  The last subspace,
     F_2^n, owns the one last bin.
+
+    The representatives come from one pass over the zero-padded bases: for
+    each of the n basis slots, x's column XORs in that slot's row when x
+    holds the row's pivot bit (the lowest set bit; a zero row adds nothing).
+    Rows never touch each other's pivot bits (RREF), so the slot order is
+    irrelevant, as in Subspace.rep_table.
     """
     subs = all_subspaces(n)
-    reps = np.stack([v.rep_table() for v in subs], axis=1)
     dims = np.array([v.dim for v in subs], dtype=np.float64)
+    basis = np.zeros((n, len(subs)), dtype=np.int64)
+    for i, v in enumerate(subs):
+        basis[: v.dim, i] = v.basis
+    reps = np.repeat(np.arange(1 << n, dtype=np.int64)[:, None], len(subs), axis=1)
+    for row in basis:
+        reps ^= np.where(reps & (row & -row), row, 0)
     is_rep = reps == np.arange(1 << n)[:, None]
     starts = np.zeros(len(subs), dtype=np.int64)
     np.cumsum(is_rep.sum(axis=0)[:-1], out=starts[1:])
@@ -256,19 +267,21 @@ def lattice_entropies(mass: np.ndarray) -> np.ndarray:
     point does, and a point of zero mass would add nothing, so the floats
     are the same.  A full support hits every bin and takes _plogp's dense
     log; a smaller one takes the log on its hit list (_plogp_hits).
+
+    The bins hold unrenormalized masses, so X on one coset of V would read
+    up to about 2e-16 bits either side of 0 there.  Each V whose bins put
+    the whole support in its first point's bin reads exactly 0.0.
     """
     _, bins, starts, _ = _scan_tables(mass.size.bit_length() - 1)
     ys = np.flatnonzero(mass)
     full = ys.size == len(bins)
+    rows = bins if full else bins[ys]
     pushed = np.bincount(
-        (bins if full else bins[ys]).ravel(),
-        weights=np.repeat(mass[ys], len(starts)),
-        minlength=starts[-1] + 1,
+        rows.ravel(), weights=np.repeat(mass[ys], len(starts)), minlength=starts[-1] + 1
     )
     plogp = _plogp(pushed) if full else _plogp_hits(pushed)
-    # The bins hold unrenormalized masses, so X on one coset of V can read
-    # about -1e-16 there; an entropy is never negative.
-    return np.maximum(-np.add.reduceat(plogp, starts), 0.0) + 0.0
+    one_coset = (rows == rows[0]).all(axis=0)
+    return np.where(one_coset, 0.0, np.maximum(-np.add.reduceat(plogp, starts), 0.0) + 0.0)
 
 
 def exhaustive_best_subspace(

@@ -448,11 +448,17 @@ def _h_expectation_sequence(
 
     h is nonincreasing and h_0 >= 0, so some j <= ceil(1/tau) stops, and
     computing h level by level up to it gives the same k as the whole
-    sequence.  h_0 is sum_u Pr[u] H[X_u].  At n <= MAX_ENUM_N the exact
-    lattice DP (_lattice_h_sequence) serves every grid and draws nothing from
+    sequence.  h_0 is sum_u Pr[u] H[X_u].  On a hull grid every V(u, w)
+    contains hull(X_u), and so does every sum of them, so h_j = 0 for
+    j >= 1: the sequence is h_0, 0.0 and, unless that already stops, one
+    more 0.0, at any n and with no DP.  At n <= MAX_ENUM_N the exact lattice
+    DP (_lattice_h_sequence) serves every other grid and draws nothing from
     rng; above, the dict DP (_dict_h_sequence) does, with its cap and
     Monte-Carlo fallback.
     """
+    if grid.hull_terms is not None:
+        h = [_h_zero(grid), 0.0]
+        return (h if _stops(h, tau) else h + [0.0]), True, 0
     if grid.fibers_x.n <= MAX_ENUM_N:
         return _lattice_h_sequence(grid, tau), True, 0
     return _dict_h_sequence(grid, tau, rng)
@@ -790,7 +796,8 @@ def inductive_step(
                 except HypothesisViolationError as exc:
                     failures.append(f"ENDGAME hypotheses: {exc}")
                     continue
-                case_note.update({"eta_endgame": eta_e, "kappa": kappa})
+                path = "lattice" if grid.hull_terms is None else "hull"
+                case_note.update({"eta_endgame": eta_e, "kappa": kappa, "endgame_grid": path})
 
             hyp = grid.local_interaction[0]
             zeta = (hyp / h0) * (1.0 - 1e-12) if h0 > 0 else 0.0

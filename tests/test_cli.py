@@ -206,15 +206,14 @@ class TestFindSubspaceAndVerify:
         assert bundle["verified"] is True
 
     def test_package_error_exits_two_with_one_line(self, tmp_path, capsys):
-        # B(7, 1) needs the endgame above its n <= 6 cap: a CapacityError.
+        # A Hamming ball at n = 13 is above the dense-table cap n <= 12.
         ball = tmp_path / "ball.json"
-        assert main(["gen", "--family", "hamming-ball", "--n", "7", "--radius", "1",
+        assert main(["gen", "--family", "hamming-ball", "--n", "13", "--radius", "1",
                      "--out", str(ball)]) == 0
         capsys.readouterr()
         assert main(["find-subspace", "--set", str(ball)]) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert err.startswith("error: CapacityError: ")
+        assert err == "error: CapacityError: dense distributions need 1 <= n <= 12, got 13\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -23,13 +23,17 @@ from entropic_doubling.dist import (
 from entropic_doubling.certify import endgame_bundle, verify_bundle
 from entropic_doubling.endgame import (
     FiberGrid,
+    _hull_grid,
+    _lattice_grid,
     _move_table,
     cap_fibers,
     endgame,
+    endgame_grid,
     endgame_move_quantities,
     z_system_joints,
 )
 from entropic_doubling.entropy import (
+    PairEntropies,
     conditional_doubling_mass,
     conditional_mutual_information,
     doubling_mass,
@@ -48,6 +52,7 @@ from entropic_doubling.oracle import (
     exhaustive_best_subspace,
     lattice_entropies,
 )
+from entropic_doubling.pipeline import _h_expectation_sequence, _lattice_h_sequence
 from entropic_doubling.tolerances import IDENTITY_TOL
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -334,6 +339,19 @@ def _noisy_pair(n: int, seed: int, symmetric: bool) -> tuple[Dist, Dist]:
     return p, q
 
 
+def _budget_bound_pair(n: int, symmetric: bool) -> tuple[Dist, Dist]:
+    """test_budget_bound_pick's pair embedded in F_2^n: X on {2: 7/8, 6: 1/8}
+    (or, for X = Y, a fresh copy of Y's table) and Y on {0: 31/32, 4: 1/32}.
+    Its (u, w) pair of lowest-entropy fibers has hull <4>, over budget."""
+    x, y = np.zeros(1 << n), np.zeros(1 << n)
+    x[[2, 6]], y[[0, 4]] = (7 / 8, 1 / 8), (31 / 32, 1 / 32)
+    return Dist(n, y.copy() if symmetric else x), Dist(n, y)
+
+
+def _endgame_at_measured_eta(p: Dist, q: Dist):
+    return endgame(p, q, min(0.5, doubling_mass(p, q) / (shannon_entropy(p) + shannon_entropy(q))))
+
+
 def _moves_one_by_one(p: Dist, q: Dist):
     """The move table's fields from the public functions, one call each."""
     convs = [xor_convolve(a, b) for a, b in ((p, p), (q, q), (p, q))]
@@ -389,14 +407,23 @@ class TestEqualLawsMeasuredOnce:
 
     @pytest.mark.parametrize("symmetric", [True, False], ids=["X = Y", "X != Y"])
     def test_endgame_grid_scans_each_distinct_row_once(self, monkeypatch, symmetric):
+        # The noisy pair builds a hull grid, which scans nothing.  The
+        # budget-bound pair builds a lattice grid, which scans each distinct
+        # fiber row once.
         n = 4
-        p, q = _noisy_pair(n, 7, symmetric)
         module = sys.modules["entropic_doubling.endgame"]
         scanned: list = []
         monkeypatch.setattr(
             module, "lattice_entropies", lambda row: scanned.append(row) or lattice_entropies(row)
         )
-        t = endgame(p, q, min(0.5, doubling_mass(p, q) / (shannon_entropy(p) + shannon_entropy(q))))
+        p, q = _noisy_pair(n, 7, symmetric)
+        t = _endgame_at_measured_eta(p, q)
+        assert t.grid.hull_terms is not None and t.grid.scans is None
+        assert scanned == []
+        TestBatchedFiberScan._assert_rows_match_per_pair_scan(t, p, q)
+        p, q = _budget_bound_pair(n, symmetric)
+        t = _endgame_at_measured_eta(p, q)
+        assert t.grid.hull_terms is None
         fx, fy = t.grid.fibers_x, t.grid.fibers_y
         rows = np.concatenate([fx.masses, fy.masses])
         distinct = {row.tobytes() for row in rows}
@@ -428,6 +455,103 @@ class TestEqualLawsMeasuredOnce:
         bundle = json.loads(json.dumps(endgame_bundle(endgame(p, p, eta), p, p)))
         report = verify_bundle(bundle)
         assert report.ok, report.failures
+
+
+def _kept_grids(p: Dist, q: Dist) -> tuple[FiberGrid | None, FiberGrid | None, float]:
+    """The hull grid (None when a pair is budget-bound) and, at n <= 6, the
+    lattice grid that endgame_grid would build over (p, q)'s kept fibers,
+    and H[X] + H[Y]."""
+    table = _move_table(p, q)
+    fam_x, fam_y, note, rows, cols = cap_fibers(table.fib_pq, table.fib_qp)
+    ent = table.entropies_2
+    kept = PairEntropies(ent.h_x[rows], ent.h_y[cols], ent.h_sum[np.ix_(rows, cols)])
+    hull = _hull_grid(fam_x, fam_y, kept, note)
+    lattice = _lattice_grid(fam_x, fam_y, kept, note)[0] if p.n <= 6 else None
+    return hull, lattice, table.h_x + table.h_y
+
+
+def _hull_inputs() -> list[tuple[Dist, Dist]]:
+    """TestBatchedFiberScan's inputs, the endgame fixture's, the budget-bound
+    pair, and 100 random pairs at n = 3-6 on random supports (X = Y for
+    every third)."""
+    pairs = []
+    for n in (3, 4, 5, 6):
+        for kind in ("random", "noisy_subspace", "uniform_subspace"):
+            rng = np.random.default_rng(n)
+            p, q = random_dist(n, rng), random_dist(n, rng)
+            if kind != "random":
+                u = uniform_on_subspace(span([1, 2], n)).mass
+                mix = 0.0 if kind == "uniform_subspace" else 0.3
+                p = Dist(n, (1 - mix) * u + mix * p.mass)
+                q = Dist(n, (1 - mix) * u + mix * q.mass)
+            pairs.append((p, q))
+    bundle = json.loads((FIXTURES / "endgame.json").read_text())
+    pairs.append(tuple(Dist.from_json(bundle["inputs"][k]) for k in ("p", "q")))
+    pairs.append(_budget_bound_pair(3, False))
+    rng = np.random.default_rng(30)
+    for i in range(100):
+        n = int(rng.integers(3, 7))
+        laws = []
+        for _ in range(2):
+            mass = np.zeros(1 << n)
+            k = int(rng.integers(2, (1 << n) + 1))
+            mass[rng.choice(1 << n, k, replace=False)] = rng.exponential(size=k)
+            laws.append(Dist(n, mass / mass.sum()))
+        pairs.append((laws[0], laws[0] if i % 3 == 0 else laws[1]))
+    return pairs
+
+
+class TestHullGrid:
+    """A hull grid (every V(u, w) the support-hull sum, inside the budget)
+    against the lattice path on the same kept fibers."""
+
+    def test_hull_grid_equals_the_lattice_grid(self):
+        hull_grids = 0
+        for p, q in _hull_inputs():
+            hull, lattice, h_total = _kept_grids(p, q)
+            if hull is None:
+                continue
+            hull_grids += 1
+            assert hull.v_table == lattice.v_table
+            for got, want in zip(hull.local_interaction, lattice.local_interaction):
+                assert abs(got - want) <= 1e-12
+            zeta = hull.local_interaction[0] / h_total
+            for tau in {1e-3, 0.1, 0.5, max(zeta / 2.0, 1e-3)}:
+                seq, exact, samples = _h_expectation_sequence(hull, tau, None)
+                assert (exact, samples) == (True, 0)
+                # Every reached state contains hull(X_u), so the lattice
+                # reads each h_j, j >= 1, as exactly 0.0 too.
+                assert seq == _lattice_h_sequence(lattice, tau)
+        # 101 of the 114 inputs build hull grids; the rest have a budget-bound pair.
+        assert hull_grids >= 100
+
+    def test_each_hull_sum_is_built_once(self):
+        p, q = _noisy_pair(5, 3, True)
+        hull, _, _ = _kept_grids(p, q)
+        spaces = list(hull.v_table.values())
+        assert len({id(v) for v in spaces}) == len(set(spaces))
+
+    def test_budget_bound_pair_builds_a_lattice_grid(self):
+        p, q = _budget_bound_pair(3, False)
+        t = _endgame_at_measured_eta(p, q)
+        assert t.grid.hull_terms is None and t.grid.scans is not None
+        hull, lattice, _ = _kept_grids(p, q)
+        assert hull is None and lattice.v_table == t.grid.v_table
+
+    def test_budget_bound_pair_above_the_cap_raises(self):
+        # At n = 7 the lattice fallback has no lattice to scan.
+        p, q = _budget_bound_pair(7, False)
+        eta = doubling_mass(p, q) / (shannon_entropy(p) + shannon_entropy(q))
+        with pytest.raises(CapacityError, match="capped at n <= 6"):
+            endgame_grid(_move_table(p, q), eta, None)
+
+    def test_hull_grid_above_the_cap(self):
+        # The noisy pair at n = 7: a hull grid, whose projections are points.
+        p, q = _noisy_pair(7, 4, False)
+        eta = min(0.5, doubling_mass(p, q) / (shannon_entropy(p) + shannon_entropy(q)))
+        _, _, grid, (_, _, proj_x, proj_y) = endgame_grid(_move_table(p, q), eta, None)
+        assert grid.hull_terms is not None
+        assert not proj_x.any() and not proj_y.any()
 
 
 def _grid(

@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from entropic_doubling.errors import CapacityError, DimensionMismatchError, ValidationError
 from entropic_doubling.gf2 import (
     Subspace,
+    _rref_batch,
     all_subspaces,
     coset_decompose,
     enumerate_subspaces,
     gaussian_binomial,
+    pivot_of,
     span,
     subspace_intersect,
     subspace_sum,
@@ -87,6 +89,23 @@ class TestSpan:
             for j, other in enumerate(v.basis):
                 if i != j:
                     assert not (other >> pivots[i]) & 1
+
+
+class TestRrefBatch:
+    def test_rows_are_pivot_indexed_canonical_bases(self):
+        # Entry p of each row is span's basis row with pivot p, or 0; zero
+        # vectors pad rows of unequal length.
+        rng = np.random.default_rng(3)
+        for n in range(1, 11):
+            for m in (1, 2, 5, 12):
+                vecs = rng.integers(0, 1 << n, size=(40, m))
+                vecs[rng.random(vecs.shape) < 0.3] = 0
+                out = _rref_batch(vecs, n)
+                assert out.shape == (40, n)
+                for row, got in zip(vecs.tolist(), out.tolist()):
+                    v = span(row, n)
+                    assert [r for r in got if r] == list(v.basis)
+                    assert all(r == 0 or pivot_of(r) == p for p, r in enumerate(got))
 
 
 class TestSumIntersect:

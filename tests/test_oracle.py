@@ -21,6 +21,7 @@ from entropic_doubling.oracle import (
     OBJECTIVE_PFR,
     OBJECTIVE_PROJECTED_ENTROPY,
     OBJECTIVE_STATEMENT_B,
+    _lattice_masks,
     _scan_tables,
     exhaustive_best_subspace,
     extension_entropies,
@@ -35,10 +36,16 @@ from entropic_doubling.tolerances import MASS_EPS, ORACLE_TOL
 
 def _all_points_scan(d: Dist) -> np.ndarray:
     """The lattice scan over every point, as a reference: one bincount of all
-    2^n points, subspace by subspace, and _plogp's masked log on every bin."""
+    2^n points, subspace by subspace, and _plogp's masked log on every bin.
+    A V whose element mask holds every support point's offset from the
+    first (the support lies on one coset) reads 0.0."""
     _, bins, starts, _ = _scan_tables(d.n)
     pushed = np.bincount(bins.T.ravel(), weights=np.tile(d.mass, len(starts)))
-    return np.maximum(-np.add.reduceat(_plogp(pushed), starts), 0.0) + 0.0
+    support = np.flatnonzero(d.mass)
+    offsets = np.bitwise_or.reduce(np.uint64(1) << (support ^ support[0]).astype(np.uint64))
+    one_coset = (_lattice_masks(d.n)[0] & offsets) == offsets
+    scan = np.maximum(-np.add.reduceat(_plogp(pushed), starts), 0.0) + 0.0
+    return np.where(one_coset, 0.0, scan)
 
 
 def _scan_inputs(n: int, rng: np.random.Generator) -> list[Dist]:
@@ -100,9 +107,9 @@ class TestLatticeScan:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_one_coset_never_reads_below_zero(self, n):
         # X on one coset of V has H[pi_V(X)] = 0.  The scan sums unrenormalized
-        # masses, so that coset's bin holds 1 within a few ulps: unclamped, a
-        # bin just over 1 gives about -1.8e-16 bits (one V in seven here),
-        # and a bin just under 1 gives a reading below 1e-15.
+        # masses, so that coset's bin holds 1 within a few ulps: t log2 t
+        # there gives about -1.8e-16 bits (one V in seven here) or up to
+        # about 1.6e-16, and the scan reads exactly 0.0 instead.
         rng = np.random.default_rng(n)
         subspaces = all_subspaces(n)
         readings = []
@@ -114,8 +121,21 @@ class TestLatticeScan:
             readings.append(lattice_entropies(Dist(n, mass / mass.sum()).mass)[i])
         readings = np.array(readings)
         assert not np.any(np.signbit(readings))
-        assert np.all(readings < 1e-15)
-        assert np.count_nonzero(readings == 0.0) > len(readings) // 2
+        assert np.all(readings == 0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_scan_tables_match_rep_tables(self, n):
+        # The reference: each subspace's coset representatives from its own
+        # rep_table, ranked within its column, then offset by its start.
+        subs, bins, starts, dims = _scan_tables(n)
+        reps = np.stack([v.rep_table() for v in subs], axis=1)
+        is_rep = reps == np.arange(1 << n)[:, None]
+        want_starts = np.zeros(len(subs), dtype=np.int64)
+        np.cumsum(is_rep.sum(axis=0)[:-1], out=want_starts[1:])
+        rank = np.cumsum(is_rep, axis=0) - 1
+        assert np.array_equal(bins, np.take_along_axis(rank, reps, axis=0) + want_starts)
+        assert np.array_equal(starts, want_starts)
+        assert np.array_equal(dims, [v.dim for v in subs])
 
 
 class TestExhaustive:

@@ -1096,14 +1096,14 @@ class TestNontrivialPath:
     def test_each_grid_measured_once(self, monkeypatch):
         # CASE1 and CASE2 would each build an 8 x 8 fiber grid, but every pair
         # of both meets statement B at V = 0, so neither grid is built and no
-        # B-solver runs for them.  The ENDGAME grid's local interaction is the
-        # one batched fiber_interactions call, and the rich-cosets check is
-        # the one fibring_decompose.  The move table runs once per step: the
-        # sumset lemma's test, the case split, the screens and the endgame's
-        # hypothesis check all read it.  The ENDGAME case builds only its
-        # grid, not the Z-system joints that the standalone endgame reports,
-        # and scans each distinct fiber's lattice once for all 64 pairs: on
-        # X = Y every one of the 8 + 8 fibers is the same row.
+        # B-solver runs for them.  The ENDGAME grid is a hull grid, so its
+        # local interaction is read off the move table's pair entropies, with
+        # no fiber_interactions call and no lattice scan, and the rich-cosets
+        # check is the one fibring_decompose.  The move table runs once per
+        # step: the sumset lemma's test, the case split, the screens and the
+        # endgame's hypothesis check all read it.  The ENDGAME case builds
+        # only its grid, not the Z-system joints that the standalone endgame
+        # reports.
         pipeline_module = sys.modules["entropic_doubling.pipeline"]
         case_grid = pipeline_module.fiber_grid
         solved: list = []
@@ -1124,11 +1124,26 @@ class TestNontrivialPath:
         )
         analyze_set(union_of_cosets(4, 2, 2, 0), 4, 0.2)
         assert solved == []
-        assert grids[0] == 1
+        assert grids[0] == 0
         assert fibring[0] == 1
         assert tables[0] == 1
         assert joints[0] == 0
-        assert len(scanned) == len({d.tobytes() for d in scanned}) == 1
+        assert scanned == []
+
+    def test_endgame_steps_say_which_path_built_the_grid(self):
+        res = analyze_set(hamming_ball(5, 1), 5, 0.2)
+        inner = [t for s in res.steps for t in s.note.get("inductive", ())]
+        assert [t.kind for t in inner] == ["ENDGAME", "ENDGAME"]
+        assert [t.note["endgame_grid"] for t in inner] == ["hull", "hull"]
+
+    def test_hamming_ball_above_the_enumeration_cap(self):
+        # B(7, 1): hull grids need no lattice, so the endgame runs at n = 7.
+        elements = hamming_ball(7, 1)
+        res = analyze_set(elements, 7, 0.2)
+        assert res.subspace.dim == 2
+        assert [s.kind for s in res.steps] == ["ENDGAME", "ENDGAME", "DESCENT"]
+        report = verify_bundle(json.loads(json.dumps(set_bundle(res, elements, 7))))
+        assert report.ok, report.failures
 
     def test_inductive_notes_reach_the_result_and_bundle(self):
         elements = union_of_cosets(4, 2, 2, 0)
