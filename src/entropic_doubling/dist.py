@@ -10,6 +10,7 @@ drift, with sub-MASS_EPS dust clamped to zero.
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -149,17 +150,28 @@ class JointDist:
         return JointDist(tuple(self.dims[b] for b in keep), table)
 
 
+def _element(x, n: int) -> int:
+    """x as an element of F_2^n: an integer (operator.index, never a bool)
+    in 0 .. 2^n - 1."""
+    if isinstance(x, (bool, np.bool_)):
+        raise ValidationError(f"element {x!r} is a bool, not an element of F_2^{n}")
+    try:
+        x = operator.index(x)
+    except TypeError:
+        raise ValidationError(f"element {x!r} is not an integer") from None
+    if not 0 <= x < (1 << n):
+        raise DimensionMismatchError(f"element {x:#x} out of range for F_2^{n}")
+    return x
+
+
 def uniform_on(elements: Iterable[int], n: int) -> Dist:
     """Uniform distribution on a nonempty subset of F_2^n."""
     _check_dense_n(n)
-    members = sorted(set(elements))
+    members = sorted({_element(x, n) for x in elements})
     if not members:
         raise EmptySupportError("uniform_on requires a nonempty set")
     mass = np.zeros(1 << n)
-    for x in members:
-        if not 0 <= x < (1 << n):
-            raise DimensionMismatchError(f"element {x:#x} out of range for F_2^{n}")
-        mass[x] = 1.0 / len(members)
+    mass[members] = 1.0 / len(members)
     return Dist(n, mass)
 
 

@@ -23,17 +23,22 @@ share endgame_grid, the hypothesis check and the budgeted grid.  When every
 kept pair's support-hull sum hull(X_u) + hull(Y_w) fits the budget, that sum
 is each V(u, w) (a hull grid): both projections are points, and the local
 interaction and the local-to-global expectations have closed forms, with no
-lattice scan, at any n.  Otherwise each V(u, w) comes from one masked argmin
-per X_u row over the fibers' stacked lattice scans, at n <= MAX_ENUM_N, and
-the grid keeps the X_u scans and the picks for the local-to-global DP.  The
-Z-system bookkeeping and the 480*kappa table are endgame()'s, for
-transcripts and bundles; endgame() keeps the n <= MAX_ENUM_N cap, which its
-2^(3n)-entry Z-system joints need.
+lattice scan, at any n.  A hull grid keeps its sums as rows of one batched
+GF(2) elimination and builds a V(u, w) Subspace only when it is read.
+Otherwise each V(u, w) comes from one masked argmin per X_u row over the
+fibers' stacked lattice scans, at n <= MAX_ENUM_N, and the grid keeps the
+X_u scans and the picks for the local-to-global DP.  On X = Y the move
+table's pair entropies are one symmetric table, of which only the pairs
+u <= w are measured (entropy.pair_entropies).  The Z-system bookkeeping
+and the 480*kappa table are endgame()'s, for transcripts and bundles;
+endgame() keeps the n <= MAX_ENUM_N cap, which its 2^(3n)-entry Z-system
+joints need.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -257,17 +262,20 @@ def _kappa_from_moves(moves: dict, eta: float) -> float:
 class FiberGrid:
     """The (u, w) grid that one inductive-step case feeds to the
     local-to-global lemma: capped fiber families X_u and Y_w, the per-pair
-    subspaces V(u, w), and the fiber-cap note.  endgame_grid's lattice path
-    also hands over its lattice scans and picks as `scans` (see lattice).
+    subspaces V(u, w) as a read-only (u, w) -> Subspace mapping, and the
+    fiber-cap note.  endgame_grid's lattice path also hands over its lattice
+    scans and picks as `scans` (see lattice).
 
     On a hull grid, which endgame_grid builds when every V(u, w) is the
     support-hull sum hull(X_u) + hull(Y_w), `hull_terms` holds its
     closed-form local interaction (see local_interaction); it is None on
-    every other grid."""
+    every other grid.  A hull grid's v_table is a _HullTable, which builds a
+    V(u, w) only when it is read: sampling reads one entry per draw, and the
+    transcript's table reads them all."""
 
     fibers_x: FiberFamily
     fibers_y: FiberFamily
-    v_table: dict[tuple[int, int], Subspace]
+    v_table: Mapping[tuple[int, int], Subspace]
     cap: dict = field(default_factory=dict)
     scans: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
     hull_terms: tuple[float, float] | None = None
@@ -331,11 +339,44 @@ def _scan_rows(rows: np.ndarray) -> np.ndarray:
 
 def _support_hulls(masses: np.ndarray) -> np.ndarray:
     """hull(X) = span(supp X - x_0) of each mass row, x_0 its first support
-    point, as _rref_batch's pivot-indexed rows."""
-    support = masses != 0
-    points = np.arange(masses.shape[1])
-    shifted = points ^ np.argmax(support, axis=1)[:, None]
-    return _rref_batch(np.where(support, shifted, 0), masses.shape[1].bit_length() - 1)
+    point, as _rref_batch's pivot-indexed rows.  Each row is reduced over its
+    own support points, packed to the left and zero-padded to the largest
+    support, not over all 2^n columns."""
+    row, point = np.nonzero(masses)
+    first = np.searchsorted(row, np.arange(len(masses)))
+    slot = np.arange(len(row)) - first[row]
+    vectors = np.zeros((len(masses), slot.max() + 1), dtype=np.int64)
+    vectors[row, slot] = point ^ point[first[row]]
+    return _rref_batch(vectors, masses.shape[1].bit_length() - 1)
+
+
+class _HullTable(Mapping):
+    """A hull grid's read-only v_table, (u, w) -> V(u, w), which builds each
+    V(u, w) only when it is read.  Row pair[i, j] of sums holds V(u, w) as
+    _rref_batch's pivot-indexed basis, for the i-th kept label u and the
+    j-th kept label w.  Iteration is u-major over the kept labels, as a
+    grid's dict is."""
+
+    def __init__(
+        self, n: int, labels_x: list, labels_y: list, sums: np.ndarray, pair: np.ndarray
+    ):
+        self._n, self._sums, self._pair = n, sums, pair
+        self._labels = labels_x, labels_y
+        self._index = tuple({label: i for i, label in enumerate(ls)} for ls in self._labels)
+
+    def __getitem__(self, key: tuple[int, int]) -> Subspace:
+        try:
+            u, w = key
+            row = self._sums[self._pair[self._index[0][u], self._index[1][w]]]
+        except (KeyError, TypeError, ValueError):
+            raise KeyError(key) from None
+        return Subspace._canonical(self._n, tuple(filter(None, row.tolist())))
+
+    def __iter__(self):
+        return itertools.product(*self._labels)
+
+    def __len__(self) -> int:
+        return len(self._labels[0]) * len(self._labels[1])
 
 
 def _heaviest(fam: FiberFamily, k: int) -> tuple[FiberFamily, float, np.ndarray]:
@@ -426,18 +467,20 @@ def _hull_grid(
     pair's term is s[X_u; Y_w] and the local interaction is
     w_x @ (H[X_u] + H[Y_w] - H[X_u + Y_w]) @ w_y, with E dim V = w_x @ dims @ w_y.
 
-    Hulls come from one _rref_batch over the distinct fiber rows of both
-    families, and sums from one more over the distinct (hull, hull) pairs;
-    each distinct sum is one Subspace.
+    Hulls come from one _rref_batch over the fiber rows of both families
+    (_support_hulls), and sums from one more over the distinct unordered
+    (hull, hull) pairs: a sum does not depend on the order of its two hulls,
+    so on X = Y each pair of hulls is reduced once.  The sums stay
+    _rref_batch rows, and the grid's v_table (_HullTable) builds a Subspace
+    only for the entries that are read.
     """
     n, kx = fam_x.n, len(fam_x.labels)
-    rows = np.concatenate([fam_x.masses, fam_y.masses])
-    first, slots = _distinct(rows)
-    hulls = _support_hulls(rows[first])
-    hull_first, hull_slots = _distinct(hulls)
-    hulls, hull_of = hulls[hull_first], hull_slots[slots]
+    hulls = _support_hulls(np.concatenate([fam_x.masses, fam_y.masses]))
+    hull_first, hull_of = _distinct(hulls)
+    hulls = hulls[hull_first]
+    a, b = hull_of[:kx, None], hull_of[None, kx:]
     combos, pair = np.unique(
-        hull_of[:kx, None] * len(hulls) + hull_of[None, kx:], return_inverse=True
+        np.minimum(a, b) * len(hulls) + np.maximum(a, b), return_inverse=True
     )
     halves = hulls[combos // len(hulls)], hulls[combos % len(hulls)]
     sums = _rref_batch(np.concatenate(halves, axis=1), n)
@@ -446,10 +489,7 @@ def _hull_grid(
     budget = PFR_SIZE_FACTOR * (entropies.h_x[:, None] + entropies.h_y) + IDENTITY_TOL
     if not np.all(dims <= budget):
         return None
-    sum_first, sum_slots = _distinct(sums)
-    spaces = [Subspace._canonical(n, tuple(filter(None, row))) for row in sums[sum_first].tolist()]
-    pairs = itertools.product(fam_x.labels.tolist(), fam_y.labels.tolist())
-    v_table = dict(zip(pairs, map(spaces.__getitem__, sum_slots[pair].ravel().tolist())))
+    v_table = _HullTable(n, fam_x.labels.tolist(), fam_y.labels.tolist(), sums, pair)
     s_pair = entropies.h_x[:, None] + entropies.h_y - entropies.h_sum
     w_x, w_y = fam_x.weights, fam_y.weights
     terms = (float(w_x @ s_pair @ w_y), float(w_x @ dims @ w_y))

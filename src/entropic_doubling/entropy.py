@@ -29,11 +29,24 @@ _BATCH_ENTRIES = 1 << 16
 
 
 def _entropy(table: np.ndarray) -> float:
+    """H = -sum t log2 t over a whole table of any shape, counting only the
+    entries above MASS_EPS (0 log 0 = 0): the one definition of H.  The
+    terms are added one by one in index order (np.add.accumulate), so
+    _entropies reads the same float off any batch of rows."""
     p = np.asarray(table, dtype=np.float64).ravel()
     p = p[p > MASS_EPS]
     if p.size == 0:
         return 0.0
-    return float(-np.dot(p, np.log2(p)) + 0.0)
+    return float(-np.add.accumulate(p * np.log2(p))[-1] + 0.0)
+
+
+def _entropies(rows: np.ndarray) -> np.ndarray:
+    """_entropy of each row of a table, along its last axis, in one pass.
+    _plogp's terms are added one by one along each row, and the zeros it
+    puts at the masked entries leave every partial sum as it was, so each
+    row's H is the same float as _entropy's."""
+    terms = _plogp(np.asarray(rows, dtype=np.float64))
+    return -np.add.accumulate(terms, axis=-1, out=terms)[..., -1] + 0.0
 
 
 def shannon_entropy(p: Dist) -> float:
@@ -117,22 +130,42 @@ def pair_entropies(fibers_x: FiberFamily, fibers_y: FiberFamily) -> PairEntropie
     Each family's masses table is transformed in one call; the pair spectra
     are inverted in batches of whole X_u rows, at most _BATCH_ENTRIES entries
     each.  Every X_u + Y_w table is cleaned as a Dist would be, and a batch's
-    H[X_u + Y_w] are one masked t log2 t reduction over its last axis
-    (_plogp).  H[X_u] and H[Y_w] are shannon_entropy's, row by row.
+    H[X_u + Y_w] are one _entropies call over its last axis, as are each
+    family's H[X_u] and H[Y_w]: each the float shannon_entropy gives its row.
+
+    When fibers_y is fibers_x (X = Y), the table is symmetric: only the pairs
+    u <= w are inverted, in batches of at most _BATCH_ENTRIES entries, and
+    mirrored, and h_y is h_x.  A pair's spectrum product is the same float
+    either way round, and each pair's row is transformed and reduced on its
+    own, so the result equals that of an equal copy of the family.
     """
     xs, ys = fibers_x.masses, fibers_y.masses
-    spec_x, spec_y = wht(xs), wht(ys)
+    symmetric = fibers_y is fibers_x
+    spec_x = wht(xs)
+    spec_y = spec_x if symmetric else wht(ys)
     size = spec_x.shape[1]
-    step = max(1, _BATCH_ENTRIES // (len(ys) * size))
     h_sum = np.empty((len(xs), len(ys)))
-    for lo in range(0, len(xs), step):
-        raw = wht(spec_x[lo : lo + step, None, :] * spec_y[None, :, :])
-        raw /= size
-        sums = _clean(np.maximum(raw, 0.0, out=raw), axis=-1)
-        h_sum[lo : lo + step] = -_plogp(sums).sum(axis=-1) + 0.0
-    h_x = np.array([_entropy(row) for row in xs])
-    h_y = np.array([_entropy(row) for row in ys])
-    return PairEntropies(h_x, h_y, h_sum)
+    if symmetric:
+        u, w = np.triu_indices(len(xs))
+        step = max(1, _BATCH_ENTRIES // size)
+        for lo in range(0, len(u), step):
+            pairs = slice(lo, lo + step)
+            h_sum[u[pairs], w[pairs]] = _sum_entropies(spec_x[u[pairs]] * spec_x[w[pairs]])
+        h_sum.T[u, w] = h_sum[u, w]
+    else:
+        step = max(1, _BATCH_ENTRIES // (len(ys) * size))
+        for lo in range(0, len(xs), step):
+            h_sum[lo : lo + step] = _sum_entropies(spec_x[lo : lo + step, None, :] * spec_y)
+    h_x = _entropies(xs)
+    return PairEntropies(h_x, h_x if symmetric else _entropies(ys), h_sum)
+
+
+def _sum_entropies(spectra: np.ndarray) -> np.ndarray:
+    """H of each sum law whose spectrum is a row of `spectra` (its last axis),
+    inverted and cleaned as a Dist would be."""
+    raw = wht(spectra)
+    raw /= raw.shape[-1]
+    return _entropies(_clean(np.maximum(raw, 0.0, out=raw), axis=-1))
 
 
 def conditional_doubling_mass(
@@ -206,10 +239,24 @@ def hyperplane_entropies(masses: np.ndarray, v: Subspace) -> np.ndarray:
     return -(_plogp(whole + half) + _plogp(whole - half)).sum(axis=1) + 0.0
 
 
+# Entries from which _plogp takes a masked log2.  Below, the masked ufunc's
+# set-up cost more than np.where's extra pass over the table; from 2^14
+# entries up, as in the coset-pair blocks of n = 10-12 tables, the pass
+# cost as much or more.
+_MASKED_LOG_ENTRIES = 1 << 14
+
+
 def _plogp(t: np.ndarray) -> np.ndarray:
-    """t log2 t elementwise, and 0 where t <= MASS_EPS, as _entropy masks."""
-    out = np.zeros_like(t)
-    np.log2(t, out=out, where=t > MASS_EPS)
+    """t log2 t elementwise, and 0 where t <= MASS_EPS.  A table of
+    _MASKED_LOG_ENTRIES or more takes a masked log2; a smaller one takes the
+    log of 1.0, which is exactly 0.0, at the masked entries.  Both give the
+    same floats."""
+    if t.size >= _MASKED_LOG_ENTRIES:
+        out = np.zeros_like(t)
+        np.log2(t, out=out, where=t > MASS_EPS)
+    else:
+        out = np.where(t > MASS_EPS, t, 1.0)
+        np.log2(out, out=out)
     out *= t
     return out
 

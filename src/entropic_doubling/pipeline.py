@@ -51,14 +51,13 @@ from .dist import Dist, FiberFamily, pushforward_quotient, uniform_on, xor_convo
 from .endgame import FiberGrid, _move_table, _MoveTable, cap_fibers, endgame_grid, fiber_grid
 from .entropy import (
     PairEntropies,
-    _entropy,
+    _entropies,
     fibring_decompose,
     hyperplane_entropies,
     shannon_entropy,
 )
 from .errors import (
     DimensionMismatchError,
-    EmptySupportError,
     HypothesisViolationError,
     PipelineError,
     SearchFailureError,
@@ -465,8 +464,9 @@ def _h_expectation_sequence(
 
 
 def _h_zero(grid: FiberGrid) -> float:
+    """h_0 = sum_u Pr[u] H[X_u], with every H[X_u] from one reduction."""
     fibers_x = grid.fibers_x
-    return float(sum(w * _entropy(row) for w, row in zip(fibers_x.weights, fibers_x.masses)))
+    return float(fibers_x.weights @ _entropies(fibers_x.masses))
 
 
 def _stops(h: list[float], tau: float) -> bool:
@@ -1019,19 +1019,23 @@ def _descend(
     h = hyperplane_entropies of the inputs' rows and then the sums' rows.
     The margin of W is its smallest slack.  The move goes to the W of
     largest margin among those that pass, ties within IDENTITY_TOL to the
-    lowest functional, and the criterion's own check confirms it.  The
-    descent stops when no W scores as passing or the confirming check
-    fails, and build(V, check) makes the certificate from the last check
-    that passed.
+    lowest functional, and the walk stops when no W scores as passing.  The
+    walk runs on scores alone; then the criterion's own check runs once, on
+    the deepest V.  If that check fails, the walk goes back up and checks
+    each V on the way, stopping at the first that passes.  build(V, check)
+    makes the certificate from that passing check; if none passes, the
+    producer's result comes back unchanged.
 
     When V moved, a final DESCENT step records the pipeline's V, whether it
-    was trivial, and the number of levels; its h_before and h_after sum the
-    inputs' projected entropies at the pipeline's V and, from the last
-    level's scores, at the last.  Only the outermost producer descends,
-    under the criterion it was asked for.
+    was trivial, the number of levels and the number of checks run; its
+    h_before and h_after sum the inputs' projected entropies at the
+    pipeline's V and, from the scores of the level that reached it, at the
+    last.  Only the outermost producer descends, under the criterion it was
+    asked for.
     """
     rows = np.stack([d.mass for d in (*inputs, *sums)])
-    v, chk, levels = result.subspace, None, 0
+    v = result.subspace
+    path: list[tuple[Subspace, float]] = []
     while v.dim:
         h = hyperplane_entropies(rows, v)
         margin = functools.reduce(np.minimum, score(h).values())
@@ -1039,12 +1043,13 @@ def _descend(
         if best < -IDENTITY_TOL:
             break
         f = int(np.argmax(margin >= best - IDENTITY_TOL))
-        w = _hyperplane(v, f + 1)
-        w_chk = check(w)
-        if not w_chk.passes:
+        v = _hyperplane(v, f + 1)
+        path.append((v, float(h[: len(inputs), f].sum())))
+    for checks, (v, h_after) in enumerate(reversed(path), 1):
+        chk = check(v)
+        if chk.passes:
             break
-        v, chk, levels, h_after = w, w_chk, levels + 1, float(h[: len(inputs), f].sum())
-    if not levels:
+    else:
         return result
     start = result.subspace
     step = TraceStep(
@@ -1056,7 +1061,8 @@ def _descend(
         note={
             "pipeline_subspace": start,
             "pipeline_trivial": _trivial(start),
-            "levels": levels,
+            "levels": start.dim - v.dim,
+            "checks": checks,
         },
     )
     return SolveResult(certificate=build(v, chk), steps=result.steps + (step,), seed=result.seed)
@@ -1193,10 +1199,8 @@ def analyze_set(
     A's doubling statistics are computed once for every check.
     """
     _require_epsilon(epsilon, T11_EPSILON_MAX)
-    members = sorted(set(elements))
-    if not members:
-        raise EmptySupportError("analyze_set requires a nonempty set")
-    u_a = uniform_on(members, n)
+    u_a = uniform_on(elements, n)
+    members = np.flatnonzero(u_a.mass).tolist()
     inner = _pipeline_rich(u_a, u_a, epsilon / 2.0, seed=seed)
     v = inner.subspace
     stats = doubling_stats(members)

@@ -69,6 +69,25 @@ class TestConstruction:
         with pytest.raises(EmptySupportError):
             uniform_on([], 3)
 
+    @pytest.mark.parametrize(
+        "elements, message",
+        [
+            ([1.5, 2], r"^element 1\.5 is not an integer$"),
+            (["3"], r"^element '3' is not an integer$"),
+            ([True, 3], r"^element True is a bool, not an element of F_2\^2$"),
+            ([3, np.True_], r"^element np\.True_ is a bool|^element True is a bool"),
+        ],
+    )
+    def test_non_integer_element_rejected(self, elements, message):
+        # A float or a bool used as a numpy index would raise IndexError or
+        # write the whole table; each is a one-line ValidationError instead.
+        with pytest.raises(ValidationError, match=message):
+            uniform_on(elements, 2)
+
+    def test_integer_like_elements_accepted(self):
+        d = uniform_on([np.int64(1), np.uint8(2), 1], 2)
+        assert np.array_equal(d.mass, [0.0, 0.5, 0.5, 0.0])
+
     def test_unnormalized_rejected(self):
         with pytest.raises(NormalizationError):
             Dist(2, np.array([0.5, 0.0, 0.0, 0.0]))

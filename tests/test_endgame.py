@@ -525,11 +525,28 @@ class TestHullGrid:
         # 101 of the 114 inputs build hull grids; the rest have a budget-bound pair.
         assert hull_grids >= 100
 
-    def test_each_hull_sum_is_built_once(self):
-        p, q = _noisy_pair(5, 3, True)
-        hull, _, _ = _kept_grids(p, q)
-        spaces = list(hull.v_table.values())
-        assert len({id(v) for v in spaces}) == len(set(spaces))
+    def test_hull_table_reads_each_hull_sum(self):
+        # The v_table builds V(u, w) on read: each read is the canonical
+        # span of both fibers' supports, each shifted by its first point.
+        def shifted(row):
+            support = np.flatnonzero(row).tolist()
+            return [x ^ support[0] for x in support]
+
+        checked = 0
+        for p, q in [_noisy_pair(5, 3, True), _noisy_pair(4, 7, False)] + _hull_inputs()[-30:]:
+            hull, _, _ = _kept_grids(p, q)
+            if hull is None:
+                continue
+            checked += 1
+            fx, fy = hull.fibers_x, hull.fibers_y
+            keys = [(u, w) for u in fx.labels.tolist() for w in fy.labels.tolist()]
+            assert list(hull.v_table) == keys
+            assert len(hull.v_table) == len(fx.labels) * len(fy.labels)
+            for u, xu in zip(fx.labels.tolist(), fx.masses):
+                for w, yw in zip(fy.labels.tolist(), fy.masses):
+                    assert hull.v_table[(u, w)] == span(shifted(xu) + shifted(yw), p.n)
+            assert (-1, -1) not in hull.v_table
+        assert checked >= 20
 
     def test_budget_bound_pair_builds_a_lattice_grid(self):
         p, q = _budget_bound_pair(3, False)

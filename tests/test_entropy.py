@@ -24,6 +24,7 @@ from entropic_doubling.dist import (
 )
 from entropic_doubling.endgame import z_system_joints
 from entropic_doubling.entropy import (
+    _entropies,
     conditional_doubling_mass,
     conditional_entropy,
     conditional_mutual_information,
@@ -32,6 +33,7 @@ from entropic_doubling.entropy import (
     fibring_decompose,
     hyperplane_entropies,
     mutual_information,
+    pair_entropies,
     quotient_entropy,
     ruzsa_distance,
     shannon_entropy,
@@ -306,6 +308,55 @@ class TestConditionalDoublingMass:
         h_y_given_w = sum(w * shannon_entropy(d) for w, d in _sum_fiber_dists(q, q))
         expect = h_x_given_u + h_y_given_w - direct
         assert got == pytest.approx(expect, abs=1e-9)
+
+
+def _row_family(
+    n: int, k: int, sparse: bool, rng: np.random.Generator
+) -> tuple[FiberFamily, list[Dist]]:
+    """k random fibers on F_2^n as Dists (about 10% of each support when
+    sparse, at least one point) and the family whose rows are their tables."""
+    dists = []
+    for _ in range(k):
+        mass = rng.exponential(size=1 << n)
+        if sparse:
+            mass *= rng.random(1 << n) < 0.1
+            mass[rng.integers(1 << n)] += 1.0
+        dists.append(Dist(n, mass / mass.sum()))
+    weights = rng.exponential(size=k)
+    masses = np.stack([d.mass for d in dists])
+    return FiberFamily(np.arange(k), weights / weights.sum(), masses), dists
+
+
+class TestPairEntropiesOnce:
+    """pair_entropies measures a symmetric table's triangle once, and a
+    family's fiber entropies in one reduction; both give the floats of the
+    full table and of shannon_entropy, bit for bit."""
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_one_family_equals_an_equal_copy(self, n, sparse):
+        rng = np.random.default_rng(100 * n + sparse)
+        for k in (1, 2, 3, 7, 16, 29, 40):
+            fam, _ = _row_family(n, k, sparse, rng)
+            copy = FiberFamily(fam.labels.copy(), fam.weights.copy(), fam.masses.copy())
+            once, full = pair_entropies(fam, fam), pair_entropies(fam, copy)
+            for field_name in ("h_x", "h_y", "h_sum"):
+                assert np.array_equal(getattr(once, field_name), getattr(full, field_name))
+            assert once.h_y is once.h_x
+
+    @pytest.mark.parametrize("n", [1, 3, 6, 9, 12])
+    def test_fiber_entropies_are_shannon_entropy(self, n):
+        rng = np.random.default_rng(n)
+        for sparse in (False, True):
+            fam, dists = _row_family(n, 5, sparse, rng)
+            want = [shannon_entropy(d) for d in dists]
+            assert _entropies(fam.masses).tolist() == want
+            if n <= 9:
+                assert pair_entropies(fam, fam).h_x.tolist() == want
+                other, others = _row_family(n, 3, sparse, rng)
+                mixed = pair_entropies(other, fam)
+                assert mixed.h_x.tolist() == [shannon_entropy(d) for d in others]
+                assert mixed.h_y.tolist() == want
 
 
 def fibring_by_enumeration(p: Dist, q: Dist, v: Subspace):

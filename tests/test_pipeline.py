@@ -50,21 +50,31 @@ from entropic_doubling.errors import (
     PipelineError,
     ValidationError,
 )
-from entropic_doubling.families import hamming_ball, random_subset_of_subspace, union_of_cosets
+from entropic_doubling.families import (
+    doubling_stats,
+    hamming_ball,
+    random_subset_of_subspace,
+    union_of_cosets,
+)
 from entropic_doubling.gf2 import Subspace, all_subspaces, span, subspace_sum
 from entropic_doubling.oracle import (
+    CRITERION_T11,
     OBJECTIVE_STATEMENT_B,
+    CriterionCheck,
     _b_certificate,
     _join_masks,
     _lattice_masks,
+    certificate,
     exhaustive_best_subspace,
     lattice_index,
     pfr_subspace,
 )
 from entropic_doubling.pipeline import (
     LocalToGlobalResult,
+    SolveResult,
     StatementParams,
     TraceStep,
+    _descend,
     _dict_h_sequence,
     _h_expectation_sequence,
     _next_eta,
@@ -83,6 +93,7 @@ from entropic_doubling.pipeline import (
     many_sums,
     rich_cosets,
     solve_B,
+    t11_inequality,
     y_size_lower_bound_check,
 )
 from entropic_doubling.tolerances import FIBER_CAP, IDENTITY_TOL
@@ -912,6 +923,19 @@ class TestAnalyzeSet:
         with pytest.raises(EmptySupportError):
             analyze_set([], 3, 0.3)
 
+    @pytest.mark.parametrize(
+        "elements, n, message",
+        [
+            ([1.5, 2], 3, "element 1.5 is not an integer"),
+            ([True, 3], 2, "element True is a bool, not an element of F_2^2"),
+        ],
+    )
+    def test_non_integer_element_is_one_validation_line(self, elements, n, message):
+        # These ended in IndexError and in "NormalizationError: total mass 2.0".
+        with pytest.raises(ValidationError) as info:
+            analyze_set(elements, n, 0.2)
+        assert str(info.value) == message
+
     def test_epsilon_range_names_the_given_value(self):
         # rich_cosets runs at epsilon / 2, so (0, 2] is the accepted range.
         with pytest.raises(ValidationError, match=r"\(0, 2\], got 3"):
@@ -1401,6 +1425,7 @@ class TestDescent:
             "pipeline_subspace": Subspace.full(n),
             "pipeline_trivial": True,
             "levels": n - 2,
+            "checks": 1,
         }
         assert descent.h_after >= descent.h_before
         assert res.trivial is False
@@ -1435,3 +1460,59 @@ class TestDescent:
         u = uniform_on(ball, 5)
         inner = rich_cosets(u, u, 0.1)
         assert [s.kind for s in inner.steps].count("DESCENT") == 1
+
+    @staticmethod
+    def _ball_descent(verdict):
+        """_descend as analyze_set runs it on B(6, 1) from V = F_2^6, with its
+        Theorem 1.1 check passed through verdict(w, chk), which may fail it.
+        Returns the start, the result, the V's checked and build."""
+        n, eps = 6, 0.2
+        members = hamming_ball(n, 1)
+        u_a = uniform_on(members, n)
+        stats = doubling_stats(members)
+        h_u = shannon_entropy(u_a)
+
+        def build(w, chk):
+            return certificate(CRITERION_T11, "pipeline", w, {"epsilon": eps}, chk)
+
+        def score(h):
+            return t11_inequality(h_u - h[0], stats.eta, eps, len(members))[1]
+
+        checked = []
+
+        def check(w):
+            checked.append(w)
+            return verdict(w, check_theorem_11(members, u_a, w, eps))
+
+        full = Subspace.full(n)
+        start = SolveResult(build(full, check_theorem_11(members, u_a, full, eps)), 0, ())
+        return start, _descend(start, (u_a,), [], score, check, build), checked, build
+
+    def test_a_passing_deepest_v_takes_one_check(self):
+        start, res, checked, _ = self._ball_descent(lambda w, chk: chk)
+        assert checked == [res.subspace] and res.subspace.dim == 2
+        assert res.subspace == analyze_set(hamming_ball(6, 1), 6, 0.2).subspace
+        assert res.steps[-1].note["checks"] == 1
+        assert res.steps[-1].note["levels"] == 4
+
+    def test_a_failing_deepest_v_walks_back_up(self):
+        def fail_below_three(w, chk):
+            return chk if w.dim >= 3 else CriterionCheck(chk.values, {k: False for k in chk.verdicts})
+
+        _, res, checked, build = self._ball_descent(fail_below_three)
+        assert [w.dim for w in checked] == [2, 3]
+        assert res.subspace == checked[-1] and res.subspace.is_subspace_of(Subspace.full(6))
+        members = hamming_ball(6, 1)
+        fresh = check_theorem_11(members, uniform_on(members, 6), res.subspace, 0.2)
+        assert res.certificate == build(res.subspace, fresh)
+        assert res.steps[-1].note["checks"] == 2
+        assert res.steps[-1].note["levels"] == res.steps[-1].dim_total == 3
+        assert verify_bundle(json.loads(json.dumps(set_bundle(res, members, 6)))).ok
+
+    def test_no_passing_v_returns_the_pipeline_result(self):
+        def never(w, chk):
+            return CriterionCheck(chk.values, {k: False for k in chk.verdicts})
+
+        start, res, checked, _ = self._ball_descent(never)
+        assert res is start
+        assert [w.dim for w in checked] == [2, 3, 4, 5]
