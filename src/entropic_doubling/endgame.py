@@ -401,13 +401,15 @@ def cap_fibers(
 
     A grid over more than FIBER_CAP pairs keeps each family's
     floor(sqrt(FIBER_CAP)) heaviest fibers and records their coverage in the note.
+    One family object passed as both (X = Y) comes back as one kept family.
     """
     kx, ky = len(fam_x.labels), len(fam_y.labels)
     if kx * ky <= FIBER_CAP:
         return fam_x, fam_y, {"applied": False, "cap": FIBER_CAP}, np.arange(kx), np.arange(ky)
     side = int(np.sqrt(FIBER_CAP))
+    same = fam_y is fam_x
     fam_x, coverage_x, rows = _heaviest(fam_x, min(side, kx))
-    fam_y, coverage_y, cols = _heaviest(fam_y, min(side, ky))
+    fam_y, coverage_y, cols = (fam_x, coverage_x, rows) if same else _heaviest(fam_y, min(side, ky))
     note = {
         "applied": True,
         "cap": FIBER_CAP,
@@ -468,17 +470,20 @@ def _hull_grid(
     w_x @ (H[X_u] + H[Y_w] - H[X_u + Y_w]) @ w_y, with E dim V = w_x @ dims @ w_y.
 
     Hulls come from one _rref_batch over the fiber rows of both families
-    (_support_hulls), and sums from one more over the distinct unordered
-    (hull, hull) pairs: a sum does not depend on the order of its two hulls,
-    so on X = Y each pair of hulls is reduced once.  The sums stay
+    (_support_hulls), or of the one family on X = Y (fam_y is fam_x), and
+    sums from one more over the distinct unordered (hull, hull) pairs: a sum
+    does not depend on the order of its two hulls, so on X = Y each pair of
+    hulls is reduced once.  The sums stay
     _rref_batch rows, and the grid's v_table (_HullTable) builds a Subspace
     only for the entries that are read.
     """
     n, kx = fam_x.n, len(fam_x.labels)
-    hulls = _support_hulls(np.concatenate([fam_x.masses, fam_y.masses]))
+    symmetric = fam_y is fam_x
+    masses = fam_x.masses if symmetric else np.concatenate([fam_x.masses, fam_y.masses])
+    hulls = _support_hulls(masses)
     hull_first, hull_of = _distinct(hulls)
     hulls = hulls[hull_first]
-    a, b = hull_of[:kx, None], hull_of[None, kx:]
+    a, b = hull_of[:kx, None], hull_of[None, 0 if symmetric else kx :]
     combos, pair = np.unique(
         np.minimum(a, b) * len(hulls) + np.maximum(a, b), return_inverse=True
     )

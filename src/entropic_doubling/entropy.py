@@ -137,7 +137,10 @@ def pair_entropies(fibers_x: FiberFamily, fibers_y: FiberFamily) -> PairEntropie
     u <= w are inverted, in batches of at most _BATCH_ENTRIES entries, and
     mirrored, and h_y is h_x.  A pair's spectrum product is the same float
     either way round, and each pair's row is transformed and reduced on its
-    own, so the result equals that of an equal copy of the family.
+    own, so the result equals that of an equal copy of the family: up to
+    rounding in general, and bit for bit where wht's BLAS matmul gives a row
+    the same floats in any batch of two or more rows, as the OpenBLAS of
+    numpy's wheels does.
     """
     xs, ys = fibers_x.masses, fibers_y.masses
     symmetric = fibers_y is fibers_x
@@ -239,24 +242,10 @@ def hyperplane_entropies(masses: np.ndarray, v: Subspace) -> np.ndarray:
     return -(_plogp(whole + half) + _plogp(whole - half)).sum(axis=1) + 0.0
 
 
-# Entries from which _plogp takes a masked log2.  Below, the masked ufunc's
-# set-up cost more than np.where's extra pass over the table; from 2^14
-# entries up, as in the coset-pair blocks of n = 10-12 tables, the pass
-# cost as much or more.
-_MASKED_LOG_ENTRIES = 1 << 14
-
-
 def _plogp(t: np.ndarray) -> np.ndarray:
-    """t log2 t elementwise, and 0 where t <= MASS_EPS.  A table of
-    _MASKED_LOG_ENTRIES or more takes a masked log2; a smaller one takes the
-    log of 1.0, which is exactly 0.0, at the masked entries.  Both give the
-    same floats."""
-    if t.size >= _MASKED_LOG_ENTRIES:
-        out = np.zeros_like(t)
-        np.log2(t, out=out, where=t > MASS_EPS)
-    else:
-        out = np.where(t > MASS_EPS, t, 1.0)
-        np.log2(out, out=out)
+    """t log2 t elementwise, and 0 where t <= MASS_EPS, as _entropy masks."""
+    out = np.zeros_like(t)
+    np.log2(t, out=out, where=t > MASS_EPS)
     out *= t
     return out
 

@@ -132,6 +132,25 @@ class TestWht:
         rows = np.stack([wht(r) for r in block])
         assert np.allclose(wht(block), rows)
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_a_row_transforms_alike_in_every_batch(self, n):
+        # wht is BLAS matmuls, so this pins a property of the BLAS: the
+        # floats of a row do not depend on how many rows (two or more) share
+        # its batch, nor on a batch's leading shape.  pair_entropies' X = Y
+        # triangle reads bit-equal to the full table only because of it.
+        # (A one-row batch may take the BLAS's vector path, which rounds
+        # otherwise at 8-64 entries.  At those sizes the triangle holds a
+        # one-pair batch only at k = 1, where the full table's batch is that
+        # one row too, for any family of at most 2^n fibers.)
+        rng = np.random.default_rng(n)
+        size = 1 << n
+        rows = rng.exponential(size=(80, size)) * (rng.random((80, size)) < 0.5)
+        whole = wht(rows)
+        assert np.array_equal(wht(rows.reshape(16, 5, size)), whole.reshape(16, 5, size))
+        for m in range(2, 80):
+            assert np.array_equal(wht(rows[:m]), whole[:m])
+            assert np.array_equal(wht(rows[-m:]), whole[-m:])
+
     @pytest.mark.parametrize("n", range(11))
     @pytest.mark.parametrize("lead", [(), (3,), (2, 5)])
     def test_equals_explicit_hadamard_product(self, n, lead):

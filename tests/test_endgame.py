@@ -548,6 +548,35 @@ class TestHullGrid:
             assert (-1, -1) not in hull.v_table
         assert checked >= 20
 
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_one_family_reduces_each_hull_once(self, monkeypatch, n):
+        # B(n, 1) + B(n, 1) has 16 sum fibers at n = 5, whose 256 pairs fit
+        # FIBER_CAP, and 29 at n = 7, which cap_fibers cuts to 16.  Either
+        # way the one kept family's rows are reduced once, and the grid
+        # equals the one built over an equal copy.
+        u = uniform_on(hamming_ball(n, 1), n)
+        fam = sum_fibers(u, u)
+        copy = FiberFamily(fam.labels.copy(), fam.weights.copy(), fam.masses.copy())
+        kept, kept_y, note, rows, cols = cap_fibers(fam, fam)
+        assert kept_y is kept and np.array_equal(rows, cols)
+        assert note["applied"] == (n == 7)
+        ent = pair_entropies(fam, fam)
+        ent = PairEntropies(ent.h_x[rows], ent.h_y[cols], ent.h_sum[np.ix_(rows, cols)])
+        module = sys.modules["entropic_doubling.endgame"]
+        reduced: list = []
+        support_hulls = module._support_hulls
+        monkeypatch.setattr(
+            module, "_support_hulls", lambda m: reduced.append(len(m)) or support_hulls(m)
+        )
+        once = _hull_grid(kept, kept, ent, note)
+        assert reduced == [len(kept.labels)]
+        other = cap_fibers(copy, copy)[1]
+        assert other is not kept
+        full = _hull_grid(kept, other, ent, note)
+        assert reduced == [len(kept.labels), 2 * len(kept.labels)]
+        assert once.hull_terms == full.hull_terms
+        assert dict(once.v_table) == dict(full.v_table)
+
     def test_budget_bound_pair_builds_a_lattice_grid(self):
         p, q = _budget_bound_pair(3, False)
         t = _endgame_at_measured_eta(p, q)
