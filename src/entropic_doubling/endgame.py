@@ -14,25 +14,24 @@ Everything here is verified numerically, never trusted.
 A FiberGrid is what each case of the inductive step (Case 1, Case 2 and this
 endgame) hands to the local-to-global lemma, over the at most FIBER_CAP pairs
 that cap_fibers keeps.  Its fiber families are row tables (FiberFamily): the
-cap, the lattice scans and the local interaction read rows.  fiber_grid builds
-a Case 1 or Case 2 grid from a B-solver, the one reader that gets a Dist, made
-once per kept row.  The step skips such a grid when every kept fiber pair
-meets statement B at V = 0: the B-solver would return V(u, w) = 0 for each,
-and such a grid has no local interaction.  The step's endgame case and endgame()
-share endgame_grid, the hypothesis check and the budgeted grid.  When every
-kept pair's support-hull sum hull(X_u) + hull(Y_w) fits the budget, that sum
-is each V(u, w) (a hull grid): both projections are points, and the local
-interaction and the local-to-global expectations have closed forms, with no
-lattice scan, at any n.  A hull grid keeps its sums as rows of one batched
-GF(2) elimination and builds a V(u, w) Subspace only when it is read.
-Otherwise each V(u, w) comes from one masked argmin per X_u row over the
-fibers' stacked lattice scans, at n <= MAX_ENUM_N, and the grid keeps the
-X_u scans and the picks for the local-to-global DP.  On X = Y the move
-table's pair entropies are one symmetric table, of which only the pairs
-u <= w are measured (entropy.pair_entropies).  The Z-system bookkeeping
-and the 480*kappa table are endgame()'s, for transcripts and bundles;
-endgame() keeps the n <= MAX_ENUM_N cap, which its 2^(3n)-entry Z-system
-joints need.
+cap, the hull reductions and the local interaction read rows.  fiber_grid
+builds a Case 1 or Case 2 grid from a B-solver, the one reader that gets a
+Dist, made once per kept row.  The step skips such a grid when every kept
+fiber pair meets statement B at V = 0: the B-solver would return V(u, w) = 0
+for each, and such a grid has no local interaction.  The step's endgame case
+and endgame() share endgame_grid, the hypothesis check and the budgeted grid.
+Every V(u, w) starts at the support-hull sum hull(X_u) + hull(Y_w).  When each
+kept pair's sum fits the budget, that sum is each V(u, w) (a hull grid): both
+projections are points, and the local interaction and the local-to-global
+expectations have closed forms.  A hull grid keeps its sums as rows of one
+batched GF(2) elimination and builds a V(u, w) Subspace only when it is read.
+Otherwise every over-budget pair descends from its sum one hyperplane at a
+time (_descent_grid), and the grid is a plain one, as fiber_grid's is.  Both
+run at any n.  On X = Y the move table's pair entropies are one symmetric
+table, of which only the pairs u <= w are measured (entropy.pair_entropies).
+The Z-system bookkeeping and the 480*kappa table are endgame()'s, for
+transcripts and bundles; endgame() keeps the n <= MAX_ENUM_N cap, which its
+2^(3n)-entry Z-system joints need.
 """
 
 from __future__ import annotations
@@ -48,10 +47,12 @@ import numpy as np
 from .dist import Dist, FiberFamily, JointDist, _sum_fibers, same_law, xor_convolve
 from .entropy import (
     PairEntropies,
+    _hyperplane,
     conditional_doubling_mass,
     conditional_entropy,
     conditional_mutual_information,
     fiber_interactions,
+    hyperplane_entropies,
     pair_entropies,
     shannon_entropy,
 )
@@ -61,16 +62,8 @@ from .errors import (
     HypothesisViolationError,
     ValidationError,
 )
-from .gf2 import Subspace, _rref_batch
-from .oracle import (
-    OBJECTIVE_PROJECTED_ENTROPY,
-    PFR_SIZE_FACTOR,
-    SubspaceCertificate,
-    _masked_argmin,
-    _scan_tables,
-    lattice_entropies,
-    lattice_index,
-)
+from .gf2 import Subspace, _rref_batch, span
+from .oracle import PFR_SIZE_FACTOR, SubspaceCertificate, lattice_entropies, lattice_index
 from .records import Record, plain
 from .tolerances import FIBER_CAP, IDENTITY_TOL, MAX_ENUM_N, ORACLE_TOL
 
@@ -263,33 +256,27 @@ class FiberGrid:
     """The (u, w) grid that one inductive-step case feeds to the
     local-to-global lemma: capped fiber families X_u and Y_w, the per-pair
     subspaces V(u, w) as a read-only (u, w) -> Subspace mapping, and the
-    fiber-cap note.  endgame_grid's lattice path also hands over its lattice
-    scans and picks as `scans` (see lattice).
+    fiber-cap note.
 
     On a hull grid, which endgame_grid builds when every V(u, w) is the
     support-hull sum hull(X_u) + hull(Y_w), `hull_terms` holds its
     closed-form local interaction (see local_interaction); it is None on
     every other grid.  A hull grid's v_table is a _HullTable, which builds a
     V(u, w) only when it is read: sampling reads one entry per draw, and the
-    transcript's table reads them all."""
+    transcript's table reads them all.  Every other grid's v_table is a dict."""
 
     fibers_x: FiberFamily
     fibers_y: FiberFamily
     v_table: Mapping[tuple[int, int], Subspace]
     cap: dict = field(default_factory=dict)
-    scans: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
     hull_terms: tuple[float, float] | None = None
 
     @cached_property
     def lattice(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lat_x, picks) at n <= MAX_ENUM_N: lat_x[u] holds H[pi_V(X_u)] for
-        every subspace V in _scan_tables order, and picks[u, w] is the
-        lattice index of V(u, w), both in label order.  They are the grid's
-        `scans` when endgame_grid's lattice path built it; any other grid
-        scans its X_u and maps its V(u, w) to indices here, once per distinct
-        X_u row."""
-        if self.scans is not None:
-            return self.scans
+        """(lat_x, picks) at n <= MAX_ENUM_N, for the exact local-to-global
+        DP: lat_x[u] holds H[pi_V(X_u)] for every subspace V in _scan_tables
+        order, and picks[u, w] is the lattice index of V(u, w), both in label
+        order.  Each distinct X_u row is scanned once."""
         fx, fy = self.fibers_x, self.fibers_y
         lat_x = _scan_rows(fx.masses)
         vs = [self.v_table[(u, w)] for u in fx.labels.tolist() for w in fy.labels.tolist()]
@@ -440,13 +427,6 @@ def fiber_grid(
     return FiberGrid(fam_x, fam_y, v_table, note)
 
 
-def _require_lattice(n: int) -> None:
-    if n > MAX_ENUM_N:
-        raise CapacityError(
-            f"endgame needs the exhaustive subspace oracle, capped at n <= {MAX_ENUM_N}"
-        )
-
-
 def _check_endgame_inputs(eta: float, kappa: float | None) -> None:
     if not 0.0 < eta <= 0.5:
         raise ValidationError(f"eta must lie in (0, 1/2], got {eta}")
@@ -455,18 +435,23 @@ def _check_endgame_inputs(eta: float, kappa: float | None) -> None:
         raise ValidationError(f"kappa must be finite and nonnegative, got {kappa}")
 
 
+def _budget(entropies: PairEntropies) -> np.ndarray:
+    """Each pair's budget PFR_SIZE_FACTOR (H[X_u] + H[Y_w]), plus IDENTITY_TOL."""
+    return PFR_SIZE_FACTOR * (entropies.h_x[:, None] + entropies.h_y) + IDENTITY_TOL
+
+
 def _hull_grid(
     fam_x: FiberFamily, fam_y: FiberFamily, entropies: PairEntropies, note: dict
 ) -> FiberGrid | None:
     """The hull grid over the kept fibers, whose `entropies` are theirs: V(u, w)
-    = hull(X_u) + hull(Y_w) at every pair, when each such sum passes the
-    lattice's budget test dim <= PFR_SIZE_FACTOR (H[X_u] + H[Y_w]); else None.
+    = hull(X_u) + hull(Y_w) at every pair, when each such sum fits its budget,
+    dim <= PFR_SIZE_FACTOR (H[X_u] + H[Y_w]); else None.
 
     pi_V(X_u) is a point exactly when V contains hull(X_u), so the hull sum
     is the smallest V at which both projections are points, and the first
-    in (dim, lex) order at which H[pi(X_u)] + H[pi(Y_w)] = 0: the lattice
-    pick whenever it fits the budget.  Both fibers project to points, so each
-    pair's term is s[X_u; Y_w] and the local interaction is
+    in (dim, lex) order at which H[pi(X_u)] + H[pi(Y_w)] = 0: the budgeted
+    minimizer whenever it fits the budget.  Both fibers project to points, so
+    each pair's term is s[X_u; Y_w] and the local interaction is
     w_x @ (H[X_u] + H[Y_w] - H[X_u + Y_w]) @ w_y, with E dim V = w_x @ dims @ w_y.
 
     Hulls come from one _rref_batch over the fiber rows of both families
@@ -491,8 +476,7 @@ def _hull_grid(
     sums = _rref_batch(np.concatenate(halves, axis=1), n)
     pair = pair.reshape(kx, -1)
     dims = np.count_nonzero(sums, axis=1)[pair]
-    budget = PFR_SIZE_FACTOR * (entropies.h_x[:, None] + entropies.h_y) + IDENTITY_TOL
-    if not np.all(dims <= budget):
+    if not np.all(dims <= _budget(entropies)):
         return None
     v_table = _HullTable(n, fam_x.labels.tolist(), fam_y.labels.tolist(), sums, pair)
     s_pair = entropies.h_x[:, None] + entropies.h_y - entropies.h_sum
@@ -501,37 +485,36 @@ def _hull_grid(
     return FiberGrid(fam_x, fam_y, v_table, note, hull_terms=terms)
 
 
-def _lattice_grid(
+def _descent_grid(
     fam_x: FiberFamily, fam_y: FiberFamily, entropies: PairEntropies, note: dict
 ) -> tuple[FiberGrid, np.ndarray, np.ndarray]:
-    """The grid over the kept fibers with V(u, w) the budgeted lattice argmin,
-    at n <= MAX_ENUM_N, and H[pi(X_u)], H[pi(Y_w)] at each V(u, w).
+    """The grid over the kept fibers with each V(u, w) walked down from
+    hull(X_u) + hull(Y_w) into its budget, at any n, and H[pi(X_u)],
+    H[pi(Y_w)] at each V(u, w).  Its v_table is a dict, as fiber_grid's is.
 
-    Each distinct fiber row, keyed by its bytes across both families, has its
-    lattice scanned once (on X = Y every Y_w is an X_u).  Each X_u row's
-    V(u, w) is one masked argmin of the stacked scans, under
-    dim V <= PFR_SIZE_FACTOR (H[X_u] + H[Y_w]): the same floats and
-    first-minimum tie-break as exhaustive_best_subspace's projected-entropy
-    objective, so the same V(u, w).  The grid keeps the X_u scans and the
-    picked lattice indices as its `scans`, which the local-to-global DP reads.
-    """
-    _require_lattice(fam_x.n)
-    h_x, h_y = entropies.h_x, entropies.h_y
-    lat = _scan_rows(np.concatenate([fam_x.masses, fam_y.masses]))
-    lat_x, lat_y = lat[: len(h_x)], lat[len(h_x) :]
-    subs, _, _, dims = _scan_tables(fam_x.n)
-    picks = np.empty((len(h_x), len(h_y)), dtype=np.int64)
-    for i in range(len(h_x)):
-        feasible = dims <= PFR_SIZE_FACTOR * (h_x[i] + h_y[:, None]) + IDENTITY_TOL
-        picks[i] = _masked_argmin(lat_x[i] + lat_y, feasible, OBJECTIVE_PROJECTED_ENTROPY)
-    v_table = {
-        (u, w): subs[picks[i, j]]
-        for i, u in enumerate(fam_x.labels.tolist())
-        for j, w in enumerate(fam_y.labels.tolist())
-    }
-    proj_x = np.take_along_axis(lat_x, picks, axis=1)
-    proj_y = lat_y[np.arange(len(h_y)), picks]
-    return FiberGrid(fam_x, fam_y, v_table, note, (lat_x, picks)), proj_x, proj_y
+    While dim V is over the budget, V drops to its hyperplane W of least
+    H[pi_W(X_u)] + H[pi_W(Y_w)], from one hyperplane_entropies call on the
+    pair's two rows, ties within IDENTITY_TOL to the lowest functional.  X_u
+    lies on one coset of hull(X_u), so both projections depend only on
+    V cap (hull(X_u) + hull(Y_w)), and the budgeted minimizer lies in that
+    sum's lattice: the walk costs its dim in levels, whatever n is."""
+    n, kx = fam_x.n, len(fam_x.labels)
+    hulls = _support_hulls(np.concatenate([fam_x.masses, fam_y.masses])).tolist()
+    budget = _budget(entropies)
+    proj = np.zeros((2, *budget.shape))
+    v_table = {}
+    for i, u in enumerate(fam_x.labels.tolist()):
+        for j, w in enumerate(fam_y.labels.tolist()):
+            rows = np.stack([fam_x.masses[i], fam_y.masses[j]])
+            v = span(hulls[i] + hulls[kx + j], n)
+            while v.dim > budget[i, j]:
+                h = hyperplane_entropies(rows, v)
+                total = h[0] + h[1]
+                f = int(np.argmax(total <= total.min() + IDENTITY_TOL))
+                v = _hyperplane(v, f + 1)
+                proj[:, i, j] = h[:, f]
+            v_table[(u, w)] = v
+    return FiberGrid(fam_x, fam_y, v_table, note), proj[0], proj[1]
 
 
 def endgame_grid(
@@ -548,9 +531,9 @@ def endgame_grid(
 
     Each fiber's entropy is read from the move table.  When every kept
     pair's support-hull sum fits the budget, the grid is a hull grid
-    (_hull_grid): no lattice scan, both projected entropies exactly 0.0,
-    at any n.  Otherwise the lattice path (_lattice_grid) picks each V(u, w)
-    by scan, and raises CapacityError above n = MAX_ENUM_N."""
+    (_hull_grid), with both projected entropies exactly 0.0.  Otherwise each
+    over-budget pair descends from its hull sum (_descent_grid).  Neither
+    scans a lattice, and both run at any n."""
     _check_endgame_inputs(eta, kappa)
     # Above the largest move mass every move inequality holds whatever eta is.
     largest = max(lhs for lhs, _ in move_table.moves.values())
@@ -580,7 +563,7 @@ def endgame_grid(
     entropies = PairEntropies(kept.h_x[rows], kept.h_y[cols], kept.h_sum[np.ix_(rows, cols)])
     grid = _hull_grid(fam_x, fam_y, entropies, note)
     if grid is None:
-        grid, proj_x, proj_y = _lattice_grid(fam_x, fam_y, entropies, note)
+        grid, proj_x, proj_y = _descent_grid(fam_x, fam_y, entropies, note)
     else:
         proj_x = proj_y = np.zeros((len(rows), len(cols)))
     return kappa, hypothesis_gaps, grid, (entropies.h_x, entropies.h_y, proj_x, proj_y)
@@ -600,7 +583,8 @@ def endgame(p: Dist, q: Dist, eta: float, kappa: float | None = None) -> Endgame
         raise DimensionMismatchError("ambient dimensions differ")
     # Reject bad inputs before the 2^n x 2^n pair-entropy tables of the move
     # table, and n > MAX_ENUM_N before the Z-system joints' 2^(3n) tables.
-    _require_lattice(p.n)
+    if p.n > MAX_ENUM_N:
+        raise CapacityError(f"endgame's Z-system joints are capped at n <= {MAX_ENUM_N}")
     _check_endgame_inputs(eta, kappa)
     move_table = _move_table(p, q)
     kappa, gaps, grid, (h_x, h_y, proj_x, proj_y) = endgame_grid(move_table, eta, kappa)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dist import Dist, FiberFamily, JointDist, _clean, pushforward_quotient, wht, xor_convolve
 from .errors import DimensionMismatchError, ValidationError
-from .gf2 import Subspace
+from .gf2 import Subspace, pivot_of, span
 from .records import Record, plain
 from .tolerances import MASS_EPS
 
@@ -240,6 +240,16 @@ def hyperplane_entropies(masses: np.ndarray, v: Subspace) -> np.ndarray:
     spec *= 0.5
     whole, half = spec[..., :1], spec[..., 1:]
     return -(_plogp(whole + half) + _plogp(whole - half)).sum(axis=1) + 0.0
+
+
+def _hyperplane(v: Subspace, f: int) -> Subspace:
+    """The hyperplane ker f of V for a functional f on V's basis coordinates,
+    as hyperplane_entropies numbers them: the basis rows f leaves out, and the
+    others it picks each XORed with the lowest one it picks."""
+    low = pivot_of(f)
+    pick = v.basis[low]
+    rows = [r ^ pick if (f >> i) & 1 else r for i, r in enumerate(v.basis) if i != low]
+    return span(rows, v.n)
 
 
 def _plogp(t: np.ndarray) -> np.ndarray:

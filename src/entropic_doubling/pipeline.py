@@ -52,6 +52,7 @@ from .endgame import FiberGrid, _move_table, _MoveTable, cap_fibers, endgame_gri
 from .entropy import (
     PairEntropies,
     _entropies,
+    _hyperplane,
     fibring_decompose,
     hyperplane_entropies,
     shannon_entropy,
@@ -64,7 +65,7 @@ from .errors import (
     ValidationError,
 )
 from .families import DoublingStats, doubling_stats, seeded_rng
-from .gf2 import Subspace, coset_decompose, pivot_of, span, subspace_sum
+from .gf2 import Subspace, coset_decompose, span, subspace_sum
 from .oracle import (
     CRITERION_T11,
     CriterionCheck,
@@ -86,7 +87,8 @@ from .tolerances import IDENTITY_TOL, MAX_ENUM_N
 CRITERION_RICH = "RICH_COSETS"
 CRITERION_MANY = "MANY_SUMS"
 
-# THEOREM_11's epsilon range is (0, 2]: analyze_set runs rich_cosets at epsilon / 2.
+# THEOREM_11's epsilon range is (0, 2]: analyze_set runs solve_B's recursion at
+# eta = eps = epsilon / 4, which needs eta <= 1/2.
 T11_EPSILON_MAX = 2.0
 
 # A B-solver returns a statement-B certificate for (X, Y) at the inductive
@@ -450,9 +452,10 @@ def _h_expectation_sequence(
     sequence.  h_0 is sum_u Pr[u] H[X_u].  On a hull grid every V(u, w)
     contains hull(X_u), and so does every sum of them, so h_j = 0 for
     j >= 1: the sequence is h_0, 0.0 and, unless that already stops, one
-    more 0.0, at any n and with no DP.  At n <= MAX_ENUM_N the exact lattice
-    DP (_lattice_h_sequence) serves every other grid and draws nothing from
-    rng; above, the dict DP (_dict_h_sequence) does, with its cap and
+    more 0.0, at any n and with no DP.  Every other grid, fiber_grid's and
+    the endgame's descent grids alike, takes the exact lattice DP
+    (_lattice_h_sequence) at n <= MAX_ENUM_N, which draws nothing from rng,
+    and above it the dict DP (_dict_h_sequence), with its cap and
     Monte-Carlo fallback.
     """
     if grid.hull_terms is not None:
@@ -796,7 +799,7 @@ def inductive_step(
                 except HypothesisViolationError as exc:
                     failures.append(f"ENDGAME hypotheses: {exc}")
                     continue
-                path = "lattice" if grid.hull_terms is None else "hull"
+                path = "descent" if grid.hull_terms is None else "hull"
                 case_note.update({"eta_endgame": eta_e, "kappa": kappa, "endgame_grid": path})
 
             hyp = grid.local_interaction[0]
@@ -993,16 +996,6 @@ def solve_B(
 # Minimal certificates: the best-margin hyperplane descent
 
 
-def _hyperplane(v: Subspace, f: int) -> Subspace:
-    """The hyperplane ker f of V for a functional f on V's basis coordinates,
-    as hyperplane_entropies numbers them: the basis rows f leaves out, and the
-    others it picks each XORed with the lowest one it picks."""
-    low = pivot_of(f)
-    pick = v.basis[low]
-    rows = [r ^ pick if (f >> i) & 1 else r for i, r in enumerate(v.basis) if i != low]
-    return span(rows, v.n)
-
-
 def _descend(
     result: SolveResult,
     inputs: Sequence[Dist],
@@ -1190,8 +1183,9 @@ def analyze_set(
 ) -> SolveResult:
     """Subspace certificate for a concrete set with moderate doubling.
 
-    Measures eta from |A+A| = |A|^(2-eta), runs rich_cosets' pipeline
-    (without its descent) on X = Y = U_A, and verifies both
+    Measures eta from |A+A| = |A|^(2-eta), runs solve_B's recursion
+    (without its descent) on X = Y = U_A at eta = eps = epsilon/4, the V
+    that rich_cosets' pipeline at epsilon/2 takes, and verifies both
     E_{a in A} log2|A cap (V+a)| >= (eta - eps) log2|A| and the exact
     identity with H[U_A | pi_V(U_A)].  Then descends from that V through
     hyperplanes that keep Theorem 1.1 (_descend), scoring each by
@@ -1201,7 +1195,7 @@ def analyze_set(
     _require_epsilon(epsilon, T11_EPSILON_MAX)
     u_a = uniform_on(elements, n)
     members = np.flatnonzero(u_a.mass).tolist()
-    inner = _pipeline_rich(u_a, u_a, epsilon / 2.0, seed=seed)
+    inner = _pipeline_b(u_a, u_a, epsilon / 4.0, epsilon / 4.0, seed=seed)
     v = inner.subspace
     stats = doubling_stats(members)
     chk = _t11_check(members, u_a, v, epsilon, stats)

@@ -23,8 +23,8 @@ from entropic_doubling.dist import (
 from entropic_doubling.certify import endgame_bundle, verify_bundle
 from entropic_doubling.endgame import (
     FiberGrid,
+    _descent_grid,
     _hull_grid,
-    _lattice_grid,
     _move_table,
     cap_fibers,
     endgame,
@@ -39,6 +39,7 @@ from entropic_doubling.entropy import (
     doubling_mass,
     fibring_decompose,
     pair_entropies,
+    quotient_entropy,
     shannon_entropy,
 )
 from entropic_doubling.errors import CapacityError, HypothesisViolationError
@@ -47,10 +48,9 @@ from entropic_doubling.gf2 import Subspace, all_subspaces, span
 from entropic_doubling.oracle import (
     OBJECTIVE_PROJECTED_ENTROPY,
     PFR_SIZE_FACTOR,
-    _masked_argmin,
-    _scan_tables,
     exhaustive_best_subspace,
     lattice_entropies,
+    lattice_index,
 )
 from entropic_doubling.pipeline import _h_expectation_sequence, _lattice_h_sequence
 from entropic_doubling.tolerances import IDENTITY_TOL
@@ -407,9 +407,10 @@ class TestEqualLawsMeasuredOnce:
 
     @pytest.mark.parametrize("symmetric", [True, False], ids=["X = Y", "X != Y"])
     def test_endgame_grid_scans_each_distinct_row_once(self, monkeypatch, symmetric):
-        # The noisy pair builds a hull grid, which scans nothing.  The
-        # budget-bound pair builds a lattice grid, which scans each distinct
-        # fiber row once.
+        # endgame_grid scans no lattice: the noisy pair builds a hull grid and
+        # the budget-bound pair a descent grid.  Only the exact
+        # local-to-global DP reads a descent grid's lattice, which scans each
+        # distinct X_u row once.
         n = 4
         module = sys.modules["entropic_doubling.endgame"]
         scanned: list = []
@@ -418,36 +419,21 @@ class TestEqualLawsMeasuredOnce:
         )
         p, q = _noisy_pair(n, 7, symmetric)
         t = _endgame_at_measured_eta(p, q)
-        assert t.grid.hull_terms is not None and t.grid.scans is None
+        assert t.grid.hull_terms is not None
         assert scanned == []
         TestBatchedFiberScan._assert_rows_match_per_pair_scan(t, p, q)
         p, q = _budget_bound_pair(n, symmetric)
         t = _endgame_at_measured_eta(p, q)
-        assert t.grid.hull_terms is None
+        assert t.grid.hull_terms is None and type(t.grid.v_table) is dict
+        assert scanned == []
+        assert t.grid.v_table == _kept_grids(p, q)[1].v_table
         fx, fy = t.grid.fibers_x, t.grid.fibers_y
-        rows = np.concatenate([fx.masses, fy.masses])
-        distinct = {row.tobytes() for row in rows}
-        assert len(scanned) == len({row.tobytes() for row in scanned}) == len(distinct)
-        if symmetric:
-            assert len(scanned) == len(fx.labels) < len(rows)
-        # Per-row scans and the per-row masked argmin give the same arrays.
-        lat_x = np.stack([lattice_entropies(row) for row in fx.masses])
-        lat_y = np.stack([lattice_entropies(row) for row in fy.masses])
-        h_x = np.array([row[4] for row in t.table[:: len(fy.labels)]])
-        h_y = np.array([row[5] for row in t.table[: len(fy.labels)]])
-        dims = _scan_tables(n)[3]
-        picks = np.stack([
-            _masked_argmin(
-                lat_x[i] + lat_y,
-                dims <= PFR_SIZE_FACTOR * (h_x[i] + h_y[:, None]) + IDENTITY_TOL,
-                OBJECTIVE_PROJECTED_ENTROPY,
-            )
-            for i in range(len(h_x))
-        ])
-        got_lat, got_picks = t.grid.scans
-        assert np.array_equal(got_lat, lat_x)
-        assert np.array_equal(got_picks, picks)
-        TestBatchedFiberScan._assert_rows_match_per_pair_scan(t, p, q)
+        lat_x, picks = t.grid.lattice
+        assert len(scanned) == len({row.tobytes() for row in scanned})
+        assert {row.tobytes() for row in scanned} == {row.tobytes() for row in fx.masses}
+        assert np.array_equal(lat_x, np.stack([lattice_entropies(row) for row in fx.masses]))
+        vs = [t.grid.v_table[(u, w)] for u in fx.labels.tolist() for w in fy.labels.tolist()]
+        assert picks.ravel().tolist() == lattice_index(vs, n).tolist()
 
     def test_equal_law_endgame_bundle_verifies(self):
         p, _ = _noisy_pair(4, 11, True)
@@ -457,17 +443,45 @@ class TestEqualLawsMeasuredOnce:
         assert report.ok, report.failures
 
 
-def _kept_grids(p: Dist, q: Dist) -> tuple[FiberGrid | None, FiberGrid | None, float]:
-    """The hull grid (None when a pair is budget-bound) and, at n <= 6, the
-    lattice grid that endgame_grid would build over (p, q)'s kept fibers,
-    and H[X] + H[Y]."""
+def _kept(p: Dist, q: Dist) -> tuple[FiberFamily, FiberFamily, dict, PairEntropies, float]:
+    """The fiber families endgame_grid keeps over (p, q), its cap note, their
+    pair entropies, and H[X] + H[Y]."""
     table = _move_table(p, q)
     fam_x, fam_y, note, rows, cols = cap_fibers(table.fib_pq, table.fib_qp)
     ent = table.entropies_2
     kept = PairEntropies(ent.h_x[rows], ent.h_y[cols], ent.h_sum[np.ix_(rows, cols)])
-    hull = _hull_grid(fam_x, fam_y, kept, note)
-    lattice = _lattice_grid(fam_x, fam_y, kept, note)[0] if p.n <= 6 else None
-    return hull, lattice, table.h_x + table.h_y
+    return fam_x, fam_y, note, kept, table.h_x + table.h_y
+
+
+# _kept_grids' results by the laws' tables: the reference grids of
+# _hull_inputs() take one exhaustive scan per pair, 22,038 in all, so the
+# tests that read them share one computation.
+_KEPT_GRIDS: dict = {}
+
+
+def _kept_grids(p: Dist, q: Dist) -> tuple[FiberGrid | None, FiberGrid, float]:
+    """The hull grid (None when a pair is budget-bound) over (p, q)'s kept
+    fibers, the reference grid over them, with each V(u, w) from one
+    exhaustive_best_subspace call under the pair's budget, and H[X] + H[Y]."""
+    key = p.mass.tobytes(), q.mass.tobytes()
+    if key not in _KEPT_GRIDS:
+        fam_x, fam_y, note, kept, h_total = _kept(p, q)
+        reference = {
+            (u, w): exhaustive_best_subspace(
+                Dist(p.n, xu),
+                Dist(p.n, yw),
+                OBJECTIVE_PROJECTED_ENTROPY,
+                entropy_budget=PFR_SIZE_FACTOR * (hx + hy),
+            ).subspace
+            for u, xu, hx in zip(fam_x.labels.tolist(), fam_x.masses, kept.h_x)
+            for w, yw, hy in zip(fam_y.labels.tolist(), fam_y.masses, kept.h_y)
+        }
+        _KEPT_GRIDS[key] = (
+            _hull_grid(fam_x, fam_y, kept, note),
+            FiberGrid(fam_x, fam_y, reference, note),
+            h_total,
+        )
+    return _KEPT_GRIDS[key]
 
 
 def _hull_inputs() -> list[tuple[Dist, Dist]]:
@@ -525,6 +539,33 @@ class TestHullGrid:
         # 101 of the 114 inputs build hull grids; the rest have a budget-bound pair.
         assert hull_grids >= 100
 
+    def test_descended_picks_equal_the_exhaustive_pick(self):
+        # The 13 inputs with a budget-bound pair: every V(u, w), descended or
+        # a hull sum within its budget, is the exhaustive budgeted pick, and a
+        # descended pair's projections are measured at it.
+        grids = descended = 0
+        for p, q in _hull_inputs():
+            hull, reference, _ = _kept_grids(p, q)
+            if hull is not None:
+                continue
+            grids += 1
+            fam_x, fam_y, note, kept, _ = _kept(p, q)
+            grid, proj_x, proj_y = _descent_grid(fam_x, fam_y, kept, note)
+            assert grid.v_table == reference.v_table
+            budget = PFR_SIZE_FACTOR * (kept.h_x[:, None] + kept.h_y) + IDENTITY_TOL
+            for i, (u, xu) in enumerate(zip(fam_x.labels.tolist(), fam_x.masses)):
+                for j, (w, yw) in enumerate(zip(fam_y.labels.tolist(), fam_y.masses)):
+                    v, rows = grid.v_table[(u, w)], (xu, yw)
+                    supports = [np.flatnonzero(row).tolist() for row in rows]
+                    hull = span([x ^ s[0] for s in supports for x in s], p.n)
+                    if hull.dim <= budget[i, j]:
+                        assert v == hull and proj_x[i, j] == proj_y[i, j] == 0.0
+                        continue
+                    descended += 1
+                    for got, row in zip((proj_x[i, j], proj_y[i, j]), rows):
+                        assert abs(got - quotient_entropy(Dist(p.n, row), v)) <= 1e-12
+        assert (grids, descended) == (13, 187)
+
     def test_hull_table_reads_each_hull_sum(self):
         # The v_table builds V(u, w) on read: each read is the canonical
         # span of both fibers' supports, each shifted by its first point.
@@ -577,19 +618,36 @@ class TestHullGrid:
         assert once.hull_terms == full.hull_terms
         assert dict(once.v_table) == dict(full.v_table)
 
-    def test_budget_bound_pair_builds_a_lattice_grid(self):
+    def test_budget_bound_pair_builds_a_descent_grid(self):
+        # One pair is over budget, so the grid is a plain one: a dict
+        # v_table, and the local interaction from fiber_interactions.
         p, q = _budget_bound_pair(3, False)
         t = _endgame_at_measured_eta(p, q)
-        assert t.grid.hull_terms is None and t.grid.scans is not None
-        hull, lattice, _ = _kept_grids(p, q)
-        assert hull is None and lattice.v_table == t.grid.v_table
+        assert t.grid.hull_terms is None and type(t.grid.v_table) is dict
+        hull, reference, _ = _kept_grids(p, q)
+        assert hull is None and reference.v_table == t.grid.v_table
+        assert t.grid.local_interaction == reference.local_interaction
 
-    def test_budget_bound_pair_above_the_cap_raises(self):
-        # At n = 7 the lattice fallback has no lattice to scan.
-        p, q = _budget_bound_pair(7, False)
-        eta = doubling_mass(p, q) / (shannon_entropy(p) + shannon_entropy(q))
-        with pytest.raises(CapacityError, match="capped at n <= 6"):
-            endgame_grid(_move_table(p, q), eta, None)
+    def test_budget_bound_pair_above_the_cap_meets_the_budget(self):
+        # At n = 7 the descent needs no lattice.  It picks the n = 3 pair's
+        # subspaces, each within its budget, with the projections measured
+        # at the pick.
+        picks = {}
+        for n in (3, 7):
+            p, q = _budget_bound_pair(n, False)
+            eta = doubling_mass(p, q) / (shannon_entropy(p) + shannon_entropy(q))
+            _, _, grid, (h_x, h_y, proj_x, proj_y) = endgame_grid(_move_table(p, q), eta, None)
+            assert grid.hull_terms is None
+            fx, fy = grid.fibers_x, grid.fibers_y
+            for i, (u, xu) in enumerate(zip(fx.labels.tolist(), fx.masses)):
+                for j, (w, yw) in enumerate(zip(fy.labels.tolist(), fy.masses)):
+                    v = grid.v_table[(u, w)]
+                    assert v.dim <= PFR_SIZE_FACTOR * (h_x[i] + h_y[j]) + IDENTITY_TOL
+                    for got, row in ((proj_x[i, j], xu), (proj_y[i, j], yw)):
+                        assert abs(got - quotient_entropy(Dist(n, row), v)) <= 1e-12
+                    picks.setdefault(n, {})[u, w] = v.basis
+        assert picks[7] == picks[3]
+        assert picks[7][2, 2] == () and set(picks[7].values()) == {(), (4,)}
 
     def test_hull_grid_above_the_cap(self):
         # The noisy pair at n = 7: a hull grid, whose projections are points.

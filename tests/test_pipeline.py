@@ -937,12 +937,22 @@ class TestAnalyzeSet:
         assert str(info.value) == message
 
     def test_epsilon_range_names_the_given_value(self):
-        # rich_cosets runs at epsilon / 2, so (0, 2] is the accepted range.
+        # The recursion runs at eta = epsilon / 4 <= 1/2, so (0, 2] is the accepted range.
         with pytest.raises(ValidationError, match=r"\(0, 2\], got 3"):
             analyze_set([0, 1], 1, 3.0)
         with pytest.raises(ValidationError, match=r"\(0, 2\], got 0"):
             analyze_set([0, 1], 1, 0.0)
         assert analyze_set([0, 1], 1, 2.0).certificate.parameters["epsilon"] == 2.0
+
+    def test_no_rich_cosets_check(self, monkeypatch):
+        # Theorem 1.1's check is the one gate: the recursion's V is the one
+        # rich_cosets' pipeline would take, with no rich-cosets check.
+        calls = _count_calls(monkeypatch, "entropic_doubling.pipeline", "check_rich_cosets")
+        for n, basis in ((6, (16, 32)), (7, (32, 64))):
+            res = analyze_set(hamming_ball(n, 1), n, 0.2)
+            assert res.subspace.basis == basis
+            assert [s.kind for s in res.steps] == ["ENDGAME", "ENDGAME", "DESCENT"]
+        assert calls[0] == 0
 
 
 class TestBundles:
@@ -1122,8 +1132,8 @@ class TestNontrivialPath:
         # of both meets statement B at V = 0, so neither grid is built and no
         # B-solver runs for them.  The ENDGAME grid is a hull grid, so its
         # local interaction is read off the move table's pair entropies, with
-        # no fiber_interactions call and no lattice scan, and the rich-cosets
-        # check is the one fibring_decompose.  The move table runs once per
+        # no fiber_interactions call and no lattice scan.  analyze_set runs
+        # no rich-cosets check, so no fibring_decompose.  The move table runs once per
         # step: the sumset lemma's test, the case split, the screens and the
         # endgame's hypothesis check all read it.  The ENDGAME case builds
         # only its grid, not the Z-system joints that the standalone endgame
@@ -1149,7 +1159,7 @@ class TestNontrivialPath:
         analyze_set(union_of_cosets(4, 2, 2, 0), 4, 0.2)
         assert solved == []
         assert grids[0] == 0
-        assert fibring[0] == 1
+        assert fibring[0] == 0
         assert tables[0] == 1
         assert joints[0] == 0
         assert scanned == []
@@ -1218,6 +1228,57 @@ def _without_failure_text(payload):
     if isinstance(payload, list):
         return [_without_failure_text(v) for v in payload]
     return payload
+
+
+def _sparse_pair(i: int) -> tuple[Dist, Dist]:
+    """Pair i of 90 drawn from default_rng(12345): n in [7, 9], and each law
+    on 2-63 random points with exponential masses; X = Y when i % 3 == 0."""
+    rng = np.random.default_rng(12345)
+    for _ in range(i + 1):
+        n = int(rng.integers(7, 10))
+        laws = []
+        for _ in range(2):
+            k = int(rng.integers(2, 64))
+            mass = np.zeros(1 << n)
+            mass[rng.choice(1 << n, k, replace=False)] = rng.exponential(size=k)
+            laws.append(Dist(n, mass / mass.sum()))
+    return laws[0], laws[0] if i % 3 == 0 else laws[1]
+
+
+def _endgame_paths(steps) -> list[str]:
+    """The endgame_grid note of every step that has one, nested inductive
+    steps included."""
+    paths = []
+    for step in steps:
+        paths += _endgame_paths(step.note.get("inductive", ()))
+        if "endgame_grid" in step.note:
+            paths.append(step.note["endgame_grid"])
+    return paths
+
+
+class TestBudgetBoundEndgameAboveTheCap:
+    """ENDGAME grids with an over-budget fiber pair above n = 6, where no
+    lattice is scanned: each such pair descends from its support-hull sum."""
+
+    def test_low_entropy_law_at_n7(self):
+        mass = np.zeros(128)
+        mass[[0x2, 0x7D]] = 0.997, 0.003
+        p = Dist(7, mass)
+        res = solve_B(p, p, 0.05, 0.02, seed=0)
+        assert res.subspace == span([0x7F], 7)
+        assert "descent" in _endgame_paths(res.steps)
+        report = verify_bundle(json.loads(json.dumps(solve_bundle(res, p, p))))
+        assert report.ok, report.failures
+
+    @pytest.mark.parametrize("i, n, dim", [(69, 8, 4), (84, 9, 8)])
+    def test_sparse_pairs(self, i, n, dim):
+        p, q = _sparse_pair(i)
+        assert p.n == n
+        res = solve_B(p, q, 0.05, 0.02, seed=i)
+        assert res.subspace.dim == dim
+        assert _endgame_paths(res.steps) == ["hull", "hull", "descent"]
+        report = verify_bundle(json.loads(json.dumps(solve_bundle(res, p, q))))
+        assert report.ok, report.failures
 
 
 class TestZeroSubspaceScreen:
