@@ -20,14 +20,15 @@ Dist, made once per kept row.  The step skips such a grid when every kept
 fiber pair meets statement B at V = 0: the B-solver would return V(u, w) = 0
 for each, and such a grid has no local interaction.  The step's endgame case
 and endgame() share endgame_grid, the hypothesis check and the budgeted grid.
-Every V(u, w) starts at the support-hull sum hull(X_u) + hull(Y_w).  When each
-kept pair's sum fits the budget, that sum is each V(u, w) (a hull grid): both
-projections are points, and the local interaction and the local-to-global
-expectations have closed forms.  A hull grid keeps its sums as rows of one
-batched GF(2) elimination and builds a V(u, w) Subspace only when it is read.
-Otherwise every over-budget pair descends from its sum one hyperplane at a
-time (_descent_grid), and the grid is a plain one, as fiber_grid's is.  Both
-run at any n.  On X = Y the move table's pair entropies are one symmetric
+Every V(u, w) starts at the support-hull sum hull(X_u) + hull(Y_w).  The sums
+come from one batched GF(2) elimination (_hull_sums) and stay its rows; a
+V(u, w) Subspace is built only when it is read.  When each kept pair's sum
+fits the budget, that sum is each V(u, w) (a hull grid): both projections are
+points, and the local interaction and the local-to-global expectations have
+closed forms.  Otherwise every over-budget pair descends from its sum one
+hyperplane at a time (_descent_grid), and the grid is a plain one, as
+fiber_grid's is, whose expectations take the local-to-global DP.  Both run at
+any n.  On X = Y the move table's pair entropies are one symmetric
 table, of which only the pairs u <= w are measured (entropy.pair_entropies).
 The Z-system bookkeeping and the 480*kappa table are endgame()'s, for
 transcripts and bundles; endgame() keeps the n <= MAX_ENUM_N cap, which its
@@ -62,8 +63,8 @@ from .errors import (
     HypothesisViolationError,
     ValidationError,
 )
-from .gf2 import Subspace, _rref_batch, span
-from .oracle import PFR_SIZE_FACTOR, SubspaceCertificate, lattice_entropies, lattice_index
+from .gf2 import Subspace, _rref_batch
+from .oracle import PFR_SIZE_FACTOR, SubspaceCertificate
 from .records import Record, plain
 from .tolerances import FIBER_CAP, IDENTITY_TOL, MAX_ENUM_N, ORACLE_TOL
 
@@ -260,28 +261,19 @@ class FiberGrid:
 
     On a hull grid, which endgame_grid builds when every V(u, w) is the
     support-hull sum hull(X_u) + hull(Y_w), `hull_terms` holds its
-    closed-form local interaction (see local_interaction); it is None on
-    every other grid.  A hull grid's v_table is a _HullTable, which builds a
-    V(u, w) only when it is read: sampling reads one entry per draw, and the
-    transcript's table reads them all.  Every other grid's v_table is a dict."""
+    closed-form local interaction (see local_interaction), and its
+    local-to-global expectations are closed-form too; it is None on every
+    other grid, whose expectations take the DP over subspace sums at any n
+    (pipeline._dict_h_sequence).  A hull grid's v_table is a _HullTable,
+    which builds a V(u, w) only when it is read: sampling reads one entry per
+    draw, and the transcript's table reads them all.  Every other grid's
+    v_table is a dict."""
 
     fibers_x: FiberFamily
     fibers_y: FiberFamily
     v_table: Mapping[tuple[int, int], Subspace]
     cap: dict = field(default_factory=dict)
     hull_terms: tuple[float, float] | None = None
-
-    @cached_property
-    def lattice(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lat_x, picks) at n <= MAX_ENUM_N, for the exact local-to-global
-        DP: lat_x[u] holds H[pi_V(X_u)] for every subspace V in _scan_tables
-        order, and picks[u, w] is the lattice index of V(u, w), both in label
-        order.  Each distinct X_u row is scanned once."""
-        fx, fy = self.fibers_x, self.fibers_y
-        lat_x = _scan_rows(fx.masses)
-        vs = [self.v_table[(u, w)] for u in fx.labels.tolist() for w in fy.labels.tolist()]
-        picks = lattice_index(vs, fx.n).reshape(len(fx.labels), len(fy.labels))
-        return lat_x, picks
 
     @cached_property
     def local_interaction(self) -> tuple[float, float]:
@@ -315,13 +307,6 @@ def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
     _, first, slots = np.unique(keys, return_index=True, return_inverse=True)
     return first, slots.ravel()
-
-
-def _scan_rows(rows: np.ndarray) -> np.ndarray:
-    """lattice_entropies of every row of `rows`, stacked: each distinct row is
-    scanned once and its scan copied to its repeats."""
-    first, slots = _distinct(rows)
-    return np.stack([lattice_entropies(rows[i]) for i in first])[slots]
 
 
 def _support_hulls(masses: np.ndarray) -> np.ndarray:
@@ -364,6 +349,11 @@ class _HullTable(Mapping):
 
     def __len__(self) -> int:
         return len(self._labels[0]) * len(self._labels[1])
+
+    @property
+    def dims(self) -> np.ndarray:
+        """dim V(u, w) for the i-th kept u and the j-th kept w, at [i, j]."""
+        return np.count_nonzero(self._sums, axis=1)[self._pair]
 
 
 def _heaviest(fam: FiberFamily, k: int) -> tuple[FiberFamily, float, np.ndarray]:
@@ -440,27 +430,16 @@ def _budget(entropies: PairEntropies) -> np.ndarray:
     return PFR_SIZE_FACTOR * (entropies.h_x[:, None] + entropies.h_y) + IDENTITY_TOL
 
 
-def _hull_grid(
-    fam_x: FiberFamily, fam_y: FiberFamily, entropies: PairEntropies, note: dict
-) -> FiberGrid | None:
-    """The hull grid over the kept fibers, whose `entropies` are theirs: V(u, w)
-    = hull(X_u) + hull(Y_w) at every pair, when each such sum fits its budget,
-    dim <= PFR_SIZE_FACTOR (H[X_u] + H[Y_w]); else None.
-
-    pi_V(X_u) is a point exactly when V contains hull(X_u), so the hull sum
-    is the smallest V at which both projections are points, and the first
-    in (dim, lex) order at which H[pi(X_u)] + H[pi(Y_w)] = 0: the budgeted
-    minimizer whenever it fits the budget.  Both fibers project to points, so
-    each pair's term is s[X_u; Y_w] and the local interaction is
-    w_x @ (H[X_u] + H[Y_w] - H[X_u + Y_w]) @ w_y, with E dim V = w_x @ dims @ w_y.
+def _hull_sums(fam_x: FiberFamily, fam_y: FiberFamily) -> _HullTable:
+    """The support-hull sum hull(X_u) + hull(Y_w) of every kept pair, as a
+    _HullTable over the kept labels.
 
     Hulls come from one _rref_batch over the fiber rows of both families
     (_support_hulls), or of the one family on X = Y (fam_y is fam_x), and
     sums from one more over the distinct unordered (hull, hull) pairs: a sum
     does not depend on the order of its two hulls, so on X = Y each pair of
-    hulls is reduced once.  The sums stay
-    _rref_batch rows, and the grid's v_table (_HullTable) builds a Subspace
-    only for the entries that are read.
+    hulls is reduced once.  The sums stay _rref_batch rows, and the table
+    builds a Subspace only for the entries that are read.
     """
     n, kx = fam_x.n, len(fam_x.labels)
     symmetric = fam_y is fam_x
@@ -474,23 +453,44 @@ def _hull_grid(
     )
     halves = hulls[combos // len(hulls)], hulls[combos % len(hulls)]
     sums = _rref_batch(np.concatenate(halves, axis=1), n)
-    pair = pair.reshape(kx, -1)
-    dims = np.count_nonzero(sums, axis=1)[pair]
+    labels_x, labels_y = fam_x.labels.tolist(), fam_y.labels.tolist()
+    return _HullTable(n, labels_x, labels_y, sums, pair.reshape(kx, -1))
+
+
+def _hull_grid(
+    fam_x: FiberFamily, fam_y: FiberFamily, entropies: PairEntropies, note: dict,
+    sums: _HullTable,
+) -> FiberGrid | None:
+    """The hull grid over the kept fibers, whose `entropies` are theirs and
+    whose hull sums (_hull_sums) are `sums`: V(u, w) = hull(X_u) + hull(Y_w)
+    at every pair, when each such sum fits its budget,
+    dim <= PFR_SIZE_FACTOR (H[X_u] + H[Y_w]); else None.
+
+    pi_V(X_u) is a point exactly when V contains hull(X_u), so the hull sum
+    is the smallest V at which both projections are points, and the first
+    in (dim, lex) order at which H[pi(X_u)] + H[pi(Y_w)] = 0: the budgeted
+    minimizer whenever it fits the budget.  Both fibers project to points, so
+    each pair's term is s[X_u; Y_w] and the local interaction is
+    w_x @ (H[X_u] + H[Y_w] - H[X_u + Y_w]) @ w_y, with E dim V = w_x @ dims @ w_y.
+    The grid's v_table is `sums` itself.
+    """
+    dims = sums.dims
     if not np.all(dims <= _budget(entropies)):
         return None
-    v_table = _HullTable(n, fam_x.labels.tolist(), fam_y.labels.tolist(), sums, pair)
     s_pair = entropies.h_x[:, None] + entropies.h_y - entropies.h_sum
     w_x, w_y = fam_x.weights, fam_y.weights
     terms = (float(w_x @ s_pair @ w_y), float(w_x @ dims @ w_y))
-    return FiberGrid(fam_x, fam_y, v_table, note, hull_terms=terms)
+    return FiberGrid(fam_x, fam_y, sums, note, hull_terms=terms)
 
 
 def _descent_grid(
-    fam_x: FiberFamily, fam_y: FiberFamily, entropies: PairEntropies, note: dict
+    fam_x: FiberFamily, fam_y: FiberFamily, entropies: PairEntropies, note: dict,
+    sums: _HullTable,
 ) -> tuple[FiberGrid, np.ndarray, np.ndarray]:
-    """The grid over the kept fibers with each V(u, w) walked down from
-    hull(X_u) + hull(Y_w) into its budget, at any n, and H[pi(X_u)],
-    H[pi(Y_w)] at each V(u, w).  Its v_table is a dict, as fiber_grid's is.
+    """The grid over the kept fibers with each V(u, w) walked down from its
+    hull sum hull(X_u) + hull(Y_w), read off `sums` (_hull_sums), into its
+    budget, at any n, and H[pi(X_u)], H[pi(Y_w)] at each V(u, w).  Its
+    v_table is a dict, as fiber_grid's is.
 
     While dim V is over the budget, V drops to its hyperplane W of least
     H[pi_W(X_u)] + H[pi_W(Y_w)], from one hyperplane_entropies call on the
@@ -498,15 +498,13 @@ def _descent_grid(
     lies on one coset of hull(X_u), so both projections depend only on
     V cap (hull(X_u) + hull(Y_w)), and the budgeted minimizer lies in that
     sum's lattice: the walk costs its dim in levels, whatever n is."""
-    n, kx = fam_x.n, len(fam_x.labels)
-    hulls = _support_hulls(np.concatenate([fam_x.masses, fam_y.masses])).tolist()
     budget = _budget(entropies)
     proj = np.zeros((2, *budget.shape))
     v_table = {}
     for i, u in enumerate(fam_x.labels.tolist()):
         for j, w in enumerate(fam_y.labels.tolist()):
             rows = np.stack([fam_x.masses[i], fam_y.masses[j]])
-            v = span(hulls[i] + hulls[kx + j], n)
+            v = sums[(u, w)]
             while v.dim > budget[i, j]:
                 h = hyperplane_entropies(rows, v)
                 total = h[0] + h[1]
@@ -561,9 +559,10 @@ def endgame_grid(
     fam_x, fam_y, note, rows, cols = cap_fibers(move_table.fib_pq, move_table.fib_qp)
     kept = move_table.entropies_2
     entropies = PairEntropies(kept.h_x[rows], kept.h_y[cols], kept.h_sum[np.ix_(rows, cols)])
-    grid = _hull_grid(fam_x, fam_y, entropies, note)
+    sums = _hull_sums(fam_x, fam_y)
+    grid = _hull_grid(fam_x, fam_y, entropies, note, sums)
     if grid is None:
-        grid, proj_x, proj_y = _descent_grid(fam_x, fam_y, entropies, note)
+        grid, proj_x, proj_y = _descent_grid(fam_x, fam_y, entropies, note, sums)
     else:
         proj_x = proj_y = np.zeros((len(rows), len(cols)))
     return kappa, hypothesis_gaps, grid, (entropies.h_x, entropies.h_y, proj_x, proj_y)

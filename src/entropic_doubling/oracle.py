@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -203,59 +202,6 @@ def _scan_tables(n: int) -> tuple[tuple[Subspace, ...], np.ndarray, np.ndarray, 
     rank = np.cumsum(is_rep, axis=0) - 1
     bins = np.take_along_axis(rank, reps, axis=0) + starts
     return subs, bins, starts, dims
-
-
-@lru_cache(maxsize=8)
-def _lattice_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each subspace's element mask, bit x set iff x lies in it (2^n bits, a
-    uint64 at n <= 6), in all_subspaces order, and the order that sorts them.
-
-    A subspace's members are the points of its first coset bin, the coset of 0.
-    """
-    _, bins, starts, _ = _scan_tables(n)
-    bits = np.uint64(1) << np.arange(1 << n, dtype=np.uint64)
-    masks = np.where(bins == starts, bits[:, None], np.uint64(0)).sum(axis=0, dtype=np.uint64)
-    return masks, np.argsort(masks)
-
-
-# Bit y of _CLEAR_BIT[i] is set iff bit i of the point y is clear (y < 64).
-_CLEAR_BIT = tuple(
-    np.uint64(c)
-    for c in (
-        0x5555555555555555,
-        0x3333333333333333,
-        0x0F0F0F0F0F0F0F0F,
-        0x00FF00FF00FF00FF,
-        0x0000FFFF0000FFFF,
-        0x00000000FFFFFFFF,
-    )
-)
-
-
-def _translate_masks(m: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
-    """Element masks of the translates S ^ x, for element masks m of sets S
-    and vectors x that broadcast together: for each set bit i of x, the
-    mask's bits at the points with bit i clear and set trade places."""
-    for i, low in enumerate(_CLEAR_BIT[:n]):
-        swapped = ((m & low) << (1 << i)) | ((m >> (1 << i)) & low)
-        m = np.where((x >> i) & 1, swapped, m)
-    return m
-
-
-def _join_masks(m: np.ndarray, vectors: Sequence[np.ndarray], n: int) -> np.ndarray:
-    """Element masks of S + <v_1, ..., v_d> for element masks m of subspaces S
-    and arrays v_k of vectors that broadcast with m: S + <v> is S OR its
-    translate S ^ v, taken for each v_k in turn.  A zero vector adds nothing."""
-    for v in vectors:
-        m = m | _translate_masks(m, v, n)
-    return m
-
-
-def lattice_index(vs: Sequence[Subspace], n: int) -> np.ndarray:
-    """The index of each subspace of F_2^n (n <= 6) in all_subspaces order."""
-    masks, order = _lattice_masks(n)
-    keys = np.array([sum(1 << x for x in v.elements()) for v in vs], dtype=np.uint64)
-    return order[np.searchsorted(masks[order], keys)]
 
 
 def lattice_entropies(mass: np.ndarray) -> np.ndarray:

@@ -73,16 +73,13 @@ from .oracle import (
     SubspaceCertificate,
     _b_certificate,
     _b_check,
-    _join_masks,
-    _lattice_masks,
     _require_epsilon,
-    _scan_tables,
     b_inequality,
     certificate,
     greedy_extension,
 )
 from .records import Record, plain
-from .tolerances import IDENTITY_TOL, MAX_ENUM_N
+from .tolerances import IDENTITY_TOL
 
 CRITERION_RICH = "RICH_COSETS"
 CRITERION_MANY = "MANY_SUMS"
@@ -434,8 +431,8 @@ class LocalToGlobalResult(Record):
     mc_samples: int
 
 
-# The dict DP's transition budget above MAX_ENUM_N, and the Monte-Carlo path
-# count that takes over past it.
+# The exact DP's transition budget, at every n, and the Monte-Carlo path count
+# that takes over past it.
 EXACT_DP_CAP = 200_000
 MC_SAMPLES = 800
 
@@ -453,16 +450,12 @@ def _h_expectation_sequence(
     contains hull(X_u), and so does every sum of them, so h_j = 0 for
     j >= 1: the sequence is h_0, 0.0 and, unless that already stops, one
     more 0.0, at any n and with no DP.  Every other grid, fiber_grid's and
-    the endgame's descent grids alike, takes the exact lattice DP
-    (_lattice_h_sequence) at n <= MAX_ENUM_N, which draws nothing from rng,
-    and above it the dict DP (_dict_h_sequence), with its cap and
-    Monte-Carlo fallback.
+    the endgame's descent grids alike, takes the DP (_dict_h_sequence), with
+    its cap and Monte-Carlo fallback, at any n.
     """
     if grid.hull_terms is not None:
         h = [_h_zero(grid), 0.0]
         return (h if _stops(h, tau) else h + [0.0]), True, 0
-    if grid.fibers_x.n <= MAX_ENUM_N:
-        return _lattice_h_sequence(grid, tau), True, 0
     return _dict_h_sequence(grid, tau, rng)
 
 
@@ -481,60 +474,10 @@ def _levels(tau: float) -> int:
     return math.ceil(1.0 / tau) + 1
 
 
-def _lattice_h_sequence(grid: FiberGrid, tau: float) -> list[float]:
-    """The exact h_0 .. h_{k+1} at n <= MAX_ENUM_N, over lattice indices.
-
-    A level is one kx x S array, Pr[u, state] with the states in
-    _scan_tables order, and one bincount over (u, join(state, V(u, w))),
-    weighted by Pr[u, state] Pr[w].  A join ORs a state's element mask with
-    its XOR-translates by each basis vector of V(u, w) and looks the result
-    up in the sorted masks.  h_j is read off the grid's lattice scans of
-    the X_u, so no pushforward or span is computed.  The join arrays live in
-    this call only.
-    """
-    fibers_x, fibers_y = grid.fibers_x, grid.fibers_y
-    lat_x, picks = grid.lattice
-    n = fibers_x.n
-    masks, order = _lattice_masks(n)
-    sorted_masks = masks[order]
-    kx, size = lat_x.shape
-    # Each distinct V(u, w) as a column of basis vectors, zero-padded: a zero
-    # vector's translate is the state itself.
-    distinct, slot = np.unique(picks, return_inverse=True)
-    slot = slot.reshape(picks.shape)
-    subs = _scan_tables(n)[0]
-    depth = max(subs[i].dim for i in distinct.tolist())
-    basis = np.zeros((depth, len(distinct)), dtype=np.uint64)
-    for j, i in enumerate(distinct.tolist()):
-        basis[: subs[i].dim, j] = subs[i].basis
-
-    probs = np.zeros((kx, size))
-    probs[:, 0] = 1.0  # all_subspaces starts with V = 0
-    h = [_h_zero(grid)]
-    for _ in range(_levels(tau)):
-        u, state = np.nonzero(probs)
-        columns = slot[u]
-        joined = _join_masks(
-            np.broadcast_to(masks[state][:, None], columns.shape),
-            [vectors[columns] for vectors in basis],
-            n,
-        )
-        target = order[np.searchsorted(sorted_masks, joined)]
-        weights = probs[u, state][:, None] * fibers_y.weights
-        probs = np.bincount(
-            (u[:, None] * size + target).ravel(), weights.ravel(), minlength=kx * size
-        ).reshape(kx, size)
-        h.append(float(fibers_x.weights @ (probs * lat_x).sum(axis=1)))
-        if _stops(h, tau):
-            return h
-    raise PipelineError("pigeonhole failed to select k; expectations inconsistent")
-
-
 def _dict_h_sequence(
     grid: FiberGrid, tau: float, rng: np.random.Generator
 ) -> tuple[list[float], bool, int]:
-    """_h_expectation_sequence by dynamic programming over canonical bases,
-    the path above MAX_ENUM_N.
+    """_h_expectation_sequence by dynamic programming over canonical bases.
 
     Exact dynamic programming over the reachable subspace-sum lattice draws
     nothing from rng.  If its transition count passes EXACT_DP_CAP, a

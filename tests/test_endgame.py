@@ -25,6 +25,7 @@ from entropic_doubling.endgame import (
     FiberGrid,
     _descent_grid,
     _hull_grid,
+    _hull_sums,
     _move_table,
     cap_fibers,
     endgame,
@@ -50,9 +51,8 @@ from entropic_doubling.oracle import (
     PFR_SIZE_FACTOR,
     exhaustive_best_subspace,
     lattice_entropies,
-    lattice_index,
 )
-from entropic_doubling.pipeline import _h_expectation_sequence, _lattice_h_sequence
+from entropic_doubling.pipeline import _dict_h_sequence, _h_expectation_sequence
 from entropic_doubling.tolerances import IDENTITY_TOL
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -253,10 +253,9 @@ class TestFiberCapTies:
 
 
 class TestBatchedFiberScan:
-    """The endgame scans each fiber's lattice once and picks V(u, w) from the
-    two scans; one exhaustive_best_subspace call per pair is the reference.
-    The float expressions and the tie-break are the same, so the rows are
-    equal, not close."""
+    """The endgame's rows against one exhaustive_best_subspace call per pair,
+    the reference: every V(u, w) and both projections are equal, not
+    close."""
 
     @staticmethod
     def _assert_rows_match_per_pair_scan(t, p: Dist, q: Dist) -> None:
@@ -378,8 +377,8 @@ def _moves_one_by_one(p: Dist, q: Dist):
 
 class TestEqualLawsMeasuredOnce:
     """The move table shares each distinct law's convolution, fibers and pair
-    entropies, and endgame_grid scans each distinct fiber row once; the
-    floats are those of the public functions called one by one."""
+    entropies, and endgame_grid scans no fiber row's lattice; the floats are
+    those of the public functions called one by one."""
 
     @pytest.mark.parametrize("symmetric", [True, False], ids=["X = Y", "X != Y"])
     @pytest.mark.parametrize("n", [3, 5])
@@ -407,33 +406,24 @@ class TestEqualLawsMeasuredOnce:
 
     @pytest.mark.parametrize("symmetric", [True, False], ids=["X = Y", "X != Y"])
     def test_endgame_grid_scans_each_distinct_row_once(self, monkeypatch, symmetric):
-        # endgame_grid scans no lattice: the noisy pair builds a hull grid and
-        # the budget-bound pair a descent grid.  Only the exact
-        # local-to-global DP reads a descent grid's lattice, which scans each
-        # distinct X_u row once.
+        # No grid scans any lattice: the noisy pair builds a hull grid and the
+        # budget-bound pair a descent grid, and the local-to-global DP reads
+        # neither grid's lattice.
         n = 4
-        module = sys.modules["entropic_doubling.endgame"]
+        module = sys.modules["entropic_doubling.oracle"]
         scanned: list = []
         monkeypatch.setattr(
             module, "lattice_entropies", lambda row: scanned.append(row) or lattice_entropies(row)
         )
-        p, q = _noisy_pair(n, 7, symmetric)
-        t = _endgame_at_measured_eta(p, q)
-        assert t.grid.hull_terms is not None
+        noisy, bound = _noisy_pair(n, 7, symmetric), _budget_bound_pair(n, symmetric)
+        hull, descent = (_endgame_at_measured_eta(p, q) for p, q in (noisy, bound))
+        for t in (hull, descent):
+            _h_expectation_sequence(t.grid, 0.02, np.random.default_rng(0))
         assert scanned == []
-        TestBatchedFiberScan._assert_rows_match_per_pair_scan(t, p, q)
-        p, q = _budget_bound_pair(n, symmetric)
-        t = _endgame_at_measured_eta(p, q)
-        assert t.grid.hull_terms is None and type(t.grid.v_table) is dict
-        assert scanned == []
-        assert t.grid.v_table == _kept_grids(p, q)[1].v_table
-        fx, fy = t.grid.fibers_x, t.grid.fibers_y
-        lat_x, picks = t.grid.lattice
-        assert len(scanned) == len({row.tobytes() for row in scanned})
-        assert {row.tobytes() for row in scanned} == {row.tobytes() for row in fx.masses}
-        assert np.array_equal(lat_x, np.stack([lattice_entropies(row) for row in fx.masses]))
-        vs = [t.grid.v_table[(u, w)] for u in fx.labels.tolist() for w in fy.labels.tolist()]
-        assert picks.ravel().tolist() == lattice_index(vs, n).tolist()
+        assert hull.grid.hull_terms is not None
+        TestBatchedFiberScan._assert_rows_match_per_pair_scan(hull, *noisy)
+        assert descent.grid.hull_terms is None and type(descent.grid.v_table) is dict
+        assert descent.grid.v_table == _kept_grids(*bound)[1].v_table
 
     def test_equal_law_endgame_bundle_verifies(self):
         p, _ = _noisy_pair(4, 11, True)
@@ -477,7 +467,7 @@ def _kept_grids(p: Dist, q: Dist) -> tuple[FiberGrid | None, FiberGrid, float]:
             for w, yw, hy in zip(fam_y.labels.tolist(), fam_y.masses, kept.h_y)
         }
         _KEPT_GRIDS[key] = (
-            _hull_grid(fam_x, fam_y, kept, note),
+            _hull_grid(fam_x, fam_y, kept, note, _hull_sums(fam_x, fam_y)),
             FiberGrid(fam_x, fam_y, reference, note),
             h_total,
         )
@@ -533,9 +523,9 @@ class TestHullGrid:
             for tau in {1e-3, 0.1, 0.5, max(zeta / 2.0, 1e-3)}:
                 seq, exact, samples = _h_expectation_sequence(hull, tau, None)
                 assert (exact, samples) == (True, 0)
-                # Every reached state contains hull(X_u), so the lattice
-                # reads each h_j, j >= 1, as exactly 0.0 too.
-                assert seq == _lattice_h_sequence(lattice, tau)
+                # Every reached state contains hull(X_u), so the DP projects
+                # X_u to a point and reads each h_j, j >= 1, as exactly 0.0 too.
+                assert (seq, exact, samples) == _dict_h_sequence(lattice, tau, None)
         # 101 of the 114 inputs build hull grids; the rest have a budget-bound pair.
         assert hull_grids >= 100
 
@@ -550,7 +540,9 @@ class TestHullGrid:
                 continue
             grids += 1
             fam_x, fam_y, note, kept, _ = _kept(p, q)
-            grid, proj_x, proj_y = _descent_grid(fam_x, fam_y, kept, note)
+            grid, proj_x, proj_y = _descent_grid(
+                fam_x, fam_y, kept, note, _hull_sums(fam_x, fam_y)
+            )
             assert grid.v_table == reference.v_table
             budget = PFR_SIZE_FACTOR * (kept.h_x[:, None] + kept.h_y) + IDENTITY_TOL
             for i, (u, xu) in enumerate(zip(fam_x.labels.tolist(), fam_x.masses)):
@@ -609,14 +601,33 @@ class TestHullGrid:
         monkeypatch.setattr(
             module, "_support_hulls", lambda m: reduced.append(len(m)) or support_hulls(m)
         )
-        once = _hull_grid(kept, kept, ent, note)
+        once = _hull_grid(kept, kept, ent, note, _hull_sums(kept, kept))
         assert reduced == [len(kept.labels)]
         other = cap_fibers(copy, copy)[1]
         assert other is not kept
-        full = _hull_grid(kept, other, ent, note)
+        full = _hull_grid(kept, other, ent, note, _hull_sums(kept, other))
         assert reduced == [len(kept.labels), 2 * len(kept.labels)]
         assert once.hull_terms == full.hull_terms
         assert dict(once.v_table) == dict(full.v_table)
+
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["X = Y", "X != Y"])
+    def test_budget_bound_grid_reduces_each_hull_once(self, monkeypatch, symmetric):
+        # The descent walks down from the hull sums that the hull grid's
+        # budget check reduced: one _support_hulls call over the kept rows,
+        # the one family's on X = Y.
+        p, q = _budget_bound_pair(4, symmetric)
+        eta = doubling_mass(p, q) / (shannon_entropy(p) + shannon_entropy(q))
+        module = sys.modules["entropic_doubling.endgame"]
+        reduced: list = []
+        support_hulls = module._support_hulls
+        monkeypatch.setattr(
+            module, "_support_hulls", lambda m: reduced.append(len(m)) or support_hulls(m)
+        )
+        _, _, grid, _ = endgame_grid(_move_table(p, q), eta, None)
+        assert grid.hull_terms is None
+        kx, ky = len(grid.fibers_x.labels), len(grid.fibers_y.labels)
+        assert reduced == [kx if symmetric else kx + ky]
+        assert grid.v_table == _kept_grids(p, q)[1].v_table
 
     def test_budget_bound_pair_builds_a_descent_grid(self):
         # One pair is over budget, so the grid is a plain one: a dict

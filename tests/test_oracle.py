@@ -1,5 +1,6 @@
 """Subspace finders: exhaustive ground truth and greedy ascent."""
 
+import functools
 import json
 import operator
 
@@ -21,7 +22,6 @@ from entropic_doubling.oracle import (
     OBJECTIVE_PFR,
     OBJECTIVE_PROJECTED_ENTROPY,
     OBJECTIVE_STATEMENT_B,
-    _lattice_masks,
     _scan_tables,
     exhaustive_best_subspace,
     extension_entropies,
@@ -34,6 +34,13 @@ from entropic_doubling.pipeline import SolveResult
 from entropic_doubling.tolerances import MASS_EPS, ORACLE_TOL
 
 
+@functools.lru_cache(maxsize=None)
+def _element_masks(n: int) -> tuple[int, ...]:
+    """Each subspace's element mask, bit x set iff x lies in it, in
+    all_subspaces order."""
+    return tuple(sum(1 << x for x in v.elements()) for v in all_subspaces(n))
+
+
 def _all_points_scan(d: Dist) -> np.ndarray:
     """The lattice scan over every point, as a reference: one bincount of all
     2^n points, subspace by subspace, and _plogp's masked log on every bin.
@@ -41,9 +48,9 @@ def _all_points_scan(d: Dist) -> np.ndarray:
     first (the support lies on one coset) reads 0.0."""
     _, bins, starts, _ = _scan_tables(d.n)
     pushed = np.bincount(bins.T.ravel(), weights=np.tile(d.mass, len(starts)))
-    support = np.flatnonzero(d.mass)
-    offsets = np.bitwise_or.reduce(np.uint64(1) << (support ^ support[0]).astype(np.uint64))
-    one_coset = (_lattice_masks(d.n)[0] & offsets) == offsets
+    support = np.flatnonzero(d.mass).tolist()
+    offsets = sum(1 << x for x in {x ^ support[0] for x in support})
+    one_coset = np.array([m & offsets == offsets for m in _element_masks(d.n)])
     scan = np.maximum(-np.add.reduceat(_plogp(pushed), starts), 0.0) + 0.0
     return np.where(one_coset, 0.0, scan)
 

@@ -43,7 +43,12 @@ from entropic_doubling.endgame import (
     endgame_grid,
     fiber_grid,
 )
-from entropic_doubling.entropy import doubling_mass, pair_entropies, shannon_entropy
+from entropic_doubling.entropy import (
+    doubling_mass,
+    pair_entropies,
+    quotient_entropy,
+    shannon_entropy,
+)
 from entropic_doubling.errors import (
     EntropicDoublingError,
     HypothesisViolationError,
@@ -62,11 +67,8 @@ from entropic_doubling.oracle import (
     OBJECTIVE_STATEMENT_B,
     CriterionCheck,
     _b_certificate,
-    _join_masks,
-    _lattice_masks,
     certificate,
     exhaustive_best_subspace,
-    lattice_index,
     pfr_subspace,
 )
 from entropic_doubling.pipeline import (
@@ -470,7 +472,7 @@ class TestLocalToGlobal:
             assert time.perf_counter() - start < 1.0
 
     def test_monte_carlo_fallback_stops_by_the_same_rule(self, monkeypatch):
-        # At n = 7, above MAX_ENUM_N, the dict DP and its fallback serve the grid.
+        # The DP and its fallback serve the grid at n = 7 as at any n.
         grid = self._coordinate_grid(7)
         tau = 0.01
         exact, is_exact, _ = _h_expectation_sequence(grid, tau, np.random.default_rng(0))
@@ -492,7 +494,9 @@ class TestLocalToGlobal:
 
 
 class TestLatticeExpectationDP:
-    """The exact lattice DP that serves every grid at n <= MAX_ENUM_N."""
+    """The exact DP over the subspace-sum lattice (_dict_h_sequence), which
+    serves every grid but a hull grid at every n, against a brute-force
+    reference at n = 2-6."""
 
     @staticmethod
     def _endgame_grid(n: int, seed: int) -> FiberGrid:
@@ -516,15 +520,45 @@ class TestLatticeExpectationDP:
         return FiberFamily(labels, weights / weights.sum(), masses)
 
     @staticmethod
-    def _assert_same_as_dict_dp(grid: FiberGrid, tau: float) -> None:
-        lattice = _h_expectation_sequence(grid, tau, np.random.default_rng(0))
-        reference = _dict_h_sequence(grid, tau, np.random.default_rng(0))
-        assert lattice[1:] == (True, 0)
-        assert reference[1:] == (True, 0)
+    def _brute_force_h(grid: FiberGrid, levels: int) -> list[float]:
+        """h_0 .. h_levels over every path u, w_1 .. w_j, each weighted by
+        Pr[u] Pr[w_1] ... Pr[w_j], with H[pi_V(X_u)] from quotient_entropy at
+        V = V(u, w_1) + ... + V(u, w_j).  That V depends only on the set of
+        distinct V(u, w_i) a path drew, so paths are summed by that set, level
+        by level: the n = 6 B-solver grid, 16 x 16 over 14 levels, has
+        16 * 16^13, about 7e16, paths at its last level."""
+        fx, fy = grid.fibers_x, grid.fibers_y
+        h = [0.0] * (levels + 1)
+        for wu, u, xu in zip(fx.weights, fx.labels.tolist(), fx.masses):
+            # Each distinct V(u, w), with the total Pr[w] of the w that draw it.
+            draws: dict = {}
+            for ww, w in zip(fy.weights, fy.labels.tolist()):
+                v = grid.v_table[(u, w)]
+                draws[v] = draws.get(v, 0.0) + ww
+            entropies: dict = {}
+            sets = {frozenset(): 1.0}
+            for j in range(levels + 1):
+                for drawn in sets:
+                    if drawn not in entropies:
+                        v = span([b for d in drawn for b in d.basis], fx.n)
+                        entropies[drawn] = quotient_entropy(Dist(fx.n, xu), v)
+                h[j] += wu * sum(pr * entropies[drawn] for drawn, pr in sets.items())
+                grown: dict = {}
+                for drawn, pr in sets.items():
+                    for v, qv in draws.items():
+                        grown[drawn | {v}] = grown.get(drawn | {v}, 0.0) + pr * qv
+                sets = grown
+        return h
+
+    @classmethod
+    def _assert_dict_dp_matches_brute_force(cls, grid: FiberGrid, tau: float) -> None:
+        h, exact, samples = _h_expectation_sequence(grid, tau, np.random.default_rng(0))
+        assert (exact, samples) == (True, 0)
+        reference = cls._brute_force_h(grid, len(h) - 1)
         # The same k, and every h_j to 1e-12.
-        assert len(lattice[0]) == len(reference[0])
-        assert lattice[0] == pytest.approx(reference[0], abs=1e-12, rel=0)
-        assert min(lattice[0]) >= 0.0
+        assert TestLocalToGlobal._first_stop(reference, tau) == len(h) - 2
+        assert h == pytest.approx(reference, abs=1e-12, rel=0)
+        assert min(h) >= 0.0
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_endgame_grids_match_the_dict_dp(self, n):
@@ -532,7 +566,7 @@ class TestLatticeExpectationDP:
             grid = self._endgame_grid(n, seed)
             assert any(v.dim for v in grid.v_table.values())
             for tau in (0.02, 0.1):
-                self._assert_same_as_dict_dp(grid, tau)
+                self._assert_dict_dp_matches_brute_force(grid, tau)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_b_solver_grids_match_the_dict_dp(self, n):
@@ -541,7 +575,7 @@ class TestLatticeExpectationDP:
             grid = self._b_solver_grid(n, seed)
             nonzero += sum(v.dim > 0 for v in grid.v_table.values())
             for tau in (0.02, 0.1):
-                self._assert_same_as_dict_dp(grid, tau)
+                self._assert_dict_dp_matches_brute_force(grid, tau)
         assert nonzero
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -559,30 +593,12 @@ class TestLatticeExpectationDP:
                     vectors = rng.integers(0, 1 << n, size=int(rng.integers(0, 3)))
                     table[(u, w)] = span([int(x) for x in vectors], n)
             for tau in (0.02, 0.1):
-                self._assert_same_as_dict_dp(FiberGrid(fx, fy, table), tau)
+                self._assert_dict_dp_matches_brute_force(FiberGrid(fx, fy, table), tau)
 
-    @pytest.mark.parametrize("n", [3, 5, 6])
-    def test_mask_join_equals_span(self, n):
-        rng = np.random.default_rng(n)
-        subs = all_subspaces(n)
-        masks, order = _lattice_masks(n)
-        assert masks.tolist() == [sum(1 << x for x in v.elements()) for v in subs]
-        assert lattice_index(subs, n).tolist() == list(range(len(subs)))
-        a = rng.integers(0, len(subs), size=300)
-        b = rng.integers(0, len(subs), size=300)
-        vectors = [
-            np.array([subs[j].basis[k] if k < subs[j].dim else 0 for j in b], dtype=np.uint64)
-            for k in range(n)
-        ]
-        joined = _join_masks(masks[a], vectors, n)
-        found = order[np.searchsorted(masks[order], joined)]
-        assert masks[found].tolist() == joined.tolist()
-        for i, j, k in zip(a.tolist(), b.tolist(), found.tolist()):
-            assert subs[k] == span(subs[i].basis + subs[j].basis, n)
-
-    def test_n6_grid_past_the_old_cap_is_exact_and_fast(self):
+    def test_n6_grid_past_the_cap_takes_the_fallback(self, monkeypatch):
         # 16 x 16 fibers with full support and a random line per pair: the
-        # reachable sums of lines pass EXACT_DP_CAP transitions by level 4.
+        # reachable sums of lines pass EXACT_DP_CAP transitions by level 4,
+        # so the DP falls back to sampling at n = 6 as at any n.
         n, rng = 6, np.random.default_rng(61)
         fx = self._random_fibers(n, rng.exponential(size=16), rng)
         fy = self._random_fibers(n, np.ones(16), rng)
@@ -591,27 +607,13 @@ class TestLatticeExpectationDP:
         grid = FiberGrid(fx, fy, table)
         h_total = shannon_entropy(fx.mixture()) + shannon_entropy(fy.mixture())
         zeta = min(0.999 * grid.local_interaction[0] / h_total, 0.1)
-        # The dict DP passes its cap here, so it falls back to sampling.
-        assert _dict_h_sequence(grid, zeta / 2.0, np.random.default_rng(0))[1:] == (False, 800)
-        start = time.perf_counter()
         res = local_to_global(grid, zeta, np.random.default_rng(0))
-        assert time.perf_counter() - start < 1.0
-        assert res.exact_expectations and res.mc_samples == 0
-        assert res.k >= 3
-
-    def test_lattice_dp_computes_no_pushforward_or_span(self, monkeypatch):
-        # A guard against a later change putting the DP back on Python joins.
-        def refuse(*args, **kwargs):
-            raise AssertionError("the lattice DP called span or pushforward_quotient")
-
-        pipeline_module = sys.modules["entropic_doubling.pipeline"]
-        for grid in (self._endgame_grid(5, 1), self._b_solver_grid(4, 0)):
-            expect = _h_expectation_sequence(grid, 0.02, np.random.default_rng(0))
-            with monkeypatch.context() as patched:
-                patched.setattr(pipeline_module, "span", refuse)
-                patched.setattr(pipeline_module, "pushforward_quotient", refuse)
-                got = _h_expectation_sequence(grid, 0.02, np.random.default_rng(0))
-            assert got == expect
+        assert (res.exact_expectations, res.mc_samples) == (False, 800)
+        # The sampled sequence stops at the k of the same DP with no cap.
+        monkeypatch.setattr(sys.modules["entropic_doubling.pipeline"], "EXACT_DP_CAP", 10**9)
+        h, exact, samples = _dict_h_sequence(grid, zeta / 2.0, np.random.default_rng(0))
+        assert (exact, samples) == (True, 0)
+        assert res.k == len(h) - 2 >= 3
 
 
 class TestInductiveStep:
@@ -1150,11 +1152,11 @@ class TestNontrivialPath:
         fibring = _count_calls(monkeypatch, "entropic_doubling.entropy", "fibring_decompose")
         tables = _count_calls(monkeypatch, "entropic_doubling.endgame", "_move_table")
         joints = _count_calls(monkeypatch, "entropic_doubling.endgame", "z_system_joints")
-        endgame_module = sys.modules["entropic_doubling.endgame"]
-        scan = endgame_module.lattice_entropies
+        oracle_module = sys.modules["entropic_doubling.oracle"]
+        scan = oracle_module.lattice_entropies
         scanned: list = []
         monkeypatch.setattr(
-            endgame_module, "lattice_entropies", lambda d: scanned.append(d) or scan(d)
+            oracle_module, "lattice_entropies", lambda d: scanned.append(d) or scan(d)
         )
         analyze_set(union_of_cosets(4, 2, 2, 0), 4, 0.2)
         assert solved == []
@@ -1277,6 +1279,48 @@ class TestBudgetBoundEndgameAboveTheCap:
         res = solve_B(p, q, 0.05, 0.02, seed=i)
         assert res.subspace.dim == dim
         assert _endgame_paths(res.steps) == ["hull", "hull", "descent"]
+        report = verify_bundle(json.loads(json.dumps(solve_bundle(res, p, q))))
+        assert report.ok, report.failures
+
+
+def _small_pair(i: int) -> tuple[Dist, Dist]:
+    """Pair i of 300 drawn from default_rng(777): n in [3, 6], and each law
+    on 2 to min(64, 2^n) random points with exponential masses; X = Y when
+    i % 3 == 0."""
+    rng = np.random.default_rng(777)
+    for _ in range(i + 1):
+        n = int(rng.integers(3, 7))
+        laws = []
+        for _ in range(2):
+            k = int(rng.integers(2, min(64, 1 << n) + 1))
+            mass = np.zeros(1 << n)
+            mass[rng.choice(1 << n, k, replace=False)] = rng.exponential(size=k)
+            laws.append(Dist(n, mass / mass.sum()))
+    return laws[0], laws[0] if i % 3 == 0 else laws[1]
+
+
+class TestDescentGridAtSmallN:
+    """Budget-bound ENDGAME grids at n <= 6, whose local-to-global
+    expectations take the exact DP that serves every n."""
+
+    @pytest.mark.parametrize(
+        "i, eta, epsilon, basis, kinds, paths",
+        [
+            (174, 0.05, 0.02, (49, 50, 4, 24), ["ENDGAME"] * 2 + ["DESCENT"], ["hull", "descent"]),
+            (100, 0.1, 0.05, (1, 34, 40), ["ENDGAME", "DESCENT"], ["descent"]),
+        ],
+    )
+    def test_pinned_solve(self, i, eta, epsilon, basis, kinds, paths):
+        p, q = _small_pair(i)
+        assert p.n == 6 and (q is p) == (i % 3 == 0)
+        res = solve_B(p, q, eta, epsilon, seed=i)
+        assert res.subspace.basis == basis
+        assert [s.kind for s in res.steps] == kinds
+        assert _endgame_paths(res.steps) == paths
+        inner = [t for s in res.steps for t in s.note.get("inductive", ())]
+        (descent,) = [t for t in inner if t.note.get("endgame_grid") == "descent"]
+        l2g = descent.note["local_to_global"]
+        assert (l2g.exact_expectations, l2g.mc_samples) == (True, 0)
         report = verify_bundle(json.loads(json.dumps(solve_bundle(res, p, q))))
         assert report.ok, report.failures
 
