@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from .dist import Dist, uniform_on
 from .endgame import EndgameTranscript, endgame
 from .errors import ValidationError
-from .families import PRNG_ID
+from .families import PRNG_ID, set_from_json
 from .gf2 import Subspace
 from .oracle import (
     CRITERION_B,
@@ -171,8 +171,7 @@ def _rebuild(kind, inputs: dict, stored: dict) -> tuple[dict, dict]:
         elif kind == CRITERION_MANY:
             chk = check_many_sums([Dist.from_json(d) for d in inputs["dists"]], v, eps)
         elif kind == CRITERION_T11:
-            n = int(inputs["set"]["n"])
-            members = sorted(int(h, 16) for h in inputs["set"]["elements"])
+            members, n = set_from_json(inputs["set"])
             chk = check_theorem_11(members, uniform_on(members, n), v, eps)
         else:
             raise ValidationError(f"unknown bundle kind {kind!r}")

@@ -31,10 +31,10 @@ from .families import (
     doubling_stats,
     hamming_ball,
     random_subset_of_subspace,
+    set_from_json,
     union_of_cosets,
 )
 from .pipeline import analyze_set, solve_B
-from .tolerances import MAX_ELEMENT_N
 from . import verification
 
 CSV_COLUMNS = [
@@ -53,20 +53,6 @@ CSV_COLUMNS = [
 def _load_json(path: str) -> dict:
     with open(path) as fh:
         return json.load(fh)
-
-
-def _load_set(path: str) -> tuple[list[int], int]:
-    payload = _load_json(path)
-    try:
-        n = int(payload["n"])
-        elements = sorted(int(h, 16) for h in payload["elements"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"malformed set file {path}: {exc}") from exc
-    if not 1 <= n <= MAX_ELEMENT_N:
-        raise ValidationError(f"set file {path}: n must lie in 1..{MAX_ELEMENT_N}, got {n}")
-    if any(not 0 <= x < (1 << n) for x in elements):
-        raise ValidationError(f"element out of range in {path}")
-    return elements, n
 
 
 def _write_output(payload: dict, out: str | None, fmt: str, row: dict | None = None):
@@ -130,7 +116,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_analyze(args) -> int:
     if args.set:
-        elements, n = _load_set(args.set)
+        elements, n = set_from_json(_load_json(args.set))
         stats = doubling_stats(elements)
         u_a = uniform_on(elements, n)
         payload = {
@@ -170,7 +156,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_find_subspace(args) -> int:
     if args.set:
-        elements, n = _load_set(args.set)
+        elements, n = set_from_json(_load_json(args.set))
         result = analyze_set(elements, n, args.epsilon, seed=args.seed)
         bundle = set_bundle(result, elements, n)
         ach = result.certificate.achieved

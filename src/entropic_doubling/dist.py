@@ -25,7 +25,7 @@ from .errors import (
     NormalizationError,
     ValidationError,
 )
-from .gf2 import Subspace
+from .gf2 import Subspace, _json_n
 from .tolerances import IDENTITY_TOL, MASS_EPS, MAX_DENSE_N, MAX_JOINT_BITS
 
 
@@ -90,7 +90,7 @@ class Dist:
     @classmethod
     def from_json(cls, payload: dict) -> "Dist":
         try:
-            n = int(payload["n"])
+            n = _json_n(payload)
             _check_dense_n(n)
             if "mass" in payload:
                 mass = np.asarray(payload["mass"], dtype=np.float64)

@@ -12,24 +12,26 @@ Y_w = (Y_1 | Y_1+X_2 = w) admit per-pair subspaces V(u,w) within the
 Everything here is verified numerically, never trusted.
 
 A FiberGrid is what each case of the inductive step (Case 1, Case 2 and this
-endgame) hands to the local-to-global lemma, over the at most FIBER_CAP pairs
-that cap_fibers keeps.  Its fiber families are row tables (FiberFamily): the
+endgame) hands to the local-to-global lemma, over one of the move table's two
+kept views (KeptFibers): the at most FIBER_CAP pairs that cap_fibers keeps of
+a family pair, capped once.  Fiber families are row tables (FiberFamily): the
 cap, the hull reductions and the local interaction read rows.  fiber_grid
 builds a Case 1 or Case 2 grid from a B-solver, the one reader that gets a
 Dist, made once per kept row.  The step skips such a grid when every kept
 fiber pair meets statement B at V = 0: the B-solver would return V(u, w) = 0
 for each, and such a grid has no local interaction.  The step's endgame case
-and endgame() share endgame_grid, the hypothesis check and the budgeted grid.
-Every V(u, w) starts at the support-hull sum hull(X_u) + hull(Y_w).  The sums
-come from one batched GF(2) elimination (_hull_sums) and stay its rows; a
-V(u, w) Subspace is built only when it is read.  When each kept pair's sum
-fits the budget, that sum is each V(u, w) (a hull grid): both projections are
-points, and the local interaction and the local-to-global expectations have
-closed forms.  Otherwise every over-budget pair descends from its sum one
-hyperplane at a time (_descent_grid), and the grid is a plain one, as
-fiber_grid's is, whose expectations take the local-to-global DP.  Both run at
-any n.  On X = Y the move table's pair entropies are one symmetric
-table, of which only the pairs u <= w are measured (entropy.pair_entropies).
+and endgame() share endgame_grid, the hypothesis check and the budgeted grid
+(_budget_grid).  Every V(u, w) starts at the support-hull sum
+hull(X_u) + hull(Y_w).  The sums come from one batched GF(2) elimination
+(_hull_sums) and stay its rows; a V(u, w) Subspace is built only when it is
+read.  When each kept pair's sum fits the budget, that sum is each V(u, w) (a
+hull grid): both projections are points, and the local interaction and the
+local-to-global expectations have closed forms.  Otherwise every over-budget
+pair descends from its sum one hyperplane at a time, and the grid is a plain
+one, as fiber_grid's is, whose expectations take the local-to-global DP.
+Both run at any n.  On X = Y the move table's pair entropies are one
+symmetric table, of which only the pairs u <= w are measured
+(entropy.pair_entropies), and its two kept views are one.
 The Z-system bookkeeping and the 480*kappa table are endgame()'s, for
 transcripts and bundles; endgame() keeps the n <= MAX_ENUM_N cap, which its
 2^(3n)-entry Z-system joints need.
@@ -155,14 +157,14 @@ class EndgameTranscript(Record):
 @dataclass(frozen=True, eq=False)
 class _MoveTable:
     """The four doubling moves of (X, Y) on F_2^n, name -> (mass, paired
-    entropy sum), with H[X], H[Y], H[X+Y] and what the moves were measured
-    on: the sums X_1+X_2, Y_1+Y_2 and X+Y (conv_*), the sum-fiber families
-    X_1 | X_1+X_2 (pp), Y_1 | Y_1+Y_2 (qq), X_1 | X_1+Y_2 (pq) and
-    Y_1 | Y_1+X_2 (qp), and the pair entropies of the pp x qq and pq x qp
-    grids that fiber_1 and fiber_2 reduce.  The sumset lemma tests the
-    sumset moves and hands the B-solver the sums; Case 1 reads the pp/qq
-    grid, Case 2 and the endgame the pq/qp grid.  On X = Y each group of
-    equal fields (the sums, the families, the pair entropies) is one object."""
+    entropy sum), with H[X], H[Y], H[X+Y], the sums X_1+X_2, Y_1+Y_2 and X+Y
+    (conv_*) the moves were measured on, and the one kept view of each fiber
+    grid: kept_1 over the sum-fiber families X_1 | X_1+X_2 x Y_1 | Y_1+Y_2,
+    which fiber_1 reduces, and kept_2 over X_1 | X_1+Y_2 x Y_1 | Y_1+X_2,
+    which fiber_2 reduces, each capped once (cap_fibers).  The sumset lemma
+    tests the sumset moves and hands the B-solver the sums; Case 1 reads
+    kept_1, Case 2 and the endgame kept_2.  On X = Y each group of equal
+    fields (the sums, the kept views) is one object."""
 
     n: int
     h_x: float
@@ -172,12 +174,8 @@ class _MoveTable:
     conv_pp: Dist
     conv_qq: Dist
     conv_pq: Dist
-    fib_pp: FiberFamily
-    fib_qq: FiberFamily
-    fib_pq: FiberFamily
-    fib_qp: FiberFamily
-    entropies_1: PairEntropies
-    entropies_2: PairEntropies
+    kept_1: KeptFibers
+    kept_2: KeptFibers
 
     @property
     def s_xy(self) -> float:
@@ -195,9 +193,9 @@ def _move_table(p: Dist, q: Dist) -> _MoveTable:
     the (Y, X) family reads xor_convolve(p, q) for xor_convolve(q, p): the
     spectra multiply elementwise, so the floats are the same.  A pair X != Y
     takes 3 convolutions of p and q, where the public functions one by one
-    take 7, and X = Y takes 1, one sum-fiber family and one pair-entropy
-    table.  The fields are bit-equal to the public functions computed one by
-    one."""
+    take 7, and X = Y takes 1, one sum-fiber family, one pair-entropy table
+    and one cap.  The moves read the whole families, the grids the kept views.
+    The fields are bit-equal to the public functions computed one by one."""
     if same_law(p, q):
         q = p
     # Keys are object ids: every keyed argument is p, q or a memo value, all
@@ -211,12 +209,12 @@ def _move_table(p: Dist, q: Dist) -> _MoveTable:
         return memo[key]
 
     conv_pp, conv_qq, conv_pq = (once(xor_convolve, a, b) for a, b in ((p, p), (q, q), (p, q)))
-    fib_pp, fib_qq, fib_pq, fib_qp = (
+    fam_pp, fam_qq, fam_pq, fam_qp = (
         once(_sum_fibers, a, b, c)
         for a, b, c in ((p, p, conv_pp), (q, q, conv_qq), (p, q, conv_pq), (q, p, conv_pq))
     )
-    entropies_1 = once(pair_entropies, fib_pp, fib_qq)
-    entropies_2 = once(pair_entropies, fib_pq, fib_qp)
+    ent_1 = once(pair_entropies, fam_pp, fam_qq)
+    ent_2 = once(pair_entropies, fam_pq, fam_qp)
     h_pp, h_qq, h_xy = (once(shannon_entropy, d) for d in (conv_pp, conv_qq, conv_pq))
     moves = {
         "sumset_1": (
@@ -228,17 +226,18 @@ def _move_table(p: Dist, q: Dist) -> _MoveTable:
             2.0 * h_xy,
         ),
         "fiber_1": (
-            conditional_doubling_mass(fib_pp, fib_qq, entropies_1),
-            float(fib_pp.weights @ entropies_1.h_x + fib_qq.weights @ entropies_1.h_y),
+            conditional_doubling_mass(fam_pp, fam_qq, ent_1),
+            float(fam_pp.weights @ ent_1.h_x + fam_qq.weights @ ent_1.h_y),
         ),
         "fiber_2": (
-            conditional_doubling_mass(fib_pq, fib_qp, entropies_2),
-            float(fib_pq.weights @ entropies_2.h_x + fib_qp.weights @ entropies_2.h_y),
+            conditional_doubling_mass(fam_pq, fam_qp, ent_2),
+            float(fam_pq.weights @ ent_2.h_x + fam_qp.weights @ ent_2.h_y),
         ),
     }
     return _MoveTable(
-        p.n, once(shannon_entropy, p), once(shannon_entropy, q), h_xy, moves,
-        conv_pp, conv_qq, conv_pq, fib_pp, fib_qq, fib_pq, fib_qp, entropies_1, entropies_2,
+        p.n, once(shannon_entropy, p), once(shannon_entropy, q), h_xy, moves, conv_pp, conv_qq,
+        conv_pq, once(cap_fibers, fam_pp, fam_qq, ent_1),
+        once(cap_fibers, fam_pq, fam_qp, ent_2),
     )
 
 
@@ -255,11 +254,11 @@ def _kappa_from_moves(moves: dict, eta: float) -> float:
 @dataclass(frozen=True, eq=False)
 class FiberGrid:
     """The (u, w) grid that one inductive-step case feeds to the
-    local-to-global lemma: capped fiber families X_u and Y_w, the per-pair
-    subspaces V(u, w) as a read-only (u, w) -> Subspace mapping, and the
-    fiber-cap note.
+    local-to-global lemma: the kept fiber families X_u and Y_w of a move
+    table's KeptFibers, the per-pair subspaces V(u, w) as a read-only
+    (u, w) -> Subspace mapping, and the kept view's fiber-cap note.
 
-    On a hull grid, which endgame_grid builds when every V(u, w) is the
+    On a hull grid, which _budget_grid builds when every V(u, w) is the
     support-hull sum hull(X_u) + hull(Y_w), `hull_terms` holds its
     closed-form local interaction (see local_interaction), and its
     local-to-global expectations are closed-form too; it is None on every
@@ -370,11 +369,19 @@ def _heaviest(fam: FiberFamily, k: int) -> tuple[FiberFamily, float, np.ndarray]
     return kept, coverage, order
 
 
-def cap_fibers(
-    fam_x: FiberFamily, fam_y: FiberFamily
-) -> tuple[FiberFamily, FiberFamily, dict, np.ndarray, np.ndarray]:
-    """The families a grid over fam_x x fam_y keeps, its cap note, and the
-    kept fibers' indices in fam_x and in fam_y.
+class KeptFibers(NamedTuple):
+    """The fibers a grid over one family pair keeps (cap_fibers), their rows
+    of the pair's entropies, and the cap note."""
+
+    fibers_x: FiberFamily
+    fibers_y: FiberFamily
+    entropies: PairEntropies
+    cap: dict
+
+
+def cap_fibers(fam_x: FiberFamily, fam_y: FiberFamily, entropies: PairEntropies) -> KeptFibers:
+    """The fibers a grid over fam_x x fam_y keeps, with their rows of the
+    pair entropies `entropies` of fam_x x fam_y, and the cap note.
 
     A grid over more than FIBER_CAP pairs keeps each family's
     floor(sqrt(FIBER_CAP)) heaviest fibers and records their coverage in the note.
@@ -382,7 +389,7 @@ def cap_fibers(
     """
     kx, ky = len(fam_x.labels), len(fam_y.labels)
     if kx * ky <= FIBER_CAP:
-        return fam_x, fam_y, {"applied": False, "cap": FIBER_CAP}, np.arange(kx), np.arange(ky)
+        return KeptFibers(fam_x, fam_y, entropies, {"applied": False, "cap": FIBER_CAP})
     side = int(np.sqrt(FIBER_CAP))
     same = fam_y is fam_x
     fam_x, coverage_x, rows = _heaviest(fam_x, min(side, kx))
@@ -395,26 +402,26 @@ def cap_fibers(
         "coverage_u": coverage_x,
         "coverage_w": coverage_y,
     }
-    return fam_x, fam_y, note, rows, cols
+    h_x, h_y, h_sum = entropies
+    entropies = PairEntropies(h_x[rows], h_y[cols], h_sum[np.ix_(rows, cols)])
+    return KeptFibers(fam_x, fam_y, entropies, note)
 
 
 def fiber_grid(
-    fam_x: FiberFamily,
-    fam_y: FiberFamily,
-    solver: Callable[[Dist, Dist], SubspaceCertificate],
+    kept: KeptFibers, solver: Callable[[Dist, Dist], SubspaceCertificate]
 ) -> FiberGrid:
-    """Fibers X_u of fam_x and Y_w of fam_y with V(u, w) = solver(X_u, Y_w).subspace
-    for a B-solver, over the families cap_fibers keeps.  The solver runs
+    """Kept fibers X_u and Y_w (a move table's KeptFibers) with
+    V(u, w) = solver(X_u, Y_w).subspace for a B-solver.  The solver runs
     u-major, in label order, on one Dist per kept row.
     """
-    fam_x, fam_y, note, _, _ = cap_fibers(fam_x, fam_y)
+    fam_x, fam_y = kept.fibers_x, kept.fibers_y
     xs, ys = ([Dist(fam.n, row) for row in fam.masses] for fam in (fam_x, fam_y))
     v_table = {
         (u, w): solver(xu, yw).subspace
         for u, xu in zip(fam_x.labels.tolist(), xs)
         for w, yw in zip(fam_y.labels.tolist(), ys)
     }
-    return FiberGrid(fam_x, fam_y, v_table, note)
+    return FiberGrid(fam_x, fam_y, v_table, kept.cap)
 
 
 def _check_endgame_inputs(eta: float, kappa: float | None) -> None:
@@ -432,7 +439,7 @@ def _budget(entropies: PairEntropies) -> np.ndarray:
 
 def _hull_sums(fam_x: FiberFamily, fam_y: FiberFamily) -> _HullTable:
     """The support-hull sum hull(X_u) + hull(Y_w) of every kept pair, as a
-    _HullTable over the kept labels.
+    _HullTable over the kept labels: each V(u, w) of _budget_grid starts here.
 
     Hulls come from one _rref_batch over the fiber rows of both families
     (_support_hulls), or of the one family on X = Y (fam_y is fam_x), and
@@ -457,49 +464,38 @@ def _hull_sums(fam_x: FiberFamily, fam_y: FiberFamily) -> _HullTable:
     return _HullTable(n, labels_x, labels_y, sums, pair.reshape(kx, -1))
 
 
-def _hull_grid(
-    fam_x: FiberFamily, fam_y: FiberFamily, entropies: PairEntropies, note: dict,
-    sums: _HullTable,
-) -> FiberGrid | None:
-    """The hull grid over the kept fibers, whose `entropies` are theirs and
-    whose hull sums (_hull_sums) are `sums`: V(u, w) = hull(X_u) + hull(Y_w)
-    at every pair, when each such sum fits its budget,
-    dim <= PFR_SIZE_FACTOR (H[X_u] + H[Y_w]); else None.
+def _budget_grid(kept: KeptFibers) -> tuple[FiberGrid, np.ndarray]:
+    """The grid over the kept fibers with each V(u, w) the minimizer of
+    H[pi(X_u)] + H[pi(Y_w)] under its budget dim <= PFR_SIZE_FACTOR (H[X_u] +
+    H[Y_w]), and H[pi(X_u)], H[pi(Y_w)] at each V(u, w) as proj[0], proj[1].
 
-    pi_V(X_u) is a point exactly when V contains hull(X_u), so the hull sum
-    is the smallest V at which both projections are points, and the first
-    in (dim, lex) order at which H[pi(X_u)] + H[pi(Y_w)] = 0: the budgeted
-    minimizer whenever it fits the budget.  Both fibers project to points, so
-    each pair's term is s[X_u; Y_w] and the local interaction is
-    w_x @ (H[X_u] + H[Y_w] - H[X_u + Y_w]) @ w_y, with E dim V = w_x @ dims @ w_y.
-    The grid's v_table is `sums` itself.
-    """
-    dims = sums.dims
-    if not np.all(dims <= _budget(entropies)):
-        return None
-    s_pair = entropies.h_x[:, None] + entropies.h_y - entropies.h_sum
-    w_x, w_y = fam_x.weights, fam_y.weights
-    terms = (float(w_x @ s_pair @ w_y), float(w_x @ dims @ w_y))
-    return FiberGrid(fam_x, fam_y, sums, note, hull_terms=terms)
+    Every V(u, w) starts at its support-hull sum hull(X_u) + hull(Y_w)
+    (_hull_sums).  pi_V(X_u) is a point exactly when V contains hull(X_u),
+    so the hull sum is the smallest V at which both projections are points,
+    and the first in (dim, lex) order at which H[pi(X_u)] + H[pi(Y_w)] = 0:
+    the budgeted minimizer whenever it fits the budget.  When every sum fits,
+    the grid is a hull grid, whose v_table is the sums themselves: both
+    fibers project to points, so each pair's term is s[X_u; Y_w], the local
+    interaction is w_x @ (H[X_u] + H[Y_w] - H[X_u + Y_w]) @ w_y, with
+    E dim V = w_x @ dims @ w_y, and proj is 0.
 
-
-def _descent_grid(
-    fam_x: FiberFamily, fam_y: FiberFamily, entropies: PairEntropies, note: dict,
-    sums: _HullTable,
-) -> tuple[FiberGrid, np.ndarray, np.ndarray]:
-    """The grid over the kept fibers with each V(u, w) walked down from its
-    hull sum hull(X_u) + hull(Y_w), read off `sums` (_hull_sums), into its
-    budget, at any n, and H[pi(X_u)], H[pi(Y_w)] at each V(u, w).  Its
-    v_table is a dict, as fiber_grid's is.
-
-    While dim V is over the budget, V drops to its hyperplane W of least
-    H[pi_W(X_u)] + H[pi_W(Y_w)], from one hyperplane_entropies call on the
-    pair's two rows, ties within IDENTITY_TOL to the lowest functional.  X_u
-    lies on one coset of hull(X_u), so both projections depend only on
+    Otherwise the grid is a plain one, as fiber_grid's is, with a dict
+    v_table.  While dim V is over the budget, V drops to its hyperplane W of
+    least H[pi_W(X_u)] + H[pi_W(Y_w)], from one hyperplane_entropies call on
+    the pair's two rows, ties within IDENTITY_TOL to the lowest functional.
+    X_u lies on one coset of hull(X_u), so both projections depend only on
     V cap (hull(X_u) + hull(Y_w)), and the budgeted minimizer lies in that
     sum's lattice: the walk costs its dim in levels, whatever n is."""
+    fam_x, fam_y, entropies, note = kept
+    sums = _hull_sums(fam_x, fam_y)
+    dims = sums.dims
     budget = _budget(entropies)
     proj = np.zeros((2, *budget.shape))
+    if np.all(dims <= budget):
+        s_pair = entropies.h_x[:, None] + entropies.h_y - entropies.h_sum
+        w_x, w_y = fam_x.weights, fam_y.weights
+        terms = (float(w_x @ s_pair @ w_y), float(w_x @ dims @ w_y))
+        return FiberGrid(fam_x, fam_y, sums, note, hull_terms=terms), proj
     v_table = {}
     for i, u in enumerate(fam_x.labels.tolist()):
         for j, w in enumerate(fam_y.labels.tolist()):
@@ -512,26 +508,22 @@ def _descent_grid(
                 v = _hyperplane(v, f + 1)
                 proj[:, i, j] = h[:, f]
             v_table[(u, w)] = v
-    return FiberGrid(fam_x, fam_y, v_table, note), proj[0], proj[1]
+    return FiberGrid(fam_x, fam_y, v_table, note), proj
 
 
 def endgame_grid(
     move_table: _MoveTable, eta: float, kappa: float | None
-) -> tuple[float, dict, FiberGrid, tuple[np.ndarray, ...]]:
+) -> tuple[float, dict, FiberGrid, np.ndarray]:
     """Check eta, kappa, s[X;Y] >= eta(H[X]+H[Y]) and the four move
-    inequalities on a measured move table, then build the grid of the
-    fibers X_u, Y_w with V(u, w) the minimizer of H[pi(X_u)]+H[pi(Y_w)]
-    under the PFR size budget.  Without a kappa, the smallest one the moves
-    allow is used; a given kappa above the largest move mass raises
-    ValidationError.  Returns kappa, each move's gap, the grid and the arrays
-    H[X_u], H[Y_w], and H[pi(X_u)], H[pi(Y_w)] at each V(u, w); raises
-    HypothesisViolationError naming every failed inequality.
-
-    Each fiber's entropy is read from the move table.  When every kept
-    pair's support-hull sum fits the budget, the grid is a hull grid
-    (_hull_grid), with both projected entropies exactly 0.0.  Otherwise each
-    over-budget pair descends from its hull sum (_descent_grid).  Neither
-    scans a lattice, and both run at any n."""
+    inequalities on a measured move table, then build the grid of its kept
+    fibers X_u, Y_w (move_table.kept_2) with V(u, w) the minimizer of
+    H[pi(X_u)]+H[pi(Y_w)] under the PFR size budget (_budget_grid).  Without
+    a kappa, the smallest one the moves allow is used; a given kappa above
+    the largest move mass raises ValidationError.  Returns kappa, each move's
+    gap, the grid and (H[pi(X_u)], H[pi(Y_w)]) at each V(u, w), both 0.0 on
+    a hull grid; raises HypothesisViolationError naming every failed
+    inequality.  H[X_u] and H[Y_w] are the kept view's entropies.  No lattice
+    is scanned, at any n."""
     _check_endgame_inputs(eta, kappa)
     # Above the largest move mass every move inequality holds whatever eta is.
     largest = max(lhs for lhs, _ in move_table.moves.values())
@@ -556,16 +548,8 @@ def endgame_grid(
             gaps=gaps,
         )
 
-    fam_x, fam_y, note, rows, cols = cap_fibers(move_table.fib_pq, move_table.fib_qp)
-    kept = move_table.entropies_2
-    entropies = PairEntropies(kept.h_x[rows], kept.h_y[cols], kept.h_sum[np.ix_(rows, cols)])
-    sums = _hull_sums(fam_x, fam_y)
-    grid = _hull_grid(fam_x, fam_y, entropies, note, sums)
-    if grid is None:
-        grid, proj_x, proj_y = _descent_grid(fam_x, fam_y, entropies, note, sums)
-    else:
-        proj_x = proj_y = np.zeros((len(rows), len(cols)))
-    return kappa, hypothesis_gaps, grid, (entropies.h_x, entropies.h_y, proj_x, proj_y)
+    grid, proj = _budget_grid(move_table.kept_2)
+    return kappa, hypothesis_gaps, grid, proj
 
 
 def endgame(p: Dist, q: Dist, eta: float, kappa: float | None = None) -> EndgameTranscript:
@@ -575,8 +559,9 @@ def endgame(p: Dist, q: Dist, eta: float, kappa: float | None = None) -> Endgame
     measured from the same move table the hypothesis check reads.  Raises
     HypothesisViolationError when s[X;Y] >= eta(H[X]+H[Y]) or one of the four
     move inequalities fails for the given (eta, kappa), and ValidationError
-    when kappa exceeds the largest move mass.  The fiber grid keeps
-    at most FIBER_CAP pairs (see cap_fibers).
+    when kappa exceeds the largest move mass.  The fiber grid is the move
+    table's kept view, at most FIBER_CAP pairs (see cap_fibers), and H[X_u],
+    H[Y_w] are read from it.
     """
     if p.n != q.n:
         raise DimensionMismatchError("ambient dimensions differ")
@@ -586,7 +571,8 @@ def endgame(p: Dist, q: Dist, eta: float, kappa: float | None = None) -> Endgame
         raise CapacityError(f"endgame's Z-system joints are capped at n <= {MAX_ENUM_N}")
     _check_endgame_inputs(eta, kappa)
     move_table = _move_table(p, q)
-    kappa, gaps, grid, (h_x, h_y, proj_x, proj_y) = endgame_grid(move_table, eta, kappa)
+    kappa, gaps, grid, (proj_x, proj_y) = endgame_grid(move_table, eta, kappa)
+    h_x, h_y, _ = move_table.kept_2.entropies
 
     j12, j13 = z_system_joints(p, q)
     i_z1_z2 = conditional_mutual_information(j12, 0, 1, 2)

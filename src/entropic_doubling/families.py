@@ -14,6 +14,7 @@ import numpy as np
 
 from .dist import wht
 from .errors import EmptySupportError, ValidationError
+from .gf2 import _json_hex_list, _json_n
 from .records import Record
 from .tolerances import MAX_ELEMENT_N
 
@@ -118,3 +119,19 @@ def doubling_stats(elements) -> DoublingStats:
     else:
         eta = 2.0 - math.log2(ss) / math.log2(size)
     return DoublingStats(size=size, sumset_size=ss, eta=eta)
+
+
+def set_from_json(payload: dict) -> tuple[list[int], int]:
+    """The sorted elements and n of a set's JSON, {"n": n, "elements": [hex,
+    ...]}, as `gen` writes it and a THEOREM_11 bundle embeds it.  n must be an
+    integer in 1..MAX_ELEMENT_N and elements a list of hex strings of
+    elements of F_2^n; anything else raises ValidationError."""
+    try:
+        n, elements = _json_n(payload), sorted(_json_hex_list(payload, "elements"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed set payload: {exc}") from exc
+    if not 1 <= n <= MAX_ELEMENT_N:
+        raise ValidationError(f"a set's n must lie in 1..{MAX_ELEMENT_N}, got {n}")
+    if any(not 0 <= x < (1 << n) for x in elements):
+        raise ValidationError(f"a set element is out of range for F_2^{n}")
+    return elements, n

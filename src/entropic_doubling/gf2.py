@@ -9,6 +9,7 @@ significant set bits and pivot columns strictly increase down the basis.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -22,6 +23,26 @@ from .tolerances import MAX_ELEMENT_N, MAX_ENUM_N
 def _check_n(n: int) -> None:
     if not 1 <= n <= MAX_ELEMENT_N:
         raise CapacityError(f"ambient dimension must be in [1, {MAX_ELEMENT_N}], got {n}")
+
+
+def _json_n(payload: dict) -> int:
+    """payload["n"], which must be an integer by the rule dist._element
+    applies to an element: a bool, a float or a string is not one."""
+    n = payload["n"]
+    if isinstance(n, (bool, np.bool_)):
+        raise ValidationError(f"n {n!r} is a bool, not an integer")
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise ValidationError(f"n {n!r} is not an integer") from None
+
+
+def _json_hex_list(payload: dict, key: str) -> list[int]:
+    """The integers of the hex strings in payload[key], which must be a list."""
+    items = payload[key]
+    if not isinstance(items, list):
+        raise ValidationError(f"{key} must be a list, not {type(items).__name__}")
+    return [int(h, 16) for h in items]
 
 
 def _check_element(x: int, n: int) -> None:
@@ -158,11 +179,10 @@ class Subspace:
     @classmethod
     def from_json(cls, payload: dict) -> "Subspace":
         try:
-            n = int(payload["n"])
-            basis = tuple(int(h, 16) for h in payload["basis"])
+            n, basis = _json_n(payload), _json_hex_list(payload, "basis")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed subspace payload: {exc}") from exc
-        return cls(n, basis)
+        return cls(n, tuple(basis))
 
 
 @lru_cache(maxsize=4096)

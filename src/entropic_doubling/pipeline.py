@@ -47,10 +47,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dist import Dist, FiberFamily, pushforward_quotient, uniform_on, xor_convolve
-from .endgame import FiberGrid, _move_table, _MoveTable, cap_fibers, endgame_grid, fiber_grid
+from .dist import Dist, pushforward_quotient, uniform_on, xor_convolve
+from .endgame import FiberGrid, KeptFibers, _move_table, _MoveTable, endgame_grid, fiber_grid
 from .entropy import (
-    PairEntropies,
     _entropies,
     _hyperplane,
     fibring_decompose,
@@ -450,8 +449,8 @@ def _h_expectation_sequence(
     contains hull(X_u), and so does every sum of them, so h_j = 0 for
     j >= 1: the sequence is h_0, 0.0 and, unless that already stops, one
     more 0.0, at any n and with no DP.  Every other grid, fiber_grid's and
-    the endgame's descent grids alike, takes the DP (_dict_h_sequence), with
-    its cap and Monte-Carlo fallback, at any n.
+    the endgame's budget-bound ones (endgame._budget_grid) alike, takes the
+    DP (_dict_h_sequence), with its cap and Monte-Carlo fallback, at any n.
     """
     if grid.hull_terms is not None:
         h = [_h_zero(grid), 0.0]
@@ -572,8 +571,9 @@ def local_to_global(
     retrying until H[Y|pi(Y)] >= (zeta/4)(H[X]+H[Y]) and
     dim <= (8/zeta^2) E dim V(u,w).
     """
-    if zeta <= 0.0:
-        raise ValidationError("zeta must be positive")
+    # Written so that NaN fails it.
+    if not zeta > 0.0:
+        raise ValidationError(f"zeta must be positive, got {zeta}")
     fibers_x, fibers_y, v_table = grid.fibers_x, grid.fibers_y, grid.v_table
     x_mix = fibers_x.mixture()
     y_mix = fibers_y.mixture()
@@ -627,25 +627,17 @@ def local_to_global(
 # The inductive step
 
 
-def _zero_subspace_meets_b(
-    fam_x: FiberFamily,
-    fam_y: FiberFamily,
-    entropies: PairEntropies,
-    eta0: float,
-    eps0: float,
-) -> bool:
+def _zero_subspace_meets_b(kept: KeptFibers, eta0: float, eps0: float) -> bool:
     """Whether V = 0 meets statement B at (eta0, eps0) for every fiber pair of
-    the grid fiber_grid would build over fam_x x fam_y, read off the
-    families' pair entropies on the pairs cap_fibers keeps.
+    the grid fiber_grid would build over the kept fibers, read off their pair
+    entropies.
 
     The comparison has no tolerance, while the B-solver accepts V = 0 down to
     -IDENTITY_TOL, so a pair the solver could answer with a nonzero V never
     passes; a pair within float error of the boundary fails here instead.
     """
-    _, _, _, rows, cols = cap_fibers(fam_x, fam_y)
-    hx, hy = entropies.h_x[rows, None], entropies.h_y[None, cols]
-    h_sum = entropies.h_sum[np.ix_(rows, cols)]
-    rhs = b_inequality(h_sum, hx, hy, hx + hy, 0, eta0, eps0)[0]
+    h_x, h_y, h_sum = kept.entropies
+    rhs = b_inequality(h_sum, h_x[:, None], h_y, h_x[:, None] + h_y, 0, eta0, eps0)[0]
     return bool(np.all(h_sum >= rhs))
 
 
@@ -665,15 +657,16 @@ def inductive_step(
     Preprocesses with the sumset lemma, then splits on fiber doubling
     (Case 1: same-letter fibers, Case 2: crossed fibers, Case 3: endgame)
     and glues the case's fiber grid with local_to_global.  The lemma's last
-    move table is the step's one measurement of its pushed pair.  Every case
-    builds its grid with fiber_grid, capped at FIBER_CAP pairs; the endgame
-    case calls endgame_grid on the move table, which checks the endgame
-    hypotheses and builds the endgame's budgeted grid, never its Z-system
-    bookkeeping.  Case 1 and Case 2 are tried in order of measured margin,
-    then the endgame; zeta is the grid's measured local interaction over
-    H[pi(X)]+H[pi(Y)].  The paper's c only decides the early exit after the
-    sumset lemma.  A V with measured c <= IDENTITY_TOL raises PipelineError;
-    statement A then holds at the measured c and L = dim V/(H[X]+H[Y]).
+    move table is the step's one measurement of its pushed pair, and its kept
+    views, capped once at FIBER_CAP pairs, are the grids: fiber_grid builds
+    Case 1's over kept_1 and Case 2's over kept_2, and endgame_grid checks
+    the endgame hypotheses and builds the endgame's budgeted grid over
+    kept_2, never its Z-system bookkeeping.  Case 1 and Case 2 are tried in
+    order of measured margin, then the endgame; zeta is the grid's measured
+    local interaction over H[pi(X)]+H[pi(Y)].  The paper's c only decides the
+    early exit after the sumset lemma.  A V with measured c <= IDENTITY_TOL
+    raises PipelineError; statement A then holds at the measured c and
+    L = dim V/(H[X]+H[Y]).
 
     b_solver must return V = 0 whenever V = 0 satisfies statement B at
     (eta0, eps0).  The step relies on that: a Case 1 or Case 2 grid whose
@@ -718,21 +711,17 @@ def inductive_step(
         candidates.append("ENDGAME")
         case_note.update({"margin_case1": m1, "margin_case2": m2})
 
-        case_grids = {
-            "CASE1": (move_table.fib_pp, move_table.fib_qq, move_table.entropies_1),
-            "CASE2": (move_table.fib_pq, move_table.fib_qp, move_table.entropies_2),
-        }
+        case_grids = {"CASE1": move_table.kept_1, "CASE2": move_table.kept_2}
         failures: list[str] = []
         for case in candidates:
             if case in case_grids:
-                fam_x, fam_y, entropies = case_grids[case]
-                if _zero_subspace_meets_b(fam_x, fam_y, entropies, eta0, eps0):
+                if _zero_subspace_meets_b(case_grids[case], eta0, eps0):
                     failures.append(
                         f"{case}: every fiber pair meets statement B at V = 0, so every "
                         "V(u, w) = 0 and the local interaction is 0"
                     )
                     continue
-                grid = fiber_grid(fam_x, fam_y, b_solver)
+                grid = fiber_grid(case_grids[case], b_solver)
             else:
                 # The endgame measures kappa from the step's move table.
                 s0 = move_table.s_xy

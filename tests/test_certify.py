@@ -279,6 +279,24 @@ def test_set_bundle_with_repeated_element_verifies():
     assert report.ok, report.failures
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("elements", "1247"), ("n", 3.9), ("n", "3"), ("n", True)],
+    ids=["elements-string", "n-float", "n-string", "n-bool"],
+)
+def test_set_bundle_n_must_be_an_integer_and_elements_a_list(key, value):
+    # The string "1247" was read as the set {1, 2, 4, 7}, and n = 3.9 as 3, so
+    # both bundles verified.
+    elements = [1, 2, 4, 7]
+    bundle = json.loads(json.dumps(set_bundle(analyze_set(elements, 3, 0.2), elements, 3)))
+    assert verify_bundle(bundle).ok
+    bundle["inputs"]["set"][key] = value
+    report = verify_bundle(bundle)
+    assert not report.ok
+    assert len(report.failures) == 1
+    assert report.failures[0].startswith("bundle rejected: malformed set payload: ")
+
+
 @pytest.mark.parametrize("identity", [float("nan"), 1e300])
 def test_stored_tolerance_cannot_loosen_checks(identity):
     # Either tolerance would pass these two tampered values.

@@ -129,6 +129,27 @@ class TestAnalyze:
         assert err.count("\n") == 1
         assert err.startswith(f"error: {error}: ")
 
+    @pytest.mark.parametrize("command", ["analyze --set", "find-subspace --set"])
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"n": 4, "elements": "12"},
+            {"n": 4.0, "elements": ["1", "2"]},
+            {"n": True, "elements": ["1"]},
+            {"n": "4", "elements": ["1", "2"]},
+        ],
+        ids=["elements-string", "n-float", "n-bool", "n-string"],
+    )
+    def test_set_n_must_be_an_integer_and_elements_a_list(self, command, payload, tmp_path, capsys):
+        # The string "12" was read as the set {1, 2}, and find-subspace
+        # certified it.
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        assert main([*command.split(), str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: ValidationError: malformed set payload: ")
+
     def test_csv_without_a_row_exits_two(self, dist_files, capsys):
         assert main(["analyze", "--dist", str(dist_files[0]), "--format", "csv"]) == 2
         out, err = capsys.readouterr()

@@ -505,6 +505,12 @@ class TestSerialization:
         with pytest.raises(ValidationError):
             Dist.from_json({"n": 2, "mass": [1.0]})
 
+    @pytest.mark.parametrize("n", [1.9, 1.0, True, "1"], ids=["float", "whole-float", "bool", "string"])
+    def test_reader_n_must_be_an_integer(self, n):
+        # int() read 1.9 and True as n = 1.
+        with pytest.raises(ValidationError, match=r"^malformed distribution payload: n .* not an integer$"):
+            Dist.from_json({"n": n, "support": {"1": 1.0}})
+
     @pytest.mark.parametrize("key", ["-1", "4"])
     def test_reader_rejects_support_key_outside_table(self, key):
         with pytest.raises(ValidationError, match="support key"):

@@ -23,9 +23,8 @@ from entropic_doubling.dist import (
 from entropic_doubling.certify import endgame_bundle, verify_bundle
 from entropic_doubling.endgame import (
     FiberGrid,
-    _descent_grid,
-    _hull_grid,
-    _hull_sums,
+    KeptFibers,
+    _budget_grid,
     _move_table,
     cap_fibers,
     endgame,
@@ -207,11 +206,17 @@ class TestFiberCapTies:
 
     @staticmethod
     def _kept(weights: np.ndarray) -> list[int]:
+        # Labels are row indices, and each pair entropy names its row pair, so
+        # the kept entropies show which rows were kept.
         d = uniform_on([0], 5)
         fam = FiberFamily(np.arange(len(weights)), weights, np.tile(d.mass, (len(weights), 1)))
-        kept, _, _, rows, _ = cap_fibers(fam, fam)
-        assert kept.labels.tolist() == rows.tolist()
-        return list(rows)
+        rows = np.arange(len(weights), dtype=float)
+        kept = cap_fibers(fam, fam, PairEntropies(rows, rows, 100.0 * rows[:, None] + rows))
+        labels = kept.fibers_x.labels
+        assert kept.fibers_y is kept.fibers_x
+        assert kept.entropies.h_x.tolist() == kept.entropies.h_y.tolist() == labels.tolist()
+        assert np.array_equal(kept.entropies.h_sum, 100.0 * labels[:, None] + labels)
+        return labels.tolist()
 
     def test_noise_on_tied_weights_keeps_the_same_labels(self):
         rng = np.random.default_rng(7)
@@ -246,7 +251,7 @@ class TestFiberCapTies:
         # tie at 2/49; the cap keeps 0 and the 15 smallest tied labels.
         ball = uniform_on(hamming_ball(6, 1), 6)
         fam = sum_fibers(ball, ball)
-        kept, _, _, _, _ = cap_fibers(fam, fam)
+        kept = cap_fibers(fam, fam, pair_entropies(fam, fam)).fibers_x
         tied = sorted(u for u in fam.labels.tolist() if u)
         assert len(tied) == 21
         assert list(kept.labels) == [0] + tied[:15]
@@ -393,16 +398,37 @@ class TestEqualLawsMeasuredOnce:
         assert len(calls) == (2 if symmetric else 5)
         for got, want in zip((t.conv_pp, t.conv_qq, t.conv_pq), convs):
             assert np.array_equal(got.mass, want.mass)
-        for got, want in zip((t.fib_pp, t.fib_qq, t.fib_pq, t.fib_qp), fibs):
-            for field_name in ("labels", "weights", "masses"):
-                assert np.array_equal(getattr(got, field_name), getattr(want, field_name))
-        for got, want in zip((t.entropies_1, t.entropies_2), entropies):
+        # Each kept view against cap_fibers over the one-by-one families and
+        # their pair entropies.
+        for got, (fam_x, fam_y), ent in zip((t.kept_1, t.kept_2), (fibs[:2], fibs[2:]), entropies):
+            want = cap_fibers(fam_x, fam_y, ent)
+            for got_fam, want_fam in zip(got[:2], want[:2]):
+                for field_name in ("labels", "weights", "masses"):
+                    assert np.array_equal(
+                        getattr(got_fam, field_name), getattr(want_fam, field_name)
+                    )
             for field_name in ("h_x", "h_y", "h_sum"):
-                assert np.array_equal(getattr(got, field_name), getattr(want, field_name))
+                assert np.array_equal(
+                    getattr(got.entropies, field_name), getattr(want.entropies, field_name)
+                )
+            assert got.cap == want.cap
         assert t.moves == moves
         assert (t.h_x, t.h_y) == (shannon_entropy(p), shannon_entropy(q))
         assert t.h_xy == shannon_entropy(convs[2])
-        assert (t.fib_qp is t.fib_pp) == symmetric
+        assert (t.kept_2 is t.kept_1) == symmetric
+
+    def test_equal_laws_cap_one_kept_view(self, monkeypatch):
+        # On X = Y both grids are one family pair, capped once into one kept
+        # view; X != Y caps each of the two pairs once.
+        module = sys.modules["entropic_doubling.endgame"]
+        cap, calls = module.cap_fibers, []
+        monkeypatch.setattr(module, "cap_fibers", lambda *a: calls.append(1) or cap(*a))
+        for symmetric, caps in ((True, 1), (False, 2)):
+            calls.clear()
+            table = _move_table(*_noisy_pair(5, 5, symmetric))
+            assert len(calls) == caps
+            assert (table.kept_1 is table.kept_2) == symmetric
+            assert table.kept_1.cap["applied"]
 
     @pytest.mark.parametrize("symmetric", [True, False], ids=["X = Y", "X != Y"])
     def test_endgame_grid_scans_each_distinct_row_once(self, monkeypatch, symmetric):
@@ -433,14 +459,10 @@ class TestEqualLawsMeasuredOnce:
         assert report.ok, report.failures
 
 
-def _kept(p: Dist, q: Dist) -> tuple[FiberFamily, FiberFamily, dict, PairEntropies, float]:
-    """The fiber families endgame_grid keeps over (p, q), its cap note, their
-    pair entropies, and H[X] + H[Y]."""
+def _kept(p: Dist, q: Dist) -> tuple[KeptFibers, float]:
+    """The kept view endgame_grid reads over (p, q), and H[X] + H[Y]."""
     table = _move_table(p, q)
-    fam_x, fam_y, note, rows, cols = cap_fibers(table.fib_pq, table.fib_qp)
-    ent = table.entropies_2
-    kept = PairEntropies(ent.h_x[rows], ent.h_y[cols], ent.h_sum[np.ix_(rows, cols)])
-    return fam_x, fam_y, note, kept, table.h_x + table.h_y
+    return table.kept_2, table.h_x + table.h_y
 
 
 # _kept_grids' results by the laws' tables: the reference grids of
@@ -455,7 +477,8 @@ def _kept_grids(p: Dist, q: Dist) -> tuple[FiberGrid | None, FiberGrid, float]:
     exhaustive_best_subspace call under the pair's budget, and H[X] + H[Y]."""
     key = p.mass.tobytes(), q.mass.tobytes()
     if key not in _KEPT_GRIDS:
-        fam_x, fam_y, note, kept, h_total = _kept(p, q)
+        kept, h_total = _kept(p, q)
+        fam_x, fam_y, entropies, note = kept
         reference = {
             (u, w): exhaustive_best_subspace(
                 Dist(p.n, xu),
@@ -463,11 +486,12 @@ def _kept_grids(p: Dist, q: Dist) -> tuple[FiberGrid | None, FiberGrid, float]:
                 OBJECTIVE_PROJECTED_ENTROPY,
                 entropy_budget=PFR_SIZE_FACTOR * (hx + hy),
             ).subspace
-            for u, xu, hx in zip(fam_x.labels.tolist(), fam_x.masses, kept.h_x)
-            for w, yw, hy in zip(fam_y.labels.tolist(), fam_y.masses, kept.h_y)
+            for u, xu, hx in zip(fam_x.labels.tolist(), fam_x.masses, entropies.h_x)
+            for w, yw, hy in zip(fam_y.labels.tolist(), fam_y.masses, entropies.h_y)
         }
+        grid, _ = _budget_grid(kept)
         _KEPT_GRIDS[key] = (
-            _hull_grid(fam_x, fam_y, kept, note, _hull_sums(fam_x, fam_y)),
+            grid if grid.hull_terms is not None else None,
             FiberGrid(fam_x, fam_y, reference, note),
             h_total,
         )
@@ -539,12 +563,12 @@ class TestHullGrid:
             if hull is not None:
                 continue
             grids += 1
-            fam_x, fam_y, note, kept, _ = _kept(p, q)
-            grid, proj_x, proj_y = _descent_grid(
-                fam_x, fam_y, kept, note, _hull_sums(fam_x, fam_y)
-            )
+            kept, _ = _kept(p, q)
+            fam_x, fam_y, ent, _ = kept
+            grid, (proj_x, proj_y) = _budget_grid(kept)
+            assert grid.hull_terms is None
             assert grid.v_table == reference.v_table
-            budget = PFR_SIZE_FACTOR * (kept.h_x[:, None] + kept.h_y) + IDENTITY_TOL
+            budget = PFR_SIZE_FACTOR * (ent.h_x[:, None] + ent.h_y) + IDENTITY_TOL
             for i, (u, xu) in enumerate(zip(fam_x.labels.tolist(), fam_x.masses)):
                 for j, (w, yw) in enumerate(zip(fam_y.labels.tolist(), fam_y.masses)):
                     v, rows = grid.v_table[(u, w)], (xu, yw)
@@ -590,23 +614,23 @@ class TestHullGrid:
         u = uniform_on(hamming_ball(n, 1), n)
         fam = sum_fibers(u, u)
         copy = FiberFamily(fam.labels.copy(), fam.weights.copy(), fam.masses.copy())
-        kept, kept_y, note, rows, cols = cap_fibers(fam, fam)
-        assert kept_y is kept and np.array_equal(rows, cols)
-        assert note["applied"] == (n == 7)
-        ent = pair_entropies(fam, fam)
-        ent = PairEntropies(ent.h_x[rows], ent.h_y[cols], ent.h_sum[np.ix_(rows, cols)])
+        view = cap_fibers(fam, fam, pair_entropies(fam, fam))
+        kept, ent = view.fibers_x, view.entropies
+        assert view.fibers_y is kept and np.array_equal(ent.h_x, ent.h_y)
+        assert view.cap["applied"] == (n == 7)
         module = sys.modules["entropic_doubling.endgame"]
         reduced: list = []
         support_hulls = module._support_hulls
         monkeypatch.setattr(
             module, "_support_hulls", lambda m: reduced.append(len(m)) or support_hulls(m)
         )
-        once = _hull_grid(kept, kept, ent, note, _hull_sums(kept, kept))
+        once, _ = _budget_grid(view)
         assert reduced == [len(kept.labels)]
-        other = cap_fibers(copy, copy)[1]
+        other = cap_fibers(copy, copy, pair_entropies(copy, copy)).fibers_y
         assert other is not kept
-        full = _hull_grid(kept, other, ent, note, _hull_sums(kept, other))
+        full, _ = _budget_grid(view._replace(fibers_y=other))
         assert reduced == [len(kept.labels), 2 * len(kept.labels)]
+        assert once.hull_terms is not None
         assert once.hull_terms == full.hull_terms
         assert dict(once.v_table) == dict(full.v_table)
 
@@ -647,7 +671,9 @@ class TestHullGrid:
         for n in (3, 7):
             p, q = _budget_bound_pair(n, False)
             eta = doubling_mass(p, q) / (shannon_entropy(p) + shannon_entropy(q))
-            _, _, grid, (h_x, h_y, proj_x, proj_y) = endgame_grid(_move_table(p, q), eta, None)
+            table = _move_table(p, q)
+            _, _, grid, (proj_x, proj_y) = endgame_grid(table, eta, None)
+            h_x, h_y, _ = table.kept_2.entropies
             assert grid.hull_terms is None
             fx, fy = grid.fibers_x, grid.fibers_y
             for i, (u, xu) in enumerate(zip(fx.labels.tolist(), fx.masses)):
@@ -664,7 +690,7 @@ class TestHullGrid:
         # The noisy pair at n = 7: a hull grid, whose projections are points.
         p, q = _noisy_pair(7, 4, False)
         eta = min(0.5, doubling_mass(p, q) / (shannon_entropy(p) + shannon_entropy(q)))
-        _, _, grid, (_, _, proj_x, proj_y) = endgame_grid(_move_table(p, q), eta, None)
+        _, _, grid, (proj_x, proj_y) = endgame_grid(_move_table(p, q), eta, None)
         assert grid.hull_terms is not None
         assert not proj_x.any() and not proj_y.any()
 

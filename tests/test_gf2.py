@@ -261,6 +261,22 @@ class TestSerialization:
         with pytest.raises(ValidationError):
             Subspace.from_json({"n": 3, "basis": ["3", "6"]})
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"n": 3, "basis": "12"},
+            {"n": 3, "basis": {"1": "2"}},
+            {"n": 3.0, "basis": ["1"]},
+            {"n": True, "basis": ["1"]},
+            {"n": "3", "basis": ["1"]},
+        ],
+        ids=["basis-string", "basis-object", "n-float", "n-bool", "n-string"],
+    )
+    def test_n_must_be_an_integer_and_basis_a_list(self, payload):
+        # Iterating the string "12" read the basis <1, 2>.
+        with pytest.raises(ValidationError, match="^malformed subspace payload: "):
+            Subspace.from_json(payload)
+
     def test_rejects_malformed(self):
         with pytest.raises(ValidationError):
             Subspace.from_json({"n": 3})

@@ -38,7 +38,9 @@ from entropic_doubling.dist import (
 )
 from entropic_doubling.endgame import (
     FiberGrid,
+    KeptFibers,
     _move_table,
+    cap_fibers,
     endgame,
     endgame_grid,
     fiber_grid,
@@ -98,7 +100,7 @@ from entropic_doubling.pipeline import (
     t11_inequality,
     y_size_lower_bound_check,
 )
-from entropic_doubling.tolerances import FIBER_CAP, IDENTITY_TOL
+from entropic_doubling.tolerances import IDENTITY_TOL
 
 H3 = math.log2(3.0)
 
@@ -274,11 +276,8 @@ class TestMakeSumsetsNotDouble:
             eps0 = float(10.0 ** rng.uniform(-6.0, -1.0)) if trial % 4 else 1e-6
             v, steps, table = make_sumsets_not_double(p, q, 0.5, eps0, solver)
             assert v == Subspace.zero(n) and steps == []
-            for fam_x, fam_y, entropies in (
-                (table.fib_pp, table.fib_qq, table.entropies_1),
-                (table.fib_pq, table.fib_qp, table.entropies_2),
-            ):
-                assert _zero_subspace_meets_b(fam_x, fam_y, entropies, 0.5, eps0)
+            for kept in (table.kept_1, table.kept_2):
+                assert _zero_subspace_meets_b(kept, 0.5, eps0)
 
     def test_each_v_judged_by_the_explicit_sumset_entropies(self, monkeypatch):
         # The lemma's test at a V reads the move table of (pi_V(X), pi_V(Y)).
@@ -376,6 +375,12 @@ class TestLocalToGlobal:
         a = local_to_global(grid, 0.4, np.random.default_rng(1))
         b = local_to_global(grid, 0.4, np.random.default_rng(2))
         assert a.subspace == b.subspace and a.k == b.k
+
+    @pytest.mark.parametrize("zeta", [0.0, -0.1, float("nan")])
+    def test_zeta_outside_the_positive_reals_is_rejected(self, zeta):
+        _u, _v, fam, table = self._uniform_system()
+        with pytest.raises(ValidationError, match="^zeta must be positive, got"):
+            local_to_global(FiberGrid(fam, fam, table), zeta, np.random.default_rng(0))
 
     def test_hypothesis_violation(self):
         # Entropic fibers whose trivial table leaves zero fiber interaction.
@@ -511,7 +516,9 @@ class TestLatticeExpectationDP:
         rng = np.random.default_rng(seed)
         size = min(1 << n, 6)
         p, q = random_dist(n, rng, size), random_dist(n, rng, size)
-        return fiber_grid(sum_fibers(p, q), sum_fibers(q, p), exhaustive_b_solver(0.35, 0.05))
+        fx, fy = sum_fibers(p, q), sum_fibers(q, p)
+        kept = cap_fibers(fx, fy, pair_entropies(fx, fy))
+        return fiber_grid(kept, exhaustive_b_solver(0.35, 0.05))
 
     @staticmethod
     def _random_fibers(n: int, weights: np.ndarray, rng) -> FiberFamily:
@@ -1210,12 +1217,11 @@ def _screen_inputs(n: int, kind: str, seed: int) -> tuple[Dist, Dist]:
     return p, q
 
 
-def _grid_pairs(fam_x: FiberFamily, fam_y: FiberFamily) -> list[tuple[Dist, Dist]]:
+def _grid_pairs(kept: KeptFibers) -> list[tuple[Dist, Dist]]:
     """The (X_u, Y_w) pairs that fiber_grid hands its solver."""
     pairs: list = []
     fiber_grid(
-        fam_x, fam_y,
-        lambda a, b: pairs.append((a, b)) or SimpleNamespace(subspace=Subspace.zero(a.n)),
+        kept, lambda a, b: pairs.append((a, b)) or SimpleNamespace(subspace=Subspace.zero(a.n))
     )
     return pairs
 
@@ -1325,6 +1331,28 @@ class TestDescentGridAtSmallN:
         assert report.ok, report.failures
 
 
+class TestOneKeptViewPerGrid:
+    """The move table caps each of its two family pairs once, and no grid
+    reader (the Case 1 and Case 2 screens, endgame_grid) caps again."""
+
+    def test_random_pair_caps_each_family_pair_once(self, monkeypatch):
+        # One inductive step on two full-support laws at n = 5: its one move
+        # table has two family pairs of 32 x 32 fibers, both over FIBER_CAP,
+        # so 2 caps, each ranking both families by weight.
+        module = sys.modules["entropic_doubling.endgame"]
+        calls = {"cap_fibers": 0, "_heaviest": 0}
+        for name, fn in [(name, getattr(module, name)) for name in calls]:
+            monkeypatch.setattr(
+                module, name,
+                lambda *a, name=name, fn=fn: calls.__setitem__(name, calls[name] + 1) or fn(*a),
+            )
+        rng = np.random.default_rng(0)
+        p, q = random_dist(5, rng), random_dist(5, rng)
+        result = solve_B(p, q, 0.2, 0.05)
+        assert [s.kind for s in result.steps if s.kind != "DESCENT"] == ["ENDGAME"]
+        assert calls == {"cap_fibers": 2, "_heaviest": 4}
+
+
 class TestZeroSubspaceScreen:
     """The screen that skips a Case 1/Case 2 grid whose every
     capped fiber pair meets statement B at V = 0."""
@@ -1341,26 +1369,26 @@ class TestZeroSubspaceScreen:
             np.stack([random_dist(5, rng).mass for _ in range(16)] + [light.mass] * 16),
         )
         grids = [
-            (heavy_and_light, heavy_and_light, pair_entropies(heavy_and_light, heavy_and_light))
+            cap_fibers(
+                heavy_and_light, heavy_and_light,
+                pair_entropies(heavy_and_light, heavy_and_light),
+            )
         ]
         for n, kind in itertools.product(range(3, 7), ("random", "noisy", "uniform_subspace")):
             table = _move_table(*_screen_inputs(n, kind, seed=n))
-            grids += [
-                (table.fib_pp, table.fib_qq, table.entropies_1),
-                (table.fib_pq, table.fib_qp, table.entropies_2),
-            ]
+            grids += [table.kept_1, table.kept_2]
         verdicts = set()
         capped = False
-        for fam_x, fam_y, entropies in grids:
-            n = fam_x.n
-            capped |= len(fam_x.labels) * len(fam_y.labels) > FIBER_CAP
-            pairs = _grid_pairs(fam_x, fam_y)
+        for kept in grids:
+            n = kept.fibers_x.n
+            capped |= kept.cap["applied"]
+            pairs = _grid_pairs(kept)
             for eta0, eps0 in ((0.05, 0.01), (0.2, 0.05), (0.45, 0.04), (0.5, 0.05)):
                 params = StatementParams(eta=eta0, epsilon=eps0)
                 expected = all(
                     check_statement_B(a, b, Subspace.zero(n), params).passes for a, b in pairs
                 )
-                assert _zero_subspace_meets_b(fam_x, fam_y, entropies, eta0, eps0) is expected
+                assert _zero_subspace_meets_b(kept, eta0, eps0) is expected
                 verdicts.add(expected)
         assert capped
         assert verdicts == {True, False}
@@ -1371,18 +1399,17 @@ class TestZeroSubspaceScreen:
         # -IDENTITY_TOL, so either way it answers every pair with V = 0; the
         # screen, with no tolerance, declines below the boundary, and the grid
         # is then built and solved as without the screen.
-        table = _move_table(*_screen_inputs(4, "noisy", seed=4))
-        fam_x, fam_y = table.fib_pq, table.fib_qp
+        kept = _move_table(*_screen_inputs(4, "noisy", seed=4)).kept_2
         sums = [
             (shannon_entropy(xor_convolve(a, b)), shannon_entropy(a) + shannon_entropy(b))
-            for a, b in _grid_pairs(fam_x, fam_y)
+            for a, b in _grid_pairs(kept)
         ]
         h_sum, h_pair = min((t for t in sums if t[1] > 0), key=lambda t: t[0] / t[1])
         eta0 = 0.98 - h_sum / h_pair
         for gap, meets in ((5e-11, False), (-5e-11, True)):
             eps0 = 1.0 - eta0 - (h_sum + gap) / h_pair
-            assert _zero_subspace_meets_b(fam_x, fam_y, table.entropies_2, eta0, eps0) is meets
-            grid = fiber_grid(fam_x, fam_y, exhaustive_b_solver(eta0, eps0))
+            assert _zero_subspace_meets_b(kept, eta0, eps0) is meets
+            grid = fiber_grid(kept, exhaustive_b_solver(eta0, eps0))
             assert {v.dim for v in grid.v_table.values()} == {0}
             assert grid.local_interaction == (0.0, 0.0)
 
